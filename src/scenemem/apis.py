@@ -11,6 +11,10 @@ Notes inside a patch may target an existing node or a detection within the
 same patch ("pending"); pending notes attach to whichever track the
 detection lands in (merge target or newly created node).
 
+Detections become tracks in one place, _associate_detections: apply_patch
+and construction (pipeline.build_ssm, once per keyframe) both merge or
+create through it.
+
 retrieve_frame is the degenerate fourth action used by the image-only API
 mode: an empty patch whose only effect is appending the frame to the frame
 memory.
@@ -21,19 +25,17 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 
-from .backend import (AnalyzeResponse, Backend, BackendError, BackendRequest,
-                      WireObject)
+from .backend import (API_ACTION_KINDS as API_KINDS, AnalyzeResponse, Backend,
+                      BackendError, BackendRequest, WireObject)
 from .config import EngineConfig
 from .dataset import DatasetError, Episode, Keyframe
 from .geometry import (PixelMask, backproject, largest_cluster, project,
                        voxel_downsample)
-from .graph import (Detection, Embedding, RelationEdge, Track, associate,
-                    caption_embedding, hash_embedding, merge_detection)
+from .graph import (CloudSummary, Detection, Embedding, RelationEdge, Track,
+                    associate, caption_embedding, hash_embedding, merge_detection)
 from .memory import SceneMemory, append_frame
 
 logger = logging.getLogger(__name__)
-
-API_KINDS = ("find_objects", "analyze_objects", "analyze_frame", "retrieve_frame")
 
 
 class ApiError(ValueError):
@@ -92,17 +94,12 @@ class Patch:
     def to_doc(self) -> dict:
         """Loggable form; render with memory.canonical_json for stable
         record/replay artifacts (clouds appear as summaries)."""
-        from .graph import CloudSummary
-
         dets = []
         for d in self.new_detections:
             summary = CloudSummary.of(d.cloud)
             dets.append({"frame_id": d.frame_id, "bbox": list(d.bbox),
                          "caption": d.caption,
-                         "cloud": None if summary is None else
-                         {"centroid": [float(x) for x in summary.centroid],
-                          "extent": [float(x) for x in summary.extent],
-                          "points": summary.count}})
+                         "cloud": None if summary is None else summary.to_doc()})
         return {
             "provenance": self.provenance.to_doc(),
             "new_detections": dets,
@@ -250,12 +247,7 @@ class ApiExecutor:
             logger.warning("find_objects backend failure: %s", exc)
             return Patch(provenance=call, failure=str(exc))
         patch = Patch(provenance=call)
-        for wire in response.objects:
-            idx = len(patch.new_detections)
-            patch.new_detections.append(self.detection_from_wire(wire, frame))
-            patch.evidence.append((call.frame_id, wire.bbox))
-            if wire.note:
-                patch.notes.append(PatchNote("pending", idx, wire.note))
+        self._add_wire_objects(patch, response.objects, frame)
         return patch
 
     def analyze_objects(self, call: ApiCall, ssm: SceneMemory) -> Patch:
@@ -313,17 +305,23 @@ class ApiExecutor:
                               allow_new=True)
         return patch
 
+    def _add_wire_objects(self, patch: Patch, wires: list[WireObject],
+                          frame: Keyframe) -> None:
+        """Lift each wire object into a pending detection with its evidence
+        pointer and, when the wire carries one, a pending note."""
+        for wire in wires:
+            idx = len(patch.new_detections)
+            patch.new_detections.append(self.detection_from_wire(wire, frame))
+            patch.evidence.append((frame.id, wire.bbox))
+            if wire.note:
+                patch.notes.append(PatchNote("pending", idx, wire.note))
+
     def _absorb_analysis(self, patch: Patch, response: AnalyzeResponse,
                          frame: Keyframe, call: ApiCall, allowed_nodes: set[int],
                          bboxes: dict[int, tuple[int, int, int, int]],
                          allow_new: bool) -> None:
         if allow_new:
-            for wire in response.new_objects:
-                idx = len(patch.new_detections)
-                patch.new_detections.append(self.detection_from_wire(wire, frame))
-                patch.evidence.append((call.frame_id, wire.bbox))
-                if wire.note:
-                    patch.notes.append(PatchNote("pending", idx, wire.note))
+            self._add_wire_objects(patch, response.new_objects, frame)
         for nid, text in response.notes:
             if nid not in allowed_nodes:
                 patch.skipped_nodes.append(nid)
@@ -338,38 +336,33 @@ class ApiExecutor:
 # Patch integration
 # ---------------------------------------------------------------------------
 
-def _associate_detections(work: SceneMemory, patch: Patch, cfg: EngineConfig,
-                          report: PatchReport) -> dict[int, int]:
-    """Merge or create a track per patch detection; returns detection
-    index -> landing track id."""
+def _associate_detections(work: SceneMemory, detections: list[Detection],
+                          cfg: EngineConfig) -> tuple[list[int], list[int]]:
+    """Merge each detection into its associated track or create a placed
+    track for it. Returns the landing track id per detection and the ids
+    of the created tracks. Construction and patches both integrate
+    detections here."""
     tracks = [work.graph.tracks[tid] for tid in sorted(work.graph.tracks)]
-    matching = associate(patch.new_detections, tracks, cfg.association)
-    landing: dict[int, int] = {}
-    for di, det in enumerate(patch.new_detections):
+    matching = associate(detections, tracks, cfg.association)
+    landing: list[int] = []
+    created: list[int] = []
+    for di, det in enumerate(detections):
         target = matching[di]
         if target is None:
             track = Track(id=work.graph.new_track_id(), cloud=det.cloud,
                           visual=det.visual, language=det.language,
                           caption=det.caption, caption_history=[det.caption],
                           visible_frames=[det.frame_id])
-            if work.floors is not None and work.rooms is not None \
-                    and not det.cloud.is_empty:
-                cx, cy, cz = det.cloud.centroid()
-                floor_id = work.floors.floor_of(float(cz))
-                track.floor_id = floor_id
-                track.room_id = work.rooms.room_of(floor_id, float(cx), float(cy))
-                if track.room_id is not None:
-                    track.room_label = work.rooms.label_of(track.room_id)
+            work.place_track(track)
             work.create_track(track)
-            report.created.append(track.id)
-            landing[di] = track.id
+            created.append(track.id)
+            target = track.id
         else:
-            merged = merge_detection(work.graph.tracks[target], det,
-                                     cfg.association, cfg.geometry.voxel_size_m)
-            work.graph.replace_track(merged)
-            report.merged.append((di, target))
-            landing[di] = target
-    return landing
+            work.graph.replace_track(merge_detection(
+                work.graph.tracks[target], det, cfg.association,
+                cfg.geometry.voxel_size_m))
+        landing.append(target)
+    return landing, created
 
 
 def _insert_edges(work: SceneMemory, patch: Patch, report: PatchReport) -> None:
@@ -378,7 +371,7 @@ def _insert_edges(work: SceneMemory, patch: Patch, report: PatchReport) -> None:
     report.edges_rejected = [reason for _, reason in edge_report.rejected]
 
 
-def _append_notes(work: SceneMemory, patch: Patch, landing: dict[int, int],
+def _append_notes(work: SceneMemory, patch: Patch, landing: list[int],
                   report: PatchReport) -> None:
     for note in patch.notes:
         node_id = landing[note.target] if note.target_kind == "pending" else note.target
@@ -394,14 +387,13 @@ def _append_frame_memory(work: SceneMemory, patch: Patch,
     report.frame_appended = len(work.frame_memory) > before
 
 
-def _update_nav_log(work: SceneMemory, patch: Patch,
-                    landing: dict[int, int]) -> None:
+def _update_nav_log(work: SceneMemory, patch: Patch, landing: list[int]) -> None:
     if not landing:
         return
     fid = patch.provenance.frame_id
     for i, entry in enumerate(work.nav_log):
         if entry.frame_id == fid:
-            merged_ids = sorted(set(entry.visible_node_ids) | set(landing.values()))
+            merged_ids = sorted(set(entry.visible_node_ids) | set(landing))
             work.nav_log[i] = replace(entry, visible_node_ids=merged_ids)
             return
 
@@ -429,7 +421,10 @@ def apply_patch(ssm: SceneMemory, patch: Patch,
     work = ssm.copy()
     try:
         patch.validate(set(work.graph.tracks))
-        landing = _associate_detections(work, patch, cfg, report)
+        landing, report.created = _associate_detections(
+            work, patch.new_detections, cfg)
+        report.merged = [(di, tid) for di, tid in enumerate(landing)
+                         if tid not in report.created]
         _insert_edges(work, patch, report)
         _append_notes(work, patch, landing, report)
         _append_frame_memory(work, patch, report)

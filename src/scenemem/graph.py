@@ -117,6 +117,12 @@ class CloudSummary:
                    tuple(float(x) for x in cloud.extent()),
                    len(cloud))
 
+    def to_doc(self) -> dict:
+        """The serialized ``cloud`` object of tracks and patch detections."""
+        return {"centroid": [float(x) for x in self.centroid],
+                "extent": [float(x) for x in self.extent],
+                "points": self.count}
+
 
 @dataclass
 class Track:
@@ -167,29 +173,29 @@ class RelationEdge:
         return (self.subject_id, self.object_id, self.relation)
 
 
-def _indicators(d: Detection, t: Track, cfg: AssociationConfig) -> tuple[int, float]:
-    """(vote count, overlap fraction) for a detection/track pair.
-
-    All three indicators use strict inequality against their thresholds.
-    A track without embeddings (geometry-light) contributes no embedding
-    votes; an empty detection cloud contributes no geometric vote.
-    """
+def _embedding_votes(d: Detection, t: Track, cfg: AssociationConfig) -> int:
+    """Visual and caption votes for a detection/track pair, each by strict
+    inequality against its threshold. A track without embeddings
+    (geometry-light) contributes none."""
     votes = 0
     if t.visual is not None and cosine(d.visual, t.visual) > cfg.visual_sim_threshold:
         votes += 1
     if t.language is not None and cosine(d.language, t.language) > cfg.caption_sim_threshold:
         votes += 1
-    overlap = 0.0
-    if t.cloud is not None and not d.cloud.is_empty:
-        overlap = geometric_overlap(d.cloud, t.cloud, cfg.overlap_radius_m)
-        if overlap > cfg.overlap_threshold:
-            votes += 1
-    return votes, overlap
+    return votes
+
+
+def _overlap(d: Detection, t: Track, cfg: AssociationConfig) -> float:
+    """Overlap fraction of the detection cloud against the track cloud; 0
+    for a geometry-light track or an empty detection cloud."""
+    if t.cloud is None or d.cloud.is_empty:
+        return 0.0
+    return geometric_overlap(d.cloud, t.cloud, cfg.overlap_radius_m)
 
 
 def vote_score(d: Detection, t: Track, cfg: AssociationConfig) -> int:
     """Number of accepted indicators in {0..3} for matching d to t."""
-    return _indicators(d, t, cfg)[0]
+    return _embedding_votes(d, t, cfg) + int(_overlap(d, t, cfg) > cfg.overlap_threshold)
 
 
 def associate(detections: list[Detection], tracks: list[Track],
@@ -206,16 +212,11 @@ def associate(detections: list[Detection], tracks: list[Track],
         for t in tracks:
             # the geometric indicator adds at most one vote: pairs whose
             # embedding votes already fall short skip the overlap entirely
-            emb_votes = 0
-            if t.visual is not None \
-                    and cosine(det.visual, t.visual) > cfg.visual_sim_threshold:
-                emb_votes += 1
-            if t.language is not None \
-                    and cosine(det.language, t.language) > cfg.caption_sim_threshold:
-                emb_votes += 1
+            emb_votes = _embedding_votes(det, t, cfg)
             if emb_votes + 1 < cfg.min_votes:
                 continue
-            votes, overlap = _indicators(det, t, cfg)
+            overlap = _overlap(det, t, cfg)
+            votes = emb_votes + int(overlap > cfg.overlap_threshold)
             if votes >= cfg.min_votes:
                 candidates.append((votes, overlap, t.id, di))
     candidates.sort(key=lambda c: (-c[0], -c[1], c[2], c[3]))

@@ -59,6 +59,10 @@ class TranscriptStep:
 
 @dataclass
 class Answer:
+    """One question episode's outcome. ``final_memory`` is the memory the
+    episode ended on; it may be the input memory object itself when no
+    patch landed."""
+
     text: str
     evidence_frames: list[int]
     evidence_notes: list[tuple[int, int]]
@@ -135,7 +139,7 @@ def answer(query: EpisodeQuery, ssm: SceneMemory, episode: Episode,
     config = config or EngineConfig()
     allowed = API_MODE_KINDS[config.api_mode]
     executor = ApiExecutor(episode, backend, config)
-    current = ssm.copy()
+    current = ssm  # only apply_patch edits, and it works on its own copy
     transcript: list[TranscriptStep] = []
     calls_used = 0
     pending_violations: list[str] | None = None

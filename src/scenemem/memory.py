@@ -177,6 +177,19 @@ class SceneMemory:
             Note(text=text, source_api=source_api, query=query,
                  evidence_frame=evidence_frame))
 
+    def place_track(self, track: Track) -> None:
+        """Set the track's floor, room and room label from its cloud
+        centroid; a no-op until the floor and room models are set, and for
+        tracks without cloud points."""
+        if self.floors is None or self.rooms is None \
+                or track.cloud is None or track.cloud.is_empty:
+            return
+        cx, cy, cz = track.cloud.centroid()
+        track.floor_id = self.floors.floor_of(float(cz))
+        track.room_id = self.rooms.room_of(track.floor_id, float(cx), float(cy))
+        if track.room_id is not None:
+            track.room_label = self.rooms.label_of(track.room_id)
+
     def note_count(self) -> int:
         return sum(len(e.notes) for e in self.scratchpad.values())
 
@@ -273,11 +286,6 @@ def canonical_json(obj) -> str:
 
 def _track_doc(t: Track) -> dict:
     summary = t.cloud_summary()
-    cloud = None
-    if summary is not None:
-        cloud = {"centroid": [float(x) for x in summary.centroid],
-                 "extent": [float(x) for x in summary.extent],
-                 "points": summary.count}
     return {
         "id": t.id,
         "caption": t.caption,
@@ -286,7 +294,7 @@ def _track_doc(t: Track) -> dict:
         "room_label": t.room_label,
         "floor_id": t.floor_id,
         "visible_frames": list(t.visible_frames),
-        "cloud": cloud,
+        "cloud": None if summary is None else summary.to_doc(),
     }
 
 

@@ -2,7 +2,8 @@
 
 Per keyframe: ask the backend detector for (bbox, caption) objects, lift
 each through mask -> back-projection -> voxel downsample -> densest
-cluster, then vote-associate against existing tracks (merge or create).
+cluster, then merge into or create tracks through the same integration
+function that applies patches (apis._associate_detections).
 Every third processed frame the backend predicts pairwise relations among
 the frame's visible nodes. Caption histories consolidate once they reach
 the configured length. After the frame sweep: floors from the camera
@@ -20,13 +21,12 @@ import logging
 
 import numpy as np
 
-from .apis import ApiExecutor
+from .apis import ApiExecutor, _associate_detections
 from .backend import Backend, BackendError, BackendRequest
 from .config import EngineConfig
 from .dataset import Episode
 from .geometry import PixelMask, PointCloud, backproject, voxel_downsample
-from .graph import (RelationEdge, Track, associate, consolidate_captions,
-                    edge_discovery_due, merge_detection)
+from .graph import RelationEdge, consolidate_captions, edge_discovery_due
 from .memory import SceneMemory, init_frame_memory
 from .spatial import (OccupancyGrid, build_nav_entry, detect_floors, label_rooms,
                       segment_rooms)
@@ -171,25 +171,8 @@ def build_ssm(episode: Episode, backend: Backend,
 
         detections = [executor.detection_from_wire(wire, frame)
                       for wire in response.objects]
-        tracks = [ssm.graph.tracks[tid] for tid in sorted(ssm.graph.tracks)]
-        matching = associate(detections, tracks, cfg.association)
-        frame_nodes: list[int] = []
-        det_bbox_by_node: dict[int, tuple[int, int, int, int]] = {}
-        for di, det in enumerate(detections):
-            target = matching[di]
-            if target is None:
-                track = Track(id=ssm.graph.new_track_id(), cloud=det.cloud,
-                              visual=det.visual, language=det.language,
-                              caption=det.caption, caption_history=[det.caption],
-                              visible_frames=[det.frame_id])
-                ssm.create_track(track)
-                target = track.id
-            else:
-                merged = merge_detection(ssm.graph.tracks[target], det,
-                                         cfg.association, cfg.geometry.voxel_size_m)
-                ssm.graph.replace_track(merged)
-            frame_nodes.append(target)
-            det_bbox_by_node[target] = det.bbox
+        frame_nodes, _ = _associate_detections(ssm, detections, cfg)
+        det_bbox_by_node = {nid: det.bbox for nid, det in zip(frame_nodes, detections)}
         visible_by_frame[frame.id] = frame_nodes
 
         if frame_nodes and edge_discovery_due(index, cfg.edge_discovery_period):
@@ -224,20 +207,16 @@ def build_ssm(episode: Episode, backend: Backend,
                            cfg.spatial.floor_separation_m)
     structure = _structure_cloud(episode, cfg)
     rooms = segment_rooms(_occupancy_grids(structure, floors, cfg), cfg.spatial)
+    ssm.floors, ssm.rooms = floors, rooms
 
     members: dict[str, list[str]] = {}
     for tid in sorted(ssm.graph.tracks):
         track = ssm.graph.tracks[tid]
-        if track.cloud is None or track.cloud.is_empty:
-            continue
-        cx, cy, cz = track.cloud.centroid()
-        floor_id = floors.floor_of(float(cz))
-        room_id = rooms.room_of(floor_id, float(cx), float(cy))
-        track.floor_id = floor_id
-        track.room_id = room_id
-        if room_id is not None:
-            members.setdefault(room_id, []).append(track.caption)
+        ssm.place_track(track)
+        if track.room_id is not None:
+            members.setdefault(track.room_id, []).append(track.caption)
     rooms = label_rooms(rooms, members, backend, list(cfg.spatial.room_classes))
+    ssm.rooms = rooms
     for track in ssm.graph.tracks.values():
         if track.room_id is not None:
             track.room_label = rooms.label_of(track.room_id)
@@ -250,7 +229,5 @@ def build_ssm(episode: Episode, backend: Backend,
         prev = frame
 
     ssm.frame_memory = init_frame_memory(episode.frame_ids, cfg.initial_frames)
-    ssm.floors = floors
-    ssm.rooms = rooms
     ssm.validate()
     return ssm

@@ -299,6 +299,30 @@ class TestApplyPatch:
         for new_id in report.created:
             assert new_id in entry.visible_node_ids
 
+    def test_created_track_is_placed_in_its_room(self, workbench):
+        """A track re-discovered by a patch lands on the floor and in the
+        room (with its label) that construction gave the dropped track."""
+        scene, _, _, executor, ssm = workbench
+        work = ssm.copy()
+        obj = scene.objects[0]
+        fid = _frame_showing(scene, 0)
+        drop = next(t for t, tr in work.graph.tracks.items()
+                    if tr.caption == obj.caption)
+        dropped = work.graph.tracks.pop(drop)
+        del work.scratchpad[drop]
+        work.graph.edges = [e for e in work.graph.edges
+                            if drop not in (e.subject_id, e.object_id)]
+        for entry in work.nav_log:
+            entry.visible_node_ids = [i for i in entry.visible_node_ids if i != drop]
+        patch = executor.analyze_frame(
+            ApiCall("analyze_frame", fid, "describe all objects"), work)
+        updated, report = apply_patch(work, patch, EngineConfig())
+        assert len(report.created) == 1
+        created = updated.graph.tracks[report.created[0]]
+        assert created.caption == obj.caption
+        assert (created.floor_id, created.room_id) == (dropped.floor_id, dropped.room_id)
+        assert created.room_label == scene.room_label_of(obj)
+
     def test_provenance_frame_outside_episode_rejected(self, workbench):
         _, _, _, _, ssm = workbench
         patch = Patch(provenance=ApiCall("analyze_frame", 987, "x"))
