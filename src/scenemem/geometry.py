@@ -6,6 +6,18 @@ produce the same outputs, including point ordering, so that downstream
 serialization is byte-stable. Points are float64 world-frame coordinates
 in meters. The camera model is the standard pinhole with x right, y down,
 z forward; the world frame is z-up.
+
+Clustering and overlap search a uniform grid instead of testing all pairs,
+and return exactly what the all-pairs computation returns. Two points are
+within a radius r when ``dx*dx + dy*dy + dz*dz <= r*r`` in float64, and the
+grids are sized so that the test never needs to be trusted beyond what
+rounding allows: clustering cells are a hair narrower than r/sqrt(3), so
+two points sharing a cell always pass, and overlap cells are a hair wider
+than r, so a passing pair is never more than one cell apart. Every other
+decision evaluates the test itself on the pair. Cell indices are anchored
+per run of nearby coordinates on each axis (see ``_cell_coords``), which
+keeps them and their rounding error small whatever the magnitude of the
+coordinates.
 """
 
 from __future__ import annotations
@@ -191,12 +203,13 @@ class PixelMask:
 
     @classmethod
     def from_runs(cls, runs, width: int, height: int) -> "PixelMask":
-        """Build from row runs [(v, u_start, u_end)] with inclusive ends."""
-        pix = []
-        for v, u0, u1 in runs:
-            for u in range(u0, u1 + 1):
-                pix.append((u, v))
-        return cls(width, height, pix)
+        """Build from row runs [(v, u_start, u_end)] with inclusive ends.
+        A run whose end precedes its start is empty."""
+        runs = np.array(runs, dtype=np.int64).reshape(-1, 3)
+        lengths = np.maximum(runs[:, 2] - runs[:, 1] + 1, 0)
+        before = np.cumsum(lengths) - lengths
+        u = np.repeat(runs[:, 1] - before, lengths) + np.arange(lengths.sum())
+        return cls(width, height, np.column_stack([u, np.repeat(runs[:, 0], lengths)]))
 
     def __len__(self) -> int:
         return self.pixels.shape[0]
@@ -257,60 +270,160 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
 
     Cells are ``floor(p / voxel)`` per axis; output points are ordered by
     ascending lexicographic cell index, which makes the result independent
-    of input order.
+    of input order. Each cell's members are summed in input order, so the
+    centroid of a cell is the same float whatever else the cloud holds.
     """
     if voxel <= 0:
         raise GeometryInputError("voxel size must be positive")
     if cloud.is_empty:
         return PointCloud.empty()
     pts = cloud.points
-    cells = np.floor(pts / voxel).astype(np.int64)
-    uniq, inverse = np.unique(cells, axis=0, return_inverse=True)
-    sums = np.zeros((uniq.shape[0], 3), dtype=np.float64)
+    cells = np.floor(pts / voxel)
+    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
+    sorted_cells = cells[order]
+    new_cell = np.empty(len(order), dtype=bool)
+    new_cell[0] = True
+    np.any(sorted_cells[1:] != sorted_cells[:-1], axis=1, out=new_cell[1:])
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new_cell) - 1
+    n_cells = int(inverse.max()) + 1
+    sums = np.zeros((n_cells, 3), dtype=np.float64)
     np.add.at(sums, inverse, pts)
-    counts = np.bincount(inverse, minlength=uniq.shape[0]).astype(np.float64)
+    counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
     return PointCloud(sums / counts[:, None])
 
 
-def _grid_buckets(points: np.ndarray, cell: float) -> dict[tuple[int, int, int], np.ndarray]:
-    cells = np.floor(points / cell).astype(np.int64)
-    order = np.lexsort((cells[:, 2], cells[:, 1], cells[:, 0]))
-    sorted_cells = cells[order]
-    uniq, starts = np.unique(sorted_cells, axis=0, return_index=True)
-    bounds = np.append(starts, len(order))
-    return {(int(uniq[k, 0]), int(uniq[k, 1]), int(uniq[k, 2])):
-            order[bounds[k]:bounds[k + 1]] for k in range(uniq.shape[0])}
+# Clustering cells are a hair narrower than eps/sqrt(3), so two points in one
+# cell pass the eps test despite rounding; overlap cells are a hair wider than
+# delta_g, so a pair that passes the delta_g test is at most one cell apart.
+# The hair (2**-18) dwarfs the rounding error of a cell index, which stays
+# below 2**-20 of a cell for clouds of fewer than 2**30 points.
+_CLUSTER_CELL = (1.0 - 2.0 ** -18) / np.sqrt(3.0)
+_OVERLAP_CELL = 1.0 + 2.0 ** -18
 
 
-def _neighbor_candidates(buckets, cell) -> np.ndarray:
-    found = []
-    cx, cy, cz = cell
-    for dx in (-1, 0, 1):
-        for dy in (-1, 0, 1):
-            for dz in (-1, 0, 1):
-                hit = buckets.get((cx + dx, cy + dy, cz + dz))
-                if hit is not None:
-                    found.append(hit)
-    if not found:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(found)
+def _offsets(reach: int) -> np.ndarray:
+    """All integer offsets in [-reach, reach]^3 as xyz rows, nearest first
+    (column 0 is the zero offset)."""
+    r = np.arange(-reach, reach + 1)
+    offsets = np.stack(np.meshgrid(r, r, r, indexing="ij")).reshape(3, -1)
+    return offsets[:, np.argsort((offsets * offsets).sum(axis=0), kind="stable")]
 
 
-def _adjacency(pts: np.ndarray, eps: float) -> list[np.ndarray]:
-    """Per-point arrays of neighbor indices within eps (inclusive of the
-    point itself). Computed cell-batch-wise: each grid cell's members are
-    tested against the 27 surrounding cells in one vectorized pass."""
-    n = pts.shape[0]
-    buckets = _grid_buckets(pts, eps)
-    eps_sq = eps * eps
-    neighbors: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
-    for cell, members in buckets.items():
-        cand = _neighbor_candidates(buckets, cell)
-        diff = pts[members][:, None, :] - pts[cand][None, :, :]
-        within = (diff * diff).sum(axis=2) <= eps_sq
-        for row, i in enumerate(members):
-            neighbors[i] = cand[within[row]]
-    return neighbors
+_CLUSTER_OFFSETS = _offsets(2)
+_OVERLAP_OFFSETS = _offsets(1)
+
+
+def _check_radius(radius: float, name: str) -> float:
+    """Validate a distance threshold and return its square. The square must
+    be a normal float: the grids below are exact only then."""
+    if not radius > 0:
+        raise GeometryInputError(f"{name} must be positive")
+    radius_sq = radius * radius
+    if not np.finfo(np.float64).tiny <= radius_sq < np.inf:
+        raise GeometryInputError(f"{name} squared must be a normal float")
+    return radius_sq
+
+
+def _sq_dist(a: np.ndarray, b: np.ndarray, i=..., j=...) -> np.ndarray:
+    """``dx*dx + dy*dy + dz*dz``, summed in that order, between the points
+    ``a[:, i]`` and ``b[:, j]`` (x, y and z are the rows of a and b). It
+    gathers one axis at a time, so no (3, k) array is allocated."""
+    total = a[0][i] - b[0][j]
+    total *= total
+    for axis in (1, 2):
+        d = a[axis][i] - b[axis][j]
+        d *= d
+        total += d
+    return total
+
+
+def _any_close(a: np.ndarray, b: np.ndarray, radius_sq: float) -> bool:
+    """Whether any point of a is within the radius of any point of b (x, y
+    and z are the rows of a and b). Tests blocks of at most 2**13 pairs and
+    stops at the first block with a hit."""
+    rows = max(1, 2 ** 13 // b.shape[1])
+    return any((_sq_dist(a[:, s:s + rows, None], b[:, None, :]) <= radius_sq).any()
+               for s in range(0, a.shape[1], rows))
+
+
+def _cell_coords(xyz: np.ndarray, side: float, radius_sq: float,
+                 reach: int) -> np.ndarray:
+    """Integer grid cells, shape (3, n), of the points whose coordinates are
+    the rows of ``xyz``.
+
+    Each axis is cut wherever two consecutive sorted coordinates are so far
+    apart that no pair across the cut can pass ``d*d <= radius_sq``. Each
+    piece gets its own grid of the given side, anchored at the piece's
+    smallest coordinate, and pieces sit more than ``reach`` cells apart.
+    Anchoring bounds a cell index by the piece's extent in cells (under 2n)
+    instead of the coordinates' magnitude, which keeps both the index and
+    its rounding error small for any finite cloud. Cells start at
+    ``reach``, so every cell within ``reach`` of an occupied one has
+    coordinates >= 0.
+    """
+    n = xyz.shape[1]
+    order = np.argsort(xyz, axis=1)
+    xs = np.take_along_axis(xyz, order, axis=1)
+    gap = np.diff(xs, axis=1)
+    cut = np.zeros(xs.shape, dtype=bool)
+    cut[:, 1:] = gap * gap > radius_sq
+    first = np.maximum.accumulate(np.where(cut, np.arange(n), 0), axis=1)
+    local = np.floor((xs - np.take_along_axis(xs, first, axis=1)) / side)
+    step = np.zeros(xs.shape)
+    step[:, 0] = reach
+    step[:, 1:] = np.where(cut[:, 1:], local[:, :-1] + (reach + 1), 0.0)
+    cells = np.empty(xyz.shape, dtype=np.int64)
+    np.put_along_axis(cells, order, (local + np.cumsum(step, axis=1)).astype(np.int64),
+                      axis=1)
+    return cells
+
+
+class _CellIndex:
+    """Points grouped by occupied grid cell, with lookup by cell coordinates.
+
+    ``order`` lists the points cell by cell: cell k holds
+    ``order[starts[k]:starts[k] + counts[k]]`` and sits at ``cells[:, k]``.
+    Every coordinate stored or looked up must lie in ``[0, bound)`` per
+    axis. A cell's key is the rank of its (x, y) column among the occupied
+    columns times the z bound, plus z: with coordinates of at most about
+    5n from :func:`_cell_coords`, no key or intermediate product overflows
+    int64.
+    """
+
+    def __init__(self, cells: np.ndarray, bound: np.ndarray):
+        self._bound = bound
+        self._columns, column = np.unique(cells[0] * bound[1] + cells[1],
+                                          return_inverse=True)
+        key = column * bound[2] + cells[2]
+        self.order = np.argsort(key, kind="stable")
+        key = key[self.order]
+        is_start = np.empty(key.size, dtype=bool)
+        is_start[0] = True
+        np.not_equal(key[1:], key[:-1], out=is_start[1:])
+        self.starts = np.flatnonzero(is_start)
+        self.counts = np.diff(np.append(self.starts, key.size))
+        self._keys = key[self.starts]
+        self.cells = cells[:, self.order[self.starts]]
+
+    def find(self, cells: np.ndarray) -> np.ndarray:
+        """Index of the occupied cell at each column of ``cells`` (shape
+        (3, k)), or -1 where that cell is empty."""
+        col = cells[0] * self._bound[1] + cells[1]
+        rank = np.minimum(np.searchsorted(self._columns, col), self._columns.size - 1)
+        key = rank * self._bound[2] + cells[2]
+        at = np.minimum(np.searchsorted(self._keys, key), self._keys.size - 1)
+        return np.where((self._columns[rank] == col) & (self._keys[at] == key), at, -1)
+
+    def pairs(self, rows: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Candidate pairs (rows[r], p) for every point p, given as a position
+        in ``order``, of every cell listed in ``cells[r]`` (-1 = none)."""
+        r, k = np.nonzero(cells >= 0)
+        cell = cells[r, k]
+        size = self.counts[cell]
+        before = np.cumsum(size) - size
+        return (np.repeat(rows[r], size),
+                np.repeat(self.starts[cell] - before, size) + np.arange(size.sum()))
 
 
 def largest_cluster(cloud: PointCloud, eps: float, min_points: int) -> PointCloud:
@@ -324,56 +437,87 @@ def largest_cluster(cloud: PointCloud, eps: float, min_points: int) -> PointClou
     neighbor's cluster, and size ties between clusters favor the one whose
     lexicographically smallest member is smallest. Returns the empty cloud
     when no cluster forms; output points are sorted lexicographically.
+
+    Two points are neighbors when ``dx*dx + dy*dy + dz*dz <= eps*eps`` in
+    float64. The search is the exact grid algorithm of Gan and Tao ("DBSCAN
+    Revisited", SIGMOD 2015). Cells are a hair narrower than eps/sqrt(3),
+    so two points in one cell always pass the test, and neighbors are at
+    most two cells apart per axis. A cell with at least ``min_points``
+    points is therefore core outright; every other point counts its
+    neighbors over the 5x5x5 block of cells around it. The core points of
+    one cell are mutual neighbors, so clusters are unions of core cells:
+    two nearby core cells are joined when any pair of their core points
+    passes the test, and a pair of cells whose roots already match is not
+    tested. Each border point joins the cluster of its smallest-rank core
+    neighbor. Every decision the same-cell argument does not settle
+    evaluates the test on the pair itself, so the result equals the
+    all-pairs computation exactly for clouds of fewer than 2**30 points.
     """
-    if eps <= 0:
-        raise GeometryInputError("eps must be positive")
+    eps_sq = _check_radius(eps, "eps")
     if min_points < 1:
         raise GeometryInputError("min_points must be >= 1")
     n = len(cloud)
     if n == 0:
         return PointCloud.empty()
-    pts = cloud.points
-    order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
+    cells = _cell_coords(cloud.points.T, eps * _CLUSTER_CELL, eps_sq, 2)
+    grid = _CellIndex(cells, cells.max(axis=1) + 3)
+    # From here on points are numbered by their position in grid.order.
+    pts = cloud.points[grid.order]
+    xyz = np.ascontiguousarray(pts.T)
     rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    neighbors = _adjacency(pts, eps)
-    core = np.array([nb.size >= min_points for nb in neighbors])
+    rank[np.lexsort(xyz[::-1])] = np.arange(n)
+    counts = grid.counts
+    n_cells = counts.size
+    cell = np.repeat(np.arange(n_cells), counts)
+    near = grid.find((grid.cells[:, :, None] + _CLUSTER_OFFSETS[:, None, :])
+                     .reshape(3, -1)).reshape(n_cells, -1)
+
+    core = (counts >= min_points)[cell]
+    sparse = np.flatnonzero(~core)
+    i, j = grid.pairs(sparse, near[cell[sparse]])
+    close = _sq_dist(xyz, xyz, i, j) <= eps_sq
+    i, j = i[close], j[close]
+    core[sparse] = np.bincount(i, minlength=n)[sparse] >= min_points
     if not core.any():
         return PointCloud.empty()
 
-    labels = np.full(n, -1, dtype=np.int64)
-    next_label = 0
-    for i in order:
-        if not core[i] or labels[i] != -1:
-            continue
-        labels[i] = next_label
-        frontier = np.array([i], dtype=np.int64)
-        while frontier.size:
-            reached = np.unique(np.concatenate([neighbors[int(j)] for j in frontier]))
-            fresh = reached[core[reached] & (labels[reached] == -1)]
-            labels[fresh] = next_label
-            frontier = fresh
-        next_label += 1
+    core_cell = np.logical_or.reduceat(core, grid.starts)
+    k, a = np.nonzero(near.T > np.arange(n_cells))
+    b = near[a, k]
+    keep = core_cell[a] & core_cell[b]
+    parent = list(range(n_cells))
 
-    for i in np.flatnonzero(~core):
-        core_nbrs = neighbors[i][core[neighbors[i]]]
-        if core_nbrs.size:
-            owner = core_nbrs[np.argmin(rank[core_nbrs])]
-            labels[i] = labels[owner]
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
 
-    sizes = np.bincount(labels[labels >= 0], minlength=next_label)
-    best = -1
-    best_key = None
-    for lab in range(next_label):
-        members = np.flatnonzero(labels == lab)
-        smallest_rank = int(rank[members].min())
-        key = (-int(sizes[lab]), smallest_rank)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = lab
-    members = np.flatnonzero(labels == best)
-    members = members[np.argsort(rank[members], kind="stable")]
-    return PointCloud(pts[members])
+    def core_points(c: int) -> np.ndarray:
+        members = slice(grid.starts[c], grid.starts[c] + counts[c])
+        return xyz[:, members][:, core[members]]
+
+    for x, y in zip(a[keep].tolist(), b[keep].tolist()):
+        rx, ry = root(x), root(y)
+        if rx != ry and _any_close(core_points(x), core_points(y), eps_sq):
+            parent[max(rx, ry)] = min(rx, ry)
+
+    label = np.where(core, np.array([root(c) for c in range(n_cells)])[cell], -1)
+    border = ~core[i] & core[j]
+    owner_rank = np.full(n, n)
+    np.minimum.at(owner_rank, i[border], rank[j[border]])
+    by_rank = np.empty(n, dtype=np.int64)
+    by_rank[rank] = np.arange(n)
+    owned = owner_rank < n
+    label[owned] = label[by_rank[owner_rank[owned]]]
+
+    ranked_label = label[by_rank]
+    clustered = ranked_label >= 0
+    labels, first, sizes = np.unique(ranked_label[clustered], return_index=True,
+                                     return_counts=True)
+    first_rank = np.flatnonzero(clustered)[first]
+    best = labels[np.lexsort((first_rank, -sizes))[0]]
+    return PointCloud(pts[by_rank[ranked_label == best]])
 
 
 def geometric_overlap(detection_cloud: PointCloud, track_cloud: PointCloud,
@@ -381,29 +525,29 @@ def geometric_overlap(detection_cloud: PointCloud, track_cloud: PointCloud,
     """Fraction of detection points within ``delta_g`` of the track cloud.
 
     0.0 when the detection cloud is empty (degenerate detections never
-    overlap). Uses a uniform grid over the track cloud with cell size
-    ``delta_g``; results equal the brute-force all-pairs computation
-    exactly because the same squared-distance comparison is evaluated for
-    every candidate pair.
+    overlap). A point is within ``delta_g`` when
+    ``dx*dx + dy*dy + dz*dz <= delta_g*delta_g`` in float64 for some track
+    point. The track points are grouped by grid cells a hair wider than
+    ``delta_g``, so every track point that passes lies in one of the 27
+    cells around the detection point's cell. One vectorized pass tests
+    every detection point against its own cell; a second tests the points
+    still without a hit against the other 26 cells. Every candidate pair
+    evaluates the same test, so the result equals the brute-force all-pairs
+    computation exactly.
     """
-    if delta_g <= 0:
-        raise GeometryInputError("delta_g must be positive")
+    thr = _check_radius(delta_g, "delta_g")
     n = len(detection_cloud)
-    if n == 0:
+    if n == 0 or track_cloud.is_empty:
         return 0.0
-    if track_cloud.is_empty:
-        return 0.0
-    det = detection_cloud.points
-    trk = track_cloud.points
-    track_buckets = _grid_buckets(trk, delta_g)
-    det_buckets = _grid_buckets(det, delta_g)
-    thr = delta_g * delta_g
-    inside = 0
-    for cell, members in det_buckets.items():
-        cand = _neighbor_candidates(track_buckets, cell)
-        if cand.size == 0:
-            continue
-        diff = det[members][:, None, :] - trk[cand][None, :, :]
-        hit = ((diff * diff).sum(axis=2) <= thr).any(axis=1)
-        inside += int(hit.sum())
-    return inside / n
+    xyz = np.hstack([detection_cloud.points.T, track_cloud.points.T])
+    cells = _cell_coords(xyz, delta_g * _OVERLAP_CELL, thr, 1)
+    grid = _CellIndex(cells[:, n:], cells.max(axis=1) + 2)
+    track = xyz[:, n + grid.order]
+    hit = np.zeros(n, dtype=bool)
+    for offsets in (_OVERLAP_OFFSETS[:, :1], _OVERLAP_OFFSETS[:, 1:]):
+        rows = np.flatnonzero(~hit)
+        near = grid.find((cells[:, rows, None] + offsets[:, None, :])
+                         .reshape(3, -1)).reshape(rows.size, offsets.shape[1])
+        i, j = grid.pairs(rows, near)
+        hit[i[_sq_dist(xyz, track, i, j) <= thr]] = True
+    return np.count_nonzero(hit) / n

@@ -241,6 +241,25 @@ class TestVoxelDownsample:
         twice = voxel_downsample(once, 0.02)
         assert np.array_equal(once.points, twice.points)
 
+    def test_centroids_bit_equal_brute_mean(self):
+        # Each cell's mean, summed in input order starting from 0.0, in
+        # lexicographic cell order: the exact floats, not just close ones.
+        g = rng(10)
+        pts = np.vstack([g.uniform(-1, 1, size=(3000, 3)),
+                         g.normal(0.3, 0.01, size=(500, 3))])
+        cells = np.floor(pts / 0.05).astype(np.int64)
+        members: dict[tuple, list[int]] = {}
+        for i, c in enumerate(map(tuple, cells)):
+            members.setdefault(c, []).append(i)
+        expected = []
+        for c in sorted(members):
+            total = np.zeros(3)
+            for i in members[c]:
+                total = total + pts[i]
+            expected.append(total / len(members[c]))
+        out = voxel_downsample(PointCloud(pts), 0.05)
+        assert np.array_equal(out.points, np.array(expected))
+
     def test_empty_cloud(self):
         assert voxel_downsample(PointCloud.empty(), 0.02).is_empty
 
@@ -262,6 +281,30 @@ class TestVoxelDownsample:
 
 def _blob(center, n, spread, seed):
     return rng(seed).normal(loc=center, scale=spread, size=(n, 3))
+
+
+def _assert_cluster_matches_brute(pts: np.ndarray, eps: float, min_points: int):
+    """largest_cluster equals the brute-force reference's largest cluster
+    (size first, then smallest lexicographic rank), rows in rank order."""
+    mine = largest_cluster(PointCloud(pts), eps=eps, min_points=min_points)
+    clusters = brute_dbscan(pts, eps, min_points)
+    if not clusters:
+        assert mine.is_empty
+        return mine
+    rank = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
+    order = np.empty(len(pts), dtype=int)
+    order[rank] = np.arange(len(pts))
+    best = min(clusters, key=lambda c: (-len(c), min(order[i] for i in c)))
+    assert mine.points.tolist() == pts[sorted(best, key=lambda i: order[i])].tolist()
+    return mine
+
+
+def _box_surface(lo, hi, step):
+    """Points on the faces of an axis-aligned box, spaced ``step`` apart."""
+    axes = [np.arange(a, b + step / 2, step) for a, b in zip(lo, hi)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    on_face = np.isclose(grid, lo).any(axis=1) | np.isclose(grid, hi).any(axis=1)
+    return grid[on_face]
 
 
 class TestLargestCluster:
@@ -292,17 +335,7 @@ class TestLargestCluster:
                      for b, n in enumerate(range(n_blobs))]
             parts.append(g.uniform(-6, 6, size=(int(g.integers(0, 8)), 3)))
             pts = np.vstack(parts)
-            mine = largest_cluster(PointCloud(pts), eps=0.5, min_points=5)
-            clusters = brute_dbscan(pts, 0.5, 5)
-            if not clusters:
-                assert mine.is_empty
-                continue
-            rank = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-            order = np.empty(len(pts), dtype=int)
-            order[rank] = np.arange(len(pts))
-            best = min(clusters,
-                       key=lambda c: (-len(c), min(order[i] for i in c)))
-            assert _points_set(mine) == {tuple(pts[i]) for i in best}
+            _assert_cluster_matches_brute(pts, 0.5, 5)
 
     def test_subset_of_input_and_maximal(self):
         g = rng(42)
@@ -334,6 +367,99 @@ class TestLargestCluster:
             largest_cluster(PointCloud([(0, 0, 0)]), 0.0, 5)
         with pytest.raises(GeometryInputError):
             largest_cluster(PointCloud([(0, 0, 0)]), 0.5, 0)
+        with pytest.raises(GeometryInputError):  # eps*eps underflows
+            largest_cluster(PointCloud([(0, 0, 0)]), 1e-200, 5)
+        with pytest.raises(GeometryInputError):  # eps*eps overflows
+            largest_cluster(PointCloud([(0, 0, 0)]), 1e200, 5)
+
+    def test_pair_at_exactly_eps_is_neighbor(self):
+        # 0.5 * 0.5 == 0.25 exactly: a chain of points eps apart is one cluster
+        pts = np.array([(x, 0.0, 0.0) for x in (0.0, 0.5, 1.0, 1.5, 2.0)])
+        out = _assert_cluster_matches_brute(pts, 0.5, 3)
+        assert len(out) == 5
+        _assert_cluster_matches_brute(pts, np.nextafter(0.5, 0.0), 2)
+
+    def test_points_on_cell_diagonals_and_faces(self):
+        # Points spaced the grid's own cell size along diagonals and faces,
+        # and a hair to either side of it: every pair sits on or near a cell
+        # boundary, where a grid that trusted cells too far would err.
+        eps = 0.5
+        for side in (eps / np.sqrt(3.0), eps / np.sqrt(2.0), eps):
+            for hair in (-1e-12, 0.0, 1e-12):
+                step = side * (1.0 + hair)
+                ks = np.arange(-3, 4)
+                diagonal = np.outer(ks, np.ones(3)) * step
+                face = np.stack(np.meshgrid(ks, ks, [0], indexing="ij"),
+                                axis=-1).reshape(-1, 3) * step
+                for pts in (diagonal, face, np.vstack([diagonal, face + 0.1])):
+                    for min_points in (2, 3, 5):
+                        _assert_cluster_matches_brute(pts, eps, min_points)
+        # Opposite corners of a cube of side ~eps/sqrt(3), a few ulps either
+        # way: for some radii the pair fails the test by one rounding step.
+        for eps in np.linspace(0.01, 2.0, 300):
+            d = eps / np.sqrt(3.0)
+            for _ in range(3):
+                d = np.nextafter(d, 0.0)
+            for _ in range(7):
+                _assert_cluster_matches_brute(np.array([(0.0, 0.0, 0.0), (d, d, d)]),
+                                              eps, 2)
+                d = np.nextafter(d, 1.0)
+
+    def test_negative_coordinates(self):
+        for seed in range(10):
+            g = rng(500 + seed)
+            pts = np.vstack([_blob(g.uniform(-9, -5, 3), 30, 0.15, 600 + seed),
+                             _blob(g.uniform(-9, -5, 3), 25, 0.15, 700 + seed),
+                             g.uniform(-10, 0, size=(10, 3))])
+            _assert_cluster_matches_brute(pts, 0.5, 5)
+
+    def test_engine_regime_voxelized_surfaces(self):
+        # 0.02 m voxelized box surfaces at the engine's eps 0.5 / min_points 5:
+        # two nearby objects (joined when their gap is within eps) plus
+        # stray points.
+        g = rng(21)
+        for gap in (0.3, 0.5, 0.7):
+            first = _box_surface((0.0, 0.0, 0.0), (0.3, 0.2, 0.2), 0.02)
+            second = _box_surface((0.3 + gap, 0.0, 0.0), (0.5 + gap, 0.3, 0.1), 0.02)
+            stray = g.uniform(-1.0, 2.0, size=(12, 3))
+            cloud = voxel_downsample(PointCloud(np.vstack([first, second, stray])),
+                                     0.02)
+            _assert_cluster_matches_brute(cloud.points, 0.5, 5)
+
+    def test_border_point_within_eps_of_two_clusters(self):
+        # Two equal clusters 0.8 apart, and one non-core point within eps of
+        # a core point of each: it joins the cluster of its smallest-rank
+        # core neighbor, which then wins the size comparison.
+        left = np.array([(0.0, 0.0, 0.0), (0.05, 0, 0), (0.1, 0, 0), (0.0, 0.05, 0),
+                         (0.05, 0.05, 0)])
+        right = left + (0.8, 0.0, 0.0)
+        bridge = np.array([(0.45, 0.0, 0.0)])
+        pts = np.vstack([right, bridge, left])
+        out = _assert_cluster_matches_brute(pts, 0.36, 5)
+        assert _points_set(out) == {tuple(p) for p in np.vstack([left, bridge])}
+
+    def test_dense_cells_joined_through_one_pair(self):
+        # Two crowded cells whose only pair within eps involves the last
+        # point of the first: joining them must look past the pairs that
+        # fail.
+        g = rng(22)
+        first = g.uniform((-0.05, 0.0, 0.0), (0.0, 0.05, 0.05), size=(149, 3))
+        second = g.uniform((0.6, 0.0, 0.0), (0.65, 0.05, 0.05), size=(150, 3))
+        second[0] = (0.6, 0.0, 0.0)
+        pts = np.vstack([first, [(0.1, 0.0, 0.0)], second])
+        out = _assert_cluster_matches_brute(pts, 0.5, 5)
+        assert len(out) == 300
+
+    def test_far_apart_coordinates(self):
+        # Coordinates far beyond any int64 cell index of an eps-sized grid.
+        dup = np.tile([(1e150, -2e150, 3e150)], (6, 1))
+        pts = np.vstack([dup, _blob((0, 0, 0), 5, 0.05, 8), [(-1e150, 0.0, 0.0)]])
+        out = _assert_cluster_matches_brute(pts, 0.5, 5)
+        assert len(out) == 6
+        # two far-apart triples are noise, never one cell of six
+        triples = np.vstack([np.repeat([(1e150, 0.0, 0.0), (2e150, 0.0, 0.0)], 3, axis=0),
+                             [(-1e150, 0.0, 0.0)]])
+        assert _assert_cluster_matches_brute(triples, 0.5, 5).is_empty
 
 
 # -- geometric_overlap ---------------------------------------------------------
@@ -387,6 +513,38 @@ class TestGeometricOverlap:
     def test_radius_validation(self):
         with pytest.raises(GeometryInputError):
             geometric_overlap(PointCloud([(0, 0, 0)]), PointCloud([(0, 0, 0)]), 0.0)
+        with pytest.raises(GeometryInputError):
+            geometric_overlap(PointCloud([(0, 0, 0)]), PointCloud([(0, 0, 0)]), 1e-200)
+
+    def test_point_at_exactly_delta(self):
+        # 0.05 * 0.05 is evaluated the same way on both sides of the test
+        det = PointCloud([(0.0, 0.0, 0.0)])
+        for trk in ([(0.05, 0.0, 0.0)], [(0.0, -0.05, 0.0)], [(0.0, 0.0, 0.05)]):
+            assert geometric_overlap(det, PointCloud(trk), 0.05) == 1.0
+        # pairs exactly delta_g apart straddling many cell boundaries
+        g = rng(14)
+        for delta in (0.05, 0.1, 0.3):
+            base = np.round(g.uniform(-2, 2, size=(200, 3)) / delta) * delta
+            shift = np.eye(3)[g.integers(0, 3, 200)] * delta
+            for det, trk in ((base, base + shift), (base + shift, base)):
+                assert geometric_overlap(PointCloud(det), PointCloud(trk), delta) \
+                    == brute_overlap(det, trk, delta)
+
+    def test_negative_coordinates(self):
+        for seed in range(10):
+            g = rng(400 + seed)
+            det = g.uniform(-3, -1, size=(int(g.integers(1, 150)), 3))
+            trk = det[: len(det) // 2] + g.normal(0, 0.03, size=(len(det) // 2, 3))
+            trk = np.vstack([trk, g.uniform(-3, -1, size=(20, 3))])
+            assert geometric_overlap(PointCloud(det), PointCloud(trk), 0.05) \
+                == brute_overlap(det, trk, 0.05)
+
+    def test_detection_with_no_candidate_cells(self):
+        g = rng(15)
+        det = g.uniform(0, 1, size=(40, 3))
+        for trk in (det + 10.0, det - 0.2, np.array([[1e150, 0.0, 0.0]])):
+            mine = geometric_overlap(PointCloud(det), PointCloud(trk), 0.05)
+            assert mine == brute_overlap(det, trk, 0.05) == 0.0
 
 
 # -- type invariants ----------------------------------------------------------
@@ -416,6 +574,22 @@ class TestTypes:
     def test_mask_bounds_checked(self):
         with pytest.raises(GeometryInputError):
             PixelMask(8, 8, [(8, 0)])
+
+    def test_mask_from_runs_matches_per_pixel_expansion(self):
+        g = rng(16)
+        for _ in range(20):
+            runs = []
+            for _ in range(int(g.integers(0, 30))):
+                v = int(g.integers(0, 24))
+                u0 = int(g.integers(0, 32))
+                runs.append((v, u0, int(g.integers(u0, 32))))
+            runs += runs[: len(runs) // 3]                  # duplicate runs
+            runs += [(v, max(0, u0 - 2), u1) for v, u0, u1 in runs[:3]]  # overlaps
+            pixels = [(u, v) for v, u0, u1 in runs for u in range(u0, u1 + 1)]
+            mine = PixelMask.from_runs(runs, 32, 24)
+            assert mine.pixels.tolist() == PixelMask(32, 24, pixels).pixels.tolist()
+        assert len(PixelMask.from_runs([], 8, 8)) == 0
+        assert len(PixelMask.from_runs([(1, 5, 4)], 8, 8)) == 0  # end before start
 
     def test_mask_dedupes_and_sorts(self):
         mask = PixelMask(8, 8, [(3, 2), (1, 1), (3, 2), (0, 2)])
