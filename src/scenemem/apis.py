@@ -25,8 +25,10 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 
-from .backend import (API_ACTION_KINDS as API_KINDS, AnalyzeResponse, Backend,
-                      BackendError, BackendRequest, WireObject)
+# API_KINDS, ApiCall and ApiError live with the wire protocol, which parses
+# reason actions into ApiCall; they stay importable from here.
+from .backend import (API_ACTION_KINDS as API_KINDS, AnalyzeResponse, ApiCall,
+                      ApiError, Backend, BackendError, BackendRequest, WireObject)
 from .config import EngineConfig
 from .dataset import DatasetError, Episode, Keyframe
 from .geometry import (PixelMask, backproject, largest_cluster, project,
@@ -36,34 +38,6 @@ from .graph import (CloudSummary, Detection, Embedding, RelationEdge, Track,
 from .memory import SceneMemory, append_frame
 
 logger = logging.getLogger(__name__)
-
-
-class ApiError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class ApiCall:
-    kind: str
-    frame_id: int
-    query: str
-    node_ids: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in API_KINDS:
-            raise ApiError(f"unknown api kind '{self.kind}'")
-        if self.kind != "retrieve_frame" and not self.query.strip():
-            raise ApiError("query must be nonempty")
-        if (self.node_ids is not None) != (self.kind == "analyze_objects"):
-            raise ApiError("node_ids must be given exactly for analyze_objects")
-        if self.kind == "analyze_objects" and not self.node_ids:
-            raise ApiError("analyze_objects requires at least one node id")
-
-    def to_doc(self) -> dict:
-        doc = {"api": self.kind, "frame_id": self.frame_id, "query": self.query}
-        if self.node_ids is not None:
-            doc["node_ids"] = list(self.node_ids)
-        return doc
 
 
 @dataclass(frozen=True)
@@ -240,7 +214,7 @@ class ApiExecutor:
         (plus the backend's query-relevant notes) as a patch."""
         frame = self.episode.frame(call.frame_id)
         request = BackendRequest(kind="detect", frame_id=call.frame_id,
-                                 query=call.query)
+                                 query=call.query, frame_size=frame.size)
         try:
             response = self.backend.call(request)
         except BackendError as exc:
@@ -272,7 +246,8 @@ class ApiExecutor:
             return fallback
         request = BackendRequest(kind="analyze", frame_id=call.frame_id,
                                  query=call.query,
-                                 payload={"targets": targets, "discover": False})
+                                 payload={"targets": targets, "discover": False},
+                                 frame_size=frame.size)
         try:
             response = self.backend.call(request)
         except BackendError as exc:
@@ -292,7 +267,8 @@ class ApiExecutor:
         targets = self._visible_targets(ssm, frame)
         request = BackendRequest(kind="analyze", frame_id=call.frame_id,
                                  query=call.query,
-                                 payload={"targets": targets, "discover": True})
+                                 payload={"targets": targets, "discover": True},
+                                 frame_size=frame.size)
         try:
             response = self.backend.call(request)
         except BackendError as exc:

@@ -6,7 +6,12 @@ room-label scoring, reasoning) goes through a BackendRequest and comes
 back as a validated, typed response. No unvalidated model output crosses
 into the engine: validate_response enforces the kind-specific schema,
 rejects unknown relation labels, and clamps bounding boxes that overflow
-the frame by at most 2 px (larger overflows are rejected).
+the frame by at most 2 px (larger overflows are rejected). The bounds come
+from the request itself: a detect or analyze request carries the size of
+the frame it asks about (``BackendRequest.frame_size``), so every
+transport checks pixels against the same frame. A reason action parses
+straight into the ApiCall the loop executes, so its rules live in one
+place.
 
 Transport errors are retried once; schema errors never are (they are
 systematic, a retry wastes budget).
@@ -55,12 +60,19 @@ class SchemaError(BackendError):
         self.path = path
 
 
+class ApiError(ValueError):
+    """An API call or patch breaks the action contract."""
+
+
 @dataclass(frozen=True)
 class BackendRequest:
     kind: str
     frame_id: int | None = None
     query: str | None = None
     payload: dict = field(default_factory=dict)
+    # (width, height) of the frame a detect/analyze response's pixels refer
+    # to. Validation reads it; it is never sent and not part of the digest.
+    frame_size: tuple[int, int] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in REQUEST_KINDS:
@@ -127,11 +139,30 @@ class RoomLabelResponse:
 
 
 @dataclass(frozen=True)
-class ReasonAction:
-    api: str
+class ApiCall:
+    """One memory-edit API action: what a reason response asks for and
+    what ApiExecutor executes."""
+
+    kind: str
     frame_id: int
     query: str
     node_ids: tuple[int, ...] | None = None
+
+    def __post_init__(self):
+        if self.kind not in API_ACTION_KINDS:
+            raise ApiError(f"unknown api kind '{self.kind}'")
+        if self.kind != "retrieve_frame" and not self.query.strip():
+            raise ApiError("query must be nonempty")
+        if (self.node_ids is not None) != (self.kind == "analyze_objects"):
+            raise ApiError("node_ids must be given exactly for analyze_objects")
+        if self.kind == "analyze_objects" and not self.node_ids:
+            raise ApiError("analyze_objects requires at least one node id")
+
+    def to_doc(self) -> dict:
+        doc = {"api": self.kind, "frame_id": self.frame_id, "query": self.query}
+        if self.node_ids is not None:
+            doc["node_ids"] = list(self.node_ids)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -143,7 +174,7 @@ class ReasonAnswer:
 
 @dataclass(frozen=True)
 class ReasonResponse:
-    action: ReasonAction | None
+    action: ApiCall | None
     answer: ReasonAnswer | None
 
 
@@ -304,24 +335,19 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None)
     if has_action:
         act = raw["action"]
         api = _need(act, "api", str, "$.action")
-        if api not in API_ACTION_KINDS:
-            raise SchemaError("$.action.api", f"unknown api '{api}'")
         frame_id = _need(act, "frame_id", int, "$.action")
         query = _need(act, "query", str, "$.action")
-        if api != "retrieve_frame" and not query.strip():
-            raise SchemaError("$.action.query", "must be nonempty")
-        node_ids = None
-        if api == "analyze_objects":
-            ids = _need(act, "node_ids", list, "$.action")
-            if not ids or any(isinstance(x, bool) or not isinstance(x, int)
-                              for x in ids):
-                raise SchemaError("$.action.node_ids", "expected nonempty integers")
-            node_ids = tuple(ids)
-        elif act.get("node_ids") is not None:
-            raise SchemaError("$.action.node_ids",
-                              f"not allowed for api '{api}'")
-        return ReasonResponse(
-            action=ReasonAction(api, frame_id, query, node_ids), answer=None)
+        node_ids = act.get("node_ids")
+        if node_ids is not None:
+            if not isinstance(node_ids, list) or any(
+                    isinstance(x, bool) or not isinstance(x, int) for x in node_ids):
+                raise SchemaError("$.action.node_ids", "expected integers")
+            node_ids = tuple(node_ids)
+        try:
+            call = ApiCall(api, frame_id, query, node_ids)
+        except ApiError as exc:
+            raise SchemaError("$.action", str(exc)) from None
+        return ReasonResponse(action=call, answer=None)
     ans_text = _need(raw, "final_answer", str, "$")
     frames = _need(raw, "evidence_frames", list, "$")
     if any(isinstance(x, bool) or not isinstance(x, int) for x in frames):
@@ -343,8 +369,9 @@ class Backend:
     """Synchronous request/response transport with per-kind call counters.
 
     Subclasses implement raw_call returning the raw JSON document.
-    ``call`` retries once on TransportError and validates before returning;
-    callers therefore never see unvalidated content.
+    ``call`` retries once on TransportError and validates before returning,
+    against the bounds the request carries; callers therefore never see
+    unvalidated content, whatever the transport.
     """
 
     def __init__(self):
@@ -354,7 +381,9 @@ class Backend:
         raise NotImplementedError
 
     def frame_size(self, frame_id: int | None) -> tuple[int, int] | None:
-        """Frame bounds for bbox validation; None when unknown."""
+        """Always None. Validation takes frame bounds from
+        ``BackendRequest.frame_size``; this stays so that wrappers which
+        forward it keep working."""
         return None
 
     def call(self, request: BackendRequest):
@@ -365,22 +394,17 @@ class Backend:
             logger.warning("transport failure (%s), retrying once: %s",
                            request.kind, exc)
             raw = self.raw_call(request)
-        return validate_response(request.kind, raw,
-                                 self.frame_size(request.frame_id))
+        return validate_response(request.kind, raw, request.frame_size)
 
 
 class HttpBackend(Backend):
-    """JSON-over-HTTP adapter: POST /<kind> with the request document."""
+    """JSON-over-HTTP adapter: POST /<kind> with the request document.
+    Responses are checked against the frame bounds the request carries."""
 
-    def __init__(self, base_url: str, timeout: float = 30.0,
-                 frame_sizes: dict[int, tuple[int, int]] | None = None):
+    def __init__(self, base_url: str, timeout: float = 30.0):
         super().__init__()
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
-        self._frame_sizes = frame_sizes or {}
-
-    def frame_size(self, frame_id):
-        return self._frame_sizes.get(frame_id)
 
     def raw_call(self, request: BackendRequest) -> dict:
         body = json.dumps(request.to_doc()).encode("utf-8")
@@ -409,9 +433,6 @@ class RecordingBackend(Backend):
         self.log_path.parent.mkdir(parents=True, exist_ok=True)
         self.log_path.write_text("", encoding="utf-8")
 
-    def frame_size(self, frame_id):
-        return self.inner.frame_size(frame_id)
-
     def raw_call(self, request: BackendRequest) -> dict:
         raw = self.inner.raw_call(request)
         record = {"digest": request.digest(), "kind": request.kind, "response": raw}
@@ -421,19 +442,16 @@ class RecordingBackend(Backend):
 
 
 class ReplayBackend(Backend):
-    """Replays a recorded log in order, verifying request digests match."""
+    """Replays a recorded log in order, verifying request digests match.
+    Replayed responses are checked against the frame bounds the request
+    carries, exactly as when they were recorded."""
 
-    def __init__(self, log_path: str | Path,
-                 frame_sizes: dict[int, tuple[int, int]] | None = None):
+    def __init__(self, log_path: str | Path):
         super().__init__()
         self.records = [json.loads(line) for line
                         in Path(log_path).read_text(encoding="utf-8").splitlines()
                         if line.strip()]
         self.cursor = 0
-        self._frame_sizes = frame_sizes or {}
-
-    def frame_size(self, frame_id):
-        return self._frame_sizes.get(frame_id)
 
     def raw_call(self, request: BackendRequest) -> dict:
         if self.cursor >= len(self.records):

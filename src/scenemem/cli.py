@@ -19,7 +19,7 @@ from pathlib import Path
 from . import depthio
 from .backend import Backend, HttpBackend
 from .config import EngineConfig, load_config
-from .dataset import Episode, load_dataset
+from .dataset import load_dataset
 from .loop import EpisodeQuery, answer, write_transcript
 from .memory import load_dir, save_dir, serialize
 from .metrics import evaluate
@@ -43,16 +43,14 @@ def _engine_config(args) -> EngineConfig:
     return cfg
 
 
-def _backend(args, cfg: EngineConfig, episode: Episode | None = None) -> Backend:
-    if getattr(args, "backend_url", None):
-        sizes = episode.frame_sizes() if episode is not None else None
-        return HttpBackend(args.backend_url, frame_sizes=sizes)
-    if getattr(args, "scripted", None):
+def _backend(args, cfg: EngineConfig) -> Backend:
+    if args.backend_url:
+        return HttpBackend(args.backend_url)
+    if args.scripted:
         scene = SyntheticScene.load(args.scripted)
-        return ScriptedBackend(scene, reasoner=RuleReasoner(),
-                               seed=getattr(args, "seed", 0) or 0,
+        return ScriptedBackend(scene, reasoner=RuleReasoner(), seed=args.seed,
                                embedding_dim=cfg.embedding_dim,
-                               fixtures=getattr(args, "fixtures", None))
+                               fixtures=args.fixtures)
     raise SystemExit("need --backend-url or --scripted <truth.json>")
 
 
@@ -97,7 +95,7 @@ def cmd_build(args) -> int:
         episode = SyntheticScene.load(args.scripted).episode()
     else:
         raise SystemExit("need --dataset <manifest> or --scripted <truth.json>")
-    backend = _backend(args, cfg, episode)
+    backend = _backend(args, cfg)
     ssm = build_ssm(episode, backend, cfg)
     save_dir(ssm, args.out)
     if ssm.rooms is not None:  # occupancy dumps for floor-plan debugging
@@ -118,7 +116,7 @@ def cmd_ask(args) -> int:
         episode = SyntheticScene.load(args.scripted).episode()
     else:
         raise SystemExit("need --dataset or --scripted to resolve frames")
-    backend = _backend(args, cfg, episode)
+    backend = _backend(args, cfg)
     query = EpisodeQuery(question=args.question, max_calls=cfg.max_api_calls,
                          scene_id=ssm.scene_id)
     result = answer(query, ssm, episode, backend, cfg)
@@ -162,19 +160,25 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, *, loop_flags: bool = False) -> None:
-    p.add_argument("--config", help="key = value config file")
-    p.add_argument("--k", type=int, help="frame stride")
-    p.add_argument("--n-img", dest="n_img", type=int, help="initial frame memory size")
-    if loop_flags:
-        p.add_argument("--m", type=int, help="maximum API calls per question")
-        p.add_argument("--api", choices=("frame", "node", "image"),
-                       help="which modifiability APIs the reasoner may use")
-    p.add_argument("--backend-url", help="HTTP backend base URL")
-    p.add_argument("--scripted", help="synthetic truth.json for the scripted backend")
-    p.add_argument("--fixtures", help="digest->response overrides (JSONL, "
-                                      "same format as recorded logs)")
-    p.add_argument("--seed", type=int, default=0)
+_FLAGS = {
+    "config": {"help": "key = value config file"},
+    "k": {"type": int, "help": "frame stride"},
+    "n-img": {"type": int, "help": "initial frame memory size"},
+    "m": {"type": int, "help": "maximum API calls per question"},
+    "api": {"choices": ("frame", "node", "image"),
+            "help": "which modifiability APIs the reasoner may use"},
+    "backend-url": {"help": "HTTP backend base URL"},
+    "scripted": {"help": "synthetic truth.json for the scripted backend"},
+    "fixtures": {"help": "digest->response overrides (JSONL, "
+                         "same format as recorded logs)"},
+    "seed": {"type": int, "default": 0},
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Register the shared flags a subcommand reads, and no others."""
+    for name in names:
+        p.add_argument(f"--{name}", **_FLAGS[name])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -192,7 +196,8 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("build", help="construct and persist a memory")
     p.add_argument("--dataset", help="manifest.jsonl path")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_flags(p, "config", "k", "n-img", "backend-url", "scripted", "fixtures",
+               "seed")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("ask", help="answer a question against a persisted memory")
@@ -200,7 +205,8 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--question", required=True)
     p.add_argument("--dataset", help="manifest.jsonl path")
     p.add_argument("--transcript", help="write the loop transcript here (JSONL)")
-    _add_common(p, loop_flags=True)
+    _add_flags(p, "config", "m", "api", "backend-url", "scripted", "fixtures",
+               "seed")
     p.set_defaults(func=cmd_ask)
 
     p = sub.add_parser("eval", help="synthetic evaluation with metrics report")
@@ -208,7 +214,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--questions", help="questions.json (defaults to generated)")
     p.add_argument("--miss-prob", dest="miss_prob", type=float, default=0.0)
     p.add_argument("--out", help="metrics report output path")
-    _add_common(p, loop_flags=True)
+    _add_flags(p, "config", "n-img", "m", "api", "seed")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("inspect", help="dump canonical JSON")

@@ -39,6 +39,11 @@ class Keyframe:
     image_locator: str
     timestamp: float = 0.0
 
+    @property
+    def size(self) -> tuple[int, int]:
+        """(width, height) in pixels."""
+        return (self.intrinsics.width, self.intrinsics.height)
+
 
 class Episode:
     """Ordered keyframes for one scene, with id lookup."""
@@ -63,9 +68,6 @@ class Episode:
 
     def frame_locators(self) -> dict[int, str]:
         return {f.id: f.image_locator for f in self.frames}
-
-    def frame_sizes(self) -> dict[int, tuple[int, int]]:
-        return {f.id: (f.intrinsics.width, f.intrinsics.height) for f in self.frames}
 
     def __len__(self) -> int:
         return len(self.frames)

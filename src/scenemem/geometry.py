@@ -166,11 +166,6 @@ class DepthMap:
         self.width = w
         self.height = h
 
-    @classmethod
-    def from_millimeters(cls, mm: np.ndarray) -> "DepthMap":
-        """Convert a uint16 millimeter image (0 = invalid) to meters."""
-        return cls(np.asarray(mm, dtype=np.float64) / 1000.0)
-
 
 class PixelMask:
     """Set of foreground pixels, stored as (u, v) pairs sorted by (v, u)."""

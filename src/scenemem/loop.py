@@ -22,8 +22,8 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .apis import ApiCall, ApiError, ApiExecutor, PatchReport, apply_patch
-from .backend import Backend, BackendError, BackendRequest, ReasonAction
+from .apis import ApiExecutor, PatchReport, apply_patch
+from .backend import ApiCall, Backend, BackendError, BackendRequest
 from .config import EngineConfig
 from .dataset import Episode
 from .memory import SceneMemory, serialize
@@ -128,11 +128,6 @@ def _reason_request(query: EpisodeQuery, ssm: SceneMemory,
     return BackendRequest(kind="reason", query=query.question, payload=payload)
 
 
-def _action_to_call(action: ReasonAction) -> ApiCall:
-    return ApiCall(kind=action.api, frame_id=action.frame_id, query=action.query,
-                   node_ids=action.node_ids)
-
-
 def answer(query: EpisodeQuery, ssm: SceneMemory, episode: Episode,
            backend: Backend, config: EngineConfig | None = None) -> Answer:
     """Run one question episode; never mutates the caller's memory."""
@@ -174,18 +169,10 @@ def answer(query: EpisodeQuery, ssm: SceneMemory, episode: Episode,
                           final_memory=current)
 
         if response is not None and response.action is not None and not must_answer:
-            action = response.action
-            if action.api not in allowed:
-                problem = (f"api '{action.api}' not allowed in "
+            call = response.action
+            if call.kind not in allowed:
+                problem = (f"api '{call.kind}' not allowed in "
                            f"{config.api_mode} mode; allowed: {allowed}")
-            else:
-                problem = None
-            if problem is None:
-                try:
-                    call = _action_to_call(action)
-                except ApiError as exc:
-                    problem = str(exc)
-            if problem is not None:
                 if not protocol_retry_done:
                     protocol_retry_done = True
                     pending_violations = [problem]

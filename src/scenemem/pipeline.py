@@ -159,7 +159,8 @@ def build_ssm(episode: Episode, backend: Backend,
 
     for index, frame in enumerate(episode.frames):
         try:
-            response = backend.call(BackendRequest(kind="detect", frame_id=frame.id))
+            response = backend.call(BackendRequest(kind="detect", frame_id=frame.id,
+                                                   frame_size=frame.size))
         except BackendError as exc:
             failed_frames += 1
             logger.warning("detect failed on frame %d, skipping: %s", frame.id, exc)

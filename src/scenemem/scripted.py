@@ -103,9 +103,6 @@ class ScriptedBackend(Backend):
 
     # -- helpers ------------------------------------------------------------
 
-    def frame_size(self, frame_id):
-        return (self.scene.intrinsics.width, self.scene.intrinsics.height)
-
     def _object_room(self, obj_index: int) -> str:
         return self.scene.room_label_of(self.scene.objects[obj_index])
 

@@ -197,9 +197,6 @@ class SyntheticScene:
     def frame_count(self) -> int:
         return len(self.poses)
 
-    def object_by_index(self, index: int) -> SceneObject:
-        return self.objects[index]
-
     def room_label_of(self, obj: SceneObject) -> str:
         return self.rooms[obj.room_index].label
 
@@ -256,18 +253,13 @@ class SyntheticScene:
             if rows.size < MIN_VISIBLE_PIXELS:
                 continue
             bbox = (int(cols.min()), int(rows.min()), int(cols.max()), int(rows.max()))
-            runs: list[tuple[int, int, int]] = []
-            for v in np.unique(rows):
-                us = np.sort(cols[rows == v])
-                start = prev = int(us[0])
-                for u in us[1:]:
-                    u = int(u)
-                    if u == prev + 1:
-                        prev = u
-                        continue
-                    runs.append((int(v), start, prev))
-                    start = prev = u
-                runs.append((int(v), start, prev))
+            # nonzero is row-major, so a run starts at the first pixel and
+            # wherever the row changes or the column skips
+            starts = np.flatnonzero((np.diff(rows) != 0) | (np.diff(cols) != 1)) + 1
+            starts = np.concatenate(([0], starts))
+            ends = np.append(starts[1:], rows.size) - 1
+            runs = zip(rows[starts].tolist(), cols[starts].tolist(),
+                       cols[ends].tolist())
             out.append(GtDetection(object_index=obj.index, caption=obj.caption,
                                    bbox=bbox, mask_runs=tuple(runs),
                                    pixel_count=int(rows.size)))

@@ -32,6 +32,19 @@ def make_pose(yaw_deg: float = 0.0, position=(0.0, 0.0, 0.0), pitch_deg: float =
     return Pose(np.column_stack([right, down, fwd]), np.asarray(position, float))
 
 
+class BorderOverflowBackend(ScriptedBackend):
+    """The scripted oracle, but every detected box is one pixel wider on
+    each side and carries no exact mask. Boxes on the frame border thus
+    overflow it by 1 px, which the protocol allows and clamps."""
+
+    def _wire_detection(self, det, note):
+        doc = super()._wire_detection(det, note)
+        u0, v0, u1, v1 = doc.pop("bbox")
+        doc["bbox"] = [u0 - 1, v0 - 1, u1 + 1, v1 + 1]
+        doc.pop("mask_runs", None)
+        return doc
+
+
 @pytest.fixture(scope="session")
 def small_scene():
     return generate_scene(2, 3, seed=7)

@@ -8,11 +8,14 @@ import json
 import numpy as np
 import pytest
 
-from scenemem import (Backend, BackendRequest, RecordingBackend, ReplayBackend,
-                      SchemaError, ScriptedBackend, TransportError,
+from scenemem import (ApiCall, Backend, BackendRequest, EngineConfig,
+                      RecordingBackend, ReplayBackend, SchemaError,
+                      ScriptedBackend, TransportError, build_ssm, serialize,
                       validate_response)
 from scenemem.backend import ReasonResponse
 from scenemem.scripted import ScriptReasoner, _iou
+
+from conftest import BorderOverflowBackend
 
 
 class TestValidateResponse:
@@ -93,6 +96,7 @@ class TestValidateResponse:
             "action": {"api": "analyze_objects", "frame_id": 3, "query": "q",
                        "node_ids": [1, 2]}})
         assert isinstance(out, ReasonResponse)
+        assert isinstance(out.action, ApiCall)
         assert out.action.node_ids == (1, 2)
 
     def test_reason_node_ids_only_for_analyze_objects(self):
@@ -276,6 +280,23 @@ class TestRecordReplay:
         with pytest.raises(TransportError):
             replayer.raw_call(BackendRequest(kind="detect", frame_id=1))
 
+    def test_replayed_build_clamps_like_the_recorded_one(self, small_scene, tmp_path):
+        """Bounds travel on the request, so a replayed detect response is
+        clamped against the same frame as when it was recorded."""
+        log = tmp_path / "build.jsonl"
+        episode = small_scene.episode()
+        recorded = serialize(build_ssm(
+            episode, RecordingBackend(BorderOverflowBackend(small_scene), log),
+            EngineConfig()))[0]
+        w, h = small_scene.intrinsics.width, small_scene.intrinsics.height
+        boxes = [d["bbox"] for line in log.read_text().splitlines()
+                 for d in json.loads(line)["response"].get("detections", [])]
+        assert any(u0 < 0 or v0 < 0 or u1 > w - 1 or v1 > h - 1
+                   for u0, v0, u1, v1 in boxes)
+        replayed = serialize(build_ssm(episode, ReplayBackend(log),
+                                       EngineConfig()))[0]
+        assert replayed == recorded
+
     def test_replay_exhaustion_detected(self, small_scene, tmp_path):
         log = tmp_path / "log.jsonl"
         RecordingBackend(ScriptedBackend(small_scene), log)
@@ -320,3 +341,12 @@ def test_iou_basics():
 def test_request_kind_validated():
     with pytest.raises(ValueError):
         BackendRequest(kind="telepathy")
+
+
+def test_frame_size_stays_off_the_wire():
+    plain = BackendRequest(kind="detect", frame_id=3, query="q")
+    sized = BackendRequest(kind="detect", frame_id=3, query="q",
+                           frame_size=(64, 48))
+    assert sized.to_doc() == plain.to_doc()
+    assert sized.digest() == plain.digest()
+    assert sized == plain

@@ -85,6 +85,14 @@ class TestEvalCommand:
         assert doc["answer_accuracy"] == 1.0
 
 
+    def test_backend_flags_rejected(self, workspace):
+        _, scene_dir, _ = workspace
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--scene", str(scene_dir / "truth.json"),
+                  "--backend-url", "http://127.0.0.1:9"])
+        assert err.value.code == 2
+
+
 class TestInspectCommand:
     def test_dumps_canonical_json(self, workspace, capsys):
         _, _, mem_dir = workspace

@@ -6,10 +6,51 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import struct
+import zlib
+
 from scenemem.depthio import (DepthIOError, read_depth_png, read_gray16_png,
                               write_depth_png, write_gray16_png, write_pgm)
 
 from conftest import rng
+
+
+def _filtered_png(img: np.ndarray, filters: list[int]) -> bytes:
+    """Encode a uint16 image as a 16-bit grayscale PNG whose row r uses
+    filter type filters[r], computed forward from the PNG specification."""
+    h, w = img.shape
+    rows = img.astype(">u2").view(np.uint8).reshape(h, 2 * w).astype(np.int64)
+    pad = np.zeros(2, np.int64)  # bpp = 2: the left neighbour is 2 bytes back
+    raw = bytearray()
+    for r, ftype in enumerate(filters):
+        cur = rows[r]
+        up = rows[r - 1] if r else np.zeros_like(cur)
+        left = np.concatenate([pad, cur[:-2]])
+        upleft = np.concatenate([pad, up[:-2]])
+        if ftype == 0:
+            pred = np.zeros_like(cur)
+        elif ftype == 1:
+            pred = left
+        elif ftype == 2:
+            pred = up
+        elif ftype == 3:
+            pred = (left + up) // 2
+        else:
+            p = left + up - upleft
+            pa, pb, pc = np.abs(p - left), np.abs(p - up), np.abs(p - upleft)
+            pred = np.where((pa <= pb) & (pa <= pc), left,
+                            np.where(pb <= pc, up, upleft))
+        raw.append(ftype)
+        raw += ((cur - pred) % 256).astype(np.uint8).tobytes()
+
+    def chunk(kind: bytes, data: bytes) -> bytes:
+        return (struct.pack(">I", len(data)) + kind + data
+                + struct.pack(">I", zlib.crc32(kind + data)))
+
+    return (b"\x89PNG\r\n\x1a\n"
+            + chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 16, 0, 0, 0, 0))
+            + chunk(b"IDAT", zlib.compress(bytes(raw)))
+            + chunk(b"IEND", b""))
 
 
 class TestGray16Codec:
@@ -35,6 +76,17 @@ class TestGray16Codec:
         path.write_bytes(b"hello world")
         with pytest.raises(DepthIOError):
             read_gray16_png(path)
+
+    @pytest.mark.parametrize("high", [65536, 4])
+    @pytest.mark.parametrize("first", range(5))
+    def test_reads_every_filter_type(self, tmp_path, first, high):
+        """Rows cycle through filters 0-4, starting at ``first``, so each
+        filter meets both the first row and a row with a row above it;
+        small values make Paeth ties common."""
+        img = rng(10 + first).integers(0, high, size=(11, 9)).astype(np.uint16)
+        path = tmp_path / "filtered.png"
+        path.write_bytes(_filtered_png(img, [(first + r) % 5 for r in range(11)]))
+        assert np.array_equal(read_gray16_png(path), img)
 
     def test_pillow_reads_our_files(self, tmp_path):
         Image = pytest.importorskip("PIL.Image")

@@ -15,6 +15,8 @@ from scenemem import (EngineConfig, EpisodeQuery, HttpBackend, ScriptedBackend,
 from scenemem.backend import BackendRequest, TransportError
 from scenemem.scripted import ScriptReasoner
 
+from conftest import BorderOverflowBackend
+
 
 class _ProtocolHandler(BaseHTTPRequestHandler):
     inner: ScriptedBackend = None
@@ -68,7 +70,7 @@ class TestHttpBackend:
     def test_construction_identical_over_http(self, small_scene, protocol_server):
         url = protocol_server(ScriptedBackend(small_scene, seed=2))
         episode = small_scene.episode()
-        http_backend = HttpBackend(url, frame_sizes=episode.frame_sizes())
+        http_backend = HttpBackend(url)
         over_http = serialize(build_ssm(episode, http_backend, EngineConfig()))[0]
         direct = serialize(build_ssm(episode, ScriptedBackend(small_scene, seed=2),
                                      EngineConfig()))[0]
@@ -88,10 +90,20 @@ class TestHttpBackend:
 
         url = protocol_server(ScriptedBackend(
             scene, reasoner=ScriptReasoner(scripts=dict(script))))
-        http_result = run(HttpBackend(url, frame_sizes=episode.frame_sizes()))
+        http_result = run(HttpBackend(url))
         direct_result = run(ScriptedBackend(
             scene, reasoner=ScriptReasoner(scripts=dict(script))))
         assert http_result == direct_result
+
+    def test_border_overflow_clamped_over_http(self, small_scene, protocol_server):
+        """Bounds travel on the request: an HttpBackend built from a URL
+        alone clamps a 1 px border overflow like a direct call does."""
+        url = protocol_server(BorderOverflowBackend(small_scene))
+        episode = small_scene.episode()
+        over_http = serialize(build_ssm(episode, HttpBackend(url), EngineConfig()))[0]
+        direct = serialize(build_ssm(episode, BorderOverflowBackend(small_scene),
+                                     EngineConfig()))[0]
+        assert over_http == direct
 
     def test_unreachable_server_transport_error(self):
         backend = HttpBackend("http://127.0.0.1:9", timeout=0.3)
