@@ -53,6 +53,19 @@ class Embedding:
         self.vector = v
         self.kind = kind
 
+    @classmethod
+    def from_unit(cls, vector, kind: str) -> "Embedding":
+        """Rebuild an embedding from a stored unit vector, bit for bit.
+        Dividing a normalized vector by its own computed norm can move its
+        last bits, so the vector is checked against UNIT_NORM_TOL instead."""
+        emb = cls(vector, kind)
+        v = np.array(vector, dtype=np.float64).reshape(-1)
+        if abs(float(np.linalg.norm(v)) - 1.0) > UNIT_NORM_TOL:
+            raise GraphError("stored embedding vector must have unit norm")
+        v.flags.writeable = False
+        emb.vector = v
+        return emb
+
     @property
     def dim(self) -> int:
         return self.vector.size

@@ -535,8 +535,8 @@ def deserialize(text: str) -> SceneMemory:
 # Persistence: directory layout ssm.json + clouds.bin + embeddings.bin
 # ---------------------------------------------------------------------------
 
-_CLOUD_MAGIC = b"SMCLOUD1"
-_EMBED_MAGIC = b"SMEMBED1"
+_CLOUD_MAGIC = b"SMCLOUD2"
+_EMBED_MAGIC = b"SMEMBED2"
 _KIND_CODES = {"visual": 0, "language": 1}
 _KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
 
@@ -547,7 +547,7 @@ def _pack_clouds(ssm: SceneMemory) -> bytes:
                    if t.cloud is not None]
     parts.append(struct.pack("<I", len(with_clouds)))
     for tid, cloud in with_clouds:
-        pts = np.ascontiguousarray(cloud.points, dtype="<f4")
+        pts = np.ascontiguousarray(cloud.points, dtype="<f8")
         parts.append(struct.pack("<II", tid, len(cloud)))
         parts.append(pts.tobytes())
     return b"".join(parts)
@@ -562,9 +562,9 @@ def _unpack_clouds(blob: bytes) -> dict[int, PointCloud]:
     for _ in range(count):
         tid, npts = struct.unpack_from("<II", blob, offset)
         offset += 8
-        arr = np.frombuffer(blob, dtype="<f4", count=npts * 3, offset=offset)
-        offset += npts * 3 * 4
-        out[tid] = PointCloud(arr.reshape(npts, 3).astype(np.float64))
+        arr = np.frombuffer(blob, dtype="<f8", count=npts * 3, offset=offset)
+        offset += npts * 3 * 8
+        out[tid] = PointCloud(arr.reshape(npts, 3))
     return out
 
 
@@ -577,7 +577,7 @@ def _pack_embeddings(ssm: SceneMemory) -> bytes:
                 records.append((tid, kind, emb))
     parts = [_EMBED_MAGIC, struct.pack("<I", len(records))]
     for tid, kind, emb in records:
-        vec = np.ascontiguousarray(emb.vector, dtype="<f4")
+        vec = np.ascontiguousarray(emb.vector, dtype="<f8")
         parts.append(struct.pack("<IBI", tid, _KIND_CODES[kind], vec.size))
         parts.append(vec.tobytes())
     return b"".join(parts)
@@ -592,21 +592,21 @@ def _unpack_embeddings(blob: bytes) -> dict[tuple[int, str], Embedding]:
     for _ in range(count):
         tid, code, dim = struct.unpack_from("<IBI", blob, offset)
         offset += 9
-        vec = np.frombuffer(blob, dtype="<f4", count=dim, offset=offset)
-        offset += dim * 4
+        vec = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset)
+        offset += dim * 8
         kind = _KIND_NAMES.get(code)
         if kind is None:
             raise ParseError("embeddings.bin", f"unknown kind code {code}")
-        out[(tid, kind)] = Embedding(vec.astype(np.float64), kind)
+        out[(tid, kind)] = Embedding.from_unit(vec, kind)
     return out
 
 
 def save_dir(ssm: SceneMemory, path: str | Path) -> None:
     """Persist to a directory: ssm.json (canonical form), clouds.bin
-    (float32 LE point triples per track), embeddings.bin (float32 LE
-    vectors keyed by track id and kind). Clouds are stored at float32
-    precision; reloaded summaries may differ in the last serialized
-    decimal for adversarially placed coordinates."""
+    (float64 LE point triples per track), embeddings.bin (float64 LE
+    vectors keyed by track id and kind). Clouds and embeddings are stored
+    bit-exact, so a reloaded memory re-voxelizes, merges and scores the
+    same as the in-process one. Floors and rooms are not persisted."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     text, _ = serialize(ssm)

@@ -227,18 +227,33 @@ class SyntheticScene:
         best_s = np.full(n, np.inf)
         best_id = np.full(n, -2, dtype=np.int64)
         safe_d = np.where(np.abs(d_world) < 1e-12, 1e-12, d_world)
+        # Slabs one axis at a time over contiguous columns: a per-row
+        # max/min over (n, 3) costs a reduce call per box that dwarfs the
+        # arithmetic. Same divisions, and max/min are exact, so the bytes
+        # match the row-wise form (only a zero's sign may differ, and a
+        # zero never passes tmin > 1e-6). Keep the division: a reciprocal
+        # multiply rounds differently.
+        cols = [np.ascontiguousarray(safe_d[:, k]) for k in range(3)]
         boxes, ids = self._all_boxes()
         for box, bid in zip(boxes, ids):
-            lo = (np.asarray(box.lo) - origin) / safe_d
-            hi = (np.asarray(box.hi) - origin) / safe_d
-            tmin = np.minimum(lo, hi).max(axis=1)
-            tmax = np.maximum(lo, hi).min(axis=1)
+            a = (box.lo[0] - origin[0]) / cols[0]
+            b = (box.hi[0] - origin[0]) / cols[0]
+            tmin, tmax = np.minimum(a, b), np.maximum(a, b)
+            for k in (1, 2):
+                a = (box.lo[k] - origin[k]) / cols[k]
+                b = (box.hi[k] - origin[k]) / cols[k]
+                np.maximum(tmin, np.minimum(a, b), out=tmin)
+                np.minimum(tmax, np.maximum(a, b), out=tmax)
             hit = (tmin <= tmax) & (tmax > 0) & (tmin > 1e-6) & (tmin < best_s)
             best_s[hit] = tmin[hit]
             best_id[hit] = bid
         depth = np.where(np.isfinite(best_s), best_s, 0.0)
         depth = depth.reshape(intr.height, intr.width)
         idmap = best_id.reshape(intr.height, intr.width)
+        # cached and handed to every caller, so a write would corrupt later
+        # gt_detections and episode() results
+        depth.flags.writeable = False
+        idmap.flags.writeable = False
         self._render_cache[frame_id] = (depth, idmap)
         return depth, idmap
 

@@ -54,6 +54,22 @@ def embedding_pair(cos_target: float, dim: int, kind: str, seed: int):
     return Embedding(a, kind), Embedding(mixed, kind)
 
 
+def test_from_unit_keeps_stored_bits_and_rejects_non_unit():
+    g = rng(3)
+    renormalized_differs = 0
+    for _ in range(50):
+        e = Embedding(g.standard_normal(8), "visual")
+        assert Embedding.from_unit(e.vector, "visual").vector.tobytes() \
+            == e.vector.tobytes()
+        renormalized_differs += (Embedding(e.vector, "visual").vector.tobytes()
+                                 != e.vector.tobytes())
+    assert renormalized_differs > 0  # why from_unit does not renormalize
+    with pytest.raises(GraphError):
+        Embedding.from_unit([2.0, 0.0], "visual")
+    with pytest.raises(GraphError):
+        Embedding.from_unit([1.0, 0.0], "spectral")
+
+
 # -- vote_score ---------------------------------------------------------------
 
 class TestVoteScore:

@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenemem import (Embedding, FrameMemory, Note, PointCloud, RelationEdge,
-                      SceneMemory, Track, append_frame, deserialize,
-                      init_frame_memory, load_dir, save_dir, serialize)
+from scenemem import (ApiCall, ApiExecutor, Embedding, EngineConfig, FrameMemory,
+                      Note, PointCloud, RelationEdge, RuleReasoner, SceneMemory,
+                      ScriptedBackend, Track, append_frame, apply_patch, build_ssm,
+                      deserialize, generate_scene, init_frame_memory, load_dir,
+                      save_dir, serialize)
 from scenemem.graph import CloudSummary
 from scenemem.memory import MemoryError_, ParseError, SerializationError
 from scenemem.spatial import NavLogEntry
@@ -321,18 +323,50 @@ class TestRoundTrip:
 
 class TestPersistence:
     def test_directory_round_trip(self, tmp_path):
-        ssm = random_ssm(7)
+        # clouds and embeddings restored bit for bit; several seeds, so some
+        # stored unit vectors have a computed norm other than exactly 1
+        for seed in range(12):
+            ssm = random_ssm(seed)
+            save_dir(ssm, tmp_path / f"mem{seed}")
+            loaded = load_dir(tmp_path / f"mem{seed}")
+            for tid, track in ssm.graph.tracks.items():
+                restored = loaded.graph.tracks[tid]
+                if track.cloud is not None:
+                    assert restored.cloud.points.tobytes() == track.cloud.points.tobytes()
+                if track.visual is not None:
+                    assert (restored.visual.vector.tobytes()
+                            == track.visual.vector.tobytes())
+
+    def test_reloaded_memory_patches_like_the_original(self, tmp_path):
+        """The same analyze_frame patch, applied on each frame to a built
+        memory and to its save_dir/load_dir copy, yields byte-identical
+        memories: merges re-voxelize reloaded clouds exactly as in-process
+        ones."""
+        scene = generate_scene(3, 2, seed=0)
+        episode = scene.episode()
+        cfg = EngineConfig()
+        ssm = build_ssm(episode, ScriptedBackend(scene, reasoner=RuleReasoner(),
+                                                 miss_prob=0.6), cfg)
         save_dir(ssm, tmp_path / "mem")
         loaded = load_dir(tmp_path / "mem")
-        # clouds and embeddings restored at float32 precision
-        for tid, track in ssm.graph.tracks.items():
-            restored = loaded.graph.tracks[tid]
-            if track.cloud is not None:
-                np.testing.assert_allclose(restored.cloud.points,
-                                           track.cloud.points, atol=1e-5)
-            if track.visual is not None:
-                np.testing.assert_allclose(restored.visual.vector,
-                                           track.visual.vector, atol=1e-6)
+        executor = ApiExecutor(episode, ScriptedBackend(scene, reasoner=RuleReasoner()),
+                               cfg)
+        for fid in episode.frame_ids:
+            call = ApiCall("analyze_frame", fid, "describe all objects")
+            here, _ = apply_patch(ssm, executor.analyze_frame(call, ssm), cfg)
+            there, _ = apply_patch(loaded, executor.analyze_frame(call, loaded), cfg)
+            assert serialize(there)[0] == serialize(here)[0], f"frame {fid}"
+
+    def test_older_binary_format_rejected(self, tmp_path):
+        ssm = random_ssm(7)
+        save_dir(ssm, tmp_path / "mem")
+        for name in ("clouds.bin", "embeddings.bin"):
+            path = tmp_path / "mem" / name
+            original = path.read_bytes()
+            path.write_bytes(original[:7] + b"1" + original[8:])
+            with pytest.raises(ParseError, match="bad magic"):
+                load_dir(tmp_path / "mem")
+            path.write_bytes(original)
 
     def test_float32_exact_coordinates_round_trip_bytes(self, tmp_path):
         """Coordinates on the float32 lattice survive save/load with a

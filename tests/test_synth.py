@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from scenemem import PixelMask, backproject, generate_questions, generate_scene
-from scenemem.synth import (Box, GenerationError, SceneObject, SyntheticScene,
-                            derive_relations, load_questions, save_questions)
+from scenemem.synth import (Box, GenerationError, RoomSpec, SceneObject,
+                            SceneParams, SyntheticScene, derive_relations,
+                            load_questions, look_at_pose, save_questions)
 
 from conftest import rng
 
@@ -32,6 +33,58 @@ def ray_box_intersect(origin, direction, box: Box) -> float | None:
     if t0 > t1 or t1 <= 0 or t0 <= 1e-6:
         return None
     return t0
+
+
+def reference_render(scene: SyntheticScene, frame_id: int):
+    """Row-major slab oracle: the (n, 3) form of ``SyntheticScene.render``,
+    reducing each ray's three slab entries and exits with max/min over
+    rows. ``render`` must reproduce its depth and hit map byte for byte."""
+    intr = scene.intrinsics
+    pose = scene.poses[frame_id]
+    us, vs = np.meshgrid(np.arange(intr.width), np.arange(intr.height))
+    d_cam = np.stack([(us.ravel() - intr.cx) / intr.fx,
+                      (vs.ravel() - intr.cy) / intr.fy,
+                      np.ones(us.size)], axis=1)
+    d_world = d_cam @ pose.rotation.T
+    origin = pose.translation
+    n = d_world.shape[0]
+    best_s = np.full(n, np.inf)
+    best_id = np.full(n, -2, dtype=np.int64)
+    safe_d = np.where(np.abs(d_world) < 1e-12, 1e-12, d_world)
+    boxes, ids = scene._all_boxes()
+    for box, bid in zip(boxes, ids):
+        lo = (np.asarray(box.lo) - origin) / safe_d
+        hi = (np.asarray(box.hi) - origin) / safe_d
+        tmin = np.minimum(lo, hi).max(axis=1)
+        tmax = np.maximum(lo, hi).min(axis=1)
+        hit = (tmin <= tmax) & (tmax > 0) & (tmin > 1e-6) & (tmin < best_s)
+        best_s[hit] = tmin[hit]
+        best_id[hit] = bid
+    depth = np.where(np.isfinite(best_s), best_s, 0.0)
+    return (depth.reshape(intr.height, intr.width),
+            best_id.reshape(intr.height, intr.width))
+
+
+def axis_aligned_scene() -> SyntheticScene:
+    """A hand-built scene on an odd-sized frame whose cameras look along
+    world axes. The principal row and column then carry ray components
+    that are exactly 0 and take the 1e-12 substitution, and several box
+    faces sit exactly at a camera coordinate, so slab entries of 0 meet
+    divisors of both signs."""
+    params = SceneParams(rooms=1, objects_per_room=3, seed=0, width=97,
+                         height=73, focal=50.0, views_per_room=3)
+    room = RoomSpec(index=0, label="kitchen", x0=0.0, y0=0.0, x1=4.0, y1=4.0)
+    objects = [
+        SceneObject(0, "box", "red", Box((2.5, 1.0, 0.0), (3.0, 2.0, 1.0)), 0),
+        SceneObject(1, "lamp", "blue", Box((3.0, 2.0, 1.0), (3.5, 3.0, 2.0)), 0),
+        SceneObject(2, "chair", "green", Box((1.0, 3.0, 0.0), (2.0, 3.5, 1.0)), 0),
+    ]
+    structure = [Box((-0.5, -0.5, -0.1), (4.5, 4.5, 0.0)),
+                 Box((4.0, -0.5, 0.0), (4.1, 4.5, 2.5))]
+    poses = [look_at_pose((1.0, 2.0, 1.0), (3.0, 2.0, 1.0)),
+             look_at_pose((2.0, 1.0, 1.0), (2.0, 4.0, 1.0)),
+             look_at_pose((0.5, 0.5, 1.0), (3.5, 0.5, 1.0))]
+    return SyntheticScene(params, [room], objects, [], structure, poses)
 
 
 class TestDeterminism:
@@ -127,6 +180,39 @@ class TestRaycast:
                 on_surface += int(inside.sum())
         assert total > 0
         assert on_surface / total >= 0.99
+
+    def assert_matches_reference(self, scene, frame_ids):
+        for fid in frame_ids:
+            depth, idmap = scene.render(fid)
+            ref_depth, ref_idmap = reference_render(scene, fid)
+            assert depth.tobytes() == ref_depth.tobytes(), fid
+            assert idmap.tobytes() == ref_idmap.tobytes(), fid
+
+    def test_render_bytes_match_reference_on_every_frame(self, small_scene):
+        self.assert_matches_reference(small_scene, range(small_scene.frame_count))
+
+    def test_render_bytes_match_reference_on_eight_rooms(self):
+        scene = generate_scene(8, 3, seed=1000)
+        self.assert_matches_reference(scene, range(0, scene.frame_count, 4))
+
+    def test_render_bytes_match_reference_on_axis_aligned_rays(self):
+        scene = axis_aligned_scene()
+        for fid in range(scene.frame_count):
+            _, idmap = scene.render(fid)
+            assert (idmap >= 0).any() and (idmap == -1).any()
+        # the principal row and column carry exact zero ray components
+        cx, cy = scene.intrinsics.cx, scene.intrinsics.cy
+        assert cx == int(cx) and cy == int(cy)
+        self.assert_matches_reference(scene, range(scene.frame_count))
+
+    def test_cached_render_is_read_only(self, small_scene):
+        depth, idmap = small_scene.render(1)
+        with pytest.raises(ValueError):
+            depth[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            idmap[0, 0] = 0
+        again_depth, again_idmap = small_scene.render(1)
+        assert again_depth is depth and again_idmap is idmap
 
     def test_invalid_depth_outside_scene(self, small_scene):
         # some rays above the horizon escape without hitting any box
