@@ -93,9 +93,14 @@ class Pose:
 
 
 class PointCloud:
-    """Immutable collection of world-frame points, shape (n, 3), meters."""
+    """Immutable collection of world-frame points, shape (n, 3), meters.
 
-    __slots__ = ("points",)
+    The centroid and extent are computed once, on first use, and cached as
+    read-only arrays; the points are read-only too, so the cache never goes
+    stale.
+    """
+
+    __slots__ = ("points", "_stats")
 
     def __init__(self, points=None):
         if points is None:
@@ -110,6 +115,7 @@ class PointCloud:
             raise GeometryInputError("points must be finite")
         arr.flags.writeable = False
         self.points = arr
+        self._stats = None
 
     @classmethod
     def empty(cls) -> "PointCloud":
@@ -122,16 +128,25 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
+    def _statistics(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._stats is None:
+            centroid = self.points.mean(axis=0)
+            extent = self.points.max(axis=0) - self.points.min(axis=0)
+            centroid.flags.writeable = False
+            extent.flags.writeable = False
+            self._stats = (centroid, extent)
+        return self._stats
+
     def centroid(self) -> np.ndarray:
         if self.is_empty:
             raise GeometryInputError("centroid of empty cloud")
-        return self.points.mean(axis=0)
+        return self._statistics()[0]
 
     def extent(self) -> np.ndarray:
         """Axis-aligned extent (max - min) per axis."""
         if self.is_empty:
             raise GeometryInputError("extent of empty cloud")
-        return self.points.max(axis=0) - self.points.min(axis=0)
+        return self._statistics()[1]
 
     def union(self, other: "PointCloud") -> "PointCloud":
         if self.is_empty:

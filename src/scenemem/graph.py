@@ -126,8 +126,7 @@ class CloudSummary:
     def of(cls, cloud: PointCloud) -> "CloudSummary | None":
         if cloud.is_empty:
             return None
-        return cls(tuple(float(x) for x in cloud.centroid()),
-                   tuple(float(x) for x in cloud.extent()),
+        return cls(tuple(cloud.centroid().tolist()), tuple(cloud.extent().tolist()),
                    len(cloud))
 
     def to_doc(self) -> dict:

@@ -8,6 +8,20 @@ rendered with exactly 4 decimal places, point clouds summarized as
 byte-identical text, which is what golden-file tests and the record/replay
 harness rely on.
 
+The reasoning loop re-serializes the memory on every step, so ``serialize``
+renders each unchanged part once. The canonical text of every track and
+navigation-log entry is memoized in ``SceneMemory.fragments``, keyed by all
+the content the fragment shows (never by object identity: tracks are edited
+in place, and an edit simply yields a new key). An entry is therefore never
+stale and needs no invalidation; the output equals a full render byte for
+byte. The memo is shared by a memory and its copies (the loop's patched
+working copies reuse the base memory's fragments), while ``empty``,
+``deserialize`` and hence ``build_ssm`` and ``load_dir`` start a fresh one,
+so nothing is reused across separately built or loaded memories. Copies
+serialized on different threads could at worst render one fragment twice,
+to the same text. Cloud summaries are cheap to key on because
+``PointCloud`` caches its centroid and extent.
+
 Frame memory is not part of the JSON body; it is returned alongside as an
 ordered list of (frame id, image locator) references, mirroring how frames
 are supplied to the reasoner as interleaved images. For persistence the
@@ -23,6 +37,9 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field, replace
+# the string encoder json.dumps(s, ensure_ascii=False) calls, without the
+# JSONEncoder it builds per call
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -135,7 +152,9 @@ class SceneMemory:
     """Single-writer memory of one scene episode.
 
     ``floors``/``rooms`` are construction-time models kept for patch-time
-    room lookup; they are transient (not serialized).
+    room lookup; they are transient (not serialized). ``fragments`` is the
+    serializer's memo of rendered track and navigation-log fragments,
+    shared by copies of this memory (see the module docstring).
     """
 
     graph: SceneGraph
@@ -148,6 +167,8 @@ class SceneMemory:
     frame_locators: dict[int, str]
     floors: FloorModel | None = None
     rooms: RoomModel | None = None
+    fragments: dict[tuple, _Fragment] = field(default_factory=dict, repr=False,
+                                               compare=False)
 
     @classmethod
     def empty(cls, scene_id: str, stride: int, frame_ids: list[int],
@@ -229,12 +250,22 @@ class SceneMemory:
             frame_locators=dict(self.frame_locators),
             floors=self.floors,
             rooms=self.rooms,
+            fragments=self.fragments,
         )
 
 
 # ---------------------------------------------------------------------------
 # Canonical JSON
 # ---------------------------------------------------------------------------
+
+class _Fragment:
+    """Canonical JSON text that ``_canon`` splices in as it is."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
 
 def _fmt_float(x: float) -> str:
     if not np.isfinite(x):
@@ -255,7 +286,7 @@ def _canon(obj, out: list[str]) -> None:
     elif isinstance(obj, float):
         out.append(_fmt_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -263,7 +294,7 @@ def _canon(obj, out: list[str]) -> None:
                 raise SerializationError("object keys must be strings")
             if i:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(encode_basestring(key))
             out.append(":")
             _canon(obj[key], out)
         out.append("}")
@@ -274,6 +305,8 @@ def _canon(obj, out: list[str]) -> None:
                 out.append(",")
             _canon(item, out)
         out.append("]")
+    elif isinstance(obj, _Fragment):
+        out.append(obj.text)
     else:
         raise SerializationError(f"unserializable value of type {type(obj).__name__}")
 
@@ -284,18 +317,37 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def _track_doc(t: Track) -> dict:
+def _track_fragment(t: Track, memo: dict) -> _Fragment:
     summary = t.cloud_summary()
-    return {
-        "id": t.id,
-        "caption": t.caption,
-        "caption_history": list(t.caption_history),
-        "room_id": t.room_id,
-        "room_label": t.room_label,
-        "floor_id": t.floor_id,
-        "visible_frames": list(t.visible_frames),
-        "cloud": None if summary is None else summary.to_doc(),
-    }
+    # equal keys render equal text: ids and frames are ints, labels strings,
+    # and equal floats differ at most in the sign of zero, which renders alike
+    key = ("track", t.id, t.caption, tuple(t.caption_history), t.room_id,
+           t.room_label, t.floor_id, tuple(t.visible_frames), summary)
+    frag = memo.get(key)
+    if frag is None:
+        frag = memo[key] = _Fragment(canonical_json({
+            "id": t.id,
+            "caption": t.caption,
+            "caption_history": list(t.caption_history),
+            "room_id": t.room_id,
+            "room_label": t.room_label,
+            "floor_id": t.floor_id,
+            "visible_frames": list(t.visible_frames),
+            "cloud": None if summary is None else summary.to_doc(),
+        }))
+    return frag
+
+
+def _nav_fragment(e: NavLogEntry, memo: dict) -> _Fragment:
+    key = ("nav", e.frame_id, e.room_label, e.fov_tag, e.motion_label,
+           tuple(e.visible_node_ids))
+    frag = memo.get(key)
+    if frag is None:
+        frag = memo[key] = _Fragment(canonical_json({
+            "frame_id": e.frame_id, "room_label": e.room_label,
+            "fov_tag": e.fov_tag, "motion_label": e.motion_label,
+            "visible_node_ids": sorted(e.visible_node_ids)}))
+    return frag
 
 
 def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
@@ -305,9 +357,14 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
     scene_graph / scratchpad / navigation_log / episode, and the frame
     references as (frame id, image locator) pairs in frame-memory order.
     Refuses to serialize when cross-structure invariants fail.
+
+    Track and navigation-log fragments come from ``ssm.fragments`` when an
+    equal one was rendered before (see the module docstring).
     """
     ssm.validate()
-    tracks = [_track_doc(ssm.graph.tracks[tid]) for tid in sorted(ssm.graph.tracks)]
+    memo = ssm.fragments
+    tracks = [_track_fragment(ssm.graph.tracks[tid], memo)
+              for tid in sorted(ssm.graph.tracks)]
     edges = sorted(ssm.graph.edges,
                    key=lambda e: (e.subject_id, e.object_id, e.relation, e.source_frame))
     edge_docs = [{"subject_id": e.subject_id, "object_id": e.object_id,
@@ -318,10 +375,7 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
                        "query": n.query, "evidence_frame": n.evidence_frame}
                       for n in ssm.scratchpad[nid].notes]}
            for nid in sorted(ssm.scratchpad)]
-    nav = [{"frame_id": e.frame_id, "room_label": e.room_label,
-            "fov_tag": e.fov_tag, "motion_label": e.motion_label,
-            "visible_node_ids": sorted(e.visible_node_ids)}
-           for e in ssm.nav_log]
+    nav = [_nav_fragment(e, memo) for e in ssm.nav_log]
     doc = {
         "episode": {
             "scene_id": ssm.scene_id,

@@ -187,9 +187,10 @@ class ScriptedBackend(Backend):
             if mode == "transport":
                 raise TransportError(f"scripted {request.kind} failure")
             return {"scripted": "malformed"}
-        fixture = self.fixtures.get(request.digest())
-        if fixture is not None:
-            return fixture
+        if self.fixtures:
+            fixture = self.fixtures.get(request.digest())
+            if fixture is not None:
+                return fixture
         handler = getattr(self, f"_handle_{request.kind}")
         return handler(request)
 

@@ -15,6 +15,7 @@ import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .memory import SceneMemory, canonical_json, load_dir, serialize
 
@@ -52,7 +53,7 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     def do_GET(self):  # noqa: N802 (http.server API)
-        path = self.path.rstrip("/") or "/"
+        path = urlsplit(self.path).path.rstrip("/") or "/"
         if path == "/ssm":
             self._send(200, self.snapshot["text"])
         elif path == "/navlog":

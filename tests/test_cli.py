@@ -149,6 +149,26 @@ class TestServe:
         finally:
             server.shutdown()
 
+    def test_query_string_ignored_in_routing(self, workspace):
+        _, _, mem_dir = workspace
+        ssm = load_dir(mem_dir)
+        server, _ = start_background(ssm)
+        try:
+            host, port = server.server_address
+
+            def get(path):
+                with urllib.request.urlopen(f"http://{host}:{port}{path}") as r:
+                    return r.status, r.read().decode()
+
+            assert get("/ssm?x=1") == get("/ssm")
+            tid = min(ssm.graph.tracks)
+            status, body = get(f"/tracks/{tid}?x=1")
+            assert status == 200
+            assert json.loads(body)["id"] == tid
+            assert get("/navlog/?a=b#frag") == get("/navlog")
+        finally:
+            server.shutdown()
+
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):

@@ -13,6 +13,7 @@ from scenemem import (CameraIntrinsics, DepthMap, PixelMask, PointCloud, Pose,
                       backproject, geometric_overlap, largest_cluster,
                       voxel_downsample)
 from scenemem.geometry import GeometryInputError, project
+from scenemem.graph import CloudSummary
 
 from conftest import make_pose, rng
 
@@ -594,3 +595,46 @@ class TestTypes:
     def test_mask_dedupes_and_sorts(self):
         mask = PixelMask(8, 8, [(3, 2), (1, 1), (3, 2), (0, 2)])
         assert mask.pixels.tolist() == [[1, 1], [0, 2], [3, 2]]
+
+
+class TestPointCloudStatistics:
+    """Centroid and extent are cached on first use; the cache must hold
+    exactly what a fresh computation gives."""
+
+    @staticmethod
+    def _clouds():
+        g = rng(21)
+        for _ in range(40):
+            n = int(g.integers(1, 4)) if g.random() < 0.3 else int(g.integers(4, 500))
+            scale = float(g.choice([1e-3, 1.0, 1e3, 1e150]))
+            yield g.uniform(-1, 1, size=(n, 3)) * scale
+        yield np.array([[1e150, -1e150, 1e150]])
+        yield np.array([[1e150, 1e150, -1e150], [-1e150, 1e150, 1e150 * (1 - 2**-52)]])
+
+    def test_bit_equal_to_fresh_computation(self):
+        for pts in self._clouds():
+            cloud = PointCloud(pts)
+            for _ in range(2):  # computed, then cached
+                assert cloud.centroid().tobytes() == pts.mean(axis=0).tobytes()
+                assert cloud.extent().tobytes() == \
+                    (pts.max(axis=0) - pts.min(axis=0)).tobytes()
+            summary = CloudSummary.of(cloud)
+            assert summary.centroid == tuple(float(x) for x in pts.mean(axis=0))
+            assert summary.count == len(pts)
+
+    def test_cached_arrays_are_read_only(self):
+        cloud = PointCloud(rng(22).uniform(-5, 5, size=(30, 3)))
+        assert cloud.centroid() is cloud.centroid()
+        for arr in (cloud.centroid(), cloud.extent()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_empty_cloud_still_raises(self):
+        cloud = PointCloud.empty()
+        for _ in range(2):
+            with pytest.raises(GeometryInputError):
+                cloud.centroid()
+            with pytest.raises(GeometryInputError):
+                cloud.extent()
+        assert CloudSummary.of(cloud) is None

@@ -5,6 +5,8 @@ checked byte-for-byte."""
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,14 +14,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenemem import (ApiCall, ApiExecutor, Embedding, EngineConfig, FrameMemory,
-                      Note, PointCloud, RelationEdge, RuleReasoner, SceneMemory,
-                      ScriptedBackend, Track, append_frame, apply_patch, build_ssm,
-                      deserialize, generate_scene, init_frame_memory, load_dir,
-                      save_dir, serialize)
+from scenemem import (ApiCall, ApiExecutor, Embedding, EngineConfig, EpisodeQuery,
+                      FrameMemory, Note, PointCloud, RelationEdge, RuleReasoner,
+                      SceneMemory, ScriptedBackend, Track, append_frame, apply_patch,
+                      build_ssm, deserialize, generate_scene, init_frame_memory,
+                      load_dir, run_episode_batch, save_dir, serialize)
 from scenemem.graph import CloudSummary
 from scenemem.memory import MemoryError_, ParseError, SerializationError
 from scenemem.spatial import NavLogEntry
+from scenemem.synth import generate_questions
 
 from conftest import rng
 
@@ -176,6 +179,118 @@ def random_ssm(seed: int) -> SceneMemory:
     return ssm
 
 
+def _reference_canon(obj, out: list[str]) -> None:
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        s = f"{obj:.4f}"
+        out.append("0.0000" if s == "-0.0000" else s)
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=False))
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if i:
+                out.append(",")
+            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(":")
+            _reference_canon(obj[key], out)
+        out.append("}")
+    else:
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _reference_canon(item, out)
+        out.append("]")
+
+
+def reference_serialize(ssm: SceneMemory) -> str:
+    """The canonical text rendered in full, with no memo: the whole
+    document as one dict, encoded string by string with ``json.dumps``."""
+    ssm.validate()
+    tracks = []
+    for tid in sorted(ssm.graph.tracks):
+        t = ssm.graph.tracks[tid]
+        if t.cloud is not None:
+            pts = t.cloud.points
+            summary = CloudSummary(tuple(float(x) for x in pts.mean(axis=0)),
+                                   tuple(float(x) for x in pts.max(axis=0) - pts.min(axis=0)),
+                                   len(pts)) if len(pts) else None
+        else:
+            summary = t.summary
+        tracks.append({
+            "id": t.id, "caption": t.caption,
+            "caption_history": list(t.caption_history),
+            "room_id": t.room_id, "room_label": t.room_label, "floor_id": t.floor_id,
+            "visible_frames": list(t.visible_frames),
+            "cloud": None if summary is None else {
+                "centroid": list(summary.centroid), "extent": list(summary.extent),
+                "points": summary.count}})
+    edges = sorted(ssm.graph.edges,
+                   key=lambda e: (e.subject_id, e.object_id, e.relation, e.source_frame))
+    doc = {
+        "episode": {
+            "scene_id": ssm.scene_id,
+            "stride": ssm.stride,
+            "frame_count": len(ssm.frame_ids),
+            "frame_ids": list(ssm.frame_ids),
+            "frame_locators": {str(fid): loc
+                               for fid, loc in sorted(ssm.frame_locators.items())},
+            "frame_memory": {"frames": list(ssm.frame_memory.frames),
+                             "initial_count": ssm.frame_memory.initial_count},
+        },
+        "scene_graph": {"tracks": tracks, "edges": [
+            {"subject_id": e.subject_id, "object_id": e.object_id,
+             "relation": e.relation, "justification": e.justification,
+             "source_frame": e.source_frame} for e in edges]},
+        "scratchpad": [{"node_id": nid,
+                        "notes": [{"text": n.text, "source_api": n.source_api,
+                                   "query": n.query, "evidence_frame": n.evidence_frame}
+                                  for n in ssm.scratchpad[nid].notes]}
+                       for nid in sorted(ssm.scratchpad)],
+        "navigation_log": [{"frame_id": e.frame_id, "room_label": e.room_label,
+                            "fov_tag": e.fov_tag, "motion_label": e.motion_label,
+                            "visible_node_ids": sorted(e.visible_node_ids)}
+                           for e in ssm.nav_log],
+    }
+    out: list[str] = []
+    _reference_canon(doc, out)
+    return "".join(out) + "\n"
+
+
+def assert_serializes_like_reference(ssm: SceneMemory) -> None:
+    """Cold and warm memo, and a copy sharing the memo, all render the
+    reference bytes."""
+    expected = reference_serialize(ssm)
+    assert serialize(ssm)[0] == expected
+    assert serialize(ssm)[0] == expected
+    assert serialize(ssm.copy())[0] == expected
+
+
+@pytest.fixture(scope="module")
+def large_builds():
+    """miss_prob -> (scene, episode, backend, memory) of an 8-room x
+    3-object scene, built once per detector miss probability."""
+    scene = generate_scene(8, 3, seed=1000)
+    episode = scene.episode()
+    built = {}
+
+    def get(miss_prob: float):
+        if miss_prob not in built:
+            backend = ScriptedBackend(scene, reasoner=RuleReasoner(), miss_prob=miss_prob)
+            built[miss_prob] = (scene, episode, backend,
+                                build_ssm(episode, backend, EngineConfig()))
+        return built[miss_prob]
+    return get
+
+
 # -- scratchpad ------------------------------------------------------------------
 
 class TestScratchpad:
@@ -269,6 +384,106 @@ class TestSerialize:
             canonical_json(float("nan"))
         with pytest.raises(SerializationError):
             canonical_json({"x": float("inf")})
+
+
+class TestSerializeMatchesReference:
+    """``serialize`` splices memoized fragments; its text must equal a full
+    render by the reference renderer above, whatever the memo holds."""
+
+    def test_random_memories(self):
+        for seed in range(12):
+            assert_serializes_like_reference(random_ssm(seed))
+
+    def test_golden_files(self):
+        empty = SceneMemory.empty("empty-scene", 1, [])
+        assert reference_serialize(empty) == (GOLDEN / "empty_ssm.json").read_text()
+        assert_serializes_like_reference(empty)
+        one = golden_one_track()
+        assert reference_serialize(one) == (GOLDEN / "one_track_ssm.json").read_text()
+        assert_serializes_like_reference(one)
+
+    @pytest.mark.parametrize("miss_prob", [0.0, 0.4])
+    def test_built_memory_and_every_batch_final_memory(self, large_builds, miss_prob):
+        scene, episode, backend, ssm = large_builds(miss_prob)
+        assert_serializes_like_reference(ssm)
+        cfg = EngineConfig()
+        queries = [EpisodeQuery(q.question, cfg.max_api_calls, scene.scene_id)
+                   for q in generate_questions(scene)]
+        batch = run_episode_batch(queries, ssm.copy, episode, backend, cfg)
+        assert batch.answers and not batch.failures
+        assert any(a.final_memory is not ssm for a in batch.answers)
+        base = json.loads(serialize(ssm)[0])
+        edited = 0
+        for a in batch.answers:
+            text = serialize(a.final_memory)[0]
+            assert text == reference_serialize(a.final_memory)
+            doc = json.loads(text)
+            edited += any(doc[k] != base[k] for k in ("scene_graph", "navigation_log"))
+        # with a missing detector, patches edit tracks and nav entries that
+        # the shared memo already holds fragments of
+        assert edited > 0 or miss_prob == 0.0
+        assert serialize(ssm)[0] == reference_serialize(ssm)
+
+    def test_in_place_edits_are_never_served_stale(self, large_builds):
+        _, _, _, built = large_builds(0.0)
+        ssm = built.copy()
+        serialize(ssm)
+        by_room: dict[str, Track] = {}
+        for t in ssm.graph.tracks.values():
+            by_room.setdefault(t.room_id, t)
+        moved, target = list(by_room.values())[:2]
+        assert moved.room_id != target.room_id
+        # move a track into another room, in place, as build_ssm places tracks
+        moved.cloud = target.cloud
+        ssm.place_track(moved)
+        assert moved.room_id == target.room_id
+        assert_serializes_like_reference(ssm)
+        # one field at a time, each edited in place
+        moved.room_label = "garage"  # as build_ssm labels rooms
+        assert_serializes_like_reference(ssm)
+        moved.room_id = "floor0/99"
+        assert_serializes_like_reference(ssm)
+        moved.floor_id = "floor9"
+        assert_serializes_like_reference(ssm)
+        moved.caption = "a \"quoted\" caption"
+        assert_serializes_like_reference(ssm)
+        moved.caption_history.append("another caption")
+        assert_serializes_like_reference(ssm)
+        moved.visible_frames.append(next(f for f in ssm.frame_ids
+                                         if f not in moved.visible_frames))
+        assert_serializes_like_reference(ssm)
+        entry = ssm.nav_log[0]
+        for field_name, value in (("room_label", "hall"), ("fov_tag", "new view"),
+                                  ("motion_label", "turn_left"),
+                                  ("visible_node_ids", [moved.id])):
+            setattr(entry, field_name, value)
+            assert_serializes_like_reference(ssm)
+        # and back: an earlier state renders its earlier bytes
+        assert serialize(built)[0] == reference_serialize(built)
+
+    _chars = st.one_of(
+        st.characters(),
+        st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u2028",
+                         "\ud800", "\udfff", "\udbff", "é", "漢", "😀"]))
+    _texts = st.text(alphabet=_chars, max_size=12)
+
+    @given(captions=st.lists(_texts, min_size=1, max_size=3), note=_texts,
+           fov=_texts, edit=_texts)
+    @settings(max_examples=60)
+    def test_arbitrary_strings(self, captions, note, fov, edit):
+        ssm = SceneMemory.empty("s\"\\", 1, [0, 1])
+        ssm.create_track(Track(id=0, cloud=PointCloud([(0.5, -1.0, 2.0)]),
+                               visual=None, language=None, caption=captions[0],
+                               caption_history=list(captions), room_label=fov or None,
+                               visible_frames=[0]))
+        ssm.add_note(0, note, "analyze_frame", fov, 1)
+        ssm.nav_log = [NavLogEntry(0, note, fov, "stationary", [0]),
+                       NavLogEntry(1, fov, note, "forward", [])]
+        ssm.frame_memory = init_frame_memory([0, 1], 2)
+        assert_serializes_like_reference(ssm)
+        ssm.graph.tracks[0].caption = edit
+        ssm.nav_log[1] = replace(ssm.nav_log[1], fov_tag=edit)
+        assert_serializes_like_reference(ssm)
 
 
 class TestRoundTrip:
