@@ -2,30 +2,36 @@
 
 A SceneMemory bundles the scene graph, the per-node scratchpad, the frame
 memory and the navigation log, plus episode metadata. It serializes to a
-canonical JSON form: object keys sorted, arrays in id order, floats
-rendered with exactly 4 decimal places, point clouds summarized as
-(centroid, axis-aligned extent, point count). Equal memories produce
-byte-identical text, which is what golden-file tests and the record/replay
-harness rely on.
+canonical JSON form, layout version 2 (``docs/memory_format.md``): object
+keys sorted, floats rendered with exactly 4 decimal places, point clouds
+summarized as (centroid, axis-aligned extent, point count). Each record
+list (tracks, relation edges, navigation log) is a table, one ``columns``
+header plus one ``rows`` array per record, in a fixed column order, so key
+names are written once per list rather than once per record. The
+scratchpad stays grouped by node, because evidence cites per-node note
+indices. Equal memories produce byte-identical text, which is what
+golden-file tests and the record/replay harness rely on. The same text is
+the reasoner's prompt and the persisted ``ssm.json``.
 
 The reasoning loop re-serializes the memory on every step, so ``serialize``
-renders each unchanged part once. The canonical text of every track and
-navigation-log entry is memoized in ``SceneMemory.fragments``, keyed by all
-the content the fragment shows (never by object identity: tracks are edited
-in place, and an edit simply yields a new key). An entry is therefore never
-stale and needs no invalidation; the output equals a full render byte for
-byte. The memo is shared by a memory and its copies (the loop's patched
-working copies reuse the base memory's fragments), while ``empty``,
-``deserialize`` and hence ``build_ssm`` and ``load_dir`` start a fresh one,
-so nothing is reused across separately built or loaded memories. Copies
-serialized on different threads could at worst render one fragment twice,
-to the same text. Cloud summaries are cheap to key on because
-``PointCloud`` caches its centroid and extent.
+renders each unchanged part once. The canonical text of every track row,
+every navigation-log row and the frame locators is memoized in
+``SceneMemory.fragments``, keyed by all the content it shows (never by
+object identity: tracks are edited in place, and an edit simply yields a
+new key). An entry is therefore never stale and needs no invalidation; the
+output equals a full render byte for byte. The memo is shared by a memory
+and its copies (the loop's patched working copies reuse the base memory's
+fragments), while ``empty``, ``deserialize`` and hence ``build_ssm`` and
+``load_dir`` start a fresh one, so nothing is reused across separately
+built or loaded memories. Copies serialized on different threads could at
+worst render one fragment twice, to the same text. Cloud summaries are
+cheap to key on because ``PointCloud`` caches its centroid and extent.
 
 Frame memory is not part of the JSON body; it is returned alongside as an
 ordered list of (frame id, image locator) references, mirroring how frames
 are supplied to the reasoner as interleaved images. For persistence the
-frame memory rides inside the "episode" object so a round trip restores it.
+frame memory and every keyframe's locator ride inside the "episode"
+object so a round trip restores them.
 
 Embeddings never appear in the JSON (prompts need text, not vectors); they
 live in a side-car binary file, as do raw point clouds. See save_dir /
@@ -35,6 +41,7 @@ load_dir.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field, replace
 # the string encoder json.dumps(s, ensure_ascii=False) calls, without the
@@ -50,6 +57,15 @@ from .graph import (CloudSummary, Embedding, GraphError, RelationEdge, SceneGrap
 from .spatial import MOTION_LABELS, FloorModel, NavLogEntry, RoomModel
 
 SOURCE_APIS = ("find_objects", "analyze_objects", "analyze_frame")
+
+FORMAT_VERSION = 2
+# the fixed column order of each table in the serialized form
+TRACK_COLUMNS = ("id", "caption", "caption_history", "room_id", "room_label",
+                 "floor_id", "visible_frames", "centroid", "extent", "points")
+EDGE_COLUMNS = ("subject_id", "relation", "object_id", "justification",
+                "source_frame")
+NAV_COLUMNS = ("frame_id", "room_label", "fov_tag", "motion_label",
+               "visible_node_ids")
 
 
 class MemoryError_(ValueError):
@@ -153,8 +169,8 @@ class SceneMemory:
 
     ``floors``/``rooms`` are construction-time models kept for patch-time
     room lookup; they are transient (not serialized). ``fragments`` is the
-    serializer's memo of rendered track and navigation-log fragments,
-    shared by copies of this memory (see the module docstring).
+    serializer's memo of rendered track rows, navigation-log rows and frame
+    locators, shared by copies of this memory (see the module docstring).
     """
 
     graph: SceneGraph
@@ -227,6 +243,9 @@ class SceneMemory:
         for f in self.frame_memory.frames:
             if f not in episode:
                 raise SerializationError(f"frame memory id {f} outside episode")
+        for f in self.frame_locators:
+            if f not in episode:
+                raise SerializationError(f"locator for frame {f} outside episode")
         nav_ids = [e.frame_id for e in self.nav_log]
         if nav_ids != list(self.frame_ids):
             raise SerializationError("navigation log does not cover the episode keyframes")
@@ -325,16 +344,11 @@ def _track_fragment(t: Track, memo: dict) -> _Fragment:
            t.room_label, t.floor_id, tuple(t.visible_frames), summary)
     frag = memo.get(key)
     if frag is None:
-        frag = memo[key] = _Fragment(canonical_json({
-            "id": t.id,
-            "caption": t.caption,
-            "caption_history": list(t.caption_history),
-            "room_id": t.room_id,
-            "room_label": t.room_label,
-            "floor_id": t.floor_id,
-            "visible_frames": list(t.visible_frames),
-            "cloud": None if summary is None else summary.to_doc(),
-        }))
+        cloud = summary.to_doc() if summary is not None else {}
+        frag = memo[key] = _Fragment(canonical_json([
+            t.id, t.caption, list(t.caption_history), t.room_id, t.room_label,
+            t.floor_id, list(t.visible_frames), cloud.get("centroid"),
+            cloud.get("extent"), cloud.get("points")]))
     return frag
 
 
@@ -343,23 +357,52 @@ def _nav_fragment(e: NavLogEntry, memo: dict) -> _Fragment:
            tuple(e.visible_node_ids))
     frag = memo.get(key)
     if frag is None:
+        frag = memo[key] = _Fragment(canonical_json([
+            e.frame_id, e.room_label, e.fov_tag, e.motion_label,
+            sorted(e.visible_node_ids)]))
+    return frag
+
+
+_HEADERS = {columns: _Fragment(canonical_json(list(columns)))
+            for columns in (TRACK_COLUMNS, EDGE_COLUMNS, NAV_COLUMNS)}
+
+
+def _table(columns: tuple[str, ...], rows: list) -> dict:
+    return {"columns": _HEADERS[columns], "rows": rows}
+
+
+def table_records(table: dict) -> list[dict]:
+    """The rows of a serialized table as records keyed by column name."""
+    columns = table["columns"]
+    return [dict(zip(columns, row)) for row in table["rows"]]
+
+
+def _locators_fragment(ssm: SceneMemory, memo: dict) -> _Fragment:
+    """Each keyframe's locator as a common prefix plus a suffix aligned with
+    ``frame_ids``; null for a frame without one."""
+    locators = tuple(ssm.frame_locators.get(fid) for fid in ssm.frame_ids)
+    key = ("locators", locators)
+    frag = memo.get(key)
+    if frag is None:
+        prefix = os.path.commonprefix([loc for loc in locators if loc is not None])
         frag = memo[key] = _Fragment(canonical_json({
-            "frame_id": e.frame_id, "room_label": e.room_label,
-            "fov_tag": e.fov_tag, "motion_label": e.motion_label,
-            "visible_node_ids": sorted(e.visible_node_ids)}))
+            "prefix": prefix,
+            "suffixes": [None if loc is None else loc[len(prefix):]
+                         for loc in locators]}))
     return frag
 
 
 def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
     """Render the memory to canonical JSON plus frame references.
 
-    Returns (text, refs): the JSON document with top-level keys
-    scene_graph / scratchpad / navigation_log / episode, and the frame
+    Returns (text, refs): the JSON document with top-level keys version /
+    episode / scene_graph / scratchpad / navigation_log, and the frame
     references as (frame id, image locator) pairs in frame-memory order.
     Refuses to serialize when cross-structure invariants fail.
 
-    Track and navigation-log fragments come from ``ssm.fragments`` when an
-    equal one was rendered before (see the module docstring).
+    Track and navigation-log rows and the frame locators come from
+    ``ssm.fragments`` when an equal one was rendered before (see the module
+    docstring).
     """
     ssm.validate()
     memo = ssm.fragments
@@ -367,9 +410,8 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
               for tid in sorted(ssm.graph.tracks)]
     edges = sorted(ssm.graph.edges,
                    key=lambda e: (e.subject_id, e.object_id, e.relation, e.source_frame))
-    edge_docs = [{"subject_id": e.subject_id, "object_id": e.object_id,
-                  "relation": e.relation, "justification": e.justification,
-                  "source_frame": e.source_frame} for e in edges]
+    edge_rows = [[e.subject_id, e.relation, e.object_id, e.justification,
+                  e.source_frame] for e in edges]
     pad = [{"node_id": nid,
             "notes": [{"text": n.text, "source_api": n.source_api,
                        "query": n.query, "evidence_frame": n.evidence_frame}
@@ -377,19 +419,19 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
            for nid in sorted(ssm.scratchpad)]
     nav = [_nav_fragment(e, memo) for e in ssm.nav_log]
     doc = {
+        "version": FORMAT_VERSION,
         "episode": {
             "scene_id": ssm.scene_id,
             "stride": ssm.stride,
-            "frame_count": len(ssm.frame_ids),
             "frame_ids": list(ssm.frame_ids),
-            "frame_locators": {str(fid): loc
-                               for fid, loc in sorted(ssm.frame_locators.items())},
+            "frame_locators": _locators_fragment(ssm, memo),
             "frame_memory": {"frames": list(ssm.frame_memory.frames),
                              "initial_count": ssm.frame_memory.initial_count},
         },
-        "scene_graph": {"tracks": tracks, "edges": edge_docs},
+        "scene_graph": {"tracks": _table(TRACK_COLUMNS, tracks),
+                        "edges": _table(EDGE_COLUMNS, edge_rows)},
         "scratchpad": pad,
-        "navigation_log": nav,
+        "navigation_log": _table(NAV_COLUMNS, nav),
     }
     refs = [(fid, ssm.frame_locators.get(fid, f"frame://{ssm.scene_id}/{fid}"))
             for fid in ssm.frame_memory.frames]
@@ -440,8 +482,22 @@ def _float_triple(doc, key, path):
     return tuple(float(x) for x in value)
 
 
+def _table_records(doc, key, columns, path) -> list[dict]:
+    """Check table ``doc[key]`` against its canonical columns and return
+    its rows as records."""
+    table = _expect(doc, key, dict, path)
+    path = f"{path}.{key}"
+    if _expect(table, "columns", list, path) != list(columns):
+        raise ParseError(f"{path}.columns", f"expected {list(columns)}")
+    for i, row in enumerate(_expect(table, "rows", list, path)):
+        if not isinstance(row, list) or len(row) != len(columns):
+            raise ParseError(f"{path}.rows[{i}]",
+                             f"expected a list of {len(columns)} values")
+    return table_records(table)
+
+
 def deserialize(text: str) -> SceneMemory:
-    """Rebuild a geometry-light memory from canonical JSON.
+    """Rebuild a geometry-light memory from canonical JSON (version 2).
 
     All structures are restored except raw point clouds and embeddings:
     tracks carry only their persisted cloud summaries. Invariants are
@@ -453,27 +509,29 @@ def deserialize(text: str) -> SceneMemory:
         raise ParseError("$", f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("$", "expected a top-level object")
-    for key in ("episode", "scene_graph", "scratchpad", "navigation_log"):
-        if key not in doc:
-            raise ParseError(f"$.{key}", "missing")
+    version = _expect(doc, "version", int, "$")
+    if version != FORMAT_VERSION:
+        raise ParseError("$.version", f"unsupported layout version {version}, "
+                                      f"expected {FORMAT_VERSION}")
 
-    ep = doc["episode"]
+    ep = _expect(doc, "episode", dict, "$")
     scene_id = _expect(ep, "scene_id", str, "$.episode")
     stride = _expect(ep, "stride", int, "$.episode")
     frame_ids = _int_list(ep, "frame_ids", "$.episode")
-    frame_count = _expect(ep, "frame_count", int, "$.episode")
-    if frame_count != len(frame_ids):
-        raise ParseError("$.episode.frame_count", "does not match frame_ids")
-    locators_doc = _expect(ep, "frame_locators", dict, "$.episode")
+    loc_doc = _expect(ep, "frame_locators", dict, "$.episode")
+    prefix = _expect(loc_doc, "prefix", str, "$.episode.frame_locators")
+    suffixes = _expect(loc_doc, "suffixes", list, "$.episode.frame_locators")
+    if len(suffixes) != len(frame_ids):
+        raise ParseError("$.episode.frame_locators.suffixes",
+                         f"{len(suffixes)} entries for {len(frame_ids)} frame_ids")
     locators: dict[int, str] = {}
-    for k, v in locators_doc.items():
-        try:
-            fid = int(k)
-        except ValueError:
-            raise ParseError(f"$.episode.frame_locators.{k}", "key must be an integer")
-        if not isinstance(v, str):
-            raise ParseError(f"$.episode.frame_locators.{k}", "expected string")
-        locators[fid] = v
+    for i, (fid, suffix) in enumerate(zip(frame_ids, suffixes)):
+        if suffix is None:
+            continue
+        if not isinstance(suffix, str):
+            raise ParseError(f"$.episode.frame_locators.suffixes[{i}]",
+                             "expected string or null")
+        locators[fid] = prefix + suffix
     fm_doc = _expect(ep, "frame_memory", dict, "$.episode")
     fm_frames = _int_list(fm_doc, "frames", "$.episode.frame_memory")
     fm_initial = _expect(fm_doc, "initial_count", int, "$.episode.frame_memory")
@@ -488,10 +546,10 @@ def deserialize(text: str) -> SceneMemory:
         raise ParseError("$.episode.frame_memory", str(exc)) from None
 
     graph = SceneGraph()
-    sg = doc["scene_graph"]
-    tracks_doc = _expect(sg, "tracks", list, "$.scene_graph")
-    for i, td in enumerate(tracks_doc):
-        path = f"$.scene_graph.tracks[{i}]"
+    sg = _expect(doc, "scene_graph", dict, "$")
+    tracks = _table_records(sg, "tracks", TRACK_COLUMNS, "$.scene_graph")
+    for i, td in enumerate(tracks):
+        path = f"$.scene_graph.tracks.rows[{i}]"
         tid = _expect(td, "id", int, path)
         caption = _expect(td, "caption", str, path)
         history = _expect(td, "caption_history", list, path)
@@ -502,14 +560,11 @@ def deserialize(text: str) -> SceneMemory:
             if fid not in episode_set:
                 raise ParseError(f"{path}.visible_frames[{j}]",
                                  f"frame {fid} not in episode")
-        cloud_doc = td.get("cloud")
         summary = None
-        if cloud_doc is not None:
-            cpath = f"{path}.cloud"
-            summary = CloudSummary(
-                centroid=_float_triple(cloud_doc, "centroid", cpath),
-                extent=_float_triple(cloud_doc, "extent", cpath),
-                count=_expect(cloud_doc, "points", int, cpath))
+        if any(td[k] is not None for k in ("centroid", "extent", "points")):
+            summary = CloudSummary(centroid=_float_triple(td, "centroid", path),
+                                   extent=_float_triple(td, "extent", path),
+                                   count=_expect(td, "points", int, path))
         try:
             track = Track(id=tid, cloud=None, visual=None, language=None,
                           caption=caption, caption_history=list(history),
@@ -521,9 +576,8 @@ def deserialize(text: str) -> SceneMemory:
         except GraphError as exc:
             raise ParseError(path, str(exc)) from None
 
-    edges_doc = _expect(sg, "edges", list, "$.scene_graph")
-    for i, ed in enumerate(edges_doc):
-        path = f"$.scene_graph.edges[{i}]"
+    for i, ed in enumerate(_table_records(sg, "edges", EDGE_COLUMNS, "$.scene_graph")):
+        path = f"$.scene_graph.edges.rows[{i}]"
         sid = _expect(ed, "subject_id", int, path)
         oid = _expect(ed, "object_id", int, path)
         rel = _expect(ed, "relation", str, path)
@@ -540,7 +594,7 @@ def deserialize(text: str) -> SceneMemory:
         graph.edges.append(edge)
 
     scratchpad: dict[int, ScratchpadEntry] = {}
-    for i, pd in enumerate(doc["scratchpad"]):
+    for i, pd in enumerate(_expect(doc, "scratchpad", list, "$")):
         path = f"$.scratchpad[{i}]"
         nid = _expect(pd, "node_id", int, path)
         if nid not in graph.tracks:
@@ -562,8 +616,8 @@ def deserialize(text: str) -> SceneMemory:
         raise ParseError("$.scratchpad", "node set differs from scene_graph.tracks")
 
     nav_log: list[NavLogEntry] = []
-    for i, nd in enumerate(doc["navigation_log"]):
-        path = f"$.navigation_log[{i}]"
+    for i, nd in enumerate(_table_records(doc, "navigation_log", NAV_COLUMNS, "$")):
+        path = f"$.navigation_log.rows[{i}]"
         motion = _expect(nd, "motion_label", str, path)
         if motion not in MOTION_LABELS:
             raise ParseError(f"{path}.motion_label", f"unknown label '{motion}'")

@@ -27,6 +27,7 @@ import numpy as np
 
 from .backend import Backend, BackendRequest, TransportError
 from .graph import caption_embedding, hash_embedding
+from .memory import table_records
 from .synth import GtDetection, SyntheticScene
 
 
@@ -351,13 +352,26 @@ class _QueryState:
     tried: list[int] = field(default_factory=list)
 
 
+def _read_memory(payload: dict) -> dict:
+    """The request's memory document with each table read into records."""
+    memory = json.loads(payload["memory_json"])
+    graph = memory["scene_graph"]
+    graph["tracks"] = table_records(graph["tracks"])
+    graph["edges"] = table_records(graph["edges"])
+    memory["navigation_log"] = table_records(memory["navigation_log"])
+    return memory
+
+
 class RuleReasoner:
     """Deterministic policy for the synthetic question templates.
 
     Reads the serialized memory each round; answers once the needed fact is
     derivable AND a citable scratchpad note exists on a relevant node,
     otherwise requests an allowed API call on the most promising untried
-    frame. Forced answers (budget exhausted) are best-effort.
+    frame. Forced answers (budget exhausted) are best-effort. The frames
+    tried so far are kept per question and start afresh with each episode
+    (the first request: no history, no violations), so asking a question
+    again replays the same episode.
     """
 
     def __init__(self):
@@ -460,9 +474,11 @@ class RuleReasoner:
         return first[0]
 
     def decide(self, payload: dict) -> dict:
-        memory = json.loads(payload["memory_json"])
+        memory = _read_memory(payload)
         question = payload["question"]
         allowed = payload.get("allowed_apis", ["analyze_frame"])
+        if not payload.get("history") and not payload.get("violations"):
+            self._state[question] = _QueryState()
         state = self._state.setdefault(question, _QueryState())
         kind, target = self._parse(question)
         answer_text, focus_ids = self._derive(kind, target, memory)

@@ -3,7 +3,7 @@
 Endpoints (all GET, JSON):
   /ssm          canonical serialized memory
   /tracks/<id>  one track with its scratchpad notes
-  /navlog       the navigation log
+  /navlog       the navigation log table
   /metrics      structural stats (and the eval report when one was saved)
 
 The service serves immutable snapshots; concurrent reads are safe.
@@ -17,7 +17,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .memory import SceneMemory, canonical_json, load_dir, serialize
+from .memory import (SceneMemory, canonical_json, load_dir, serialize,
+                     table_records)
 
 
 def _snapshot(ssm: SceneMemory) -> dict:
@@ -67,12 +68,13 @@ class _Handler(BaseHTTPRequestHandler):
             except ValueError:
                 self._send(400, json.dumps({"error": f"bad track id '{raw}'"}))
                 return
-            tracks = {t["id"]: t for t in self.snapshot["doc"]["scene_graph"]["tracks"]}
+            tracks = {t["id"]: t for t in
+                      table_records(self.snapshot["doc"]["scene_graph"]["tracks"])}
             if tid not in tracks:
                 self._send(404, json.dumps({"error": f"unknown track {tid}"}))
                 return
             pad = {e["node_id"]: e["notes"] for e in self.snapshot["doc"]["scratchpad"]}
-            body = dict(tracks[tid])
+            body = tracks[tid]
             body["notes"] = pad.get(tid, [])
             self._send(200, canonical_json(body))
         else:

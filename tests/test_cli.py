@@ -116,9 +116,9 @@ class TestServe:
 
             status, doc = get("/ssm")
             assert status == 200
-            assert len(doc["scene_graph"]["tracks"]) == 4
+            assert len(doc["scene_graph"]["tracks"]["rows"]) == 4
 
-            tid = doc["scene_graph"]["tracks"][0]["id"]
+            tid = doc["scene_graph"]["tracks"]["rows"][0][0]
             status, track = get(f"/tracks/{tid}")
             assert status == 200
             assert track["id"] == tid
@@ -126,7 +126,7 @@ class TestServe:
 
             status, nav = get("/navlog")
             assert status == 200
-            assert len(nav) == len(doc["navigation_log"])
+            assert nav == doc["navigation_log"]
 
             status, metrics = get("/metrics")
             assert status == 200

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from scenemem import (EngineConfig, EpisodeQuery, ScriptedBackend, answer,
-                      run_episode_batch, serialize, validate_evidence)
+from scenemem import (EngineConfig, EpisodeQuery, RuleReasoner, ScriptedBackend,
+                      answer, generate_questions, run_episode_batch, serialize,
+                      validate_evidence)
 from scenemem.loop import percentile_nearest_rank, write_transcript
 from scenemem.scripted import ScriptReasoner
 
@@ -275,6 +276,22 @@ class TestBatch:
         queries = [_query("first", 5, scene), _query("second", 5, scene)]
         run_episode_batch(queries, ssm.copy, episode, backend, _cfg(m=5))
         assert reasoner.observed == [0, 0]
+
+    def test_repeated_question_replays_the_same_episode(self, small_build):
+        """The rule reasoner's per-question state starts afresh with each
+        episode, so asking one question twice in a batch, after a different
+        question, gives the same transcript and answer both times."""
+        scene, episode, _, ssm = small_build
+        backend = ScriptedBackend(scene, reasoner=RuleReasoner())
+        question = next(q.question for q in generate_questions(scene)
+                        if q.question.startswith("what color"))
+        repeated = _query(question, 20, scene)
+        queries = [repeated, _query("how many objects are in the scene?", 20, scene),
+                   repeated]
+        result = run_episode_batch(queries, ssm.copy, episode, backend, _cfg())
+        first, _, again = result.answers
+        assert first.calls_used >= 1
+        assert again.to_doc() == first.to_doc()
 
     def test_failing_query_recorded_batch_continues(self, small_build):
         scene, episode, _, ssm = small_build

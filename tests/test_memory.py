@@ -6,6 +6,7 @@ checked byte-for-byte."""
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -176,93 +177,102 @@ def random_ssm(seed: int) -> SceneMemory:
             f"view {i}", str(g.choice(["stationary", "forward", "turn_left"])),
             visible))
     ssm.frame_memory = init_frame_memory(frame_ids, int(g.integers(1, 6)))
+    if g.random() < 0.3:
+        del ssm.frame_locators[frame_ids[-1]]  # renders as a null suffix
     return ssm
 
 
-def _reference_canon(obj, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        s = f"{obj:.4f}"
-        out.append("0.0000" if s == "-0.0000" else s)
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if i:
-                out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _reference_canon(obj[key], out)
-        out.append("}")
-    else:
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _reference_canon(item, out)
-        out.append("]")
+def _reference_dumps(doc) -> str:
+    """``json.dumps`` in the canonical form: sorted keys, no spaces, raw
+    non-ASCII. json.dumps has no float format, so each float travels as a
+    placeholder string and is written with exactly 4 decimals afterwards."""
+    floats: list[float] = []
+
+    def swap(x):
+        if isinstance(x, float):
+            floats.append(x)
+            return f"\0float{len(floats) - 1}"
+        if isinstance(x, dict):
+            return {k: swap(v) for k, v in x.items()}
+        if isinstance(x, list):
+            return [swap(v) for v in x]
+        return x
+
+    def fixed4(match) -> str:
+        s = f"{floats[int(match.group(1))]:.4f}"
+        return "0.0000" if s == "-0.0000" else s
+
+    text = json.dumps(swap(doc), sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False)
+    text, n = re.subn(r'"\\u0000float(\d+)"', fixed4, text)
+    assert n == len(floats)
+    return text
 
 
 def reference_serialize(ssm: SceneMemory) -> str:
-    """The canonical text rendered in full, with no memo: the whole
-    document as one dict, encoded string by string with ``json.dumps``."""
+    """The documented version-2 layout rendered in full, with no memo: the
+    whole document built as one dict, then ``json.dumps``."""
     ssm.validate()
-    tracks = []
+    rows = []
     for tid in sorted(ssm.graph.tracks):
         t = ssm.graph.tracks[tid]
-        if t.cloud is not None:
+        centroid = extent = points = None
+        if t.cloud is not None and len(t.cloud.points):
             pts = t.cloud.points
-            summary = CloudSummary(tuple(float(x) for x in pts.mean(axis=0)),
-                                   tuple(float(x) for x in pts.max(axis=0) - pts.min(axis=0)),
-                                   len(pts)) if len(pts) else None
-        else:
-            summary = t.summary
-        tracks.append({
-            "id": t.id, "caption": t.caption,
-            "caption_history": list(t.caption_history),
-            "room_id": t.room_id, "room_label": t.room_label, "floor_id": t.floor_id,
-            "visible_frames": list(t.visible_frames),
-            "cloud": None if summary is None else {
-                "centroid": list(summary.centroid), "extent": list(summary.extent),
-                "points": summary.count}})
+            centroid = [float(x) for x in pts.mean(axis=0)]
+            extent = [float(x) for x in pts.max(axis=0) - pts.min(axis=0)]
+            points = len(pts)
+        elif t.cloud is None and t.summary is not None:
+            centroid = [float(x) for x in t.summary.centroid]
+            extent = [float(x) for x in t.summary.extent]
+            points = t.summary.count
+        rows.append([t.id, t.caption, list(t.caption_history), t.room_id,
+                     t.room_label, t.floor_id, list(t.visible_frames),
+                     centroid, extent, points])
     edges = sorted(ssm.graph.edges,
                    key=lambda e: (e.subject_id, e.object_id, e.relation, e.source_frame))
+    locs = [ssm.frame_locators.get(fid) for fid in ssm.frame_ids]
+    present = [loc for loc in locs if loc is not None]
+    prefix = ""
+    if present:
+        # the longest common prefix of a set is that of its least and
+        # greatest members
+        lo, hi = min(present), max(present)
+        prefix = lo[:next((i for i, (a, b) in enumerate(zip(lo, hi)) if a != b),
+                          len(lo))]
     doc = {
+        "version": 2,
         "episode": {
             "scene_id": ssm.scene_id,
             "stride": ssm.stride,
-            "frame_count": len(ssm.frame_ids),
             "frame_ids": list(ssm.frame_ids),
-            "frame_locators": {str(fid): loc
-                               for fid, loc in sorted(ssm.frame_locators.items())},
+            "frame_locators": {"prefix": prefix,
+                               "suffixes": [None if loc is None else loc[len(prefix):]
+                                            for loc in locs]},
             "frame_memory": {"frames": list(ssm.frame_memory.frames),
                              "initial_count": ssm.frame_memory.initial_count},
         },
-        "scene_graph": {"tracks": tracks, "edges": [
-            {"subject_id": e.subject_id, "object_id": e.object_id,
-             "relation": e.relation, "justification": e.justification,
-             "source_frame": e.source_frame} for e in edges]},
+        "scene_graph": {
+            "tracks": {"columns": ["id", "caption", "caption_history", "room_id",
+                                   "room_label", "floor_id", "visible_frames",
+                                   "centroid", "extent", "points"],
+                       "rows": rows},
+            "edges": {"columns": ["subject_id", "relation", "object_id",
+                                  "justification", "source_frame"],
+                      "rows": [[e.subject_id, e.relation, e.object_id,
+                                e.justification, e.source_frame] for e in edges]}},
         "scratchpad": [{"node_id": nid,
                         "notes": [{"text": n.text, "source_api": n.source_api,
                                    "query": n.query, "evidence_frame": n.evidence_frame}
                                   for n in ssm.scratchpad[nid].notes]}
                        for nid in sorted(ssm.scratchpad)],
-        "navigation_log": [{"frame_id": e.frame_id, "room_label": e.room_label,
-                            "fov_tag": e.fov_tag, "motion_label": e.motion_label,
-                            "visible_node_ids": sorted(e.visible_node_ids)}
-                           for e in ssm.nav_log],
+        "navigation_log": {
+            "columns": ["frame_id", "room_label", "fov_tag", "motion_label",
+                        "visible_node_ids"],
+            "rows": [[e.frame_id, e.room_label, e.fov_tag, e.motion_label,
+                      sorted(e.visible_node_ids)] for e in ssm.nav_log]},
     }
-    out: list[str] = []
-    _reference_canon(doc, out)
-    return "".join(out) + "\n"
+    return _reference_dumps(doc) + "\n"
 
 
 def assert_serializes_like_reference(ssm: SceneMemory) -> None:
@@ -458,6 +468,12 @@ class TestSerializeMatchesReference:
                                   ("visible_node_ids", [moved.id])):
             setattr(entry, field_name, value)
             assert_serializes_like_reference(ssm)
+        # a locator edited, then dropped, in place
+        first = ssm.frame_ids[0]
+        ssm.frame_locators[first] = "file:///elsewhere.png"
+        assert_serializes_like_reference(ssm)
+        del ssm.frame_locators[first]
+        assert_serializes_like_reference(ssm)
         # and back: an earlier state renders its earlier bytes
         assert serialize(built)[0] == reference_serialize(built)
 
@@ -505,19 +521,18 @@ class TestRoundTrip:
 
     def test_missing_node_edge_names_path(self):
         text = (GOLDEN / "one_track_ssm.json").read_text()
-        bad = text.replace('"edges":[]',
-                           '"edges":[{"subject_id":0,"object_id":3,'
-                           '"relation":"on_top_of","justification":"",'
-                           '"source_frame":0}]')
+        bad = text.replace('"source_frame"],"rows":[]',
+                           '"source_frame"],"rows":[[0,"on_top_of",3,"",0]]')
+        assert bad != text
         with pytest.raises(ParseError) as err:
             deserialize(bad)
-        assert "$.scene_graph.edges[0].object_id" in str(err.value)
+        assert "$.scene_graph.edges.rows[0].object_id" in str(err.value)
 
     def test_bad_motion_label_names_path(self):
         text = (GOLDEN / "one_track_ssm.json").read_text()
         with pytest.raises(ParseError) as err:
             deserialize(text.replace('"stationary"', '"sliding"'))
-        assert "navigation_log[0].motion_label" in str(err.value)
+        assert "navigation_log.rows[0].motion_label" in str(err.value)
 
     def test_frame_memory_outside_episode_rejected(self):
         text = (GOLDEN / "one_track_ssm.json").read_text()
@@ -536,6 +551,116 @@ class TestRoundTrip:
         assert "scratchpad" in str(err.value)
 
 
+# the one-track golden memory in the layout before version 2, as every
+# earlier ssm.json was written
+V1_ONE_TRACK = (
+    '{"episode":{"frame_count":2,"frame_ids":[0,5],"frame_locators":{"0":'
+    '"frame://golden-scene/0","5":"frame://golden-scene/5"},"frame_memory":'
+    '{"frames":[0,5],"initial_count":2},"scene_id":"golden-scene","stride":5},'
+    '"navigation_log":[{"fov_tag":"view of kitchen: red mug","frame_id":0,'
+    '"motion_label":"stationary","room_label":"kitchen","visible_node_ids":[0]},'
+    '{"fov_tag":"closer view of the red mug","frame_id":5,"motion_label":'
+    '"forward","room_label":"kitchen","visible_node_ids":[0]}],"scene_graph":'
+    '{"edges":[],"tracks":[{"caption":"red mug","caption_history":["red mug"],'
+    '"cloud":{"centroid":[0.2500,-1.5000,0.7500],"extent":[0.1000,0.2000,0.3000],'
+    '"points":12},"floor_id":"floor0","id":0,"room_id":"floor0/0","room_label":'
+    '"kitchen","visible_frames":[0,5]}]},"scratchpad":[{"node_id":0,"notes":'
+    '[{"evidence_frame":5,"query":"inspect the mug","source_api":'
+    '"analyze_objects","text":"handle chipped on the left side"}]}]}\n')
+
+
+class TestStrictParse:
+    """Every departure from the version-2 layout raises a ParseError whose
+    path names the offending part."""
+
+    @staticmethod
+    def _golden() -> dict:
+        return json.loads((GOLDEN / "one_track_ssm.json").read_text())
+
+    @staticmethod
+    def _path_of(doc) -> str:
+        with pytest.raises(ParseError) as err:
+            deserialize(json.dumps(doc))
+        return err.value.path
+
+    def test_v1_document_rejected(self):
+        with pytest.raises(ParseError) as err:
+            deserialize(V1_ONE_TRACK)
+        assert err.value.path == "$.version"
+        assert "missing" in str(err.value)
+
+    @pytest.mark.parametrize("version", [1, 3, "2", 2.0, True, None])
+    def test_other_versions_rejected(self, version):
+        doc = self._golden()
+        doc["version"] = version
+        assert self._path_of(doc) == "$.version"
+
+    @pytest.mark.parametrize("table,path", [
+        (("scene_graph", "tracks"), "$.scene_graph.tracks.columns"),
+        (("scene_graph", "edges"), "$.scene_graph.edges.columns"),
+        (("navigation_log",), "$.navigation_log.columns")])
+    def test_columns_must_be_canonical(self, table, path):
+        def target(doc):
+            for key in table:
+                doc = doc[key]
+            return doc
+        swapped = self._golden()
+        cols = target(swapped)["columns"]
+        cols[0], cols[1] = cols[1], cols[0]
+        assert self._path_of(swapped) == path
+        short = self._golden()
+        target(short)["columns"].pop()
+        assert self._path_of(short) == path
+        extra = self._golden()
+        target(extra)["columns"].append("note")
+        assert self._path_of(extra) == path
+
+    def test_ragged_rows_rejected(self):
+        doc = self._golden()
+        doc["scene_graph"]["tracks"]["rows"][0].pop()
+        assert self._path_of(doc) == "$.scene_graph.tracks.rows[0]"
+        doc = self._golden()
+        doc["navigation_log"]["rows"][1].append(None)
+        assert self._path_of(doc) == "$.navigation_log.rows[1]"
+        doc = self._golden()
+        doc["scene_graph"]["edges"]["rows"] = [[0, "on_top_of", 0, ""]]
+        assert self._path_of(doc) == "$.scene_graph.edges.rows[0]"
+        doc = self._golden()
+        doc["navigation_log"]["rows"][0] = {"frame_id": 0}
+        assert self._path_of(doc) == "$.navigation_log.rows[0]"
+
+    def test_suffixes_must_align_with_frame_ids(self):
+        doc = self._golden()
+        doc["episode"]["frame_locators"]["suffixes"].pop()
+        assert self._path_of(doc) == "$.episode.frame_locators.suffixes"
+        doc = self._golden()
+        doc["episode"]["frame_locators"]["suffixes"].append("9")
+        assert self._path_of(doc) == "$.episode.frame_locators.suffixes"
+        doc = self._golden()
+        doc["episode"]["frame_locators"]["suffixes"][1] = 5
+        assert self._path_of(doc) == "$.episode.frame_locators.suffixes[1]"
+
+    def test_partial_cloud_rejected(self):
+        doc = self._golden()
+        doc["scene_graph"]["tracks"]["rows"][0][7] = None  # centroid only
+        assert self._path_of(doc) == "$.scene_graph.tracks.rows[0].centroid"
+
+    def test_null_locator_round_trips(self):
+        ssm = golden_one_track()
+        del ssm.frame_locators[5]
+        text = serialize(ssm)[0]
+        assert '"prefix":"frame://golden-scene/0","suffixes":["",null]' in text
+        loaded = deserialize(text)
+        assert loaded.frame_locators == {0: "frame://golden-scene/0"}
+        assert serialize(loaded)[0] == text == reference_serialize(ssm)
+
+    def test_locator_outside_episode_refused(self):
+        ssm = golden_one_track()
+        ssm.frame_locators[7] = "frame://golden-scene/7"
+        with pytest.raises(SerializationError):
+            serialize(ssm)
+
+
 class TestPersistence:
     def test_directory_round_trip(self, tmp_path):
         # clouds and embeddings restored bit for bit; several seeds, so some
@@ -544,6 +669,7 @@ class TestPersistence:
             ssm = random_ssm(seed)
             save_dir(ssm, tmp_path / f"mem{seed}")
             loaded = load_dir(tmp_path / f"mem{seed}")
+            assert serialize(loaded)[0] == serialize(ssm)[0], f"seed {seed}"
             for tid, track in ssm.graph.tracks.items():
                 restored = loaded.graph.tracks[tid]
                 if track.cloud is not None:

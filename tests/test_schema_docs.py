@@ -17,6 +17,7 @@ from scenemem.scripted import ScriptedBackend  # noqa: E402
 from test_memory import golden_one_track, random_ssm  # noqa: E402
 
 DOCS = Path(__file__).parent.parent / "docs"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +35,10 @@ class TestMemorySchema:
         doc = json.loads(serialize(golden_one_track())[0])
         jsonschema.validate(doc, memory_schema)
 
+    @pytest.mark.parametrize("name", ["empty_ssm.json", "one_track_ssm.json"])
+    def test_golden_files_validate(self, memory_schema, name):
+        jsonschema.validate(json.loads((GOLDEN / name).read_text()), memory_schema)
+
     def test_random_memories_validate(self, memory_schema):
         for seed in range(10):
             doc = json.loads(serialize(random_ssm(seed))[0])
@@ -45,11 +50,32 @@ class TestMemorySchema:
 
     def test_schema_rejects_bad_relation(self, memory_schema):
         doc = json.loads(serialize(golden_one_track())[0])
-        doc["scene_graph"]["edges"] = [{
-            "subject_id": 0, "object_id": 0, "relation": "next_to",
-            "justification": "", "source_frame": 0}]
+        doc["scene_graph"]["edges"]["rows"] = [[0, "next_to", 0, "", 0]]
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, memory_schema)
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["scene_graph"]["tracks"]["rows"][0].pop(),
+        lambda doc: doc["scene_graph"]["tracks"]["rows"][0].append(None),
+        lambda doc: doc["navigation_log"]["rows"][1].pop(),
+        lambda doc: doc["scene_graph"]["edges"]["rows"].append([0, "on_top_of", 0, ""]),
+    ])
+    def test_schema_rejects_ragged_row(self, memory_schema, edit):
+        doc = json.loads(serialize(golden_one_track())[0])
+        edit(doc)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, memory_schema)
+
+    def test_schema_rejects_other_columns_and_versions(self, memory_schema):
+        doc = json.loads(serialize(golden_one_track())[0])
+        doc["navigation_log"]["columns"].reverse()
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, memory_schema)
+        for version in (None, 1):
+            doc = json.loads(serialize(golden_one_track())[0])
+            doc["version"] = version
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(doc, memory_schema)
 
     def test_schema_rejects_missing_section(self, memory_schema):
         doc = json.loads(serialize(golden_one_track())[0])
