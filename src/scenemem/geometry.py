@@ -197,8 +197,9 @@ class PixelMask:
         if arr.size:
             if arr.min() < 0 or arr[:, 0].max() >= width or arr[:, 1].max() >= height:
                 raise GeometryInputError("mask pixel outside image bounds")
-            arr = np.unique(arr, axis=0)
-            arr = arr[np.lexsort((arr[:, 0], arr[:, 1]))]
+            # u < width, so sorting the keys v * width + u sorts by (v, u)
+            v, u = np.divmod(np.unique(arr[:, 1] * width + arr[:, 0]), width)
+            arr = np.column_stack([u, v])
         arr.flags.writeable = False
         self.width = width
         self.height = height

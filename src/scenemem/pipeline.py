@@ -41,11 +41,14 @@ class BuildError(RuntimeError):
 def _structure_cloud(episode: Episode, cfg: EngineConfig) -> PointCloud:
     """Coarse cloud of everything seen, for floor-plan occupancy."""
     stride = max(1, cfg.structure_pixel_stride)
+    masks: dict[tuple[int, int], PixelMask] = {}  # one strided mask per frame size
     clouds = []
     for frame in episode.frames:
         w, h = frame.intrinsics.width, frame.intrinsics.height
-        us, vs = np.meshgrid(np.arange(0, w, stride), np.arange(0, h, stride))
-        mask = PixelMask(w, h, np.column_stack([us.ravel(), vs.ravel()]))
+        mask = masks.get((w, h))
+        if mask is None:
+            us, vs = np.meshgrid(np.arange(0, w, stride), np.arange(0, h, stride))
+            mask = masks[w, h] = PixelMask(w, h, np.column_stack([us.ravel(), vs.ravel()]))
         cloud = backproject(frame.depth, mask, frame.intrinsics, frame.pose)
         if not cloud.is_empty:
             clouds.append(cloud.points)
@@ -69,30 +72,32 @@ def _neighbor_count(mask: np.ndarray) -> np.ndarray:
 
 def _drop_small_components(free: np.ndarray, min_cells: int) -> np.ndarray:
     """Mark free components smaller than min_cells as walls (observation
-    speckle, not rooms)."""
-    out = free.copy()
-    visited = np.zeros_like(free, dtype=bool)
-    h, w = free.shape
-    for r0 in range(h):
-        for c0 in range(w):
-            if not free[r0, c0] or visited[r0, c0]:
-                continue
-            stack = [(r0, c0)]
-            visited[r0, c0] = True
-            component = []
-            while stack:
-                r, c = stack.pop()
-                component.append((r, c))
-                for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < h and 0 <= cc < w and free[rr, cc] \
-                            and not visited[rr, cc]:
-                        visited[rr, cc] = True
-                        stack.append((rr, cc))
+    speckle, not rooms). The 4-connected flood fill runs on flat indices
+    into a byte string padded with one wall cell on every side."""
+    wp = free.shape[1] + 2
+    free_p = np.pad(free, 1, constant_values=False)
+    open_p = bytearray(free_p.tobytes())
+    steps = (-wp, wp, -1, 1)
+    dropped: list[int] = []
+    start = open_p.find(1)
+    while start >= 0:
+        open_p[start] = 0
+        stack = [start]
+        component = []  # only kept while it is small enough to drop
+        while stack:
+            i = stack.pop()
             if len(component) < min_cells:
-                for r, c in component:
-                    out[r, c] = False
-    return out
+                component.append(i)
+            for step in steps:
+                j = i + step
+                if open_p[j]:
+                    open_p[j] = 0
+                    stack.append(j)
+        if len(component) < min_cells:
+            dropped.extend(component)
+        start = open_p.find(1, start + 1)
+    free_p.flat[dropped] = False
+    return free_p[1:-1, 1:-1].copy()
 
 
 def _occupancy_grids(cloud: PointCloud, floors, cfg: EngineConfig) \
@@ -109,11 +114,8 @@ def _occupancy_grids(cloud: PointCloud, floors, cfg: EngineConfig) \
         return grids
     cell = cfg.spatial.grid_cell_m
     pts = cloud.points
-    floor_of = np.array([0] * len(pts))
     floor_ids = [f[0] for f in floors.floors]
-    if len(floor_ids) > 1:
-        floor_of = np.array([floor_ids.index(floors.floor_of(z))
-                             for z in pts[:, 2]])
+    floor_of = floors.indices_of(pts[:, 2])
     for fi, floor_id in enumerate(floor_ids):
         sub = pts[floor_of == fi]
         if sub.shape[0] == 0:

@@ -306,7 +306,11 @@ class ScriptReasoner:
     Each step is a raw reason-response document; a step may instead set
     ``{"final_answer": ..., "evidence": "auto"}`` to cite the first
     available frame and note at answer time. When a script runs out (e.g.
-    the loop reprompts), its last step repeats.
+    the loop reprompts), its last step repeats. A question's script
+    restarts at the first request of each episode, one that carries an
+    empty ``history`` and no violations, so a question asked again replays
+    its script from the first step. A request without a ``history`` field
+    says nothing about episodes and just takes the next step.
     """
 
     def __init__(self, scripts: dict[str, list[dict]] | None = None,
@@ -318,6 +322,8 @@ class ScriptReasoner:
     def decide(self, payload: dict) -> dict:
         question = payload["question"]
         steps = self.scripts.get(question, self.default)
+        if payload.get("history") == [] and not payload.get("violations"):
+            self._cursor[question] = 0
         i = self._cursor.get(question, 0)
         self._cursor[question] = i + 1
         step = dict(steps[min(i, len(steps) - 1)])

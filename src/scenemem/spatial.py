@@ -5,6 +5,12 @@ wall distance transform, and every keyframe gets a navigation entry with
 its room, a backend-produced field-of-view tag, an egocentric motion label
 derived from pose deltas, and the ids of nodes seen in that frame.
 
+The distance transform is exact: two array passes over integer squared
+cell distances (columns, then rows), so every distance is the true
+Euclidean one in float64. The watershed's tie order is part of its
+contract: cells leave the queue by decreasing wall distance and, at equal
+distance, in the order they were queued.
+
 The room/floor pipeline is deliberately coarse: the memory only needs
 stable labels for indexing, not metrically exact floor plans. World frame
 is z-up; all thresholds live in SpatialConfig.
@@ -15,6 +21,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -53,6 +60,14 @@ class FloorModel:
             raise GeometryInputError("empty floor model")
         boundaries = [self.floors[i][2] for i in range(len(self.floors) - 1)]
         return self.floors[bisect_right(boundaries, height)][0]
+
+    def indices_of(self, heights: np.ndarray) -> np.ndarray:
+        """Vector form of :meth:`floor_of`: the index into ``floors`` of
+        each height (searchsorted "right" is bisect_right)."""
+        if not self.floors:
+            raise GeometryInputError("empty floor model")
+        boundaries = np.array([f[2] for f in self.floors[:-1]], dtype=np.float64)
+        return np.searchsorted(boundaries, heights, side="right")
 
 
 @dataclass
@@ -207,71 +222,61 @@ def detect_floors(camera_heights: list[float], bin_size: float,
     return FloorModel(tuple(floors))
 
 
-def _edt_1d(f: np.ndarray) -> np.ndarray:
-    """Squared-distance transform of one row (lower-envelope parabolas)."""
-    n = f.size
-    d = np.empty(n, dtype=np.float64)
-    v = np.zeros(n, dtype=np.int64)
-    z = np.full(n + 1, 0.0)
-    z[0] = -_BIG
-    z[1] = _BIG
-    k = 0
-    for q in range(1, n):
-        s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        while s <= z[k]:
-            k -= 1
-            s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = _BIG
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        d[q] = (q - v[k]) ** 2 + f[v[k]]
-    return d
-
-
 def distance_transform(free: np.ndarray, cell_size: float) -> np.ndarray:
     """Exact Euclidean distance (meters) from each cell to the nearest
-    wall cell. Walls get 0. Grids with no walls get a uniform large value."""
+    wall cell. Walls get 0. Grids with no walls get a uniform large value.
+
+    Two array passes over squared cell distances. The column pass takes the
+    nearest wall above and below each cell from running maxima/minima of
+    wall row indices; a column without walls gets ``_BIG``. The row pass
+    lowers each cell to ``f[c +- k] + k*k`` for growing offsets k and stops
+    once k*k reaches the largest value left, since no farther column can
+    then win. Every square is an integer below 2**53, held exactly in
+    float64, so the result equals a brute-force nearest-wall search bit for
+    bit.
+    """
     free = np.asarray(free, dtype=bool)
-    if not np.any(~free):
+    wall = ~free
+    if not np.any(wall):
         return np.full(free.shape, _BIG, dtype=np.float64)
-    g = np.where(free, _BIG, 0.0)
-    g = np.apply_along_axis(_edt_1d, 0, g)
-    g = np.apply_along_axis(_edt_1d, 1, g)
+    h, w = free.shape
+    rows = np.arange(h, dtype=np.int64)[:, None]
+    above = np.maximum.accumulate(np.where(wall, rows, -2 * h), axis=0)
+    below = np.minimum.accumulate(np.where(wall, rows, 3 * h)[::-1], axis=0)[::-1]
+    near = np.minimum(rows - above, below - rows).astype(np.float64)
+    f = np.where(wall.any(axis=0), near * near, _BIG)
+    g = f.copy()
+    k = 1
+    while k < w and k * k < g.max():
+        np.minimum(g[:, k:], f[:, :-k] + k * k, out=g[:, k:])
+        np.minimum(g[:, :-k], f[:, k:] + k * k, out=g[:, :-k])
+        k += 1
     return np.sqrt(g) * cell_size
-
-
-_NEIGH8 = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
-                if (dr, dc) != (0, 0))
-_NEIGH4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 
 
 def _pick_seeds(dist: np.ndarray, free: np.ndarray, cell_size: float,
                 separation: float, min_dist: float) -> list[tuple[int, int]]:
     """Local maxima of the wall-distance field, greedily thinned to the
     required separation. Maxima shallower than ``min_dist`` never seed a
-    room (unless nothing deeper exists)."""
-    rows, cols = np.nonzero(free)
-    candidates = []
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        d = dist[r, c]
-        is_max = True
-        for dr, dc in _NEIGH8:
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < dist.shape[0] and 0 <= cc < dist.shape[1]:
-                if free[rr, cc] and dist[rr, cc] > d:
-                    is_max = False
-                    break
-        if is_max:
-            candidates.append((-d, r, c))
-    candidates.sort()
+    room (unless nothing deeper exists). A free cell is a maximum when no
+    free 8-neighbor is strictly deeper; candidates go deepest first, then
+    by row, then by column."""
+    h, w = dist.shape
+    dist_p = np.pad(dist, 1, constant_values=-np.inf)
+    free_p = np.pad(free, 1, constant_values=False)
+    is_max = free.copy()
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr or dc:
+                nb = (slice(1 + dr, 1 + dr + h), slice(1 + dc, 1 + dc + w))
+                is_max &= ~(free_p[nb] & (dist_p[nb] > dist))
+    rows, cols = np.nonzero(is_max)
+    depth = dist[rows, cols]
+    order = np.lexsort((cols, rows, -depth))
     seeds: list[tuple[int, int]] = []
-    for neg_d, r, c in candidates:
-        if seeds and -neg_d < min_dist:
+    for d, r, c in zip(depth[order].tolist(), rows[order].tolist(),
+                       cols[order].tolist()):
+        if seeds and d < min_dist:
             break  # only shallow maxima remain
         ok = True
         for sr, sc in seeds:
@@ -289,40 +294,53 @@ def segment_rooms(occupancy: dict[str, OccupancyGrid],
 
     Distance transform from walls, seeds at its local maxima (suppressed
     below ``room_peak_separation_m``), then priority-flood watershed: cells
-    are labeled in order of decreasing wall distance, each taking the label
-    of the already-labeled neighbor that reached it first. Free pockets no
-    seed reaches get their own room so the partition is total. Labels are
-    left unset (see :func:`label_rooms`).
+    are labeled in order of decreasing wall distance, ties in the order
+    they were queued, each taking the label of the already-labeled
+    neighbor that reached it first. Free pockets no seed reaches get their
+    own room so the partition is total. Labels are left unset (see
+    :func:`label_rooms`).
+
+    The flood runs on flat indices into byte strings, arrays and lists
+    padded with one wall cell on every side, so a neighbor never needs a
+    bounds check.
     """
     cfg = cfg or SpatialConfig()
     grids: dict[str, RoomGrid] = {}
     for floor_id in sorted(occupancy):
         occ = occupancy[floor_id]
         free = np.asarray(occ.free, dtype=bool)
-        room_ids = np.full(free.shape, -1, dtype=np.int64)
         if not np.any(free):
-            grids[floor_id] = RoomGrid(occ, room_ids)
+            grids[floor_id] = RoomGrid(occ, np.full(free.shape, -1, dtype=np.int64))
             continue
         dist = distance_transform(free, occ.cell_size)
         seeds = _pick_seeds(dist, free, occ.cell_size, cfg.room_peak_separation_m,
                             cfg.room_seed_min_dist_m)
+        h, w = free.shape
+        wp = w + 2
+        open_p = np.pad(free, 1, constant_values=False).tobytes()
+        neg_dist = array("d", (-np.pad(dist, 1)).tobytes())
+        labels = [-1] * ((h + 2) * wp)
+        steps = (-wp, wp, -1, 1)
         counter = 0
-        heap: list[tuple[float, int, int, int, int]] = []
-        for label, (r, c) in enumerate(seeds):
-            room_ids[r, c] = label
-            heapq.heappush(heap, (-dist[r, c], counter, r, c, label))
+        heap: list[tuple[float, int, int, int]] = []
+
+        def push(i: int, label: int) -> None:
+            nonlocal counter
+            labels[i] = label
+            heapq.heappush(heap, (neg_dist[i], counter, i, label))
             counter += 1
+
+        for label, (r, c) in enumerate(seeds):
+            push((r + 1) * wp + c + 1, label)
         next_label = len(seeds)
         while True:
             while heap:
-                _, _, r, c, label = heapq.heappop(heap)
-                for dr, dc in _NEIGH4:
-                    rr, cc = r + dr, c + dc
-                    if (0 <= rr < free.shape[0] and 0 <= cc < free.shape[1]
-                            and free[rr, cc] and room_ids[rr, cc] < 0):
-                        room_ids[rr, cc] = label
-                        heapq.heappush(heap, (-dist[rr, cc], counter, rr, cc, label))
-                        counter += 1
+                _, _, i, label = heapq.heappop(heap)
+                for step in steps:
+                    j = i + step
+                    if open_p[j] and labels[j] < 0:
+                        push(j, label)
+            room_ids = np.array(labels, dtype=np.int64).reshape(h + 2, wp)[1:-1, 1:-1]
             unlabeled = free & (room_ids < 0)
             if not np.any(unlabeled):
                 break
@@ -330,12 +348,9 @@ def segment_rooms(occupancy: dict[str, OccupancyGrid],
             rows, cols = np.nonzero(unlabeled)
             best = max(range(rows.size),
                        key=lambda i: (dist[rows[i], cols[i]], -rows[i], -cols[i]))
-            r, c = int(rows[best]), int(cols[best])
-            room_ids[r, c] = next_label
-            heapq.heappush(heap, (-dist[r, c], counter, r, c, next_label))
-            counter += 1
+            push((int(rows[best]) + 1) * wp + int(cols[best]) + 1, next_label)
             next_label += 1
-        grids[floor_id] = RoomGrid(occ, room_ids)
+        grids[floor_id] = RoomGrid(occ, np.ascontiguousarray(room_ids))
     return RoomModel(grids)
 
 

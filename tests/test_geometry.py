@@ -596,6 +596,26 @@ class TestTypes:
         mask = PixelMask(8, 8, [(3, 2), (1, 1), (3, 2), (0, 2)])
         assert mask.pixels.tolist() == [[1, 1], [0, 2], [3, 2]]
 
+    def test_mask_matches_reference_dedupe(self):
+        g = rng(17)
+        sizes = [(1, 1), (1, 9), (9, 1), (96, 72)]
+        sizes += [tuple(int(x) for x in g.integers(1, 70, 2)) for _ in range(40)]
+        for width, height in sizes:
+            n = int(g.integers(1, 3 * width * height + 2))
+            pixels = np.column_stack([g.integers(0, width, n), g.integers(0, height, n)])
+            pixels = np.vstack([pixels, pixels[: n // 2][::-1]])  # duplicates
+            mask = PixelMask(width, height, pixels)
+            expected = reference_mask_pixels(pixels)
+            assert mask.pixels.dtype == expected.dtype
+            assert np.array_equal(mask.pixels, expected)
+            assert not mask.pixels.flags.writeable
+
+
+def reference_mask_pixels(pixels: np.ndarray) -> np.ndarray:
+    """The former PixelMask ordering: unique rows, then sorted by (v, u)."""
+    arr = np.unique(np.asarray(pixels, dtype=np.int64), axis=0)
+    return arr[np.lexsort((arr[:, 0], arr[:, 1]))]
+
 
 class TestPointCloudStatistics:
     """Centroid and extent are cached on first use; the cache must hold

@@ -293,6 +293,19 @@ class TestBatch:
         assert first.calls_used >= 1
         assert again.to_doc() == first.to_doc()
 
+    def test_repeated_question_replays_its_script(self, small_build):
+        """The script reasoner's cursor restarts with each episode too: the
+        second asking of "q" runs the analyze step again instead of
+        resuming at the answer."""
+        scene, episode, _, ssm = small_build
+        backend = ScriptedBackend(scene, reasoner=ScriptReasoner(
+            scripts={"q": [action_step(), AUTO_ANSWER]}))
+        result = run_episode_batch([_query("q", 5, scene), _query("q", 5, scene)],
+                                   ssm.copy, episode, backend, _cfg(m=5))
+        assert [a.calls_used for a in result.answers] == [1, 1]
+        first, again = result.answers
+        assert again.to_doc() == first.to_doc()
+
     def test_failing_query_recorded_batch_continues(self, small_build):
         scene, episode, _, ssm = small_build
         backend = ScriptedBackend(scene, reasoner=ScriptReasoner(

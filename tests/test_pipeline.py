@@ -3,8 +3,14 @@ and whole-pipeline determinism (including record/replay)."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import scenemem
 from scenemem import (EngineConfig, RecordingBackend, ReplayBackend,
                       RuleReasoner, ScriptedBackend, build_ssm, evaluate,
                       generate_questions, generate_scene, recall_sweep,
@@ -243,3 +249,27 @@ class TestMetrics:
         assert track_recall(final, scene) == 1.0
         if track_recall(ssm, scene) < 1.0:
             assert calls > 0
+
+
+_NUMPY_ONLY_RUN = """
+import sys
+from scenemem import (RuleReasoner, ScriptedBackend, evaluate, generate_questions,
+                      generate_scene)
+scene = generate_scene(2, 3, seed=7)
+report = evaluate(scene, generate_questions(scene),
+                  ScriptedBackend(scene, reasoner=RuleReasoner()))
+assert report.answers and not report.failures, report.failures
+optional = ("scipy", "PIL", "jsonschema", "hypothesis")
+print(sorted(m for m in sys.modules if m.split(".")[0] in optional))
+"""
+
+
+def test_runtime_imports_only_numpy():
+    """Building and answering a scene needs numpy and the standard library
+    only; the test extras (scipy, pillow, jsonschema, hypothesis) stay
+    unimported."""
+    src = str(Path(scenemem.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_RUN], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.strip().splitlines()[-1] == "[]"
