@@ -1,11 +1,24 @@
 """The language-callable memory-edit APIs and patch integration.
 
-find_objects, analyze_objects and analyze_frame each take a frame id and a
-natural-language query, consult the backend, and return a Patch: new
-detections (already lifted through the geometry pipeline), new relation
-edges, scratchpad notes and evidence pointers. Nothing touches the memory
-until apply_patch integrates the whole patch atomically; a failure anywhere
-mid-application leaves the memory exactly as it was.
+Each API call names a frame and a natural-language query; ApiExecutor.execute
+looks the frame up, sends at most one backend request and folds the answer
+into a Patch: new detections (already lifted through the geometry pipeline),
+new relation edges, scratchpad notes and evidence pointers. One request per
+action:
+
+* find_objects: one ``detect``; every detection joins the patch.
+* analyze_objects: one ``analyze`` (``discover`` false) over the listed
+  nodes visible in the frame, noting only those targets; when none of its
+  known nodes is visible, one ``detect`` exactly as find_objects. Unknown
+  node ids are skipped and reported.
+* analyze_frame: one ``analyze`` (``discover`` true) over every visible
+  node; it may note any node and add newly found objects.
+* retrieve_frame: no request; the empty patch only appends the frame to the
+  frame memory (the image-only API mode).
+
+Nothing touches the memory until apply_patch integrates the whole patch
+atomically; a failure anywhere mid-application leaves the memory exactly as
+it was.
 
 Notes inside a patch may target an existing node or a detection within the
 same patch ("pending"); pending notes attach to whichever track the
@@ -14,10 +27,6 @@ detection lands in (merge target or newly created node).
 Detections become tracks in one place, _associate_detections: apply_patch
 and construction (pipeline.build_ssm, once per keyframe) both merge or
 create through it.
-
-retrieve_frame is the degenerate fourth action used by the image-only API
-mode: an empty patch whose only effect is appending the frame to the frame
-memory.
 """
 
 from __future__ import annotations
@@ -27,8 +36,8 @@ from dataclasses import dataclass, field, replace
 
 # API_KINDS, ApiCall and ApiError live with the wire protocol, which parses
 # reason actions into ApiCall; they stay importable from here.
-from .backend import (API_ACTION_KINDS as API_KINDS, AnalyzeResponse, ApiCall,
-                      ApiError, Backend, BackendError, BackendRequest, WireObject)
+from .backend import (API_ACTION_KINDS as API_KINDS, ApiCall, ApiError, Backend,
+                      BackendError, BackendRequest, WireObject)
 from .config import EngineConfig
 from .dataset import DatasetError, Episode, Keyframe
 from .geometry import (PixelMask, backproject, largest_cluster, project,
@@ -178,107 +187,66 @@ class ApiExecutor:
         return (int(u.min()), int(v.min()),
                 min(int(u.max()), w - 1), min(int(v.max()), h - 1))
 
-    def _visible_targets(self, ssm: SceneMemory, frame: Keyframe,
-                         only: tuple[int, ...] | None = None) -> list[dict]:
-        """(node_id, bbox, caption) docs for tracks visible in the frame."""
+    def _visible_targets(self, ssm: SceneMemory, frame: Keyframe, ids,
+                         full_box: tuple[int, int, int, int]) -> list[dict]:
+        """(node_id, bbox, caption) docs for the listed tracks visible in
+        the frame; a track whose cloud projects nowhere inside gets the
+        full-frame box."""
         targets = []
-        ids = only if only is not None else sorted(ssm.graph.tracks)
         for nid in ids:
-            track = ssm.graph.tracks.get(nid)
-            if track is None or frame.id not in track.visible_frames:
-                continue
-            bbox = self._projected_bbox(track, frame)
-            if bbox is None:
-                bbox = (0, 0, frame.intrinsics.width - 1, frame.intrinsics.height - 1)
-            targets.append({"node_id": nid, "bbox": list(bbox),
-                            "caption": track.caption})
+            track = ssm.graph.tracks[nid]
+            if frame.id in track.visible_frames:
+                bbox = self._projected_bbox(track, frame) or full_box
+                targets.append({"node_id": nid, "bbox": list(bbox),
+                                "caption": track.caption})
         return targets
 
-    # -- the three APIs ---------------------------------------------------
+    # -- the APIs -----------------------------------------------------------
 
     def execute(self, call: ApiCall, ssm: SceneMemory) -> Patch:
+        """Turn one API call into at most one backend request and a patch
+        (the mapping is in the module docstring). An unknown frame or a
+        failed request gives a failure patch."""
         try:
-            self.episode.frame(call.frame_id)
+            frame = self.episode.frame(call.frame_id)
         except DatasetError as exc:
             return Patch(provenance=call, failure=str(exc))
-        if call.kind == "find_objects":
-            return self.find_objects(call, ssm)
+        patch = Patch(provenance=call)
+        if call.kind == "retrieve_frame":
+            return patch
+        discover = call.kind == "analyze_frame"
+        ids = sorted(ssm.graph.tracks) if discover else []
         if call.kind == "analyze_objects":
-            return self.analyze_objects(call, ssm)
-        if call.kind == "analyze_frame":
-            return self.analyze_frame(call, ssm)
-        return Patch(provenance=call)  # retrieve_frame: frame append only
-
-    def find_objects(self, call: ApiCall, ssm: SceneMemory) -> Patch:
-        """Detect query-relevant instances in the frame and package them
-        (plus the backend's query-relevant notes) as a patch."""
-        frame = self.episode.frame(call.frame_id)
-        request = BackendRequest(kind="detect", frame_id=call.frame_id,
-                                 query=call.query, frame_size=frame.size)
+            for nid in call.node_ids:
+                (ids if nid in ssm.graph.tracks else patch.skipped_nodes).append(nid)
+            if patch.skipped_nodes:
+                logger.warning("analyze_objects: skipping unknown node ids %s",
+                               list(patch.skipped_nodes))
+        full_box = (0, 0, frame.intrinsics.width - 1, frame.intrinsics.height - 1)
+        targets = self._visible_targets(ssm, frame, ids, full_box)
+        analyze = discover or bool(targets)
+        request = BackendRequest(
+            kind="analyze" if analyze else "detect", frame_id=call.frame_id,
+            query=call.query, frame_size=frame.size,
+            payload={"targets": targets, "discover": discover} if analyze else {})
         try:
             response = self.backend.call(request)
         except BackendError as exc:
-            logger.warning("find_objects backend failure: %s", exc)
-            return Patch(provenance=call, failure=str(exc))
-        patch = Patch(provenance=call)
-        self._add_wire_objects(patch, response.objects, frame)
-        return patch
-
-    def analyze_objects(self, call: ApiCall, ssm: SceneMemory) -> Patch:
-        """Annotate the listed nodes that are visible in the frame; when
-        none are, behave exactly as find_objects on the same call."""
-        frame = self.episode.frame(call.frame_id)
-        known: list[int] = []
-        skipped: list[int] = []
-        for nid in call.node_ids or ():
-            if nid in ssm.graph.tracks:
-                known.append(nid)
+            logger.warning("%s backend failure: %s", call.kind, exc)
+            patch.failure = str(exc)
+            return patch
+        if not analyze:
+            self._add_wire_objects(patch, response.objects, frame)
+            return patch
+        if discover:
+            self._add_wire_objects(patch, response.new_objects, frame)
+        boxes = {t["node_id"]: tuple(t["bbox"]) for t in targets}
+        for nid, text in response.notes:
+            if nid in (ssm.graph.tracks if discover else boxes):
+                patch.notes.append(PatchNote("node", nid, text))
+                patch.evidence.append((call.frame_id, boxes.get(nid, full_box)))
             else:
-                skipped.append(nid)
-        if skipped:
-            logger.warning("analyze_objects: skipping unknown node ids %s", skipped)
-        targets = self._visible_targets(ssm, frame, tuple(known))
-        if not targets:
-            fallback = self.find_objects(
-                ApiCall("find_objects", call.frame_id, call.query), ssm)
-            fallback.provenance = call
-            fallback.skipped_nodes = skipped
-            return fallback
-        request = BackendRequest(kind="analyze", frame_id=call.frame_id,
-                                 query=call.query,
-                                 payload={"targets": targets, "discover": False},
-                                 frame_size=frame.size)
-        try:
-            response = self.backend.call(request)
-        except BackendError as exc:
-            logger.warning("analyze_objects backend failure: %s", exc)
-            return Patch(provenance=call, failure=str(exc), skipped_nodes=skipped)
-        patch = Patch(provenance=call, skipped_nodes=skipped)
-        bbox_by_id = {t["node_id"]: tuple(t["bbox"]) for t in targets}
-        self._absorb_analysis(patch, response, frame, call,
-                              allowed_nodes=set(bbox_by_id), bboxes=bbox_by_id,
-                              allow_new=False)
-        return patch
-
-    def analyze_frame(self, call: ApiCall, ssm: SceneMemory) -> Patch:
-        """Jointly discover unseen objects and annotate known ones in one
-        backend call."""
-        frame = self.episode.frame(call.frame_id)
-        targets = self._visible_targets(ssm, frame)
-        request = BackendRequest(kind="analyze", frame_id=call.frame_id,
-                                 query=call.query,
-                                 payload={"targets": targets, "discover": True},
-                                 frame_size=frame.size)
-        try:
-            response = self.backend.call(request)
-        except BackendError as exc:
-            logger.warning("analyze_frame backend failure: %s", exc)
-            return Patch(provenance=call, failure=str(exc))
-        patch = Patch(provenance=call)
-        bbox_by_id = {t["node_id"]: tuple(t["bbox"]) for t in targets}
-        self._absorb_analysis(patch, response, frame, call,
-                              allowed_nodes=set(ssm.graph.tracks), bboxes=bbox_by_id,
-                              allow_new=True)
+                patch.skipped_nodes.append(nid)
         return patch
 
     def _add_wire_objects(self, patch: Patch, wires: list[WireObject],
@@ -291,21 +259,6 @@ class ApiExecutor:
             patch.evidence.append((frame.id, wire.bbox))
             if wire.note:
                 patch.notes.append(PatchNote("pending", idx, wire.note))
-
-    def _absorb_analysis(self, patch: Patch, response: AnalyzeResponse,
-                         frame: Keyframe, call: ApiCall, allowed_nodes: set[int],
-                         bboxes: dict[int, tuple[int, int, int, int]],
-                         allow_new: bool) -> None:
-        if allow_new:
-            self._add_wire_objects(patch, response.new_objects, frame)
-        for nid, text in response.notes:
-            if nid not in allowed_nodes:
-                patch.skipped_nodes.append(nid)
-                continue
-            patch.notes.append(PatchNote("node", nid, text))
-            bbox = bboxes.get(nid, (0, 0, frame.intrinsics.width - 1,
-                                    frame.intrinsics.height - 1))
-            patch.evidence.append((call.frame_id, bbox))
 
 
 # ---------------------------------------------------------------------------

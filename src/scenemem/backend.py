@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
@@ -36,6 +37,8 @@ logger = logging.getLogger(__name__)
 
 REQUEST_KINDS = ("detect", "relations", "consolidate", "analyze", "fov",
                  "room_label", "reason")
+
+RELATION_LABELS = ("on_top_of", "subpart_of", "contained_in", "attached_to")
 
 API_ACTION_KINDS = ("find_objects", "analyze_objects", "analyze_frame",
                     "retrieve_frame")
@@ -180,28 +183,51 @@ class ReasonResponse:
 
 # -- validation -------------------------------------------------------------
 
-def _need(doc, key, typ, path):
+def need(doc, key, typ, path, error=SchemaError):
+    """``doc[key]`` when ``doc`` is an object holding a ``typ`` there (an
+    int is never a bool); otherwise ``error`` at the path of the fault.
+    Backend responses raise SchemaError, the memory parser ParseError."""
     if not isinstance(doc, dict):
-        raise SchemaError(path, "expected an object")
+        raise error(path, "expected an object")
     if key not in doc:
-        raise SchemaError(f"{path}.{key}", "missing")
+        raise error(f"{path}.{key}", "missing")
     value = doc[key]
-    if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{path}.{key}", "expected a number")
-        return float(value)
     if typ is int and isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}", "expected an integer")
+        raise error(f"{path}.{key}", "expected an integer")
     if not isinstance(value, typ):
-        raise SchemaError(f"{path}.{key}", f"expected {typ.__name__}")
+        raise error(f"{path}.{key}", f"expected {typ.__name__}")
     return value
 
 
+def _array(raw, types, noun, path, error, size, message):
+    """``raw`` when it is an array (of ``size`` items, if given) of
+    ``types`` items; a bool never is one. With a ``message`` every
+    fault is reported at ``path``; without one a bad item is named by its
+    index."""
+    if not isinstance(raw, (list, tuple)) or (size is not None and len(raw) != size):
+        raise error(path, message or "expected an array")
+    for i, x in enumerate(raw):
+        if isinstance(x, bool) or not isinstance(x, types):
+            if message:
+                raise error(path, message)
+            raise error(f"{path}[{i}]", f"expected {noun}")
+    return raw
+
+
+def int_array(raw, path, error=SchemaError, size=None, message=None) -> tuple[int, ...]:
+    """``raw`` as a tuple of integers; faults as for ``_array``."""
+    return tuple(_array(raw, int, "an integer", path, error, size, message))
+
+
+def number_array(raw, path, error=SchemaError, size=None,
+                 message=None) -> tuple[float, ...]:
+    """``raw`` as a tuple of floats; faults as for ``_array``."""
+    return tuple(map(float, _array(raw, (int, float), "a number", path, error, size,
+                                   message)))
+
+
 def _clamped_bbox(raw, frame_size, path) -> tuple[int, int, int, int]:
-    if (not isinstance(raw, (list, tuple)) or len(raw) != 4
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in raw)):
-        raise SchemaError(path, "expected four integers")
-    u0, v0, u1, v1 = raw
+    u0, v0, u1, v1 = int_array(raw, path, size=4, message="expected four integers")
     if frame_size is not None:
         w, h = frame_size
         for name, val, limit in (("u_min", u0, w), ("v_min", v0, h),
@@ -219,22 +245,20 @@ def _clamped_bbox(raw, frame_size, path) -> tuple[int, int, int, int]:
 
 
 def _embedding(doc, key, path) -> tuple[float, ...] | None:
+    """An optional embedding vector. Its norm must be finite and nonzero,
+    or ``Embedding`` could not normalize it."""
     raw = doc.get(key)
     if raw is None:
         return None
-    if not isinstance(raw, list) or not raw:
-        raise SchemaError(f"{path}.{key}", "expected a nonempty number array")
-    out = []
-    for i, x in enumerate(raw):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise SchemaError(f"{path}.{key}[{i}]", "expected a number")
-        out.append(float(x))
-    return tuple(out)
+    vector = number_array(raw, f"{path}.{key}")
+    if not 0.0 < sum(x * x for x in vector) < math.inf:  # the squared norm
+        raise SchemaError(f"{path}.{key}", "expected a finite nonzero vector")
+    return vector
 
 
 def _wire_object(doc, frame_size, path) -> WireObject:
-    bbox = _clamped_bbox(_need(doc, "bbox", list, path), frame_size, f"{path}.bbox")
-    caption = _need(doc, "caption", str, path)
+    bbox = _clamped_bbox(need(doc, "bbox", list, path), frame_size, f"{path}.bbox")
+    caption = need(doc, "caption", str, path)
     if not caption.strip():
         raise SchemaError(f"{path}.caption", "must be nonempty")
     note = doc.get("note")
@@ -242,23 +266,19 @@ def _wire_object(doc, frame_size, path) -> WireObject:
         raise SchemaError(f"{path}.note", "expected string or null")
     runs = None
     if doc.get("mask_runs") is not None:
-        raw_runs = doc["mask_runs"]
-        if not isinstance(raw_runs, list):
-            raise SchemaError(f"{path}.mask_runs", "expected an array")
-        parsed = []
-        for i, run in enumerate(raw_runs):
-            if (not isinstance(run, (list, tuple)) or len(run) != 3
-                    or any(isinstance(x, bool) or not isinstance(x, int) for x in run)):
-                raise SchemaError(f"{path}.mask_runs[{i}]", "expected [v, u_start, u_end]")
-            v, us, ue = run
+        runs = []
+        for i, run in enumerate(need(doc, "mask_runs", list, path)):
+            run_path = f"{path}.mask_runs[{i}]"
+            v, us, ue = int_array(run, run_path, size=3,
+                                  message="expected [v, u_start, u_end]")
             if us > ue:
-                raise SchemaError(f"{path}.mask_runs[{i}]", "run not well-ordered")
+                raise SchemaError(run_path, "run not well-ordered")
             if frame_size is not None:
                 w, h = frame_size
                 if not (0 <= v < h and 0 <= us and ue < w):
-                    raise SchemaError(f"{path}.mask_runs[{i}]", "run outside frame")
-            parsed.append((v, us, ue))
-        runs = tuple(parsed)
+                    raise SchemaError(run_path, "run outside frame")
+            runs.append((v, us, ue))
+        runs = tuple(runs)
     return WireObject(bbox=bbox, caption=caption, note=note, mask_runs=runs,
                       visual_embedding=_embedding(doc, "visual_embedding", path),
                       language_embedding=_embedding(doc, "language_embedding", path))
@@ -270,62 +290,55 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None)
     Returns the kind's typed response. Raises SchemaError with a
     path-precise diagnostic on any violation.
     """
-    from .graph import RELATION_LABELS
-
     if kind not in REQUEST_KINDS:
         raise SchemaError("$", f"unknown request kind '{kind}'")
     if not isinstance(raw, dict):
         raise SchemaError("$", "response must be a JSON object")
 
     if kind == "detect":
-        items = _need(raw, "detections", list, "$")
+        items = need(raw, "detections", list, "$")
         return DetectResponse(tuple(
             _wire_object(d, frame_size, f"$.detections[{i}]")
             for i, d in enumerate(items)))
 
     if kind == "relations":
-        items = _need(raw, "relations", list, "$")
+        items = need(raw, "relations", list, "$")
         rels = []
         for i, r in enumerate(items):
             path = f"$.relations[{i}]"
-            label = _need(r, "relation", str, path)
+            label = need(r, "relation", str, path)
             if label not in RELATION_LABELS:
                 raise SchemaError(f"{path}.relation", f"unknown label '{label}'")
             rels.append(WireRelation(
-                subject_id=_need(r, "subject_id", int, path),
-                object_id=_need(r, "object_id", int, path),
+                subject_id=need(r, "subject_id", int, path),
+                object_id=need(r, "object_id", int, path),
                 relation=label,
-                justification=_need(r, "justification", str, path)))
+                justification=need(r, "justification", str, path)))
         return RelationsResponse(tuple(rels))
 
     if kind == "consolidate":
-        sentence = _need(raw, "sentence", str, "$")
+        sentence = need(raw, "sentence", str, "$")
         if not sentence.strip():
             raise SchemaError("$.sentence", "must be nonempty")
         return ConsolidateResponse(sentence)
 
     if kind == "analyze":
-        new_items = _need(raw, "new_objects", list, "$")
+        new_items = need(raw, "new_objects", list, "$")
         objs = tuple(_wire_object(d, frame_size, f"$.new_objects[{i}]")
                      for i, d in enumerate(new_items))
         notes = []
-        for i, n in enumerate(_need(raw, "notes", list, "$")):
+        for i, n in enumerate(need(raw, "notes", list, "$")):
             path = f"$.notes[{i}]"
-            notes.append((_need(n, "node_id", int, path),
-                          _need(n, "note", str, path)))
+            notes.append((need(n, "node_id", int, path),
+                          need(n, "note", str, path)))
         return AnalyzeResponse(objs, tuple(notes))
 
     if kind == "fov":
-        return FovResponse(tag=_need(raw, "tag", str, "$"))
+        return FovResponse(tag=need(raw, "tag", str, "$"))
 
     if kind == "room_label":
-        scores = _need(raw, "scores", list, "$")
-        out = []
-        for i, s in enumerate(scores):
-            if isinstance(s, bool) or not isinstance(s, (int, float)):
-                raise SchemaError(f"$.scores[{i}]", "expected a number")
-            out.append(float(s))
-        return RoomLabelResponse(tuple(out))
+        return RoomLabelResponse(number_array(need(raw, "scores", list, "$"),
+                                              "$.scores"))
 
     # kind == "reason"
     has_action = "action" in raw and raw["action"] is not None
@@ -334,33 +347,26 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None)
         raise SchemaError("$", "need exactly one of action / final_answer")
     if has_action:
         act = raw["action"]
-        api = _need(act, "api", str, "$.action")
-        frame_id = _need(act, "frame_id", int, "$.action")
-        query = _need(act, "query", str, "$.action")
+        api = need(act, "api", str, "$.action")
+        frame_id = need(act, "frame_id", int, "$.action")
+        query = need(act, "query", str, "$.action")
         node_ids = act.get("node_ids")
         if node_ids is not None:
-            if not isinstance(node_ids, list) or any(
-                    isinstance(x, bool) or not isinstance(x, int) for x in node_ids):
-                raise SchemaError("$.action.node_ids", "expected integers")
-            node_ids = tuple(node_ids)
+            node_ids = int_array(node_ids, "$.action.node_ids",
+                                 message="expected integers")
         try:
             call = ApiCall(api, frame_id, query, node_ids)
         except ApiError as exc:
             raise SchemaError("$.action", str(exc)) from None
         return ReasonResponse(action=call, answer=None)
-    ans_text = _need(raw, "final_answer", str, "$")
-    frames = _need(raw, "evidence_frames", list, "$")
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in frames):
-        raise SchemaError("$.evidence_frames", "expected integers")
-    notes_raw = _need(raw, "evidence_notes", list, "$")
-    notes = []
-    for i, n in enumerate(notes_raw):
-        if (not isinstance(n, (list, tuple)) or len(n) != 2
-                or any(isinstance(x, bool) or not isinstance(x, int) for x in n)):
-            raise SchemaError(f"$.evidence_notes[{i}]", "expected [node_id, note_index]")
-        notes.append((n[0], n[1]))
+    ans_text = need(raw, "final_answer", str, "$")
+    frames = int_array(need(raw, "evidence_frames", list, "$"), "$.evidence_frames",
+                       message="expected integers")
+    notes = tuple(int_array(n, f"$.evidence_notes[{i}]", size=2,
+                            message="expected [node_id, note_index]")
+                  for i, n in enumerate(need(raw, "evidence_notes", list, "$")))
     return ReasonResponse(action=None, answer=ReasonAnswer(
-        text=ans_text, evidence_frames=tuple(frames), evidence_notes=tuple(notes)))
+        text=ans_text, evidence_frames=frames, evidence_notes=notes))
 
 
 # -- transports -------------------------------------------------------------

@@ -20,12 +20,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+# RELATION_LABELS lives with the wire protocol, which validates relation
+# responses against it; it stays importable from here.
+from .backend import RELATION_LABELS, BackendError, BackendRequest
 from .config import AssociationConfig
 from .geometry import PointCloud, geometric_overlap, voxel_downsample
 
 logger = logging.getLogger(__name__)
-
-RELATION_LABELS = ("on_top_of", "subpart_of", "contained_in", "attached_to")
 
 UNIT_NORM_TOL = 1e-6
 
@@ -358,8 +359,6 @@ def consolidate_captions(t: Track, backend, threshold: int = 5) -> Track:
     sole history entry. On backend failure the track is returned unchanged
     and the failure logged.
     """
-    from .backend import BackendError, BackendRequest
-
     if len(t.caption_history) < threshold:
         return t
     request = BackendRequest(kind="consolidate",

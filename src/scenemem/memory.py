@@ -44,6 +44,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field, replace
+from functools import partial
 # the string encoder json.dumps(s, ensure_ascii=False) calls, without the
 # JSONEncoder it builds per call
 from json.encoder import encode_basestring
@@ -51,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .backend import int_array, need, number_array
 from .geometry import PointCloud
 from .graph import (CloudSummary, Embedding, GraphError, RelationEdge, SceneGraph,
                     Track)
@@ -442,21 +444,7 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
 # Parsing
 # ---------------------------------------------------------------------------
 
-def _expect(doc, key, typ, path):
-    if not isinstance(doc, dict):
-        raise ParseError(path, "expected an object")
-    if key not in doc:
-        raise ParseError(f"{path}.{key}", "missing")
-    value = doc[key]
-    if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ParseError(f"{path}.{key}", "expected a number")
-        return float(value)
-    if typ is int and isinstance(value, bool):
-        raise ParseError(f"{path}.{key}", "expected an integer")
-    if not isinstance(value, typ):
-        raise ParseError(f"{path}.{key}", f"expected {typ.__name__}")
-    return value
+_expect = partial(need, error=ParseError)
 
 
 def _opt_str(doc, key, path):
@@ -467,19 +455,12 @@ def _opt_str(doc, key, path):
 
 
 def _int_list(doc, key, path):
-    value = _expect(doc, key, list, path)
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, int):
-            raise ParseError(f"{path}.{key}[{i}]", "expected an integer")
-    return list(value)
+    return list(int_array(_expect(doc, key, list, path), f"{path}.{key}", ParseError))
 
 
 def _float_triple(doc, key, path):
-    value = _expect(doc, key, list, path)
-    if len(value) != 3 or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                              for x in value):
-        raise ParseError(f"{path}.{key}", "expected three numbers")
-    return tuple(float(x) for x in value)
+    return number_array(_expect(doc, key, list, path), f"{path}.{key}", ParseError,
+                        size=3, message="expected three numbers")
 
 
 def _table_records(doc, key, columns, path) -> list[dict]:
@@ -661,19 +642,32 @@ def _pack_clouds(ssm: SceneMemory) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_clouds(blob: bytes) -> dict[int, PointCloud]:
-    if blob[:8] != _CLOUD_MAGIC:
-        raise ParseError("clouds.bin", "bad magic")
-    (count,) = struct.unpack_from("<I", blob, 8)
-    offset = 12
-    out: dict[int, PointCloud] = {}
-    for _ in range(count):
-        tid, npts = struct.unpack_from("<II", blob, offset)
-        offset += 8
-        arr = np.frombuffer(blob, dtype="<f8", count=npts * 3, offset=offset)
-        offset += npts * 3 * 8
-        out[tid] = PointCloud(arr.reshape(npts, 3))
+def _unpack(blob: bytes, name: str, magic: bytes, read_record) -> dict:
+    """The records of side-car file ``name``: its magic, a record count,
+    then ``read_record(blob, offset) -> (key, value, next offset)`` per
+    record, ending exactly at the last byte. A truncated file, trailing
+    bytes or a record the engine refuses raise ParseError naming the file."""
+    if blob[:8] != magic:
+        raise ParseError(name, "bad magic")
+    out = {}
+    try:
+        (count,) = struct.unpack_from("<I", blob, 8)
+        offset = 12
+        for _ in range(count):
+            key, value, offset = read_record(blob, offset)
+            out[key] = value
+    except (struct.error, ValueError) as exc:
+        raise ParseError(name, str(exc)) from None
+    if offset != len(blob):
+        raise ParseError(name, f"{len(blob) - offset} trailing bytes")
     return out
+
+
+def _read_cloud(blob: bytes, offset: int) -> tuple[int, PointCloud, int]:
+    tid, npts = struct.unpack_from("<II", blob, offset)
+    offset += 8
+    arr = np.frombuffer(blob, dtype="<f8", count=npts * 3, offset=offset)
+    return tid, PointCloud(arr.reshape(npts, 3)), offset + npts * 3 * 8
 
 
 def _pack_embeddings(ssm: SceneMemory) -> bytes:
@@ -691,22 +685,14 @@ def _pack_embeddings(ssm: SceneMemory) -> bytes:
     return b"".join(parts)
 
 
-def _unpack_embeddings(blob: bytes) -> dict[tuple[int, str], Embedding]:
-    if blob[:8] != _EMBED_MAGIC:
-        raise ParseError("embeddings.bin", "bad magic")
-    (count,) = struct.unpack_from("<I", blob, 8)
-    offset = 12
-    out: dict[tuple[int, str], Embedding] = {}
-    for _ in range(count):
-        tid, code, dim = struct.unpack_from("<IBI", blob, offset)
-        offset += 9
-        vec = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset)
-        offset += dim * 8
-        kind = _KIND_NAMES.get(code)
-        if kind is None:
-            raise ParseError("embeddings.bin", f"unknown kind code {code}")
-        out[(tid, kind)] = Embedding.from_unit(vec, kind)
-    return out
+def _read_embedding(blob: bytes, offset: int) -> tuple[tuple[int, str], Embedding, int]:
+    tid, code, dim = struct.unpack_from("<IBI", blob, offset)
+    offset += 9
+    vec = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset)
+    if code not in _KIND_NAMES:
+        raise ValueError(f"unknown kind code {code}")
+    kind = _KIND_NAMES[code]
+    return (tid, kind), Embedding.from_unit(vec, kind), offset + dim * 8
 
 
 def save_dir(ssm: SceneMemory, path: str | Path) -> None:
@@ -729,14 +715,16 @@ def load_dir(path: str | Path) -> SceneMemory:
     ssm = deserialize((path / "ssm.json").read_text(encoding="utf-8"))
     clouds_file = path / "clouds.bin"
     if clouds_file.exists():
-        clouds = _unpack_clouds(clouds_file.read_bytes())
+        clouds = _unpack(clouds_file.read_bytes(), "clouds.bin", _CLOUD_MAGIC,
+                         _read_cloud)
         for tid, cloud in clouds.items():
             if tid in ssm.graph.tracks:
                 t = ssm.graph.tracks[tid]
                 ssm.graph.tracks[tid] = replace(t, cloud=cloud, summary=None)
     embed_file = path / "embeddings.bin"
     if embed_file.exists():
-        embeds = _unpack_embeddings(embed_file.read_bytes())
+        embeds = _unpack(embed_file.read_bytes(), "embeddings.bin", _EMBED_MAGIC,
+                         _read_embedding)
         for (tid, kind), emb in embeds.items():
             if tid in ssm.graph.tracks:
                 t = ssm.graph.tracks[tid]

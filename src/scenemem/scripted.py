@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -353,11 +352,6 @@ _PHRASE_TO_RELATION = {
 }
 
 
-@dataclass
-class _QueryState:
-    tried: list[int] = field(default_factory=list)
-
-
 def _read_memory(payload: dict) -> dict:
     """The request's memory document with each table read into records."""
     memory = json.loads(payload["memory_json"])
@@ -374,14 +368,13 @@ class RuleReasoner:
     Reads the serialized memory each round; answers once the needed fact is
     derivable AND a citable scratchpad note exists on a relevant node,
     otherwise requests an allowed API call on the most promising untried
-    frame. Forced answers (budget exhausted) are best-effort. The frames
-    tried so far are kept per question and start afresh with each episode
-    (the first request: no history, no violations), so asking a question
-    again replays the same episode.
-    """
+    frame. Forced answers (budget exhausted) are best-effort.
 
-    def __init__(self):
-        self._state: dict[str, _QueryState] = {}
+    The policy keeps no state: the frames tried so far are read back from
+    the request's ``history``. Every action it returns is allowed and not a
+    forced answer, so the loop executes it and records it there. A frame
+    that was already tried marks a restart of the sweep.
+    """
 
     # -- memory digestion ---------------------------------------------------
 
@@ -461,8 +454,17 @@ class RuleReasoner:
                     return fid
         return fm[0]
 
-    def _next_frame(self, state: _QueryState, memory: dict,
-                    focus_ids: list[int], target: str | None) -> int:
+    @staticmethod
+    def _tried(history: list[dict]) -> list[int]:
+        """The frames of the current sweep, in the order they were tried."""
+        tried: list[int] = []
+        for step in history:
+            fid = step["call"]["frame_id"]
+            tried = [fid] if fid in tried else tried + [fid]
+        return tried
+
+    @staticmethod
+    def _next_frame(tried: list[int], memory: dict, focus_ids: list[int]) -> int:
         episode_frames = memory["episode"]["frame_ids"]
         tracks = {t["id"]: t for t in memory["scene_graph"]["tracks"]}
         preferred: list[int] = []
@@ -470,22 +472,14 @@ class RuleReasoner:
             track = tracks.get(nid)
             if track is not None:
                 preferred.extend(track["visible_frames"])
-        for fid in preferred + episode_frames:
-            if fid not in state.tried:
-                state.tried.append(fid)
-                return fid
-        state.tried.clear()  # everything tried: sweep again
-        first = preferred + episode_frames
-        state.tried.append(first[0])
-        return first[0]
+        candidates = preferred + episode_frames
+        # everything tried: sweep again from the first candidate
+        return next((fid for fid in candidates if fid not in tried), candidates[0])
 
     def decide(self, payload: dict) -> dict:
         memory = _read_memory(payload)
         question = payload["question"]
         allowed = payload.get("allowed_apis", ["analyze_frame"])
-        if not payload.get("history") and not payload.get("violations"):
-            self._state[question] = _QueryState()
-        state = self._state.setdefault(question, _QueryState())
         kind, target = self._parse(question)
         answer_text, focus_ids = self._derive(kind, target, memory)
         citation = self._note_citation(memory, focus_ids)
@@ -503,7 +497,8 @@ class RuleReasoner:
             return {"final_answer": answer_text or "unknown",
                     "evidence_frames": frames, "evidence_notes": notes}
 
-        frame = self._next_frame(state, memory, focus_ids, target)
+        frame = self._next_frame(self._tried(payload.get("history", [])), memory,
+                                 focus_ids)
         query = f"look for the {target}" if target else "describe all objects"
         if "analyze_frame" in allowed:
             return {"action": {"api": "analyze_frame", "frame_id": frame,

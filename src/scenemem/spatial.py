@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .backend import BackendError, BackendRequest
 from .config import SpatialConfig
 from .geometry import GeometryInputError, Pose
 
@@ -363,8 +364,6 @@ def label_rooms(model: RoomModel, members: dict[str, list[str]], backend,
     wins, ties broken by class order. Rooms with no members, and rooms
     whose scoring call fails, are labeled "unknown".
     """
-    from .backend import BackendError, BackendRequest
-
     if not class_list:
         raise GeometryInputError("class_list must be nonempty")
     for room_id in model.room_ids():
@@ -428,8 +427,6 @@ def build_nav_entry(frame, prev, rooms: RoomModel | None, floors: FloorModel | N
     room label comes from the camera position lookup, the field-of-view tag
     from the backend (or "unavailable" on failure).
     """
-    from .backend import BackendError, BackendRequest
-
     cfg = cfg or SpatialConfig()
     cam = frame.pose.translation
     room_label = "unknown"

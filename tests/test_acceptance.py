@@ -160,7 +160,7 @@ def test_criterion_4_patch_semantics(monkeypatch):
 
         # double application: second pass creates nothing, duplicates drop
         for i, (ssm, executor, fid) in enumerate(scenarios):
-            patch = executor.analyze_frame(
+            patch = executor.execute(
                 ApiCall("analyze_frame", fid, "describe all objects"), ssm)
             visible = sorted(
                 next(e for e in ssm.nav_log if e.frame_id == fid).visible_node_ids)
@@ -180,7 +180,7 @@ def test_criterion_4_patch_semantics(monkeypatch):
         for trial in range(100):
             ssm, executor, fid = scenarios[trial % len(scenarios)]
             stage = stages[trial % len(stages)]
-            patch = executor.analyze_frame(
+            patch = executor.execute(
                 ApiCall("analyze_frame", fid, "describe all objects"), ssm)
             before = serialize(ssm)[0]
 

@@ -1,4 +1,4 @@
-"""The three patch-producing APIs and atomic patch integration."""
+"""The patch-producing APIs and atomic patch integration."""
 
 from __future__ import annotations
 
@@ -6,9 +6,13 @@ import json
 
 import pytest
 
-from scenemem import (ApiCall, ApiExecutor, EngineConfig, RelationEdge,
-                      ScriptedBackend, apply_patch, serialize)
+from scenemem import (ApiCall, ApiExecutor, EngineConfig, RelationEdge, SceneMemory,
+                      ScriptedBackend, apply_patch, init_frame_memory, serialize)
 from scenemem.apis import ApiError, Patch, PatchNote
+from scenemem.backend import BackendError, BackendRequest
+from scenemem.dataset import DatasetError
+from scenemem.memory import canonical_json
+from scenemem.spatial import NavLogEntry
 
 import scenemem.apis as apis_module
 
@@ -48,7 +52,7 @@ class TestFindObjects:
         target = scene.objects[1]
         fid = _frame_showing(scene, target.index)
         call = ApiCall("find_objects", fid, f"find the {target.caption}")
-        patch = executor.find_objects(call, ssm)
+        patch = executor.execute(call, ssm)
         assert any(d.caption == target.caption for d in patch.new_detections)
         assert patch.evidence
         assert any(n.target_kind == "pending" for n in patch.notes)
@@ -56,7 +60,7 @@ class TestFindObjects:
     def test_unmatched_query_empty_patch(self, workbench):
         _, _, _, executor, ssm = workbench
         call = ApiCall("find_objects", 0, "find the grand piano")
-        patch = executor.find_objects(call, ssm)
+        patch = executor.execute(call, ssm)
         assert patch.is_empty
         assert patch.failure is None
 
@@ -65,7 +69,7 @@ class TestFindObjects:
         backend = ScriptedBackend(scene)
         backend.fail("detect", times=2)
         executor = ApiExecutor(episode, backend, EngineConfig())
-        patch = executor.find_objects(ApiCall("find_objects", 0, "anything"), ssm)
+        patch = executor.execute(ApiCall("find_objects", 0, "anything"), ssm)
         assert patch.failure is not None
         assert patch.is_empty
 
@@ -74,7 +78,7 @@ class TestFindObjects:
         target = scene.objects[0]
         fid = _frame_showing(scene, target.index)
         call = ApiCall("find_objects", fid, f"find the {target.caption}")
-        patch = executor.find_objects(call, ssm)
+        patch = executor.execute(call, ssm)
         before = len(ssm.graph.tracks)
         updated, report = apply_patch(ssm.copy(), patch, EngineConfig())
         assert len(updated.graph.tracks) == before
@@ -99,7 +103,7 @@ class TestAnalyzeObjects:
         chosen = visible_ids[:2] + hidden_ids[:1]
         call = ApiCall("analyze_objects", fid, "what color is it?",
                        node_ids=tuple(chosen))
-        patch = executor.analyze_objects(call, ssm)
+        patch = executor.execute(call, ssm)
         noted = {n.target for n in patch.notes if n.target_kind == "node"}
         assert noted == set(visible_ids[:2])
         assert not patch.new_detections
@@ -113,7 +117,7 @@ class TestAnalyzeObjects:
                    if t.caption in visible_captions)
         call = ApiCall("analyze_objects", fid, "inspect",
                        node_ids=(vid, 424242))
-        patch = executor.analyze_objects(call, ssm)
+        patch = executor.execute(call, ssm)
         assert 424242 in patch.skipped_nodes
         assert {n.target for n in patch.notes} == {vid}
 
@@ -131,9 +135,9 @@ class TestAnalyzeObjects:
         backend_a = ScriptedBackend(scene)
         backend_b = ScriptedBackend(scene)
         cfg = EngineConfig()
-        patch_a = ApiExecutor(episode, backend_a, cfg).analyze_objects(
+        patch_a = ApiExecutor(episode, backend_a, cfg).execute(
             ApiCall("analyze_objects", fid, query, node_ids=tuple(hidden[:1])), ssm)
-        patch_b = ApiExecutor(episode, backend_b, cfg).find_objects(
+        patch_b = ApiExecutor(episode, backend_b, cfg).execute(
             ApiCall("find_objects", fid, query), ssm)
         assert [d.caption for d in patch_a.new_detections] \
             == [d.caption for d in patch_b.new_detections]
@@ -149,7 +153,7 @@ class TestAnalyzeObjects:
         vid = next(tid for tid, t in ssm.graph.tracks.items()
                    if t.caption in visible_captions)
         call = ApiCall("analyze_objects", fid, "is it red?", node_ids=(vid,))
-        patch = executor.analyze_objects(call, ssm)
+        patch = executor.execute(call, ssm)
         updated, report = apply_patch(ssm.copy(), patch, EngineConfig())
         notes = updated.scratchpad[vid].notes
         assert report.notes_added >= 1
@@ -176,14 +180,14 @@ class TestAnalyzeFrame:
                                        "visible_node_ids": [i for i in e.visible_node_ids
                                                             if i != drop]})
                         for e in work.nav_log]
-        patch = executor.analyze_frame(
+        patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         assert any(d.caption == target_caption for d in patch.new_detections)
         assert any(n.target_kind == "node" for n in patch.notes)
 
     def test_all_known_notes_only(self, workbench):
         scene, _, _, executor, ssm = workbench
-        patch = executor.analyze_frame(
+        patch = executor.execute(
             ApiCall("analyze_frame", 0, "describe all objects"), ssm)
         assert patch.new_detections == []
         assert patch.notes
@@ -199,7 +203,7 @@ class TestAnalyzeFrame:
         bare.nav_log = [NavLogEntry(f, "unknown", "t", "stationary", [])
                         for f in bare.frame_ids]
         bare.frame_memory = init_frame_memory(bare.frame_ids, 2)
-        patch = executor.analyze_frame(
+        patch = executor.execute(
             ApiCall("analyze_frame", 0, "find the zeppelin"), bare)
         assert patch.is_empty
         assert patch.failure is None
@@ -234,7 +238,7 @@ class TestApplyPatch:
         detection, drops duplicate edges and only appends notes."""
         scene, _, _, executor, ssm = workbench
         fid = 0
-        patch = executor.analyze_frame(
+        patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), ssm)
         # add an edge to exercise duplicate dropping
         vis = sorted(ssm.nav_log[0].visible_node_ids)
@@ -263,7 +267,7 @@ class TestApplyPatch:
                             if drop not in (e.subject_id, e.object_id)]
         for entry in work.nav_log:
             entry.visible_node_ids = [i for i in entry.visible_node_ids if i != drop]
-        patch = executor.analyze_frame(
+        patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         before = len(work.graph.tracks)
         updated, report = apply_patch(work, patch, EngineConfig())
@@ -275,7 +279,7 @@ class TestApplyPatch:
         current = ssm.copy()
         cfg = EngineConfig()
         for fid in list(current.frame_ids)[:4]:
-            patch = executor.analyze_frame(
+            patch = executor.execute(
                 ApiCall("analyze_frame", fid, "describe all objects"), current)
             current, _ = apply_patch(current, patch, cfg)
             assert set(current.scratchpad) == set(current.graph.tracks)
@@ -292,7 +296,7 @@ class TestApplyPatch:
                             if drop not in (e.subject_id, e.object_id)]
         for entry in work.nav_log:
             entry.visible_node_ids = [i for i in entry.visible_node_ids if i != drop]
-        patch = executor.analyze_frame(
+        patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         updated, report = apply_patch(work, patch, EngineConfig())
         entry = next(e for e in updated.nav_log if e.frame_id == fid)
@@ -314,7 +318,7 @@ class TestApplyPatch:
                             if drop not in (e.subject_id, e.object_id)]
         for entry in work.nav_log:
             entry.visible_node_ids = [i for i in entry.visible_node_ids if i != drop]
-        patch = executor.analyze_frame(
+        patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         updated, report = apply_patch(work, patch, EngineConfig())
         assert len(report.created) == 1
@@ -345,7 +349,7 @@ class TestApplyPatch:
             self, workbench, monkeypatch, stage):
         scene, _, _, executor, ssm = workbench
         fid = 0
-        patch = executor.analyze_frame(
+        patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), ssm)
         before = serialize(ssm)[0]
 
@@ -373,7 +377,7 @@ class TestApplyPatch:
                            for f in current.frame_ids]
         current.frame_memory = init_frame_memory(current.frame_ids, 2)
         for fid in episode.frame_ids:
-            patch = executor.analyze_frame(
+            patch = executor.execute(
                 ApiCall("analyze_frame", fid, "describe all objects"), current)
             current, _ = apply_patch(current, patch, cfg)
         p, r, _, _ = graph_precision_recall(current, scene)
@@ -381,7 +385,7 @@ class TestApplyPatch:
         track_count = len(current.graph.tracks)
         notes_before = current.note_count()
         for fid in episode.frame_ids:
-            patch = executor.analyze_frame(
+            patch = executor.execute(
                 ApiCall("analyze_frame", fid, "describe all objects"), current)
             current, report = apply_patch(current, patch, cfg)
             assert report.created == []
@@ -430,7 +434,7 @@ class TestApplyPatch:
         from scenemem.memory import canonical_json
 
         scene, _, _, executor, ssm = workbench
-        patch = executor.analyze_frame(
+        patch = executor.execute(
             ApiCall("analyze_frame", 0, "describe all objects"), ssm)
         text = canonical_json(patch.to_doc())
         doc = json.loads(text)
@@ -445,3 +449,202 @@ class TestApplyPatch:
         updated, report = apply_patch(ssm, patch, EngineConfig())
         assert updated is ssm
         assert "pending note index" in report.failure
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the per-API methods ApiExecutor.execute replaced, kept verbatim
+# apart from taking the executor as an argument. Node mode has no benchmark
+# workload, so this equivalence is its contract.
+# ---------------------------------------------------------------------------
+
+def reference_visible_targets(executor, ssm, frame, only=None) -> list[dict]:
+    targets = []
+    ids = only if only is not None else sorted(ssm.graph.tracks)
+    for nid in ids:
+        track = ssm.graph.tracks.get(nid)
+        if track is None or frame.id not in track.visible_frames:
+            continue
+        bbox = executor._projected_bbox(track, frame)
+        if bbox is None:
+            bbox = (0, 0, frame.intrinsics.width - 1, frame.intrinsics.height - 1)
+        targets.append({"node_id": nid, "bbox": list(bbox),
+                        "caption": track.caption})
+    return targets
+
+
+def reference_execute(executor, call, ssm) -> Patch:
+    try:
+        executor.episode.frame(call.frame_id)
+    except DatasetError as exc:
+        return Patch(provenance=call, failure=str(exc))
+    if call.kind == "find_objects":
+        return reference_find_objects(executor, call, ssm)
+    if call.kind == "analyze_objects":
+        return reference_analyze_objects(executor, call, ssm)
+    if call.kind == "analyze_frame":
+        return reference_analyze_frame(executor, call, ssm)
+    return Patch(provenance=call)
+
+
+def reference_find_objects(executor, call, ssm) -> Patch:
+    frame = executor.episode.frame(call.frame_id)
+    request = BackendRequest(kind="detect", frame_id=call.frame_id,
+                             query=call.query, frame_size=frame.size)
+    try:
+        response = executor.backend.call(request)
+    except BackendError as exc:
+        return Patch(provenance=call, failure=str(exc))
+    patch = Patch(provenance=call)
+    executor._add_wire_objects(patch, response.objects, frame)
+    return patch
+
+
+def reference_analyze_objects(executor, call, ssm) -> Patch:
+    frame = executor.episode.frame(call.frame_id)
+    known, skipped = [], []
+    for nid in call.node_ids or ():
+        if nid in ssm.graph.tracks:
+            known.append(nid)
+        else:
+            skipped.append(nid)
+    targets = reference_visible_targets(executor, ssm, frame, tuple(known))
+    if not targets:
+        fallback = reference_find_objects(
+            executor, ApiCall("find_objects", call.frame_id, call.query), ssm)
+        fallback.provenance = call
+        fallback.skipped_nodes = skipped
+        return fallback
+    request = BackendRequest(kind="analyze", frame_id=call.frame_id,
+                             query=call.query,
+                             payload={"targets": targets, "discover": False},
+                             frame_size=frame.size)
+    try:
+        response = executor.backend.call(request)
+    except BackendError as exc:
+        return Patch(provenance=call, failure=str(exc), skipped_nodes=skipped)
+    patch = Patch(provenance=call, skipped_nodes=skipped)
+    bbox_by_id = {t["node_id"]: tuple(t["bbox"]) for t in targets}
+    reference_absorb_analysis(executor, patch, response, frame, call,
+                              allowed_nodes=set(bbox_by_id), bboxes=bbox_by_id,
+                              allow_new=False)
+    return patch
+
+
+def reference_analyze_frame(executor, call, ssm) -> Patch:
+    frame = executor.episode.frame(call.frame_id)
+    targets = reference_visible_targets(executor, ssm, frame)
+    request = BackendRequest(kind="analyze", frame_id=call.frame_id,
+                             query=call.query,
+                             payload={"targets": targets, "discover": True},
+                             frame_size=frame.size)
+    try:
+        response = executor.backend.call(request)
+    except BackendError as exc:
+        return Patch(provenance=call, failure=str(exc))
+    patch = Patch(provenance=call)
+    bbox_by_id = {t["node_id"]: tuple(t["bbox"]) for t in targets}
+    reference_absorb_analysis(executor, patch, response, frame, call,
+                              allowed_nodes=set(ssm.graph.tracks), bboxes=bbox_by_id,
+                              allow_new=True)
+    return patch
+
+
+def reference_absorb_analysis(executor, patch, response, frame, call, allowed_nodes,
+                              bboxes, allow_new) -> None:
+    if allow_new:
+        executor._add_wire_objects(patch, response.new_objects, frame)
+    for nid, text in response.notes:
+        if nid not in allowed_nodes:
+            patch.skipped_nodes.append(nid)
+            continue
+        patch.notes.append(PatchNote("node", nid, text))
+        bbox = bboxes.get(nid, (0, 0, frame.intrinsics.width - 1,
+                                frame.intrinsics.height - 1))
+        patch.evidence.append((call.frame_id, bbox))
+
+
+class _DigestLog(ScriptedBackend):
+    """The scripted oracle, logging the digest of every round trip
+    (retries included). With ``stray`` each analyze answer also notes node
+    ids 0-9 and an unknown one, whether they were targets or not, and
+    reports new objects even when not asked to discover."""
+
+    def __init__(self, scene, stray=False):
+        super().__init__(scene)
+        self.stray = stray
+        self.digests: list[str] = []
+
+    def raw_call(self, request):
+        self.digests.append(request.digest())
+        return super().raw_call(request)
+
+    def _handle_analyze(self, request):
+        doc = super()._handle_analyze(request)
+        if self.stray:
+            doc["notes"] += [{"node_id": nid, "note": f"stray note {nid}"}
+                             for nid in [*range(10), 424242]]
+            doc["new_objects"] += self._handle_detect(request)["detections"]
+        return doc
+
+
+_ORACLE_TARGETS = ("visible", "hidden", "mixed", "duplicates", "bare", "unknown-frame")
+_ORACLE_BACKENDS = {"clean": None, "stray": None,
+                    "transport-then-retry": ("transport", 1),
+                    "transport-twice": ("transport", 2), "schema": ("schema", 1)}
+
+
+class TestExecuteMatchesReference:
+    """execute sends the requests, and builds the patches, the three
+    per-API methods did: for every API kind, targets visible or not, known
+    ids mixed with unknown and duplicate ones, a memory without tracks, an
+    unknown frame, answers naming nodes that were no target or objects
+    nobody asked to discover, and each backend failure mode."""
+
+    @staticmethod
+    def _case(scene, ssm, kind, targets):
+        fid = 0
+        visible = sorted(tid for tid, t in ssm.graph.tracks.items()
+                         if fid in t.visible_frames)
+        hidden = sorted(set(ssm.graph.tracks) - set(visible))
+        assert visible and hidden, "fixture scene needs visible and hidden tracks"
+        memory = ssm
+        if targets == "visible":
+            ids = visible[:2]
+        elif targets == "hidden":
+            ids = hidden[:2]
+        elif targets == "mixed":
+            ids = [visible[0], 424242, hidden[0], 999]
+        elif targets == "duplicates":
+            ids = [visible[0], visible[0], 424242, 424242, visible[-1]]
+        else:
+            ids = [visible[0]]
+        if targets == "bare":
+            memory = SceneMemory.empty(scene.scene_id, 1, scene.episode().frame_ids)
+            memory.nav_log = [NavLogEntry(f, "unknown", "t", "stationary", [])
+                              for f in memory.frame_ids]
+            memory.frame_memory = init_frame_memory(memory.frame_ids, 2)
+        if targets == "unknown-frame":
+            fid = 777
+        query = "" if kind == "retrieve_frame" else "describe all objects"
+        call = ApiCall(kind, fid, query, tuple(ids) if kind == "analyze_objects" else None)
+        return memory, call
+
+    @pytest.mark.parametrize("backend_case", list(_ORACLE_BACKENDS))
+    @pytest.mark.parametrize("targets", _ORACLE_TARGETS)
+    @pytest.mark.parametrize("kind", apis_module.API_KINDS)
+    def test_same_requests_and_patch(self, workbench, kind, targets, backend_case):
+        scene, episode, _, _, ssm = workbench
+        memory, call = self._case(scene, ssm, kind, targets)
+        runs = []
+        for run in (reference_execute, ApiExecutor.execute):
+            backend = _DigestLog(scene, stray=backend_case == "stray")
+            if _ORACLE_BACKENDS[backend_case] is not None:
+                mode, times = _ORACLE_BACKENDS[backend_case]
+                for request_kind in ("detect", "analyze"):
+                    backend.fail(request_kind, times, mode)
+            patch = run(ApiExecutor(episode, backend, EngineConfig()), call, memory)
+            runs.append((canonical_json(patch.to_doc()), backend.digests,
+                         backend.call_counts))
+        assert runs[1] == runs[0]
+        if kind != "retrieve_frame" and targets != "unknown-frame":
+            assert runs[0][1], "the case must reach the backend"

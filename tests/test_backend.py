@@ -131,6 +131,70 @@ class TestValidateResponse:
         with pytest.raises(SchemaError):
             validate_response("detect", raw, frame_size=(64, 48))
 
+    @pytest.mark.parametrize("vector", [[0.0, 0.0], [], [float("nan")],
+                                        [1.0, float("inf")], [1e200, 1e200]])
+    @pytest.mark.parametrize("kind,items,key", [
+        ("detect", "detections", "visual_embedding"),
+        ("detect", "detections", "language_embedding"),
+        ("analyze", "new_objects", "visual_embedding")])
+    def test_unnormalizable_embedding_rejected(self, kind, items, key, vector):
+        """A vector with a zero or non-finite norm would make the engine's
+        Embedding raise mid-build; validation rejects it instead."""
+        raw = {items: [{"bbox": [0, 0, 3, 3], "caption": "c", key: vector}]}
+        if kind == "analyze":
+            raw["notes"] = []
+        with pytest.raises(SchemaError) as err:
+            validate_response(kind, raw, frame_size=(64, 48))
+        assert err.value.path == f"$.{items}[0].{key}"
+
+    _WIRE = {"bbox": [0, 0, 3, 3], "caption": "c"}
+
+    @pytest.mark.parametrize("kind,raw,path", [
+        ("detect", {"detections": [{**_WIRE, "bbox": [0, 0, "3", 3]}]},
+         "$.detections[0].bbox"),
+        ("detect", {"detections": [{**_WIRE, "bbox": [0, 0, 3]}]},
+         "$.detections[0].bbox"),
+        ("detect", {"detections": [{**_WIRE, "bbox": [0, False, 3, 3]}]},
+         "$.detections[0].bbox"),
+        ("detect", {"detections": [{**_WIRE, "bbox": "0 0 3 3"}]},
+         "$.detections[0].bbox"),
+        ("detect", {"detections": [{**_WIRE, "mask_runs": 5}]},
+         "$.detections[0].mask_runs"),
+        ("detect", {"detections": [{**_WIRE, "mask_runs": [[0, 1]]}]},
+         "$.detections[0].mask_runs[0]"),
+        ("detect", {"detections": [{**_WIRE, "mask_runs": [[0, 0, 1], [1, True, 2]]}]},
+         "$.detections[0].mask_runs[1]"),
+        ("detect", {"detections": [_WIRE, {**_WIRE, "visual_embedding": [0.1, "x"]}]},
+         "$.detections[1].visual_embedding[1]"),
+        ("detect", {"detections": [{**_WIRE, "visual_embedding": [True]}]},
+         "$.detections[0].visual_embedding[0]"),
+        ("detect", {"detections": [{**_WIRE, "language_embedding": "abc"}]},
+         "$.detections[0].language_embedding"),
+        ("analyze", {"new_objects": [{**_WIRE, "language_embedding": [None]}],
+                     "notes": []}, "$.new_objects[0].language_embedding[0]"),
+        ("room_label", {"scores": ["high"]}, "$.scores[0]"),
+        ("room_label", {"scores": [0.1, True]}, "$.scores[1]"),
+        ("room_label", {"scores": 0.1}, "$.scores"),
+        ("reason", {"action": {"api": "analyze_objects", "frame_id": 0, "query": "q",
+                               "node_ids": "1"}}, "$.action.node_ids"),
+        ("reason", {"action": {"api": "analyze_objects", "frame_id": 0, "query": "q",
+                               "node_ids": [1, "2"]}}, "$.action.node_ids"),
+        ("reason", {"action": {"api": "analyze_objects", "frame_id": 0, "query": "q",
+                               "node_ids": [True]}}, "$.action.node_ids"),
+        ("reason", {"final_answer": "a", "evidence_frames": [0, "1"],
+                    "evidence_notes": []}, "$.evidence_frames"),
+        ("reason", {"final_answer": "a", "evidence_frames": 0,
+                    "evidence_notes": []}, "$.evidence_frames"),
+        ("reason", {"final_answer": "a", "evidence_frames": [0],
+                    "evidence_notes": [[0, 1], [0]]}, "$.evidence_notes[1]"),
+        ("reason", {"final_answer": "a", "evidence_frames": [0],
+                    "evidence_notes": [[0, 1.5]]}, "$.evidence_notes[0]"),
+    ])
+    def test_array_faults_name_their_path(self, kind, raw, path):
+        with pytest.raises(SchemaError) as err:
+            validate_response(kind, raw, frame_size=(64, 48))
+        assert err.value.path == path
+
 
 class _FlakyBackend(Backend):
     """Fails transport n times, then succeeds; or returns garbage."""

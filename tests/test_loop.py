@@ -7,8 +7,8 @@ import json
 import pytest
 
 from scenemem import (EngineConfig, EpisodeQuery, RuleReasoner, ScriptedBackend,
-                      answer, generate_questions, run_episode_batch, serialize,
-                      validate_evidence)
+                      answer, build_ssm, generate_questions, generate_scene,
+                      run_episode_batch, serialize, validate_evidence)
 from scenemem.loop import percentile_nearest_rank, write_transcript
 from scenemem.scripted import ScriptReasoner
 
@@ -29,6 +29,41 @@ def action_step(fid=0, query="look around", api="analyze_frame"):
 
 
 AUTO_ANSWER = {"final_answer": "done", "evidence": "auto"}
+
+
+class ReferenceRuleReasoner(RuleReasoner):
+    """Oracle: the rule policy as it was when it kept the frames tried per
+    question itself, starting them afresh at each episode's first request
+    (no history, no violations) and clearing them once every candidate
+    frame was tried."""
+
+    def __init__(self):
+        self.tried_by_question: dict[str, list[int]] = {}
+
+    def decide(self, payload):
+        question = payload["question"]
+        if not payload.get("history") and not payload.get("violations"):
+            self.tried_by_question[question] = []
+        self.tried = self.tried_by_question.setdefault(question, [])
+        return super().decide(payload)
+
+    def _tried(self, history):
+        return self.tried
+
+    def _next_frame(self, tried, memory, focus_ids):
+        tracks = {t["id"]: t for t in memory["scene_graph"]["tracks"]}
+        preferred = []
+        for nid in focus_ids:
+            if nid in tracks:
+                preferred.extend(tracks[nid]["visible_frames"])
+        candidates = preferred + memory["episode"]["frame_ids"]
+        for fid in candidates:
+            if fid not in tried:
+                tried.append(fid)
+                return fid
+        tried.clear()
+        tried.append(candidates[0])
+        return candidates[0]
 
 
 class TestBudget:
@@ -278,8 +313,8 @@ class TestBatch:
         assert reasoner.observed == [0, 0]
 
     def test_repeated_question_replays_the_same_episode(self, small_build):
-        """The rule reasoner's per-question state starts afresh with each
-        episode, so asking one question twice in a batch, after a different
+        """The rule reasoner reads its progress from each request's history,
+        so asking one question twice in a batch, after a different
         question, gives the same transcript and answer both times."""
         scene, episode, _, ssm = small_build
         backend = ScriptedBackend(scene, reasoner=RuleReasoner())
@@ -292,6 +327,41 @@ class TestBatch:
         first, _, again = result.answers
         assert first.calls_used >= 1
         assert again.to_doc() == first.to_doc()
+
+    @pytest.mark.parametrize("mode", ["frame", "node"])
+    def test_rule_reasoner_keeps_no_state(self, mode):
+        """On a noisy batch (miss_prob 0.6, with sweeps over all frames that
+        restart) the stateless RuleReasoner gives the answers and
+        transcripts the stateful policy it replaced gave, and a fresh
+        RuleReasoner answers every recorded reason request as the one that
+        ran the batch did."""
+        class Recorder(RuleReasoner):
+            def __init__(self):
+                self.log = []
+
+            def decide(self, payload):
+                response = super().decide(payload)
+                self.log.append((json.dumps(payload), json.dumps(response)))
+                return response
+
+        assert vars(RuleReasoner()) == {}
+        scene = generate_scene(2, 3, seed=1002)
+        episode = scene.episode()
+        queries = [_query(q.question, 20, scene) for q in generate_questions(scene)]
+        recorder = Recorder()
+        runs = []
+        for reasoner in (ReferenceRuleReasoner(), recorder):
+            backend = ScriptedBackend(scene, reasoner=reasoner, miss_prob=0.6, seed=1002)
+            ssm = build_ssm(episode, backend, _cfg(mode))
+            result = run_episode_batch(queries, ssm.copy, episode, backend, _cfg(mode))
+            runs.append([a.to_doc() for a in result.answers])
+        assert runs[1] == runs[0]
+        tried = [[step["call"]["frame_id"] for step in json.loads(p)["history"]]
+                 for p, _ in recorder.log]
+        assert any(len(set(frames)) < len(frames) for frames in tried)
+        assert sorted({a["calls_used"] for a in runs[1]})[-2] > 1
+        for payload, response in recorder.log:
+            assert RuleReasoner().decide(json.loads(payload)) == json.loads(response)
 
     def test_repeated_question_replays_its_script(self, small_build):
         """The script reasoner's cursor restarts with each episode too: the

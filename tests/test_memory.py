@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import re
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -640,6 +641,29 @@ class TestStrictParse:
         doc["episode"]["frame_locators"]["suffixes"][1] = 5
         assert self._path_of(doc) == "$.episode.frame_locators.suffixes[1]"
 
+    @pytest.mark.parametrize("where,value,path", [
+        (("episode", "frame_ids", 1), "5", "$.episode.frame_ids[1]"),
+        (("episode", "frame_ids"), 0, "$.episode.frame_ids"),
+        (("episode", "frame_memory", "frames", 0), True,
+         "$.episode.frame_memory.frames[0]"),
+        (("scene_graph", "tracks", "rows", 0, 6, 1), 5.0,
+         "$.scene_graph.tracks.rows[0].visible_frames[1]"),
+        (("scene_graph", "tracks", "rows", 0, 7), [0.25, -1.5],
+         "$.scene_graph.tracks.rows[0].centroid"),
+        (("scene_graph", "tracks", "rows", 0, 8, 2), "0.3",
+         "$.scene_graph.tracks.rows[0].extent"),
+        (("scene_graph", "tracks", "rows", 0, 8, 0), False,
+         "$.scene_graph.tracks.rows[0].extent"),
+        (("navigation_log", "rows", 1, 4, 0), None,
+         "$.navigation_log.rows[1].visible_node_ids[0]")])
+    def test_array_faults_name_their_path(self, where, value, path):
+        doc = self._golden()
+        target = doc
+        for key in where[:-1]:
+            target = target[key]
+        target[where[-1]] = value
+        assert self._path_of(doc) == path
+
     def test_partial_cloud_rejected(self):
         doc = self._golden()
         doc["scene_graph"]["tracks"]["rows"][0][7] = None  # centroid only
@@ -694,20 +718,39 @@ class TestPersistence:
                                cfg)
         for fid in episode.frame_ids:
             call = ApiCall("analyze_frame", fid, "describe all objects")
-            here, _ = apply_patch(ssm, executor.analyze_frame(call, ssm), cfg)
-            there, _ = apply_patch(loaded, executor.analyze_frame(call, loaded), cfg)
+            here, _ = apply_patch(ssm, executor.execute(call, ssm), cfg)
+            there, _ = apply_patch(loaded, executor.execute(call, loaded), cfg)
             assert serialize(there)[0] == serialize(here)[0], f"frame {fid}"
 
     def test_older_binary_format_rejected(self, tmp_path):
-        ssm = random_ssm(7)
-        save_dir(ssm, tmp_path / "mem")
-        for name in ("clouds.bin", "embeddings.bin"):
-            path = tmp_path / "mem" / name
-            original = path.read_bytes()
-            path.write_bytes(original[:7] + b"1" + original[8:])
-            with pytest.raises(ParseError, match="bad magic"):
-                load_dir(tmp_path / "mem")
-            path.write_bytes(original)
+        """An older magic, a truncated file, trailing bytes and a stored
+        vector that is not unit length each raise ParseError naming the
+        side-car file."""
+        for seed in (7, 2):  # seed 2: every track has a cloud and a vector
+            mem = tmp_path / f"mem{seed}"
+            save_dir(random_ssm(seed), mem)
+            for name in ("clouds.bin", "embeddings.bin"):
+                path = mem / name
+                original = path.read_bytes()
+                path.write_bytes(original[:7] + b"1" + original[8:])
+                with pytest.raises(ParseError, match="bad magic"):
+                    load_dir(mem)
+                for corrupt in {original[:10], original[:17], original[:-1],
+                                original + b"\0"} - {original}:
+                    path.write_bytes(corrupt)
+                    with pytest.raises(ParseError) as err:
+                        load_dir(mem)
+                    assert err.value.path == name, len(corrupt)
+                path.write_bytes(original)
+        path = tmp_path / "mem2" / "embeddings.bin"
+        original = path.read_bytes()
+        _, _, dim = struct.unpack_from("<IBI", original, 12)
+        doubled = np.frombuffer(original, "<f8", dim, 21) * 2
+        path.write_bytes(original[:21] + doubled.tobytes() + original[21 + 8 * dim:])
+        with pytest.raises(ParseError) as err:
+            load_dir(tmp_path / "mem2")
+        assert err.value.path == "embeddings.bin"
+        assert "unit norm" in str(err.value)
 
     def test_float32_exact_coordinates_round_trip_bytes(self, tmp_path):
         """Coordinates on the float32 lattice survive save/load with a

@@ -3,6 +3,7 @@ and whole-pipeline determinism (including record/replay)."""
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -67,6 +68,24 @@ class TestBuildSsm:
         assert len(ssm.nav_log) == scene.frame_count
         # later frames still recover all objects
         assert track_recall(ssm, scene) == 1.0
+
+    def test_unnormalizable_embedding_skips_frame(self, small_scene):
+        """A detect answer whose embedding is all zeros fails validation,
+        so its frame is skipped like any failed detect; the build used to
+        abort inside Embedding."""
+        class ZeroEmbedding(ScriptedBackend):
+            def _handle_detect(self, request):
+                doc = super()._handle_detect(request)
+                if request.frame_id == 3:
+                    for det in doc["detections"]:
+                        det["visual_embedding"] = [0.0] * len(det["visual_embedding"])
+                return doc
+
+        assert small_scene.visible_objects(3)
+        ssm = build_ssm(small_scene.episode(), ZeroEmbedding(small_scene),
+                        EngineConfig())
+        assert next(e for e in ssm.nav_log if e.frame_id == 3).visible_node_ids == []
+        assert all(3 not in t.visible_frames for t in ssm.graph.tracks.values())
 
     def test_majority_frame_failures_abort(self):
         scene = generate_scene(2, 2, seed=33)
@@ -273,3 +292,17 @@ def test_runtime_imports_only_numpy():
     out = subprocess.run([sys.executable, "-c", _NUMPY_ONLY_RUN], env=env,
                          capture_output=True, text=True, timeout=300, check=True)
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_no_function_level_imports():
+    """Every engine module imports at its top, so an import cycle or a
+    missing dependency shows at import time, not when a function runs."""
+    package = Path(scenemem.__file__).resolve().parent
+    hidden = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                hidden += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                           if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert hidden == []
