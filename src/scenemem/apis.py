@@ -228,6 +228,7 @@ class ApiExecutor:
         request = BackendRequest(
             kind="analyze" if analyze else "detect", frame_id=call.frame_id,
             query=call.query, frame_size=frame.size,
+            embedding_dim=self.config.embedding_dim,
             payload={"targets": targets, "discover": discover} if analyze else {})
         try:
             response = self.backend.call(request)

@@ -8,10 +8,11 @@ into the engine: validate_response enforces the kind-specific schema,
 rejects unknown relation labels, and clamps bounding boxes that overflow
 the frame by at most 2 px (larger overflows are rejected). The bounds come
 from the request itself: a detect or analyze request carries the size of
-the frame it asks about (``BackendRequest.frame_size``), so every
-transport checks pixels against the same frame. A reason action parses
-straight into the ApiCall the loop executes, so its rules live in one
-place.
+the frame it asks about (``BackendRequest.frame_size``) and the length of
+the engine's embeddings (``BackendRequest.embedding_dim``), so every
+transport checks pixels and vectors against the same bounds. A reason
+action parses straight into the ApiCall the loop executes, so its rules
+live in one place.
 
 Transport errors are retried once; schema errors never are (they are
 systematic, a retry wastes budget).
@@ -74,8 +75,10 @@ class BackendRequest:
     query: str | None = None
     payload: dict = field(default_factory=dict)
     # (width, height) of the frame a detect/analyze response's pixels refer
-    # to. Validation reads it; it is never sent and not part of the digest.
+    # to, and the length its embedding vectors must have. Validation reads
+    # both; they are never sent and not part of the digest.
     frame_size: tuple[int, int] | None = field(default=None, compare=False)
+    embedding_dim: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in REQUEST_KINDS:
@@ -244,19 +247,22 @@ def _clamped_bbox(raw, frame_size, path) -> tuple[int, int, int, int]:
     return (u0, v0, u1, v1)
 
 
-def _embedding(doc, key, path) -> tuple[float, ...] | None:
-    """An optional embedding vector. Its norm must be finite and nonzero,
-    or ``Embedding`` could not normalize it."""
+def _embedding(doc, key, dim, path) -> tuple[float, ...] | None:
+    """An optional embedding vector of ``dim`` entries (any length when
+    ``dim`` is None). Its norm must be finite and nonzero, or ``Embedding``
+    could not normalize it."""
     raw = doc.get(key)
     if raw is None:
         return None
     vector = number_array(raw, f"{path}.{key}")
+    if dim is not None and len(vector) != dim:
+        raise SchemaError(f"{path}.{key}", f"expected {dim} entries, got {len(vector)}")
     if not 0.0 < sum(x * x for x in vector) < math.inf:  # the squared norm
         raise SchemaError(f"{path}.{key}", "expected a finite nonzero vector")
     return vector
 
 
-def _wire_object(doc, frame_size, path) -> WireObject:
+def _wire_object(doc, frame_size, dim, path) -> WireObject:
     bbox = _clamped_bbox(need(doc, "bbox", list, path), frame_size, f"{path}.bbox")
     caption = need(doc, "caption", str, path)
     if not caption.strip():
@@ -280,15 +286,18 @@ def _wire_object(doc, frame_size, path) -> WireObject:
             runs.append((v, us, ue))
         runs = tuple(runs)
     return WireObject(bbox=bbox, caption=caption, note=note, mask_runs=runs,
-                      visual_embedding=_embedding(doc, "visual_embedding", path),
-                      language_embedding=_embedding(doc, "language_embedding", path))
+                      visual_embedding=_embedding(doc, "visual_embedding", dim, path),
+                      language_embedding=_embedding(doc, "language_embedding", dim,
+                                                    path))
 
 
-def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None):
+def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None,
+                      embedding_dim: int | None = None):
     """Strictly validate a raw JSON response for ``kind``.
 
-    Returns the kind's typed response. Raises SchemaError with a
-    path-precise diagnostic on any violation.
+    Pixels are checked against ``frame_size`` and embedding lengths against
+    ``embedding_dim``, each when given. Returns the kind's typed response.
+    Raises SchemaError with a path-precise diagnostic on any violation.
     """
     if kind not in REQUEST_KINDS:
         raise SchemaError("$", f"unknown request kind '{kind}'")
@@ -298,7 +307,7 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None)
     if kind == "detect":
         items = need(raw, "detections", list, "$")
         return DetectResponse(tuple(
-            _wire_object(d, frame_size, f"$.detections[{i}]")
+            _wire_object(d, frame_size, embedding_dim, f"$.detections[{i}]")
             for i, d in enumerate(items)))
 
     if kind == "relations":
@@ -309,11 +318,13 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None)
             label = need(r, "relation", str, path)
             if label not in RELATION_LABELS:
                 raise SchemaError(f"{path}.relation", f"unknown label '{label}'")
-            rels.append(WireRelation(
-                subject_id=need(r, "subject_id", int, path),
-                object_id=need(r, "object_id", int, path),
-                relation=label,
-                justification=need(r, "justification", str, path)))
+            subject_id = need(r, "subject_id", int, path)
+            object_id = need(r, "object_id", int, path)
+            if subject_id == object_id:
+                raise SchemaError(path, "subject_id and object_id must differ")
+            rels.append(WireRelation(subject_id=subject_id, object_id=object_id,
+                                     relation=label,
+                                     justification=need(r, "justification", str, path)))
         return RelationsResponse(tuple(rels))
 
     if kind == "consolidate":
@@ -324,7 +335,7 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None)
 
     if kind == "analyze":
         new_items = need(raw, "new_objects", list, "$")
-        objs = tuple(_wire_object(d, frame_size, f"$.new_objects[{i}]")
+        objs = tuple(_wire_object(d, frame_size, embedding_dim, f"$.new_objects[{i}]")
                      for i, d in enumerate(new_items))
         notes = []
         for i, n in enumerate(need(raw, "notes", list, "$")):
@@ -372,7 +383,7 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None)
 # -- transports -------------------------------------------------------------
 
 class Backend:
-    """Synchronous request/response transport with per-kind call counters.
+    """Synchronous request/response transport with per-kind round-trip counters.
 
     Subclasses implement raw_call returning the raw JSON document.
     ``call`` retries once on TransportError and validates before returning,
@@ -399,8 +410,10 @@ class Backend:
         except TransportError as exc:
             logger.warning("transport failure (%s), retrying once: %s",
                            request.kind, exc)
+            self.call_counts[request.kind] += 1
             raw = self.raw_call(request)
-        return validate_response(request.kind, raw, request.frame_size)
+        return validate_response(request.kind, raw, request.frame_size,
+                                 request.embedding_dim)
 
 
 class HttpBackend(Backend):

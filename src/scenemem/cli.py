@@ -100,8 +100,7 @@ def cmd_build(args) -> int:
     save_dir(ssm, args.out)
     if ssm.rooms is not None:  # occupancy dumps for floor-plan debugging
         for floor_id, grid in ssm.rooms.grids.items():
-            depthio.write_pgm(Path(args.out) / f"occupancy_{floor_id}.pgm",
-                              grid.occupancy.free)
+            depthio.write_pgm(Path(args.out) / f"occupancy_{floor_id}.pgm", grid.free)
     print(f"built memory for '{ssm.scene_id}': {len(ssm.graph.tracks)} tracks, "
           f"{len(ssm.graph.edges)} edges, {len(ssm.nav_log)} nav entries -> {args.out}")
     return 0

@@ -166,14 +166,12 @@ def score_answers(batch: BatchResult, questions: list[Question]) -> list[AnswerR
 
 
 def evaluate(scene: SyntheticScene, questions: list[Question], backend: Backend,
-             config: EngineConfig | None = None,
-             ssm: SceneMemory | None = None) -> MetricsReport:
-    """Build (or reuse) the memory, answer all questions on fresh copies,
-    and score graph quality plus the call distribution."""
+             config: EngineConfig | None = None) -> MetricsReport:
+    """Build the memory, answer all questions on fresh copies, and score
+    graph quality plus the call distribution."""
     cfg = config or EngineConfig()
     episode = scene.episode()
-    if ssm is None:
-        ssm = build_ssm(episode, backend, cfg)
+    ssm = build_ssm(episode, backend, cfg)
     track_p, track_r, edge_p, edge_r = graph_precision_recall(ssm, scene)
     queries = [EpisodeQuery(question=q.question, max_calls=cfg.max_api_calls,
                             scene_id=scene.scene_id) for q in questions]

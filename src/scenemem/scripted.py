@@ -3,8 +3,7 @@
 The scripted backend stands in for every neural model. It answers detect /
 relations / consolidate / analyze / fov / room_label requests from a
 synthetic scene's exact ground truth (optionally degraded by a seeded miss
-probability and bbox jitter) and delegates reason requests to a pluggable
-policy:
+probability) and delegates reason requests to a pluggable policy:
 
 * ScriptReasoner replays pre-programmed steps per question — used to pin
   down loop behavior (budgets, evidence handling, engineered call counts).
@@ -72,21 +71,18 @@ def _iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
 class ScriptedBackend(Backend):
     """Ground-truth-driven backend over one synthetic scene.
 
-    miss_prob drops each would-be detection independently; bbox_jitter
-    perturbs box edges by up to +/- that many pixels (and withholds exact
-    masks, forcing the engine onto its bbox fallback). Both default to 0 =
-    perfect oracle. All randomness comes from one seeded generator, so a
+    miss_prob drops each would-be detection independently; it defaults to
+    0 = perfect oracle. All randomness comes from one seeded generator, so a
     fixed request sequence is fully reproducible.
     """
 
     def __init__(self, scene: SyntheticScene, reasoner=None, *,
-                 miss_prob: float = 0.0, bbox_jitter: int = 0, seed: int = 0,
+                 miss_prob: float = 0.0, seed: int = 0,
                  embedding_dim: int = 64, fixtures=None):
         super().__init__()
         self.scene = scene
         self.reasoner = reasoner
         self.miss_prob = miss_prob
-        self.bbox_jitter = bbox_jitter
         self.embedding_dim = embedding_dim
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self._fail_plan: dict[str, list[str]] = {}
@@ -122,31 +118,16 @@ class ScriptedBackend(Backend):
 
     def _wire_detection(self, det: GtDetection, note: str | None) -> dict:
         obj = self.scene.objects[det.object_index]
-        bbox = list(det.bbox)
-        mask_runs: list[list[int]] | None = [list(r) for r in det.mask_runs]
-        if self.bbox_jitter > 0:
-            j = self.bbox_jitter
-            w = self.scene.intrinsics.width
-            h = self.scene.intrinsics.height
-            jittered = [int(b + self.rng.integers(-j, j + 1)) for b in bbox]
-            jittered[0] = min(max(jittered[0], 0), w - 1)
-            jittered[2] = min(max(jittered[2], 0), w - 1)
-            jittered[1] = min(max(jittered[1], 0), h - 1)
-            jittered[3] = min(max(jittered[3], 0), h - 1)
-            bbox = [min(jittered[0], jittered[2]), min(jittered[1], jittered[3]),
-                    max(jittered[0], jittered[2]), max(jittered[1], jittered[3])]
-            mask_runs = None
         doc = {
-            "bbox": bbox,
+            "bbox": list(det.bbox),
             "caption": obj.caption,
             "visual_embedding": hash_embedding(
                 f"vis:{self.scene.scene_id}:{obj.index}", "visual",
                 self.embedding_dim).vector.tolist(),
             "language_embedding": caption_embedding(
                 obj.caption, self.embedding_dim).vector.tolist(),
+            "mask_runs": [list(r) for r in det.mask_runs],
         }
-        if mask_runs is not None:
-            doc["mask_runs"] = mask_runs
         if note is not None:
             doc["note"] = note
         return doc

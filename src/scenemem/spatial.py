@@ -1,15 +1,18 @@
-"""Floor/room structure and the per-frame navigation log.
+"""The floor-plan stage and the per-frame navigation log.
 
-Floors come from height-histogram modes, rooms from a watershed over the
-wall distance transform, and every keyframe gets a navigation entry with
-its room, a backend-produced field-of-view tag, an egocentric motion label
+Floors come from height-histogram modes, each floor's free/wall occupancy
+grid from the structure cloud, rooms from a watershed over the wall
+distance transform, and every keyframe gets a navigation entry with its
+room, a backend-produced field-of-view tag, an egocentric motion label
 derived from pose deltas, and the ids of nodes seen in that frame.
 
-The distance transform is exact: two array passes over integer squared
-cell distances (columns, then rows), so every distance is the true
-Euclidean one in float64. The watershed's tie order is part of its
-contract: cells leave the queue by decreasing wall distance and, at equal
-distance, in the order they were queued.
+One 8-neighbor view helper serves the unseen-cell fill and the seed
+picking; one 4-connected labelling serves the speckle pruning and the
+watershed's isolated pockets. The distance transform is exact: two array
+passes over integer squared cell distances (columns, then rows), so every
+distance is the true Euclidean one in float64. The watershed's tie order
+is part of its contract: cells leave the queue by decreasing wall distance
+and, at equal distance, in the order they were queued.
 
 The room/floor pipeline is deliberately coarse: the memory only needs
 stable labels for indexing, not metrically exact floor plans. World frame
@@ -22,14 +25,13 @@ import heapq
 import logging
 import math
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backend import BackendError, BackendRequest
 from .config import SpatialConfig
-from .geometry import GeometryInputError, Pose
+from .geometry import GeometryInputError, PointCloud, Pose
 
 logger = logging.getLogger(__name__)
 
@@ -57,14 +59,11 @@ class FloorModel:
     def floor_of(self, height: float) -> str:
         """Total assignment: heights outside all intervals clamp to the
         nearest floor."""
-        if not self.floors:
-            raise GeometryInputError("empty floor model")
-        boundaries = [self.floors[i][2] for i in range(len(self.floors) - 1)]
-        return self.floors[bisect_right(boundaries, height)][0]
+        return self.floors[int(self.indices_of(height))][0]
 
     def indices_of(self, heights: np.ndarray) -> np.ndarray:
-        """Vector form of :meth:`floor_of`: the index into ``floors`` of
-        each height (searchsorted "right" is bisect_right)."""
+        """The index into ``floors`` of each height. A height on a
+        boundary belongs to the floor above it (searchsorted "right")."""
         if not self.floors:
             raise GeometryInputError("empty floor model")
         boundaries = np.array([f[2] for f in self.floors[:-1]], dtype=np.float64)
@@ -90,33 +89,24 @@ class OccupancyGrid:
 
 
 @dataclass
-class RoomGrid:
-    """Room assignment for one floor: ``room_ids[r, c]`` is a room index
-    (>= 0) for free cells, -1 for walls/unassigned."""
-
-    occupancy: OccupancyGrid
-    room_ids: np.ndarray
-    labels: dict[str, str] = field(default_factory=dict)  # room key -> label
-
-    def room_keys(self) -> list[str]:
-        ids = sorted({int(i) for i in np.unique(self.room_ids) if i >= 0})
-        return [str(i) for i in ids]
-
-
-@dataclass
 class RoomModel:
-    """Per-floor room grids; room ids are '<floor_id>/<index>'."""
+    """The rooms of every floor. ``grids[floor_id]`` is the floor's
+    occupancy grid and ``rooms[floor_id][r, c]`` the room index (>= 0) of a
+    free cell, -1 for walls/unassigned. Room ids are '<floor_id>/<index>';
+    ``labels`` maps a room id to its label."""
 
-    grids: dict[str, RoomGrid]
+    grids: dict[str, OccupancyGrid]
+    rooms: dict[str, np.ndarray]
+    labels: dict[str, str] = field(default_factory=dict)
 
     def room_of(self, floor_id: str, x: float, y: float) -> str | None:
         grid = self.grids.get(floor_id)
         if grid is None:
             return None
-        r, c = grid.occupancy.cell_of(x, y)
-        if not grid.occupancy.in_bounds(r, c):
+        r, c = grid.cell_of(x, y)
+        if not grid.in_bounds(r, c):
             return None
-        idx = int(grid.room_ids[r, c])
+        idx = int(self.rooms[floor_id][r, c])
         if idx < 0:
             return None
         return f"{floor_id}/{idx}"
@@ -129,10 +119,10 @@ class RoomModel:
         direct = self.room_of(floor_id, x, y)
         if direct is not None:
             return direct
-        grid = self.grids.get(floor_id)
-        if grid is None:
+        occ = self.grids.get(floor_id)
+        if occ is None:
             return None
-        occ = grid.occupancy
+        rooms = self.rooms[floor_id]
         r0, c0 = occ.cell_of(x, y)
         max_cells = int(math.ceil(max_radius_m / occ.cell_size))
         best: tuple[float, int, int, int] | None = None
@@ -141,7 +131,7 @@ class RoomModel:
                 r, c = r0 + dr, c0 + dc
                 if not occ.in_bounds(r, c):
                     continue
-                idx = int(grid.room_ids[r, c])
+                idx = int(rooms[r, c])
                 if idx < 0:
                     continue
                 d = math.hypot(dr, dc)
@@ -155,19 +145,11 @@ class RoomModel:
         return f"{floor_id}/{best[3]}"
 
     def label_of(self, room_id: str | None) -> str:
-        if room_id is None:
-            return "unknown"
-        floor_id, _, idx = room_id.rpartition("/")
-        grid = self.grids.get(floor_id)
-        if grid is None:
-            return "unknown"
-        return grid.labels.get(idx, "unknown")
+        return self.labels.get(room_id, "unknown")
 
     def room_ids(self) -> list[str]:
-        out = []
-        for floor_id in sorted(self.grids):
-            out.extend(f"{floor_id}/{k}" for k in self.grids[floor_id].room_keys())
-        return out
+        return [f"{floor_id}/{idx}" for floor_id in sorted(self.rooms)
+                for idx in np.unique(self.rooms[floor_id]).tolist() if idx >= 0]
 
 
 @dataclass
@@ -223,6 +205,96 @@ def detect_floors(camera_heights: list[float], bin_size: float,
     return FloorModel(tuple(floors))
 
 
+def _neighbors(grid: np.ndarray, fill) -> list[np.ndarray]:
+    """The eight neighbor views of ``grid``: each holds, at every cell, the
+    value of one of its 8-neighbors, and ``fill`` beyond the border."""
+    h, w = grid.shape
+    padded = np.pad(grid, 1, constant_values=fill)
+    return [padded[1 + dr:1 + dr + h, 1 + dc:1 + dc + w]
+            for dr in (-1, 0, 1) for dc in (-1, 0, 1) if dr or dc]
+
+
+def _components(mask: np.ndarray) -> np.ndarray:
+    """4-connected components of ``mask``: each cell's component index, -1
+    outside the mask. The flood runs on flat indices into a byte string
+    padded with one empty cell on every side."""
+    h, w = mask.shape
+    wp = w + 2
+    open_p = bytearray(np.pad(mask, 1, constant_values=False).tobytes())
+    labels = [-1] * len(open_p)
+    steps = (-wp, wp, -1, 1)
+    count = 0
+    start = open_p.find(1)
+    while start >= 0:
+        open_p[start] = 0
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            labels[i] = count
+            for step in steps:
+                j = i + step
+                if open_p[j]:
+                    open_p[j] = 0
+                    stack.append(j)
+        count += 1
+        start = open_p.find(1, start + 1)
+    return np.array(labels, dtype=np.int64).reshape(h + 2, wp)[1:-1, 1:-1]
+
+
+def _drop_small_components(free: np.ndarray, min_cells: int) -> np.ndarray:
+    """Mark free components smaller than min_cells as walls (observation
+    speckle, not rooms)."""
+    ids = _components(free)[free]
+    out = free.copy()
+    out[free] = np.bincount(ids)[ids] >= min_cells
+    return out
+
+
+def occupancy_grids(cloud: PointCloud, floors: FloorModel,
+                    cfg: SpatialConfig) -> dict[str, OccupancyGrid]:
+    """Free/wall grid per floor.
+
+    A seen cell is a wall when its points span at least wall_height_m
+    vertically, free otherwise. Unseen cells are filled from free neighbors
+    for a few iterations (depth coverage has holes behind furniture), the
+    rest counts as wall; under-sized free specks are dropped.
+    """
+    grids: dict[str, OccupancyGrid] = {}
+    if cloud.is_empty:
+        return grids
+    cell = cfg.grid_cell_m
+    pts = cloud.points
+    floor_of = floors.indices_of(pts[:, 2])
+    for fi, (floor_id, _, _) in enumerate(floors.floors):
+        sub = pts[floor_of == fi]
+        if sub.shape[0] == 0:
+            continue
+        x0 = float(np.floor(sub[:, 0].min() / cell)) * cell - cell
+        y0 = float(np.floor(sub[:, 1].min() / cell)) * cell - cell
+        nx = int(np.ceil((sub[:, 0].max() - x0) / cell)) + 2
+        ny = int(np.ceil((sub[:, 1].max() - y0) / cell)) + 2
+        zmin = np.full((ny, nx), np.inf)
+        zmax = np.full((ny, nx), -np.inf)
+        cols = ((sub[:, 0] - x0) / cell).astype(np.int64)
+        rows = ((sub[:, 1] - y0) / cell).astype(np.int64)
+        np.minimum.at(zmin, (rows, cols), sub[:, 2])
+        np.maximum.at(zmax, (rows, cols), sub[:, 2])
+        seen = np.isfinite(zmin)
+        wall = seen & ((zmax - zmin) >= cfg.wall_height_m)
+        free = seen & ~wall
+        unseen = ~seen
+        for _ in range(cfg.fill_unknown_iterations):
+            grow = unseen & (sum(_neighbors(free, False)) >= 4)
+            if not grow.any():
+                break
+            free = free | grow
+            unseen = unseen & ~grow
+        min_cells = max(1, int(round(cfg.min_room_area_m2 / (cell * cell))))
+        free = _drop_small_components(free, min_cells)
+        grids[floor_id] = OccupancyGrid(free=free, origin=(x0, y0), cell_size=cell)
+    return grids
+
+
 def distance_transform(free: np.ndarray, cell_size: float) -> np.ndarray:
     """Exact Euclidean distance (meters) from each cell to the nearest
     wall cell. Walls get 0. Grids with no walls get a uniform large value.
@@ -262,15 +334,9 @@ def _pick_seeds(dist: np.ndarray, free: np.ndarray, cell_size: float,
     room (unless nothing deeper exists). A free cell is a maximum when no
     free 8-neighbor is strictly deeper; candidates go deepest first, then
     by row, then by column."""
-    h, w = dist.shape
-    dist_p = np.pad(dist, 1, constant_values=-np.inf)
-    free_p = np.pad(free, 1, constant_values=False)
     is_max = free.copy()
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr or dc:
-                nb = (slice(1 + dr, 1 + dr + h), slice(1 + dc, 1 + dc + w))
-                is_max &= ~(free_p[nb] & (dist_p[nb] > dist))
+    for nb_free, nb_dist in zip(_neighbors(free, False), _neighbors(dist, -np.inf)):
+        is_max &= ~(nb_free & (nb_dist > dist))
     rows, cols = np.nonzero(is_max)
     depth = dist[rows, cols]
     order = np.lexsort((cols, rows, -depth))
@@ -298,7 +364,8 @@ def segment_rooms(occupancy: dict[str, OccupancyGrid],
     are labeled in order of decreasing wall distance, ties in the order
     they were queued, each taking the label of the already-labeled
     neighbor that reached it first. Free pockets no seed reaches get their
-    own room so the partition is total. Labels are left unset (see
+    own room so the partition is total, numbered by their deepest cell
+    (distance, then row, then column). Labels are left unset (see
     :func:`label_rooms`).
 
     The flood runs on flat indices into byte strings, arrays and lists
@@ -306,12 +373,12 @@ def segment_rooms(occupancy: dict[str, OccupancyGrid],
     bounds check.
     """
     cfg = cfg or SpatialConfig()
-    grids: dict[str, RoomGrid] = {}
+    rooms: dict[str, np.ndarray] = {}
     for floor_id in sorted(occupancy):
         occ = occupancy[floor_id]
         free = np.asarray(occ.free, dtype=bool)
         if not np.any(free):
-            grids[floor_id] = RoomGrid(occ, np.full(free.shape, -1, dtype=np.int64))
+            rooms[floor_id] = np.full(free.shape, -1, dtype=np.int64)
             continue
         dist = distance_transform(free, occ.cell_size)
         seeds = _pick_seeds(dist, free, occ.cell_size, cfg.room_peak_separation_m,
@@ -322,37 +389,31 @@ def segment_rooms(occupancy: dict[str, OccupancyGrid],
         neg_dist = array("d", (-np.pad(dist, 1)).tobytes())
         labels = [-1] * ((h + 2) * wp)
         steps = (-wp, wp, -1, 1)
-        counter = 0
         heap: list[tuple[float, int, int, int]] = []
-
-        def push(i: int, label: int) -> None:
-            nonlocal counter
-            labels[i] = label
-            heapq.heappush(heap, (neg_dist[i], counter, i, label))
-            counter += 1
-
         for label, (r, c) in enumerate(seeds):
-            push((r + 1) * wp + c + 1, label)
-        next_label = len(seeds)
-        while True:
-            while heap:
-                _, _, i, label = heapq.heappop(heap)
-                for step in steps:
-                    j = i + step
-                    if open_p[j] and labels[j] < 0:
-                        push(j, label)
-            room_ids = np.array(labels, dtype=np.int64).reshape(h + 2, wp)[1:-1, 1:-1]
-            unlabeled = free & (room_ids < 0)
-            if not np.any(unlabeled):
-                break
-            # isolated pocket: seed it at its deepest cell
-            rows, cols = np.nonzero(unlabeled)
-            best = max(range(rows.size),
-                       key=lambda i: (dist[rows[i], cols[i]], -rows[i], -cols[i]))
-            push((int(rows[best]) + 1) * wp + int(cols[best]) + 1, next_label)
-            next_label += 1
-        grids[floor_id] = RoomGrid(occ, np.ascontiguousarray(room_ids))
-    return RoomModel(grids)
+            i = (r + 1) * wp + c + 1
+            labels[i] = label
+            heapq.heappush(heap, (neg_dist[i], label, i, label))
+        counter = len(seeds)
+        while heap:
+            _, _, i, label = heapq.heappop(heap)
+            for step in steps:
+                j = i + step
+                if open_p[j] and labels[j] < 0:
+                    labels[j] = label
+                    heapq.heappush(heap, (neg_dist[j], counter, j, label))
+                    counter += 1
+        room_ids = np.array(labels, dtype=np.int64).reshape(h + 2, wp)[1:-1, 1:-1]
+        pockets = free & (room_ids < 0)
+        if np.any(pockets):
+            rows, cols = np.nonzero(pockets)
+            component = _components(pockets)[rows, cols]
+            order = np.lexsort((cols, rows, -dist[rows, cols]))
+            deepest = np.unique(component[order], return_index=True)[1]
+            # a pocket's number is the rank of its deepest cell in that order
+            room_ids[rows, cols] = len(seeds) + np.argsort(np.argsort(deepest))[component]
+        rooms[floor_id] = np.ascontiguousarray(room_ids)
+    return RoomModel(dict(occupancy), rooms)
 
 
 def label_rooms(model: RoomModel, members: dict[str, list[str]], backend,
@@ -367,7 +428,6 @@ def label_rooms(model: RoomModel, members: dict[str, list[str]], backend,
     if not class_list:
         raise GeometryInputError("class_list must be nonempty")
     for room_id in model.room_ids():
-        floor_id, _, idx = room_id.rpartition("/")
         captions = members.get(room_id, [])
         label = "unknown"
         if captions:
@@ -384,7 +444,7 @@ def label_rooms(model: RoomModel, members: dict[str, list[str]], backend,
             except BackendError as exc:
                 logger.warning("room labeling failed for %s: %s", room_id, exc)
                 label = "unknown"
-        model.grids[floor_id].labels[idx] = label
+        model.labels[room_id] = label
     return model
 
 

@@ -73,6 +73,19 @@ class TestFindObjects:
         assert patch.failure is not None
         assert patch.is_empty
 
+    def test_embedding_of_wrong_length_failed_patch(self, workbench):
+        scene, episode, _, _, ssm = workbench
+
+        class ShortEmbedding(ScriptedBackend):
+            def _wire_detection(self, det, note):
+                return {**super()._wire_detection(det, note),
+                        "visual_embedding": [1.0, 0.0, 0.0]}
+
+        executor = ApiExecutor(episode, ShortEmbedding(scene), EngineConfig())
+        patch = executor.execute(ApiCall("find_objects", 0, "anything"), ssm)
+        assert "$.detections[0].visual_embedding" in patch.failure
+        assert patch.is_empty
+
     def test_redetection_merges_instead_of_creating(self, workbench):
         scene, _, _, executor, ssm = workbench
         target = scene.objects[0]

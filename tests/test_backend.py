@@ -27,6 +27,17 @@ class TestValidateResponse:
         assert "$.relations[0].relation" in str(err.value)
         assert "next_to" in str(err.value)
 
+    def test_self_relation_rejected(self):
+        """An edge needs two endpoints; the engine's RelationEdge would
+        raise mid-build on this one."""
+        raw = {"relations": [{"subject_id": 0, "object_id": 1,
+                              "relation": "on_top_of", "justification": ""},
+                             {"subject_id": 2, "object_id": 2,
+                              "relation": "on_top_of", "justification": ""}]}
+        with pytest.raises(SchemaError) as err:
+            validate_response("relations", raw)
+        assert err.value.path == "$.relations[1]"
+
     def test_bbox_one_px_overflow_clamped(self):
         raw = {"detections": [{"bbox": [0, 0, 64, 47], "caption": "mug"}]}
         out = validate_response("detect", raw, frame_size=(64, 48))
@@ -147,6 +158,19 @@ class TestValidateResponse:
             validate_response(kind, raw, frame_size=(64, 48))
         assert err.value.path == f"$.{items}[0].{key}"
 
+    @pytest.mark.parametrize("kind,items,key", [
+        ("detect", "detections", "visual_embedding"),
+        ("detect", "detections", "language_embedding"),
+        ("analyze", "new_objects", "visual_embedding")])
+    def test_embedding_of_wrong_length_rejected(self, kind, items, key):
+        raw = {items: [{"bbox": [0, 0, 3, 3], "caption": "c", key: [1.0, 0.0, 0.0]}]}
+        if kind == "analyze":
+            raw["notes"] = []
+        assert validate_response(kind, raw, (64, 48), embedding_dim=3)
+        with pytest.raises(SchemaError) as err:
+            validate_response(kind, raw, (64, 48), embedding_dim=64)
+        assert err.value.path == f"$.{items}[0].{key}"
+
     _WIRE = {"bbox": [0, 0, 3, 3], "caption": "c"}
 
     @pytest.mark.parametrize("kind,raw,path", [
@@ -234,6 +258,12 @@ class TestRetryPolicy:
             backend.call(BackendRequest(kind="consolidate"))
         assert backend.raw_calls == 1
 
+    def test_call_counts_count_each_round_trip(self, small_scene):
+        backend = ScriptedBackend(small_scene)
+        backend.fail("fov")
+        backend.call(BackendRequest(kind="fov", frame_id=0))
+        assert backend.call_counts["fov"] == 2  # the failure and its retry
+
     def test_call_counts_tracked(self):
         backend = _FlakyBackend()
         backend.call(BackendRequest(kind="consolidate"))
@@ -302,11 +332,6 @@ class TestScriptedBackend:
         backend = ScriptedBackend(small_scene)
         with pytest.raises(Exception):
             backend.call(BackendRequest(kind="detect", frame_id=999))
-
-    def test_bbox_jitter_withholds_masks(self, small_scene):
-        backend = ScriptedBackend(small_scene, bbox_jitter=2, seed=3)
-        out = backend.call(BackendRequest(kind="detect", frame_id=0))
-        assert all(o.mask_runs is None for o in out.objects)
 
     def test_fail_hook_transport_then_recovers(self, small_scene):
         backend = ScriptedBackend(small_scene)

@@ -45,7 +45,8 @@ class TestSynthCommand:
 class TestBuildCommand:
     def test_persisted_layout(self, workspace):
         _, _, mem_dir = workspace
-        for name in ("ssm.json", "clouds.bin", "embeddings.bin"):
+        for name in ("ssm.json", "clouds.bin", "embeddings.bin",
+                     "occupancy_floor0.pgm"):
             assert (mem_dir / name).exists()
 
     def test_persisted_memory_loads(self, workspace):

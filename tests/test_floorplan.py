@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from scenemem import EngineConfig, generate_scene, pipeline
+from scenemem import EngineConfig, generate_scene, pipeline, spatial
 from scenemem.config import SpatialConfig
 from scenemem.geometry import PointCloud
 from scenemem.spatial import (FloorModel, OccupancyGrid, _pick_seeds, detect_floors,
@@ -215,7 +215,7 @@ def _assert_floor_plan_matches(free: np.ndarray, cell_size: float,
             expected_dist, free, cell_size, cfg.room_peak_separation_m,
             cfg.room_seed_min_dist_m)
     occ = OccupancyGrid(free=free, origin=(0.0, 0.0), cell_size=cell_size)
-    room_ids = segment_rooms({"floor0": occ}, cfg).grids["floor0"].room_ids
+    room_ids = segment_rooms({"floor0": occ}, cfg).rooms["floor0"]
     expected_ids, pockets = reference_watershed(free, cell_size, cfg)
     assert room_ids.dtype == expected_ids.dtype
     assert np.array_equal(room_ids, expected_ids)
@@ -253,7 +253,7 @@ class TestKernelsMatchReference:
     def test_drop_small_components_on_random_and_degenerate_grids(self):
         for i, free in enumerate(_test_grids()):
             for min_cells in (1, 2, 5, 100):
-                mine = pipeline._drop_small_components(free, min_cells)
+                mine = spatial._drop_small_components(free, min_cells)
                 expected = reference_drop_small_components(free, min_cells)
                 assert mine.dtype == expected.dtype
                 assert np.array_equal(mine, expected)
@@ -271,18 +271,18 @@ def built_occupancy(small_scene):
         floors = detect_floors(heights, cfg.spatial.height_bin_m,
                                cfg.spatial.floor_separation_m)
         pruned = []
-        real = pipeline._drop_small_components
+        real = spatial._drop_small_components
 
         def spy(free, min_cells):
             pruned.append((free.copy(), min_cells))
             return real(free, min_cells)
 
-        pipeline._drop_small_components = spy
+        spatial._drop_small_components = spy
         try:
-            grids = pipeline._occupancy_grids(
-                pipeline._structure_cloud(episode, cfg), floors, cfg)
+            grids = spatial.occupancy_grids(
+                pipeline._structure_cloud(episode, cfg), floors, cfg.spatial)
         finally:
-            pipeline._drop_small_components = real
+            spatial._drop_small_components = real
         out.append((cfg, grids, pruned))
     return out
 
@@ -327,13 +327,13 @@ class TestFloorAssignment:
         pts = np.column_stack([g.uniform(0.0, 4.0, z.size),
                                g.uniform(0.0, 3.0, z.size), z])
         cfg = EngineConfig()
-        grids = pipeline._occupancy_grids(PointCloud(pts), floors, cfg)
+        grids = spatial.occupancy_grids(PointCloud(pts), floors, cfg.spatial)
         per_point = np.array([floors.floor_of(float(h)) for h in z])
         assert set(grids) == {"floor0", "floor1"}
         for floor_id, lo, hi in floors.floors:
             sub = pts[per_point == floor_id]
-            alone = pipeline._occupancy_grids(
-                PointCloud(sub), FloorModel(((floor_id, lo, hi),)), cfg)[floor_id]
+            alone = spatial.occupancy_grids(
+                PointCloud(sub), FloorModel(((floor_id, lo, hi),)), cfg.spatial)[floor_id]
             assert grids[floor_id].origin == alone.origin
             assert np.array_equal(grids[floor_id].free, alone.free)
         assert (per_point == "floor1").sum() > 0 and (per_point == "floor0").sum() > 0

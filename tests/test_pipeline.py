@@ -87,6 +87,44 @@ class TestBuildSsm:
         assert next(e for e in ssm.nav_log if e.frame_id == 3).visible_node_ids == []
         assert all(3 not in t.visible_frames for t in ssm.graph.tracks.values())
 
+    def test_embedding_of_wrong_length_skips_frame(self, small_scene):
+        """A detect answer whose embedding is shorter than the engine's
+        fails validation, so its frame is skipped; the build used to abort
+        comparing it with the tracks' 64-entry vectors."""
+        class ShortEmbedding(ScriptedBackend):
+            def _handle_detect(self, request):
+                doc = super()._handle_detect(request)
+                if request.frame_id == 3:
+                    for det in doc["detections"]:
+                        det["visual_embedding"] = [1.0, 0.0, 0.0]
+                return doc
+
+        assert small_scene.visible_objects(3)
+        ssm = build_ssm(small_scene.episode(), ShortEmbedding(small_scene),
+                        EngineConfig())
+        assert next(e for e in ssm.nav_log if e.frame_id == 3).visible_node_ids == []
+        assert all(3 not in t.visible_frames for t in ssm.graph.tracks.values())
+
+    def test_self_relation_skips_edge_discovery(self, small_scene, caplog):
+        """A relation from a node to itself fails validation, so that
+        frame's edge discovery is skipped; the build used to abort inside
+        RelationEdge."""
+        class SelfRelation(ScriptedBackend):
+            def _handle_relations(self, request):
+                doc = super()._handle_relations(request)
+                nid = request.payload["visible"][0]["node_id"]
+                doc["relations"].append({"subject_id": nid, "object_id": nid,
+                                         "relation": "on_top_of",
+                                         "justification": "itself"})
+                return doc
+
+        with caplog.at_level("WARNING", logger="scenemem.pipeline"):
+            ssm = build_ssm(small_scene.episode(), SelfRelation(small_scene),
+                            EngineConfig())
+        assert "edge discovery failed" in caplog.text
+        assert ssm.graph.edges == []
+        assert track_recall(ssm, small_scene) == 1.0
+
     def test_majority_frame_failures_abort(self):
         scene = generate_scene(2, 2, seed=33)
         backend = ScriptedBackend(scene)
@@ -210,6 +248,22 @@ class TestMetrics:
         doc = report.to_doc()
         assert set(doc["per_category"]) \
             == {"spatial", "localization", "attribute", "counting"}
+
+    def test_backend_without_embeddings_falls_back(self, small_scene):
+        """With no embedding on any wire object, the engine embeds captions
+        itself: construction still finds one track per object and every
+        answer stays right."""
+        class NoEmbeddings(ScriptedBackend):
+            def _wire_detection(self, det, note):
+                doc = super()._wire_detection(det, note)
+                del doc["visual_embedding"], doc["language_embedding"]
+                return doc
+
+        backend = NoEmbeddings(small_scene, reasoner=RuleReasoner())
+        report = evaluate(small_scene, generate_questions(small_scene), backend)
+        assert report.track_recall == 1.0
+        assert report.track_precision == 1.0  # with full recall: one track each
+        assert report.answer_accuracy == 1.0
 
     def test_node_mode_evaluation(self, small_scene):
         """The node-level API mode (find_objects / analyze_objects) also

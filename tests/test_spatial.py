@@ -147,8 +147,7 @@ class TestSegmentRooms:
         free[13:19, 31] = True       # doorway gap in the shared wall
         occ = OccupancyGrid(free=free, origin=(0.0, 0.0), cell_size=0.1)
         model = segment_rooms({"floor0": occ})
-        grid = model.grids["floor0"]
-        assert len(grid.room_keys()) == 2
+        assert len(model.room_ids()) == 2
         left = model.room_of("floor0", 1.0, 1.5)
         right = model.room_of("floor0", 4.5, 1.5)
         assert left is not None and right is not None and left != right
@@ -156,19 +155,19 @@ class TestSegmentRooms:
         blocked = free.copy()
         blocked[:, 31] = False
         for room_cells in _components(blocked):
-            labels = {int(grid.room_ids[r, c]) for r, c in room_cells}
+            labels = {int(model.rooms["floor0"][r, c]) for r, c in room_cells}
             assert len(labels) == 1
 
     def test_single_open_square_one_room(self):
         occ = OccupancyGrid(free=room_grid(30, 30), origin=(0, 0), cell_size=0.1)
         model = segment_rooms({"floor0": occ})
-        assert len(model.grids["floor0"].room_keys()) == 1
+        assert len(model.room_ids()) == 1
 
     def test_all_wall_grid_zero_rooms(self):
         occ = OccupancyGrid(free=np.zeros((10, 10), dtype=bool),
                             origin=(0, 0), cell_size=0.1)
         model = segment_rooms({"floor0": occ})
-        assert model.grids["floor0"].room_keys() == []
+        assert model.room_ids() == []
         assert model.room_of("floor0", 0.5, 0.5) is None
 
     def test_partition_total_and_disjoint(self):
@@ -177,7 +176,7 @@ class TestSegmentRooms:
         free[10:15, 12:30] = False  # an internal wall chunk
         occ = OccupancyGrid(free=free, origin=(0, 0), cell_size=0.1)
         model = segment_rooms({"floor0": occ})
-        ids = model.grids["floor0"].room_ids
+        ids = model.rooms["floor0"]
         assert ((ids >= 0) == free).all()  # every free cell in exactly one room
 
     def test_nearest_lookup_snaps_to_free(self):
@@ -342,7 +341,7 @@ class TestBuildNavEntry:
     def test_room_lookup_from_camera_position(self):
         model = _one_room_model()
         room_id = model.room_ids()[0]
-        model.grids["floor0"].labels[room_id.split("/")[1]] = "kitchen"
+        model.labels[room_id] = "kitchen"
         floors = FloorModel((("floor0", 0.0, 3.0),))
         frame = _keyframe(2, make_pose(0, (0.5, 0.5, 1.4)))
         entry = build_nav_entry(frame, None, model, floors, set(), _FovStub())
