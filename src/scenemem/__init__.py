@@ -20,8 +20,8 @@ from .graph import (Detection, Embedding, RelationEdge, SceneGraph, Track,
                     associate, consolidate_captions, edge_discovery_due,
                     merge_detection, vote_score)
 from .loop import Answer, EpisodeQuery, answer, run_episode_batch, validate_evidence
-from .memory import (FrameMemory, Note, SceneMemory, ScratchpadEntry, append_frame,
-                     deserialize, init_frame_memory, load_dir, save_dir, serialize)
+from .memory import (FrameMemory, Note, SceneMemory, append_frame, deserialize,
+                     init_frame_memory, load_dir, save_dir, serialize)
 from .metrics import MetricsReport, evaluate, recall_sweep
 from .pipeline import build_ssm
 from .scripted import RuleReasoner, ScriptReasoner, ScriptedBackend

@@ -279,12 +279,10 @@ def _associate_detections(work: SceneMemory, detections: list[Detection],
     for di, det in enumerate(detections):
         target = matching[di]
         if target is None:
-            track = Track(id=work.graph.new_track_id(), cloud=det.cloud,
-                          visual=det.visual, language=det.language,
-                          caption=det.caption, caption_history=[det.caption],
-                          visible_frames=[det.frame_id])
-            work.place_track(track)
-            work.create_track(track)
+            track = work.create_track(work.place_track(Track(
+                id=work.graph.new_track_id(), cloud=det.cloud, visual=det.visual,
+                language=det.language, caption=det.caption,
+                caption_history=(det.caption,), visible_frames=(det.frame_id,))))
             created.append(track.id)
             target = track.id
         else:
@@ -323,7 +321,7 @@ def _update_nav_log(work: SceneMemory, patch: Patch, landing: list[int]) -> None
     fid = patch.provenance.frame_id
     for i, entry in enumerate(work.nav_log):
         if entry.frame_id == fid:
-            merged_ids = sorted(set(entry.visible_node_ids) | set(landing))
+            merged_ids = tuple(sorted(set(entry.visible_node_ids) | set(landing)))
             work.nav_log[i] = replace(entry, visible_node_ids=merged_ids)
             return
 

@@ -7,9 +7,11 @@ through a three-indicator vote (visual similarity, caption similarity,
 point overlap); merges pool embeddings with an exponential moving average
 and re-downsample the unioned cloud.
 
-The graph is a single-writer structure: callers must not mutate it from
-more than one thread at a time. ``copy()`` produces an independent
-snapshot that can be shared freely.
+Tracks and edges are immutable values: a merge, a consolidation or a room
+assignment replaces a track, never edits it. The graph's containers are
+single-writer (callers must not mutate one graph from more than one thread
+at a time); ``copy()`` copies only the containers and shares every record,
+so a copy and its original never see each other's later edits.
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ class CloudSummary:
                 "points": self.count}
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Track:
     """A scene-graph node. ``cloud`` may be None for geometry-light tracks
     reconstructed from serialized form, in which case ``summary`` holds the
@@ -149,11 +151,11 @@ class Track:
     visual: Embedding | None
     language: Embedding | None
     caption: str
-    caption_history: list[str]
+    caption_history: tuple[str, ...]
     room_id: str | None = None
     floor_id: str | None = None
     room_label: str | None = None
-    visible_frames: list[int] = field(default_factory=list)
+    visible_frames: tuple[int, ...] = ()
     summary: CloudSummary | None = None
 
     def __post_init__(self):
@@ -266,15 +268,15 @@ def merge_detection(t: Track, d: Detection, cfg: AssociationConfig,
     cloud = d.cloud if t.cloud is None else t.cloud.union(d.cloud)
     if not cloud.is_empty:
         cloud = voxel_downsample(cloud, voxel_size)
-    visible = list(t.visible_frames)
+    visible = t.visible_frames
     if d.frame_id not in visible:
-        visible.append(d.frame_id)
+        visible += (d.frame_id,)
     return replace(
         t,
         cloud=cloud,
         visual=pool(d.visual, t.visual),
         language=pool(d.language, t.language),
-        caption_history=t.caption_history + [d.caption],
+        caption_history=t.caption_history + (d.caption,),
         visible_frames=visible,
         summary=None,
     )
@@ -333,9 +335,7 @@ class SceneGraph:
 
     def copy(self) -> "SceneGraph":
         g = SceneGraph()
-        g.tracks = {tid: replace(t, caption_history=list(t.caption_history),
-                                 visible_frames=list(t.visible_frames))
-                    for tid, t in self.tracks.items()}
+        g.tracks = dict(self.tracks)
         g.edges = list(self.edges)
         g._next_id = self._next_id
         return g
@@ -368,4 +368,4 @@ def consolidate_captions(t: Track, backend, threshold: int = 5) -> Track:
     except BackendError as exc:
         logger.warning("caption consolidation failed for track %d: %s", t.id, exc)
         return t
-    return replace(t, caption=response.sentence, caption_history=[response.sentence])
+    return replace(t, caption=response.sentence, caption_history=(response.sentence,))

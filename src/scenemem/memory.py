@@ -13,19 +13,14 @@ indices. Equal memories produce byte-identical text, which is what
 golden-file tests and the record/replay harness rely on. The same text is
 the reasoner's prompt and the persisted ``ssm.json``.
 
-The reasoning loop re-serializes the memory on every step, so ``serialize``
-renders each unchanged part once. The canonical text of every track row,
-every navigation-log row and the frame locators is memoized in
-``SceneMemory.fragments``, keyed by all the content it shows (never by
-object identity: tracks are edited in place, and an edit simply yields a
-new key). An entry is therefore never stale and needs no invalidation; the
-output equals a full render byte for byte. The memo is shared by a memory
-and its copies (the loop's patched working copies reuse the base memory's
-fragments), while ``empty``, ``deserialize`` and hence ``build_ssm`` and
-``load_dir`` start a fresh one, so nothing is reused across separately
-built or loaded memories. Copies serialized on different threads could at
-worst render one fragment twice, to the same text. Cloud summaries are
-cheap to key on because ``PointCloud`` caches its centroid and extent.
+The memory's records (tracks, navigation-log entries, notes, the frame
+memory) are immutable values: an edit replaces a record, never changes it.
+So ``SceneMemory.copy`` copies only the containers and shares every record,
+and the reasoning loop, which re-serializes the memory on every step,
+renders each track and navigation-log row once per record: ``serialize``
+caches the row text in a module-level weak map keyed by the record itself.
+A cached row lives exactly as long as some memory holds its record, and can
+never go stale because the record cannot change.
 
 Frame memory is not part of the JSON body; it is returned alongside as an
 ordered list of (frame id, image locator) references, mirroring how frames
@@ -43,7 +38,8 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass, field, replace
+import weakref
+from dataclasses import dataclass, replace
 from functools import partial
 # the string encoder json.dumps(s, ensure_ascii=False) calls, without the
 # JSONEncoder it builds per call
@@ -98,19 +94,13 @@ class Note:
             raise MemoryError_(f"unknown source api '{self.source_api}'")
 
 
-@dataclass
-class ScratchpadEntry:
-    node_id: int
-    notes: list[Note] = field(default_factory=list)
-
-
-@dataclass
+@dataclass(frozen=True)
 class FrameMemory:
     """Ordered, duplicate-free set of keyframe ids available to the
     reasoner. Starts as the evenly spaced initial selection and only ever
     grows (no eviction)."""
 
-    frames: list[int]
+    frames: tuple[int, ...]
     initial_count: int
     episode_ids: frozenset[int]
 
@@ -126,9 +116,6 @@ class FrameMemory:
 
     def __len__(self) -> int:
         return len(self.frames)
-
-    def copy(self) -> "FrameMemory":
-        return FrameMemory(list(self.frames), self.initial_count, self.episode_ids)
 
 
 def init_frame_memory(episode_frame_ids: list[int], n_img: int) -> FrameMemory:
@@ -153,7 +140,7 @@ def init_frame_memory(episode_frame_ids: list[int], n_img: int) -> FrameMemory:
         fid = ids[min(p, n - 1)]
         if fid not in chosen:
             chosen.append(fid)
-    return FrameMemory(chosen, n_img, frozenset(ids))
+    return FrameMemory(tuple(chosen), n_img, frozenset(ids))
 
 
 def append_frame(fm: FrameMemory, frame_id: int) -> FrameMemory:
@@ -162,31 +149,31 @@ def append_frame(fm: FrameMemory, frame_id: int) -> FrameMemory:
         raise MemoryError_(f"frame {frame_id} not part of the episode")
     if frame_id in fm.frames:
         return fm
-    return FrameMemory(fm.frames + [frame_id], fm.initial_count, fm.episode_ids)
+    return FrameMemory(fm.frames + (frame_id,), fm.initial_count, fm.episode_ids)
 
 
 @dataclass
 class SceneMemory:
     """Single-writer memory of one scene episode.
 
-    ``floors``/``rooms`` are construction-time models kept for patch-time
-    room lookup; they are transient (not serialized). ``fragments`` is the
-    serializer's memo of rendered track rows, navigation-log rows and frame
-    locators, shared by copies of this memory (see the module docstring).
+    The containers (track dict, edge list, scratchpad dict, nav log list)
+    are edited by replacing their immutable records; ``copy`` shares every
+    record with the original. The scratchpad maps each node id to its notes.
+    ``frame_locators`` is never edited after construction, so copies share
+    it too. ``floors``/``rooms`` are construction-time models kept for
+    patch-time room lookup; they are transient (not serialized).
     """
 
     graph: SceneGraph
-    scratchpad: dict[int, ScratchpadEntry]
+    scratchpad: dict[int, tuple[Note, ...]]
     frame_memory: FrameMemory
     nav_log: list[NavLogEntry]
     scene_id: str
     stride: int
-    frame_ids: list[int]
+    frame_ids: tuple[int, ...]
     frame_locators: dict[int, str]
     floors: FloorModel | None = None
     rooms: RoomModel | None = None
-    fragments: dict[tuple, _Fragment] = field(default_factory=dict, repr=False,
-                                               compare=False)
 
     @classmethod
     def empty(cls, scene_id: str, stride: int, frame_ids: list[int],
@@ -194,17 +181,17 @@ class SceneMemory:
         locators = dict(frame_locators or {})
         for fid in frame_ids:
             locators.setdefault(fid, f"frame://{scene_id}/{fid}")
-        fm = FrameMemory([], 0, frozenset(frame_ids))
+        fm = FrameMemory((), 0, frozenset(frame_ids))
         return cls(graph=SceneGraph(), scratchpad={}, frame_memory=fm,
                    nav_log=[], scene_id=scene_id, stride=stride,
-                   frame_ids=list(frame_ids), frame_locators=locators)
+                   frame_ids=tuple(frame_ids), frame_locators=locators)
 
     # -- mutation helpers (keep graph and scratchpad in lockstep) --
 
     def create_track(self, track: Track) -> Track:
         """Insert a track and its scratchpad entry atomically."""
         self.graph.insert_track(track)
-        self.scratchpad[track.id] = ScratchpadEntry(node_id=track.id)
+        self.scratchpad[track.id] = ()
         return track
 
     def add_note(self, node_id: int, text: str, source_api: str, query: str,
@@ -212,25 +199,24 @@ class SceneMemory:
         """Append one provenance-carrying note; notes are append-only."""
         if node_id not in self.scratchpad:
             raise MemoryError_(f"unknown node id {node_id}")
-        self.scratchpad[node_id].notes.append(
-            Note(text=text, source_api=source_api, query=query,
-                 evidence_frame=evidence_frame))
+        self.scratchpad[node_id] += (Note(text=text, source_api=source_api,
+                                          query=query, evidence_frame=evidence_frame),)
 
-    def place_track(self, track: Track) -> None:
-        """Set the track's floor, room and room label from its cloud
-        centroid; a no-op until the floor and room models are set, and for
-        tracks without cloud points."""
+    def place_track(self, track: Track) -> Track:
+        """The track with its floor, room and room label set from its cloud
+        centroid; the track itself until the floor and room models are set,
+        and for tracks without cloud points."""
         if self.floors is None or self.rooms is None \
                 or track.cloud is None or track.cloud.is_empty:
-            return
+            return track
         cx, cy, cz = track.cloud.centroid()
-        track.floor_id = self.floors.floor_of(float(cz))
-        track.room_id = self.rooms.room_of(track.floor_id, float(cx), float(cy))
-        if track.room_id is not None:
-            track.room_label = self.rooms.label_of(track.room_id)
+        floor_id = self.floors.floor_of(float(cz))
+        room_id = self.rooms.room_of(floor_id, float(cx), float(cy))
+        label = track.room_label if room_id is None else self.rooms.label_of(room_id)
+        return replace(track, floor_id=floor_id, room_id=room_id, room_label=label)
 
     def note_count(self) -> int:
-        return sum(len(e.notes) for e in self.scratchpad.values())
+        return sum(len(notes) for notes in self.scratchpad.values())
 
     def validate(self) -> None:
         """Raise SerializationError when a cross-structure invariant is
@@ -248,8 +234,7 @@ class SceneMemory:
         for f in self.frame_locators:
             if f not in episode:
                 raise SerializationError(f"locator for frame {f} outside episode")
-        nav_ids = [e.frame_id for e in self.nav_log]
-        if nav_ids != list(self.frame_ids):
+        if tuple(e.frame_id for e in self.nav_log) != self.frame_ids:
             raise SerializationError("navigation log does not cover the episode keyframes")
         for entry in self.nav_log:
             for nid in entry.visible_node_ids:
@@ -258,21 +243,9 @@ class SceneMemory:
                         f"nav entry {entry.frame_id} cites dead node {nid}")
 
     def copy(self) -> "SceneMemory":
-        return SceneMemory(
-            graph=self.graph.copy(),
-            scratchpad={nid: ScratchpadEntry(nid, list(e.notes))
-                        for nid, e in self.scratchpad.items()},
-            frame_memory=self.frame_memory.copy(),
-            nav_log=[replace(e, visible_node_ids=list(e.visible_node_ids))
-                     for e in self.nav_log],
-            scene_id=self.scene_id,
-            stride=self.stride,
-            frame_ids=list(self.frame_ids),
-            frame_locators=dict(self.frame_locators),
-            floors=self.floors,
-            rooms=self.rooms,
-            fragments=self.fragments,
-        )
+        """New containers over the same records (see the class docstring)."""
+        return replace(self, graph=self.graph.copy(), scratchpad=dict(self.scratchpad),
+                       nav_log=list(self.nav_log))
 
 
 # ---------------------------------------------------------------------------
@@ -338,30 +311,27 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
-def _track_fragment(t: Track, memo: dict) -> _Fragment:
+def _track_row(t: Track) -> list:
     summary = t.cloud_summary()
-    # equal keys render equal text: ids and frames are ints, labels strings,
-    # and equal floats differ at most in the sign of zero, which renders alike
-    key = ("track", t.id, t.caption, tuple(t.caption_history), t.room_id,
-           t.room_label, t.floor_id, tuple(t.visible_frames), summary)
-    frag = memo.get(key)
-    if frag is None:
-        cloud = summary.to_doc() if summary is not None else {}
-        frag = memo[key] = _Fragment(canonical_json([
-            t.id, t.caption, list(t.caption_history), t.room_id, t.room_label,
-            t.floor_id, list(t.visible_frames), cloud.get("centroid"),
-            cloud.get("extent"), cloud.get("points")]))
-    return frag
+    cloud = summary.to_doc() if summary is not None else {}
+    return [t.id, t.caption, t.caption_history, t.room_id, t.room_label, t.floor_id,
+            t.visible_frames, cloud.get("centroid"), cloud.get("extent"),
+            cloud.get("points")]
 
 
-def _nav_fragment(e: NavLogEntry, memo: dict) -> _Fragment:
-    key = ("nav", e.frame_id, e.room_label, e.fov_tag, e.motion_label,
-           tuple(e.visible_node_ids))
-    frag = memo.get(key)
+def _nav_row(e: NavLogEntry) -> list:
+    return [e.frame_id, e.room_label, e.fov_tag, e.motion_label,
+            sorted(e.visible_node_ids)]
+
+
+# rendered row per immutable record; an entry dies with its record
+_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _row(record, render) -> _Fragment:
+    frag = _ROWS.get(record)
     if frag is None:
-        frag = memo[key] = _Fragment(canonical_json([
-            e.frame_id, e.room_label, e.fov_tag, e.motion_label,
-            sorted(e.visible_node_ids)]))
+        frag = _ROWS[record] = _Fragment(canonical_json(render(record)))
     return frag
 
 
@@ -379,19 +349,13 @@ def table_records(table: dict) -> list[dict]:
     return [dict(zip(columns, row)) for row in table["rows"]]
 
 
-def _locators_fragment(ssm: SceneMemory, memo: dict) -> _Fragment:
+def _locators_doc(ssm: SceneMemory) -> dict:
     """Each keyframe's locator as a common prefix plus a suffix aligned with
     ``frame_ids``; null for a frame without one."""
-    locators = tuple(ssm.frame_locators.get(fid) for fid in ssm.frame_ids)
-    key = ("locators", locators)
-    frag = memo.get(key)
-    if frag is None:
-        prefix = os.path.commonprefix([loc for loc in locators if loc is not None])
-        frag = memo[key] = _Fragment(canonical_json({
-            "prefix": prefix,
-            "suffixes": [None if loc is None else loc[len(prefix):]
-                         for loc in locators]}))
-    return frag
+    locators = [ssm.frame_locators.get(fid) for fid in ssm.frame_ids]
+    prefix = os.path.commonprefix([loc for loc in locators if loc is not None])
+    return {"prefix": prefix,
+            "suffixes": [None if loc is None else loc[len(prefix):] for loc in locators]}
 
 
 def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
@@ -400,16 +364,12 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
     Returns (text, refs): the JSON document with top-level keys version /
     episode / scene_graph / scratchpad / navigation_log, and the frame
     references as (frame id, image locator) pairs in frame-memory order.
-    Refuses to serialize when cross-structure invariants fail.
-
-    Track and navigation-log rows and the frame locators come from
-    ``ssm.fragments`` when an equal one was rendered before (see the module
+    Refuses to serialize when cross-structure invariants fail. Each track
+    and navigation-log row is rendered once per record (see the module
     docstring).
     """
     ssm.validate()
-    memo = ssm.fragments
-    tracks = [_track_fragment(ssm.graph.tracks[tid], memo)
-              for tid in sorted(ssm.graph.tracks)]
+    tracks = [_row(ssm.graph.tracks[tid], _track_row) for tid in sorted(ssm.graph.tracks)]
     edges = sorted(ssm.graph.edges,
                    key=lambda e: (e.subject_id, e.object_id, e.relation, e.source_frame))
     edge_rows = [[e.subject_id, e.relation, e.object_id, e.justification,
@@ -417,17 +377,17 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
     pad = [{"node_id": nid,
             "notes": [{"text": n.text, "source_api": n.source_api,
                        "query": n.query, "evidence_frame": n.evidence_frame}
-                      for n in ssm.scratchpad[nid].notes]}
+                      for n in ssm.scratchpad[nid]]}
            for nid in sorted(ssm.scratchpad)]
-    nav = [_nav_fragment(e, memo) for e in ssm.nav_log]
+    nav = [_row(e, _nav_row) for e in ssm.nav_log]
     doc = {
         "version": FORMAT_VERSION,
         "episode": {
             "scene_id": ssm.scene_id,
             "stride": ssm.stride,
-            "frame_ids": list(ssm.frame_ids),
-            "frame_locators": _locators_fragment(ssm, memo),
-            "frame_memory": {"frames": list(ssm.frame_memory.frames),
+            "frame_ids": ssm.frame_ids,
+            "frame_locators": _locators_doc(ssm),
+            "frame_memory": {"frames": ssm.frame_memory.frames,
                              "initial_count": ssm.frame_memory.initial_count},
         },
         "scene_graph": {"tracks": _table(TRACK_COLUMNS, tracks),
@@ -454,8 +414,8 @@ def _opt_str(doc, key, path):
     return value
 
 
-def _int_list(doc, key, path):
-    return list(int_array(_expect(doc, key, list, path), f"{path}.{key}", ParseError))
+def _ints(doc, key, path):
+    return int_array(_expect(doc, key, list, path), f"{path}.{key}", ParseError)
 
 
 def _float_triple(doc, key, path):
@@ -498,7 +458,7 @@ def deserialize(text: str) -> SceneMemory:
     ep = _expect(doc, "episode", dict, "$")
     scene_id = _expect(ep, "scene_id", str, "$.episode")
     stride = _expect(ep, "stride", int, "$.episode")
-    frame_ids = _int_list(ep, "frame_ids", "$.episode")
+    frame_ids = _ints(ep, "frame_ids", "$.episode")
     loc_doc = _expect(ep, "frame_locators", dict, "$.episode")
     prefix = _expect(loc_doc, "prefix", str, "$.episode.frame_locators")
     suffixes = _expect(loc_doc, "suffixes", list, "$.episode.frame_locators")
@@ -514,7 +474,7 @@ def deserialize(text: str) -> SceneMemory:
                              "expected string or null")
         locators[fid] = prefix + suffix
     fm_doc = _expect(ep, "frame_memory", dict, "$.episode")
-    fm_frames = _int_list(fm_doc, "frames", "$.episode.frame_memory")
+    fm_frames = _ints(fm_doc, "frames", "$.episode.frame_memory")
     fm_initial = _expect(fm_doc, "initial_count", int, "$.episode.frame_memory")
     episode_set = set(frame_ids)
     for i, fid in enumerate(fm_frames):
@@ -536,7 +496,7 @@ def deserialize(text: str) -> SceneMemory:
         history = _expect(td, "caption_history", list, path)
         if any(not isinstance(c, str) for c in history):
             raise ParseError(f"{path}.caption_history", "expected strings")
-        visible = _int_list(td, "visible_frames", path)
+        visible = _ints(td, "visible_frames", path)
         for j, fid in enumerate(visible):
             if fid not in episode_set:
                 raise ParseError(f"{path}.visible_frames[{j}]",
@@ -548,7 +508,7 @@ def deserialize(text: str) -> SceneMemory:
                                    count=_expect(td, "points", int, path))
         try:
             track = Track(id=tid, cloud=None, visual=None, language=None,
-                          caption=caption, caption_history=list(history),
+                          caption=caption, caption_history=tuple(history),
                           room_id=_opt_str(td, "room_id", path),
                           floor_id=_opt_str(td, "floor_id", path),
                           room_label=_opt_str(td, "room_label", path),
@@ -574,7 +534,7 @@ def deserialize(text: str) -> SceneMemory:
             raise ParseError(path, str(exc)) from None
         graph.edges.append(edge)
 
-    scratchpad: dict[int, ScratchpadEntry] = {}
+    scratchpad: dict[int, tuple[Note, ...]] = {}
     for i, pd in enumerate(_expect(doc, "scratchpad", list, "$")):
         path = f"$.scratchpad[{i}]"
         nid = _expect(pd, "node_id", int, path)
@@ -592,7 +552,7 @@ def deserialize(text: str) -> SceneMemory:
                                   evidence_frame=_expect(nd, "evidence_frame", int, npath)))
             except MemoryError_ as exc:
                 raise ParseError(npath, str(exc)) from None
-        scratchpad[nid] = ScratchpadEntry(nid, notes)
+        scratchpad[nid] = tuple(notes)
     if set(scratchpad) != set(graph.tracks):
         raise ParseError("$.scratchpad", "node set differs from scene_graph.tracks")
 
@@ -602,7 +562,7 @@ def deserialize(text: str) -> SceneMemory:
         motion = _expect(nd, "motion_label", str, path)
         if motion not in MOTION_LABELS:
             raise ParseError(f"{path}.motion_label", f"unknown label '{motion}'")
-        visible = _int_list(nd, "visible_node_ids", path)
+        visible = _ints(nd, "visible_node_ids", path)
         for j, nid in enumerate(visible):
             if nid not in graph.tracks:
                 raise ParseError(f"{path}.visible_node_ids[{j}]", f"unknown track {nid}")
@@ -612,7 +572,7 @@ def deserialize(text: str) -> SceneMemory:
             fov_tag=_expect(nd, "fov_tag", str, path),
             motion_label=motion,
             visible_node_ids=visible))
-    if [e.frame_id for e in nav_log] != frame_ids:
+    if tuple(e.frame_id for e in nav_log) != frame_ids:
         raise ParseError("$.navigation_log", "entries do not cover episode frame_ids")
 
     return SceneMemory(graph=graph, scratchpad=scratchpad, frame_memory=frame_memory,

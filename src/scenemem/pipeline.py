@@ -18,6 +18,7 @@ log still covers it); more than half the frames failing aborts the build.
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 
@@ -127,14 +128,14 @@ def build_ssm(episode: Episode, backend: Backend,
 
     members: dict[str, list[str]] = {}
     for tid in sorted(ssm.graph.tracks):
-        track = ssm.graph.tracks[tid]
-        ssm.place_track(track)
+        track = ssm.place_track(ssm.graph.tracks[tid])
+        ssm.graph.replace_track(track)
         if track.room_id is not None:
             members.setdefault(track.room_id, []).append(track.caption)
     label_rooms(rooms, members, backend, list(cfg.spatial.room_classes))
-    for track in ssm.graph.tracks.values():
+    for track in list(ssm.graph.tracks.values()):
         if track.room_id is not None:
-            track.room_label = rooms.label_of(track.room_id)
+            ssm.graph.replace_track(replace(track, room_label=rooms.label_of(track.room_id)))
 
     prev = None
     for frame in episode.frames:

@@ -152,13 +152,13 @@ class RoomModel:
                 for idx in np.unique(self.rooms[floor_id]).tolist() if idx >= 0]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NavLogEntry:
     frame_id: int
     room_label: str
     fov_tag: str
     motion_label: str
-    visible_node_ids: list[int]
+    visible_node_ids: tuple[int, ...]
 
     def __post_init__(self):
         if self.motion_label not in MOTION_LABELS:
@@ -503,4 +503,4 @@ def build_nav_entry(frame, prev, rooms: RoomModel | None, floors: FloorModel | N
         fov_tag = "unavailable"
     return NavLogEntry(frame_id=frame.id, room_label=room_label, fov_tag=fov_tag,
                        motion_label=motion,
-                       visible_node_ids=sorted(set(int(i) for i in visible)))
+                       visible_node_ids=tuple(sorted(set(int(i) for i in visible))))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -168,7 +169,7 @@ class TestAnalyzeObjects:
         call = ApiCall("analyze_objects", fid, "is it red?", node_ids=(vid,))
         patch = executor.execute(call, ssm)
         updated, report = apply_patch(ssm.copy(), patch, EngineConfig())
-        notes = updated.scratchpad[vid].notes
+        notes = updated.scratchpad[vid]
         assert report.notes_added >= 1
         assert notes[-1].evidence_frame == fid
         assert notes[-1].source_api == "analyze_objects"
@@ -213,7 +214,7 @@ class TestAnalyzeFrame:
 
         scene, _, _, executor, _ = workbench
         bare = SceneMemory.empty(scene.scene_id, 1, scene.episode().frame_ids)
-        bare.nav_log = [NavLogEntry(f, "unknown", "t", "stationary", [])
+        bare.nav_log = [NavLogEntry(f, "unknown", "t", "stationary", ())
                         for f in bare.frame_ids]
         bare.frame_memory = init_frame_memory(bare.frame_ids, 2)
         patch = executor.execute(
@@ -231,7 +232,7 @@ class TestApplyPatch:
         updated, report = apply_patch(ssm, patch, EngineConfig())
         assert serialize(ssm)[0] == before
         assert report.frame_appended
-        assert updated.frame_memory.frames == ssm.frame_memory.frames + [fid]
+        assert updated.frame_memory.frames == ssm.frame_memory.frames + (fid,)
         base = serialize(ssm)[0]
         after = serialize(updated)[0]
         assert base != after  # only the frame memory differs
@@ -278,8 +279,8 @@ class TestApplyPatch:
         del work.scratchpad[drop]
         work.graph.edges = [e for e in work.graph.edges
                             if drop not in (e.subject_id, e.object_id)]
-        for entry in work.nav_log:
-            entry.visible_node_ids = [i for i in entry.visible_node_ids if i != drop]
+        work.nav_log = [replace(e, visible_node_ids=tuple(
+            i for i in e.visible_node_ids if i != drop)) for e in work.nav_log]
         patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         before = len(work.graph.tracks)
@@ -307,8 +308,8 @@ class TestApplyPatch:
         del work.scratchpad[drop]
         work.graph.edges = [e for e in work.graph.edges
                             if drop not in (e.subject_id, e.object_id)]
-        for entry in work.nav_log:
-            entry.visible_node_ids = [i for i in entry.visible_node_ids if i != drop]
+        work.nav_log = [replace(e, visible_node_ids=tuple(
+            i for i in e.visible_node_ids if i != drop)) for e in work.nav_log]
         patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         updated, report = apply_patch(work, patch, EngineConfig())
@@ -329,8 +330,8 @@ class TestApplyPatch:
         del work.scratchpad[drop]
         work.graph.edges = [e for e in work.graph.edges
                             if drop not in (e.subject_id, e.object_id)]
-        for entry in work.nav_log:
-            entry.visible_node_ids = [i for i in entry.visible_node_ids if i != drop]
+        work.nav_log = [replace(e, visible_node_ids=tuple(
+            i for i in e.visible_node_ids if i != drop)) for e in work.nav_log]
         patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         updated, report = apply_patch(work, patch, EngineConfig())
@@ -386,7 +387,7 @@ class TestApplyPatch:
         scene, episode, _, executor, _ = workbench
         cfg = EngineConfig()
         current = SceneMemory.empty(scene.scene_id, 1, episode.frame_ids)
-        current.nav_log = [NavLogEntry(f, "unknown", "t", "stationary", [])
+        current.nav_log = [NavLogEntry(f, "unknown", "t", "stationary", ())
                            for f in current.frame_ids]
         current.frame_memory = init_frame_memory(current.frame_ids, 2)
         for fid in episode.frame_ids:
@@ -420,7 +421,7 @@ class TestApplyPatch:
         @settings(max_examples=40, deadline=None)
         @given(st.data())
         def run(data):
-            frame = data.draw(st.sampled_from(ssm.frame_ids + [777]))
+            frame = data.draw(st.sampled_from(ssm.frame_ids + (777,)))
             patch = Patch(provenance=ApiCall("analyze_frame", frame, "fuzz"))
             for _ in range(data.draw(st.integers(0, 3))):
                 kind = data.draw(st.sampled_from(["node", "pending"]))
@@ -633,7 +634,7 @@ class TestExecuteMatchesReference:
             ids = [visible[0]]
         if targets == "bare":
             memory = SceneMemory.empty(scene.scene_id, 1, scene.episode().frame_ids)
-            memory.nav_log = [NavLogEntry(f, "unknown", "t", "stationary", [])
+            memory.nav_log = [NavLogEntry(f, "unknown", "t", "stationary", ())
                               for f in memory.frame_ids]
             memory.frame_memory = init_frame_memory(memory.frame_ids, 2)
         if targets == "unknown-frame":

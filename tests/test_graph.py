@@ -4,6 +4,8 @@ scalar EMA recurrence, rule-based edge filter)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -41,7 +43,7 @@ def make_track(tid=0, caption="thing", cloud=None, visual=None, language=None,
         cloud=cloud if cloud is not None else PointCloud([(0, 0, 0)]),
         visual=visual if visual is not None else Embedding([1, 0, 0, 0], "visual"),
         language=language if language is not None else Embedding([0, 1, 0, 0], "language"),
-        caption=caption, caption_history=[caption], visible_frames=list(frames))
+        caption=caption, caption_history=(caption,), visible_frames=tuple(frames))
 
 
 def embedding_pair(cos_target: float, dim: int, kind: str, seed: int):
@@ -308,8 +310,8 @@ class TestMergeDetection:
         t = make_track(caption="mug", frames=(0,))
         d = make_detection(frame_id=4, caption="red mug")
         merged = merge_detection(t, d, cfg)
-        assert merged.caption_history == ["mug", "red mug"]
-        assert merged.visible_frames == [0, 4]
+        assert merged.caption_history == ("mug", "red mug")
+        assert merged.visible_frames == (0, 4)
         assert merged.id == t.id
         assert merged.caption == "mug"  # consolidation owns caption changes
 
@@ -317,7 +319,7 @@ class TestMergeDetection:
         cfg = AssociationConfig()
         t = make_track(frames=(0, 4))
         d = make_detection(frame_id=4)
-        assert merge_detection(t, d, cfg).visible_frames == [0, 4]
+        assert merge_detection(t, d, cfg).visible_frames == (0, 4)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
@@ -445,18 +447,17 @@ class TestConsolidateCaptions:
 
     def test_five_entry_history_consolidates(self):
         backend = _ConsolidateStub("a red ceramic mug")
-        t = make_track(caption="mug")
-        t.caption_history = ["mug", "red mug", "mug", "ceramic mug", "red mug"]
+        t = replace(make_track(caption="mug"), caption_history=(
+            "mug", "red mug", "mug", "ceramic mug", "red mug"))
         out = consolidate_captions(t, backend, threshold=5)
         assert out.caption == "a red ceramic mug"
-        assert out.caption_history == ["a red ceramic mug"]
+        assert out.caption_history == ("a red ceramic mug",)
         assert backend.requests[0].payload == {
             "captions": ["mug", "red mug", "mug", "ceramic mug", "red mug"]}
 
     def test_backend_timeout_leaves_track_unchanged(self):
         backend = _ConsolidateStub(fail=True)
-        t = make_track(caption="mug")
-        t.caption_history = ["mug"] * 6
+        t = replace(make_track(caption="mug"), caption_history=("mug",) * 6)
         out = consolidate_captions(t, backend, threshold=5)
         assert out is t
         # transport errors are retried once before giving up
@@ -496,8 +497,8 @@ class TestTrackCountProperty:
                         id=graph.new_track_id(), cloud=dets[di].cloud,
                         visual=dets[di].visual, language=dets[di].language,
                         caption=dets[di].caption,
-                        caption_history=[dets[di].caption],
-                        visible_frames=[f]))
+                        caption_history=(dets[di].caption,),
+                        visible_frames=(f,)))
                 else:
                     graph.replace_track(
                         merge_detection(graph.tracks[tid], dets[di], cfg))

@@ -228,7 +228,7 @@ class TestEvidenceValidation:
         assert out.compliant
         nid, idx = out.evidence_notes[0]
         final = out.final_memory
-        assert 0 <= idx < len(final.scratchpad[nid].notes)
+        assert 0 <= idx < len(final.scratchpad[nid])
 
 
 class TestProtocolFailures:

@@ -5,9 +5,12 @@ checked byte-for-byte."""
 
 from __future__ import annotations
 
+import dataclasses
+import gc
 import json
 import re
 import struct
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -21,6 +24,7 @@ from scenemem import (ApiCall, ApiExecutor, Embedding, EngineConfig, EpisodeQuer
                       SceneMemory, ScriptedBackend, Track, append_frame, apply_patch,
                       build_ssm, deserialize, generate_scene, init_frame_memory,
                       load_dir, run_episode_batch, save_dir, serialize)
+import scenemem.memory as memory_module
 from scenemem.graph import CloudSummary
 from scenemem.memory import MemoryError_, ParseError, SerializationError
 from scenemem.spatial import NavLogEntry
@@ -36,23 +40,23 @@ GOLDEN = Path(__file__).parent / "golden"
 class TestInitFrameMemory:
     def test_25_frames_pick_5(self):
         fm = init_frame_memory(list(range(25)), 5)
-        assert fm.frames == [0, 6, 12, 18, 24]
+        assert fm.frames == (0, 6, 12, 18, 24)
         assert fm.initial_count == 5
 
     def test_single_frame_collapse(self):
         fm = init_frame_memory([42], 5)
-        assert fm.frames == [42]
+        assert fm.frames == (42,)
 
     def test_100_frames_pick_4(self):
         fm = init_frame_memory(list(range(100)), 4)
-        assert fm.frames == [0, 33, 66, 99]
+        assert fm.frames == (0, 33, 66, 99)
 
     def test_n_img_one_takes_middle(self):
-        assert init_frame_memory(list(range(11)), 1).frames == [5]
+        assert init_frame_memory(list(range(11)), 1).frames == (5,)
 
     def test_non_contiguous_ids(self):
         fm = init_frame_memory([10, 20, 30, 40, 50], 3)
-        assert fm.frames == [10, 30, 50]
+        assert fm.frames == (10, 30, 50)
 
     def test_empty_episode_rejected(self):
         with pytest.raises(MemoryError_):
@@ -113,17 +117,17 @@ class TestAppendFrame:
 def golden_one_track() -> SceneMemory:
     ssm = SceneMemory.empty("golden-scene", 5, [0, 5])
     track = Track(id=0, cloud=None, visual=None, language=None,
-                  caption="red mug", caption_history=["red mug"],
+                  caption="red mug", caption_history=("red mug",),
                   room_id="floor0/0", floor_id="floor0", room_label="kitchen",
-                  visible_frames=[0, 5],
+                  visible_frames=(0, 5),
                   summary=CloudSummary(centroid=(0.25, -1.5, 0.75),
                                        extent=(0.1, 0.2, 0.3), count=12))
     ssm.create_track(track)
     ssm.add_note(0, "handle chipped on the left side", "analyze_objects",
                  "inspect the mug", 5)
     ssm.nav_log = [
-        NavLogEntry(0, "kitchen", "view of kitchen: red mug", "stationary", [0]),
-        NavLogEntry(5, "kitchen", "closer view of the red mug", "forward", [0]),
+        NavLogEntry(0, "kitchen", "view of kitchen: red mug", "stationary", (0,)),
+        NavLogEntry(5, "kitchen", "closer view of the red mug", "forward", (0,)),
     ]
     ssm.frame_memory = init_frame_memory([0, 5], 2)
     return ssm
@@ -137,9 +141,8 @@ def random_ssm(seed: int) -> SceneMemory:
     ssm = SceneMemory.empty(f"scene-{seed}", int(g.integers(1, 21)), frame_ids)
     n_tracks = int(g.integers(0, 7))
     for tid in range(n_tracks):
-        visible = sorted(set(int(f) for f in
-                             g.choice(frame_ids, size=int(g.integers(1, len(frame_ids) + 1)),
-                                      replace=False)))
+        visible = tuple(sorted(set(int(f) for f in g.choice(
+            frame_ids, size=int(g.integers(1, len(frame_ids) + 1)), replace=False))))
         cloud = None
         summary = None
         if g.random() < 0.7:
@@ -152,7 +155,7 @@ def random_ssm(seed: int) -> SceneMemory:
                       visual=Embedding(g.standard_normal(8), "visual")
                       if g.random() < 0.5 else None,
                       language=None, caption=f"object {tid}",
-                      caption_history=[f"object {tid}", "seen again"][:int(g.integers(1, 3))],
+                      caption_history=(f"object {tid}", "seen again")[:int(g.integers(1, 3))],
                       room_id=f"floor0/{int(g.integers(0, 3))}" if g.random() < 0.5 else None,
                       floor_id="floor0" if g.random() < 0.8 else None,
                       room_label=str(g.choice(["kitchen", "office"]))
@@ -171,8 +174,8 @@ def random_ssm(seed: int) -> SceneMemory:
                                 int(g.choice(frame_ids)))
             ssm.graph.add_edges([edge])
     for i, fid in enumerate(frame_ids):
-        visible = [tid for tid in range(n_tracks)
-                   if fid in ssm.graph.tracks[tid].visible_frames]
+        visible = tuple(tid for tid in range(n_tracks)
+                        if fid in ssm.graph.tracks[tid].visible_frames)
         ssm.nav_log.append(NavLogEntry(
             fid, str(g.choice(["kitchen", "office", "unknown"])),
             f"view {i}", str(g.choice(["stationary", "forward", "turn_left"])),
@@ -265,7 +268,7 @@ def reference_serialize(ssm: SceneMemory) -> str:
         "scratchpad": [{"node_id": nid,
                         "notes": [{"text": n.text, "source_api": n.source_api,
                                    "query": n.query, "evidence_frame": n.evidence_frame}
-                                  for n in ssm.scratchpad[nid].notes]}
+                                  for n in ssm.scratchpad[nid]]}
                        for nid in sorted(ssm.scratchpad)],
         "navigation_log": {
             "columns": ["frame_id", "room_label", "fov_tag", "motion_label",
@@ -277,8 +280,8 @@ def reference_serialize(ssm: SceneMemory) -> str:
 
 
 def assert_serializes_like_reference(ssm: SceneMemory) -> None:
-    """Cold and warm memo, and a copy sharing the memo, all render the
-    reference bytes."""
+    """Cold and warm row cache, and a copy sharing every record, all render
+    the reference bytes."""
     expected = reference_serialize(ssm)
     assert serialize(ssm)[0] == expected
     assert serialize(ssm)[0] == expected
@@ -307,7 +310,7 @@ def large_builds():
 class TestScratchpad:
     def test_first_note(self):
         ssm = golden_one_track()
-        assert len(ssm.scratchpad[0].notes) == 1
+        assert len(ssm.scratchpad[0]) == 1
 
     def test_unknown_node_rejected(self):
         ssm = golden_one_track()
@@ -318,14 +321,14 @@ class TestScratchpad:
         ssm = golden_one_track()
         ssm.add_note(0, "same text", "find_objects", "q", 0)
         ssm.add_note(0, "same text", "find_objects", "q", 5)
-        texts = [n.text for n in ssm.scratchpad[0].notes]
+        texts = [n.text for n in ssm.scratchpad[0]]
         assert texts.count("same text") == 2
 
     def test_track_creation_creates_entry_atomically(self):
         ssm = SceneMemory.empty("s", 1, [0])
         track = Track(id=0, cloud=PointCloud([(0, 0, 0)]), visual=None,
-                      language=None, caption="c", caption_history=["c"],
-                      visible_frames=[0])
+                      language=None, caption="c", caption_history=("c",),
+                      visible_frames=(0,))
         ssm.create_track(track)
         assert set(ssm.scratchpad) == set(ssm.graph.tracks)
 
@@ -357,7 +360,7 @@ class TestSerialize:
         ssm.frame_memory = append_frame(
             init_frame_memory([0, 5], 1), 0)
         refs = serialize(ssm)[1]
-        assert [fid for fid, _ in refs] == ssm.frame_memory.frames
+        assert tuple(fid for fid, _ in refs) == ssm.frame_memory.frames
 
     def test_refuses_scratchpad_mismatch(self):
         ssm = golden_one_track()
@@ -398,8 +401,8 @@ class TestSerialize:
 
 
 class TestSerializeMatchesReference:
-    """``serialize`` splices memoized fragments; its text must equal a full
-    render by the reference renderer above, whatever the memo holds."""
+    """``serialize`` splices cached rows; its text must equal a full render
+    by the reference renderer above, whatever the cache holds."""
 
     def test_random_memories(self):
         for seed in range(12):
@@ -430,12 +433,14 @@ class TestSerializeMatchesReference:
             assert text == reference_serialize(a.final_memory)
             doc = json.loads(text)
             edited += any(doc[k] != base[k] for k in ("scene_graph", "navigation_log"))
-        # with a missing detector, patches edit tracks and nav entries that
-        # the shared memo already holds fragments of
+        # with a missing detector, patches replace tracks and nav entries
+        # whose rows the cache already holds
         assert edited > 0 or miss_prob == 0.0
         assert serialize(ssm)[0] == reference_serialize(ssm)
 
     def test_in_place_edits_are_never_served_stale(self, large_builds):
+        """Records are replaced, never edited in place: each replacement of
+        a track or nav entry renders the reference bytes at once."""
         _, _, _, built = large_builds(0.0)
         ssm = built.copy()
         serialize(ssm)
@@ -444,38 +449,34 @@ class TestSerializeMatchesReference:
             by_room.setdefault(t.room_id, t)
         moved, target = list(by_room.values())[:2]
         assert moved.room_id != target.room_id
-        # move a track into another room, in place, as build_ssm places tracks
-        moved.cloud = target.cloud
-        ssm.place_track(moved)
+        # move a track into another room, as build_ssm places tracks
+        moved = ssm.place_track(replace(moved, cloud=target.cloud))
         assert moved.room_id == target.room_id
+        ssm.graph.replace_track(moved)
         assert_serializes_like_reference(ssm)
-        # one field at a time, each edited in place
-        moved.room_label = "garage"  # as build_ssm labels rooms
-        assert_serializes_like_reference(ssm)
-        moved.room_id = "floor0/99"
-        assert_serializes_like_reference(ssm)
-        moved.floor_id = "floor9"
-        assert_serializes_like_reference(ssm)
-        moved.caption = "a \"quoted\" caption"
-        assert_serializes_like_reference(ssm)
-        moved.caption_history.append("another caption")
-        assert_serializes_like_reference(ssm)
-        moved.visible_frames.append(next(f for f in ssm.frame_ids
-                                         if f not in moved.visible_frames))
-        assert_serializes_like_reference(ssm)
-        entry = ssm.nav_log[0]
+        # one field at a time, each by a replacement
+        frame = next(f for f in ssm.frame_ids if f not in moved.visible_frames)
+        for field_name, value in (
+                ("room_label", "garage"), ("room_id", "floor0/99"),
+                ("floor_id", "floor9"), ("caption", "a \"quoted\" caption"),
+                ("caption_history", moved.caption_history + ("another caption",)),
+                ("visible_frames", moved.visible_frames + (frame,))):
+            moved = replace(moved, **{field_name: value})
+            ssm.graph.replace_track(moved)
+            assert_serializes_like_reference(ssm)
         for field_name, value in (("room_label", "hall"), ("fov_tag", "new view"),
                                   ("motion_label", "turn_left"),
-                                  ("visible_node_ids", [moved.id])):
-            setattr(entry, field_name, value)
+                                  ("visible_node_ids", (moved.id,))):
+            ssm.nav_log[0] = replace(ssm.nav_log[0], **{field_name: value})
             assert_serializes_like_reference(ssm)
-        # a locator edited, then dropped, in place
+        # a locator changed, then dropped, in a new locator map
         first = ssm.frame_ids[0]
-        ssm.frame_locators[first] = "file:///elsewhere.png"
+        ssm.frame_locators = {**ssm.frame_locators, first: "file:///elsewhere.png"}
         assert_serializes_like_reference(ssm)
-        del ssm.frame_locators[first]
+        ssm.frame_locators = {f: loc for f, loc in ssm.frame_locators.items()
+                              if f != first}
         assert_serializes_like_reference(ssm)
-        # and back: an earlier state renders its earlier bytes
+        # and back: the original memory still renders its own bytes
         assert serialize(built)[0] == reference_serialize(built)
 
     _chars = st.one_of(
@@ -491,14 +492,14 @@ class TestSerializeMatchesReference:
         ssm = SceneMemory.empty("s\"\\", 1, [0, 1])
         ssm.create_track(Track(id=0, cloud=PointCloud([(0.5, -1.0, 2.0)]),
                                visual=None, language=None, caption=captions[0],
-                               caption_history=list(captions), room_label=fov or None,
-                               visible_frames=[0]))
+                               caption_history=tuple(captions), room_label=fov or None,
+                               visible_frames=(0,)))
         ssm.add_note(0, note, "analyze_frame", fov, 1)
-        ssm.nav_log = [NavLogEntry(0, note, fov, "stationary", [0]),
-                       NavLogEntry(1, fov, note, "forward", [])]
+        ssm.nav_log = [NavLogEntry(0, note, fov, "stationary", (0,)),
+                       NavLogEntry(1, fov, note, "forward", ())]
         ssm.frame_memory = init_frame_memory([0, 1], 2)
         assert_serializes_like_reference(ssm)
-        ssm.graph.tracks[0].caption = edit
+        ssm.graph.replace_track(replace(ssm.graph.tracks[0], caption=edit))
         ssm.nav_log[1] = replace(ssm.nav_log[1], fov_tag=edit)
         assert_serializes_like_reference(ssm)
 
@@ -510,8 +511,8 @@ class TestRoundTrip:
         assert ssm.graph.tracks[0].caption == "red mug"
         assert ssm.graph.tracks[0].summary.count == 12
         assert ssm.graph.tracks[0].cloud is None
-        assert ssm.frame_memory.frames == [0, 5]
-        assert ssm.scratchpad[0].notes[0].evidence_frame == 5
+        assert ssm.frame_memory.frames == (0, 5)
+        assert ssm.scratchpad[0][0].evidence_frame == 5
 
     def test_serialize_deserialize_serialize_byte_identical(self):
         for seed in range(20):
@@ -761,9 +762,9 @@ class TestPersistence:
         track = Track(id=0, cloud=PointCloud(pts),
                       visual=Embedding([1.0, 0.0], "visual"),
                       language=Embedding([0.0, 1.0], "language"),
-                      caption="c", caption_history=["c"], visible_frames=[0])
+                      caption="c", caption_history=("c",), visible_frames=(0,))
         ssm.create_track(track)
-        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", [0])]
+        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", (0,))]
         ssm.frame_memory = init_frame_memory([0], 1)
         save_dir(ssm, tmp_path / "mem")
         loaded = load_dir(tmp_path / "mem")
@@ -780,9 +781,9 @@ class TestPersistence:
         track = Track(id=0, cloud=PointCloud([(0, 0, 0)]),
                       visual=Embedding([1.0, 2.0], "visual"),
                       language=Embedding([2.0, 1.0], "language"),
-                      caption="c", caption_history=["c"], visible_frames=[0])
+                      caption="c", caption_history=("c",), visible_frames=(0,))
         ssm.create_track(track)
-        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", [0])]
+        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", (0,))]
         ssm.frame_memory = init_frame_memory([0], 1)
         save_dir(ssm, tmp_path / "m")
         loaded = load_dir(tmp_path / "m")
@@ -799,5 +800,55 @@ class TestCopyIsolation:
         clone = ssm.copy()
         clone.add_note(0, "new", "analyze_frame", "q", 0)
         clone.frame_memory = append_frame(clone.frame_memory, 5)
-        clone.graph.tracks[0].caption_history.append("extra")
+        track = clone.graph.tracks[0]
+        clone.graph.replace_track(replace(track, caption_history=track.caption_history
+                                          + ("extra",)))
         assert serialize(ssm)[0] == before
+
+
+class TestImmutableRecords:
+    """Records are values: edits replace them, copies share them, and the
+    serializer's row cache lives exactly as long as they do."""
+
+    @pytest.mark.parametrize("record", [
+        golden_one_track().graph.tracks[0],
+        golden_one_track().nav_log[0],
+        golden_one_track().frame_memory,
+    ], ids=["Track", "NavLogEntry", "FrameMemory"])
+    def test_every_field_is_frozen(self, record):
+        for f in dataclasses.fields(record):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, f.name, getattr(record, f.name))
+
+    def test_copy_shares_every_record(self, small_build):
+        ssm = small_build[3]
+        clone = ssm.copy()
+        assert clone.graph.tracks is not ssm.graph.tracks
+        assert clone.nav_log is not ssm.nav_log
+        assert clone.scratchpad is not ssm.scratchpad
+        assert ssm.graph.tracks and ssm.nav_log
+        assert all(clone.graph.tracks[tid] is t for tid, t in ssm.graph.tracks.items())
+        assert all(a is b for a, b in zip(clone.nav_log, ssm.nav_log, strict=True))
+
+    def test_row_cache_dies_with_the_lineage(self, small_scene, small_episode):
+        """Once every memory built, copied and patched from one build is
+        dropped, the row cache holds none of their records."""
+        cfg = EngineConfig()
+        backend = ScriptedBackend(small_scene, reasoner=RuleReasoner(), miss_prob=0.6)
+        ssm = build_ssm(small_episode, backend, cfg)
+        queries = [EpisodeQuery(q.question, cfg.max_api_calls, small_scene.scene_id)
+                   for q in generate_questions(small_scene)]
+        batch = run_episode_batch(queries, ssm.copy, small_episode, backend, cfg)
+        memories = [ssm] + [a.final_memory for a in batch.answers]
+        records = {id(r): r for m in memories
+                   for r in [*m.graph.tracks.values(), *m.nav_log]}
+        assert len(records) > len(ssm.graph.tracks) + len(ssm.nav_log)  # patches landed
+        for m in memories:
+            serialize(m)
+        assert all(r in memory_module._ROWS for r in records.values())
+        refs = [weakref.ref(r) for r in records.values()]
+        cached = len(memory_module._ROWS)
+        del ssm, batch, memories, records, m
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        assert len(memory_module._ROWS) <= cached - len(refs)

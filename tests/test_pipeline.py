@@ -34,7 +34,7 @@ class TestBuildSsm:
         assert len(ssm.frame_memory) == min(5, len(episode))
         assert ssm.frame_memory.initial_count == 5
         assert set(ssm.scratchpad) == set(ssm.graph.tracks)
-        assert all(not e.notes for e in ssm.scratchpad.values())
+        assert all(not notes for notes in ssm.scratchpad.values())
         assert ssm.floors is not None and ssm.rooms is not None
 
     def test_tracks_have_rooms_and_floors(self, small_build):
@@ -64,7 +64,7 @@ class TestBuildSsm:
         backend = ScriptedBackend(scene)
         backend.fail("detect", times=2)  # one failure incl. the retry
         ssm = build_ssm(scene.episode(), backend, EngineConfig())
-        assert ssm.nav_log[0].visible_node_ids == []
+        assert ssm.nav_log[0].visible_node_ids == ()
         assert len(ssm.nav_log) == scene.frame_count
         # later frames still recover all objects
         assert track_recall(ssm, scene) == 1.0
@@ -84,7 +84,7 @@ class TestBuildSsm:
         assert small_scene.visible_objects(3)
         ssm = build_ssm(small_scene.episode(), ZeroEmbedding(small_scene),
                         EngineConfig())
-        assert next(e for e in ssm.nav_log if e.frame_id == 3).visible_node_ids == []
+        assert next(e for e in ssm.nav_log if e.frame_id == 3).visible_node_ids == ()
         assert all(3 not in t.visible_frames for t in ssm.graph.tracks.values())
 
     def test_embedding_of_wrong_length_skips_frame(self, small_scene):
@@ -102,7 +102,7 @@ class TestBuildSsm:
         assert small_scene.visible_objects(3)
         ssm = build_ssm(small_scene.episode(), ShortEmbedding(small_scene),
                         EngineConfig())
-        assert next(e for e in ssm.nav_log if e.frame_id == 3).visible_node_ids == []
+        assert next(e for e in ssm.nav_log if e.frame_id == 3).visible_node_ids == ()
         assert all(3 not in t.visible_frames for t in ssm.graph.tracks.values())
 
     def test_self_relation_skips_edge_discovery(self, small_scene, caplog):
@@ -218,8 +218,8 @@ class TestMetrics:
         ghost = Track(id=work.graph.new_track_id(),
                       cloud=PointCloud([(50.0, 50.0, 0.5)]), visual=None,
                       language=None, caption="ghost object",
-                      caption_history=["ghost object"],
-                      visible_frames=[work.frame_ids[0]])
+                      caption_history=("ghost object",),
+                      visible_frames=(work.frame_ids[0],))
         work.create_track(ghost)
         p, r, _, _ = graph_precision_recall(work, scene)
         assert r == 1.0

@@ -335,7 +335,7 @@ class TestBuildNavEntry:
         frame = _keyframe(0, make_pose(0, (0.5, 0.5, 1.4)))
         entry = build_nav_entry(frame, None, None, None, {3, 1}, _FovStub())
         assert entry.motion_label == "stationary"
-        assert entry.visible_node_ids == [1, 3]
+        assert entry.visible_node_ids == (1, 3)
         assert entry.fov_tag == "view 0"
 
     def test_room_lookup_from_camera_position(self):
@@ -355,4 +355,4 @@ class TestBuildNavEntry:
     def test_motion_label_enum_guard(self):
         with pytest.raises(GeometryInputError):
             NavLogEntry(frame_id=0, room_label="x", fov_tag="y",
-                        motion_label="moonwalk", visible_node_ids=[])
+                        motion_label="moonwalk", visible_node_ids=())
