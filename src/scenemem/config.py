@@ -5,6 +5,7 @@ accepts. Every tunable the engine consults lives here."""
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -12,6 +13,18 @@ DEFAULT_ROOM_CLASSES = (
     "kitchen", "bathroom", "bedroom", "living room",
     "hallway", "office", "dining room", "unknown",
 )
+
+_RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0,
+          ">= 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1}
+
+
+def _check(cfg, rule: str, *names: str) -> None:
+    """Raise ValueError for the first named field that is not a finite
+    number obeying ``rule`` (a key of _RULES)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (math.isfinite(value) and _RULES[rule](value)):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass
@@ -32,16 +45,11 @@ class AssociationConfig:
     ema_weight: float = 0.5
 
     def __post_init__(self):
-        for name in ("visual_sim_threshold", "caption_sim_threshold", "overlap_threshold"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not 0.0 < self.ema_weight <= 1.0:
-            raise ValueError("ema_weight must be in (0, 1]")
+        _check(self, "in [0, 1]", "visual_sim_threshold", "caption_sim_threshold",
+               "overlap_threshold", "ema_weight")
+        _check(self, "positive", "ema_weight", "overlap_radius_m")
         if self.min_votes not in (1, 2, 3):
             raise ValueError("min_votes must be 1, 2 or 3")
-        if self.overlap_radius_m <= 0:
-            raise ValueError("overlap_radius_m must be positive")
 
 
 @dataclass
@@ -49,6 +57,10 @@ class GeometryConfig:
     voxel_size_m: float = 0.02
     cluster_eps_m: float = 0.5
     cluster_min_points: int = 5
+
+    def __post_init__(self):
+        _check(self, "positive", "voxel_size_m", "cluster_eps_m")
+        _check(self, ">= 1", "cluster_min_points")
 
 
 @dataclass
@@ -65,6 +77,13 @@ class SpatialConfig:
     forward_threshold_m: float = 0.1
     vertical_threshold_m: float = 0.3
     room_classes: tuple[str, ...] = DEFAULT_ROOM_CLASSES
+
+    def __post_init__(self):
+        _check(self, "positive", "height_bin_m", "grid_cell_m")
+        _check(self, "non-negative", "floor_separation_m", "room_peak_separation_m",
+               "room_seed_min_dist_m", "min_room_area_m2", "fill_unknown_iterations",
+               "wall_height_m", "yaw_threshold_deg", "forward_threshold_m",
+               "vertical_threshold_m")
 
 
 @dataclass
@@ -89,12 +108,12 @@ class EngineConfig:
     def __post_init__(self):
         if self.api_mode not in ("frame", "node", "image"):
             raise ValueError("api_mode must be frame, node or image")
-        if self.initial_frames < 1:
-            raise ValueError("initial_frames must be >= 1")
-        if self.max_api_calls < 0:
-            raise ValueError("max_api_calls must be >= 0")
-        if self.frame_stride < 1:
-            raise ValueError("frame_stride must be >= 1")
+        _check(self, ">= 1", "caption_consolidation_threshold", "edge_discovery_period",
+               "initial_frames", "frame_stride", "embedding_dim",
+               "structure_pixel_stride")
+        _check(self, "non-negative", "max_api_calls")
+        _check(self, "positive", "structure_voxel_m")
+        _check(self, "in [0, 1]", "frame_failure_abort_fraction")
 
 
 _SECTIONS = {
@@ -120,7 +139,9 @@ def load_config(path: str | Path) -> EngineConfig:
 
     Blank lines and ``#`` comments are ignored. Keys are either top-level
     EngineConfig fields or ``section.field`` for the association, geometry
-    and spatial sub-configs. Unknown keys raise ValueError.
+    and spatial sub-configs. Unknown keys, unparsable values and values
+    their section's validator refuses raise ValueError naming
+    ``path:line``.
     """
     cfg = EngineConfig()
     text = Path(path).read_text(encoding="utf-8")
@@ -143,10 +164,11 @@ def load_config(path: str | Path) -> EngineConfig:
             raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
         current = getattr(target, fname)
         typ = type(current) if not isinstance(current, tuple) else tuple
-        setattr(target, fname, _coerce(value, typ))
-    # re-run validation
-    AssociationConfig.__post_init__(cfg.association)
-    EngineConfig.__post_init__(cfg)
+        try:
+            setattr(target, fname, _coerce(value, typ))
+            target.__post_init__()
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return cfg
 
 

@@ -41,7 +41,7 @@ class BuildError(RuntimeError):
 
 def _structure_cloud(episode: Episode, cfg: EngineConfig) -> PointCloud:
     """Coarse cloud of everything seen, for floor-plan occupancy."""
-    stride = max(1, cfg.structure_pixel_stride)
+    stride = cfg.structure_pixel_stride
     masks: dict[tuple[int, int], PixelMask] = {}  # one strided mask per frame size
     clouds = []
     for frame in episode.frames:

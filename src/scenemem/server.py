@@ -103,12 +103,12 @@ def serve_dir(path: str | Path, host: str = "127.0.0.1", port: int = 8008) -> No
     report_file = path / "metrics.json"
     if report_file.exists():
         report = json.loads(report_file.read_text(encoding="utf-8"))
-    server = make_server(ssm, host, port, report)
-    print(f"serving memory for scene '{ssm.scene_id}' on http://{host}:{port}")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.shutdown()
+    with make_server(ssm, host, port, report) as server:
+        print(f"serving memory for scene '{ssm.scene_id}' on http://{host}:{port}")
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
 
 
 def start_background(ssm: SceneMemory, host: str = "127.0.0.1",

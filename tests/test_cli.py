@@ -4,7 +4,9 @@ service, exercised end to end on a small synthetic scene."""
 from __future__ import annotations
 
 import json
+import re
 import urllib.request
+from contextlib import contextmanager
 
 import pytest
 
@@ -103,14 +105,23 @@ class TestInspectCommand:
         assert len(ssm.graph.tracks) == 4
 
 
+@contextmanager
+def serving(ssm):
+    """The inspection service on an ephemeral port; yields (host, port) and
+    closes the listening socket afterwards."""
+    server, _ = start_background(ssm)
+    with server:
+        try:
+            yield server.server_address
+        finally:
+            server.shutdown()
+
+
 class TestServe:
     def test_endpoints(self, workspace):
         _, _, mem_dir = workspace
         ssm = load_dir(mem_dir)
-        server, thread = start_background(ssm)
-        try:
-            host, port = server.server_address
-
+        with serving(ssm) as (host, port):
             def get(path):
                 with urllib.request.urlopen(f"http://{host}:{port}{path}") as r:
                     return r.status, json.loads(r.read().decode())
@@ -135,28 +146,21 @@ class TestServe:
 
             with pytest.raises(urllib.error.HTTPError) as err:
                 get("/tracks/999")
-            assert err.value.code == 404
-        finally:
-            server.shutdown()
+            with err.value:
+                assert err.value.code == 404
 
     def test_unknown_path_404(self, workspace):
         _, _, mem_dir = workspace
-        server, _ = start_background(load_dir(mem_dir))
-        try:
-            host, port = server.server_address
+        with serving(load_dir(mem_dir)) as (host, port):
             with pytest.raises(urllib.error.HTTPError) as err:
                 urllib.request.urlopen(f"http://{host}:{port}/nope")
-            assert err.value.code == 404
-        finally:
-            server.shutdown()
+            with err.value:
+                assert err.value.code == 404
 
     def test_query_string_ignored_in_routing(self, workspace):
         _, _, mem_dir = workspace
         ssm = load_dir(mem_dir)
-        server, _ = start_background(ssm)
-        try:
-            host, port = server.server_address
-
+        with serving(ssm) as (host, port):
             def get(path):
                 with urllib.request.urlopen(f"http://{host}:{port}{path}") as r:
                     return r.status, r.read().decode()
@@ -167,8 +171,6 @@ class TestServe:
             assert status == 200
             assert json.loads(body)["id"] == tid
             assert get("/navlog/?a=b#frag") == get("/navlog")
-        finally:
-            server.shutdown()
 
 
 class TestConfigFile:
@@ -211,6 +213,25 @@ class TestConfigFile:
         path = tmp_path / "engine.cfg"
         path.write_text("association.min_votes = 9\n")
         with pytest.raises(ValueError):
+            load_config(path)
+
+    @pytest.mark.parametrize("line", [
+        "edge_discovery_period = 0",      # was ZeroDivisionError mid-build
+        "spatial.grid_cell_m = 0",        # was a NaN cast mid-build
+        "embedding_dim = 0",              # was a failure inside the build
+        "initial_frames = 1.5",           # was a ValueError without path:line
+        "structure_pixel_stride = 0",
+        "geometry.voxel_size_m = nan",
+        "geometry.cluster_min_points = 0",
+        "spatial.fill_unknown_iterations = -1",
+        "association.overlap_radius_m = inf",
+        "frame_failure_abort_fraction = 1.5",
+    ])
+    def test_bad_value_fails_at_load_naming_its_line(self, tmp_path, line):
+        path = tmp_path / "engine.cfg"
+        path.write_text(f"# tuning\n{line}\n")
+        key = line.split("=")[0].strip()
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: {key}: ")):
             load_config(path)
 
     def test_cli_consumes_config(self, workspace, tmp_path, capsys):

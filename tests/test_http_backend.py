@@ -64,6 +64,7 @@ def protocol_server(small_scene):
     yield factory
     for server in servers:
         server.shutdown()
+        server.server_close()
 
 
 class TestHttpBackend:
