@@ -324,7 +324,8 @@ def _nav_row(e: NavLogEntry) -> list:
             sorted(e.visible_node_ids)]
 
 
-# rendered row per immutable record; an entry dies with its record
+# rendered row per immutable record; an entry dies with its record. Two
+# threads serializing one record at once at worst render it twice, alike.
 _ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
