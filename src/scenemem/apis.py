@@ -279,12 +279,12 @@ def _associate_detections(work: SceneMemory, detections: list[Detection],
     for di, det in enumerate(detections):
         target = matching[di]
         if target is None:
-            track = work.create_track(work.place_track(Track(
-                id=work.graph.new_track_id(), cloud=det.cloud, visual=det.visual,
+            target = work.graph.new_track_id()
+            work.graph.insert_track(work.place_track(Track(
+                id=target, cloud=det.cloud, visual=det.visual,
                 language=det.language, caption=det.caption,
                 caption_history=(det.caption,), visible_frames=(det.frame_id,))))
-            created.append(track.id)
-            target = track.id
+            created.append(target)
         else:
             work.graph.replace_track(merge_detection(
                 work.graph.tracks[target], det, cfg.association,
@@ -331,7 +331,7 @@ def apply_patch(ssm: SceneMemory, patch: Patch,
     """Integrate a patch atomically.
 
     In order: (1) detections associate against current tracks (merge at
-    >= min_votes votes, else new track with its scratchpad entry),
+    >= min_votes votes, else new track),
     (2) edges validated and inserted, (3) notes resolved and appended,
     (4) the patched frame enters frame memory, (5) the frame's nav-log
     entry gains the landed node ids. Either every effect lands or — on any
@@ -343,7 +343,7 @@ def apply_patch(ssm: SceneMemory, patch: Patch,
     if patch.failure is not None:
         report.failure = patch.failure
         return ssm, report
-    if patch.provenance.frame_id not in set(ssm.frame_ids):
+    if patch.provenance.frame_id not in ssm.frame_ids:
         report.failure = f"frame {patch.provenance.frame_id} not in episode"
         return ssm, report
     work = ssm.copy()

@@ -12,6 +12,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -31,16 +32,17 @@ from .synth import (SyntheticScene, generate_questions, generate_scene,
 
 
 def _engine_config(args) -> EngineConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else EngineConfig()
-    if getattr(args, "k", None) is not None:
-        cfg.frame_stride = args.k
-    if getattr(args, "n_img", None) is not None:
-        cfg.initial_frames = args.n_img
-    if getattr(args, "m", None) is not None:
-        cfg.max_api_calls = args.m
-    if getattr(args, "api", None) is not None:
-        cfg.api_mode = args.api
-    return cfg
+    """The config file (or the defaults) with the flags applied; a refused
+    value exits with one line naming its field, before any input is read."""
+    flags = {"k": "frame_stride", "n_img": "initial_frames", "m": "max_api_calls",
+             "api": "api_mode"}
+    overrides = {name: getattr(args, dest) for dest, name in flags.items()
+                 if getattr(args, dest, None) is not None}
+    try:
+        cfg = load_config(args.config) if getattr(args, "config", None) else EngineConfig()
+        return dataclasses.replace(cfg, **overrides)
+    except ValueError as exc:
+        raise SystemExit(f"scenemem: {exc}") from None
 
 
 def _backend(args, cfg: EngineConfig) -> Backend:

@@ -159,6 +159,8 @@ class Track:
     summary: CloudSummary | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "caption_history", tuple(self.caption_history))
+        object.__setattr__(self, "visible_frames", tuple(self.visible_frames))
         if not self.visible_frames:
             raise GraphError("track must be visible in at least one frame")
         if len(set(self.visible_frames)) != len(self.visible_frames):

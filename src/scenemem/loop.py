@@ -100,10 +100,9 @@ def validate_evidence(evidence_frames, evidence_notes, ssm: SceneMemory) -> list
         if fid not in ssm.frame_memory:
             violations.append(f"frame {fid} is not in the frame memory")
     for node_id, note_idx in evidence_notes:
-        notes = ssm.scratchpad.get(node_id)
-        if notes is None:
+        if node_id not in ssm.graph.tracks:
             violations.append(f"note cites unknown node {node_id}")
-        elif not 0 <= note_idx < len(notes):
+        elif not 0 <= note_idx < len(ssm.scratchpad.get(node_id, ())):
             violations.append(
                 f"note index {note_idx} out of range for node {node_id}")
     return violations

@@ -2,16 +2,18 @@
 
 A SceneMemory bundles the scene graph, the per-node scratchpad, the frame
 memory and the navigation log, plus episode metadata. It serializes to a
-canonical JSON form, layout version 2 (``docs/memory_format.md``): object
+canonical JSON form, layout version 3 (``docs/memory_format.md``): object
 keys sorted, floats rendered with exactly 4 decimal places, point clouds
 summarized as (centroid, axis-aligned extent, point count). Each record
 list (tracks, relation edges, navigation log) is a table, one ``columns``
 header plus one ``rows`` array per record, in a fixed column order, so key
 names are written once per list rather than once per record. The
 scratchpad stays grouped by node, because evidence cites per-node note
-indices. Equal memories produce byte-identical text, which is what
-golden-file tests and the record/replay harness rely on. The same text is
-the reasoner's prompt and the persisted ``ssm.json``.
+indices, and lists only the nodes that have notes. Each fact is written
+once: the episode's keyframes, in order, are the navigation log's
+``frame_id`` column. Equal memories produce byte-identical text, which is
+what golden-file tests and the record/replay harness rely on. The same text
+is the reasoner's prompt and the persisted ``ssm.json``.
 
 The memory's records (tracks, navigation-log entries, notes, the frame
 memory) are immutable values: an edit replaces a record, never changes it.
@@ -56,7 +58,7 @@ from .spatial import MOTION_LABELS, FloorModel, NavLogEntry, RoomModel
 
 SOURCE_APIS = ("find_objects", "analyze_objects", "analyze_frame")
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # the fixed column order of each table in the serialized form
 TRACK_COLUMNS = ("id", "caption", "caption_history", "room_id", "room_label",
                  "floor_id", "visible_frames", "centroid", "extent", "points")
@@ -98,18 +100,16 @@ class Note:
 class FrameMemory:
     """Ordered, duplicate-free set of keyframe ids available to the
     reasoner. Starts as the evenly spaced initial selection and only ever
-    grows (no eviction)."""
+    grows (no eviction). That its frames belong to the episode is checked
+    by ``SceneMemory.validate``."""
 
     frames: tuple[int, ...]
     initial_count: int
-    episode_ids: frozenset[int]
 
     def __post_init__(self):
+        object.__setattr__(self, "frames", tuple(self.frames))
         if len(set(self.frames)) != len(self.frames):
             raise MemoryError_("frame memory contains duplicates")
-        unknown = [f for f in self.frames if f not in self.episode_ids]
-        if unknown:
-            raise MemoryError_(f"frame {unknown[0]} not part of the episode")
 
     def __contains__(self, frame_id: int) -> bool:
         return frame_id in self.frames
@@ -140,16 +140,14 @@ def init_frame_memory(episode_frame_ids: list[int], n_img: int) -> FrameMemory:
         fid = ids[min(p, n - 1)]
         if fid not in chosen:
             chosen.append(fid)
-    return FrameMemory(tuple(chosen), n_img, frozenset(ids))
+    return FrameMemory(tuple(chosen), n_img)
 
 
 def append_frame(fm: FrameMemory, frame_id: int) -> FrameMemory:
     """Grow the frame memory by one id (no-op when already present)."""
-    if frame_id not in fm.episode_ids:
-        raise MemoryError_(f"frame {frame_id} not part of the episode")
     if frame_id in fm.frames:
         return fm
-    return FrameMemory(fm.frames + (frame_id,), fm.initial_count, fm.episode_ids)
+    return FrameMemory(fm.frames + (frame_id,), fm.initial_count)
 
 
 @dataclass
@@ -158,7 +156,8 @@ class SceneMemory:
 
     The containers (track dict, edge list, scratchpad dict, nav log list)
     are edited by replacing their immutable records; ``copy`` shares every
-    record with the original. The scratchpad maps each node id to its notes.
+    record with the original. The scratchpad maps each node id that has
+    notes to its notes; a node without notes has no entry.
     ``frame_locators`` is never edited after construction, so copies share
     it too. ``floors``/``rooms`` are construction-time models kept for
     patch-time room lookup; they are transient (not serialized).
@@ -181,26 +180,19 @@ class SceneMemory:
         locators = dict(frame_locators or {})
         for fid in frame_ids:
             locators.setdefault(fid, f"frame://{scene_id}/{fid}")
-        fm = FrameMemory((), 0, frozenset(frame_ids))
-        return cls(graph=SceneGraph(), scratchpad={}, frame_memory=fm,
+        return cls(graph=SceneGraph(), scratchpad={}, frame_memory=FrameMemory((), 0),
                    nav_log=[], scene_id=scene_id, stride=stride,
                    frame_ids=tuple(frame_ids), frame_locators=locators)
 
-    # -- mutation helpers (keep graph and scratchpad in lockstep) --
-
-    def create_track(self, track: Track) -> Track:
-        """Insert a track and its scratchpad entry atomically."""
-        self.graph.insert_track(track)
-        self.scratchpad[track.id] = ()
-        return track
-
     def add_note(self, node_id: int, text: str, source_api: str, query: str,
                  evidence_frame: int) -> None:
-        """Append one provenance-carrying note; notes are append-only."""
-        if node_id not in self.scratchpad:
+        """Append one provenance-carrying note to a live track; notes are
+        append-only, and a node's entry starts with its first note."""
+        if node_id not in self.graph.tracks:
             raise MemoryError_(f"unknown node id {node_id}")
-        self.scratchpad[node_id] += (Note(text=text, source_api=source_api,
-                                          query=query, evidence_frame=evidence_frame),)
+        self.scratchpad[node_id] = self.scratchpad.get(node_id, ()) + (
+            Note(text=text, source_api=source_api, query=query,
+                 evidence_frame=evidence_frame),)
 
     def place_track(self, track: Track) -> Track:
         """The track with its floor, room and room label set from its cloud
@@ -221,9 +213,10 @@ class SceneMemory:
     def validate(self) -> None:
         """Raise SerializationError when a cross-structure invariant is
         broken."""
-        if set(self.scratchpad) != set(self.graph.tracks):
-            raise SerializationError("scratchpad node set differs from graph node set")
-        live = set(self.graph.tracks)
+        live = self.graph.tracks
+        for nid, notes in self.scratchpad.items():
+            if nid not in live or not notes:
+                raise SerializationError(f"scratchpad entry {nid} is empty or dead")
         for e in self.graph.edges:
             if e.subject_id not in live or e.object_id not in live:
                 raise SerializationError(f"edge references dead track: {e.key()}")
@@ -236,6 +229,8 @@ class SceneMemory:
                 raise SerializationError(f"locator for frame {f} outside episode")
         if tuple(e.frame_id for e in self.nav_log) != self.frame_ids:
             raise SerializationError("navigation log does not cover the episode keyframes")
+        if len(episode) != len(self.frame_ids):
+            raise SerializationError("episode repeats a keyframe")
         for entry in self.nav_log:
             for nid in entry.visible_node_ids:
                 if nid not in live:
@@ -352,7 +347,7 @@ def table_records(table: dict) -> list[dict]:
 
 def _locators_doc(ssm: SceneMemory) -> dict:
     """Each keyframe's locator as a common prefix plus a suffix aligned with
-    ``frame_ids``; null for a frame without one."""
+    the navigation-log rows; null for a frame without one."""
     locators = [ssm.frame_locators.get(fid) for fid in ssm.frame_ids]
     prefix = os.path.commonprefix([loc for loc in locators if loc is not None])
     return {"prefix": prefix,
@@ -386,7 +381,6 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
         "episode": {
             "scene_id": ssm.scene_id,
             "stride": ssm.stride,
-            "frame_ids": ssm.frame_ids,
             "frame_locators": _locators_doc(ssm),
             "frame_memory": {"frames": ssm.frame_memory.frames,
                              "initial_count": ssm.frame_memory.initial_count},
@@ -439,10 +433,11 @@ def _table_records(doc, key, columns, path) -> list[dict]:
 
 
 def deserialize(text: str) -> SceneMemory:
-    """Rebuild a geometry-light memory from canonical JSON (version 2).
+    """Rebuild a geometry-light memory from canonical JSON (version 3).
 
     All structures are restored except raw point clouds and embeddings:
-    tracks carry only their persisted cloud summaries. Invariants are
+    tracks carry only their persisted cloud summaries. The episode's
+    keyframes are the navigation-log rows' frame ids. Invariants are
     re-validated; violations raise ParseError naming the offending path.
     """
     try:
@@ -459,13 +454,19 @@ def deserialize(text: str) -> SceneMemory:
     ep = _expect(doc, "episode", dict, "$")
     scene_id = _expect(ep, "scene_id", str, "$.episode")
     stride = _expect(ep, "stride", int, "$.episode")
-    frame_ids = _ints(ep, "frame_ids", "$.episode")
+    nav_rows = _table_records(doc, "navigation_log", NAV_COLUMNS, "$")
+    frame_ids = tuple(_expect(nd, "frame_id", int, f"$.navigation_log.rows[{i}]")
+                      for i, nd in enumerate(nav_rows))
+    episode_set = set(frame_ids)
+    if len(episode_set) < len(frame_ids):
+        i = next(i for i, fid in enumerate(frame_ids) if fid in frame_ids[:i])
+        raise ParseError(f"$.navigation_log.rows[{i}].frame_id", "repeated keyframe")
     loc_doc = _expect(ep, "frame_locators", dict, "$.episode")
     prefix = _expect(loc_doc, "prefix", str, "$.episode.frame_locators")
     suffixes = _expect(loc_doc, "suffixes", list, "$.episode.frame_locators")
     if len(suffixes) != len(frame_ids):
         raise ParseError("$.episode.frame_locators.suffixes",
-                         f"{len(suffixes)} entries for {len(frame_ids)} frame_ids")
+                         f"{len(suffixes)} entries for {len(frame_ids)} keyframes")
     locators: dict[int, str] = {}
     for i, (fid, suffix) in enumerate(zip(frame_ids, suffixes)):
         if suffix is None:
@@ -477,13 +478,12 @@ def deserialize(text: str) -> SceneMemory:
     fm_doc = _expect(ep, "frame_memory", dict, "$.episode")
     fm_frames = _ints(fm_doc, "frames", "$.episode.frame_memory")
     fm_initial = _expect(fm_doc, "initial_count", int, "$.episode.frame_memory")
-    episode_set = set(frame_ids)
     for i, fid in enumerate(fm_frames):
         if fid not in episode_set:
             raise ParseError(f"$.episode.frame_memory.frames[{i}]",
                              f"frame {fid} not in episode")
     try:
-        frame_memory = FrameMemory(fm_frames, fm_initial, frozenset(frame_ids))
+        frame_memory = FrameMemory(fm_frames, fm_initial)
     except MemoryError_ as exc:
         raise ParseError("$.episode.frame_memory", str(exc)) from None
 
@@ -509,7 +509,7 @@ def deserialize(text: str) -> SceneMemory:
                                    count=_expect(td, "points", int, path))
         try:
             track = Track(id=tid, cloud=None, visual=None, language=None,
-                          caption=caption, caption_history=tuple(history),
+                          caption=caption, caption_history=history,
                           room_id=_opt_str(td, "room_id", path),
                           floor_id=_opt_str(td, "floor_id", path),
                           room_label=_opt_str(td, "room_label", path),
@@ -543,8 +543,11 @@ def deserialize(text: str) -> SceneMemory:
             raise ParseError(f"{path}.node_id", f"unknown track {nid}")
         if nid in scratchpad:
             raise ParseError(f"{path}.node_id", f"duplicate entry for node {nid}")
+        note_docs = _expect(pd, "notes", list, path)
+        if not note_docs:
+            raise ParseError(f"{path}.notes", "expected at least one note")
         notes = []
-        for j, nd in enumerate(_expect(pd, "notes", list, path)):
+        for j, nd in enumerate(note_docs):
             npath = f"{path}.notes[{j}]"
             try:
                 notes.append(Note(text=_expect(nd, "text", str, npath),
@@ -554,11 +557,9 @@ def deserialize(text: str) -> SceneMemory:
             except MemoryError_ as exc:
                 raise ParseError(npath, str(exc)) from None
         scratchpad[nid] = tuple(notes)
-    if set(scratchpad) != set(graph.tracks):
-        raise ParseError("$.scratchpad", "node set differs from scene_graph.tracks")
 
     nav_log: list[NavLogEntry] = []
-    for i, nd in enumerate(_table_records(doc, "navigation_log", NAV_COLUMNS, "$")):
+    for i, nd in enumerate(nav_rows):
         path = f"$.navigation_log.rows[{i}]"
         motion = _expect(nd, "motion_label", str, path)
         if motion not in MOTION_LABELS:
@@ -568,13 +569,11 @@ def deserialize(text: str) -> SceneMemory:
             if nid not in graph.tracks:
                 raise ParseError(f"{path}.visible_node_ids[{j}]", f"unknown track {nid}")
         nav_log.append(NavLogEntry(
-            frame_id=_expect(nd, "frame_id", int, path),
+            frame_id=nd["frame_id"],
             room_label=_expect(nd, "room_label", str, path),
             fov_tag=_expect(nd, "fov_tag", str, path),
             motion_label=motion,
             visible_node_ids=visible))
-    if tuple(e.frame_id for e in nav_log) != frame_ids:
-        raise ParseError("$.navigation_log", "entries do not cover episode frame_ids")
 
     return SceneMemory(graph=graph, scratchpad=scratchpad, frame_memory=frame_memory,
                        nav_log=nav_log, scene_id=scene_id, stride=stride,

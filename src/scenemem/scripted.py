@@ -272,12 +272,8 @@ def _auto_evidence(payload: dict) -> tuple[list[int], list[list[int]]]:
     """First frame-memory frame + first existing scratchpad note, if any."""
     memory = json.loads(payload["memory_json"])
     frames = memory["episode"]["frame_memory"]["frames"][:1]
-    notes: list[list[int]] = []
-    for entry in memory["scratchpad"]:
-        if entry["notes"]:
-            notes = [[entry["node_id"], 0]]
-            break
-    return frames, notes
+    pad = memory["scratchpad"]  # only nodes with notes have an entry
+    return frames, [[pad[0]["node_id"], 0]] if pad else []
 
 
 class ScriptReasoner:
@@ -446,7 +442,7 @@ class RuleReasoner:
 
     @staticmethod
     def _next_frame(tried: list[int], memory: dict, focus_ids: list[int]) -> int:
-        episode_frames = memory["episode"]["frame_ids"]
+        episode_frames = [e["frame_id"] for e in memory["navigation_log"]]
         tracks = {t["id"]: t for t in memory["scene_graph"]["tracks"]}
         preferred: list[int] = []
         for nid in focus_ids:

@@ -161,6 +161,7 @@ class NavLogEntry:
     visible_node_ids: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "visible_node_ids", tuple(self.visible_node_ids))
         if self.motion_label not in MOTION_LABELS:
             raise GeometryInputError(f"unknown motion label '{self.motion_label}'")
 

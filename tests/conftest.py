@@ -17,6 +17,12 @@ def rng(seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def assert_scratchpad_invariant(ssm) -> None:
+    """The scratchpad lists only live tracks, each with at least one note."""
+    assert set(ssm.scratchpad) <= set(ssm.graph.tracks)
+    assert all(ssm.scratchpad.values())
+
+
 def make_pose(yaw_deg: float = 0.0, position=(0.0, 0.0, 0.0), pitch_deg: float = 0.0):
     """Camera pose: +z optical axis at the given world yaw (0 = +x), x right,
     y down, optionally pitched (positive pitch looks down)."""

@@ -17,6 +17,8 @@ from scenemem.spatial import NavLogEntry
 
 import scenemem.apis as apis_module
 
+from conftest import assert_scratchpad_invariant
+
 
 @pytest.fixture()
 def workbench(small_build):
@@ -187,7 +189,7 @@ class TestAnalyzeFrame:
         drop = next(tid for tid, t in work.graph.tracks.items()
                     if t.caption == target_caption)
         del work.graph.tracks[drop]
-        del work.scratchpad[drop]
+        work.scratchpad.pop(drop, None)
         work.graph.edges = [e for e in work.graph.edges
                             if drop not in (e.subject_id, e.object_id)]
         work.nav_log = [e.__class__(**{**e.__dict__,
@@ -276,7 +278,7 @@ class TestApplyPatch:
         fid = _frame_showing(scene, 2)
         drop = next(t for t, tr in work.graph.tracks.items() if tr.caption == caption)
         del work.graph.tracks[drop]
-        del work.scratchpad[drop]
+        work.scratchpad.pop(drop, None)
         work.graph.edges = [e for e in work.graph.edges
                             if drop not in (e.subject_id, e.object_id)]
         work.nav_log = [replace(e, visible_node_ids=tuple(
@@ -288,7 +290,7 @@ class TestApplyPatch:
         assert len(updated.graph.tracks) == before + len(report.created)
         assert len(report.created) == 1
 
-    def test_scratchpad_graph_node_sets_stay_equal(self, workbench):
+    def test_scratchpad_lists_only_live_nodes_with_notes(self, workbench):
         scene, _, _, executor, ssm = workbench
         current = ssm.copy()
         cfg = EngineConfig()
@@ -296,7 +298,8 @@ class TestApplyPatch:
             patch = executor.execute(
                 ApiCall("analyze_frame", fid, "describe all objects"), current)
             current, _ = apply_patch(current, patch, cfg)
-            assert set(current.scratchpad) == set(current.graph.tracks)
+            assert_scratchpad_invariant(current)
+        assert current.scratchpad
 
     def test_nav_log_gains_landed_ids(self, workbench):
         scene, _, _, executor, ssm = workbench
@@ -305,7 +308,7 @@ class TestApplyPatch:
         fid = _frame_showing(scene, 0)
         drop = next(t for t, tr in work.graph.tracks.items() if tr.caption == caption)
         del work.graph.tracks[drop]
-        del work.scratchpad[drop]
+        work.scratchpad.pop(drop, None)
         work.graph.edges = [e for e in work.graph.edges
                             if drop not in (e.subject_id, e.object_id)]
         work.nav_log = [replace(e, visible_node_ids=tuple(
@@ -327,7 +330,7 @@ class TestApplyPatch:
         drop = next(t for t, tr in work.graph.tracks.items()
                     if tr.caption == obj.caption)
         dropped = work.graph.tracks.pop(drop)
-        del work.scratchpad[drop]
+        work.scratchpad.pop(drop, None)
         work.graph.edges = [e for e in work.graph.edges
                             if drop not in (e.subject_id, e.object_id)]
         work.nav_log = [replace(e, visible_node_ids=tuple(
@@ -342,11 +345,16 @@ class TestApplyPatch:
         assert created.room_label == scene.room_label_of(obj)
 
     def test_provenance_frame_outside_episode_rejected(self, workbench):
+        """apply_patch keeps frames outside the episode out of the frame
+        memory (append_frame itself does not know the episode)."""
         _, _, _, _, ssm = workbench
         patch = Patch(provenance=ApiCall("analyze_frame", 987, "x"))
+        before = serialize(ssm)[0]
         updated, report = apply_patch(ssm, patch, EngineConfig())
         assert updated is ssm
-        assert report.failure is not None
+        assert report.failure == "frame 987 not in episode"
+        assert 987 not in updated.frame_memory
+        assert serialize(ssm)[0] == before
 
     def test_failed_patch_is_a_no_op(self, workbench):
         _, _, _, _, ssm = workbench
@@ -440,6 +448,7 @@ class TestApplyPatch:
                 assert updated is ssm
             else:
                 updated.validate()
+            assert_scratchpad_invariant(updated)
             assert serialize(ssm)[0] == baseline
 
         run()

@@ -411,8 +411,8 @@ class TestScriptReasoner:
 
     def test_auto_evidence_resolution(self):
         memory = {"episode": {"frame_memory": {"frames": [7, 9]}},
-                  "scratchpad": [{"node_id": 3, "notes": []},
-                                 {"node_id": 5, "notes": [{"text": "x"}]}]}
+                  "scratchpad": [{"node_id": 5, "notes": [{"text": "x"}]},
+                                 {"node_id": 6, "notes": [{"text": "y"}]}]}
         reasoner = ScriptReasoner(scripts={"q": [
             {"final_answer": "a", "evidence": "auto"}]})
         out = reasoner.decide({"question": "q",

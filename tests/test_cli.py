@@ -96,6 +96,31 @@ class TestEvalCommand:
         assert err.value.code == 2
 
 
+class TestFlagValidation:
+    """A flag value the config refuses ends the command with one line
+    naming the field, before any input is read and without output. The
+    input paths do not exist: reading one first would raise
+    FileNotFoundError instead."""
+
+    @pytest.mark.parametrize("command,flags,message", [
+        ("build", ["--n-img", "0"], "initial_frames must be >= 1, got 0"),
+        ("build", ["--k", "0"], "frame_stride must be >= 1, got 0"),
+        ("eval", ["--m", "-1"], "max_api_calls must be non-negative, got -1"),
+        ("eval", ["--n-img", "-3"], "initial_frames must be >= 1, got -3"),
+    ])
+    def test_bad_value_exits_before_reading_input(self, tmp_path, command, flags,
+                                                  message):
+        missing = tmp_path / "missing"
+        out = tmp_path / "out"
+        inputs = (["--dataset", str(missing / "manifest.jsonl"),
+                   "--scripted", str(missing / "truth.json")]
+                  if command == "build" else ["--scene", str(missing / "truth.json")])
+        with pytest.raises(SystemExit) as err:
+            main([command, *inputs, *flags, "--out", str(out)])
+        assert err.value.code == f"scenemem: {message}"
+        assert not out.exists()
+
+
 class TestInspectCommand:
     def test_dumps_canonical_json(self, workspace, capsys):
         _, _, mem_dir = workspace

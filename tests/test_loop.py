@@ -56,7 +56,7 @@ class ReferenceRuleReasoner(RuleReasoner):
         for nid in focus_ids:
             if nid in tracks:
                 preferred.extend(tracks[nid]["visible_frames"])
-        candidates = preferred + memory["episode"]["frame_ids"]
+        candidates = preferred + [e["frame_id"] for e in memory["navigation_log"]]
         for fid in candidates:
             if fid not in tried:
                 tried.append(fid)
@@ -174,6 +174,17 @@ class TestEvidenceValidation:
         _, _, _, ssm = small_build
         violations = validate_evidence([], [], ssm)
         assert len(violations) == 2
+
+    def test_violation_texts(self, small_build):
+        """A live node without notes gets the index text, not the
+        unknown-node text, although it has no scratchpad entry."""
+        _, _, _, ssm = small_build
+        nid = sorted(ssm.graph.tracks)[0]
+        assert nid not in ssm.scratchpad
+        fid = ssm.frame_memory.frames[0]
+        assert validate_evidence([fid], [(nid, 0), (31337, 0)], ssm) == [
+            f"note index 0 out of range for node {nid}",
+            "note cites unknown node 31337"]
 
     def test_valid_dual_evidence_passes(self, small_build):
         _, _, _, ssm = small_build

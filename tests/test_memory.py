@@ -30,7 +30,7 @@ from scenemem.memory import MemoryError_, ParseError, SerializationError
 from scenemem.spatial import NavLogEntry
 from scenemem.synth import generate_questions
 
-from conftest import rng
+from conftest import assert_scratchpad_invariant, rng
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -89,10 +89,6 @@ class TestAppendFrame:
         fm = self._fm()
         assert append_frame(fm, fm.frames[0]) is fm
 
-    def test_unknown_frame_rejected(self):
-        with pytest.raises(MemoryError_):
-            append_frame(self._fm(), 99)
-
     def test_no_eviction_over_many_appends(self):
         fm = init_frame_memory(list(range(60)), 3)
         initial = len(fm)
@@ -122,7 +118,7 @@ def golden_one_track() -> SceneMemory:
                   visible_frames=(0, 5),
                   summary=CloudSummary(centroid=(0.25, -1.5, 0.75),
                                        extent=(0.1, 0.2, 0.3), count=12))
-    ssm.create_track(track)
+    ssm.graph.insert_track(track)
     ssm.add_note(0, "handle chipped on the left side", "analyze_objects",
                  "inspect the mug", 5)
     ssm.nav_log = [
@@ -161,7 +157,7 @@ def random_ssm(seed: int) -> SceneMemory:
                       room_label=str(g.choice(["kitchen", "office"]))
                       if g.random() < 0.5 else None,
                       visible_frames=visible, summary=summary)
-        ssm.create_track(track)
+        ssm.graph.insert_track(track)
         for _ in range(int(g.integers(0, 3))):
             ssm.add_note(tid, f"note {int(g.integers(0, 1000))}", "analyze_frame",
                          "query text", int(g.choice(frame_ids)))
@@ -214,8 +210,10 @@ def _reference_dumps(doc) -> str:
 
 
 def reference_serialize(ssm: SceneMemory) -> str:
-    """The documented version-2 layout rendered in full, with no memo: the
-    whole document built as one dict, then ``json.dumps``."""
+    """The documented version-3 layout rendered in full, with no memo: the
+    whole document built as one dict, then ``json.dumps``. The keyframes
+    are the navigation-log rows, and only nodes with notes get a
+    scratchpad entry."""
     ssm.validate()
     rows = []
     for tid in sorted(ssm.graph.tracks):
@@ -235,7 +233,7 @@ def reference_serialize(ssm: SceneMemory) -> str:
                      centroid, extent, points])
     edges = sorted(ssm.graph.edges,
                    key=lambda e: (e.subject_id, e.object_id, e.relation, e.source_frame))
-    locs = [ssm.frame_locators.get(fid) for fid in ssm.frame_ids]
+    locs = [ssm.frame_locators.get(e.frame_id) for e in ssm.nav_log]
     present = [loc for loc in locs if loc is not None]
     prefix = ""
     if present:
@@ -245,11 +243,10 @@ def reference_serialize(ssm: SceneMemory) -> str:
         prefix = lo[:next((i for i, (a, b) in enumerate(zip(lo, hi)) if a != b),
                           len(lo))]
     doc = {
-        "version": 2,
+        "version": 3,
         "episode": {
             "scene_id": ssm.scene_id,
             "stride": ssm.stride,
-            "frame_ids": list(ssm.frame_ids),
             "frame_locators": {"prefix": prefix,
                                "suffixes": [None if loc is None else loc[len(prefix):]
                                             for loc in locs]},
@@ -269,7 +266,7 @@ def reference_serialize(ssm: SceneMemory) -> str:
                         "notes": [{"text": n.text, "source_api": n.source_api,
                                    "query": n.query, "evidence_frame": n.evidence_frame}
                                   for n in ssm.scratchpad[nid]]}
-                       for nid in sorted(ssm.scratchpad)],
+                       for nid in sorted(ssm.graph.tracks) if ssm.scratchpad.get(nid)],
         "navigation_log": {
             "columns": ["frame_id", "room_label", "fov_tag", "motion_label",
                         "visible_node_ids"],
@@ -324,13 +321,23 @@ class TestScratchpad:
         texts = [n.text for n in ssm.scratchpad[0]]
         assert texts.count("same text") == 2
 
-    def test_track_creation_creates_entry_atomically(self):
+    def test_entry_starts_with_the_first_note(self):
         ssm = SceneMemory.empty("s", 1, [0])
-        track = Track(id=0, cloud=PointCloud([(0, 0, 0)]), visual=None,
-                      language=None, caption="c", caption_history=("c",),
-                      visible_frames=(0,))
-        ssm.create_track(track)
-        assert set(ssm.scratchpad) == set(ssm.graph.tracks)
+        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", (0,))]
+        ssm.graph.insert_track(Track(id=0, cloud=PointCloud([(0, 0, 0)]), visual=None,
+                                     language=None, caption="c", caption_history=("c",),
+                                     visible_frames=(0,)))
+        assert ssm.scratchpad == {}
+        assert '"scratchpad":[]' in serialize(ssm)[0]
+        ssm.add_note(0, "first", "analyze_frame", "q", 0)
+        assert [n.text for n in ssm.scratchpad[0]] == ["first"]
+        assert_scratchpad_invariant(ssm)
+
+    def test_random_memories_keep_the_invariant(self):
+        for seed in range(12):
+            ssm = random_ssm(seed)
+            assert_scratchpad_invariant(ssm)
+            assert_scratchpad_invariant(deserialize(serialize(ssm)[0]))
 
     def test_note_source_api_validated(self):
         with pytest.raises(MemoryError_):
@@ -362,11 +369,21 @@ class TestSerialize:
         refs = serialize(ssm)[1]
         assert tuple(fid for fid, _ in refs) == ssm.frame_memory.frames
 
-    def test_refuses_scratchpad_mismatch(self):
+    def test_refuses_dead_or_empty_scratchpad_entry(self):
         ssm = golden_one_track()
-        del ssm.scratchpad[0]
-        with pytest.raises(SerializationError):
+        ssm.scratchpad[7] = ssm.scratchpad[0]
+        with pytest.raises(SerializationError, match="scratchpad entry 7"):
             serialize(ssm)
+        ssm = golden_one_track()
+        ssm.scratchpad[0] = ()
+        with pytest.raises(SerializationError, match="scratchpad entry 0"):
+            serialize(ssm)
+
+    def test_refuses_frame_memory_outside_episode(self):
+        ssm = golden_one_track()
+        ssm.frame_memory = append_frame(ssm.frame_memory, 99)
+        with pytest.raises(SerializationError, match="frame memory id 99"):
+            ssm.validate()
 
     def test_refuses_dead_edge(self):
         ssm = random_ssm(3)
@@ -490,10 +507,10 @@ class TestSerializeMatchesReference:
     @settings(max_examples=60)
     def test_arbitrary_strings(self, captions, note, fov, edit):
         ssm = SceneMemory.empty("s\"\\", 1, [0, 1])
-        ssm.create_track(Track(id=0, cloud=PointCloud([(0.5, -1.0, 2.0)]),
-                               visual=None, language=None, caption=captions[0],
-                               caption_history=tuple(captions), room_label=fov or None,
-                               visible_frames=(0,)))
+        ssm.graph.insert_track(Track(id=0, cloud=PointCloud([(0.5, -1.0, 2.0)]),
+                                     visual=None, language=None, caption=captions[0],
+                                     caption_history=tuple(captions),
+                                     room_label=fov or None, visible_frames=(0,)))
         ssm.add_note(0, note, "analyze_frame", fov, 1)
         ssm.nav_log = [NavLogEntry(0, note, fov, "stationary", (0,)),
                        NavLogEntry(1, fov, note, "forward", ())]
@@ -546,7 +563,7 @@ class TestRoundTrip:
         with pytest.raises(ParseError):
             deserialize("not json at all")
 
-    def test_scratchpad_node_set_must_match(self):
+    def test_scratchpad_node_must_be_a_track(self):
         text = (GOLDEN / "one_track_ssm.json").read_text()
         with pytest.raises(ParseError) as err:
             deserialize(text.replace('"scratchpad":[{"node_id":0,', '"scratchpad":[{"node_id":1,'))
@@ -572,7 +589,7 @@ V1_ONE_TRACK = (
 
 
 class TestStrictParse:
-    """Every departure from the version-2 layout raises a ParseError whose
+    """Every departure from the version-3 layout raises a ParseError whose
     path names the offending part."""
 
     @staticmethod
@@ -591,7 +608,18 @@ class TestStrictParse:
         assert err.value.path == "$.version"
         assert "missing" in str(err.value)
 
-    @pytest.mark.parametrize("version", [1, 3, "2", 2.0, True, None])
+    def test_v2_document_rejected(self):
+        """A version-2 document, which still wrote episode.frame_ids, gets
+        the version error and not a field error."""
+        doc = self._golden()
+        doc["version"] = 2
+        doc["episode"]["frame_ids"] = [0, 5]
+        with pytest.raises(ParseError) as err:
+            deserialize(json.dumps(doc))
+        assert err.value.path == "$.version"
+        assert "unsupported layout version 2, expected 3" in str(err.value)
+
+    @pytest.mark.parametrize("version", [1, 2, "3", 3.0, True, None])
     def test_other_versions_rejected(self, version):
         doc = self._golden()
         doc["version"] = version
@@ -631,7 +659,7 @@ class TestStrictParse:
         doc["navigation_log"]["rows"][0] = {"frame_id": 0}
         assert self._path_of(doc) == "$.navigation_log.rows[0]"
 
-    def test_suffixes_must_align_with_frame_ids(self):
+    def test_suffixes_must_align_with_navigation_rows(self):
         doc = self._golden()
         doc["episode"]["frame_locators"]["suffixes"].pop()
         assert self._path_of(doc) == "$.episode.frame_locators.suffixes"
@@ -643,8 +671,8 @@ class TestStrictParse:
         assert self._path_of(doc) == "$.episode.frame_locators.suffixes[1]"
 
     @pytest.mark.parametrize("where,value,path", [
-        (("episode", "frame_ids", 1), "5", "$.episode.frame_ids[1]"),
-        (("episode", "frame_ids"), 0, "$.episode.frame_ids"),
+        (("navigation_log", "rows", 1, 0), "5", "$.navigation_log.rows[1].frame_id"),
+        (("navigation_log", "rows", 0, 0), None, "$.navigation_log.rows[0].frame_id"),
         (("episode", "frame_memory", "frames", 0), True,
          "$.episode.frame_memory.frames[0]"),
         (("scene_graph", "tracks", "rows", 0, 6, 1), 5.0,
@@ -664,6 +692,23 @@ class TestStrictParse:
             target = target[key]
         target[where[-1]] = value
         assert self._path_of(doc) == path
+
+    def test_repeated_keyframe_rejected(self):
+        """Two rows of one frame would re-serialize with other locators, so
+        neither deserialize nor serialize accepts them."""
+        doc = self._golden()
+        doc["navigation_log"]["rows"][1][0] = 0
+        assert self._path_of(doc) == "$.navigation_log.rows[1].frame_id"
+        ssm = SceneMemory.empty("s", 1, [0, 0])
+        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", ())] * 2
+        with pytest.raises(SerializationError, match="repeats a keyframe"):
+            serialize(ssm)
+
+    def test_empty_notes_rejected(self):
+        """A node without notes has no entry, so each memory has one text."""
+        doc = self._golden()
+        doc["scratchpad"][0]["notes"] = []
+        assert self._path_of(doc) == "$.scratchpad[0].notes"
 
     def test_partial_cloud_rejected(self):
         doc = self._golden()
@@ -763,7 +808,7 @@ class TestPersistence:
                       visual=Embedding([1.0, 0.0], "visual"),
                       language=Embedding([0.0, 1.0], "language"),
                       caption="c", caption_history=("c",), visible_frames=(0,))
-        ssm.create_track(track)
+        ssm.graph.insert_track(track)
         ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", (0,))]
         ssm.frame_memory = init_frame_memory([0], 1)
         save_dir(ssm, tmp_path / "mem")
@@ -782,7 +827,7 @@ class TestPersistence:
                       visual=Embedding([1.0, 2.0], "visual"),
                       language=Embedding([2.0, 1.0], "language"),
                       caption="c", caption_history=("c",), visible_frames=(0,))
-        ssm.create_track(track)
+        ssm.graph.insert_track(track)
         ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", (0,))]
         ssm.frame_memory = init_frame_memory([0], 1)
         save_dir(ssm, tmp_path / "m")
@@ -819,6 +864,27 @@ class TestImmutableRecords:
         for f in dataclasses.fields(record):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(record, f.name, getattr(record, f.name))
+
+    def test_sequence_fields_do_not_follow_the_callers_lists(self):
+        """Lists passed to a record are copied into tuples, so changing the
+        lists afterwards changes neither the record nor its cached row."""
+        history, visible, node_ids, frames = ["red mug"], [0, 5], [0], [0]
+        ssm = golden_one_track()
+        track = replace(ssm.graph.tracks[0], caption_history=history,
+                        visible_frames=visible)
+        ssm.graph.replace_track(track)
+        ssm.nav_log[0] = replace(ssm.nav_log[0], visible_node_ids=node_ids)
+        ssm.frame_memory = FrameMemory(frames, 1)
+        expected = serialize(ssm)[0]
+        history.append("blue mug")
+        visible.append(9)
+        node_ids.append(3)
+        frames.append(5)
+        assert (track.caption_history, track.visible_frames) == (("red mug",), (0, 5))
+        assert ssm.nav_log[0].visible_node_ids == (0,)
+        assert ssm.frame_memory.frames == (0,)
+        assert reference_serialize(ssm) == expected
+        assert_serializes_like_reference(ssm)
 
     def test_copy_shares_every_record(self, small_build):
         ssm = small_build[3]

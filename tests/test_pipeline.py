@@ -33,8 +33,7 @@ class TestBuildSsm:
         assert [e.frame_id for e in ssm.nav_log] == episode.frame_ids
         assert len(ssm.frame_memory) == min(5, len(episode))
         assert ssm.frame_memory.initial_count == 5
-        assert set(ssm.scratchpad) == set(ssm.graph.tracks)
-        assert all(not notes for notes in ssm.scratchpad.values())
+        assert ssm.scratchpad == {}  # no notes yet, so no entries
         assert ssm.floors is not None and ssm.rooms is not None
 
     def test_tracks_have_rooms_and_floors(self, small_build):
@@ -220,7 +219,7 @@ class TestMetrics:
                       language=None, caption="ghost object",
                       caption_history=("ghost object",),
                       visible_frames=(work.frame_ids[0],))
-        work.create_track(ghost)
+        work.graph.insert_track(ghost)
         p, r, _, _ = graph_precision_recall(work, scene)
         assert r == 1.0
         assert p == len(scene.objects) / (len(scene.objects) + 1)
@@ -230,7 +229,7 @@ class TestMetrics:
         work = ssm.copy()
         victim = sorted(work.graph.tracks)[0]
         del work.graph.tracks[victim]
-        del work.scratchpad[victim]
+        work.scratchpad.pop(victim, None)
         work.graph.edges = [e for e in work.graph.edges
                             if victim not in (e.subject_id, e.object_id)]
         _, r, _, _ = graph_precision_recall(work, scene)

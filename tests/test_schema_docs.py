@@ -71,11 +71,17 @@ class TestMemorySchema:
         doc["navigation_log"]["columns"].reverse()
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, memory_schema)
-        for version in (None, 1):
+        for version in (None, 1, 2):
             doc = json.loads(serialize(golden_one_track())[0])
             doc["version"] = version
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate(doc, memory_schema)
+
+    def test_schema_rejects_empty_notes(self, memory_schema):
+        doc = json.loads(serialize(golden_one_track())[0])
+        doc["scratchpad"][0]["notes"] = []
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, memory_schema)
 
     def test_schema_rejects_missing_section(self, memory_schema):
         doc = json.loads(serialize(golden_one_track())[0])
