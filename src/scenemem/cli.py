@@ -22,7 +22,7 @@ from .backend import Backend, HttpBackend
 from .config import EngineConfig, load_config
 from .dataset import load_dataset
 from .loop import EpisodeQuery, answer, write_transcript
-from .memory import load_dir, save_dir, serialize
+from .memory import ParseError, load_dir, save_dir, serialize
 from .metrics import evaluate
 from .pipeline import build_ssm
 from .scripted import RuleReasoner, ScriptedBackend
@@ -231,7 +231,10 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_serve)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:  # a damaged memory directory: one line, no traceback
+        raise SystemExit(f"scenemem: {exc}") from None
 
 
 if __name__ == "__main__":

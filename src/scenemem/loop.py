@@ -134,13 +134,13 @@ def answer(query: EpisodeQuery, ssm: SceneMemory, episode: Episode,
     allowed = API_MODE_KINDS[config.api_mode]
     executor = ApiExecutor(episode, backend, config)
     current = ssm  # only apply_patch edits, and it works on its own copy
-    transcript: list[TranscriptStep] = []
-    calls_used = 0
+    transcript: list[TranscriptStep] = []  # one step per executed call
     pending_violations: list[str] | None = None
     evidence_retry_done = False
     protocol_retry_done = False
 
     while True:
+        calls_used = len(transcript)
         must_answer = calls_used >= query.max_calls
         request = _reason_request(query, current, transcript, allowed,
                                   query.max_calls - calls_used, must_answer,
@@ -169,35 +169,25 @@ def answer(query: EpisodeQuery, ssm: SceneMemory, episode: Episode,
 
         if response is not None and response.action is not None and not must_answer:
             call = response.action
-            if call.kind not in allowed:
-                problem = (f"api '{call.kind}' not allowed in "
-                           f"{config.api_mode} mode; allowed: {allowed}")
-                if not protocol_retry_done:
-                    protocol_retry_done = True
-                    pending_violations = [problem]
-                    continue
-                return Answer(text="unknown", evidence_frames=[],
-                              evidence_notes=[], calls_used=calls_used,
-                              transcript=transcript, compliant=False,
-                              violations=[problem], abstained=True,
-                              final_memory=current)
-            patch = executor.execute(call, current)
-            current, report = apply_patch(current, patch, config)
-            transcript.append(TranscriptStep(call=call, report=report))
-            calls_used += 1
-            continue
-
-        # neither a usable action nor an answer
+            if call.kind in allowed:
+                patch = executor.execute(call, current)
+                current, report = apply_patch(current, patch, config)
+                transcript.append(TranscriptStep(call=call, report=report))
+                continue
+            problem = verdict = (f"api '{call.kind}' not allowed in "
+                                 f"{config.api_mode} mode; allowed: {allowed}")
+        else:
+            problem = ("previous response contained neither an "
+                       "executable action nor a final answer")
+            verdict = "backend failed to produce an answer"
         if not protocol_retry_done:
             protocol_retry_done = True
-            pending_violations = ["previous response contained neither an "
-                                  "executable action nor a final answer"]
+            pending_violations = [problem]
             continue
         return Answer(text="unknown", evidence_frames=[], evidence_notes=[],
                       calls_used=calls_used, transcript=transcript,
-                      compliant=False,
-                      violations=["backend failed to produce an answer"],
-                      abstained=True, final_memory=current)
+                      compliant=False, violations=[verdict], abstained=True,
+                      final_memory=current)
 
 
 @dataclass

@@ -54,7 +54,7 @@ from .backend import int_array, need, number_array
 from .geometry import PointCloud
 from .graph import (CloudSummary, Embedding, GraphError, RelationEdge, SceneGraph,
                     Track)
-from .spatial import MOTION_LABELS, FloorModel, NavLogEntry, RoomModel
+from .spatial import MOTION_LABELS, NavLogEntry, RoomModel
 
 SOURCE_APIS = ("find_objects", "analyze_objects", "analyze_frame")
 
@@ -99,9 +99,9 @@ class Note:
 @dataclass(frozen=True)
 class FrameMemory:
     """Ordered, duplicate-free set of keyframe ids available to the
-    reasoner. Starts as the evenly spaced initial selection and only ever
-    grows (no eviction). That its frames belong to the episode is checked
-    by ``SceneMemory.validate``."""
+    reasoner. Starts as the evenly spaced initial selection, its first
+    ``initial_count`` frames, and only ever grows (no eviction). That its
+    frames belong to the episode is checked by ``SceneMemory.validate``."""
 
     frames: tuple[int, ...]
     initial_count: int
@@ -110,6 +110,9 @@ class FrameMemory:
         object.__setattr__(self, "frames", tuple(self.frames))
         if len(set(self.frames)) != len(self.frames):
             raise MemoryError_("frame memory contains duplicates")
+        if not 0 <= self.initial_count <= len(self.frames):
+            raise MemoryError_(f"initial_count {self.initial_count} is not "
+                               f"between 0 and the {len(self.frames)} frames")
 
     def __contains__(self, frame_id: int) -> bool:
         return frame_id in self.frames
@@ -123,7 +126,8 @@ def init_frame_memory(episode_frame_ids: list[int], n_img: int) -> FrameMemory:
 
     Index i of n maps to round(i * (N - 1) / (n - 1)); a single requested
     frame takes the middle one; duplicates collapse when the episode is
-    shorter than the request. Rounding is half-up for platform stability.
+    shorter than the request, and ``initial_count`` counts the distinct
+    frames chosen. Rounding is half-up for platform stability.
     """
     ids = list(episode_frame_ids)
     if not ids:
@@ -140,7 +144,7 @@ def init_frame_memory(episode_frame_ids: list[int], n_img: int) -> FrameMemory:
         fid = ids[min(p, n - 1)]
         if fid not in chosen:
             chosen.append(fid)
-    return FrameMemory(tuple(chosen), n_img)
+    return FrameMemory(tuple(chosen), len(chosen))
 
 
 def append_frame(fm: FrameMemory, frame_id: int) -> FrameMemory:
@@ -159,8 +163,9 @@ class SceneMemory:
     record with the original. The scratchpad maps each node id that has
     notes to its notes; a node without notes has no entry.
     ``frame_locators`` is never edited after construction, so copies share
-    it too. ``floors``/``rooms`` are construction-time models kept for
-    patch-time room lookup; they are transient (not serialized).
+    it too. ``rooms`` is the construction-time floor plan (floors, grids,
+    rooms and labels) that places the tracks patches create; it is
+    transient (not serialized).
     """
 
     graph: SceneGraph
@@ -171,7 +176,6 @@ class SceneMemory:
     stride: int
     frame_ids: tuple[int, ...]
     frame_locators: dict[int, str]
-    floors: FloorModel | None = None
     rooms: RoomModel | None = None
 
     @classmethod
@@ -196,14 +200,12 @@ class SceneMemory:
 
     def place_track(self, track: Track) -> Track:
         """The track with its floor, room and room label set from its cloud
-        centroid; the track itself until the floor and room models are set,
-        and for tracks without cloud points."""
-        if self.floors is None or self.rooms is None \
-                or track.cloud is None or track.cloud.is_empty:
+        centroid; the track itself until the floor plan is set, and for
+        tracks without cloud points."""
+        if self.rooms is None or track.cloud is None or track.cloud.is_empty:
             return track
         cx, cy, cz = track.cloud.centroid()
-        floor_id = self.floors.floor_of(float(cz))
-        room_id = self.rooms.room_of(floor_id, float(cx), float(cy))
+        floor_id, room_id = self.rooms.locate(float(cx), float(cy), float(cz))
         label = track.room_label if room_id is None else self.rooms.label_of(room_id)
         return replace(track, floor_id=floor_id, room_id=room_id, room_label=label)
 
@@ -602,11 +604,16 @@ def _pack_clouds(ssm: SceneMemory) -> bytes:
     return b"".join(parts)
 
 
-def _unpack(blob: bytes, name: str, magic: bytes, read_record) -> dict:
-    """The records of side-car file ``name``: its magic, a record count,
-    then ``read_record(blob, offset) -> (key, value, next offset)`` per
-    record, ending exactly at the last byte. A truncated file, trailing
-    bytes or a record the engine refuses raise ParseError naming the file."""
+def _unpack(path: Path, name: str, magic: bytes, read_record) -> dict:
+    """The records of side-car file ``name`` in directory ``path``: its
+    magic, a record count, then ``read_record(blob, offset) -> (key, value,
+    next offset)`` per record, ending exactly at the last byte. A missing
+    or truncated file, trailing bytes or a record the engine refuses raise
+    ParseError naming the file."""
+    try:
+        blob = (path / name).read_bytes()
+    except FileNotFoundError:
+        raise ParseError(name, "missing; save_dir writes it next to ssm.json") from None
     if blob[:8] != magic:
         raise ParseError(name, "bad magic")
     out = {}
@@ -660,7 +667,7 @@ def save_dir(ssm: SceneMemory, path: str | Path) -> None:
     (float64 LE point triples per track), embeddings.bin (float64 LE
     vectors keyed by track id and kind). Clouds and embeddings are stored
     bit-exact, so a reloaded memory re-voxelizes, merges and scores the
-    same as the in-process one. Floors and rooms are not persisted."""
+    same as the in-process one. The floor plan is not persisted."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     text, _ = serialize(ssm)
@@ -670,23 +677,18 @@ def save_dir(ssm: SceneMemory, path: str | Path) -> None:
 
 
 def load_dir(path: str | Path) -> SceneMemory:
-    """Load a persisted memory, restoring clouds and embeddings."""
+    """Load a persisted memory, restoring clouds and embeddings. All three
+    files are required: without its clouds and embeddings a memory would
+    not merge detections as the saved one does."""
     path = Path(path)
     ssm = deserialize((path / "ssm.json").read_text(encoding="utf-8"))
-    clouds_file = path / "clouds.bin"
-    if clouds_file.exists():
-        clouds = _unpack(clouds_file.read_bytes(), "clouds.bin", _CLOUD_MAGIC,
-                         _read_cloud)
-        for tid, cloud in clouds.items():
-            if tid in ssm.graph.tracks:
-                t = ssm.graph.tracks[tid]
-                ssm.graph.tracks[tid] = replace(t, cloud=cloud, summary=None)
-    embed_file = path / "embeddings.bin"
-    if embed_file.exists():
-        embeds = _unpack(embed_file.read_bytes(), "embeddings.bin", _EMBED_MAGIC,
-                         _read_embedding)
-        for (tid, kind), emb in embeds.items():
-            if tid in ssm.graph.tracks:
-                t = ssm.graph.tracks[tid]
-                ssm.graph.tracks[tid] = replace(t, **{kind: emb})
+    clouds = _unpack(path, "clouds.bin", _CLOUD_MAGIC, _read_cloud)
+    embeds = _unpack(path, "embeddings.bin", _EMBED_MAGIC, _read_embedding)
+    tracks = ssm.graph.tracks
+    for tid, cloud in clouds.items():
+        if tid in tracks:
+            tracks[tid] = replace(tracks[tid], cloud=cloud, summary=None)
+    for (tid, kind), emb in embeds.items():
+        if tid in tracks:
+            tracks[tid] = replace(tracks[tid], **{kind: emb})
     return ssm

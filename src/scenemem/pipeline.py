@@ -18,7 +18,6 @@ log still covers it); more than half the frames failing aborts the build.
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 
 import numpy as np
 
@@ -123,24 +122,24 @@ def build_ssm(episode: Episode, backend: Backend,
     floors = detect_floors(heights, cfg.spatial.height_bin_m,
                            cfg.spatial.floor_separation_m)
     structure = _structure_cloud(episode, cfg)
-    rooms = segment_rooms(occupancy_grids(structure, floors, cfg.spatial), cfg.spatial)
-    ssm.floors, ssm.rooms = floors, rooms
+    ssm.rooms = segment_rooms(floors, occupancy_grids(structure, floors, cfg.spatial),
+                              cfg.spatial)
 
+    # label the rooms by the captions placed in them, then place each track
+    # once, with its room's label
     members: dict[str, list[str]] = {}
     for tid in sorted(ssm.graph.tracks):
         track = ssm.place_track(ssm.graph.tracks[tid])
-        ssm.graph.replace_track(track)
         if track.room_id is not None:
             members.setdefault(track.room_id, []).append(track.caption)
-    label_rooms(rooms, members, backend, list(cfg.spatial.room_classes))
-    for track in list(ssm.graph.tracks.values()):
-        if track.room_id is not None:
-            ssm.graph.replace_track(replace(track, room_label=rooms.label_of(track.room_id)))
+    label_rooms(ssm.rooms, members, backend, list(cfg.spatial.room_classes))
+    for tid in sorted(ssm.graph.tracks):
+        ssm.graph.replace_track(ssm.place_track(ssm.graph.tracks[tid]))
 
     prev = None
     for frame in episode.frames:
         ssm.nav_log.append(build_nav_entry(
-            frame, prev, rooms, floors, visible_by_frame.get(frame.id, []),
+            frame, prev, ssm.rooms, visible_by_frame.get(frame.id, []),
             backend, cfg.spatial))
         prev = frame
 

@@ -14,6 +14,10 @@ distance is the true Euclidean one in float64. The watershed's tie order
 is part of its contract: cells leave the queue by decreasing wall distance
 and, at equal distance, in the order they were queued.
 
+The floor plan is one value, a RoomModel: the floors, each floor's grid
+and room index, and the room labels. ``RoomModel.locate`` is the one lookup
+from a world point to its floor and room.
+
 The room/floor pipeline is deliberately coarse: the memory only needs
 stable labels for indexing, not metrically exact floor plans. World frame
 is z-up; all thresholds live in SpatialConfig.
@@ -90,59 +94,40 @@ class OccupancyGrid:
 
 @dataclass
 class RoomModel:
-    """The rooms of every floor. ``grids[floor_id]`` is the floor's
-    occupancy grid and ``rooms[floor_id][r, c]`` the room index (>= 0) of a
-    free cell, -1 for walls/unassigned. Room ids are '<floor_id>/<index>';
-    ``labels`` maps a room id to its label."""
+    """The floor plan: the floors, and the rooms of every floor.
+    ``grids[floor_id]`` is the floor's occupancy grid and
+    ``rooms[floor_id][r, c]`` the room index (>= 0) of a free cell, -1 for
+    walls/unassigned. Room ids are '<floor_id>/<index>'; ``labels`` maps a
+    room id to its label."""
 
+    floors: FloorModel
     grids: dict[str, OccupancyGrid]
     rooms: dict[str, np.ndarray]
     labels: dict[str, str] = field(default_factory=dict)
 
-    def room_of(self, floor_id: str, x: float, y: float) -> str | None:
+    def locate(self, x: float, y: float, z: float,
+               snap_m: float = 0.0) -> tuple[str, str | None]:
+        """The floor of height ``z`` and the room of (x, y) on it. A point
+        on an unassigned cell (unseen ground, inside furniture) snaps to the
+        nearest assigned cell within ``snap_m`` (ties to the lower row, then
+        column); at 0 only its own cell counts."""
+        floor_id = self.floors.floor_of(z)
         grid = self.grids.get(floor_id)
         if grid is None:
-            return None
-        r, c = grid.cell_of(x, y)
-        if not grid.in_bounds(r, c):
-            return None
-        idx = int(self.rooms[floor_id][r, c])
-        if idx < 0:
-            return None
-        return f"{floor_id}/{idx}"
-
-    def room_of_nearest(self, floor_id: str, x: float, y: float,
-                        max_radius_m: float = 0.5) -> str | None:
-        """Like room_of, but a position on an unassigned cell (unseen
-        ground, inside furniture) snaps to the nearest assigned cell within
-        ``max_radius_m``."""
-        direct = self.room_of(floor_id, x, y)
-        if direct is not None:
-            return direct
-        occ = self.grids.get(floor_id)
-        if occ is None:
-            return None
+            return floor_id, None
         rooms = self.rooms[floor_id]
-        r0, c0 = occ.cell_of(x, y)
-        max_cells = int(math.ceil(max_radius_m / occ.cell_size))
-        best: tuple[float, int, int, int] | None = None
-        for dr in range(-max_cells, max_cells + 1):
-            for dc in range(-max_cells, max_cells + 1):
-                r, c = r0 + dr, c0 + dc
-                if not occ.in_bounds(r, c):
-                    continue
-                idx = int(rooms[r, c])
-                if idx < 0:
-                    continue
-                d = math.hypot(dr, dc)
-                if d * occ.cell_size > max_radius_m:
-                    continue
-                key = (d, r, c, idx)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            return None
-        return f"{floor_id}/{best[3]}"
+        r0, c0 = grid.cell_of(x, y)
+        if grid.in_bounds(r0, c0) and rooms[r0, c0] >= 0:
+            return floor_id, f"{floor_id}/{int(rooms[r0, c0])}"
+        reach = int(math.ceil(snap_m / grid.cell_size))
+        d, r, c = min(((math.hypot(r - r0, c - c0), r, c)
+                       for r in range(r0 - reach, r0 + reach + 1)
+                       for c in range(c0 - reach, c0 + reach + 1)
+                       if grid.in_bounds(r, c) and rooms[r, c] >= 0),
+                      default=(math.inf, r0, c0))
+        if d * grid.cell_size > snap_m:  # the nearest assigned cell is too far
+            return floor_id, None
+        return floor_id, f"{floor_id}/{int(rooms[r, c])}"
 
     def label_of(self, room_id: str | None) -> str:
         return self.labels.get(room_id, "unknown")
@@ -356,9 +341,10 @@ def _pick_seeds(dist: np.ndarray, free: np.ndarray, cell_size: float,
     return seeds
 
 
-def segment_rooms(occupancy: dict[str, OccupancyGrid],
+def segment_rooms(floors: FloorModel, occupancy: dict[str, OccupancyGrid],
                   cfg: SpatialConfig | None = None) -> RoomModel:
-    """Partition each floor's free space into rooms.
+    """The floor plan of ``floors``: each floor's free space partitioned
+    into rooms.
 
     Distance transform from walls, seeds at its local maxima (suppressed
     below ``room_peak_separation_m``), then priority-flood watershed: cells
@@ -414,7 +400,7 @@ def segment_rooms(occupancy: dict[str, OccupancyGrid],
             # a pocket's number is the rank of its deepest cell in that order
             room_ids[rows, cols] = len(seeds) + np.argsort(np.argsort(deepest))[component]
         rooms[floor_id] = np.ascontiguousarray(room_ids)
-    return RoomModel(dict(occupancy), rooms)
+    return RoomModel(floors, dict(occupancy), rooms)
 
 
 def label_rooms(model: RoomModel, members: dict[str, list[str]], backend,
@@ -479,21 +465,22 @@ def motion_label(prev: Pose, curr: Pose, cfg: SpatialConfig | None = None) -> st
     return "stationary"
 
 
-def build_nav_entry(frame, prev, rooms: RoomModel | None, floors: FloorModel | None,
+def build_nav_entry(frame, prev, rooms: RoomModel | None,
                     visible: set[int] | list[int], backend,
                     cfg: SpatialConfig | None = None) -> NavLogEntry:
     """Assemble one navigation-log entry for a processed keyframe.
 
     ``frame``/``prev`` are keyframes (prev None for the first frame). The
-    room label comes from the camera position lookup, the field-of-view tag
-    from the backend (or "unavailable" on failure).
+    room label comes from the camera position, snapped to a room within
+    0.5 m, the field-of-view tag from the backend (or "unavailable" on
+    failure).
     """
     cfg = cfg or SpatialConfig()
     cam = frame.pose.translation
     room_label = "unknown"
-    if floors is not None and rooms is not None:
-        floor_id = floors.floor_of(float(cam[2]))
-        room_id = rooms.room_of_nearest(floor_id, float(cam[0]), float(cam[1]))
+    if rooms is not None:
+        _, room_id = rooms.locate(float(cam[0]), float(cam[1]), float(cam[2]),
+                                  snap_m=0.5)
         room_label = rooms.label_of(room_id)
     motion = "stationary" if prev is None else motion_label(prev.pose, frame.pose, cfg)
     try:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import re
+import shutil
 import urllib.request
 from contextlib import contextmanager
 
@@ -128,6 +129,20 @@ class TestInspectCommand:
         text = capsys.readouterr().out
         ssm = deserialize(text)
         assert len(ssm.graph.tracks) == 4
+
+    @pytest.mark.parametrize("missing", ["embeddings.bin", "clouds.bin"])
+    def test_missing_side_car_is_one_line(self, workspace, tmp_path, capsys, missing):
+        """A memory directory without a side-car exits non-zero with one
+        line naming the file, and prints nothing to stdout."""
+        _, _, mem_dir = workspace
+        damaged = tmp_path / "m2"
+        shutil.copytree(mem_dir, damaged)
+        (damaged / missing).unlink()
+        with pytest.raises(SystemExit) as err:
+            main(["inspect", "--ssm", str(damaged)])
+        assert re.fullmatch(f"scenemem: {re.escape(missing)}: missing[^\n]*",
+                            err.value.code)
+        assert capsys.readouterr().out == ""
 
 
 @contextmanager

@@ -215,7 +215,8 @@ def _assert_floor_plan_matches(free: np.ndarray, cell_size: float,
             expected_dist, free, cell_size, cfg.room_peak_separation_m,
             cfg.room_seed_min_dist_m)
     occ = OccupancyGrid(free=free, origin=(0.0, 0.0), cell_size=cell_size)
-    room_ids = segment_rooms({"floor0": occ}, cfg).rooms["floor0"]
+    room_ids = segment_rooms(FloorModel((("floor0", 0.0, 3.0),)), {"floor0": occ},
+                             cfg).rooms["floor0"]
     expected_ids, pockets = reference_watershed(free, cell_size, cfg)
     assert room_ids.dtype == expected_ids.dtype
     assert np.array_equal(room_ids, expected_ids)

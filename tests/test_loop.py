@@ -265,6 +265,46 @@ class TestProtocolFailures:
         assert out.abstained
         assert out.calls_used == 0
 
+    NEITHER = ("previous response contained neither an executable action "
+               "nor a final answer")
+    WRONG_API = ("api 'find_objects' not allowed in frame mode; "
+                 "allowed: ('analyze_frame',)")
+    FAILED = "backend failed to produce an answer"
+
+    @pytest.mark.parametrize("steps,m,reprompt,final,calls", [
+        # a reason call that always fails, an empty response, and an action
+        # past the budget
+        (None, 3, NEITHER, FAILED, 0),
+        ([{}], 3, NEITHER, FAILED, 0),
+        ([action_step(0)], 0, NEITHER, FAILED, 0),
+        ([action_step(0, api="find_objects")], 5, WRONG_API, WRONG_API, 0),
+        # the final verdict names the second problem, not the first
+        ([action_step(0, api="find_objects"), {}], 5, WRONG_API, FAILED, 0),
+        ([action_step(0), {}, action_step(0, api="find_objects")], 5,
+         NEITHER, WRONG_API, 1),
+    ], ids=["reason-fails", "empty-response", "over-budget", "wrong-api",
+            "wrong-api-then-neither", "call-then-neither-then-wrong-api"])
+    def test_one_reprompt_then_abstain_texts(self, small_build, steps, m,
+                                             reprompt, final, calls):
+        """Each protocol failure is reprompted once with the problem's text;
+        a second failure abstains with the verdict of that failure."""
+        scene, episode, _, ssm = small_build
+        reprompts = []
+
+        class Spy(ScriptedBackend):
+            def call(self, request):
+                if request.kind == "reason" and "violations" in request.payload:
+                    reprompts.append(request.payload["violations"])
+                return super().call(request)
+
+        reasoner = None if steps is None else ScriptReasoner(default=steps)
+        out = answer(_query("protocol", m, scene), ssm, episode,
+                     Spy(scene, reasoner=reasoner), _cfg(mode="frame", m=m))
+        assert reprompts == [[reprompt]]
+        assert out.violations == [final]
+        assert (out.abstained, out.compliant, out.text) == (True, False, "unknown")
+        assert out.calls_used == len(out.transcript) == calls
+
     def test_image_mode_retrieval_only(self, small_build):
         scene, episode, _, ssm = small_build
         fid = next(f for f in ssm.frame_ids if f not in ssm.frame_memory)

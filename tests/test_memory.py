@@ -70,9 +70,25 @@ class TestInitFrameMemory:
         assert len(fm.frames) == len(set(fm.frames))
         assert len(fm.frames) <= min(n, n_img)
         assert set(fm.frames) <= set(ids)
+        assert fm.initial_count == len(fm.frames)
         if n_img > 1:
             assert fm.frames[0] == ids[0]
             assert fm.frames[-1] == ids[-1]
+
+
+    def test_initial_count_counts_distinct_frames(self):
+        """Five frames asked of a three-frame episode: the initial selection
+        is the three chosen, so a later append stays outside it."""
+        fm = init_frame_memory([0, 5, 10], 5)
+        assert (fm.frames, fm.initial_count) == ((0, 5, 10), 3)
+        grown = append_frame(fm, 7)
+        assert grown.frames[:grown.initial_count] == (0, 5, 10)
+
+    @pytest.mark.parametrize("frames,count", [((0, 5), 9), ((0, 5), 3), ((), 1),
+                                              ((0,), -1)])
+    def test_initial_count_outside_the_frames_refused(self, frames, count):
+        with pytest.raises(MemoryError_, match="initial_count"):
+            FrameMemory(frames, count)
 
 
 class TestAppendFrame:
@@ -645,6 +661,12 @@ class TestStrictParse:
         target(extra)["columns"].append("note")
         assert self._path_of(extra) == path
 
+    @pytest.mark.parametrize("count", [3, -1])
+    def test_initial_count_outside_the_frames_rejected(self, count):
+        doc = self._golden()
+        doc["episode"]["frame_memory"]["initial_count"] = count
+        assert self._path_of(doc) == "$.episode.frame_memory"
+
     def test_ragged_rows_rejected(self):
         doc = self._golden()
         doc["scene_graph"]["tracks"]["rows"][0].pop()
@@ -797,6 +819,19 @@ class TestPersistence:
             load_dir(tmp_path / "mem2")
         assert err.value.path == "embeddings.bin"
         assert "unit norm" in str(err.value)
+
+    @pytest.mark.parametrize("missing", [("clouds.bin",), ("embeddings.bin",),
+                                         ("clouds.bin", "embeddings.bin")])
+    def test_missing_side_car_refused(self, tmp_path, missing):
+        """save_dir always writes both side-cars; without one, a reloaded
+        memory would merge nothing, so load_dir refuses it, naming the file."""
+        save_dir(random_ssm(2), tmp_path / "m")
+        for name in missing:
+            (tmp_path / "m" / name).unlink()
+        with pytest.raises(ParseError) as err:
+            load_dir(tmp_path / "m")
+        assert err.value.path == missing[0]
+        assert "missing" in str(err.value)
 
     def test_float32_exact_coordinates_round_trip_bytes(self, tmp_path):
         """Coordinates on the float32 lattice survive save/load with a

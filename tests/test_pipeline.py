@@ -34,7 +34,7 @@ class TestBuildSsm:
         assert len(ssm.frame_memory) == min(5, len(episode))
         assert ssm.frame_memory.initial_count == 5
         assert ssm.scratchpad == {}  # no notes yet, so no entries
-        assert ssm.floors is not None and ssm.rooms is not None
+        assert ssm.rooms is not None and ssm.rooms.floors.floors
 
     def test_tracks_have_rooms_and_floors(self, small_build):
         scene, _, _, ssm = small_build

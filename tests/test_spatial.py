@@ -7,6 +7,8 @@ floor-plan kernel against the per-cell code it replaced."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,42 @@ def brute_histogram_modes(heights, bin_size, separation):
         if all(abs(centers[b] - m) >= separation for m in modes):
             modes.append(float(centers[b]))
     return sorted(modes)
+
+
+ONE_FLOOR = FloorModel((("floor0", 0.0, 3.0),))
+
+
+def reference_room_of_nearest(model: RoomModel, floor_id: str, x: float, y: float,
+                              max_radius_m: float) -> str | None:
+    """The two room lookups ``RoomModel.locate`` replaced, given the floor:
+    the room of the point's own cell, else the nearest assigned cell within
+    ``max_radius_m`` by (distance, row, column)."""
+    occ = model.grids.get(floor_id)
+    if occ is None:
+        return None
+    rooms = model.rooms[floor_id]
+    r0, c0 = occ.cell_of(x, y)
+    if occ.in_bounds(r0, c0) and rooms[r0, c0] >= 0:
+        return f"{floor_id}/{int(rooms[r0, c0])}"
+    max_cells = int(math.ceil(max_radius_m / occ.cell_size))
+    best = None
+    for dr in range(-max_cells, max_cells + 1):
+        for dc in range(-max_cells, max_cells + 1):
+            r, c = r0 + dr, c0 + dc
+            if not occ.in_bounds(r, c):
+                continue
+            idx = int(rooms[r, c])
+            if idx < 0:
+                continue
+            d = math.hypot(dr, dc)
+            if d * occ.cell_size > max_radius_m:
+                continue
+            key = (d, r, c, idx)
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return None
+    return f"{floor_id}/{best[3]}"
 
 
 def room_grid(w_cells: int, h_cells: int) -> np.ndarray:
@@ -146,10 +184,10 @@ class TestSegmentRooms:
         free[1:31, 32:62] = True     # right room
         free[13:19, 31] = True       # doorway gap in the shared wall
         occ = OccupancyGrid(free=free, origin=(0.0, 0.0), cell_size=0.1)
-        model = segment_rooms({"floor0": occ})
+        model = segment_rooms(ONE_FLOOR, {"floor0": occ})
         assert len(model.room_ids()) == 2
-        left = model.room_of("floor0", 1.0, 1.5)
-        right = model.room_of("floor0", 4.5, 1.5)
+        _, left = model.locate(1.0, 1.5, 1.4)
+        _, right = model.locate(4.5, 1.5, 1.4)
         assert left is not None and right is not None and left != right
         # flood-fill oracle: rooms = free components once the doorway closes
         blocked = free.copy()
@@ -160,30 +198,82 @@ class TestSegmentRooms:
 
     def test_single_open_square_one_room(self):
         occ = OccupancyGrid(free=room_grid(30, 30), origin=(0, 0), cell_size=0.1)
-        model = segment_rooms({"floor0": occ})
+        model = segment_rooms(ONE_FLOOR, {"floor0": occ})
         assert len(model.room_ids()) == 1
 
     def test_all_wall_grid_zero_rooms(self):
         occ = OccupancyGrid(free=np.zeros((10, 10), dtype=bool),
                             origin=(0, 0), cell_size=0.1)
-        model = segment_rooms({"floor0": occ})
+        model = segment_rooms(ONE_FLOOR, {"floor0": occ})
         assert model.room_ids() == []
-        assert model.room_of("floor0", 0.5, 0.5) is None
+        assert model.locate(0.5, 0.5, 1.4) == ("floor0", None)
 
     def test_partition_total_and_disjoint(self):
         g = rng(6)
         free = room_grid(40, 25)
         free[10:15, 12:30] = False  # an internal wall chunk
         occ = OccupancyGrid(free=free, origin=(0, 0), cell_size=0.1)
-        model = segment_rooms({"floor0": occ})
+        model = segment_rooms(ONE_FLOOR, {"floor0": occ})
         ids = model.rooms["floor0"]
         assert ((ids >= 0) == free).all()  # every free cell in exactly one room
 
     def test_nearest_lookup_snaps_to_free(self):
         occ = OccupancyGrid(free=room_grid(10, 10), origin=(0, 0), cell_size=0.1)
-        model = segment_rooms({"floor0": occ})
-        assert model.room_of("floor0", 0.0, 0.0) is None  # border wall
-        assert model.room_of_nearest("floor0", 0.05, 0.05, 0.5) is not None
+        model = segment_rooms(ONE_FLOOR, {"floor0": occ})
+        assert model.locate(0.0, 0.0, 1.4) == ("floor0", None)  # border wall
+        assert model.locate(0.05, 0.05, 1.4, snap_m=0.5)[1] is not None
+
+
+class TestLocate:
+    """``locate`` against the reference lookups, on random room grids over
+    two floors (a third floor has no grid): every cell of each grid and a
+    margin around it, at several sub-cell offsets, including points exactly
+    on a cell edge and exactly on the floor boundary."""
+
+    FLOORS = FloorModel((("floor0", 0.0, 2.5), ("floor1", 2.5, 5.0),
+                         ("floor2", 5.0, 7.5)))
+
+    def _random_model(self, seed: int) -> RoomModel:
+        g = rng(seed)
+        grids, rooms = {}, {}
+        for floor_id, shape, origin, cell in (("floor0", (9, 12), (-0.35, 0.2), 0.1),
+                                              ("floor1", (7, 6), (1.0, -0.6), 0.2)):
+            ids = g.integers(0, 4, size=shape)
+            ids[g.random(shape) < 0.6] = -1  # mostly unassigned: snapping matters
+            grids[floor_id] = OccupancyGrid(free=ids >= 0, origin=origin, cell_size=cell)
+            rooms[floor_id] = ids
+        return RoomModel(self.FLOORS, grids, rooms)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_reference(self, seed):
+        model = self._random_model(seed)
+        below = float(np.nextafter(2.5, -np.inf))
+        for z, floor_id in ((below, "floor0"), (2.5, "floor1"), (-1.0, "floor0"),
+                            (6.0, "floor2")):
+            grid = model.grids.get(floor_id, model.grids["floor1"])
+            h, w = grid.free.shape
+            checked = 0
+            for r in range(-4, h + 4):
+                for c in range(-4, w + 4):
+                    for fr, fc in ((0.0, 0.0), (0.25, 0.5), (0.5, 0.999), (0.75, 0.1)):
+                        x = grid.origin[0] + (c + fc) * grid.cell_size
+                        y = grid.origin[1] + (r + fr) * grid.cell_size
+                        for snap in (0.0, 0.25, 0.5):
+                            expected = reference_room_of_nearest(model, floor_id,
+                                                                 x, y, snap)
+                            assert model.locate(x, y, z, snap_m=snap) == \
+                                (floor_id, expected), (z, x, y, snap)
+                            checked += expected is not None
+            assert checked or floor_id == "floor2"
+
+    def test_exact_lookup_is_the_cell_itself(self):
+        model = self._random_model(9)
+        ids = model.rooms["floor0"]
+        for r, c in np.ndindex(ids.shape):
+            x = -0.35 + (c + 0.5) * 0.1
+            y = 0.2 + (r + 0.5) * 0.1
+            room = None if ids[r, c] < 0 else f"floor0/{ids[r, c]}"
+            assert model.locate(x, y, 1.0) == ("floor0", room)
 
 
 def _components(free: np.ndarray) -> list[list[tuple[int, int]]]:
@@ -225,7 +315,7 @@ class _ScoreStub(Backend):
 
 def _one_room_model() -> RoomModel:
     occ = OccupancyGrid(free=room_grid(10, 10), origin=(0, 0), cell_size=0.1)
-    return segment_rooms({"floor0": occ})
+    return segment_rooms(ONE_FLOOR, {"floor0": occ})
 
 
 class TestLabelRooms:
@@ -333,7 +423,7 @@ def _keyframe(fid: int, pose) -> Keyframe:
 class TestBuildNavEntry:
     def test_first_frame_stationary(self):
         frame = _keyframe(0, make_pose(0, (0.5, 0.5, 1.4)))
-        entry = build_nav_entry(frame, None, None, None, {3, 1}, _FovStub())
+        entry = build_nav_entry(frame, None, None, {3, 1}, _FovStub())
         assert entry.motion_label == "stationary"
         assert entry.visible_node_ids == (1, 3)
         assert entry.fov_tag == "view 0"
@@ -342,14 +432,13 @@ class TestBuildNavEntry:
         model = _one_room_model()
         room_id = model.room_ids()[0]
         model.labels[room_id] = "kitchen"
-        floors = FloorModel((("floor0", 0.0, 3.0),))
         frame = _keyframe(2, make_pose(0, (0.5, 0.5, 1.4)))
-        entry = build_nav_entry(frame, None, model, floors, set(), _FovStub())
+        entry = build_nav_entry(frame, None, model, set(), _FovStub())
         assert entry.room_label == "kitchen"
 
     def test_fov_failure_tag_unavailable(self):
         frame = _keyframe(1, make_pose(0, (0.5, 0.5, 1.4)))
-        entry = build_nav_entry(frame, None, None, None, set(), _FovStub(fail=True))
+        entry = build_nav_entry(frame, None, None, set(), _FovStub(fail=True))
         assert entry.fov_tag == "unavailable"
 
     def test_motion_label_enum_guard(self):
