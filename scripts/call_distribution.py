@@ -20,13 +20,12 @@ def main():
     parser.add_argument("--miss", type=float, default=0.0)
     parser.add_argument("--m", type=int, default=20)
     args = parser.parse_args()
+    cfg = EngineConfig(max_api_calls=args.m)
 
     scene = generate_scene(args.rooms, args.objects_per_room, args.seed)
     questions = generate_questions(scene)
     backend = ScriptedBackend(scene, reasoner=RuleReasoner(),
                               miss_prob=args.miss, seed=args.seed)
-    cfg = EngineConfig()
-    cfg.max_api_calls = args.m
     report = evaluate(scene, questions, backend, cfg)
 
     print(f"{len(questions)} questions on {scene.scene_id} "

@@ -16,12 +16,11 @@ def main():
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--m", type=int, default=20)
     args = parser.parse_args()
+    cfg = EngineConfig(max_api_calls=args.m)
 
     scene = generate_scene(args.rooms, args.objects_per_room, args.seed)
     episode = scene.episode()
     backend = ScriptedBackend(scene, reasoner=RuleReasoner())
-    cfg = EngineConfig()
-    cfg.max_api_calls = args.m
 
     print(f"scene {scene.scene_id}: {len(scene.objects)} objects, "
           f"{len(scene.relations)} relations, {len(episode)} keyframes")

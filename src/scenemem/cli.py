@@ -20,7 +20,7 @@ from pathlib import Path
 from . import depthio
 from .backend import Backend, HttpBackend
 from .config import EngineConfig, load_config
-from .dataset import load_dataset
+from .dataset import DatasetError, load_dataset
 from .loop import EpisodeQuery, answer, write_transcript
 from .memory import ParseError, load_dir, save_dir, serialize
 from .metrics import evaluate
@@ -233,7 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:  # a damaged memory directory: one line, no traceback
+    except (ParseError, DatasetError) as exc:  # damaged input: one line, no traceback
         raise SystemExit(f"scenemem: {exc}") from None
 
 

@@ -104,12 +104,15 @@ def read_gray16_png(path: str | Path) -> np.ndarray:
     pos = 8
     width = height = None
     idat = bytearray()
-    while pos < len(blob):
-        (length,) = struct.unpack_from(">I", blob, pos)
-        kind = blob[pos + 4:pos + 8]
+    while True:  # until IEND; every chunk, its length and CRC included, must fit
+        length, kind = int.from_bytes(blob[pos:pos + 4], "big"), blob[pos + 4:pos + 8]
+        if pos + 12 + length > len(blob):
+            raise DepthIOError(f"{path}: truncated at byte {len(blob)}")
         data = blob[pos + 8:pos + 8 + length]
         pos += 12 + length
         if kind == b"IHDR":
+            if length != 13:
+                raise DepthIOError(f"{path}: IHDR of {length} bytes, expected 13")
             width, height, depth, color, comp, filt, interlace = \
                 struct.unpack(">IIBBBBB", data)
             if depth != 16 or color != 0:
@@ -123,7 +126,10 @@ def read_gray16_png(path: str | Path) -> np.ndarray:
             break
     if width is None:
         raise DepthIOError(f"{path}: missing IHDR")
-    raw = zlib.decompress(bytes(idat))
+    try:
+        raw = zlib.decompress(bytes(idat))
+    except zlib.error as exc:
+        raise DepthIOError(f"{path}: corrupt image data: {exc}") from None
     expected = height * (width * 2 + 1)
     if len(raw) != expected:
         raise DepthIOError(f"{path}: decompressed size {len(raw)} != {expected}")

@@ -31,12 +31,13 @@ frame memory and every keyframe's locator ride inside the "episode"
 object so a round trip restores them.
 
 Embeddings never appear in the JSON (prompts need text, not vectors); they
-live in a side-car binary file, as do raw point clouds. See save_dir /
+live in the side-car file tracks.bin, as do raw point clouds. See save_dir /
 load_dir.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import struct
@@ -583,112 +584,106 @@ def deserialize(text: str) -> SceneMemory:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: directory layout ssm.json + clouds.bin + embeddings.bin
+# Persistence: directory layout ssm.json + tracks.bin
 # ---------------------------------------------------------------------------
 
-_CLOUD_MAGIC = b"SMCLOUD2"
-_EMBED_MAGIC = b"SMEMBED2"
-_KIND_CODES = {"visual": 0, "language": 1}
-_KIND_NAMES = {v: k for k, v in _KIND_CODES.items()}
+_TRACKS_MAGIC = b"SMTRACK1"
+_HEADER = struct.Struct("<8s32sI")  # magic, sha256 of the ssm.json bytes, record count
+_TRACK = struct.Struct("<IIII")  # id, point count, visual and language dimensions
+_NO_CLOUD = 0xFFFFFFFF  # the point count of a track without a cloud
 
 
-def _pack_clouds(ssm: SceneMemory) -> bytes:
-    parts = [_CLOUD_MAGIC]
-    with_clouds = [(tid, t.cloud) for tid, t in sorted(ssm.graph.tracks.items())
-                   if t.cloud is not None]
-    parts.append(struct.pack("<I", len(with_clouds)))
-    for tid, cloud in with_clouds:
-        pts = np.ascontiguousarray(cloud.points, dtype="<f8")
-        parts.append(struct.pack("<II", tid, len(cloud)))
-        parts.append(pts.tobytes())
+def _pack_tracks(ssm: SceneMemory, digest: bytes) -> bytes:
+    tracks = sorted(ssm.graph.tracks.items())
+    parts = [_HEADER.pack(_TRACKS_MAGIC, digest, len(tracks))]
+    for tid, t in tracks:
+        points, visual, language = (
+            np.ascontiguousarray(getattr(x, attr, ()), dtype="<f8")
+            for x, attr in ((t.cloud, "points"), (t.visual, "vector"),
+                            (t.language, "vector")))
+        npts = _NO_CLOUD if t.cloud is None else len(points)
+        parts += [_TRACK.pack(tid, npts, visual.size, language.size),
+                  points.tobytes(), visual.tobytes(), language.tobytes()]
     return b"".join(parts)
 
 
-def _unpack(path: Path, name: str, magic: bytes, read_record) -> dict:
-    """The records of side-car file ``name`` in directory ``path``: its
-    magic, a record count, then ``read_record(blob, offset) -> (key, value,
-    next offset)`` per record, ending exactly at the last byte. A missing
-    or truncated file, trailing bytes or a record the engine refuses raise
-    ParseError naming the file."""
+def _read_track(blob: bytes, offset: int) -> tuple[tuple, int]:
+    tid, npts, vdim, ldim = _TRACK.unpack_from(blob, offset)
+    offset += _TRACK.size
+    arrays = []
+    for count in (0 if npts == _NO_CLOUD else npts * 3, vdim, ldim):
+        arrays.append(np.frombuffer(blob, dtype="<f8", count=count, offset=offset))
+        offset += count * 8
+    points, visual, language = arrays
+    cloud = None if npts == _NO_CLOUD else PointCloud(points.reshape(npts, 3))
+    return (tid, cloud, Embedding.from_unit(visual, "visual") if vdim else None,
+            Embedding.from_unit(language, "language") if ldim else None), offset
+
+
+def _unpack(path: Path, name: str, magic: bytes, digest: bytes, read_record) -> list:
+    """The records of side-car ``name`` in directory ``path``: a header of
+    ``magic``, the sha256 ``digest`` of the ssm.json bytes and a record
+    count, then ``read_record(blob, offset) -> (record, next offset)`` per
+    record, ending exactly at the last byte. A missing file, another magic
+    or digest, truncation, trailing bytes or a record the engine refuses
+    raise ParseError naming the file."""
     try:
         blob = (path / name).read_bytes()
     except FileNotFoundError:
         raise ParseError(name, "missing; save_dir writes it next to ssm.json") from None
     if blob[:8] != magic:
         raise ParseError(name, "bad magic")
-    out = {}
-    try:
-        (count,) = struct.unpack_from("<I", blob, 8)
-        offset = 12
-        for _ in range(count):
-            key, value, offset = read_record(blob, offset)
-            out[key] = value
-    except (struct.error, ValueError) as exc:
-        raise ParseError(name, str(exc)) from None
+    if len(blob) < _HEADER.size:
+        raise ParseError(name, f"truncated header: {len(blob)} bytes")
+    _, stored, count = _HEADER.unpack_from(blob)
+    if stored != digest:
+        raise ParseError(name, "written for another ssm.json")
+    records, offset = [], _HEADER.size
+    for i in range(count):
+        try:
+            record, offset = read_record(blob, offset)
+        except (struct.error, ValueError) as exc:
+            raise ParseError(name, f"record {i}: {exc}") from None
+        records.append(record)
     if offset != len(blob):
         raise ParseError(name, f"{len(blob) - offset} trailing bytes")
-    return out
-
-
-def _read_cloud(blob: bytes, offset: int) -> tuple[int, PointCloud, int]:
-    tid, npts = struct.unpack_from("<II", blob, offset)
-    offset += 8
-    arr = np.frombuffer(blob, dtype="<f8", count=npts * 3, offset=offset)
-    return tid, PointCloud(arr.reshape(npts, 3)), offset + npts * 3 * 8
-
-
-def _pack_embeddings(ssm: SceneMemory) -> bytes:
-    records = []
-    for tid, t in sorted(ssm.graph.tracks.items()):
-        for kind in ("visual", "language"):
-            emb = getattr(t, kind)
-            if emb is not None:
-                records.append((tid, kind, emb))
-    parts = [_EMBED_MAGIC, struct.pack("<I", len(records))]
-    for tid, kind, emb in records:
-        vec = np.ascontiguousarray(emb.vector, dtype="<f8")
-        parts.append(struct.pack("<IBI", tid, _KIND_CODES[kind], vec.size))
-        parts.append(vec.tobytes())
-    return b"".join(parts)
-
-
-def _read_embedding(blob: bytes, offset: int) -> tuple[tuple[int, str], Embedding, int]:
-    tid, code, dim = struct.unpack_from("<IBI", blob, offset)
-    offset += 9
-    vec = np.frombuffer(blob, dtype="<f8", count=dim, offset=offset)
-    if code not in _KIND_NAMES:
-        raise ValueError(f"unknown kind code {code}")
-    kind = _KIND_NAMES[code]
-    return (tid, kind), Embedding.from_unit(vec, kind), offset + dim * 8
+    return records
 
 
 def save_dir(ssm: SceneMemory, path: str | Path) -> None:
-    """Persist to a directory: ssm.json (canonical form), clouds.bin
-    (float64 LE point triples per track), embeddings.bin (float64 LE
-    vectors keyed by track id and kind). Clouds and embeddings are stored
-    bit-exact, so a reloaded memory re-voxelizes, merges and scores the
-    same as the in-process one. The floor plan is not persisted."""
+    """Persist to a directory: ssm.json (canonical form) and tracks.bin,
+    whose header carries the sha256 of those ssm.json bytes and which holds
+    one record per track, in id order, with its point cloud and embeddings
+    as float64 LE. They are stored bit-exact, so a reloaded memory
+    re-voxelizes, merges and scores the same as the in-process one. The
+    floor plan is not persisted."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    text, _ = serialize(ssm)
-    (path / "ssm.json").write_text(text, encoding="utf-8")
-    (path / "clouds.bin").write_bytes(_pack_clouds(ssm))
-    (path / "embeddings.bin").write_bytes(_pack_embeddings(ssm))
+    text = serialize(ssm)[0].encode("utf-8")
+    (path / "ssm.json").write_bytes(text)
+    (path / "tracks.bin").write_bytes(_pack_tracks(ssm, hashlib.sha256(text).digest()))
 
 
 def load_dir(path: str | Path) -> SceneMemory:
-    """Load a persisted memory, restoring clouds and embeddings. All three
-    files are required: without its clouds and embeddings a memory would
-    not merge detections as the saved one does."""
+    """Load a persisted memory, restoring clouds and embeddings. Both files
+    are required: without its clouds and embeddings a memory would not
+    merge detections as the saved one does. tracks.bin must be written for
+    these exact ssm.json bytes, checked before they are decoded, and hold
+    one record per track, in id order."""
     path = Path(path)
-    ssm = deserialize((path / "ssm.json").read_text(encoding="utf-8"))
-    clouds = _unpack(path, "clouds.bin", _CLOUD_MAGIC, _read_cloud)
-    embeds = _unpack(path, "embeddings.bin", _EMBED_MAGIC, _read_embedding)
+    try:
+        text = (path / "ssm.json").read_bytes()
+    except FileNotFoundError:
+        raise ParseError("ssm.json", "missing") from None
+    records = _unpack(path, "tracks.bin", _TRACKS_MAGIC, hashlib.sha256(text).digest(),
+                      _read_track)
+    ssm = deserialize(text.decode("utf-8"))
     tracks = ssm.graph.tracks
-    for tid, cloud in clouds.items():
-        if tid in tracks:
-            tracks[tid] = replace(tracks[tid], cloud=cloud, summary=None)
-    for (tid, kind), emb in embeds.items():
-        if tid in tracks:
-            tracks[tid] = replace(tracks[tid], **{kind: emb})
+    if len(records) != len(tracks):
+        raise ParseError("tracks.bin", f"{len(records)} records for {len(tracks)} tracks")
+    for tid, (rid, cloud, visual, language) in zip(sorted(tracks), records):
+        if rid != tid:
+            raise ParseError("tracks.bin", f"record for track {rid} where {tid} was expected")
+        tracks[tid] = replace(tracks[tid], cloud=cloud, visual=visual, language=language,
+                              summary=tracks[tid].summary if cloud is None else None)
     return ssm

@@ -22,9 +22,8 @@ from .memory import (SceneMemory, canonical_json, load_dir, serialize,
 
 
 def _snapshot(ssm: SceneMemory) -> dict:
-    text, refs = serialize(ssm)
-    doc = json.loads(text)
-    return {"doc": doc, "text": text, "refs": refs}
+    text, _ = serialize(ssm)
+    return {"doc": json.loads(text), "text": text}
 
 
 def _metrics_doc(ssm: SceneMemory, report_doc: dict | None) -> dict:

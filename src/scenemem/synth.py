@@ -124,7 +124,6 @@ class GtDetection:
     caption: str
     bbox: tuple[int, int, int, int]
     mask_runs: tuple[tuple[int, int, int], ...]
-    pixel_count: int
 
 
 @dataclass
@@ -276,8 +275,7 @@ class SyntheticScene:
             runs = zip(rows[starts].tolist(), cols[starts].tolist(),
                        cols[ends].tolist())
             out.append(GtDetection(object_index=obj.index, caption=obj.caption,
-                                   bbox=bbox, mask_runs=tuple(runs),
-                                   pixel_count=int(rows.size)))
+                                   bbox=bbox, mask_runs=tuple(runs)))
         result = tuple(out)
         self._gt_cache[frame_id] = result
         return result

@@ -48,15 +48,32 @@ class TestSynthCommand:
 class TestBuildCommand:
     def test_persisted_layout(self, workspace):
         _, _, mem_dir = workspace
-        for name in ("ssm.json", "clouds.bin", "embeddings.bin",
-                     "occupancy_floor0.pgm"):
-            assert (mem_dir / name).exists()
+        names = {p.name for p in mem_dir.iterdir() if p.suffix != ".pgm"}
+        assert names == {"ssm.json", "tracks.bin"}
+        assert (mem_dir / "occupancy_floor0.pgm").exists()
 
     def test_persisted_memory_loads(self, workspace):
         _, _, mem_dir = workspace
         ssm = load_dir(mem_dir)
         assert len(ssm.graph.tracks) == 4
         assert ssm.frame_memory.initial_count == 4
+
+
+    def test_truncated_depth_is_one_line(self, workspace, tmp_path):
+        """A truncated depth PNG ends the build with one line naming the
+        frame, before anything is written."""
+        _, scene_dir, _ = workspace
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        depth = scene / "depth" / "0000.png"
+        blob = depth.read_bytes()
+        depth.write_bytes(blob[:len(blob) // 2])
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--dataset", str(scene / "manifest.jsonl"),
+                  "--scripted", str(scene / "truth.json"), "--out", str(out)])
+        assert re.fullmatch(r"scenemem: frame 0: [^\n]*truncated[^\n]*", err.value.code)
+        assert not out.exists()
 
 
 class TestAskCommand:
@@ -130,10 +147,10 @@ class TestInspectCommand:
         ssm = deserialize(text)
         assert len(ssm.graph.tracks) == 4
 
-    @pytest.mark.parametrize("missing", ["embeddings.bin", "clouds.bin"])
+    @pytest.mark.parametrize("missing", ["tracks.bin", "ssm.json"])
     def test_missing_side_car_is_one_line(self, workspace, tmp_path, capsys, missing):
-        """A memory directory without a side-car exits non-zero with one
-        line naming the file, and prints nothing to stdout."""
+        """A memory directory without one of its files exits non-zero with
+        one line naming the file, and prints nothing to stdout."""
         _, _, mem_dir = workspace
         damaged = tmp_path / "m2"
         shutil.copytree(mem_dir, damaged)
@@ -142,6 +159,30 @@ class TestInspectCommand:
             main(["inspect", "--ssm", str(damaged)])
         assert re.fullmatch(f"scenemem: {re.escape(missing)}: missing[^\n]*",
                             err.value.code)
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("damage", ["foreign side-car", "edited ssm.json"])
+    def test_side_car_of_another_text_is_one_line(self, workspace, tmp_path, capsys,
+                                                  damage):
+        """A tracks.bin written next to another ssm.json, or an ssm.json
+        edited after saving, ends inspect with one line naming tracks.bin."""
+        root, scene_dir, mem_dir = workspace
+        damaged = tmp_path / "m2"
+        shutil.copytree(mem_dir, damaged)
+        if damage == "foreign side-car":
+            other = tmp_path / "other"
+            assert main(["build", "--scripted", str(scene_dir / "truth.json"),
+                         "--k", "2", "--out", str(other)]) == 0
+            shutil.copy(other / "tracks.bin", damaged / "tracks.bin")
+            capsys.readouterr()
+        else:
+            text = (damaged / "ssm.json").read_bytes()
+            at = len(text) // 2
+            (damaged / "ssm.json").write_bytes(
+                text[:at] + bytes([text[at] ^ 1]) + text[at + 1:])
+        with pytest.raises(SystemExit) as err:
+            main(["inspect", "--ssm", str(damaged)])
+        assert err.value.code == "scenemem: tracks.bin: written for another ssm.json"
         assert capsys.readouterr().out == ""
 
 

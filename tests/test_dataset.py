@@ -57,6 +57,14 @@ class TestLoadDataset:
             load_dataset(manifest, k=1)
         assert "frame 3" in str(err.value)
 
+    def test_truncated_depth_names_frame(self, tmp_path):
+        manifest = write_manifest(tmp_path, 4)
+        depth = tmp_path / "depth" / "0002.png"
+        blob = depth.read_bytes()
+        depth.write_bytes(blob[:len(blob) // 2])
+        with pytest.raises(DatasetError, match="^frame 2: .*truncated"):
+            load_dataset(manifest, k=1)
+
     def test_malformed_pose_names_frame(self, tmp_path):
         manifest = write_manifest(tmp_path, 6, bad_pose_at=2)
         with pytest.raises(DatasetError) as err:

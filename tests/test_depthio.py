@@ -77,6 +77,27 @@ class TestGray16Codec:
         with pytest.raises(DepthIOError):
             read_gray16_png(path)
 
+    @pytest.mark.parametrize("cut", [lambda n: 20, lambda n: 30, lambda n: n // 2,
+                                     lambda n: n - 12],
+                             ids=["20 bytes", "30 bytes", "half", "without IEND"])
+    def test_truncated_file_rejected(self, tmp_path, cut):
+        path = tmp_path / "t.png"
+        write_gray16_png(path, rng(2).integers(0, 65536, size=(12, 16)).astype(np.uint16))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:cut(len(blob))])
+        with pytest.raises(DepthIOError, match="truncated"):
+            read_gray16_png(path)
+
+    def test_corrupt_image_data_rejected(self, tmp_path):
+        """An IDAT chunk of the declared length whose zlib stream is broken."""
+        path = tmp_path / "c.png"
+        write_gray16_png(path, np.ones((4, 4), np.uint16))
+        blob = path.read_bytes()
+        idat = blob.index(b"IDAT") + 4
+        path.write_bytes(blob[:idat] + b"\xff\xff" + blob[idat + 2:])
+        with pytest.raises(DepthIOError, match="corrupt image data"):
+            read_gray16_png(path)
+
     @pytest.mark.parametrize("high", [65536, 4])
     @pytest.mark.parametrize("first", range(5))
     def test_reads_every_filter_type(self, tmp_path, first, high):

@@ -7,8 +7,10 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import json
 import re
+import shutil
 import struct
 import weakref
 from dataclasses import replace
@@ -753,6 +755,17 @@ class TestStrictParse:
             serialize(ssm)
 
 
+def side_car_records(blob: bytes) -> list[bytes]:
+    """The records of a tracks.bin file, each as its raw bytes."""
+    records, offset = [], 44
+    while offset < len(blob):
+        _, npts, vdim, ldim = struct.unpack_from("<IIII", blob, offset)
+        floats = (0 if npts == 0xFFFFFFFF else 3 * npts) + vdim + ldim
+        records.append(blob[offset:offset + 16 + 8 * floats])
+        offset += 16 + 8 * floats
+    return records
+
+
 class TestPersistence:
     def test_directory_round_trip(self, tmp_path):
         # clouds and embeddings restored bit for bit; several seeds, so some
@@ -791,40 +804,44 @@ class TestPersistence:
             assert serialize(there)[0] == serialize(here)[0], f"frame {fid}"
 
     def test_older_binary_format_rejected(self, tmp_path):
-        """An older magic, a truncated file, trailing bytes and a stored
-        vector that is not unit length each raise ParseError naming the
-        side-car file."""
+        """Another magic, truncation at several offsets, one trailing byte
+        and a stored vector that is not unit length each raise ParseError
+        naming the side-car file."""
         for seed in (7, 2):  # seed 2: every track has a cloud and a vector
             mem = tmp_path / f"mem{seed}"
             save_dir(random_ssm(seed), mem)
-            for name in ("clouds.bin", "embeddings.bin"):
-                path = mem / name
-                original = path.read_bytes()
-                path.write_bytes(original[:7] + b"1" + original[8:])
-                with pytest.raises(ParseError, match="bad magic"):
+            path = mem / "tracks.bin"
+            original = path.read_bytes()
+            for magic in (b"SMCLOUD2", b"SMEMBED2"):
+                path.write_bytes(magic + original[8:])
+                with pytest.raises(ParseError, match="bad magic") as err:
                     load_dir(mem)
-                for corrupt in {original[:10], original[:17], original[:-1],
-                                original + b"\0"} - {original}:
-                    path.write_bytes(corrupt)
-                    with pytest.raises(ParseError) as err:
-                        load_dir(mem)
-                    assert err.value.path == name, len(corrupt)
-                path.write_bytes(original)
-        path = tmp_path / "mem2" / "embeddings.bin"
+                assert err.value.path == "tracks.bin"
+            cuts = {0, 4, 20, 43, 44, 50, 61, len(original) // 2, len(original) - 1}
+            for corrupt in [original[:n] for n in sorted(cuts) if n < len(original)] + [
+                    original + b"\0"]:
+                path.write_bytes(corrupt)
+                with pytest.raises(ParseError) as err:
+                    load_dir(mem)
+                assert err.value.path == "tracks.bin", len(corrupt)
+            path.write_bytes(original)
+        path = tmp_path / "mem2" / "tracks.bin"
         original = path.read_bytes()
-        _, _, dim = struct.unpack_from("<IBI", original, 12)
-        doubled = np.frombuffer(original, "<f8", dim, 21) * 2
-        path.write_bytes(original[:21] + doubled.tobytes() + original[21 + 8 * dim:])
+        _, npts, dim, _ = struct.unpack_from("<IIII", original, 44)
+        at = 44 + 16 + 24 * npts  # the first track's visual vector
+        doubled = np.frombuffer(original, "<f8", dim, at) * 2
+        path.write_bytes(original[:at] + doubled.tobytes() + original[at + 8 * dim:])
         with pytest.raises(ParseError) as err:
             load_dir(tmp_path / "mem2")
-        assert err.value.path == "embeddings.bin"
+        assert err.value.path == "tracks.bin"
         assert "unit norm" in str(err.value)
 
-    @pytest.mark.parametrize("missing", [("clouds.bin",), ("embeddings.bin",),
-                                         ("clouds.bin", "embeddings.bin")])
+    @pytest.mark.parametrize("missing", [("tracks.bin",), ("ssm.json",),
+                                         ("ssm.json", "tracks.bin")])
     def test_missing_side_car_refused(self, tmp_path, missing):
-        """save_dir always writes both side-cars; without one, a reloaded
-        memory would merge nothing, so load_dir refuses it, naming the file."""
+        """save_dir always writes both files; without the side-car a
+        reloaded memory would merge nothing, so load_dir refuses a directory
+        missing either, naming the file."""
         save_dir(random_ssm(2), tmp_path / "m")
         for name in missing:
             (tmp_path / "m" / name).unlink()
@@ -832,6 +849,84 @@ class TestPersistence:
             load_dir(tmp_path / "m")
         assert err.value.path == missing[0]
         assert "missing" in str(err.value)
+
+    @pytest.fixture(scope="class")
+    def built(self, tmp_path_factory):
+        """The 2x3 seed-7 and 3x2 seed-0 memories, built and saved."""
+        root = tmp_path_factory.mktemp("built")
+        for rooms, objects, seed in ((2, 3, 7), (3, 2, 0)):
+            scene = generate_scene(rooms, objects, seed=seed)
+            ssm = build_ssm(scene.episode(),
+                            ScriptedBackend(scene, reasoner=RuleReasoner()),
+                            EngineConfig())
+            save_dir(ssm, root / f"{rooms}x{objects}")
+        return root
+
+    def test_foreign_side_car_refused(self, built, tmp_path):
+        """A tracks.bin copied from another memory is refused, although
+        the two memories share track ids."""
+        mem = tmp_path / "mem"
+        shutil.copytree(built / "2x3", mem)
+        shutil.copy(built / "3x2" / "tracks.bin", mem / "tracks.bin")
+        assert set(load_dir(built / "2x3").graph.tracks) & set(
+            load_dir(built / "3x2").graph.tracks)
+        with pytest.raises(ParseError, match="written for another ssm.json") as err:
+            load_dir(mem)
+        assert err.value.path == "tracks.bin"
+
+    def test_edited_ssm_json_refused(self, built, tmp_path):
+        """One byte changed anywhere in ssm.json, even one that breaks its
+        JSON, is refused by the side-car check before the text is parsed."""
+        mem = tmp_path / "mem"
+        shutil.copytree(built / "2x3", mem)
+        original = (mem / "ssm.json").read_bytes()
+        for at in (0, 1, len(original) // 3, len(original) // 2, len(original) - 1):
+            edited = original[:at] + bytes([original[at] ^ 1]) + original[at + 1:]
+            (mem / "ssm.json").write_bytes(edited)
+            with pytest.raises(ParseError, match="written for another ssm.json") as err:
+                load_dir(mem)
+            assert err.value.path == "tracks.bin", at
+
+    @pytest.mark.parametrize("damage,message", [
+        ("swapped", "record for track 1 where 0 was expected"),
+        ("one short", "records for 6 tracks"),
+        ("one short, count kept", "record 5: "),
+    ])
+    def test_records_must_match_tracks(self, built, tmp_path, damage, message):
+        """A side-car with the right digest must still hold one record per
+        track, in track id order."""
+        mem = tmp_path / "mem"
+        shutil.copytree(built / "2x3", mem)
+        text = (mem / "ssm.json").read_bytes()
+        records = side_car_records((mem / "tracks.bin").read_bytes())
+        assert len(records) == 6
+        count = len(records)
+        if damage == "swapped":
+            records[0], records[1] = records[1], records[0]
+        else:
+            records.pop()
+            count -= damage == "one short"
+        (mem / "tracks.bin").write_bytes(
+            b"SMTRACK1" + hashlib.sha256(text).digest() + struct.pack("<I", count)
+            + b"".join(records))
+        with pytest.raises(ParseError) as err:
+            load_dir(mem)
+        assert err.value.path == "tracks.bin"
+        assert re.search(message, str(err.value))
+
+    def test_empty_cloud_stays_distinct_from_no_cloud(self, tmp_path):
+        ssm = SceneMemory.empty("empty", 1, [0])
+        for tid, cloud in ((0, PointCloud()), (1, None)):
+            ssm.graph.insert_track(Track(id=tid, cloud=cloud, visual=None,
+                                         language=None, caption="c",
+                                         caption_history=("c",), visible_frames=(0,)))
+        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", (0, 1))]
+        ssm.frame_memory = init_frame_memory([0], 1)
+        save_dir(ssm, tmp_path / "m")
+        loaded = load_dir(tmp_path / "m")
+        assert len(loaded.graph.tracks[0].cloud) == 0
+        assert loaded.graph.tracks[1].cloud is None
+        assert serialize(loaded)[0] == serialize(ssm)[0]
 
     def test_float32_exact_coordinates_round_trip_bytes(self, tmp_path):
         """Coordinates on the float32 lattice survive save/load with a
