@@ -17,6 +17,10 @@ live in one place.
 Transport errors are retried once; schema errors never are (they are
 systematic, a retry wastes budget).
 
+A detect reply may carry its frame's field-of-view tag (``fov_tag``), so
+a build need not send the frame again in a ``fov`` request. One
+``room_label`` request scores every room: one row of class scores per room.
+
 Detect/analyze items may carry an exact pixel mask (row runs) and
 visual/language embedding vectors. Mask extraction and embedding models
 sit behind this protocol; when a backend omits them the engine falls back
@@ -116,6 +120,7 @@ class WireRelation:
 @dataclass(frozen=True)
 class DetectResponse:
     objects: tuple[WireObject, ...]
+    fov_tag: str | None = None  # the frame's field-of-view tag, when sent
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,7 @@ class FovResponse:
 
 @dataclass(frozen=True)
 class RoomLabelResponse:
-    scores: tuple[float, ...]
+    scores: tuple[tuple[float, ...], ...]  # one row per room, one score per class
 
 
 @dataclass(frozen=True)
@@ -306,9 +311,10 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None,
 
     if kind == "detect":
         items = need(raw, "detections", list, "$")
+        fov_tag = need(raw, "fov_tag", str, "$") if "fov_tag" in raw else None
         return DetectResponse(tuple(
             _wire_object(d, frame_size, embedding_dim, f"$.detections[{i}]")
-            for i, d in enumerate(items)))
+            for i, d in enumerate(items)), fov_tag)
 
     if kind == "relations":
         items = need(raw, "relations", list, "$")
@@ -348,8 +354,9 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None,
         return FovResponse(tag=need(raw, "tag", str, "$"))
 
     if kind == "room_label":
-        return RoomLabelResponse(number_array(need(raw, "scores", list, "$"),
-                                              "$.scores"))
+        return RoomLabelResponse(tuple(
+            number_array(row, f"$.scores[{i}]")
+            for i, row in enumerate(need(raw, "scores", list, "$"))))
 
     # kind == "reason"
     has_action = "action" in raw and raw["action"] is not None

@@ -197,9 +197,12 @@ class PixelMask:
         if arr.size:
             if arr.min() < 0 or arr[:, 0].max() >= width or arr[:, 1].max() >= height:
                 raise GeometryInputError("mask pixel outside image bounds")
-            # u < width, so sorting the keys v * width + u sorts by (v, u)
-            v, u = np.divmod(np.unique(arr[:, 1] * width + arr[:, 0]), width)
-            arr = np.column_stack([u, v])
+            # u < width, so sorting the keys v * width + u sorts by (v, u);
+            # pixels that already arrive strictly increasing need no sort
+            keys = arr[:, 1] * width + arr[:, 0]
+            if np.any(keys[1:] <= keys[:-1]):
+                v, u = np.divmod(np.unique(keys), width)
+                arr = np.column_stack([u, v])
         arr.flags.writeable = False
         self.width = width
         self.height = height

@@ -4,12 +4,16 @@ Per keyframe: ask the backend detector for (bbox, caption) objects, lift
 each through mask -> back-projection -> voxel downsample -> densest
 cluster, then merge into or create tracks through the same integration
 function that applies patches (apis._associate_detections).
+A detect reply may also carry the frame's field-of-view tag, which is
+kept for its navigation-log entry.
 Every third processed frame the backend predicts pairwise relations among
 the frame's visible nodes. Caption histories consolidate once they reach
 the configured length. After the frame sweep: the structure cloud (strided
 depth of every frame), which ``spatial`` turns into floors, occupancy grids
-and watershed rooms, room labels via backend scoring, one navigation-log
-entry per keyframe, and the evenly spaced initial frame memory.
+and watershed rooms, room labels from one backend scoring request over all
+rooms, one navigation-log entry per keyframe (a frame whose detect reply
+carried no tag, or whose detect failed, asks the backend for its tag), and
+the evenly spaced initial frame memory.
 
 Per-frame detector failures skip that frame's detections (the navigation
 log still covers it); more than half the frames failing aborts the build.
@@ -69,6 +73,7 @@ def build_ssm(episode: Episode, backend: Backend,
                             episode.frame_locators())
     executor = ApiExecutor(episode, backend, cfg)
     visible_by_frame: dict[int, list[int]] = {}
+    fov_by_frame: dict[int, str | None] = {}  # the tag each detect reply carried
     failed_frames = 0
 
     for index, frame in enumerate(episode.frames):
@@ -85,6 +90,7 @@ def build_ssm(episode: Episode, backend: Backend,
                     f"{failed_frames} of {len(episode)} frames failed") from exc
             continue
 
+        fov_by_frame[frame.id] = response.fov_tag
         detections = [executor.detection_from_wire(wire, frame)
                       for wire in response.objects]
         frame_nodes, _ = _associate_detections(ssm, detections, cfg)
@@ -140,7 +146,7 @@ def build_ssm(episode: Episode, backend: Backend,
     for frame in episode.frames:
         ssm.nav_log.append(build_nav_entry(
             frame, prev, ssm.rooms, visible_by_frame.get(frame.id, []),
-            backend, cfg.spatial))
+            backend, cfg.spatial, fov_by_frame.get(frame.id)))
         prev = frame
 
     ssm.frame_memory = init_frame_memory(episode.frame_ids, cfg.initial_frames)

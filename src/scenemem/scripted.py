@@ -143,6 +143,34 @@ class ScriptedBackend(Backend):
         return (f"{prefix}the {obj.caption} is {obj.color}; "
                 f"located in the {self._object_room(obj_index)}")
 
+    def _fov_tag(self, frame_id: int) -> str:
+        """The frame's field-of-view tag: the room holding the camera and
+        the captions in view. Deterministic; it draws nothing."""
+        pose = self.scene.poses[frame_id]
+        x, y = float(pose.translation[0]), float(pose.translation[1])
+        room = "somewhere"
+        for spec in self.scene.rooms:
+            if spec.x0 <= x <= spec.x1 and spec.y0 <= y <= spec.y1:
+                room = spec.label
+                break
+        captions = sorted(self.scene.objects[i].caption
+                          for i in self.scene.visible_objects(frame_id))
+        return f"view of {room}: {', '.join(captions) if captions else 'empty'}"
+
+    def _room_scores(self, captions: set[str], classes: list[str]) -> list[float]:
+        """One room's scores: 1 for the label of the scene room sharing the
+        most captions with it (the first on a tie), 0 elsewhere."""
+        best_room, best_hits = None, 0
+        for spec in self.scene.rooms:
+            members = {o.caption for o in self.scene.objects
+                       if o.room_index == spec.index}
+            hits = len(captions & members)
+            if hits > best_hits:
+                best_room, best_hits = spec, hits
+        if best_room is None:
+            return [0.0] * len(classes)
+        return [1.0 if cls == best_room.label else 0.0 for cls in classes]
+
     def _match_targets(self, frame_id: int, targets: list[dict]) -> dict[int, int]:
         """target node_id -> object index, by bbox IoU against exact truth."""
         truth = self.scene.gt_detections(frame_id)
@@ -184,7 +212,10 @@ class ScriptedBackend(Backend):
             note = self._note_for(det.object_index, request.query) \
                 if request.query else None
             out.append(self._wire_detection(det, note))
-        return {"detections": out}
+        doc = {"detections": out}
+        if not request.query:  # the build's detect: the fov tag rides along
+            doc["fov_tag"] = self._fov_tag(request.frame_id)
+        return doc
 
     def _handle_relations(self, request: BackendRequest) -> dict:
         targets = request.payload.get("visible", [])
@@ -232,31 +263,12 @@ class ScriptedBackend(Backend):
         return {"new_objects": new_objects, "notes": notes}
 
     def _handle_fov(self, request: BackendRequest) -> dict:
-        pose = self.scene.poses[request.frame_id]
-        x, y = float(pose.translation[0]), float(pose.translation[1])
-        room = "somewhere"
-        for spec in self.scene.rooms:
-            if spec.x0 <= x <= spec.x1 and spec.y0 <= y <= spec.y1:
-                room = spec.label
-                break
-        captions = sorted(self.scene.objects[i].caption
-                          for i in self.scene.visible_objects(request.frame_id))
-        return {"tag": f"view of {room}: {', '.join(captions) if captions else 'empty'}"}
+        return {"tag": self._fov_tag(request.frame_id)}
 
     def _handle_room_label(self, request: BackendRequest) -> dict:
-        captions = set(request.payload.get("captions", []))
         classes = request.payload.get("classes", [])
-        best_room, best_hits = None, 0
-        for spec in self.scene.rooms:
-            members = {o.caption for o in self.scene.objects
-                       if o.room_index == spec.index}
-            hits = len(captions & members)
-            if hits > best_hits:
-                best_room, best_hits = spec, hits
-        if best_room is None:
-            return {"scores": [0.0] * len(classes)}
-        return {"scores": [1.0 if cls == best_room.label else 0.0
-                           for cls in classes]}
+        return {"scores": [self._room_scores(set(captions), classes)
+                           for captions in request.payload.get("rooms", [])]}
 
     def _handle_reason(self, request: BackendRequest) -> dict:
         if self.reasoner is None:

@@ -405,33 +405,37 @@ def segment_rooms(floors: FloorModel, occupancy: dict[str, OccupancyGrid],
 
 def label_rooms(model: RoomModel, members: dict[str, list[str]], backend,
                 class_list: list[str]) -> RoomModel:
-    """Assign a semantic label to each room.
+    """Assign a semantic label to each room, with one backend request.
 
     ``members`` maps room id to the captions of tracks inside it. The
-    backend scores the captions against ``class_list``; the argmax class
-    wins, ties broken by class order. Rooms with no members, and rooms
-    whose scoring call fails, are labeled "unknown".
+    request lists each room with members, in ``model.room_ids()`` order,
+    by its sorted captions; the reply holds one row of scores per listed
+    room, aligned with ``class_list``. Each room takes its row's argmax
+    class, ties broken by class order. Rooms with no members are labeled
+    "unknown" and not sent; when the request fails, or the reply has the
+    wrong number of rows or scores, every room is.
     """
     if not class_list:
         raise GeometryInputError("class_list must be nonempty")
-    for room_id in model.room_ids():
-        captions = members.get(room_id, [])
-        label = "unknown"
-        if captions:
-            request = BackendRequest(kind="room_label",
-                                     payload={"captions": sorted(captions),
-                                              "classes": list(class_list)})
-            try:
-                response = backend.call(request)
-                scores = response.scores
-                if len(scores) != len(class_list):
-                    raise BackendError("score count does not match class list")
-                best = max(range(len(class_list)), key=lambda i: (scores[i], -i))
-                label = class_list[best]
-            except BackendError as exc:
-                logger.warning("room labeling failed for %s: %s", room_id, exc)
-                label = "unknown"
-        model.labels[room_id] = label
+    room_ids = model.room_ids()
+    listed = [room_id for room_id in room_ids if members.get(room_id)]
+    model.labels.update(dict.fromkeys(room_ids, "unknown"))
+    if not listed:
+        return model
+    request = BackendRequest(kind="room_label", payload={
+        "rooms": [sorted(members[room_id]) for room_id in listed],
+        "classes": list(class_list)})
+    try:
+        rows = backend.call(request).scores
+        if len(rows) != len(listed) or any(len(row) != len(class_list) for row in rows):
+            raise BackendError(f"expected {len(listed)} rows of "
+                               f"{len(class_list)} scores")
+    except BackendError as exc:
+        logger.warning("room labeling failed for %d rooms: %s", len(listed), exc)
+        return model
+    for room_id, scores in zip(listed, rows):
+        best = max(range(len(class_list)), key=lambda i: (scores[i], -i))
+        model.labels[room_id] = class_list[best]
     return model
 
 
@@ -467,13 +471,15 @@ def motion_label(prev: Pose, curr: Pose, cfg: SpatialConfig | None = None) -> st
 
 def build_nav_entry(frame, prev, rooms: RoomModel | None,
                     visible: set[int] | list[int], backend,
-                    cfg: SpatialConfig | None = None) -> NavLogEntry:
+                    cfg: SpatialConfig | None = None,
+                    fov_tag: str | None = None) -> NavLogEntry:
     """Assemble one navigation-log entry for a processed keyframe.
 
     ``frame``/``prev`` are keyframes (prev None for the first frame). The
     room label comes from the camera position, snapped to a room within
-    0.5 m, the field-of-view tag from the backend (or "unavailable" on
-    failure).
+    0.5 m. The field-of-view tag is ``fov_tag`` when given (the build
+    passes the one its detect reply carried); otherwise one ``fov``
+    request asks for it, and a failed request gives "unavailable".
     """
     cfg = cfg or SpatialConfig()
     cam = frame.pose.translation
@@ -483,12 +489,12 @@ def build_nav_entry(frame, prev, rooms: RoomModel | None,
                                   snap_m=0.5)
         room_label = rooms.label_of(room_id)
     motion = "stationary" if prev is None else motion_label(prev.pose, frame.pose, cfg)
-    try:
-        response = backend.call(BackendRequest(kind="fov", frame_id=frame.id))
-        fov_tag = response.tag
-    except BackendError as exc:
-        logger.warning("fov tag unavailable for frame %d: %s", frame.id, exc)
-        fov_tag = "unavailable"
+    if fov_tag is None:
+        try:
+            fov_tag = backend.call(BackendRequest(kind="fov", frame_id=frame.id)).tag
+        except BackendError as exc:
+            logger.warning("fov tag unavailable for frame %d: %s", frame.id, exc)
+            fov_tag = "unavailable"
     return NavLogEntry(frame_id=frame.id, room_label=room_label, fov_tag=fov_tag,
                        motion_label=motion,
                        visible_node_ids=tuple(sorted(set(int(i) for i in visible))))

@@ -131,10 +131,17 @@ class TestValidateResponse:
                 "action": {"api": "teleport", "frame_id": 0, "query": "q"}})
 
     def test_room_label_scores(self):
-        out = validate_response("room_label", {"scores": [0.1, 0.9]})
-        assert out.scores == (0.1, 0.9)
+        out = validate_response("room_label", {"scores": [[0.1, 0.9], [1, 0]]})
+        assert out.scores == ((0.1, 0.9), (1.0, 0.0))
+        assert validate_response("room_label", {"scores": []}).scores == ()
         with pytest.raises(SchemaError):
-            validate_response("room_label", {"scores": ["high"]})
+            validate_response("room_label", {"scores": [["high"]]})
+
+    def test_detect_fov_tag(self):
+        raw = {"detections": []}
+        assert validate_response("detect", raw).fov_tag is None
+        out = validate_response("detect", {**raw, "fov_tag": "view of hall: empty"})
+        assert out.fov_tag == "view of hall: empty"
 
     def test_embedding_must_be_numbers(self):
         raw = {"detections": [{"bbox": [0, 0, 3, 3], "caption": "c",
@@ -196,8 +203,8 @@ class TestValidateResponse:
          "$.detections[0].language_embedding"),
         ("analyze", {"new_objects": [{**_WIRE, "language_embedding": [None]}],
                      "notes": []}, "$.new_objects[0].language_embedding[0]"),
-        ("room_label", {"scores": ["high"]}, "$.scores[0]"),
-        ("room_label", {"scores": [0.1, True]}, "$.scores[1]"),
+        ("room_label", {"scores": [["high"]]}, "$.scores[0][0]"),
+        ("room_label", {"scores": [[0.1, True]]}, "$.scores[0][1]"),
         ("room_label", {"scores": 0.1}, "$.scores"),
         ("reason", {"action": {"api": "analyze_objects", "frame_id": 0, "query": "q",
                                "node_ids": "1"}}, "$.action.node_ids"),
@@ -213,6 +220,11 @@ class TestValidateResponse:
                     "evidence_notes": [[0, 1], [0]]}, "$.evidence_notes[1]"),
         ("reason", {"final_answer": "a", "evidence_frames": [0],
                     "evidence_notes": [[0, 1.5]]}, "$.evidence_notes[0]"),
+        ("room_label", {"scores": [[0.1, 0.2], [0.1, True]]}, "$.scores[1][1]"),
+        ("room_label", {"scores": [0.1]}, "$.scores[0]"),
+        ("detect", {"detections": [], "fov_tag": 3}, "$.fov_tag"),
+        ("detect", {"detections": [], "fov_tag": None}, "$.fov_tag"),
+        ("detect", {"detections": [], "fov_tag": ["view"]}, "$.fov_tag"),
     ])
     def test_array_faults_name_their_path(self, kind, raw, path):
         with pytest.raises(SchemaError) as err:

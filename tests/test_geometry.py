@@ -611,6 +611,27 @@ class TestTypes:
             assert not mask.pixels.flags.writeable
 
 
+_RUN = st.tuples(st.integers(0, 11), st.integers(0, 15), st.integers(-1, 15))
+
+
+@given(runs=st.lists(_RUN, max_size=25), sort=st.booleans())
+@settings(max_examples=200)
+def test_mask_from_runs_matches_unique_oracle(runs, sort):
+    """Runs sorted and disjoint skip the sort; any others (unordered,
+    overlapping, repeated, empty) go through it. Both give what a plain
+    ``np.unique`` over the pixel keys gives."""
+    width, height = 16, 12
+    if sort:
+        runs = sorted(runs)
+    mask = PixelMask.from_runs(runs, width, height)
+    keys = [v * width + u for v, u0, u1 in runs for u in range(u0, u1 + 1)]
+    v, u = np.divmod(np.unique(np.array(keys, dtype=np.int64)), width)
+    assert mask.pixels.dtype == np.int64
+    assert mask.pixels.shape == (len(u), 2)
+    assert mask.pixels.tolist() == np.column_stack([u, v]).tolist()
+    assert not mask.pixels.flags.writeable
+
+
 def reference_mask_pixels(pixels: np.ndarray) -> np.ndarray:
     """The former PixelMask ordering: unique rows, then sorted by (v, u)."""
     arr = np.unique(np.asarray(pixels, dtype=np.int64), axis=0)

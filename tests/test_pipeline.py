@@ -4,15 +4,18 @@ and whole-pipeline determinism (including record/replay)."""
 from __future__ import annotations
 
 import ast
+import hashlib
+import json
 import os
 import subprocess
 import sys
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import pytest
 
 import scenemem
-from scenemem import (EngineConfig, RecordingBackend, ReplayBackend,
+from scenemem import (BackendRequest, EngineConfig, RecordingBackend, ReplayBackend,
                       RuleReasoner, ScriptedBackend, build_ssm, evaluate,
                       generate_questions, generate_scene, recall_sweep,
                       serialize)
@@ -20,6 +23,8 @@ from scenemem.dataset import Episode
 from scenemem.metrics import (graph_precision_recall, match_tracks,
                               normalize_answer, track_recall)
 from scenemem.pipeline import BuildError
+
+GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "output_digests.json"
 
 
 class TestBuildSsm:
@@ -168,8 +173,6 @@ class TestBuildSsm:
 
     def test_strided_dataset_build(self, tmp_path):
         """Full disk round trip: synth -> manifest + PNGs -> load -> build."""
-        import json
-
         from scenemem import load_dataset
         from scenemem.depthio import write_depth_png
 
@@ -195,6 +198,90 @@ class TestBuildSsm:
         ssm = build_ssm(loaded, ScriptedBackend(scene), EngineConfig())
         # millimeter depth quantization must not cost any tracks
         assert track_recall(ssm, scene) == 1.0
+
+
+def _build(scene, backend):
+    return build_ssm(scene.episode(), backend, EngineConfig())
+
+
+class TestBuildRoundTrips:
+    """The fov tag rides on the build's detect reply, and one room_label
+    request scores every room; the fov request is only a fallback."""
+
+    def test_clean_build_sends_no_fov_and_one_room_label(self, small_scene):
+        backend = ScriptedBackend(small_scene)
+        ssm = _build(small_scene, backend)
+        assert backend.call_counts["fov"] == 0
+        assert backend.call_counts["room_label"] == 1
+        assert backend.call_counts["detect"] == len(ssm.nav_log)
+        assert "unavailable" not in {e.fov_tag for e in ssm.nav_log}
+
+    def test_failed_detect_falls_back_to_fov(self, small_scene):
+        clean = _build(small_scene, ScriptedBackend(small_scene))
+        backend = ScriptedBackend(small_scene)
+        backend.fail("detect", times=2)  # the first frame's detect and its retry
+        ssm = _build(small_scene, backend)
+        assert backend.call_counts["fov"] == 1
+        # the failed detect empties the frame's visible nodes, nothing else
+        assert astuple(ssm.nav_log[0]) \
+            == astuple(replace(clean.nav_log[0], visible_node_ids=()))
+        assert [astuple(e) for e in ssm.nav_log[1:]] \
+            == [astuple(e) for e in clean.nav_log[1:]]
+
+    def test_failed_detect_and_fov_give_unavailable(self, small_scene):
+        backend = ScriptedBackend(small_scene)
+        backend.fail("detect", times=2)
+        backend.fail("fov", times=2)
+        ssm = _build(small_scene, backend)
+        assert backend.call_counts["fov"] == 2
+        assert ssm.nav_log[0].fov_tag == "unavailable"
+        assert "unavailable" not in {e.fov_tag for e in ssm.nav_log[1:]}
+
+    def test_detect_replies_without_tag_replay_todays_build(self, small_scene):
+        """An older backend's detect replies carry no fov_tag: the build
+        asks fov once per frame and writes the same memory bytes."""
+        episode = small_scene.episode()
+        oracle = ScriptedBackend(small_scene)
+        fixtures = {}
+        for frame in episode.frames:
+            request = BackendRequest(kind="detect", frame_id=frame.id,
+                                     frame_size=frame.size,
+                                     embedding_dim=EngineConfig().embedding_dim)
+            reply = oracle.raw_call(request)
+            assert reply.pop("fov_tag")
+            fixtures[request.digest()] = reply
+        backend = ScriptedBackend(small_scene, fixtures=fixtures)
+        text = serialize(_build(small_scene, backend))[0]
+        assert backend.call_counts["fov"] == len(episode)
+        assert backend.call_counts["room_label"] == 1
+        assert text == serialize(_build(small_scene, ScriptedBackend(small_scene)))[0]
+        golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
+            == golden["frame-miss0"]["memory"]
+
+    def test_failed_room_label_labels_every_room_unknown(self, small_scene, caplog):
+        backend = ScriptedBackend(small_scene)
+        backend.fail("room_label", times=2)
+        with caplog.at_level("WARNING", logger="scenemem.spatial"):
+            ssm = _build(small_scene, backend)
+        failures = [r for r in caplog.records if r.name == "scenemem.spatial"]
+        assert len(failures) == 1
+        assert "room labeling failed" in failures[0].getMessage()
+        assert backend.call_counts["room_label"] == 2  # the failure and its retry
+        assert set(ssm.rooms.labels.values()) == {"unknown"}
+        assert {t.room_label for t in ssm.graph.tracks.values()} == {"unknown"}
+        assert all(t.room_id is not None for t in ssm.graph.tracks.values())
+
+    def test_missing_score_row_labels_every_room_unknown(self, small_scene):
+        class ShortReply(ScriptedBackend):
+            def _handle_room_label(self, request):
+                doc = super()._handle_room_label(request)
+                assert len(doc["scores"]) > 1
+                return {"scores": doc["scores"][:-1]}
+
+        ssm = _build(small_scene, ShortReply(small_scene))
+        assert set(ssm.rooms.labels.values()) == {"unknown"}
+        assert {t.room_label for t in ssm.graph.tracks.values()} == {"unknown"}
 
 
 class TestMetrics:
@@ -301,8 +388,6 @@ class TestMetrics:
     def test_full_report_deterministic(self):
         """(scene, config, scripted backend seed) fully determine the
         metrics report."""
-        import json
-
         scene = generate_scene(2, 2, seed=41)
         questions = generate_questions(scene)
         docs = []

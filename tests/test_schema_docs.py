@@ -112,13 +112,29 @@ class TestProtocolSchema:
                                                "discover": True}),
             "fov": BackendRequest(kind="fov", frame_id=0),
             "room_label": BackendRequest(kind="room_label",
-                                         payload={"captions": ["a"],
-                                                  "classes": ["kitchen"]}),
+                                         payload={"rooms": [["a"], ["b", "c"]],
+                                                  "classes": ["kitchen", "hall"]}),
         }
         for kind, request in requests.items():
             raw = backend.raw_call(request)
             jsonschema.validate(raw, _response_schema(protocol_schema, kind))
             jsonschema.validate(request.to_doc(), protocol_schema["request"])
+        # the build's detect carries the frame's fov tag
+        assert backend.raw_call(requests["detect"])["fov_tag"] \
+            == backend.raw_call(requests["fov"])["tag"]
+        assert len(backend.raw_call(requests["room_label"])["scores"]) == 2
+
+    def test_detect_fov_tag_must_be_a_string(self, protocol_schema):
+        schema = _response_schema(protocol_schema, "detect")
+        jsonschema.validate({"detections": [], "fov_tag": "view"}, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({"detections": [], "fov_tag": 3}, schema)
+
+    def test_room_label_scores_are_nested(self, protocol_schema):
+        schema = _response_schema(protocol_schema, "room_label")
+        jsonschema.validate({"scores": [[0.0, 1.0], [1.0, 0.0]]}, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({"scores": [0.0, 1.0]}, schema)
 
     def test_reason_schema_accepts_both_forms(self, protocol_schema):
         action = {"action": {"api": "analyze_frame", "frame_id": 0,

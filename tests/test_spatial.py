@@ -309,13 +309,39 @@ class _ScoreStub(Backend):
             raise TransportError("down")
         classes = request.payload["classes"]
         if self.winner is None:
-            return {"scores": [0.0] * len(classes)}
-        return {"scores": [1.0 if c == self.winner else 0.0 for c in classes]}
+            row = [0.0] * len(classes)
+        else:
+            row = [1.0 if c == self.winner else 0.0 for c in classes]
+        return {"scores": [row for _ in request.payload["rooms"]]}
 
 
 def _one_room_model() -> RoomModel:
     occ = OccupancyGrid(free=room_grid(10, 10), origin=(0, 0), cell_size=0.1)
     return segment_rooms(ONE_FLOOR, {"floor0": occ})
+
+
+class _RowStub(Backend):
+    """Scores each listed room 1 for the class named by its first caption;
+    ``drop`` removes that many rows, ``extra`` appends a score to each."""
+
+    def __init__(self, drop=0, extra=False):
+        super().__init__()
+        self.requests = []
+        self.drop = drop
+        self.extra = extra
+
+    def raw_call(self, request):
+        self.requests.append(request)
+        classes = request.payload["classes"]
+        rows = [[1.0 if c == captions[0] else 0.0 for c in classes]
+                + ([0.0] if self.extra else [])
+                for captions in request.payload["rooms"]]
+        return {"scores": rows[:len(rows) - self.drop]}
+
+
+def _rooms_model(n: int) -> RoomModel:
+    """``n`` one-cell rooms side by side; ids floor0/0 .. floor0/<n-1>."""
+    return RoomModel(ONE_FLOOR, {}, {"floor0": np.arange(n).reshape(1, n)})
 
 
 class TestLabelRooms:
@@ -340,6 +366,41 @@ class TestLabelRooms:
         out = label_rooms(model, {room_id: ["stove"]}, _ScoreStub(fail=True),
                           ["kitchen"])
         assert out.label_of(room_id) == "unknown"
+
+    def test_one_request_for_every_room(self):
+        model = _rooms_model(12)
+        members = {"floor0/10": ["office", "desk"], "floor0/2": ["kitchen"],
+                   "floor0/0": ["stove", "bedroom"], "floor0/5": []}
+        backend = _RowStub()
+        label_rooms(model, members, backend, ["bedroom", "kitchen", "office"])
+        assert len(backend.requests) == 1
+        # rooms with members in room_ids() order (10 after 9), captions sorted
+        assert backend.requests[0].payload == {
+            "rooms": [["bedroom", "stove"], ["kitchen"], ["desk", "office"]],
+            "classes": ["bedroom", "kitchen", "office"]}
+        assert backend.call_counts["room_label"] == 1
+        # a row of zeros ties, so the first class wins
+        assert model.labels == {**{room_id: "unknown" for room_id in model.room_ids()},
+                                "floor0/0": "bedroom", "floor0/2": "kitchen",
+                                "floor0/10": "bedroom"}
+
+    def test_no_request_when_every_room_is_empty(self):
+        model = _rooms_model(3)
+        backend = _RowStub()
+        label_rooms(model, {"floor0/1": []}, backend, ["kitchen"])
+        assert backend.requests == []
+        assert set(model.labels.values()) == {"unknown"}
+        assert list(model.labels) == model.room_ids()
+
+    @pytest.mark.parametrize("stub", [_RowStub(drop=1), _RowStub(extra=True)],
+                             ids=["row missing", "score extra"])
+    def test_shape_mismatch_labels_every_room_unknown(self, stub, caplog):
+        model = _rooms_model(3)
+        members = {room_id: ["kitchen"] for room_id in model.room_ids()}
+        with caplog.at_level("WARNING", logger="scenemem.spatial"):
+            label_rooms(model, members, stub, ["kitchen"])
+        assert set(model.labels.values()) == {"unknown"}
+        assert len(caplog.records) == 1
 
     def test_tie_broken_by_class_order(self):
         model = _one_room_model()
@@ -440,6 +501,13 @@ class TestBuildNavEntry:
         frame = _keyframe(1, make_pose(0, (0.5, 0.5, 1.4)))
         entry = build_nav_entry(frame, None, None, set(), _FovStub(fail=True))
         assert entry.fov_tag == "unavailable"
+
+    def test_given_tag_sends_no_fov_request(self):
+        frame = _keyframe(1, make_pose(0, (0.5, 0.5, 1.4)))
+        backend = _FovStub(fail=True)
+        entry = build_nav_entry(frame, None, None, set(), backend, fov_tag="from detect")
+        assert entry.fov_tag == "from detect"
+        assert backend.call_counts["fov"] == 0
 
     def test_motion_label_enum_guard(self):
         with pytest.raises(GeometryInputError):
