@@ -18,8 +18,11 @@ Transport errors are retried once; schema errors never are (they are
 systematic, a retry wastes budget).
 
 A detect reply may carry its frame's field-of-view tag (``fov_tag``), so
-a build need not send the frame again in a ``fov`` request. One
-``room_label`` request scores every room: one row of class scores per room.
+a build need not send the frame again in a ``fov`` request. A detect
+request whose payload asks for ``relations`` may get them in its reply,
+rows that name their detections by index, so the build need not send the
+frame again in a ``relations`` request either. One ``room_label`` request
+scores every room: one row of class scores per room.
 
 Detect/analyze items may carry an exact pixel mask (row runs) and
 visual/language embedding vectors. Mask extraction and embedding models
@@ -121,6 +124,9 @@ class WireRelation:
 class DetectResponse:
     objects: tuple[WireObject, ...]
     fov_tag: str | None = None  # the frame's field-of-view tag, when sent
+    # relations among the detections, when sent: subject_id and object_id
+    # are indices into ``objects``
+    relations: tuple[WireRelation, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -296,6 +302,30 @@ def _wire_object(doc, frame_size, dim, path) -> WireObject:
                                                     path))
 
 
+def _relation_rows(raw, count: int | None = None) -> tuple[WireRelation, ...]:
+    """The rows of ``raw["relations"]``. Both ends of a row must differ;
+    with a ``count`` they are indices, each below it (a detect reply's rows
+    name its detections)."""
+    rels = []
+    for i, r in enumerate(need(raw, "relations", list, "$")):
+        path = f"$.relations[{i}]"
+        label = need(r, "relation", str, path)
+        if label not in RELATION_LABELS:
+            raise SchemaError(f"{path}.relation", f"unknown label '{label}'")
+        ends = []
+        for key in ("subject_id", "object_id"):
+            end = need(r, key, int, path)
+            if count is not None and not 0 <= end < count:
+                raise SchemaError(f"{path}.{key}",
+                                  f"{end} is not a detection index below {count}")
+            ends.append(end)
+        if ends[0] == ends[1]:
+            raise SchemaError(path, "subject_id and object_id must differ")
+        rels.append(WireRelation(subject_id=ends[0], object_id=ends[1], relation=label,
+                                 justification=need(r, "justification", str, path)))
+    return tuple(rels)
+
+
 def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None,
                       embedding_dim: int | None = None):
     """Strictly validate a raw JSON response for ``kind``.
@@ -312,26 +342,13 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None,
     if kind == "detect":
         items = need(raw, "detections", list, "$")
         fov_tag = need(raw, "fov_tag", str, "$") if "fov_tag" in raw else None
-        return DetectResponse(tuple(
-            _wire_object(d, frame_size, embedding_dim, f"$.detections[{i}]")
-            for i, d in enumerate(items)), fov_tag)
+        objects = tuple(_wire_object(d, frame_size, embedding_dim, f"$.detections[{i}]")
+                        for i, d in enumerate(items))
+        relations = _relation_rows(raw, len(objects)) if "relations" in raw else None
+        return DetectResponse(objects, fov_tag, relations)
 
     if kind == "relations":
-        items = need(raw, "relations", list, "$")
-        rels = []
-        for i, r in enumerate(items):
-            path = f"$.relations[{i}]"
-            label = need(r, "relation", str, path)
-            if label not in RELATION_LABELS:
-                raise SchemaError(f"{path}.relation", f"unknown label '{label}'")
-            subject_id = need(r, "subject_id", int, path)
-            object_id = need(r, "object_id", int, path)
-            if subject_id == object_id:
-                raise SchemaError(path, "subject_id and object_id must differ")
-            rels.append(WireRelation(subject_id=subject_id, object_id=object_id,
-                                     relation=label,
-                                     justification=need(r, "justification", str, path)))
-        return RelationsResponse(tuple(rels))
+        return RelationsResponse(_relation_rows(raw))
 
     if kind == "consolidate":
         sentence = need(raw, "sentence", str, "$")
@@ -470,7 +487,9 @@ class RecordingBackend(Backend):
 class ReplayBackend(Backend):
     """Replays a recorded log in order, verifying request digests match.
     Replayed responses are checked against the frame bounds the request
-    carries, exactly as when they were recorded."""
+    carries, exactly as when they were recorded. A request the log does not
+    hold next (another digest, or the log is used up) raises a plain
+    BackendError: the log will not change, so it is not retried."""
 
     def __init__(self, log_path: str | Path):
         super().__init__()
@@ -481,11 +500,12 @@ class ReplayBackend(Backend):
 
     def raw_call(self, request: BackendRequest) -> dict:
         if self.cursor >= len(self.records):
-            raise TransportError("replay log exhausted")
+            raise BackendError("replay log exhausted")
         record = self.records[self.cursor]
         if record["digest"] != request.digest():
-            raise TransportError(
-                f"replay mismatch at record {self.cursor}: expected kind "
-                f"{record['kind']}, got {request.kind}")
+            raise BackendError(
+                f"replay mismatch at record {self.cursor}: expected {record['kind']} "
+                f"request {record['digest'][:12]}, got {request.kind} request "
+                f"{request.digest()[:12]}")
         self.cursor += 1
         return record["response"]

@@ -356,13 +356,17 @@ def edge_discovery_due(frame_index: int, period: int = 3) -> bool:
 def consolidate_captions(t: Track, backend, threshold: int = 5) -> Track:
     """Compress an accumulated caption history into a single sentence.
 
-    Below ``threshold`` entries this is a no-op. The backend's consolidate
-    call supplies the sentence, which becomes the track caption and the
-    sole history entry. On backend failure the track is returned unchanged
-    and the failure logged.
+    Below ``threshold`` entries this is a no-op. A history of one repeated
+    caption compresses to that caption without a request. Otherwise the
+    backend's consolidate call supplies the sentence. Either way the
+    sentence becomes the track caption and the sole history entry. On
+    backend failure the track is returned unchanged and the failure logged.
     """
     if len(t.caption_history) < threshold:
         return t
+    if len(set(t.caption_history)) == 1:
+        caption = t.caption_history[0]
+        return replace(t, caption=caption, caption_history=(caption,))
     request = BackendRequest(kind="consolidate",
                              payload={"captions": list(t.caption_history)})
     try:

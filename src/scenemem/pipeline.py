@@ -7,13 +7,20 @@ function that applies patches (apis._associate_detections).
 A detect reply may also carry the frame's field-of-view tag, which is
 kept for its navigation-log entry.
 Every third processed frame the backend predicts pairwise relations among
-the frame's visible nodes. Caption histories consolidate once they reach
-the configured length. After the frame sweep: the structure cloud (strided
-depth of every frame), which ``spatial`` turns into floors, occupancy grids
-and watershed rooms, room labels from one backend scoring request over all
-rooms, one navigation-log entry per keyframe (a frame whose detect reply
-carried no tag, or whose detect failed, asks the backend for its tag), and
-the evenly spaced initial frame memory.
+the frame's detections: the detect request asks for them, and each row of
+the reply names two detections, which become an edge between the nodes
+they landed on (a row whose detections landed on one node is dropped). A
+reply without relations, from a backend that does not send them, is
+followed by a ``relations`` request over the frame's visible nodes.
+Caption histories consolidate once they reach the configured length; a
+history of one repeated caption needs no request.
+
+After the frame sweep: the structure cloud (strided depth of every frame),
+which ``spatial`` turns into floors, occupancy grids and watershed rooms,
+room labels from one backend scoring request over all rooms, one
+navigation-log entry per keyframe (a frame whose detect reply carried no
+tag, or whose detect failed, asks the backend for its tag), and the evenly
+spaced initial frame memory.
 
 Per-frame detector failures skip that frame's detections (the navigation
 log still covers it); more than half the frames failing aborts the build.
@@ -26,11 +33,11 @@ import logging
 import numpy as np
 
 from .apis import ApiExecutor, _associate_detections
-from .backend import Backend, BackendError, BackendRequest
+from .backend import Backend, BackendError, BackendRequest, WireRelation
 from .config import EngineConfig
 from .dataset import Episode
 from .geometry import PixelMask, PointCloud, backproject, voxel_downsample
-from .graph import RelationEdge, consolidate_captions, edge_discovery_due
+from .graph import Detection, RelationEdge, consolidate_captions, edge_discovery_due
 from .memory import SceneMemory, init_frame_memory
 from .spatial import (build_nav_entry, detect_floors, label_rooms, occupancy_grids,
                       segment_rooms)
@@ -62,6 +69,39 @@ def _structure_cloud(episode: Episode, cfg: EngineConfig) -> PointCloud:
     return voxel_downsample(merged, cfg.structure_voxel_m)
 
 
+def _add_frame_edges(ssm: SceneMemory, backend: Backend, frame_id: int,
+                     relations: tuple[WireRelation, ...] | None,
+                     frame_nodes: list[int], detections: list[Detection]) -> None:
+    """Add a frame's relations as edges between the nodes its detections
+    landed on. ``relations`` are the detect reply's rows, which name
+    detections by index; when the reply had none, a frame with nodes asks
+    the backend in a ``relations`` request, whose rows name the nodes."""
+    if relations is not None:
+        pairs = [(frame_nodes[r.subject_id], frame_nodes[r.object_id], r)
+                 for r in relations]
+    elif not frame_nodes:
+        return
+    else:
+        bbox_by_node = {nid: det.bbox for nid, det in zip(frame_nodes, detections)}
+        visible = [{"node_id": nid, "bbox": list(bbox_by_node[nid]),
+                    "caption": ssm.graph.tracks[nid].caption}
+                   for nid in sorted(bbox_by_node)]
+        try:
+            response = backend.call(BackendRequest(
+                kind="relations", frame_id=frame_id, payload={"visible": visible}))
+        except BackendError as exc:
+            logger.warning("edge discovery failed on frame %d: %s", frame_id, exc)
+            return
+        pairs = [(r.subject_id, r.object_id, r) for r in response.relations]
+    report = ssm.graph.add_edges([
+        RelationEdge(subject_id=s, object_id=o, relation=r.relation,
+                     justification=r.justification, source_frame=frame_id)
+        for s, o, r in pairs if s != o])
+    for edge, reason in report.rejected:
+        if reason != "duplicate edge":
+            logger.warning("rejected edge %s: %s", edge.key(), reason)
+
+
 def build_ssm(episode: Episode, backend: Backend,
               config: EngineConfig | None = None) -> SceneMemory:
     """Run the full initial-construction pipeline over an episode."""
@@ -77,10 +117,12 @@ def build_ssm(episode: Episode, backend: Backend,
     failed_frames = 0
 
     for index, frame in enumerate(episode.frames):
+        edges_due = edge_discovery_due(index, cfg.edge_discovery_period)
         try:
             response = backend.call(BackendRequest(
-                kind="detect", frame_id=frame.id, frame_size=frame.size,
-                embedding_dim=cfg.embedding_dim))
+                kind="detect", frame_id=frame.id,
+                payload={"relations": True} if edges_due else {},
+                frame_size=frame.size, embedding_dim=cfg.embedding_dim))
         except BackendError as exc:
             failed_frames += 1
             logger.warning("detect failed on frame %d, skipping: %s", frame.id, exc)
@@ -94,35 +136,15 @@ def build_ssm(episode: Episode, backend: Backend,
         detections = [executor.detection_from_wire(wire, frame)
                       for wire in response.objects]
         frame_nodes, _ = _associate_detections(ssm, detections, cfg)
-        det_bbox_by_node = {nid: det.bbox for nid, det in zip(frame_nodes, detections)}
         visible_by_frame[frame.id] = frame_nodes
 
-        if frame_nodes and edge_discovery_due(index, cfg.edge_discovery_period):
-            visible_payload = [{"node_id": nid, "bbox": list(det_bbox_by_node[nid]),
-                                "caption": ssm.graph.tracks[nid].caption}
-                               for nid in sorted(set(frame_nodes))]
-            try:
-                rel_response = backend.call(BackendRequest(
-                    kind="relations", frame_id=frame.id,
-                    payload={"visible": visible_payload}))
-            except BackendError as exc:
-                logger.warning("edge discovery failed on frame %d: %s", frame.id, exc)
-            else:
-                edges = [RelationEdge(subject_id=r.subject_id, object_id=r.object_id,
-                                      relation=r.relation,
-                                      justification=r.justification,
-                                      source_frame=frame.id)
-                         for r in rel_response.relations]
-                report = ssm.graph.add_edges(edges)
-                for edge, reason in report.rejected:
-                    if reason != "duplicate edge":
-                        logger.warning("rejected edge %s: %s", edge.key(), reason)
+        if edges_due:
+            _add_frame_edges(ssm, backend, frame.id, response.relations, frame_nodes,
+                             detections)
 
         for nid in set(frame_nodes):
-            track = ssm.graph.tracks[nid]
-            if len(track.caption_history) >= cfg.caption_consolidation_threshold:
-                ssm.graph.replace_track(consolidate_captions(
-                    track, backend, cfg.caption_consolidation_threshold))
+            ssm.graph.replace_track(consolidate_captions(
+                ssm.graph.tracks[nid], backend, cfg.caption_consolidation_threshold))
 
     heights = [float(f.pose.translation[2]) for f in episode.frames]
     floors = detect_floors(heights, cfg.spatial.height_bin_m,

@@ -215,16 +215,18 @@ class ScriptedBackend(Backend):
         doc = {"detections": out}
         if not request.query:  # the build's detect: the fov tag rides along
             doc["fov_tag"] = self._fov_tag(request.frame_id)
+        if request.payload.get("relations"):
+            doc["relations"] = self._relation_rows(
+                {det.object_index: i for i, det in enumerate(dets)})
         return doc
 
-    def _handle_relations(self, request: BackendRequest) -> dict:
-        targets = request.payload.get("visible", [])
-        node_of_obj = {obj: nid for nid, obj
-                       in self._match_targets(request.frame_id, targets).items()}
+    def _relation_rows(self, id_of_obj: dict[int, int]) -> list[dict]:
+        """The scene's true relations between the objects in ``id_of_obj``,
+        each end named by the id it maps that object to."""
         rels = []
         for rel in self.scene.relations:
-            s = node_of_obj.get(rel.subject_index)
-            o = node_of_obj.get(rel.object_index)
+            s = id_of_obj.get(rel.subject_index)
+            o = id_of_obj.get(rel.object_index)
             if s is None or o is None or s == o:
                 continue
             subj = self.scene.objects[rel.subject_index]
@@ -233,7 +235,13 @@ class ScriptedBackend(Backend):
                          "justification": f"the {subj.caption} is "
                                           f"{rel.relation.replace('_', ' ')} "
                                           f"the {obj.caption}"})
-        return {"relations": rels}
+        return rels
+
+    def _handle_relations(self, request: BackendRequest) -> dict:
+        targets = request.payload.get("visible", [])
+        return {"relations": self._relation_rows(
+            {obj: nid for nid, obj
+             in self._match_targets(request.frame_id, targets).items()})}
 
     def _handle_consolidate(self, request: BackendRequest) -> dict:
         captions = request.payload.get("captions", [])

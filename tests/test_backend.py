@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from scenemem import (ApiCall, Backend, BackendRequest, EngineConfig,
+from scenemem import (ApiCall, Backend, BackendError, BackendRequest, EngineConfig,
                       RecordingBackend, ReplayBackend, SchemaError,
                       ScriptedBackend, TransportError, build_ssm, serialize,
                       validate_response)
@@ -143,6 +143,24 @@ class TestValidateResponse:
         out = validate_response("detect", {**raw, "fov_tag": "view of hall: empty"})
         assert out.fov_tag == "view of hall: empty"
 
+    def test_detect_relations_name_detections(self):
+        """A detect reply's relation rows name detections by index, so each
+        index must be below the number of detections."""
+        raw = {"detections": [self._WIRE, self._WIRE]}
+        assert validate_response("detect", raw).relations is None
+        row = {"subject_id": 1, "object_id": 0, "relation": "on_top_of",
+               "justification": "j"}
+        out = validate_response("detect", {**raw, "relations": [row]})
+        assert [(r.subject_id, r.object_id, r.relation) for r in out.relations] \
+            == [(1, 0, "on_top_of")]
+        assert validate_response("detect", {**raw, "relations": []}).relations == ()
+        # the relations reply's rows name nodes, which have no such bound
+        far = {**row, "subject_id": 7}
+        assert validate_response("relations", {"relations": [far]}).relations
+        with pytest.raises(SchemaError) as err:
+            validate_response("detect", {**raw, "relations": [row, far]})
+        assert err.value.path == "$.relations[1].subject_id"
+
     def test_embedding_must_be_numbers(self):
         raw = {"detections": [{"bbox": [0, 0, 3, 3], "caption": "c",
                                "visual_embedding": [0.1, "x"]}]}
@@ -179,6 +197,8 @@ class TestValidateResponse:
         assert err.value.path == f"$.{items}[0].{key}"
 
     _WIRE = {"bbox": [0, 0, 3, 3], "caption": "c"}
+    _ROW = {"subject_id": 0, "object_id": 1, "relation": "on_top_of",
+            "justification": ""}
 
     @pytest.mark.parametrize("kind,raw,path", [
         ("detect", {"detections": [{**_WIRE, "bbox": [0, 0, "3", 3]}]},
@@ -225,6 +245,17 @@ class TestValidateResponse:
         ("detect", {"detections": [], "fov_tag": 3}, "$.fov_tag"),
         ("detect", {"detections": [], "fov_tag": None}, "$.fov_tag"),
         ("detect", {"detections": [], "fov_tag": ["view"]}, "$.fov_tag"),
+        ("detect", {"detections": [], "relations": None}, "$.relations"),
+        ("detect", {"detections": [_WIRE], "relations": [_ROW]},
+         "$.relations[0].object_id"),
+        ("detect", {"detections": [_WIRE] * 2, "relations": [{**_ROW, "object_id": -1}]},
+         "$.relations[0].object_id"),
+        ("detect", {"detections": [_WIRE] * 2, "relations": [{**_ROW, "object_id": 0}]},
+         "$.relations[0]"),
+        ("detect", {"detections": [_WIRE] * 2, "relations": [{**_ROW, "relation": "x"}]},
+         "$.relations[0].relation"),
+        ("detect", {"detections": [_WIRE] * 2, "relations": [{**_ROW, "subject_id": "0"}]},
+         "$.relations[0].subject_id"),
     ])
     def test_array_faults_name_their_path(self, kind, raw, path):
         with pytest.raises(SchemaError) as err:
@@ -284,6 +315,16 @@ class TestRetryPolicy:
         assert backend.call_counts["detect"] == 0
 
 
+def _true_pairs(scene, frame_id) -> set[tuple[str, str, str]]:
+    """(subject caption, object caption, relation) of every true relation
+    whose two objects the frame shows."""
+    shown = {d.object_index for d in scene.gt_detections(frame_id)}
+    return {(scene.objects[r.subject_index].caption,
+             scene.objects[r.object_index].caption, r.relation)
+            for r in scene.relations
+            if r.subject_index in shown and r.object_index in shown}
+
+
 class TestScriptedBackend:
     def test_detect_returns_ground_truth(self, small_scene):
         backend = ScriptedBackend(small_scene)
@@ -307,6 +348,33 @@ class TestScriptedBackend:
         out = backend.call(BackendRequest(kind="detect", frame_id=0,
                                           query="mug"))
         assert out.objects == ()
+
+    def test_detect_relations_among_returned_detections(self, small_scene):
+        """Asked for relations, a detect reply names the true relations
+        among the detections it returns, after the miss draws, and draws
+        nothing more."""
+        fid = next(f for f in range(small_scene.frame_count)
+                   if _true_pairs(small_scene, f))
+        plain = BackendRequest(kind="detect", frame_id=fid)
+        asked = BackendRequest(kind="detect", frame_id=fid,
+                               payload={"relations": True})
+        assert "relations" not in ScriptedBackend(small_scene).raw_call(plain)
+        full = ScriptedBackend(small_scene).raw_call(asked)
+        captions = [d["caption"] for d in full["detections"]]
+        assert {(captions[r["subject_id"]], captions[r["object_id"]], r["relation"])
+                for r in full["relations"]} == _true_pairs(small_scene, fid)
+        for seed in range(20):
+            missing = ScriptedBackend(small_scene, miss_prob=0.5, seed=seed)
+            reply = missing.raw_call(asked)
+            after = missing.rng.random()
+            again = ScriptedBackend(small_scene, miss_prob=0.5, seed=seed)
+            assert again.raw_call(plain)["detections"] == reply["detections"]
+            assert again.rng.random() == after  # the same draws
+            captions = [d["caption"] for d in reply["detections"]]
+            assert {(captions[r["subject_id"]], captions[r["object_id"]],
+                     r["relation"]) for r in reply["relations"]} \
+                == {(s, o, rel) for s, o, rel in _true_pairs(small_scene, fid)
+                    if s in captions and o in captions}
 
     def test_relations_empty_for_no_visible_pairs(self, small_scene):
         backend = ScriptedBackend(small_scene)
@@ -374,12 +442,16 @@ class TestRecordReplay:
             == json.dumps(replayed, sort_keys=True)
 
     def test_replay_mismatch_detected(self, small_scene, tmp_path):
+        """A mismatch is not a transport fault: the log will not change, so
+        the call is not retried."""
         log = tmp_path / "log.jsonl"
         recorder = RecordingBackend(ScriptedBackend(small_scene), log)
         recorder.raw_call(BackendRequest(kind="detect", frame_id=0))
         replayer = ReplayBackend(log)
-        with pytest.raises(TransportError):
-            replayer.raw_call(BackendRequest(kind="detect", frame_id=1))
+        with pytest.raises(BackendError, match="replay mismatch") as err:
+            replayer.call(BackendRequest(kind="detect", frame_id=1))
+        assert not isinstance(err.value, TransportError)
+        assert replayer.call_counts["detect"] == 1
 
     def test_replayed_build_clamps_like_the_recorded_one(self, small_scene, tmp_path):
         """Bounds travel on the request, so a replayed detect response is
@@ -402,8 +474,10 @@ class TestRecordReplay:
         log = tmp_path / "log.jsonl"
         RecordingBackend(ScriptedBackend(small_scene), log)
         replayer = ReplayBackend(log)
-        with pytest.raises(TransportError):
-            replayer.raw_call(BackendRequest(kind="detect", frame_id=0))
+        with pytest.raises(BackendError, match="replay log exhausted") as err:
+            replayer.call(BackendRequest(kind="detect", frame_id=0))
+        assert not isinstance(err.value, TransportError)
+        assert replayer.call_counts["detect"] == 1
 
 
 class TestScriptReasoner:

@@ -457,11 +457,31 @@ class TestConsolidateCaptions:
 
     def test_backend_timeout_leaves_track_unchanged(self):
         backend = _ConsolidateStub(fail=True)
-        t = replace(make_track(caption="mug"), caption_history=("mug",) * 6)
+        t = replace(make_track(caption="mug"), caption_history=("mug", "red mug") * 3)
         out = consolidate_captions(t, backend, threshold=5)
         assert out is t
         # transport errors are retried once before giving up
         assert len(backend.requests) == 2
+
+    def test_uniform_history_sends_no_request(self):
+        """Five copies of one caption consolidate to it locally: the same
+        track the backend's reply would give."""
+        backend = _ConsolidateStub("mug")
+        t = replace(make_track(caption="a mug"), caption_history=("mug",) * 5)
+        out = consolidate_captions(t, backend, threshold=5)
+        assert backend.requests == []
+        assert (out.caption, out.caption_history) == ("mug", ("mug",))
+        assert (out.id, out.cloud, out.visible_frames) \
+            == (t.id, t.cloud, t.visible_frames)
+
+    def test_two_caption_history_sends_one_request(self):
+        backend = _ConsolidateStub("mug")
+        t = replace(make_track(caption="mug"),
+                    caption_history=("mug",) * 4 + ("red mug",))
+        out = consolidate_captions(t, backend, threshold=5)
+        assert len(backend.requests) == 1
+        assert backend.requests[0].payload == {"captions": list(t.caption_history)}
+        assert (out.caption, out.caption_history) == ("mug", ("mug",))
 
 
 # -- synthetic K-object scene property -------------------------------------------

@@ -7,6 +7,7 @@ import ast
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import astuple, replace
@@ -16,8 +17,8 @@ import pytest
 
 import scenemem
 from scenemem import (BackendRequest, EngineConfig, RecordingBackend, ReplayBackend,
-                      RuleReasoner, ScriptedBackend, build_ssm, evaluate,
-                      generate_questions, generate_scene, recall_sweep,
+                      RuleReasoner, ScriptedBackend, build_ssm, edge_discovery_due,
+                      evaluate, generate_questions, generate_scene, recall_sweep,
                       serialize)
 from scenemem.dataset import Episode
 from scenemem.metrics import (graph_precision_recall, match_tracks,
@@ -110,22 +111,30 @@ class TestBuildSsm:
         assert all(3 not in t.visible_frames for t in ssm.graph.tracks.values())
 
     def test_self_relation_skips_edge_discovery(self, small_scene, caplog):
-        """A relation from a node to itself fails validation, so that
-        frame's edge discovery is skipped; the build used to abort inside
-        RelationEdge."""
+        """A relation from a detection to itself fails validation, so the
+        detect reply carrying it fails like any malformed detect: that
+        frame, and its edge discovery, is skipped. The build used to abort
+        inside RelationEdge."""
         class SelfRelation(ScriptedBackend):
-            def _handle_relations(self, request):
-                doc = super()._handle_relations(request)
-                nid = request.payload["visible"][0]["node_id"]
-                doc["relations"].append({"subject_id": nid, "object_id": nid,
-                                         "relation": "on_top_of",
-                                         "justification": "itself"})
+            def _handle_detect(self, request):
+                doc = super()._handle_detect(request)
+                if "relations" in doc and doc["detections"]:
+                    doc["relations"].append({"subject_id": 0, "object_id": 0,
+                                             "relation": "on_top_of",
+                                             "justification": "itself"})
                 return doc
 
+        episode = small_scene.episode()
+        due = [f for i, f in enumerate(episode.frame_ids)
+               if edge_discovery_due(i) and small_scene.gt_detections(f)]
         with caplog.at_level("WARNING", logger="scenemem.pipeline"):
-            ssm = build_ssm(small_scene.episode(), SelfRelation(small_scene),
-                            EngineConfig())
-        assert "edge discovery failed" in caplog.text
+            ssm = build_ssm(episode, SelfRelation(small_scene), EngineConfig())
+        failed = [r.getMessage() for r in caplog.records
+                  if r.getMessage().startswith("detect failed")]
+        assert len(failed) == len(due) < len(episode) / 2
+        assert all(re.search(r"\$\.relations\[\d+\]: subject_id and object_id "
+                             "must differ", m) for m in failed)
+        assert [e.frame_id for e in ssm.nav_log if not e.visible_node_ids] == due
         assert ssm.graph.edges == []
         assert track_recall(ssm, small_scene) == 1.0
 
@@ -138,9 +147,18 @@ class TestBuildSsm:
 
     def test_caption_histories_consolidated(self):
         """An object seen in >= 5 frames triggers consolidation, collapsing
-        its history."""
+        its history. Captions that vary across frames are merged by a
+        consolidate request."""
+        class VaryingCaptions(ScriptedBackend):
+            def _handle_detect(self, request):
+                doc = super()._handle_detect(request)
+                if self.call_counts["detect"] % 2:  # every other frame
+                    for det in doc["detections"]:
+                        det["caption"] = "the " + det["caption"]
+                return doc
+
         scene = generate_scene(1, 2, seed=34)
-        backend = ScriptedBackend(scene)
+        backend = VaryingCaptions(scene)
         cfg = EngineConfig()
         ssm = build_ssm(scene.episode(), backend, cfg)
         assert backend.call_counts["consolidate"] >= 1
@@ -148,19 +166,25 @@ class TestBuildSsm:
             assert len(track.caption_history) < cfg.caption_consolidation_threshold
 
     def test_edge_discovery_every_third_frame(self):
+        """Every third frame's detect request asks for relations, and the
+        replies carry them, so no relations request is sent."""
         scene = generate_scene(2, 2, seed=35)
 
         class Recorder(ScriptedBackend):
             relation_frames = []
 
-            def _handle_relations(self, request):
-                self.relation_frames.append(request.frame_id)
-                return super()._handle_relations(request)
+            def _handle_detect(self, request):
+                if request.payload.get("relations"):
+                    self.relation_frames.append(request.frame_id)
+                return super()._handle_detect(request)
 
         backend = Recorder(scene)
-        build_ssm(scene.episode(), backend, EngineConfig())
+        ssm = build_ssm(scene.episode(), backend, EngineConfig())
         expected = [f for i, f in enumerate(scene.episode().frame_ids) if i % 3 == 0]
         assert backend.relation_frames == expected
+        assert backend.call_counts["relations"] == 0
+        assert ssm.graph.edges
+        assert {e.source_frame for e in ssm.graph.edges} <= set(expected)
 
     def test_record_replay_reproduces_build(self, tmp_path):
         scene = generate_scene(2, 2, seed=36)
@@ -204,9 +228,43 @@ def _build(scene, backend):
     return build_ssm(scene.episode(), backend, EngineConfig())
 
 
+def _detect_fixtures(scene, strip: str) -> dict[str, dict]:
+    """The scripted replies to the build's detect requests, sent as the
+    build sends them, without their ``strip`` field, keyed by request
+    digest."""
+    cfg = EngineConfig()
+    oracle = ScriptedBackend(scene)
+    fixtures = {}
+    for index, frame in enumerate(scene.episode().frames):
+        due = edge_discovery_due(index, cfg.edge_discovery_period)
+        request = BackendRequest(kind="detect", frame_id=frame.id,
+                                 payload={"relations": True} if due else {},
+                                 frame_size=frame.size,
+                                 embedding_dim=cfg.embedding_dim)
+        reply = oracle.raw_call(request)
+        reply.pop(strip, None)
+        fixtures[request.digest()] = reply
+    return fixtures
+
+
+def _golden_memory_digest() -> str:
+    golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
+    return golden["frame-miss0"]["memory"]
+
+
 class TestBuildRoundTrips:
-    """The fov tag rides on the build's detect reply, and one room_label
-    request scores every room; the fov request is only a fallback."""
+    """The fov tag and the due frames' relations ride on the build's detect
+    replies, one room_label request scores every room, and a history of one
+    repeated caption consolidates without a request; the fov and relations
+    requests are only fallbacks."""
+
+    def test_clean_build_sends_only_detects_and_one_room_label(self, small_scene):
+        backend = ScriptedBackend(small_scene)
+        ssm = _build(small_scene, backend)
+        assert backend.call_counts == {
+            "detect": len(ssm.nav_log), "relations": 0, "consolidate": 0,
+            "analyze": 0, "fov": 0, "room_label": 1, "reason": 0}
+        assert ssm.graph.edges
 
     def test_clean_build_sends_no_fov_and_one_room_label(self, small_scene):
         backend = ScriptedBackend(small_scene)
@@ -240,24 +298,31 @@ class TestBuildRoundTrips:
     def test_detect_replies_without_tag_replay_todays_build(self, small_scene):
         """An older backend's detect replies carry no fov_tag: the build
         asks fov once per frame and writes the same memory bytes."""
-        episode = small_scene.episode()
-        oracle = ScriptedBackend(small_scene)
-        fixtures = {}
-        for frame in episode.frames:
-            request = BackendRequest(kind="detect", frame_id=frame.id,
-                                     frame_size=frame.size,
-                                     embedding_dim=EngineConfig().embedding_dim)
-            reply = oracle.raw_call(request)
-            assert reply.pop("fov_tag")
-            fixtures[request.digest()] = reply
-        backend = ScriptedBackend(small_scene, fixtures=fixtures)
+        backend = ScriptedBackend(small_scene,
+                                  fixtures=_detect_fixtures(small_scene, "fov_tag"))
         text = serialize(_build(small_scene, backend))[0]
-        assert backend.call_counts["fov"] == len(episode)
+        assert backend.call_counts["fov"] == len(small_scene.episode())
         assert backend.call_counts["room_label"] == 1
         assert text == serialize(_build(small_scene, ScriptedBackend(small_scene)))[0]
-        golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
-            == golden["frame-miss0"]["memory"]
+            == _golden_memory_digest()
+
+    def test_detect_replies_without_relations_fall_back(self, small_scene):
+        """An older backend's detect replies carry no relations: each due
+        frame with nodes gets a relations request, and the memory bytes
+        are the same."""
+        backend = ScriptedBackend(small_scene,
+                                  fixtures=_detect_fixtures(small_scene, "relations"))
+        ssm = _build(small_scene, backend)
+        due = [e for i, e in enumerate(ssm.nav_log)
+               if edge_discovery_due(i) and e.visible_node_ids]
+        assert len(due) >= 2
+        assert backend.call_counts["relations"] == len(due)
+        assert backend.call_counts["fov"] == 0
+        text = serialize(ssm)[0]
+        assert text == serialize(_build(small_scene, ScriptedBackend(small_scene)))[0]
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
+            == _golden_memory_digest()
 
     def test_failed_room_label_labels_every_room_unknown(self, small_scene, caplog):
         backend = ScriptedBackend(small_scene)

@@ -124,6 +124,26 @@ class TestProtocolSchema:
             == backend.raw_call(requests["fov"])["tag"]
         assert len(backend.raw_call(requests["room_label"])["scores"]) == 2
 
+    def test_due_frame_detect_validates(self, protocol_schema, small_scene):
+        """A build's detect request on an edge-discovery frame asks for
+        relations, and the reply's rows fit the schema."""
+        backend = ScriptedBackend(small_scene)
+        request = BackendRequest(kind="detect", frame_id=0,
+                                 payload={"relations": True})
+        reply = backend.raw_call(request)
+        assert reply["relations"] and reply["detections"]
+        jsonschema.validate(request.to_doc(), protocol_schema["request"])
+        schema = _response_schema(protocol_schema, "detect")
+        jsonschema.validate(reply, schema)
+        for bad in ({**reply["relations"][0], "relation": "near"},
+                    {k: v for k, v in reply["relations"][0].items()
+                     if k != "justification"}):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**reply, "relations": [bad]}, schema)
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**request.to_doc(), "payload": {"relations": "yes"}},
+                                protocol_schema["request"])
+
     def test_detect_fov_tag_must_be_a_string(self, protocol_schema):
         schema = _response_schema(protocol_schema, "detect")
         jsonschema.validate({"detections": [], "fov_tag": "view"}, schema)
