@@ -25,10 +25,10 @@ from .loop import EpisodeQuery, answer, write_transcript
 from .memory import ParseError, load_dir, save_dir, serialize
 from .metrics import evaluate
 from .pipeline import build_ssm
-from .scripted import RuleReasoner, ScriptedBackend
+from .scripted import RuleReasoner, ScriptedBackend, check_noise
 from .server import serve_dir
-from .synth import (SyntheticScene, generate_questions, generate_scene,
-                    load_questions, save_questions)
+from .synth import (GenerationError, SyntheticScene, generate_questions,
+                    generate_scene, load_questions, save_questions)
 
 
 def _engine_config(args) -> EngineConfig:
@@ -45,14 +45,12 @@ def _engine_config(args) -> EngineConfig:
         raise SystemExit(f"scenemem: {exc}") from None
 
 
-def _backend(args, cfg: EngineConfig) -> Backend:
+def _backend(args, cfg: EngineConfig, scene: SyntheticScene | None) -> Backend:
     if args.backend_url:
         return HttpBackend(args.backend_url)
-    if args.scripted:
-        scene = SyntheticScene.load(args.scripted)
-        return ScriptedBackend(scene, reasoner=RuleReasoner(), seed=args.seed,
-                               embedding_dim=cfg.embedding_dim,
-                               fixtures=args.fixtures)
+    if scene is not None:
+        return ScriptedBackend(scene, reasoner=RuleReasoner(),
+                               embedding_dim=cfg.embedding_dim)
     raise SystemExit("need --backend-url or --scripted <truth.json>")
 
 
@@ -89,15 +87,15 @@ def cmd_synth(args) -> int:
 
 def cmd_build(args) -> int:
     cfg = _engine_config(args)
+    scene = SyntheticScene.load(args.scripted) if args.scripted else None
     if args.dataset:
-        scene_id = (SyntheticScene.load(args.scripted).scene_id
-                    if args.scripted else None)
-        episode = load_dataset(args.dataset, cfg.frame_stride, scene_id=scene_id)
-    elif args.scripted:
-        episode = SyntheticScene.load(args.scripted).episode()
+        episode = load_dataset(args.dataset, cfg.frame_stride,
+                               scene_id=scene.scene_id if scene else None)
+    elif scene is not None:
+        episode = scene.episode()
     else:
         raise SystemExit("need --dataset <manifest> or --scripted <truth.json>")
-    backend = _backend(args, cfg)
+    backend = _backend(args, cfg, scene)
     ssm = build_ssm(episode, backend, cfg)
     save_dir(ssm, args.out)
     if ssm.rooms is not None:  # occupancy dumps for floor-plan debugging
@@ -111,13 +109,14 @@ def cmd_build(args) -> int:
 def cmd_ask(args) -> int:
     cfg = _engine_config(args)
     ssm = load_dir(args.ssm)
+    scene = SyntheticScene.load(args.scripted) if args.scripted else None
     if args.dataset:
         episode = load_dataset(args.dataset, ssm.stride)
-    elif args.scripted:
-        episode = SyntheticScene.load(args.scripted).episode()
+    elif scene is not None:
+        episode = scene.episode()
     else:
         raise SystemExit("need --dataset or --scripted to resolve frames")
-    backend = _backend(args, cfg)
+    backend = _backend(args, cfg, scene)
     query = EpisodeQuery(question=args.question, max_calls=cfg.max_api_calls,
                          scene_id=ssm.scene_id)
     result = answer(query, ssm, episode, backend, cfg)
@@ -130,6 +129,10 @@ def cmd_ask(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _engine_config(args)
+    try:
+        check_noise(args.miss_prob, args.seed)
+    except ValueError as exc:
+        raise SystemExit(f"scenemem: {exc}") from None
     scene = SyntheticScene.load(args.scene)
     questions = (load_questions(args.questions) if args.questions
                  else generate_questions(scene))
@@ -170,9 +173,6 @@ _FLAGS = {
             "help": "which modifiability APIs the reasoner may use"},
     "backend-url": {"help": "HTTP backend base URL"},
     "scripted": {"help": "synthetic truth.json for the scripted backend"},
-    "fixtures": {"help": "digest->response overrides (JSONL, "
-                         "same format as recorded logs)"},
-    "seed": {"type": int, "default": 0},
 }
 
 
@@ -197,8 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("build", help="construct and persist a memory")
     p.add_argument("--dataset", help="manifest.jsonl path")
     p.add_argument("--out", required=True)
-    _add_flags(p, "config", "k", "n-img", "backend-url", "scripted", "fixtures",
-               "seed")
+    _add_flags(p, "config", "k", "n-img", "backend-url", "scripted")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("ask", help="answer a question against a persisted memory")
@@ -206,16 +205,18 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--question", required=True)
     p.add_argument("--dataset", help="manifest.jsonl path")
     p.add_argument("--transcript", help="write the loop transcript here (JSONL)")
-    _add_flags(p, "config", "m", "api", "backend-url", "scripted", "fixtures",
-               "seed")
+    _add_flags(p, "config", "m", "api", "backend-url", "scripted")
     p.set_defaults(func=cmd_ask)
 
     p = sub.add_parser("eval", help="synthetic evaluation with metrics report")
     p.add_argument("--scene", required=True, help="truth.json path")
     p.add_argument("--questions", help="questions.json (defaults to generated)")
-    p.add_argument("--miss-prob", dest="miss_prob", type=float, default=0.0)
+    p.add_argument("--miss-prob", dest="miss_prob", type=float, default=0.0,
+                   help="chance the scripted detector misses each object, in [0, 1]")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the scripted detector's misses, >= 0")
     p.add_argument("--out", help="metrics report output path")
-    _add_flags(p, "config", "n-img", "m", "api", "seed")
+    _add_flags(p, "config", "n-img", "m", "api")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("inspect", help="dump canonical JSON")
@@ -233,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DatasetError) as exc:  # damaged input: one line, no traceback
+    except (ParseError, DatasetError, GenerationError) as exc:  # one line, no traceback
         raise SystemExit(f"scenemem: {exc}") from None
 
 

@@ -11,15 +11,17 @@ probability) and delegates reason requests to a pluggable policy:
   serialized memory, issuing analyze/find calls until the needed fact and
   a citable note exist.
 
-Identical request sequences always produce identical responses; replaying
-a recorded log through RecordingBackend/ReplayBackend is byte-stable.
+Identical request sequences always produce identical responses. Recorded
+replies are replayed through RecordingBackend/ReplayBackend, which is
+byte-stable; a test that needs other replies (an older server's, a
+malformed one) subclasses ScriptedBackend and overrides a ``_handle_<kind>``
+method.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from pathlib import Path
 
 import numpy as np
 
@@ -27,19 +29,6 @@ from .backend import Backend, BackendRequest, TransportError
 from .graph import caption_embedding, hash_embedding
 from .memory import table_records
 from .synth import GtDetection, SyntheticScene
-
-
-def load_fixtures(path: str | Path) -> dict[str, dict]:
-    """Load a request-digest -> response fixtures file. The JSON-lines
-    format matches RecordingBackend logs, so any recorded session can be
-    replayed as fixture overrides."""
-    fixtures: dict[str, dict] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        fixtures[record["digest"]] = record["response"]
-    return fixtures
 
 
 GENERIC_QUERY_TOKENS = {
@@ -68,17 +57,28 @@ def _iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
     return inter / (area_a + area_b - inter)
 
 
+def check_noise(miss_prob: float, seed: int) -> None:
+    """Refuse a miss probability outside [0, 1] (NaN included) or a
+    negative seed with a ValueError naming the parameter."""
+    if not 0.0 <= miss_prob <= 1.0:
+        raise ValueError(f"miss_prob must be in [0, 1], got {miss_prob}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 class ScriptedBackend(Backend):
     """Ground-truth-driven backend over one synthetic scene.
 
     miss_prob drops each would-be detection independently; it defaults to
     0 = perfect oracle. All randomness comes from one seeded generator, so a
-    fixed request sequence is fully reproducible.
+    fixed request sequence is fully reproducible. A miss_prob outside
+    [0, 1] (NaN included) or a negative seed raises ValueError.
     """
 
     def __init__(self, scene: SyntheticScene, reasoner=None, *,
                  miss_prob: float = 0.0, seed: int = 0,
-                 embedding_dim: int = 64, fixtures=None):
+                 embedding_dim: int = 64):
+        check_noise(miss_prob, seed)
         super().__init__()
         self.scene = scene
         self.reasoner = reasoner
@@ -86,8 +86,6 @@ class ScriptedBackend(Backend):
         self.embedding_dim = embedding_dim
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self._fail_plan: dict[str, list[str]] = {}
-        self.fixtures = load_fixtures(fixtures) if isinstance(fixtures, (str, Path)) \
-            else dict(fixtures or {})
 
     # -- test hooks --------------------------------------------------------
 
@@ -196,10 +194,6 @@ class ScriptedBackend(Backend):
             if mode == "transport":
                 raise TransportError(f"scripted {request.kind} failure")
             return {"scripted": "malformed"}
-        if self.fixtures:
-            fixture = self.fixtures.get(request.digest())
-            if fixture is not None:
-                return fixture
         handler = getattr(self, f"_handle_{request.kind}")
         return handler(request)
 

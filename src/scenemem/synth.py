@@ -316,14 +316,26 @@ class SyntheticScene:
 
     @classmethod
     def load(cls, path: str | Path) -> "SyntheticScene":
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        if doc.get("format") != "scenemem-synthetic-truth":
+        """Regenerate the scene a truth file names. A missing file, one that
+        is not JSON and one that holds no valid truth raise GenerationError
+        naming the path."""
+        try:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise GenerationError(f"{path}: {exc.strerror or exc}") from None
+        except ValueError as exc:  # not UTF-8 or not JSON
+            raise GenerationError(f"{path}: not JSON: {exc}") from None
+        if not isinstance(doc, dict) or doc.get("format") != "scenemem-synthetic-truth" \
+                or not isinstance(doc.get("params"), dict):
             raise GenerationError(f"{path}: not a synthetic scene truth file")
-        params = SceneParams.from_doc(doc["params"])
-        return generate_scene(params.rooms, params.objects_per_room, params.seed,
-                              width=params.width, height=params.height,
-                              focal=params.focal,
-                              views_per_room=params.views_per_room)
+        try:
+            params = SceneParams.from_doc(doc["params"])
+            return generate_scene(params.rooms, params.objects_per_room, params.seed,
+                                  width=params.width, height=params.height,
+                                  focal=params.focal,
+                                  views_per_room=params.views_per_room)
+        except (GenerationError, TypeError) as exc:  # params it cannot place
+            raise GenerationError(f"{path}: {exc}") from None
 
 
 def _room_walls(room: RoomSpec, doorway_left: bool, doorway_right: bool) -> list[Box]:
@@ -417,6 +429,8 @@ def generate_scene(rooms: int, objects_per_room: int, seed: int, *,
     relations). Raises GenerationError for specs that cannot be placed or
     leave an object invisible from the whole trajectory.
     """
+    if seed < 0:
+        raise GenerationError(f"seed must be >= 0, got {seed}")
     if rooms < 1:
         raise GenerationError("need at least one room")
     if objects_per_room < 1:

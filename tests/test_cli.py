@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from scenemem import deserialize, load_dir
+from scenemem import ScriptedBackend, deserialize, load_dir
 from scenemem.cli import main
 from scenemem.config import EngineConfig, dump_config, load_config
 from scenemem.server import start_background
@@ -125,17 +125,84 @@ class TestFlagValidation:
         ("build", ["--k", "0"], "frame_stride must be >= 1, got 0"),
         ("eval", ["--m", "-1"], "max_api_calls must be non-negative, got -1"),
         ("eval", ["--n-img", "-3"], "initial_frames must be >= 1, got -3"),
+        ("eval", ["--miss-prob", "nan"], "miss_prob must be in [0, 1], got nan"),
+        ("eval", ["--miss-prob", "5"], "miss_prob must be in [0, 1], got 5.0"),
+        ("eval", ["--miss-prob", "inf"], "miss_prob must be in [0, 1], got inf"),
+        ("eval", ["--miss-prob", "-1"], "miss_prob must be in [0, 1], got -1.0"),
+        ("eval", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("synth", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_bad_value_exits_before_reading_input(self, tmp_path, command, flags,
                                                   message):
         missing = tmp_path / "missing"
         out = tmp_path / "out"
-        inputs = (["--dataset", str(missing / "manifest.jsonl"),
-                   "--scripted", str(missing / "truth.json")]
-                  if command == "build" else ["--scene", str(missing / "truth.json")])
+        inputs = {"build": ["--dataset", str(missing / "manifest.jsonl"),
+                            "--scripted", str(missing / "truth.json")],
+                  "eval": ["--scene", str(missing / "truth.json")],
+                  "synth": []}[command]
         with pytest.raises(SystemExit) as err:
             main([command, *inputs, *flags, "--out", str(out)])
         assert err.value.code == f"scenemem: {message}"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("miss_prob,seed", [
+        (float("nan"), 0), (5.0, 0), (float("inf"), 0), (-1.0, 0), (0.2, -1)])
+    def test_scripted_backend_refuses_the_same_values(self, small_scene,
+                                                      miss_prob, seed):
+        with pytest.raises(ValueError, match="^(miss_prob|seed) must be"):
+            ScriptedBackend(small_scene, miss_prob=miss_prob, seed=seed)
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--scripted", "truth.json", "--fixtures", "x", "--out", "o"],
+        ["build", "--scripted", "truth.json", "--seed", "1", "--out", "o"],
+        ["ask", "--ssm", "m", "--question", "q", "--seed", "1"],
+        ["ask", "--ssm", "m", "--question", "q", "--fixtures", "x"],
+    ])
+    def test_removed_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+
+
+class TestDamagedTruthFile:
+    """A missing truth file, one that is not JSON and one that holds no
+    valid truth end the command with one line naming the path, and
+    nothing is written."""
+
+    @pytest.mark.parametrize("command", ["eval", "build", "ask"])
+    @pytest.mark.parametrize("content,reason", [
+        (None, "No such file or directory"),
+        ("{not json", "not JSON"),
+        ("[1, 2]", "not a synthetic scene truth file"),
+        ('{"format": "something else", "params": {}}',
+         "not a synthetic scene truth file"),
+        ('{"format": "scenemem-synthetic-truth", "params": {}}', "required"),
+        ('{"format": "scenemem-synthetic-truth",'
+         ' "params": {"rooms": 0, "objects_per_room": 2, "seed": 0}}',
+         "need at least one room"),
+    ])
+    def test_one_line_naming_the_path(self, workspace, tmp_path, command, content,
+                                      reason):
+        _, _, mem_dir = workspace
+        truth = tmp_path / "truth.json"
+        if content is not None:
+            truth.write_text(content)
+        out = tmp_path / "out"
+        argv = {"eval": ["eval", "--scene", str(truth), "--out", str(out)],
+                "build": ["build", "--scripted", str(truth), "--out", str(out)],
+                "ask": ["ask", "--ssm", str(mem_dir), "--scripted", str(truth),
+                        "--question", "q", "--transcript", str(out)]}[command]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert re.fullmatch(f"scenemem: {re.escape(str(truth))}: "
+                            f"[^\n]*{re.escape(reason)}[^\n]*", err.value.code)
+        assert not out.exists()
+
+    def test_synth_without_rooms_is_one_line(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["synth", "--rooms", "0", "--out", str(out)])
+        assert err.value.code == "scenemem: need at least one room"
         assert not out.exists()
 
 

@@ -111,27 +111,3 @@ class TestHttpBackend:
         with pytest.raises(TransportError):
             backend.call(BackendRequest(kind="consolidate",
                                         payload={"captions": ["x"]}))
-
-
-class TestFixtures:
-    def test_fixture_overrides_handler(self, small_scene):
-        request = BackendRequest(kind="consolidate",
-                                 payload={"captions": ["a", "a", "b"]})
-        canned = {"sentence": "a canned consolidation"}
-        backend = ScriptedBackend(small_scene,
-                                  fixtures={request.digest(): canned})
-        assert backend.call(request).sentence == "a canned consolidation"
-        other = BackendRequest(kind="consolidate", payload={"captions": ["b"]})
-        assert backend.call(other).sentence == "b"
-
-    def test_fixtures_file_round_trip(self, small_scene, tmp_path):
-        from scenemem import RecordingBackend
-        from scenemem.scripted import load_fixtures
-
-        log = tmp_path / "session.jsonl"
-        recorder = RecordingBackend(ScriptedBackend(small_scene, seed=8), log)
-        request = BackendRequest(kind="detect", frame_id=0)
-        recorded = recorder.raw_call(request)
-        fixtures = load_fixtures(log)
-        backend = ScriptedBackend(small_scene, seed=999, fixtures=fixtures)
-        assert backend.raw_call(request) == recorded

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import scenemem
-from scenemem import (BackendRequest, EngineConfig, RecordingBackend, ReplayBackend,
+from scenemem import (EngineConfig, RecordingBackend, ReplayBackend,
                       RuleReasoner, ScriptedBackend, build_ssm, edge_discovery_due,
                       evaluate, generate_questions, generate_scene, recall_sweep,
                       serialize)
@@ -228,23 +228,17 @@ def _build(scene, backend):
     return build_ssm(scene.episode(), backend, EngineConfig())
 
 
-def _detect_fixtures(scene, strip: str) -> dict[str, dict]:
-    """The scripted replies to the build's detect requests, sent as the
-    build sends them, without their ``strip`` field, keyed by request
-    digest."""
-    cfg = EngineConfig()
-    oracle = ScriptedBackend(scene)
-    fixtures = {}
-    for index, frame in enumerate(scene.episode().frames):
-        due = edge_discovery_due(index, cfg.edge_discovery_period)
-        request = BackendRequest(kind="detect", frame_id=frame.id,
-                                 payload={"relations": True} if due else {},
-                                 frame_size=frame.size,
-                                 embedding_dim=cfg.embedding_dim)
-        reply = oracle.raw_call(request)
-        reply.pop(strip, None)
-        fixtures[request.digest()] = reply
-    return fixtures
+class OlderServer(ScriptedBackend):
+    """An older backend: its detect replies lack the ``strip`` field."""
+
+    def __init__(self, scene, strip: str):
+        super().__init__(scene)
+        self.strip = strip
+
+    def _handle_detect(self, request):
+        doc = super()._handle_detect(request)
+        doc.pop(self.strip, None)
+        return doc
 
 
 def _golden_memory_digest() -> str:
@@ -265,13 +259,6 @@ class TestBuildRoundTrips:
             "detect": len(ssm.nav_log), "relations": 0, "consolidate": 0,
             "analyze": 0, "fov": 0, "room_label": 1, "reason": 0}
         assert ssm.graph.edges
-
-    def test_clean_build_sends_no_fov_and_one_room_label(self, small_scene):
-        backend = ScriptedBackend(small_scene)
-        ssm = _build(small_scene, backend)
-        assert backend.call_counts["fov"] == 0
-        assert backend.call_counts["room_label"] == 1
-        assert backend.call_counts["detect"] == len(ssm.nav_log)
         assert "unavailable" not in {e.fov_tag for e in ssm.nav_log}
 
     def test_failed_detect_falls_back_to_fov(self, small_scene):
@@ -298,8 +285,7 @@ class TestBuildRoundTrips:
     def test_detect_replies_without_tag_replay_todays_build(self, small_scene):
         """An older backend's detect replies carry no fov_tag: the build
         asks fov once per frame and writes the same memory bytes."""
-        backend = ScriptedBackend(small_scene,
-                                  fixtures=_detect_fixtures(small_scene, "fov_tag"))
+        backend = OlderServer(small_scene, "fov_tag")
         text = serialize(_build(small_scene, backend))[0]
         assert backend.call_counts["fov"] == len(small_scene.episode())
         assert backend.call_counts["room_label"] == 1
@@ -311,8 +297,7 @@ class TestBuildRoundTrips:
         """An older backend's detect replies carry no relations: each due
         frame with nodes gets a relations request, and the memory bytes
         are the same."""
-        backend = ScriptedBackend(small_scene,
-                                  fixtures=_detect_fixtures(small_scene, "relations"))
+        backend = OlderServer(small_scene, "relations")
         ssm = _build(small_scene, backend)
         due = [e for i, e in enumerate(ssm.nav_log)
                if edge_discovery_due(i) and e.visible_node_ids]
