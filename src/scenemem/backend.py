@@ -17,12 +17,14 @@ live in one place.
 Transport errors are retried once; schema errors never are (they are
 systematic, a retry wastes budget).
 
-A detect reply may carry its frame's field-of-view tag (``fov_tag``), so
-a build need not send the frame again in a ``fov`` request. A detect
-request whose payload asks for ``relations`` may get them in its reply,
-rows that name their detections by index, so the build need not send the
-frame again in a ``relations`` request either. One ``room_label`` request
-scores every room: one row of class scores per room.
+A build takes each keyframe's model output from its detect reply: the
+frame's field-of-view tag (``fov_tag``) and, when the request's payload
+asks for ``relations``, relation rows that name the reply's detections by
+index. A reply without a tag gives the frame the tag "unavailable"; one
+without relations adds no edges; neither sends another request. The
+``fov`` and ``relations`` kinds remain in the protocol, but the engine no
+longer sends them. One ``room_label`` request scores every room: one row
+of class scores per room.
 
 Detect/analyze items may carry an exact pixel mask (row runs) and
 visual/language embedding vectors. Mask extraction and embedding models
@@ -124,9 +126,9 @@ class WireRelation:
 class DetectResponse:
     objects: tuple[WireObject, ...]
     fov_tag: str | None = None  # the frame's field-of-view tag, when sent
-    # relations among the detections, when sent: subject_id and object_id
-    # are indices into ``objects``
-    relations: tuple[WireRelation, ...] | None = None
+    # relations among the detections: subject_id and object_id are indices
+    # into ``objects``
+    relations: tuple[WireRelation, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -344,7 +346,7 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None,
         fov_tag = need(raw, "fov_tag", str, "$") if "fov_tag" in raw else None
         objects = tuple(_wire_object(d, frame_size, embedding_dim, f"$.detections[{i}]")
                         for i, d in enumerate(items))
-        relations = _relation_rows(raw, len(objects)) if "relations" in raw else None
+        relations = _relation_rows(raw, len(objects)) if "relations" in raw else ()
         return DetectResponse(objects, fov_tag, relations)
 
     if kind == "relations":

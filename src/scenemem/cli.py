@@ -24,7 +24,7 @@ from .dataset import DatasetError, load_dataset
 from .loop import EpisodeQuery, answer, write_transcript
 from .memory import ParseError, load_dir, save_dir, serialize
 from .metrics import evaluate
-from .pipeline import build_ssm
+from .pipeline import BuildError, build_ssm
 from .scripted import RuleReasoner, ScriptedBackend, check_noise
 from .server import serve_dir
 from .synth import (GenerationError, SyntheticScene, generate_questions,
@@ -32,8 +32,9 @@ from .synth import (GenerationError, SyntheticScene, generate_questions,
 
 
 def _engine_config(args) -> EngineConfig:
-    """The config file (or the defaults) with the flags applied; a refused
-    value exits with one line naming its field, before any input is read."""
+    """The config file (or the defaults) with the flags applied; an
+    unreadable config file or a refused value exits with one line naming
+    the path or the field, before any input is read."""
     flags = {"k": "frame_stride", "n_img": "initial_frames", "m": "max_api_calls",
              "api": "api_mode"}
     overrides = {name: getattr(args, dest) for dest, name in flags.items()
@@ -41,6 +42,8 @@ def _engine_config(args) -> EngineConfig:
     try:
         cfg = load_config(args.config) if getattr(args, "config", None) else EngineConfig()
         return dataclasses.replace(cfg, **overrides)
+    except OSError as exc:
+        raise SystemExit(f"scenemem: {args.config}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise SystemExit(f"scenemem: {exc}") from None
 
@@ -234,8 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DatasetError, GenerationError) as exc:  # one line, no traceback
-        raise SystemExit(f"scenemem: {exc}") from None
+    except (BuildError, DatasetError, GenerationError, ParseError) as exc:
+        raise SystemExit(f"scenemem: {exc}") from None  # one line, no traceback
 
 
 if __name__ == "__main__":

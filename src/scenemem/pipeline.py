@@ -1,26 +1,26 @@
 """Initial memory construction from an episode of posed RGB-D keyframes.
 
-Per keyframe: ask the backend detector for (bbox, caption) objects, lift
-each through mask -> back-projection -> voxel downsample -> densest
-cluster, then merge into or create tracks through the same integration
-function that applies patches (apis._associate_detections).
-A detect reply may also carry the frame's field-of-view tag, which is
-kept for its navigation-log entry.
-Every third processed frame the backend predicts pairwise relations among
-the frame's detections: the detect request asks for them, and each row of
-the reply names two detections, which become an edge between the nodes
-they landed on (a row whose detections landed on one node is dropped). A
-reply without relations, from a backend that does not send them, is
-followed by a ``relations`` request over the frame's visible nodes.
+Per keyframe, one detect request: the backend detector returns (bbox,
+caption) objects, each lifted through mask -> back-projection -> voxel
+downsample -> densest cluster, then merged into or used to create tracks
+through the same integration function that applies patches
+(apis._associate_detections). The reply also carries the frame's
+field-of-view tag, kept for its navigation-log entry; a reply without one,
+or a failed detect, gives the tag "unavailable".
+Every third processed frame the detect request also asks for pairwise
+relations among the frame's detections: each row of the reply names two
+detections, which become an edge between the nodes they landed on (a row
+whose detections landed on one node is dropped). A reply without relations
+adds no edges.
 Caption histories consolidate once they reach the configured length; a
-history of one repeated caption needs no request.
+history of one repeated caption needs no request. Consolidation is the
+only request of the frame sweep that reads the growing graph.
 
 After the frame sweep: the structure cloud (strided depth of every frame),
 which ``spatial`` turns into floors, occupancy grids and watershed rooms,
 room labels from one backend scoring request over all rooms, one
-navigation-log entry per keyframe (a frame whose detect reply carried no
-tag, or whose detect failed, asks the backend for its tag), and the evenly
-spaced initial frame memory.
+navigation-log entry per keyframe, and the evenly spaced initial frame
+memory.
 
 Per-frame detector failures skip that frame's detections (the navigation
 log still covers it); more than half the frames failing aborts the build.
@@ -37,7 +37,7 @@ from .backend import Backend, BackendError, BackendRequest, WireRelation
 from .config import EngineConfig
 from .dataset import Episode
 from .geometry import PixelMask, PointCloud, backproject, voxel_downsample
-from .graph import Detection, RelationEdge, consolidate_captions, edge_discovery_due
+from .graph import RelationEdge, consolidate_captions, edge_discovery_due
 from .memory import SceneMemory, init_frame_memory
 from .spatial import (build_nav_entry, detect_floors, label_rooms, occupancy_grids,
                       segment_rooms)
@@ -69,30 +69,13 @@ def _structure_cloud(episode: Episode, cfg: EngineConfig) -> PointCloud:
     return voxel_downsample(merged, cfg.structure_voxel_m)
 
 
-def _add_frame_edges(ssm: SceneMemory, backend: Backend, frame_id: int,
-                     relations: tuple[WireRelation, ...] | None,
-                     frame_nodes: list[int], detections: list[Detection]) -> None:
+def _add_frame_edges(ssm: SceneMemory, frame_id: int,
+                     relations: tuple[WireRelation, ...],
+                     frame_nodes: list[int]) -> None:
     """Add a frame's relations as edges between the nodes its detections
     landed on. ``relations`` are the detect reply's rows, which name
-    detections by index; when the reply had none, a frame with nodes asks
-    the backend in a ``relations`` request, whose rows name the nodes."""
-    if relations is not None:
-        pairs = [(frame_nodes[r.subject_id], frame_nodes[r.object_id], r)
-                 for r in relations]
-    elif not frame_nodes:
-        return
-    else:
-        bbox_by_node = {nid: det.bbox for nid, det in zip(frame_nodes, detections)}
-        visible = [{"node_id": nid, "bbox": list(bbox_by_node[nid]),
-                    "caption": ssm.graph.tracks[nid].caption}
-                   for nid in sorted(bbox_by_node)]
-        try:
-            response = backend.call(BackendRequest(
-                kind="relations", frame_id=frame_id, payload={"visible": visible}))
-        except BackendError as exc:
-            logger.warning("edge discovery failed on frame %d: %s", frame_id, exc)
-            return
-        pairs = [(r.subject_id, r.object_id, r) for r in response.relations]
+    detections by index."""
+    pairs = [(frame_nodes[r.subject_id], frame_nodes[r.object_id], r) for r in relations]
     report = ssm.graph.add_edges([
         RelationEdge(subject_id=s, object_id=o, relation=r.relation,
                      justification=r.justification, source_frame=frame_id)
@@ -113,7 +96,7 @@ def build_ssm(episode: Episode, backend: Backend,
                             episode.frame_locators())
     executor = ApiExecutor(episode, backend, cfg)
     visible_by_frame: dict[int, list[int]] = {}
-    fov_by_frame: dict[int, str | None] = {}  # the tag each detect reply carried
+    fov_by_frame: dict[int, str] = {}  # the tag each detect reply carried
     failed_frames = 0
 
     for index, frame in enumerate(episode.frames):
@@ -132,15 +115,15 @@ def build_ssm(episode: Episode, backend: Backend,
                     f"{failed_frames} of {len(episode)} frames failed") from exc
             continue
 
-        fov_by_frame[frame.id] = response.fov_tag
+        if response.fov_tag is not None:
+            fov_by_frame[frame.id] = response.fov_tag
         detections = [executor.detection_from_wire(wire, frame)
                       for wire in response.objects]
         frame_nodes, _ = _associate_detections(ssm, detections, cfg)
         visible_by_frame[frame.id] = frame_nodes
 
         if edges_due:
-            _add_frame_edges(ssm, backend, frame.id, response.relations, frame_nodes,
-                             detections)
+            _add_frame_edges(ssm, frame.id, response.relations, frame_nodes)
 
         for nid in set(frame_nodes):
             ssm.graph.replace_track(consolidate_captions(
@@ -168,7 +151,7 @@ def build_ssm(episode: Episode, backend: Backend,
     for frame in episode.frames:
         ssm.nav_log.append(build_nav_entry(
             frame, prev, ssm.rooms, visible_by_frame.get(frame.id, []),
-            backend, cfg.spatial, fov_by_frame.get(frame.id)))
+            fov_by_frame.get(frame.id, "unavailable"), cfg.spatial))
         prev = frame
 
     ssm.frame_memory = init_frame_memory(episode.frame_ids, cfg.initial_frames)

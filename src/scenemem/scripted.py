@@ -13,9 +13,9 @@ probability) and delegates reason requests to a pluggable policy:
 
 Identical request sequences always produce identical responses. Recorded
 replies are replayed through RecordingBackend/ReplayBackend, which is
-byte-stable; a test that needs other replies (an older server's, a
-malformed one) subclasses ScriptedBackend and overrides a ``_handle_<kind>``
-method.
+byte-stable; a test that needs other replies (ones that omit optional
+fields, a malformed one) subclasses ScriptedBackend and overrides a
+``_handle_<kind>`` method.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Floors come from height-histogram modes, each floor's free/wall occupancy
 grid from the structure cloud, rooms from a watershed over the wall
 distance transform, and every keyframe gets a navigation entry with its
-room, a backend-produced field-of-view tag, an egocentric motion label
-derived from pose deltas, and the ids of nodes seen in that frame.
+room, the field-of-view tag its detect reply carried, an egocentric motion
+label derived from pose deltas, and the ids of nodes seen in that frame.
 
 One 8-neighbor view helper serves the unseen-cell fill and the seed
 picking; one 4-connected labelling serves the speckle pruning and the
@@ -470,16 +470,14 @@ def motion_label(prev: Pose, curr: Pose, cfg: SpatialConfig | None = None) -> st
 
 
 def build_nav_entry(frame, prev, rooms: RoomModel | None,
-                    visible: set[int] | list[int], backend,
-                    cfg: SpatialConfig | None = None,
-                    fov_tag: str | None = None) -> NavLogEntry:
+                    visible: set[int] | list[int], fov_tag: str,
+                    cfg: SpatialConfig | None = None) -> NavLogEntry:
     """Assemble one navigation-log entry for a processed keyframe.
 
     ``frame``/``prev`` are keyframes (prev None for the first frame). The
     room label comes from the camera position, snapped to a room within
-    0.5 m. The field-of-view tag is ``fov_tag`` when given (the build
-    passes the one its detect reply carried); otherwise one ``fov``
-    request asks for it, and a failed request gives "unavailable".
+    0.5 m. ``fov_tag`` is the frame's field-of-view tag (the build passes
+    the one its detect reply carried, or "unavailable").
     """
     cfg = cfg or SpatialConfig()
     cam = frame.pose.translation
@@ -489,12 +487,6 @@ def build_nav_entry(frame, prev, rooms: RoomModel | None,
                                   snap_m=0.5)
         room_label = rooms.label_of(room_id)
     motion = "stationary" if prev is None else motion_label(prev.pose, frame.pose, cfg)
-    if fov_tag is None:
-        try:
-            fov_tag = backend.call(BackendRequest(kind="fov", frame_id=frame.id)).tag
-        except BackendError as exc:
-            logger.warning("fov tag unavailable for frame %d: %s", frame.id, exc)
-            fov_tag = "unavailable"
     return NavLogEntry(frame_id=frame.id, room_label=room_label, fov_tag=fov_tag,
                        motion_label=motion,
                        visible_node_ids=tuple(sorted(set(int(i) for i in visible))))

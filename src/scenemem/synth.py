@@ -29,6 +29,7 @@ import numpy as np
 
 from .dataset import Episode, Keyframe
 from .geometry import CameraIntrinsics, DepthMap, Pose
+from .graph import edge_discovery_due
 
 WALL_THICKNESS = 0.1
 WALL_HEIGHT = 2.5
@@ -68,6 +69,17 @@ STANDALONE_TEMPLATES = (
 
 class GenerationError(ValueError):
     pass
+
+
+def _read_json(path: str | Path):
+    """The JSON document in ``path``; a missing or unreadable file and one
+    that is not JSON raise GenerationError naming the path."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise GenerationError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:  # not UTF-8 or not JSON
+        raise GenerationError(f"{path}: not JSON: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -319,12 +331,7 @@ class SyntheticScene:
         """Regenerate the scene a truth file names. A missing file, one that
         is not JSON and one that holds no valid truth raise GenerationError
         naming the path."""
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise GenerationError(f"{path}: {exc.strerror or exc}") from None
-        except ValueError as exc:  # not UTF-8 or not JSON
-            raise GenerationError(f"{path}: not JSON: {exc}") from None
+        doc = _read_json(path)
         if not isinstance(doc, dict) or doc.get("format") != "scenemem-synthetic-truth" \
                 or not isinstance(doc.get("params"), dict):
             raise GenerationError(f"{path}: not a synthetic scene truth file")
@@ -545,13 +552,14 @@ def generate_scene(rooms: int, objects_per_room: int, seed: int, *,
 
 def _check_visibility(scene: SyntheticScene) -> None:
     """Every object must be visible somewhere, and every related pair
-    co-visible on an edge-discovery frame (every third processed frame)."""
+    co-visible on a frame where the build asks for edges
+    (``edge_discovery_due``)."""
     seen: set[int] = set()
     covisible_on_discovery: set[tuple[int, int]] = set()
     for fid in range(scene.frame_count):
         visible = set(scene.visible_objects(fid))
         seen |= visible
-        if fid % 3 == 0:
+        if edge_discovery_due(fid):
             for rel in scene.relations:
                 if rel.subject_index in visible and rel.object_index in visible:
                     covisible_on_discovery.add((rel.subject_index, rel.object_index))
@@ -626,6 +634,14 @@ def save_questions(questions: list[Question], path: str | Path) -> None:
 
 
 def load_questions(path: str | Path) -> list[Question]:
-    docs = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [Question(question=d["question"], answer=d["answer"],
-                     category=d["category"]) for d in docs]
+    """The questions ``path`` holds: a JSON list of objects with string
+    ``question``, ``answer`` and ``category`` fields. Anything else raises
+    GenerationError naming the path."""
+    docs = _read_json(path)
+    fields = ("question", "answer", "category")
+    if not isinstance(docs, list) or not all(
+            isinstance(d, dict) and all(isinstance(d.get(f), str) for f in fields)
+            for d in docs):
+        raise GenerationError(f"{path}: not a list of objects with string "
+                              "question, answer and category fields")
+    return [Question(*(d[f] for f in fields)) for d in docs]

@@ -147,7 +147,7 @@ class TestValidateResponse:
         """A detect reply's relation rows name detections by index, so each
         index must be below the number of detections."""
         raw = {"detections": [self._WIRE, self._WIRE]}
-        assert validate_response("detect", raw).relations is None
+        assert validate_response("detect", raw).relations == ()
         row = {"subject_id": 1, "object_id": 0, "relation": "on_top_of",
                "justification": "j"}
         out = validate_response("detect", {**raw, "relations": [row]})

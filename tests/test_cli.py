@@ -206,6 +206,57 @@ class TestDamagedTruthFile:
         assert not out.exists()
 
 
+class TestUnreadableInput:
+    """A questions file, a config file or a backend the command cannot use
+    also ends it with one line, naming the path where there is one, and
+    nothing is written."""
+
+    @pytest.mark.parametrize("content,reason", [
+        (None, "No such file or directory"),
+        ("{not json", "not JSON"),
+        ('{"question": "q", "answer": "a", "category": "c"}', "not a list of objects"),
+        ("[1]", "not a list of objects"),
+        ('[{"question": "x"}]', "string question, answer and category fields"),
+        ('[{"question": "q", "answer": 3, "category": "c"}]', "string question"),
+    ])
+    def test_questions_file(self, workspace, tmp_path, content, reason):
+        _, scene_dir, _ = workspace
+        questions = tmp_path / "questions.json"
+        if content is not None:
+            questions.write_text(content)
+        out = tmp_path / "out.json"
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--scene", str(scene_dir / "truth.json"),
+                  "--questions", str(questions), "--out", str(out)])
+        assert re.fullmatch(f"scenemem: {re.escape(str(questions))}: "
+                            f"[^\n]*{re.escape(reason)}[^\n]*", err.value.code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build", "ask", "eval"])
+    def test_missing_config_file(self, workspace, tmp_path, command):
+        _, scene_dir, mem_dir = workspace
+        config = tmp_path / "nope.cfg"
+        out = tmp_path / "out"
+        truth = str(scene_dir / "truth.json")
+        argv = {"eval": ["eval", "--scene", truth, "--out", str(out)],
+                "build": ["build", "--scripted", truth, "--out", str(out)],
+                "ask": ["ask", "--ssm", str(mem_dir), "--scripted", truth,
+                        "--question", "q", "--transcript", str(out)]}[command]
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--config", str(config)])
+        assert err.value.code == f"scenemem: {config}: No such file or directory"
+        assert not out.exists()
+
+    def test_unreachable_backend(self, workspace, tmp_path):
+        _, scene_dir, _ = workspace
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--scripted", str(scene_dir / "truth.json"),
+                  "--backend-url", "http://127.0.0.1:9", "--out", str(out)])
+        assert re.fullmatch(r"scenemem: \d+ of \d+ frames failed", err.value.code)
+        assert not out.exists()
+
+
 class TestInspectCommand:
     def test_dumps_canonical_json(self, workspace, capsys):
         _, _, mem_dir = workspace

@@ -4,7 +4,6 @@ and whole-pipeline determinism (including record/replay)."""
 from __future__ import annotations
 
 import ast
-import hashlib
 import json
 import os
 import re
@@ -24,8 +23,6 @@ from scenemem.dataset import Episode
 from scenemem.metrics import (graph_precision_recall, match_tracks,
                               normalize_answer, track_recall)
 from scenemem.pipeline import BuildError
-
-GOLDEN_DIGESTS = Path(__file__).parent / "golden" / "output_digests.json"
 
 
 class TestBuildSsm:
@@ -228,29 +225,22 @@ def _build(scene, backend):
     return build_ssm(scene.episode(), backend, EngineConfig())
 
 
-class OlderServer(ScriptedBackend):
-    """An older backend: its detect replies lack the ``strip`` field."""
-
-    def __init__(self, scene, strip: str):
-        super().__init__(scene)
-        self.strip = strip
+class BareDetectServer(ScriptedBackend):
+    """A backend whose detect replies carry neither a field-of-view tag nor
+    relations, both of which the protocol leaves optional."""
 
     def _handle_detect(self, request):
         doc = super()._handle_detect(request)
-        doc.pop(self.strip, None)
+        doc.pop("fov_tag", None)
+        doc.pop("relations", None)
         return doc
-
-
-def _golden_memory_digest() -> str:
-    golden = json.loads(GOLDEN_DIGESTS.read_text(encoding="utf-8"))
-    return golden["frame-miss0"]["memory"]
 
 
 class TestBuildRoundTrips:
     """The fov tag and the due frames' relations ride on the build's detect
     replies, one room_label request scores every room, and a history of one
-    repeated caption consolidates without a request; the fov and relations
-    requests are only fallbacks."""
+    repeated caption consolidates without a request; the build sends no fov
+    or relations request."""
 
     def test_clean_build_sends_only_detects_and_one_room_label(self, small_scene):
         backend = ScriptedBackend(small_scene)
@@ -261,53 +251,31 @@ class TestBuildRoundTrips:
         assert ssm.graph.edges
         assert "unavailable" not in {e.fov_tag for e in ssm.nav_log}
 
-    def test_failed_detect_falls_back_to_fov(self, small_scene):
+    def test_failed_detect_tags_its_frame_unavailable(self, small_scene):
         clean = _build(small_scene, ScriptedBackend(small_scene))
         backend = ScriptedBackend(small_scene)
         backend.fail("detect", times=2)  # the first frame's detect and its retry
         ssm = _build(small_scene, backend)
-        assert backend.call_counts["fov"] == 1
-        # the failed detect empties the frame's visible nodes, nothing else
-        assert astuple(ssm.nav_log[0]) \
-            == astuple(replace(clean.nav_log[0], visible_node_ids=()))
+        assert backend.call_counts["fov"] == 0
+        # the failed detect empties the frame's visible nodes and its tag,
+        # nothing else
+        assert astuple(ssm.nav_log[0]) == astuple(replace(
+            clean.nav_log[0], fov_tag="unavailable", visible_node_ids=()))
         assert [astuple(e) for e in ssm.nav_log[1:]] \
             == [astuple(e) for e in clean.nav_log[1:]]
 
-    def test_failed_detect_and_fov_give_unavailable(self, small_scene):
-        backend = ScriptedBackend(small_scene)
-        backend.fail("detect", times=2)
-        backend.fail("fov", times=2)
+    def test_bare_detect_replies_send_no_other_request(self, small_scene):
+        """Detect replies without a tag or relations: each frame is tagged
+        "unavailable", the graph has no edges, and nothing else is asked."""
+        backend = BareDetectServer(small_scene)
         ssm = _build(small_scene, backend)
-        assert backend.call_counts["fov"] == 2
-        assert ssm.nav_log[0].fov_tag == "unavailable"
-        assert "unavailable" not in {e.fov_tag for e in ssm.nav_log[1:]}
-
-    def test_detect_replies_without_tag_replay_todays_build(self, small_scene):
-        """An older backend's detect replies carry no fov_tag: the build
-        asks fov once per frame and writes the same memory bytes."""
-        backend = OlderServer(small_scene, "fov_tag")
-        text = serialize(_build(small_scene, backend))[0]
-        assert backend.call_counts["fov"] == len(small_scene.episode())
-        assert backend.call_counts["room_label"] == 1
-        assert text == serialize(_build(small_scene, ScriptedBackend(small_scene)))[0]
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
-            == _golden_memory_digest()
-
-    def test_detect_replies_without_relations_fall_back(self, small_scene):
-        """An older backend's detect replies carry no relations: each due
-        frame with nodes gets a relations request, and the memory bytes
-        are the same."""
-        backend = OlderServer(small_scene, "relations")
-        ssm = _build(small_scene, backend)
-        due = [e for i, e in enumerate(ssm.nav_log)
-               if edge_discovery_due(i) and e.visible_node_ids]
-        assert len(due) >= 2
-        assert backend.call_counts["relations"] == len(due)
-        assert backend.call_counts["fov"] == 0
-        text = serialize(ssm)[0]
-        assert text == serialize(_build(small_scene, ScriptedBackend(small_scene)))[0]
-        assert hashlib.sha256(text.encode("utf-8")).hexdigest() \
-            == _golden_memory_digest()
+        assert backend.call_counts == {
+            "detect": len(small_scene.episode()), "relations": 0, "consolidate": 0,
+            "analyze": 0, "fov": 0, "room_label": 1, "reason": 0}
+        assert {e.fov_tag for e in ssm.nav_log} == {"unavailable"}
+        assert not ssm.graph.edges
+        clean = _build(small_scene, ScriptedBackend(small_scene))
+        assert sorted(ssm.graph.tracks) == sorted(clean.graph.tracks)
 
     def test_failed_room_label_labels_every_room_unknown(self, small_scene, caplog):
         backend = ScriptedBackend(small_scene)

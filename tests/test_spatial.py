@@ -464,17 +464,6 @@ class TestMotionLabel:
         assert motion_label(a2, b2) == label
 
 
-class _FovStub(Backend):
-    def __init__(self, fail=False):
-        super().__init__()
-        self.fail_mode = fail
-
-    def raw_call(self, request):
-        if self.fail_mode:
-            raise TransportError("no fov")
-        return {"tag": f"view {request.frame_id}"}
-
-
 def _keyframe(fid: int, pose) -> Keyframe:
     intr = CameraIntrinsics(fx=10, fy=10, cx=4, cy=4, width=8, height=8)
     return Keyframe(id=fid, intrinsics=intr, pose=pose,
@@ -484,7 +473,7 @@ def _keyframe(fid: int, pose) -> Keyframe:
 class TestBuildNavEntry:
     def test_first_frame_stationary(self):
         frame = _keyframe(0, make_pose(0, (0.5, 0.5, 1.4)))
-        entry = build_nav_entry(frame, None, None, {3, 1}, _FovStub())
+        entry = build_nav_entry(frame, None, None, {3, 1}, "view 0")
         assert entry.motion_label == "stationary"
         assert entry.visible_node_ids == (1, 3)
         assert entry.fov_tag == "view 0"
@@ -494,20 +483,8 @@ class TestBuildNavEntry:
         room_id = model.room_ids()[0]
         model.labels[room_id] = "kitchen"
         frame = _keyframe(2, make_pose(0, (0.5, 0.5, 1.4)))
-        entry = build_nav_entry(frame, None, model, set(), _FovStub())
+        entry = build_nav_entry(frame, None, model, set(), "view 2")
         assert entry.room_label == "kitchen"
-
-    def test_fov_failure_tag_unavailable(self):
-        frame = _keyframe(1, make_pose(0, (0.5, 0.5, 1.4)))
-        entry = build_nav_entry(frame, None, None, set(), _FovStub(fail=True))
-        assert entry.fov_tag == "unavailable"
-
-    def test_given_tag_sends_no_fov_request(self):
-        frame = _keyframe(1, make_pose(0, (0.5, 0.5, 1.4)))
-        backend = _FovStub(fail=True)
-        entry = build_nav_entry(frame, None, None, set(), backend, fov_tag="from detect")
-        assert entry.fov_tag == "from detect"
-        assert backend.call_counts["fov"] == 0
 
     def test_motion_label_enum_guard(self):
         with pytest.raises(GeometryInputError):
