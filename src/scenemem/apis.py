@@ -6,7 +6,8 @@ into a Patch: new detections (already lifted through the geometry pipeline),
 new relation edges, scratchpad notes and evidence pointers. One request per
 action:
 
-* find_objects: one ``detect``; every detection joins the patch.
+* find_objects: one ``detect`` listing this one frame; every detection
+  joins the patch.
 * analyze_objects: one ``analyze`` (``discover`` false) over the listed
   nodes visible in the frame, noting only those targets; when none of its
   known nodes is visible, one ``detect`` exactly as find_objects. Unknown
@@ -226,12 +227,17 @@ class ApiExecutor:
         targets = self._visible_targets(ssm, frame, ids, full_box)
         analyze = discover or bool(targets)
         request = BackendRequest(
-            kind="analyze" if analyze else "detect", frame_id=call.frame_id,
-            query=call.query, frame_size=frame.size,
-            embedding_dim=self.config.embedding_dim,
-            payload={"targets": targets, "discover": discover} if analyze else {})
+            kind="analyze" if analyze else "detect",
+            frame_id=call.frame_id if analyze else None, query=call.query,
+            payload={"targets": targets, "discover": discover} if analyze
+            else {"frames": [[call.frame_id, False]]},
+            frame_sizes=(frame.size,), embedding_dim=self.config.embedding_dim)
         try:
             response = self.backend.call(request)
+            if not analyze:
+                (response,) = response
+                if response.error is not None:
+                    raise response.error
         except BackendError as exc:
             logger.warning("%s backend failure: %s", call.kind, exc)
             patch.failure = str(exc)

@@ -8,8 +8,8 @@ into the engine: validate_response enforces the kind-specific schema,
 rejects unknown relation labels, and clamps bounding boxes that overflow
 the frame by at most 2 px (larger overflows are rejected). The bounds come
 from the request itself: a detect or analyze request carries the size of
-the frame it asks about (``BackendRequest.frame_size``) and the length of
-the engine's embeddings (``BackendRequest.embedding_dim``), so every
+each frame it asks about (``BackendRequest.frame_sizes``) and the length
+of the engine's embeddings (``BackendRequest.embedding_dim``), so every
 transport checks pixels and vectors against the same bounds. A reason
 action parses straight into the ApiCall the loop executes, so its rules
 live in one place.
@@ -17,14 +17,20 @@ live in one place.
 Transport errors are retried once; schema errors never are (they are
 systematic, a retry wastes budget).
 
-A build takes each keyframe's model output from its detect reply: the
-frame's field-of-view tag (``fov_tag``) and, when the request's payload
-asks for ``relations``, relation rows that name the reply's detections by
-index. A reply without a tag gives the frame the tag "unavailable"; one
-without relations adds no edges; neither sends another request. The
-``fov`` and ``relations`` kinds remain in the protocol, but the engine no
-longer sends them. One ``room_label`` request scores every room: one row
-of class scores per room.
+A detect request lists its frames in ``payload["frames"]`` as
+``[frame_id, relations]`` pairs, and its reply holds one item per listed
+frame, in the same order. An item is that frame's detections with,
+optionally, its field-of-view tag (``fov_tag``) and, when the pair asks
+for them, relation rows that name the item's detections by index; or it
+is ``{"error": "..."}``. A malformed item or an error item fails its own
+frame only: validation returns a ``DetectResponse`` holding the error.
+A reply with the wrong number of items fails the whole request. A build
+sends one detect request listing every keyframe; find_objects lists one
+frame. A frame without a tag gets the tag "unavailable" and one without
+relations adds no edges; neither sends another request. The ``fov`` and
+``relations`` kinds remain in the protocol, but the engine no longer sends
+them. One ``room_label`` request scores every room: one row of class
+scores per room.
 
 Detect/analyze items may carry an exact pixel mask (row runs) and
 visual/language embedding vectors. Mask extraction and embedding models
@@ -83,15 +89,19 @@ class BackendRequest:
     frame_id: int | None = None
     query: str | None = None
     payload: dict = field(default_factory=dict)
-    # (width, height) of the frame a detect/analyze response's pixels refer
-    # to, and the length its embedding vectors must have. Validation reads
-    # both; they are never sent and not part of the digest.
-    frame_size: tuple[int, int] | None = field(default=None, compare=False)
+    # (width, height) of each frame the response's pixels refer to: an
+    # analyze request's frame, or every frame a detect request lists, in
+    # order (None leaves a frame's pixels unchecked); and the length the
+    # embedding vectors must have. Validation reads both; they are never
+    # sent and not part of the digest.
+    frame_sizes: tuple[tuple[int, int] | None, ...] = field(default=(), compare=False)
     embedding_dim: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.kind not in REQUEST_KINDS:
             raise ValueError(f"unknown request kind '{self.kind}'")
+        if self.kind == "detect" and not self.frame_sizes:  # pixels go unchecked
+            object.__setattr__(self, "frame_sizes", (None,) * len(self.payload["frames"]))
 
     def to_doc(self) -> dict:
         return {"kind": self.kind, "frame_id": self.frame_id,
@@ -124,11 +134,16 @@ class WireRelation:
 
 @dataclass(frozen=True)
 class DetectResponse:
-    objects: tuple[WireObject, ...]
+    """One listed frame's item of a detect reply."""
+
+    objects: tuple[WireObject, ...] = ()
     fov_tag: str | None = None  # the frame's field-of-view tag, when sent
     # relations among the detections: subject_id and object_id are indices
     # into ``objects``
     relations: tuple[WireRelation, ...] = ()
+    # why the frame has no detections: its item was malformed or an error
+    # item, or the whole request failed
+    error: BackendError | None = None
 
 
 @dataclass(frozen=True)
@@ -304,13 +319,14 @@ def _wire_object(doc, frame_size, dim, path) -> WireObject:
                                                     path))
 
 
-def _relation_rows(raw, count: int | None = None) -> tuple[WireRelation, ...]:
-    """The rows of ``raw["relations"]``. Both ends of a row must differ;
-    with a ``count`` they are indices, each below it (a detect reply's rows
-    name its detections)."""
+def _relation_rows(raw, base: str = "$",
+                   count: int | None = None) -> tuple[WireRelation, ...]:
+    """The rows of ``raw["relations"]``, where ``raw`` sits at ``base``.
+    Both ends of a row must differ; with a ``count`` they are indices, each
+    below it (a detect item's rows name its detections)."""
     rels = []
-    for i, r in enumerate(need(raw, "relations", list, "$")):
-        path = f"$.relations[{i}]"
+    for i, r in enumerate(need(raw, "relations", list, base)):
+        path = f"{base}.relations[{i}]"
         label = need(r, "relation", str, path)
         if label not in RELATION_LABELS:
             raise SchemaError(f"{path}.relation", f"unknown label '{label}'")
@@ -328,13 +344,35 @@ def _relation_rows(raw, count: int | None = None) -> tuple[WireRelation, ...]:
     return tuple(rels)
 
 
-def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None,
+def _detect_response(doc, frame_size, dim, path) -> DetectResponse:
+    """One listed frame's item of a detect reply. A malformed item, or an
+    error item (``{"error": "..."}``), gives a response holding only that
+    frame's error, at the item's path."""
+    try:
+        if isinstance(doc, dict) and "error" in doc:
+            return DetectResponse(error=BackendError(
+                f"{path}.error: {need(doc, 'error', str, path)}"))
+        items = need(doc, "detections", list, path)
+        fov_tag = need(doc, "fov_tag", str, path) if "fov_tag" in doc else None
+        objects = tuple(_wire_object(d, frame_size, dim, f"{path}.detections[{i}]")
+                        for i, d in enumerate(items))
+        relations = _relation_rows(doc, path, len(objects)) if "relations" in doc else ()
+    except SchemaError as exc:
+        return DetectResponse(error=exc)
+    return DetectResponse(objects, fov_tag, relations)
+
+
+def validate_response(kind: str, raw,
+                      frame_sizes: tuple[tuple[int, int] | None, ...] = (),
                       embedding_dim: int | None = None):
     """Strictly validate a raw JSON response for ``kind``.
 
-    Pixels are checked against ``frame_size`` and embedding lengths against
-    ``embedding_dim``, each when given. Returns the kind's typed response.
-    Raises SchemaError with a path-precise diagnostic on any violation.
+    Pixels are checked against ``frame_sizes`` (an analyze response against
+    its one entry, each detect item against its frame's) and embedding
+    lengths against ``embedding_dim``, each when given. Returns the kind's
+    typed response; for detect, one DetectResponse per entry of
+    ``frame_sizes``, where a malformed item fails only its own. Raises
+    SchemaError with a path-precise diagnostic on any other violation.
     """
     if kind not in REQUEST_KINDS:
         raise SchemaError("$", f"unknown request kind '{kind}'")
@@ -342,12 +380,12 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None,
         raise SchemaError("$", "response must be a JSON object")
 
     if kind == "detect":
-        items = need(raw, "detections", list, "$")
-        fov_tag = need(raw, "fov_tag", str, "$") if "fov_tag" in raw else None
-        objects = tuple(_wire_object(d, frame_size, embedding_dim, f"$.detections[{i}]")
-                        for i, d in enumerate(items))
-        relations = _relation_rows(raw, len(objects)) if "relations" in raw else ()
-        return DetectResponse(objects, fov_tag, relations)
+        items = need(raw, "frames", list, "$")
+        if len(items) != len(frame_sizes):
+            raise SchemaError("$.frames", f"expected {len(frame_sizes)} items, one per "
+                                          f"listed frame, got {len(items)}")
+        return tuple(_detect_response(doc, size, embedding_dim, f"$.frames[{i}]")
+                     for i, (doc, size) in enumerate(zip(items, frame_sizes)))
 
     if kind == "relations":
         return RelationsResponse(_relation_rows(raw))
@@ -360,6 +398,7 @@ def validate_response(kind: str, raw, frame_size: tuple[int, int] | None = None,
 
     if kind == "analyze":
         new_items = need(raw, "new_objects", list, "$")
+        frame_size = frame_sizes[0] if frame_sizes else None
         objs = tuple(_wire_object(d, frame_size, embedding_dim, f"$.new_objects[{i}]")
                      for i, d in enumerate(new_items))
         notes = []
@@ -425,7 +464,7 @@ class Backend:
 
     def frame_size(self, frame_id: int | None) -> tuple[int, int] | None:
         """Always None. Validation takes frame bounds from
-        ``BackendRequest.frame_size``; this stays so that wrappers which
+        ``BackendRequest.frame_sizes``; this stays so that wrappers which
         forward it keep working."""
         return None
 
@@ -438,13 +477,15 @@ class Backend:
                            request.kind, exc)
             self.call_counts[request.kind] += 1
             raw = self.raw_call(request)
-        return validate_response(request.kind, raw, request.frame_size,
+        return validate_response(request.kind, raw, request.frame_sizes,
                                  request.embedding_dim)
 
 
 class HttpBackend(Backend):
     """JSON-over-HTTP adapter: POST /<kind> with the request document.
-    Responses are checked against the frame bounds the request carries."""
+    Responses are checked against the frame bounds the request carries.
+    ``timeout`` bounds each round trip, so a build's one detect request,
+    which covers every keyframe, must finish within it."""
 
     def __init__(self, base_url: str, timeout: float = 30.0):
         super().__init__()

@@ -127,6 +127,9 @@ def cmd_ask(args) -> int:
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.transcript:
         write_transcript(result, args.transcript)
+    if result.abstained:  # no answer came back: not an honest "unknown"
+        print(f"scenemem: {result.violations[0]}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -141,10 +141,15 @@ def load_config(path: str | Path) -> EngineConfig:
     EngineConfig fields or ``section.field`` for the association, geometry
     and spatial sub-configs. Unknown keys, unparsable values and values
     their section's validator refuses raise ValueError naming
-    ``path:line``.
+    ``path:line``; a file that is not UTF-8 text raises ValueError naming
+    the path.
     """
     cfg = EngineConfig()
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") \
+            from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -1,17 +1,18 @@
 """Initial memory construction from an episode of posed RGB-D keyframes.
 
-Per keyframe, one detect request: the backend detector returns (bbox,
-caption) objects, each lifted through mask -> back-projection -> voxel
-downsample -> densest cluster, then merged into or used to create tracks
-through the same integration function that applies patches
-(apis._associate_detections). The reply also carries the frame's
-field-of-view tag, kept for its navigation-log entry; a reply without one,
-or a failed detect, gives the tag "unavailable".
-Every third processed frame the detect request also asks for pairwise
-relations among the frame's detections: each row of the reply names two
-detections, which become an edge between the nodes they landed on (a row
-whose detections landed on one node is dropped). A reply without relations
-adds no edges.
+One detect request lists every keyframe, and its reply holds one item per
+keyframe, in order. The sweep walks the items in frame order: each item's
+(bbox, caption) objects are lifted through mask -> back-projection ->
+voxel downsample -> densest cluster, then merged into or used to create
+tracks through the same integration function that applies patches
+(apis._associate_detections). An item also carries the frame's
+field-of-view tag, kept for its navigation-log entry; an item without one,
+or a failed item, gives the tag "unavailable".
+Every third frame's entry in the request also asks for pairwise relations
+among that frame's detections: each row of its item names two detections,
+which become an edge between the nodes they landed on (a row whose
+detections landed on one node is dropped). An item without relations adds
+no edges.
 Caption histories consolidate once they reach the configured length; a
 history of one repeated caption needs no request. Consolidation is the
 only request of the frame sweep that reads the growing graph.
@@ -22,18 +23,21 @@ room labels from one backend scoring request over all rooms, one
 navigation-log entry per keyframe, and the evenly spaced initial frame
 memory.
 
-Per-frame detector failures skip that frame's detections (the navigation
-log still covers it); more than half the frames failing aborts the build.
+A malformed or error item skips that frame's detections (the navigation
+log still covers it); a failed detect request fails every frame. More than
+half the frames failing aborts the build before the sweep.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import deque
 
 import numpy as np
 
 from .apis import ApiExecutor, _associate_detections
-from .backend import Backend, BackendError, BackendRequest, WireRelation
+from .backend import (Backend, BackendError, BackendRequest, DetectResponse,
+                      WireRelation)
 from .config import EngineConfig
 from .dataset import Episode
 from .geometry import PixelMask, PointCloud, backproject, voxel_downsample
@@ -85,6 +89,29 @@ def _add_frame_edges(ssm: SceneMemory, frame_id: int,
             logger.warning("rejected edge %s: %s", edge.key(), reason)
 
 
+def _detect_replies(episode: Episode, backend: Backend, cfg: EngineConfig,
+                    edges_due: list[bool]) -> deque[DetectResponse]:
+    """One detect reply item per keyframe, in frame order, from one request
+    listing them all; the sweep pops each, so it is dropped once its frame
+    is walked. A failed request gives every frame its error; each failed
+    frame is logged."""
+    try:
+        replies = backend.call(BackendRequest(
+            kind="detect",
+            payload={"frames": [[f.id, due]
+                                for f, due in zip(episode.frames, edges_due)]},
+            frame_sizes=tuple(f.size for f in episode.frames),
+            embedding_dim=cfg.embedding_dim))
+    except BackendError as exc:
+        logger.warning("detect request failed on all %d frames: %s", len(episode), exc)
+        return deque([DetectResponse(error=exc)] * len(episode))
+    for frame, reply in zip(episode.frames, replies):
+        if reply.error is not None:
+            logger.warning("detect failed on frame %d, skipping: %s", frame.id,
+                           reply.error)
+    return deque(replies)
+
+
 def build_ssm(episode: Episode, backend: Backend,
               config: EngineConfig | None = None) -> SceneMemory:
     """Run the full initial-construction pipeline over an episode."""
@@ -92,38 +119,32 @@ def build_ssm(episode: Episode, backend: Backend,
     if len(episode) == 0:
         raise BuildError("episode has no frames")
 
+    edges_due = [edge_discovery_due(i, cfg.edge_discovery_period)
+                 for i in range(len(episode))]
+    replies = _detect_replies(episode, backend, cfg, edges_due)
+    errors = [r.error for r in replies if r.error is not None]
+    if len(errors) > cfg.frame_failure_abort_fraction * len(episode):
+        raise BuildError(f"{len(errors)} of {len(episode)} frames failed") from errors[0]
+
     ssm = SceneMemory.empty(episode.scene_id, episode.stride, episode.frame_ids,
                             episode.frame_locators())
     executor = ApiExecutor(episode, backend, cfg)
     visible_by_frame: dict[int, list[int]] = {}
-    fov_by_frame: dict[int, str] = {}  # the tag each detect reply carried
-    failed_frames = 0
+    fov_by_frame: dict[int, str] = {}  # the tag each detect item carried
 
-    for index, frame in enumerate(episode.frames):
-        edges_due = edge_discovery_due(index, cfg.edge_discovery_period)
-        try:
-            response = backend.call(BackendRequest(
-                kind="detect", frame_id=frame.id,
-                payload={"relations": True} if edges_due else {},
-                frame_size=frame.size, embedding_dim=cfg.embedding_dim))
-        except BackendError as exc:
-            failed_frames += 1
-            logger.warning("detect failed on frame %d, skipping: %s", frame.id, exc)
-            visible_by_frame[frame.id] = []
-            if failed_frames > cfg.frame_failure_abort_fraction * len(episode):
-                raise BuildError(
-                    f"{failed_frames} of {len(episode)} frames failed") from exc
+    for frame, due in zip(episode.frames, edges_due):
+        reply = replies.popleft()
+        if reply.error is not None:
             continue
-
-        if response.fov_tag is not None:
-            fov_by_frame[frame.id] = response.fov_tag
+        if reply.fov_tag is not None:
+            fov_by_frame[frame.id] = reply.fov_tag
         detections = [executor.detection_from_wire(wire, frame)
-                      for wire in response.objects]
+                      for wire in reply.objects]
         frame_nodes, _ = _associate_detections(ssm, detections, cfg)
         visible_by_frame[frame.id] = frame_nodes
 
-        if edges_due:
-            _add_frame_edges(ssm, frame.id, response.relations, frame_nodes)
+        if due:
+            _add_frame_edges(ssm, frame.id, reply.relations, frame_nodes)
 
         for nid in set(frame_nodes):
             ssm.graph.replace_track(consolidate_captions(

@@ -11,11 +11,15 @@ probability) and delegates reason requests to a pluggable policy:
   serialized memory, issuing analyze/find calls until the needed fact and
   a citable note exist.
 
+A detect request is answered item by item, in the order its frames are
+listed, so one request listing every keyframe draws exactly what one
+request per keyframe drew.
+
 Identical request sequences always produce identical responses. Recorded
 replies are replayed through RecordingBackend/ReplayBackend, which is
 byte-stable; a test that needs other replies (ones that omit optional
 fields, a malformed one) subclasses ScriptedBackend and overrides a
-``_handle_<kind>`` method.
+``_handle_<kind>`` method, or ``_detect_item`` for one detect item.
 """
 
 from __future__ import annotations
@@ -92,7 +96,11 @@ class ScriptedBackend(Backend):
     def fail(self, kind: str, times: int = 1, mode: str = "transport") -> None:
         """Make the next ``times`` raw calls of ``kind`` fail. Mode
         "transport" raises (retried once by callers); "schema" returns a
-        malformed body (never retried)."""
+        malformed body (never retried). Mode "item", for detect only,
+        answers the next ``times`` listed frames with an error item, which
+        fails those frames alone."""
+        if mode == "item" and kind != "detect":
+            raise ValueError("only detect replies have items")
         self._fail_plan.setdefault(kind, []).extend([mode] * times)
 
     # -- helpers ------------------------------------------------------------
@@ -189,7 +197,7 @@ class ScriptedBackend(Backend):
 
     def raw_call(self, request: BackendRequest) -> dict:
         plan = self._fail_plan.get(request.kind)
-        if plan:
+        if plan and plan[0] != "item":
             mode = plan.pop(0)
             if mode == "transport":
                 raise TransportError(f"scripted {request.kind} failure")
@@ -198,18 +206,27 @@ class ScriptedBackend(Backend):
         return handler(request)
 
     def _handle_detect(self, request: BackendRequest) -> dict:
-        dets = self.scene.gt_detections(request.frame_id)
-        dets = self._query_filter(request.query, dets)
-        dets = self._drop_missed(dets)
-        out = []
-        for det in dets:
-            note = self._note_for(det.object_index, request.query) \
-                if request.query else None
-            out.append(self._wire_detection(det, note))
-        doc = {"detections": out}
-        if not request.query:  # the build's detect: the fov tag rides along
-            doc["fov_tag"] = self._fov_tag(request.frame_id)
-        if request.payload.get("relations"):
+        plan = self._fail_plan.get("detect", [])
+        items = []
+        for frame_id, relations in request.payload["frames"]:
+            if plan and plan[0] == "item":
+                plan.pop(0)
+                items.append({"error": f"scripted detect failure on frame {frame_id}"})
+            else:
+                items.append(self._detect_item(frame_id, request.query, relations))
+        return {"frames": items}
+
+    def _detect_item(self, frame_id: int, query: str | None, relations: bool) -> dict:
+        """One listed frame's detections, after the miss draws; with
+        ``relations``, the true relations among them, which draw nothing."""
+        dets = self._drop_missed(
+            self._query_filter(query, self.scene.gt_detections(frame_id)))
+        doc = {"detections": [
+            self._wire_detection(det, self._note_for(det.object_index, query)
+                                 if query else None) for det in dets]}
+        if not query:  # the build's detect: the fov tag rides along
+            doc["fov_tag"] = self._fov_tag(frame_id)
+        if relations:
             doc["relations"] = self._relation_rows(
                 {det.object_index: i for i, det in enumerate(dets)})
         return doc

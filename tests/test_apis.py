@@ -76,6 +76,16 @@ class TestFindObjects:
         assert patch.failure is not None
         assert patch.is_empty
 
+    def test_error_item_failed_patch(self, workbench):
+        scene, episode, _, _, ssm = workbench
+        backend = ScriptedBackend(scene)
+        backend.fail("detect", mode="item")
+        executor = ApiExecutor(episode, backend, EngineConfig())
+        patch = executor.execute(ApiCall("find_objects", 0, "anything"), ssm)
+        assert patch.failure == "$.frames[0].error: scripted detect failure on frame 0"
+        assert patch.is_empty
+        assert backend.call_counts["detect"] == 1  # an error item is not retried
+
     def test_embedding_of_wrong_length_failed_patch(self, workbench):
         scene, episode, _, _, ssm = workbench
 
@@ -86,7 +96,7 @@ class TestFindObjects:
 
         executor = ApiExecutor(episode, ShortEmbedding(scene), EngineConfig())
         patch = executor.execute(ApiCall("find_objects", 0, "anything"), ssm)
-        assert "$.detections[0].visual_embedding" in patch.failure
+        assert "$.frames[0].detections[0].visual_embedding" in patch.failure
         assert patch.is_empty
 
     def test_redetection_merges_instead_of_creating(self, workbench):
@@ -511,12 +521,15 @@ def reference_execute(executor, call, ssm) -> Patch:
 
 def reference_find_objects(executor, call, ssm) -> Patch:
     frame = executor.episode.frame(call.frame_id)
-    request = BackendRequest(kind="detect", frame_id=call.frame_id,
-                             query=call.query, frame_size=frame.size)
+    request = BackendRequest(kind="detect", query=call.query,
+                             payload={"frames": [[call.frame_id, False]]},
+                             frame_sizes=(frame.size,))
     try:
-        response = executor.backend.call(request)
+        (response,) = executor.backend.call(request)
     except BackendError as exc:
         return Patch(provenance=call, failure=str(exc))
+    if response.error is not None:
+        return Patch(provenance=call, failure=str(response.error))
     patch = Patch(provenance=call)
     executor._add_wire_objects(patch, response.objects, frame)
     return patch
@@ -540,7 +553,7 @@ def reference_analyze_objects(executor, call, ssm) -> Patch:
     request = BackendRequest(kind="analyze", frame_id=call.frame_id,
                              query=call.query,
                              payload={"targets": targets, "discover": False},
-                             frame_size=frame.size)
+                             frame_sizes=(frame.size,))
     try:
         response = executor.backend.call(request)
     except BackendError as exc:
@@ -559,7 +572,7 @@ def reference_analyze_frame(executor, call, ssm) -> Patch:
     request = BackendRequest(kind="analyze", frame_id=call.frame_id,
                              query=call.query,
                              payload={"targets": targets, "discover": True},
-                             frame_size=frame.size)
+                             frame_sizes=(frame.size,))
     try:
         response = executor.backend.call(request)
     except BackendError as exc:
@@ -606,14 +619,16 @@ class _DigestLog(ScriptedBackend):
         if self.stray:
             doc["notes"] += [{"node_id": nid, "note": f"stray note {nid}"}
                              for nid in [*range(10), 424242]]
-            doc["new_objects"] += self._handle_detect(request)["detections"]
+            doc["new_objects"] += self._detect_item(request.frame_id, request.query,
+                                                    False)["detections"]
         return doc
 
 
 _ORACLE_TARGETS = ("visible", "hidden", "mixed", "duplicates", "bare", "unknown-frame")
 _ORACLE_BACKENDS = {"clean": None, "stray": None,
                     "transport-then-retry": ("transport", 1),
-                    "transport-twice": ("transport", 2), "schema": ("schema", 1)}
+                    "transport-twice": ("transport", 2), "schema": ("schema", 1),
+                    "error-item": ("item", 1)}
 
 
 class TestExecuteMatchesReference:
@@ -663,7 +678,8 @@ class TestExecuteMatchesReference:
             backend = _DigestLog(scene, stray=backend_case == "stray")
             if _ORACLE_BACKENDS[backend_case] is not None:
                 mode, times = _ORACLE_BACKENDS[backend_case]
-                for request_kind in ("detect", "analyze"):
+                kinds = ("detect",) if mode == "item" else ("detect", "analyze")
+                for request_kind in kinds:
                     backend.fail(request_kind, times, mode)
             patch = run(ApiExecutor(episode, backend, EngineConfig()), call, memory)
             runs.append((canonical_json(patch.to_doc()), backend.digests,

@@ -18,6 +18,24 @@ from scenemem.scripted import ScriptReasoner, _iou
 from conftest import BorderOverflowBackend
 
 
+def _validate(kind, raw, frame_size=None, embedding_dim=None):
+    """``validate_response`` for a reply about one frame of ``frame_size``.
+    A detect reply lists that frame once: ``raw`` is its item, and the
+    item's error is raised."""
+    if kind != "detect":
+        return validate_response(kind, raw, (frame_size,), embedding_dim)
+    (out,) = validate_response("detect", {"frames": [raw]}, (frame_size,), embedding_dim)
+    if out.error is not None:
+        raise out.error
+    return out
+
+
+def _detect(frame_id, query=None, relations=False) -> BackendRequest:
+    """A detect request listing one frame."""
+    return BackendRequest(kind="detect", query=query,
+                          payload={"frames": [[frame_id, relations]]})
+
+
 class TestValidateResponse:
     def test_unknown_relation_label_rejected(self):
         raw = {"relations": [{"subject_id": 0, "object_id": 1,
@@ -40,41 +58,41 @@ class TestValidateResponse:
 
     def test_bbox_one_px_overflow_clamped(self):
         raw = {"detections": [{"bbox": [0, 0, 64, 47], "caption": "mug"}]}
-        out = validate_response("detect", raw, frame_size=(64, 48))
+        out = _validate("detect", raw, (64, 48))
         assert out.objects[0].bbox == (0, 0, 63, 47)
 
     def test_bbox_negative_two_px_clamped(self):
         raw = {"detections": [{"bbox": [-2, -1, 10, 10], "caption": "mug"}]}
-        out = validate_response("detect", raw, frame_size=(64, 48))
+        out = _validate("detect", raw, (64, 48))
         assert out.objects[0].bbox == (0, 0, 10, 10)
 
     def test_bbox_fifty_px_overflow_rejected(self):
         raw = {"detections": [{"bbox": [0, 0, 113, 47], "caption": "mug"}]}
         with pytest.raises(SchemaError) as err:
-            validate_response("detect", raw, frame_size=(64, 48))
-        assert "$.detections[0].bbox" in str(err.value)
+            _validate("detect", raw, (64, 48))
+        assert "$.frames[0].detections[0].bbox" in str(err.value)
 
     def test_bbox_three_px_overflow_rejected(self):
         raw = {"detections": [{"bbox": [0, 0, 66, 40], "caption": "m"}]}
         with pytest.raises(SchemaError):
-            validate_response("detect", raw, frame_size=(64, 48))
+            _validate("detect", raw, (64, 48))
 
     def test_inverted_bbox_rejected(self):
         raw = {"detections": [{"bbox": [10, 0, 5, 40], "caption": "m"}]}
         with pytest.raises(SchemaError):
-            validate_response("detect", raw, frame_size=(64, 48))
+            _validate("detect", raw, (64, 48))
 
     def test_empty_caption_rejected(self):
         raw = {"detections": [{"bbox": [0, 0, 5, 5], "caption": "  "}]}
         with pytest.raises(SchemaError) as err:
-            validate_response("detect", raw, frame_size=(64, 48))
+            _validate("detect", raw, (64, 48))
         assert "caption" in str(err.value)
 
     def test_mask_run_outside_frame_rejected(self):
         raw = {"detections": [{"bbox": [0, 0, 5, 5], "caption": "m",
                                "mask_runs": [[50, 0, 5]]}]}
         with pytest.raises(SchemaError):
-            validate_response("detect", raw, frame_size=(64, 48))
+            _validate("detect", raw, (64, 48))
 
     def test_consolidate_sentence(self):
         assert validate_response("consolidate", {"sentence": "a mug"}).sentence == "a mug"
@@ -87,10 +105,45 @@ class TestValidateResponse:
         with pytest.raises(SchemaError):
             validate_response("detect", {"wrong_key": []})
 
+    def test_detect_items_follow_their_frames(self):
+        """One item per listed frame, in order, each checked against its
+        own frame's size."""
+        wide = {"detections": [{"bbox": [0, 0, 100, 47], "caption": "sofa"}]}
+        out = validate_response("detect", {"frames": [{"detections": []}, wide]},
+                                ((64, 48), (128, 96)))
+        assert [len(item.objects) for item in out] == [0, 1]
+        assert out[1].objects[0].bbox == (0, 0, 100, 47)
+        assert all(item.error is None for item in out)
+        (narrow,) = validate_response("detect", {"frames": [wide]}, ((64, 48),))
+        assert narrow.objects == ()
+        assert narrow.error.path == "$.frames[0].detections[0].bbox"
+
+    def test_malformed_or_error_item_fails_its_frame_only(self):
+        good = {"detections": [{"bbox": [0, 0, 3, 3], "caption": "mug"}]}
+        raw = {"frames": [good, {"detections": [{"bbox": [0, 0, 3, 3]}]},
+                          {"error": "model overloaded"}, 7, {"error": 3}, good]}
+        out = validate_response("detect", raw, ((64, 48),) * 6)
+        assert out[0] == out[5] and out[0].objects[0].caption == "mug"
+        assert isinstance(out[1].error, SchemaError)
+        assert out[1].error.path == "$.frames[1].detections[0].caption"
+        assert str(out[2].error) == "$.frames[2].error: model overloaded"
+        assert not isinstance(out[2].error, SchemaError)
+        assert out[3].error.path == "$.frames[3]"
+        assert out[4].error.path == "$.frames[4].error"
+        assert all(item.objects == () for item in out[1:5])
+
+    @pytest.mark.parametrize("items", [0, 1, 3])
+    def test_wrong_item_count_fails_the_whole_reply(self, items):
+        raw = {"frames": [{"detections": []}] * items}
+        with pytest.raises(SchemaError) as err:
+            validate_response("detect", raw, (None, None))
+        assert err.value.path == "$.frames"
+        assert f"expected 2 items, one per listed frame, got {items}" in str(err.value)
+
     def test_analyze_shape(self):
         raw = {"new_objects": [{"bbox": [0, 0, 3, 3], "caption": "c", "note": "n"}],
                "notes": [{"node_id": 4, "note": "hello"}]}
-        out = validate_response("analyze", raw, frame_size=(64, 48))
+        out = _validate("analyze", raw, (64, 48))
         assert out.new_objects[0].note == "n"
         assert out.notes == ((4, "hello"),)
 
@@ -139,33 +192,33 @@ class TestValidateResponse:
 
     def test_detect_fov_tag(self):
         raw = {"detections": []}
-        assert validate_response("detect", raw).fov_tag is None
-        out = validate_response("detect", {**raw, "fov_tag": "view of hall: empty"})
+        assert _validate("detect", raw).fov_tag is None
+        out = _validate("detect", {**raw, "fov_tag": "view of hall: empty"})
         assert out.fov_tag == "view of hall: empty"
 
     def test_detect_relations_name_detections(self):
-        """A detect reply's relation rows name detections by index, so each
-        index must be below the number of detections."""
+        """A detect item's relation rows name its detections by index, so
+        each index must be below the number of detections."""
         raw = {"detections": [self._WIRE, self._WIRE]}
-        assert validate_response("detect", raw).relations == ()
+        assert _validate("detect", raw).relations == ()
         row = {"subject_id": 1, "object_id": 0, "relation": "on_top_of",
                "justification": "j"}
-        out = validate_response("detect", {**raw, "relations": [row]})
+        out = _validate("detect", {**raw, "relations": [row]})
         assert [(r.subject_id, r.object_id, r.relation) for r in out.relations] \
             == [(1, 0, "on_top_of")]
-        assert validate_response("detect", {**raw, "relations": []}).relations == ()
+        assert _validate("detect", {**raw, "relations": []}).relations == ()
         # the relations reply's rows name nodes, which have no such bound
         far = {**row, "subject_id": 7}
         assert validate_response("relations", {"relations": [far]}).relations
         with pytest.raises(SchemaError) as err:
-            validate_response("detect", {**raw, "relations": [row, far]})
-        assert err.value.path == "$.relations[1].subject_id"
+            _validate("detect", {**raw, "relations": [row, far]})
+        assert err.value.path == "$.frames[0].relations[1].subject_id"
 
     def test_embedding_must_be_numbers(self):
         raw = {"detections": [{"bbox": [0, 0, 3, 3], "caption": "c",
                                "visual_embedding": [0.1, "x"]}]}
         with pytest.raises(SchemaError):
-            validate_response("detect", raw, frame_size=(64, 48))
+            _validate("detect", raw, (64, 48))
 
     @pytest.mark.parametrize("vector", [[0.0, 0.0], [], [float("nan")],
                                         [1.0, float("inf")], [1e200, 1e200]])
@@ -180,8 +233,9 @@ class TestValidateResponse:
         if kind == "analyze":
             raw["notes"] = []
         with pytest.raises(SchemaError) as err:
-            validate_response(kind, raw, frame_size=(64, 48))
-        assert err.value.path == f"$.{items}[0].{key}"
+            _validate(kind, raw, (64, 48))
+        base = "$.frames[0]" if kind == "detect" else "$"
+        assert err.value.path == f"{base}.{items}[0].{key}"
 
     @pytest.mark.parametrize("kind,items,key", [
         ("detect", "detections", "visual_embedding"),
@@ -191,10 +245,11 @@ class TestValidateResponse:
         raw = {items: [{"bbox": [0, 0, 3, 3], "caption": "c", key: [1.0, 0.0, 0.0]}]}
         if kind == "analyze":
             raw["notes"] = []
-        assert validate_response(kind, raw, (64, 48), embedding_dim=3)
+        assert _validate(kind, raw, (64, 48), embedding_dim=3)
         with pytest.raises(SchemaError) as err:
-            validate_response(kind, raw, (64, 48), embedding_dim=64)
-        assert err.value.path == f"$.{items}[0].{key}"
+            _validate(kind, raw, (64, 48), embedding_dim=64)
+        base = "$.frames[0]" if kind == "detect" else "$"
+        assert err.value.path == f"{base}.{items}[0].{key}"
 
     _WIRE = {"bbox": [0, 0, 3, 3], "caption": "c"}
     _ROW = {"subject_id": 0, "object_id": 1, "relation": "on_top_of",
@@ -202,25 +257,25 @@ class TestValidateResponse:
 
     @pytest.mark.parametrize("kind,raw,path", [
         ("detect", {"detections": [{**_WIRE, "bbox": [0, 0, "3", 3]}]},
-         "$.detections[0].bbox"),
+         "$.frames[0].detections[0].bbox"),
         ("detect", {"detections": [{**_WIRE, "bbox": [0, 0, 3]}]},
-         "$.detections[0].bbox"),
+         "$.frames[0].detections[0].bbox"),
         ("detect", {"detections": [{**_WIRE, "bbox": [0, False, 3, 3]}]},
-         "$.detections[0].bbox"),
+         "$.frames[0].detections[0].bbox"),
         ("detect", {"detections": [{**_WIRE, "bbox": "0 0 3 3"}]},
-         "$.detections[0].bbox"),
+         "$.frames[0].detections[0].bbox"),
         ("detect", {"detections": [{**_WIRE, "mask_runs": 5}]},
-         "$.detections[0].mask_runs"),
+         "$.frames[0].detections[0].mask_runs"),
         ("detect", {"detections": [{**_WIRE, "mask_runs": [[0, 1]]}]},
-         "$.detections[0].mask_runs[0]"),
+         "$.frames[0].detections[0].mask_runs[0]"),
         ("detect", {"detections": [{**_WIRE, "mask_runs": [[0, 0, 1], [1, True, 2]]}]},
-         "$.detections[0].mask_runs[1]"),
+         "$.frames[0].detections[0].mask_runs[1]"),
         ("detect", {"detections": [_WIRE, {**_WIRE, "visual_embedding": [0.1, "x"]}]},
-         "$.detections[1].visual_embedding[1]"),
+         "$.frames[0].detections[1].visual_embedding[1]"),
         ("detect", {"detections": [{**_WIRE, "visual_embedding": [True]}]},
-         "$.detections[0].visual_embedding[0]"),
+         "$.frames[0].detections[0].visual_embedding[0]"),
         ("detect", {"detections": [{**_WIRE, "language_embedding": "abc"}]},
-         "$.detections[0].language_embedding"),
+         "$.frames[0].detections[0].language_embedding"),
         ("analyze", {"new_objects": [{**_WIRE, "language_embedding": [None]}],
                      "notes": []}, "$.new_objects[0].language_embedding[0]"),
         ("room_label", {"scores": [["high"]]}, "$.scores[0][0]"),
@@ -242,24 +297,24 @@ class TestValidateResponse:
                     "evidence_notes": [[0, 1.5]]}, "$.evidence_notes[0]"),
         ("room_label", {"scores": [[0.1, 0.2], [0.1, True]]}, "$.scores[1][1]"),
         ("room_label", {"scores": [0.1]}, "$.scores[0]"),
-        ("detect", {"detections": [], "fov_tag": 3}, "$.fov_tag"),
-        ("detect", {"detections": [], "fov_tag": None}, "$.fov_tag"),
-        ("detect", {"detections": [], "fov_tag": ["view"]}, "$.fov_tag"),
-        ("detect", {"detections": [], "relations": None}, "$.relations"),
+        ("detect", {"detections": [], "fov_tag": 3}, "$.frames[0].fov_tag"),
+        ("detect", {"detections": [], "fov_tag": None}, "$.frames[0].fov_tag"),
+        ("detect", {"detections": [], "fov_tag": ["view"]}, "$.frames[0].fov_tag"),
+        ("detect", {"detections": [], "relations": None}, "$.frames[0].relations"),
         ("detect", {"detections": [_WIRE], "relations": [_ROW]},
-         "$.relations[0].object_id"),
+         "$.frames[0].relations[0].object_id"),
         ("detect", {"detections": [_WIRE] * 2, "relations": [{**_ROW, "object_id": -1}]},
-         "$.relations[0].object_id"),
+         "$.frames[0].relations[0].object_id"),
         ("detect", {"detections": [_WIRE] * 2, "relations": [{**_ROW, "object_id": 0}]},
-         "$.relations[0]"),
+         "$.frames[0].relations[0]"),
         ("detect", {"detections": [_WIRE] * 2, "relations": [{**_ROW, "relation": "x"}]},
-         "$.relations[0].relation"),
+         "$.frames[0].relations[0].relation"),
         ("detect", {"detections": [_WIRE] * 2, "relations": [{**_ROW, "subject_id": "0"}]},
-         "$.relations[0].subject_id"),
+         "$.frames[0].relations[0].subject_id"),
     ])
     def test_array_faults_name_their_path(self, kind, raw, path):
         with pytest.raises(SchemaError) as err:
-            validate_response(kind, raw, frame_size=(64, 48))
+            _validate(kind, raw, (64, 48))
         assert err.value.path == path
 
 
@@ -328,7 +383,7 @@ def _true_pairs(scene, frame_id) -> set[tuple[str, str, str]]:
 class TestScriptedBackend:
     def test_detect_returns_ground_truth(self, small_scene):
         backend = ScriptedBackend(small_scene)
-        out = backend.call(BackendRequest(kind="detect", frame_id=0))
+        (out,) = backend.call(_detect(0))
         truth = small_scene.gt_detections(0)
         assert len(out.objects) == len(truth)
         assert {o.caption for o in out.objects} \
@@ -339,36 +394,37 @@ class TestScriptedBackend:
         target = small_scene.objects[0]
         fid = next(f for f in range(small_scene.frame_count)
                    if target.index in small_scene.visible_objects(f))
-        out = backend.call(BackendRequest(kind="detect", frame_id=fid,
-                                          query=f"find the {target.caption}"))
+        (out,) = backend.call(_detect(fid, query=f"find the {target.caption}"))
         assert any(o.caption == target.caption for o in out.objects)
 
     def test_unmatched_specific_query_empty(self, small_scene):
         backend = ScriptedBackend(small_scene)
-        out = backend.call(BackendRequest(kind="detect", frame_id=0,
-                                          query="mug"))
+        (out,) = backend.call(_detect(0, query="mug"))
         assert out.objects == ()
 
     def test_detect_relations_among_returned_detections(self, small_scene):
-        """Asked for relations, a detect reply names the true relations
+        """Asked for relations, a detect item names the true relations
         among the detections it returns, after the miss draws, and draws
         nothing more."""
         fid = next(f for f in range(small_scene.frame_count)
                    if _true_pairs(small_scene, f))
-        plain = BackendRequest(kind="detect", frame_id=fid)
-        asked = BackendRequest(kind="detect", frame_id=fid,
-                               payload={"relations": True})
-        assert "relations" not in ScriptedBackend(small_scene).raw_call(plain)
-        full = ScriptedBackend(small_scene).raw_call(asked)
+        plain, asked = _detect(fid), _detect(fid, relations=True)
+
+        def item(backend, request):
+            (doc,) = backend.raw_call(request)["frames"]
+            return doc
+
+        assert "relations" not in item(ScriptedBackend(small_scene), plain)
+        full = item(ScriptedBackend(small_scene), asked)
         captions = [d["caption"] for d in full["detections"]]
         assert {(captions[r["subject_id"]], captions[r["object_id"]], r["relation"])
                 for r in full["relations"]} == _true_pairs(small_scene, fid)
         for seed in range(20):
             missing = ScriptedBackend(small_scene, miss_prob=0.5, seed=seed)
-            reply = missing.raw_call(asked)
+            reply = item(missing, asked)
             after = missing.rng.random()
             again = ScriptedBackend(small_scene, miss_prob=0.5, seed=seed)
-            assert again.raw_call(plain)["detections"] == reply["detections"]
+            assert item(again, plain)["detections"] == reply["detections"]
             assert again.rng.random() == after  # the same draws
             captions = [d["caption"] for d in reply["detections"]]
             assert {(captions[r["subject_id"]], captions[r["object_id"]],
@@ -383,8 +439,8 @@ class TestScriptedBackend:
         assert out.relations == ()
 
     def test_identical_request_sequences_identical_responses(self, small_scene):
-        req_seq = [BackendRequest(kind="detect", frame_id=f % small_scene.frame_count,
-                                  query=None if f % 2 else "all objects")
+        req_seq = [_detect(f % small_scene.frame_count,
+                           query=None if f % 2 else "all objects")
                    for f in range(8)]
         a = ScriptedBackend(small_scene, miss_prob=0.3, seed=5)
         b = ScriptedBackend(small_scene, miss_prob=0.3, seed=5)
@@ -399,9 +455,8 @@ class TestScriptedBackend:
         assert n_objects >= 2
         backend = ScriptedBackend(small_scene, miss_prob=0.5, seed=9)
         trials = 500
-        total = sum(len(backend.raw_call(
-            BackendRequest(kind="detect", frame_id=fid))["detections"])
-            for _ in range(trials))
+        total = sum(len(backend.raw_call(_detect(fid))["frames"][0]["detections"])
+                    for _ in range(trials))
         mean = total / trials
         expect = n_objects * 0.5
         # 99% CI half-width for the mean of binomial(n_objects, 0.5)
@@ -411,21 +466,37 @@ class TestScriptedBackend:
     def test_unknown_frame_errors(self, small_scene):
         backend = ScriptedBackend(small_scene)
         with pytest.raises(Exception):
-            backend.call(BackendRequest(kind="detect", frame_id=999))
+            backend.call(_detect(999))
 
     def test_fail_hook_transport_then_recovers(self, small_scene):
         backend = ScriptedBackend(small_scene)
         backend.fail("detect", times=2)
         with pytest.raises(TransportError):
-            backend.call(BackendRequest(kind="detect", frame_id=0))
-        out = backend.call(BackendRequest(kind="detect", frame_id=0))
+            backend.call(_detect(0))
+        (out,) = backend.call(_detect(0))
         assert out.objects
 
     def test_fail_hook_schema_mode(self, small_scene):
         backend = ScriptedBackend(small_scene)
         backend.fail("detect", times=1, mode="schema")
         with pytest.raises(SchemaError):
-            backend.call(BackendRequest(kind="detect", frame_id=0))
+            backend.call(_detect(0))
+
+    def test_fail_hook_item_mode(self, small_scene):
+        """Mode "item" answers the next listed frames with error items, in
+        list order, and the other frames as usual."""
+        backend = ScriptedBackend(small_scene)
+        backend.fail("detect", times=2, mode="item")
+        request = BackendRequest(kind="detect",
+                                 payload={"frames": [[0, False], [1, False], [2, False]]})
+        out = backend.call(request)
+        assert [str(item.error) for item in out[:2]] == [
+            f"$.frames[{i}].error: scripted detect failure on frame {i}" for i in (0, 1)]
+        (clean,) = ScriptedBackend(small_scene).call(_detect(2))
+        assert out[2] == clean
+        assert backend.call(request)[0].error is None  # the plan is used up
+        with pytest.raises(ValueError):
+            backend.fail("analyze", mode="item")
 
 
 class TestRecordReplay:
@@ -433,8 +504,7 @@ class TestRecordReplay:
         log = tmp_path / "log.jsonl"
         inner = ScriptedBackend(small_scene, miss_prob=0.2, seed=4)
         recorder = RecordingBackend(inner, log)
-        requests = [BackendRequest(kind="detect", frame_id=f)
-                    for f in range(small_scene.frame_count)]
+        requests = [_detect(f) for f in range(small_scene.frame_count)]
         recorded = [recorder.raw_call(r) for r in requests]
         replayer = ReplayBackend(log)
         replayed = [replayer.raw_call(r) for r in requests]
@@ -446,10 +516,10 @@ class TestRecordReplay:
         the call is not retried."""
         log = tmp_path / "log.jsonl"
         recorder = RecordingBackend(ScriptedBackend(small_scene), log)
-        recorder.raw_call(BackendRequest(kind="detect", frame_id=0))
+        recorder.raw_call(_detect(0))
         replayer = ReplayBackend(log)
         with pytest.raises(BackendError, match="replay mismatch") as err:
-            replayer.call(BackendRequest(kind="detect", frame_id=1))
+            replayer.call(_detect(1))
         assert not isinstance(err.value, TransportError)
         assert replayer.call_counts["detect"] == 1
 
@@ -463,7 +533,8 @@ class TestRecordReplay:
             EngineConfig()))[0]
         w, h = small_scene.intrinsics.width, small_scene.intrinsics.height
         boxes = [d["bbox"] for line in log.read_text().splitlines()
-                 for d in json.loads(line)["response"].get("detections", [])]
+                 for item in json.loads(line)["response"].get("frames", [])
+                 for d in item["detections"]]
         assert any(u0 < 0 or v0 < 0 or u1 > w - 1 or v1 > h - 1
                    for u0, v0, u1, v1 in boxes)
         replayed = serialize(build_ssm(episode, ReplayBackend(log),
@@ -475,7 +546,7 @@ class TestRecordReplay:
         RecordingBackend(ScriptedBackend(small_scene), log)
         replayer = ReplayBackend(log)
         with pytest.raises(BackendError, match="replay log exhausted") as err:
-            replayer.call(BackendRequest(kind="detect", frame_id=0))
+            replayer.call(_detect(0))
         assert not isinstance(err.value, TransportError)
         assert replayer.call_counts["detect"] == 1
 
@@ -519,9 +590,11 @@ def test_request_kind_validated():
 
 
 def test_frame_size_stays_off_the_wire():
-    plain = BackendRequest(kind="detect", frame_id=3, query="q")
-    sized = BackendRequest(kind="detect", frame_id=3, query="q",
-                           frame_size=(64, 48))
+    payload = {"frames": [[3, False], [4, True]]}
+    plain = BackendRequest(kind="detect", query="q", payload=payload)
+    sized = BackendRequest(kind="detect", query="q", payload=payload,
+                           frame_sizes=((64, 48), (64, 48)))
+    assert plain.frame_sizes == (None, None)
     assert sized.to_doc() == plain.to_doc()
     assert sized.digest() == plain.digest()
     assert sized == plain

@@ -247,6 +247,47 @@ class TestUnreadableInput:
         assert err.value.code == f"scenemem: {config}: No such file or directory"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["build", "ask", "eval"])
+    def test_config_file_not_utf8(self, workspace, tmp_path, command):
+        _, scene_dir, mem_dir = workspace
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"\xff\xfem = 3\n")
+        out = tmp_path / "out"
+        truth = str(scene_dir / "truth.json")
+        argv = {"eval": ["eval", "--scene", truth, "--out", str(out)],
+                "build": ["build", "--scripted", truth, "--out", str(out)],
+                "ask": ["ask", "--ssm", str(mem_dir), "--scripted", truth,
+                        "--question", "q", "--transcript", str(out)]}[command]
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--config", str(config)])
+        assert err.value.code == (f"scenemem: {config}: not UTF-8 text "
+                                  "(byte 0: invalid start byte)")
+        assert not out.exists()
+
+    def test_ask_unreachable_backend_exits_one(self, workspace, tmp_path, capsys):
+        """The answer document is still printed, and one stderr line and
+        the exit status tell a down backend from an honest "unknown"."""
+        _, scene_dir, mem_dir = workspace
+        code = main(["ask", "--ssm", str(mem_dir), "--scripted",
+                     str(scene_dir / "truth.json"), "--question", "q",
+                     "--backend-url", "http://127.0.0.1:9"])
+        out = capsys.readouterr()
+        assert code == 1
+        doc = json.loads(out.out)
+        assert doc["abstained"] and doc["text"] == "unknown"
+        assert out.err == "scenemem: backend failed to produce an answer\n"
+
+    def test_ask_honest_unknown_exits_zero(self, workspace, capsys):
+        _, scene_dir, mem_dir = workspace
+        code = main(["ask", "--ssm", str(mem_dir), "--scripted",
+                     str(scene_dir / "truth.json"), "--question", "what is this?",
+                     "--m", "0"])
+        out = capsys.readouterr()
+        assert code == 0
+        doc = json.loads(out.out)
+        assert doc["text"] == "unknown" and not doc["abstained"]
+        assert out.err == ""
+
     def test_unreachable_backend(self, workspace, tmp_path):
         _, scene_dir, _ = workspace
         out = tmp_path / "out"

@@ -77,6 +77,20 @@ class TestHttpBackend:
                                      EngineConfig()))[0]
         assert over_http == direct
 
+    def test_one_detect_post_per_build(self, small_scene, protocol_server):
+        """A clean build POSTs one /detect listing every keyframe, then one
+        /room_label, and nothing else."""
+        posts = []
+
+        class Counting(ScriptedBackend):
+            def raw_call(self, request):
+                posts.append((request.kind, len(request.payload.get("frames", []))))
+                return super().raw_call(request)
+
+        url = protocol_server(Counting(small_scene))
+        build_ssm(small_scene.episode(), HttpBackend(url), EngineConfig())
+        assert posts == [("detect", len(small_scene.episode())), ("room_label", 0)]
+
     def test_episode_identical_over_http(self, small_build, protocol_server):
         scene, episode, _, ssm = small_build
         script = {"probe": [

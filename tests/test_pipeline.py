@@ -4,6 +4,7 @@ and whole-pipeline determinism (including record/replay)."""
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import re
@@ -23,6 +24,8 @@ from scenemem.dataset import Episode
 from scenemem.metrics import (graph_precision_recall, match_tracks,
                               normalize_answer, track_recall)
 from scenemem.pipeline import BuildError
+
+from test_golden_digests import CONFIGS as GOLDEN_CONFIGS, GOLDEN
 
 
 class TestBuildSsm:
@@ -64,7 +67,7 @@ class TestBuildSsm:
     def test_single_frame_failure_skips_frame(self):
         scene = generate_scene(2, 2, seed=32)
         backend = ScriptedBackend(scene)
-        backend.fail("detect", times=2)  # one failure incl. the retry
+        backend.fail("detect", mode="item")  # the first frame's item
         ssm = build_ssm(scene.episode(), backend, EngineConfig())
         assert ssm.nav_log[0].visible_node_ids == ()
         assert len(ssm.nav_log) == scene.frame_count
@@ -76,9 +79,9 @@ class TestBuildSsm:
         so its frame is skipped like any failed detect; the build used to
         abort inside Embedding."""
         class ZeroEmbedding(ScriptedBackend):
-            def _handle_detect(self, request):
-                doc = super()._handle_detect(request)
-                if request.frame_id == 3:
+            def _detect_item(self, frame_id, query, relations):
+                doc = super()._detect_item(frame_id, query, relations)
+                if frame_id == 3:
                     for det in doc["detections"]:
                         det["visual_embedding"] = [0.0] * len(det["visual_embedding"])
                 return doc
@@ -94,9 +97,9 @@ class TestBuildSsm:
         fails validation, so its frame is skipped; the build used to abort
         comparing it with the tracks' 64-entry vectors."""
         class ShortEmbedding(ScriptedBackend):
-            def _handle_detect(self, request):
-                doc = super()._handle_detect(request)
-                if request.frame_id == 3:
+            def _detect_item(self, frame_id, query, relations):
+                doc = super()._detect_item(frame_id, query, relations)
+                if frame_id == 3:
                     for det in doc["detections"]:
                         det["visual_embedding"] = [1.0, 0.0, 0.0]
                 return doc
@@ -109,12 +112,12 @@ class TestBuildSsm:
 
     def test_self_relation_skips_edge_discovery(self, small_scene, caplog):
         """A relation from a detection to itself fails validation, so the
-        detect reply carrying it fails like any malformed detect: that
-        frame, and its edge discovery, is skipped. The build used to abort
-        inside RelationEdge."""
+        detect item carrying it fails like any malformed item: that frame,
+        and its edge discovery, is skipped. The build used to abort inside
+        RelationEdge."""
         class SelfRelation(ScriptedBackend):
-            def _handle_detect(self, request):
-                doc = super()._handle_detect(request)
+            def _detect_item(self, frame_id, query, relations):
+                doc = super()._detect_item(frame_id, query, relations)
                 if "relations" in doc and doc["detections"]:
                     doc["relations"].append({"subject_id": 0, "object_id": 0,
                                              "relation": "on_top_of",
@@ -129,8 +132,9 @@ class TestBuildSsm:
         failed = [r.getMessage() for r in caplog.records
                   if r.getMessage().startswith("detect failed")]
         assert len(failed) == len(due) < len(episode) / 2
-        assert all(re.search(r"\$\.relations\[\d+\]: subject_id and object_id "
-                             "must differ", m) for m in failed)
+        assert all(re.search(rf"frame {f}, .*\$\.frames\[{episode.frame_ids.index(f)}\]"
+                             r"\.relations\[\d+\]: subject_id and object_id must differ",
+                             m) for f, m in zip(due, failed))
         assert [e.frame_id for e in ssm.nav_log if not e.visible_node_ids] == due
         assert ssm.graph.edges == []
         assert track_recall(ssm, small_scene) == 1.0
@@ -147,9 +151,12 @@ class TestBuildSsm:
         its history. Captions that vary across frames are merged by a
         consolidate request."""
         class VaryingCaptions(ScriptedBackend):
-            def _handle_detect(self, request):
-                doc = super()._handle_detect(request)
-                if self.call_counts["detect"] % 2:  # every other frame
+            items = 0
+
+            def _detect_item(self, frame_id, query, relations):
+                doc = super()._detect_item(frame_id, query, relations)
+                self.items += 1
+                if self.items % 2:  # every other frame
                     for det in doc["detections"]:
                         det["caption"] = "the " + det["caption"]
                 return doc
@@ -163,17 +170,17 @@ class TestBuildSsm:
             assert len(track.caption_history) < cfg.caption_consolidation_threshold
 
     def test_edge_discovery_every_third_frame(self):
-        """Every third frame's detect request asks for relations, and the
-        replies carry them, so no relations request is sent."""
+        """The detect request asks for relations on every third frame, and
+        those frames' items carry them, so no relations request is sent."""
         scene = generate_scene(2, 2, seed=35)
 
         class Recorder(ScriptedBackend):
             relation_frames = []
 
-            def _handle_detect(self, request):
-                if request.payload.get("relations"):
-                    self.relation_frames.append(request.frame_id)
-                return super()._handle_detect(request)
+            def _detect_item(self, frame_id, query, relations):
+                if relations:
+                    self.relation_frames.append(frame_id)
+                return super()._detect_item(frame_id, query, relations)
 
         backend = Recorder(scene)
         ssm = build_ssm(scene.episode(), backend, EngineConfig())
@@ -226,27 +233,28 @@ def _build(scene, backend):
 
 
 class BareDetectServer(ScriptedBackend):
-    """A backend whose detect replies carry neither a field-of-view tag nor
+    """A backend whose detect items carry neither a field-of-view tag nor
     relations, both of which the protocol leaves optional."""
 
-    def _handle_detect(self, request):
-        doc = super()._handle_detect(request)
+    def _detect_item(self, frame_id, query, relations):
+        doc = super()._detect_item(frame_id, query, relations)
         doc.pop("fov_tag", None)
         doc.pop("relations", None)
         return doc
 
 
 class TestBuildRoundTrips:
-    """The fov tag and the due frames' relations ride on the build's detect
-    replies, one room_label request scores every room, and a history of one
-    repeated caption consolidates without a request; the build sends no fov
-    or relations request."""
+    """One detect request lists every keyframe, the fov tag and the due
+    frames' relations ride on its items, one room_label request scores every
+    room, and a history of one repeated caption consolidates without a
+    request; the build sends no fov or relations request."""
 
     def test_clean_build_sends_only_detects_and_one_room_label(self, small_scene):
         backend = ScriptedBackend(small_scene)
         ssm = _build(small_scene, backend)
+        assert len(ssm.nav_log) == 12
         assert backend.call_counts == {
-            "detect": len(ssm.nav_log), "relations": 0, "consolidate": 0,
+            "detect": 1, "relations": 0, "consolidate": 0,
             "analyze": 0, "fov": 0, "room_label": 1, "reason": 0}
         assert ssm.graph.edges
         assert "unavailable" not in {e.fov_tag for e in ssm.nav_log}
@@ -254,7 +262,7 @@ class TestBuildRoundTrips:
     def test_failed_detect_tags_its_frame_unavailable(self, small_scene):
         clean = _build(small_scene, ScriptedBackend(small_scene))
         backend = ScriptedBackend(small_scene)
-        backend.fail("detect", times=2)  # the first frame's detect and its retry
+        backend.fail("detect", mode="item")  # the first frame's item
         ssm = _build(small_scene, backend)
         assert backend.call_counts["fov"] == 0
         # the failed detect empties the frame's visible nodes and its tag,
@@ -265,17 +273,71 @@ class TestBuildRoundTrips:
             == [astuple(e) for e in clean.nav_log[1:]]
 
     def test_bare_detect_replies_send_no_other_request(self, small_scene):
-        """Detect replies without a tag or relations: each frame is tagged
+        """Detect items without a tag or relations: each frame is tagged
         "unavailable", the graph has no edges, and nothing else is asked."""
         backend = BareDetectServer(small_scene)
         ssm = _build(small_scene, backend)
         assert backend.call_counts == {
-            "detect": len(small_scene.episode()), "relations": 0, "consolidate": 0,
+            "detect": 1, "relations": 0, "consolidate": 0,
             "analyze": 0, "fov": 0, "room_label": 1, "reason": 0}
         assert {e.fov_tag for e in ssm.nav_log} == {"unavailable"}
         assert not ssm.graph.edges
         clean = _build(small_scene, ScriptedBackend(small_scene))
         assert sorted(ssm.graph.tracks) == sorted(clean.graph.tracks)
+
+    def test_malformed_item_fails_its_frame_only(self, small_scene, caplog):
+        """A malformed item skips its frame alone, and the warning names the
+        item's path; the other frames build as in a clean run."""
+        episode = small_scene.episode()
+        bad = episode.frame_ids[4]
+        assert small_scene.gt_detections(bad)
+
+        class BadBox(ScriptedBackend):
+            def _detect_item(self, frame_id, query, relations):
+                doc = super()._detect_item(frame_id, query, relations)
+                if frame_id == bad:
+                    doc["detections"][0]["bbox"] = [0, 0, 10_000, 10]
+                return doc
+
+        clean = _build(small_scene, ScriptedBackend(small_scene))
+        with caplog.at_level("WARNING", logger="scenemem.pipeline"):
+            ssm = _build(small_scene, BadBox(small_scene))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"detect failed on frame {bad}, skipping: $.frames[4].detections[0].bbox: "
+            "u_max=10000 overflows frame by more than 2 px"]
+        row = next(e for e in ssm.nav_log if e.frame_id == bad)
+        assert row.visible_node_ids == () and row.fov_tag == "unavailable"
+        assert [astuple(e) for e in ssm.nav_log if e.frame_id != bad] \
+            == [astuple(e) for e in clean.nav_log if e.frame_id != bad]
+        assert track_recall(ssm, small_scene) == 1.0
+
+    def test_wrong_item_count_fails_every_frame(self, small_scene):
+        class ShortReply(ScriptedBackend):
+            def _handle_detect(self, request):
+                doc = super()._handle_detect(request)
+                return {"frames": doc["frames"][:-1]}
+
+        with pytest.raises(BuildError, match="^12 of 12 frames failed$") as err:
+            _build(small_scene, ShortReply(small_scene))
+        assert "expected 12 items, one per listed frame, got 11" in str(err.value.__cause__)
+
+    def test_persistent_transport_failure_fails_every_frame(self, small_scene):
+        backend = ScriptedBackend(small_scene)
+        backend.fail("detect", times=2)  # the request and its one retry
+        with pytest.raises(BuildError, match="^12 of 12 frames failed$"):
+            _build(small_scene, backend)
+        assert backend.call_counts["detect"] == 2
+        assert backend.call_counts["room_label"] == 0
+
+    @pytest.mark.parametrize("name", ["frame-miss0", "frame-miss0.6"])
+    def test_retried_transport_failure_builds_the_golden_memory(self, small_scene, name):
+        miss_prob, overrides = GOLDEN_CONFIGS[name]
+        backend = ScriptedBackend(small_scene, miss_prob=miss_prob)
+        backend.fail("detect")  # one failure, then the retry succeeds
+        ssm = build_ssm(small_scene.episode(), backend, EngineConfig(**overrides))
+        assert backend.call_counts["detect"] == 2
+        expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]["memory"]
+        assert hashlib.sha256(serialize(ssm)[0].encode()).hexdigest() == expected
 
     def test_failed_room_label_labels_every_room_unknown(self, small_scene, caplog):
         backend = ScriptedBackend(small_scene)

@@ -91,9 +91,15 @@ class TestMemorySchema:
 
 
 def _response_schema(protocol_schema: dict, kind: str) -> dict:
-    # re-root the shared definitions so "#/definitions/..." refs resolve
-    return {"definitions": protocol_schema["definitions"],
+    # re-root the shared definitions so "#/definitions/..." refs resolve, and
+    # keep the draft the file declares
+    return {"$schema": protocol_schema["$schema"],
+            "definitions": protocol_schema["definitions"],
             **protocol_schema["responses"][kind]}
+
+
+def _request_schema(protocol_schema: dict) -> dict:
+    return {"$schema": protocol_schema["$schema"], **protocol_schema["request"]}
 
 
 class TestProtocolSchema:
@@ -102,7 +108,7 @@ class TestProtocolSchema:
         backend = ScriptedBackend(small_scene)
         targets = [{"node_id": 0, "bbox": [0, 0, 10, 10], "caption": "x"}]
         requests = {
-            "detect": BackendRequest(kind="detect", frame_id=0),
+            "detect": BackendRequest(kind="detect", payload={"frames": [[0, False]]}),
             "relations": BackendRequest(kind="relations", frame_id=0,
                                         payload={"visible": targets}),
             "consolidate": BackendRequest(kind="consolidate",
@@ -118,37 +124,55 @@ class TestProtocolSchema:
         for kind, request in requests.items():
             raw = backend.raw_call(request)
             jsonschema.validate(raw, _response_schema(protocol_schema, kind))
-            jsonschema.validate(request.to_doc(), protocol_schema["request"])
-        # the build's detect carries the frame's fov tag
-        assert backend.raw_call(requests["detect"])["fov_tag"] \
+            jsonschema.validate(request.to_doc(), _request_schema(protocol_schema))
+        # the build's detect item carries the frame's fov tag
+        assert backend.raw_call(requests["detect"])["frames"][0]["fov_tag"] \
             == backend.raw_call(requests["fov"])["tag"]
         assert len(backend.raw_call(requests["room_label"])["scores"]) == 2
 
     def test_due_frame_detect_validates(self, protocol_schema, small_scene):
-        """A build's detect request on an edge-discovery frame asks for
-        relations, and the reply's rows fit the schema."""
+        """A build's detect request asks for relations on its edge-discovery
+        frames, and the rows of those frames' items fit the schema."""
         backend = ScriptedBackend(small_scene)
-        request = BackendRequest(kind="detect", frame_id=0,
-                                 payload={"relations": True})
+        request = BackendRequest(kind="detect",
+                                 payload={"frames": [[0, True], [1, False]]})
         reply = backend.raw_call(request)
-        assert reply["relations"] and reply["detections"]
-        jsonschema.validate(request.to_doc(), protocol_schema["request"])
+        due, plain = reply["frames"]
+        assert due["relations"] and due["detections"] and "relations" not in plain
+        jsonschema.validate(request.to_doc(), _request_schema(protocol_schema))
         schema = _response_schema(protocol_schema, "detect")
         jsonschema.validate(reply, schema)
-        for bad in ({**reply["relations"][0], "relation": "near"},
-                    {k: v for k, v in reply["relations"][0].items()
+        for bad in ({**due["relations"][0], "relation": "near"},
+                    {k: v for k, v in due["relations"][0].items()
                      if k != "justification"}):
             with pytest.raises(jsonschema.ValidationError):
-                jsonschema.validate({**reply, "relations": [bad]}, schema)
-        with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate({**request.to_doc(), "payload": {"relations": "yes"}},
-                                protocol_schema["request"])
+                jsonschema.validate({"frames": [{**due, "relations": [bad]}, plain]},
+                                    schema)
+        for payload in ({"frames": [[0, "yes"]]}, {"frames": [[0]]}, {"frames": []},
+                        {"relations": True}):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**request.to_doc(), "payload": payload},
+                                    _request_schema(protocol_schema))
 
     def test_detect_fov_tag_must_be_a_string(self, protocol_schema):
         schema = _response_schema(protocol_schema, "detect")
-        jsonschema.validate({"detections": [], "fov_tag": "view"}, schema)
+        jsonschema.validate({"frames": [{"detections": [], "fov_tag": "view"}]}, schema)
         with pytest.raises(jsonschema.ValidationError):
-            jsonschema.validate({"detections": [], "fov_tag": 3}, schema)
+            jsonschema.validate({"frames": [{"detections": [], "fov_tag": 3}]}, schema)
+
+    def test_detect_error_items_validate(self, protocol_schema, small_scene):
+        """An error item fits the schema; an item that is neither detections
+        nor an error does not."""
+        backend = ScriptedBackend(small_scene)
+        backend.fail("detect", mode="item")
+        reply = backend.raw_call(BackendRequest(
+            kind="detect", payload={"frames": [[0, False], [1, False]]}))
+        schema = _response_schema(protocol_schema, "detect")
+        jsonschema.validate(reply, schema)
+        assert reply["frames"][0] == {"error": "scripted detect failure on frame 0"}
+        for bad in ({}, {"error": 3}, []):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({"frames": [bad]}, schema)
 
     def test_room_label_scores_are_nested(self, protocol_schema):
         schema = _response_schema(protocol_schema, "room_label")
