@@ -1,21 +1,22 @@
 """The language-callable memory-edit APIs and patch integration.
 
 Each API call names a frame and a natural-language query; ApiExecutor.execute
-looks the frame up, sends at most one backend request and folds the answer
-into a Patch: new detections (already lifted through the geometry pipeline),
-new relation edges, scratchpad notes and evidence pointers. One request per
-action:
+looks the frame up, sends at most one ``analyze`` request and folds the
+answer into a Patch: new detections (already lifted through the geometry
+pipeline by detection_from_wire), scratchpad notes and evidence pointers.
 
-* find_objects: one ``detect`` listing this one frame; every detection
-  joins the patch.
-* analyze_objects: one ``analyze`` (``discover`` false) over the listed
-  nodes visible in the frame, noting only those targets; when none of its
-  known nodes is visible, one ``detect`` exactly as find_objects. Unknown
-  node ids are skipped and reported.
-* analyze_frame: one ``analyze`` (``discover`` true) over every visible
-  node; it may note any node and add newly found objects.
+* find_objects: ``analyze`` with no targets and ``discover`` true; every
+  object found joins the patch, and it notes no node.
+* analyze_objects: ``analyze`` (``discover`` false) over the listed nodes
+  visible in the frame, noting only those targets; when none of its known
+  nodes is visible, the same request as find_objects. Unknown node ids are
+  skipped and reported.
+* analyze_frame: ``analyze`` (``discover`` true) over every visible node;
+  it may note any node and add newly found objects.
 * retrieve_frame: no request; the empty patch only appends the frame to the
   frame memory (the image-only API mode).
+
+``detect`` is the build's request alone (pipeline.build_ssm).
 
 Nothing touches the memory until apply_patch integrates the whole patch
 atomically; a failure anywhere mid-application leaves the memory exactly as
@@ -132,6 +133,40 @@ class PatchReport:
                 "failure": self.failure}
 
 
+def _mask_for(wire: WireObject, frame: Keyframe) -> PixelMask:
+    w, h = frame.intrinsics.width, frame.intrinsics.height
+    if wire.mask_runs is not None:
+        return PixelMask.from_runs(wire.mask_runs, w, h)
+    return PixelMask.from_bbox(wire.bbox, w, h)
+
+
+def _embedding(values, kind: str, caption: str, dim: int) -> Embedding:
+    if values is not None:
+        return Embedding(values, kind)
+    if kind == "language":
+        return caption_embedding(caption, dim)
+    return hash_embedding("visual-fallback:" + caption, "visual", dim)
+
+
+def detection_from_wire(wire: WireObject, frame: Keyframe,
+                        cfg: EngineConfig) -> Detection:
+    """Back-project the masked depth, downsample, keep the densest
+    cluster, attach embeddings."""
+    geo = cfg.geometry
+    cloud = backproject(frame.depth, _mask_for(wire, frame), frame.intrinsics,
+                        frame.pose)
+    if not cloud.is_empty:
+        cloud = voxel_downsample(cloud, geo.voxel_size_m)
+        cloud = largest_cluster(cloud, geo.cluster_eps_m, geo.cluster_min_points)
+    dim = cfg.embedding_dim
+    return Detection(frame_id=frame.id, bbox=wire.bbox, caption=wire.caption,
+                     cloud=cloud,
+                     visual=_embedding(wire.visual_embedding, "visual", wire.caption,
+                                       dim),
+                     language=_embedding(wire.language_embedding, "language",
+                                         wire.caption, dim))
+
+
 class ApiExecutor:
     """Executes API calls against one episode. Holds the frame source, the
     backend and the engine configuration; produces patches but never
@@ -141,38 +176,6 @@ class ApiExecutor:
         self.episode = episode
         self.backend = backend
         self.config = config
-
-    # -- geometry + embedding lift ---------------------------------------
-
-    def _mask_for(self, wire: WireObject, frame: Keyframe) -> PixelMask:
-        w, h = frame.intrinsics.width, frame.intrinsics.height
-        if wire.mask_runs is not None:
-            return PixelMask.from_runs(wire.mask_runs, w, h)
-        return PixelMask.from_bbox(wire.bbox, w, h)
-
-    def _embedding(self, values, kind: str, caption: str) -> Embedding:
-        if values is not None:
-            return Embedding(values, kind)
-        if kind == "language":
-            return caption_embedding(caption, self.config.embedding_dim)
-        return hash_embedding("visual-fallback:" + caption, "visual",
-                              self.config.embedding_dim)
-
-    def detection_from_wire(self, wire: WireObject, frame: Keyframe) -> Detection:
-        """Back-project the masked depth, downsample, keep the densest
-        cluster, attach embeddings."""
-        geo = self.config.geometry
-        cloud = backproject(frame.depth, self._mask_for(wire, frame),
-                            frame.intrinsics, frame.pose)
-        if not cloud.is_empty:
-            cloud = voxel_downsample(cloud, geo.voxel_size_m)
-            cloud = largest_cluster(cloud, geo.cluster_eps_m, geo.cluster_min_points)
-        return Detection(frame_id=frame.id, bbox=wire.bbox, caption=wire.caption,
-                         cloud=cloud,
-                         visual=self._embedding(wire.visual_embedding, "visual",
-                                                wire.caption),
-                         language=self._embedding(wire.language_embedding, "language",
-                                                  wire.caption))
 
     def _projected_bbox(self, track: Track, frame: Keyframe) -> tuple[int, int, int, int] | None:
         if track.cloud is None or track.cloud.is_empty:
@@ -205,7 +208,7 @@ class ApiExecutor:
     # -- the APIs -----------------------------------------------------------
 
     def execute(self, call: ApiCall, ssm: SceneMemory) -> Patch:
-        """Turn one API call into at most one backend request and a patch
+        """Turn one API call into at most one analyze request and a patch
         (the mapping is in the module docstring). An unknown frame or a
         failed request gives a failure patch."""
         try:
@@ -215,8 +218,8 @@ class ApiExecutor:
         patch = Patch(provenance=call)
         if call.kind == "retrieve_frame":
             return patch
-        discover = call.kind == "analyze_frame"
-        ids = sorted(ssm.graph.tracks) if discover else []
+        note_any = call.kind == "analyze_frame"
+        ids = sorted(ssm.graph.tracks) if note_any else []
         if call.kind == "analyze_objects":
             for nid in call.node_ids:
                 (ids if nid in ssm.graph.tracks else patch.skipped_nodes).append(nid)
@@ -225,47 +228,30 @@ class ApiExecutor:
                                list(patch.skipped_nodes))
         full_box = (0, 0, frame.intrinsics.width - 1, frame.intrinsics.height - 1)
         targets = self._visible_targets(ssm, frame, ids, full_box)
-        analyze = discover or bool(targets)
-        request = BackendRequest(
-            kind="analyze" if analyze else "detect",
-            frame_id=call.frame_id if analyze else None, query=call.query,
-            payload={"targets": targets, "discover": discover} if analyze
-            else {"frames": [[call.frame_id, False]]},
-            frame_sizes=(frame.size,), embedding_dim=self.config.embedding_dim)
+        discover = note_any or not targets
         try:
-            response = self.backend.call(request)
-            if not analyze:
-                (response,) = response
-                if response.error is not None:
-                    raise response.error
+            response = self.backend.call(BackendRequest(
+                kind="analyze", frame_id=call.frame_id, query=call.query,
+                payload={"targets": targets, "discover": discover},
+                frame_sizes=(frame.size,), embedding_dim=self.config.embedding_dim))
         except BackendError as exc:
             logger.warning("%s backend failure: %s", call.kind, exc)
             patch.failure = str(exc)
             return patch
-        if not analyze:
-            self._add_wire_objects(patch, response.objects, frame)
-            return patch
-        if discover:
-            self._add_wire_objects(patch, response.new_objects, frame)
+        for wire in response.new_objects if discover else ():
+            if wire.note:  # it attaches to wherever the detection lands
+                patch.notes.append(PatchNote("pending", len(patch.new_detections),
+                                             wire.note))
+            patch.new_detections.append(detection_from_wire(wire, frame, self.config))
+            patch.evidence.append((frame.id, wire.bbox))
         boxes = {t["node_id"]: tuple(t["bbox"]) for t in targets}
         for nid, text in response.notes:
-            if nid in (ssm.graph.tracks if discover else boxes):
+            if nid in (ssm.graph.tracks if note_any else boxes):
                 patch.notes.append(PatchNote("node", nid, text))
                 patch.evidence.append((call.frame_id, boxes.get(nid, full_box)))
             else:
                 patch.skipped_nodes.append(nid)
         return patch
-
-    def _add_wire_objects(self, patch: Patch, wires: list[WireObject],
-                          frame: Keyframe) -> None:
-        """Lift each wire object into a pending detection with its evidence
-        pointer and, when the wire carries one, a pending note."""
-        for wire in wires:
-            idx = len(patch.new_detections)
-            patch.new_detections.append(self.detection_from_wire(wire, frame))
-            patch.evidence.append((frame.id, wire.bbox))
-            if wire.note:
-                patch.notes.append(PatchNote("pending", idx, wire.note))
 
 
 # ---------------------------------------------------------------------------

@@ -17,20 +17,22 @@ live in one place.
 Transport errors are retried once; schema errors never are (they are
 systematic, a retry wastes budget).
 
-A detect request lists its frames in ``payload["frames"]`` as
-``[frame_id, relations]`` pairs, and its reply holds one item per listed
-frame, in the same order. An item is that frame's detections with,
-optionally, its field-of-view tag (``fov_tag``) and, when the pair asks
-for them, relation rows that name the item's detections by index; or it
-is ``{"error": "..."}``. A malformed item or an error item fails its own
-frame only: validation returns a ``DetectResponse`` holding the error.
-A reply with the wrong number of items fails the whole request. A build
-sends one detect request listing every keyframe; find_objects lists one
-frame. A frame without a tag gets the tag "unavailable" and one without
-relations adds no edges; neither sends another request. The ``fov`` and
-``relations`` kinds remain in the protocol, but the engine no longer sends
-them. One ``room_label`` request scores every room: one row of class
-scores per room.
+Each kind has one sender. ``detect`` is the build's: one request, no
+query, lists every keyframe in ``payload["frames"]`` as ``[frame_id,
+relations]`` pairs, and its reply holds one item per listed frame, in the
+same order. An item is that frame's detections with, optionally, its
+field-of-view tag (``fov_tag``) and, when the pair asks for them, relation
+rows that name the item's detections by index; or it is ``{"error":
+"..."}``. A malformed item or an error item fails its own frame only:
+validation returns a ``DetectResponse`` holding the error. A reply with
+the wrong number of items fails the whole request. A frame without a tag
+gets the tag "unavailable" and one without relations adds no edges;
+neither sends another request. ``analyze`` is the loop's: every API but
+retrieve_frame sends one; with no targets and ``discover`` true it is
+find_objects (or analyze_objects when none of its nodes is visible). The
+``fov`` and ``relations`` kinds remain in the protocol, but the engine no
+longer sends them. One ``room_label`` request scores every room: one row
+of class scores per room.
 
 Detect/analyze items may carry an exact pixel mask (row runs) and
 visual/language embedding vectors. Mask extraction and embedding models

@@ -48,6 +48,20 @@ def _engine_config(args) -> EngineConfig:
         raise SystemExit(f"scenemem: {exc}") from None
 
 
+def _check_output_dir(path: str | None) -> None:
+    """Before any input is read: exit with one line when the file ``path``
+    names has no directory to be written into."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise SystemExit(f"scenemem: {path}: no directory {Path(path).parent}")
+
+
+def _port(text: str) -> int:
+    """A TCP port, 0-65535; anything else is a usage error."""
+    if not (text.isdigit() and int(text) <= 65535):
+        raise argparse.ArgumentTypeError(f"expected a port in 0-65535, got '{text}'")
+    return int(text)
+
+
 def _backend(args, cfg: EngineConfig, scene: SyntheticScene | None) -> Backend:
     if args.backend_url:
         return HttpBackend(args.backend_url)
@@ -89,6 +103,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_build(args) -> int:
+    if Path(args.out).exists() and not Path(args.out).is_dir():
+        raise SystemExit(f"scenemem: {args.out}: exists and is not a directory")
     cfg = _engine_config(args)
     scene = SyntheticScene.load(args.scripted) if args.scripted else None
     if args.dataset:
@@ -110,6 +126,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_ask(args) -> int:
+    _check_output_dir(args.transcript)
     cfg = _engine_config(args)
     ssm = load_dir(args.ssm)
     scene = SyntheticScene.load(args.scripted) if args.scripted else None
@@ -134,6 +151,7 @@ def cmd_ask(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_output_dir(args.out)
     cfg = _engine_config(args)
     try:
         check_noise(args.miss_prob, args.seed)
@@ -234,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("serve", help="read-only HTTP inspection service")
     p.add_argument("--ssm", required=True)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8008)
+    p.add_argument("--port", type=_port, default=8008)
     p.set_defaults(func=cmd_serve)
 
     args = parser.parse_args(argv)
@@ -242,6 +260,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (BuildError, DatasetError, GenerationError, ParseError) as exc:
         raise SystemExit(f"scenemem: {exc}") from None  # one line, no traceback
+    except OSError as exc:  # a path the command could not write or read
+        if exc.filename is None:
+            raise
+        raise SystemExit(f"scenemem: {exc.filename}: {exc.strerror}") from None
 
 
 if __name__ == "__main__":

@@ -84,6 +84,8 @@ class SpatialConfig:
                "room_seed_min_dist_m", "min_room_area_m2", "fill_unknown_iterations",
                "wall_height_m", "yaw_threshold_deg", "forward_threshold_m",
                "vertical_threshold_m")
+        if not self.room_classes:
+            raise ValueError("room_classes must name at least one class")
 
 
 @dataclass
@@ -130,8 +132,9 @@ def _coerce(value: str, typ):
         return int(value)
     if typ is str:
         return value
-    # tuple of strings (room_classes): comma separated
-    return tuple(part.strip() for part in value.split(",") if part.strip())
+    if typ is tuple:  # room_classes: comma separated
+        return tuple(part.strip() for part in value.split(",") if part.strip())
+    raise ValueError("names a section; set one of its fields as section.field")
 
 
 def load_config(path: str | Path) -> EngineConfig:
@@ -139,10 +142,10 @@ def load_config(path: str | Path) -> EngineConfig:
 
     Blank lines and ``#`` comments are ignored. Keys are either top-level
     EngineConfig fields or ``section.field`` for the association, geometry
-    and spatial sub-configs. Unknown keys, unparsable values and values
-    their section's validator refuses raise ValueError naming
-    ``path:line``; a file that is not UTF-8 text raises ValueError naming
-    the path.
+    and spatial sub-configs. Unknown keys, a section named without a
+    field, unparsable values and values their section's validator refuses
+    raise ValueError naming ``path:line``; a file that is not UTF-8 text
+    raises ValueError naming the path.
     """
     cfg = EngineConfig()
     try:
@@ -167,10 +170,8 @@ def load_config(path: str | Path) -> EngineConfig:
         fields = {f.name: f for f in dataclasses.fields(target)}
         if fname not in fields:
             raise ValueError(f"{path}:{lineno}: unknown key '{key}'")
-        current = getattr(target, fname)
-        typ = type(current) if not isinstance(current, tuple) else tuple
         try:
-            setattr(target, fname, _coerce(value, typ))
+            setattr(target, fname, _coerce(value, type(getattr(target, fname))))
             target.__post_init__()
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None

@@ -199,20 +199,10 @@ def recall_sweep(scene: SyntheticScene, ssm: SceneMemory, episode: Episode,
     """
     cfg = config or EngineConfig()
     executor = ApiExecutor(episode, backend, cfg)
-    calls = 0
-    current = ssm
-    if track_recall(current, scene) >= 1.0:
-        return 0, current
-    frame_ids = episode.frame_ids
-    cursor = 0
-    while calls < max_calls:
-        fid = frame_ids[cursor % len(frame_ids)]
-        cursor += 1
-        call = ApiCall(kind="analyze_frame", frame_id=fid,
-                       query="describe all objects")
-        patch = executor.execute(call, current)
-        current, _ = apply_patch(current, patch, cfg)
+    calls, current = 0, ssm
+    while calls < max_calls and track_recall(current, scene) < 1.0:
+        call = ApiCall("analyze_frame", episode.frame_ids[calls % len(episode)],
+                       "describe all objects")
+        current, _ = apply_patch(current, executor.execute(call, current), cfg)
         calls += 1
-        if track_recall(current, scene) >= 1.0:
-            break
     return calls, current

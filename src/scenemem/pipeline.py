@@ -1,13 +1,14 @@
 """Initial memory construction from an episode of posed RGB-D keyframes.
 
 One detect request lists every keyframe, and its reply holds one item per
-keyframe, in order. The sweep walks the items in frame order: each item's
+keyframe, in order; the build is the only sender of ``detect``, and it
+asks no query. The sweep walks the items in frame order: each item's
 (bbox, caption) objects are lifted through mask -> back-projection ->
-voxel downsample -> densest cluster, then merged into or used to create
-tracks through the same integration function that applies patches
-(apis._associate_detections). An item also carries the frame's
-field-of-view tag, kept for its navigation-log entry; an item without one,
-or a failed item, gives the tag "unavailable".
+voxel downsample -> densest cluster (apis.detection_from_wire), then
+merged into or used to create tracks through the same integration
+function that applies patches (apis._associate_detections). An item also
+carries the frame's field-of-view tag, kept for its navigation-log entry;
+an item without one, or a failed item, gives the tag "unavailable".
 Every third frame's entry in the request also asks for pairwise relations
 among that frame's detections: each row of its item names two detections,
 which become an edge between the nodes they landed on (a row whose
@@ -35,7 +36,7 @@ from collections import deque
 
 import numpy as np
 
-from .apis import ApiExecutor, _associate_detections
+from .apis import _associate_detections, detection_from_wire
 from .backend import (Backend, BackendError, BackendRequest, DetectResponse,
                       WireRelation)
 from .config import EngineConfig
@@ -128,7 +129,6 @@ def build_ssm(episode: Episode, backend: Backend,
 
     ssm = SceneMemory.empty(episode.scene_id, episode.stride, episode.frame_ids,
                             episode.frame_locators())
-    executor = ApiExecutor(episode, backend, cfg)
     visible_by_frame: dict[int, list[int]] = {}
     fov_by_frame: dict[int, str] = {}  # the tag each detect item carried
 
@@ -138,8 +138,7 @@ def build_ssm(episode: Episode, backend: Backend,
             continue
         if reply.fov_tag is not None:
             fov_by_frame[frame.id] = reply.fov_tag
-        detections = [executor.detection_from_wire(wire, frame)
-                      for wire in reply.objects]
+        detections = [detection_from_wire(wire, frame, cfg) for wire in reply.objects]
         frame_nodes, _ = _associate_detections(ssm, detections, cfg)
         visible_by_frame[frame.id] = frame_nodes
 

@@ -11,9 +11,11 @@ probability) and delegates reason requests to a pluggable policy:
   serialized memory, issuing analyze/find calls until the needed fact and
   a citable note exist.
 
-A detect request is answered item by item, in the order its frames are
-listed, so one request listing every keyframe draws exactly what one
-request per keyframe drew.
+The build's detect request is answered item by item, in the order its
+frames are listed, so one request listing every keyframe draws exactly
+what one request per keyframe drew. An analyze request asked to discover
+draws the misses among the frame's untargeted objects that match its
+query, and notes each object it returns.
 
 Identical request sequences always produce identical responses. Recorded
 replies are replayed through RecordingBackend/ReplayBackend, which is
@@ -110,17 +112,13 @@ class ScriptedBackend(Backend):
 
     def _query_filter(self, query: str | None,
                       dets: tuple[GtDetection, ...]) -> list[GtDetection]:
-        if not query:
-            return list(dets)
-        specific = [t for t in _tokens(query) if t not in GENERIC_QUERY_TOKENS]
-        if not specific:
-            return list(dets)
-        keep = []
-        for det in dets:
-            obj = self.scene.objects[det.object_index]
-            if obj.class_name in specific or obj.color in specific:
-                keep.append(det)
-        return keep
+        """The detections whose class or color the query names; all of them
+        when it names neither."""
+        specific = set(_tokens(query or "")) - GENERIC_QUERY_TOKENS
+        objects = self.scene.objects
+        return [det for det in dets if not specific
+                or {objects[det.object_index].class_name,
+                    objects[det.object_index].color} & specific]
 
     def _wire_detection(self, det: GtDetection, note: str | None) -> dict:
         obj = self.scene.objects[det.object_index]
@@ -213,19 +211,16 @@ class ScriptedBackend(Backend):
                 plan.pop(0)
                 items.append({"error": f"scripted detect failure on frame {frame_id}"})
             else:
-                items.append(self._detect_item(frame_id, request.query, relations))
+                items.append(self._detect_item(frame_id, relations))
         return {"frames": items}
 
-    def _detect_item(self, frame_id: int, query: str | None, relations: bool) -> dict:
-        """One listed frame's detections, after the miss draws; with
-        ``relations``, the true relations among them, which draw nothing."""
-        dets = self._drop_missed(
-            self._query_filter(query, self.scene.gt_detections(frame_id)))
-        doc = {"detections": [
-            self._wire_detection(det, self._note_for(det.object_index, query)
-                                 if query else None) for det in dets]}
-        if not query:  # the build's detect: the fov tag rides along
-            doc["fov_tag"] = self._fov_tag(frame_id)
+    def _detect_item(self, frame_id: int, relations: bool) -> dict:
+        """One listed frame's detections, after the miss draws, and its fov
+        tag; with ``relations``, the true relations among the detections,
+        which draw nothing."""
+        dets = self._drop_missed(list(self.scene.gt_detections(frame_id)))
+        doc = {"detections": [self._wire_detection(det, None) for det in dets],
+               "fov_tag": self._fov_tag(frame_id)}
         if relations:
             doc["relations"] = self._relation_rows(
                 {det.object_index: i for i, det in enumerate(dets)})

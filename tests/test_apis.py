@@ -7,8 +7,10 @@ from dataclasses import replace
 
 import pytest
 
-from scenemem import (ApiCall, ApiExecutor, EngineConfig, RelationEdge, SceneMemory,
-                      ScriptedBackend, apply_patch, init_frame_memory, serialize)
+from scenemem import (ApiCall, ApiExecutor, EngineConfig, EpisodeQuery, RelationEdge,
+                      RuleReasoner, SceneMemory, ScriptedBackend, apply_patch,
+                      build_ssm, generate_questions, init_frame_memory,
+                      run_episode_batch, serialize)
 from scenemem.apis import ApiError, Patch, PatchNote
 from scenemem.backend import BackendError, BackendRequest
 from scenemem.dataset import DatasetError
@@ -70,21 +72,11 @@ class TestFindObjects:
     def test_backend_failure_failed_patch(self, workbench):
         scene, episode, _, _, ssm = workbench
         backend = ScriptedBackend(scene)
-        backend.fail("detect", times=2)
+        backend.fail("analyze", times=2)
         executor = ApiExecutor(episode, backend, EngineConfig())
         patch = executor.execute(ApiCall("find_objects", 0, "anything"), ssm)
         assert patch.failure is not None
         assert patch.is_empty
-
-    def test_error_item_failed_patch(self, workbench):
-        scene, episode, _, _, ssm = workbench
-        backend = ScriptedBackend(scene)
-        backend.fail("detect", mode="item")
-        executor = ApiExecutor(episode, backend, EngineConfig())
-        patch = executor.execute(ApiCall("find_objects", 0, "anything"), ssm)
-        assert patch.failure == "$.frames[0].error: scripted detect failure on frame 0"
-        assert patch.is_empty
-        assert backend.call_counts["detect"] == 1  # an error item is not retried
 
     def test_embedding_of_wrong_length_failed_patch(self, workbench):
         scene, episode, _, _, ssm = workbench
@@ -96,7 +88,7 @@ class TestFindObjects:
 
         executor = ApiExecutor(episode, ShortEmbedding(scene), EngineConfig())
         patch = executor.execute(ApiCall("find_objects", 0, "anything"), ssm)
-        assert "$.frames[0].detections[0].visual_embedding" in patch.failure
+        assert "$.new_objects[0].visual_embedding" in patch.failure
         assert patch.is_empty
 
     def test_redetection_merges_instead_of_creating(self, workbench):
@@ -486,8 +478,10 @@ class TestApplyPatch:
 
 # ---------------------------------------------------------------------------
 # Oracle: the per-API methods ApiExecutor.execute replaced, kept verbatim
-# apart from taking the executor as an argument. Node mode has no benchmark
-# workload, so this equivalence is its contract.
+# apart from taking the executor as an argument, and from find_objects (and
+# so the analyze_objects fallback) sending an analyze with no targets that
+# asks to discover, where it once sent a one-frame detect. Node mode has no
+# benchmark workload, so this equivalence is its contract.
 # ---------------------------------------------------------------------------
 
 def reference_visible_targets(executor, ssm, frame, only=None) -> list[dict]:
@@ -521,17 +515,17 @@ def reference_execute(executor, call, ssm) -> Patch:
 
 def reference_find_objects(executor, call, ssm) -> Patch:
     frame = executor.episode.frame(call.frame_id)
-    request = BackendRequest(kind="detect", query=call.query,
-                             payload={"frames": [[call.frame_id, False]]},
+    request = BackendRequest(kind="analyze", frame_id=call.frame_id,
+                             query=call.query,
+                             payload={"targets": [], "discover": True},
                              frame_sizes=(frame.size,))
     try:
-        (response,) = executor.backend.call(request)
+        response = executor.backend.call(request)
     except BackendError as exc:
         return Patch(provenance=call, failure=str(exc))
-    if response.error is not None:
-        return Patch(provenance=call, failure=str(response.error))
     patch = Patch(provenance=call)
-    executor._add_wire_objects(patch, response.objects, frame)
+    reference_absorb_analysis(executor, patch, response, frame, call,
+                              allowed_nodes=set(), bboxes={}, allow_new=True)
     return patch
 
 
@@ -548,7 +542,7 @@ def reference_analyze_objects(executor, call, ssm) -> Patch:
         fallback = reference_find_objects(
             executor, ApiCall("find_objects", call.frame_id, call.query), ssm)
         fallback.provenance = call
-        fallback.skipped_nodes = skipped
+        fallback.skipped_nodes = skipped + fallback.skipped_nodes
         return fallback
     request = BackendRequest(kind="analyze", frame_id=call.frame_id,
                              query=call.query,
@@ -588,7 +582,13 @@ def reference_analyze_frame(executor, call, ssm) -> Patch:
 def reference_absorb_analysis(executor, patch, response, frame, call, allowed_nodes,
                               bboxes, allow_new) -> None:
     if allow_new:
-        executor._add_wire_objects(patch, response.new_objects, frame)
+        for wire in response.new_objects:
+            idx = len(patch.new_detections)
+            patch.new_detections.append(
+                apis_module.detection_from_wire(wire, frame, executor.config))
+            patch.evidence.append((frame.id, wire.bbox))
+            if wire.note:
+                patch.notes.append(PatchNote("pending", idx, wire.note))
     for nid, text in response.notes:
         if nid not in allowed_nodes:
             patch.skipped_nodes.append(nid)
@@ -619,7 +619,7 @@ class _DigestLog(ScriptedBackend):
         if self.stray:
             doc["notes"] += [{"node_id": nid, "note": f"stray note {nid}"}
                              for nid in [*range(10), 424242]]
-            doc["new_objects"] += self._detect_item(request.frame_id, request.query,
+            doc["new_objects"] += self._detect_item(request.frame_id,
                                                     False)["detections"]
         return doc
 
@@ -685,5 +685,39 @@ class TestExecuteMatchesReference:
             runs.append((canonical_json(patch.to_doc()), backend.digests,
                          backend.call_counts))
         assert runs[1] == runs[0]
+        # detect is the build's request: the error-item case plants an item
+        # failure on a detect that never comes
+        assert runs[1][2]["detect"] == 0
         if kind != "retrieve_frame" and targets != "unknown-frame":
             assert runs[0][1], "the case must reach the backend"
+
+
+def test_node_mode_sends_the_builds_detect_only(small_scene):
+    """A node-mode run with a lossy detector: the build sends the one
+    detect, and every loop call sends one analyze; find_objects and the
+    analyze_objects fallback both send it with no targets, asking to
+    discover. Seed 3 is a run whose build misses an object outright, so
+    the reasoner also calls find_objects (seed 0 never does)."""
+    class AnalyzeLog(ScriptedBackend):
+        def __init__(self, scene):
+            super().__init__(scene, RuleReasoner(), miss_prob=0.6, seed=3)
+            self.payloads: list[dict] = []
+
+        def _handle_analyze(self, request):
+            self.payloads.append(request.payload)
+            return super()._handle_analyze(request)
+
+    cfg = EngineConfig(api_mode="node")
+    episode = small_scene.episode()
+    backend = AnalyzeLog(small_scene)
+    ssm = build_ssm(episode, backend, cfg)
+    queries = [EpisodeQuery(q.question, cfg.max_api_calls, small_scene.scene_id)
+               for q in generate_questions(small_scene)]
+    batch = run_episode_batch(queries, ssm.copy, episode, backend, cfg)
+    assert not batch.failures
+    assert backend.call_counts["detect"] == 1
+    calls = [step.call.kind for a in batch.answers for step in a.transcript]
+    assert len(backend.payloads) == len(calls)
+    searched = {kind for kind, payload in zip(calls, backend.payloads)
+                if payload == {"targets": [], "discover": True}}
+    assert searched == {"find_objects", "analyze_objects"}

@@ -30,10 +30,15 @@ def _validate(kind, raw, frame_size=None, embedding_dim=None):
     return out
 
 
-def _detect(frame_id, query=None, relations=False) -> BackendRequest:
+def _detect(frame_id, relations=False) -> BackendRequest:
     """A detect request listing one frame."""
-    return BackendRequest(kind="detect", query=query,
-                          payload={"frames": [[frame_id, relations]]})
+    return BackendRequest(kind="detect", payload={"frames": [[frame_id, relations]]})
+
+
+def _find(frame_id, query) -> BackendRequest:
+    """The analyze request find_objects sends: no targets, discovering."""
+    return BackendRequest(kind="analyze", frame_id=frame_id, query=query,
+                          payload={"targets": [], "discover": True})
 
 
 class TestValidateResponse:
@@ -394,13 +399,13 @@ class TestScriptedBackend:
         target = small_scene.objects[0]
         fid = next(f for f in range(small_scene.frame_count)
                    if target.index in small_scene.visible_objects(f))
-        (out,) = backend.call(_detect(fid, query=f"find the {target.caption}"))
-        assert any(o.caption == target.caption for o in out.objects)
+        out = backend.call(_find(fid, f"find the {target.caption}"))
+        assert any(o.caption == target.caption for o in out.new_objects)
 
     def test_unmatched_specific_query_empty(self, small_scene):
         backend = ScriptedBackend(small_scene)
-        (out,) = backend.call(_detect(0, query="mug"))
-        assert out.objects == ()
+        out = backend.call(_find(0, "mug"))
+        assert out.new_objects == ()
 
     def test_detect_relations_among_returned_detections(self, small_scene):
         """Asked for relations, a detect item names the true relations
@@ -439,8 +444,8 @@ class TestScriptedBackend:
         assert out.relations == ()
 
     def test_identical_request_sequences_identical_responses(self, small_scene):
-        req_seq = [_detect(f % small_scene.frame_count,
-                           query=None if f % 2 else "all objects")
+        req_seq = [_detect(f % small_scene.frame_count) if f % 2
+                   else _find(f % small_scene.frame_count, "all objects")
                    for f in range(8)]
         a = ScriptedBackend(small_scene, miss_prob=0.3, seed=5)
         b = ScriptedBackend(small_scene, miss_prob=0.3, seed=5)

@@ -298,6 +298,55 @@ class TestUnreadableInput:
         assert not out.exists()
 
 
+class TestUnwritableOutput:
+    """An output the command cannot write ends it with one line naming the
+    path and a non-zero exit, not a traceback; eval and ask find out before
+    they read any input."""
+
+    def test_eval_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "r.json"
+        with pytest.raises(SystemExit) as err:  # the scene does not exist either
+            main(["eval", "--scene", str(tmp_path / "truth.json"), "--out", str(out)])
+        assert err.value.code == f"scenemem: {out}: no directory {out.parent}"
+        assert capsys.readouterr().out == ""
+
+    def test_eval_out_is_a_directory(self, workspace, tmp_path):
+        _, scene_dir, _ = workspace
+        with pytest.raises(SystemExit) as err:
+            main(["eval", "--scene", str(scene_dir / "truth.json"), "--m", "0",
+                  "--out", str(tmp_path)])
+        assert err.value.code == f"scenemem: {tmp_path}: Is a directory"
+
+    def test_build_out_is_a_file(self, workspace, tmp_path):
+        _, scene_dir, _ = workspace
+        out = tmp_path / "mem"
+        out.write_text("keep")
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--scripted", str(scene_dir / "truth.json"),
+                  "--out", str(out)])
+        assert err.value.code == f"scenemem: {out}: exists and is not a directory"
+        assert out.read_text() == "keep"
+
+    def test_ask_transcript_in_missing_directory(self, workspace, tmp_path, capsys):
+        _, scene_dir, mem_dir = workspace
+        transcript = tmp_path / "missing" / "t.jsonl"
+        with pytest.raises(SystemExit) as err:
+            main(["ask", "--ssm", str(mem_dir), "--scripted",
+                  str(scene_dir / "truth.json"), "--question", "q",
+                  "--transcript", str(transcript)])
+        assert err.value.code == (f"scenemem: {transcript}: no directory "
+                                  f"{transcript.parent}")
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("port", ["99999", "65536", "-1", "http"])
+    def test_serve_port_out_of_range_is_a_usage_error(self, workspace, port, capsys):
+        _, _, mem_dir = workspace
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--ssm", str(mem_dir), "--port", port])
+        assert err.value.code == 2
+        assert "expected a port in 0-65535" in capsys.readouterr().err
+
+
 class TestInspectCommand:
     def test_dumps_canonical_json(self, workspace, capsys):
         _, _, mem_dir = workspace
@@ -466,6 +515,8 @@ class TestConfigFile:
         "spatial.fill_unknown_iterations = -1",
         "association.overlap_radius_m = inf",
         "frame_failure_abort_fraction = 1.5",
+        "spatial.room_classes = ,",       # was a GeometryInputError after the sweep
+        "association = 1",                # was an AttributeError in build and eval
     ])
     def test_bad_value_fails_at_load_naming_its_line(self, tmp_path, line):
         path = tmp_path / "engine.cfg"

@@ -79,8 +79,8 @@ class TestBuildSsm:
         so its frame is skipped like any failed detect; the build used to
         abort inside Embedding."""
         class ZeroEmbedding(ScriptedBackend):
-            def _detect_item(self, frame_id, query, relations):
-                doc = super()._detect_item(frame_id, query, relations)
+            def _detect_item(self, frame_id, relations):
+                doc = super()._detect_item(frame_id, relations)
                 if frame_id == 3:
                     for det in doc["detections"]:
                         det["visual_embedding"] = [0.0] * len(det["visual_embedding"])
@@ -97,8 +97,8 @@ class TestBuildSsm:
         fails validation, so its frame is skipped; the build used to abort
         comparing it with the tracks' 64-entry vectors."""
         class ShortEmbedding(ScriptedBackend):
-            def _detect_item(self, frame_id, query, relations):
-                doc = super()._detect_item(frame_id, query, relations)
+            def _detect_item(self, frame_id, relations):
+                doc = super()._detect_item(frame_id, relations)
                 if frame_id == 3:
                     for det in doc["detections"]:
                         det["visual_embedding"] = [1.0, 0.0, 0.0]
@@ -116,8 +116,8 @@ class TestBuildSsm:
         and its edge discovery, is skipped. The build used to abort inside
         RelationEdge."""
         class SelfRelation(ScriptedBackend):
-            def _detect_item(self, frame_id, query, relations):
-                doc = super()._detect_item(frame_id, query, relations)
+            def _detect_item(self, frame_id, relations):
+                doc = super()._detect_item(frame_id, relations)
                 if "relations" in doc and doc["detections"]:
                     doc["relations"].append({"subject_id": 0, "object_id": 0,
                                              "relation": "on_top_of",
@@ -153,8 +153,8 @@ class TestBuildSsm:
         class VaryingCaptions(ScriptedBackend):
             items = 0
 
-            def _detect_item(self, frame_id, query, relations):
-                doc = super()._detect_item(frame_id, query, relations)
+            def _detect_item(self, frame_id, relations):
+                doc = super()._detect_item(frame_id, relations)
                 self.items += 1
                 if self.items % 2:  # every other frame
                     for det in doc["detections"]:
@@ -177,10 +177,10 @@ class TestBuildSsm:
         class Recorder(ScriptedBackend):
             relation_frames = []
 
-            def _detect_item(self, frame_id, query, relations):
+            def _detect_item(self, frame_id, relations):
                 if relations:
                     self.relation_frames.append(frame_id)
-                return super()._detect_item(frame_id, query, relations)
+                return super()._detect_item(frame_id, relations)
 
         backend = Recorder(scene)
         ssm = build_ssm(scene.episode(), backend, EngineConfig())
@@ -236,8 +236,8 @@ class BareDetectServer(ScriptedBackend):
     """A backend whose detect items carry neither a field-of-view tag nor
     relations, both of which the protocol leaves optional."""
 
-    def _detect_item(self, frame_id, query, relations):
-        doc = super()._detect_item(frame_id, query, relations)
+    def _detect_item(self, frame_id, relations):
+        doc = super()._detect_item(frame_id, relations)
         doc.pop("fov_tag", None)
         doc.pop("relations", None)
         return doc
@@ -293,8 +293,8 @@ class TestBuildRoundTrips:
         assert small_scene.gt_detections(bad)
 
         class BadBox(ScriptedBackend):
-            def _detect_item(self, frame_id, query, relations):
-                doc = super()._detect_item(frame_id, query, relations)
+            def _detect_item(self, frame_id, relations):
+                doc = super()._detect_item(frame_id, relations)
                 if frame_id == bad:
                     doc["detections"][0]["bbox"] = [0, 0, 10_000, 10]
                 return doc

@@ -10,7 +10,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from scenemem import serialize  # noqa: E402
+from scenemem import ApiCall, ApiExecutor, EngineConfig, serialize  # noqa: E402
 from scenemem.backend import BackendRequest  # noqa: E402
 from scenemem.scripted import ScriptedBackend  # noqa: E402
 
@@ -153,6 +153,33 @@ class TestProtocolSchema:
             with pytest.raises(jsonschema.ValidationError):
                 jsonschema.validate({**request.to_doc(), "payload": payload},
                                     _request_schema(protocol_schema))
+
+    def test_find_objects_sends_a_targetless_analyze(self, protocol_schema,
+                                                      small_build):
+        """find_objects sends an analyze with empty targets that asks to
+        discover, and it fits the schema with its reply; a detect, the
+        build's request, asks no query."""
+        scene, episode, _, ssm = small_build
+        sent = []
+
+        class Log(ScriptedBackend):
+            def raw_call(self, request):
+                sent.append(request)
+                return super().raw_call(request)
+
+        ApiExecutor(episode, Log(scene), EngineConfig()).execute(
+            ApiCall("find_objects", 0, "describe all objects"), ssm)
+        (request,) = sent
+        assert (request.kind, request.payload) == ("analyze",
+                                                   {"targets": [], "discover": True})
+        jsonschema.validate(request.to_doc(), _request_schema(protocol_schema))
+        jsonschema.validate(ScriptedBackend(scene).raw_call(request),
+                            _response_schema(protocol_schema, "analyze"))
+        detect = BackendRequest(kind="detect", payload={"frames": [[0, False]]})
+        jsonschema.validate(detect.to_doc(), _request_schema(protocol_schema))
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**detect.to_doc(), "query": "find the mug"},
+                                _request_schema(protocol_schema))
 
     def test_detect_fov_tag_must_be_a_string(self, protocol_schema):
         schema = _response_schema(protocol_schema, "detect")
