@@ -40,7 +40,7 @@ from dataclasses import dataclass, field, replace
 # reason actions into ApiCall; they stay importable from here.
 from .backend import (API_ACTION_KINDS as API_KINDS, ApiCall, ApiError, Backend,
                       BackendError, BackendRequest, WireObject)
-from .config import EngineConfig
+from .config import AssociationConfig, EngineConfig
 from .dataset import DatasetError, Episode, Keyframe
 from .geometry import (PixelMask, backproject, largest_cluster, project,
                        voxel_downsample)
@@ -49,6 +49,14 @@ from .graph import (CloudSummary, Detection, Embedding, RelationEdge, Track,
 from .memory import SceneMemory, append_frame
 
 logger = logging.getLogger(__name__)
+
+# a detection's cloud: voxel size (also of merged track clouds) and the
+# DBSCAN radius and core size of its densest cluster
+VOXEL_SIZE_M = 0.02
+CLUSTER_EPS_M = 0.5
+CLUSTER_MIN_POINTS = 5
+# the association vote every detection goes through
+ASSOCIATION = AssociationConfig()
 
 
 @dataclass(frozen=True)
@@ -152,12 +160,11 @@ def detection_from_wire(wire: WireObject, frame: Keyframe,
                         cfg: EngineConfig) -> Detection:
     """Back-project the masked depth, downsample, keep the densest
     cluster, attach embeddings."""
-    geo = cfg.geometry
     cloud = backproject(frame.depth, _mask_for(wire, frame), frame.intrinsics,
                         frame.pose)
     if not cloud.is_empty:
-        cloud = voxel_downsample(cloud, geo.voxel_size_m)
-        cloud = largest_cluster(cloud, geo.cluster_eps_m, geo.cluster_min_points)
+        cloud = voxel_downsample(cloud, VOXEL_SIZE_M)
+        cloud = largest_cluster(cloud, CLUSTER_EPS_M, CLUSTER_MIN_POINTS)
     dim = cfg.embedding_dim
     return Detection(frame_id=frame.id, bbox=wire.bbox, caption=wire.caption,
                      cloud=cloud,
@@ -258,14 +265,14 @@ class ApiExecutor:
 # Patch integration
 # ---------------------------------------------------------------------------
 
-def _associate_detections(work: SceneMemory, detections: list[Detection],
-                          cfg: EngineConfig) -> tuple[list[int], list[int]]:
+def _associate_detections(work: SceneMemory,
+                          detections: list[Detection]) -> tuple[list[int], list[int]]:
     """Merge each detection into its associated track or create a placed
     track for it. Returns the landing track id per detection and the ids
     of the created tracks. Construction and patches both integrate
     detections here."""
     tracks = [work.graph.tracks[tid] for tid in sorted(work.graph.tracks)]
-    matching = associate(detections, tracks, cfg.association)
+    matching = associate(detections, tracks, ASSOCIATION)
     landing: list[int] = []
     created: list[int] = []
     for di, det in enumerate(detections):
@@ -279,8 +286,7 @@ def _associate_detections(work: SceneMemory, detections: list[Detection],
             created.append(target)
         else:
             work.graph.replace_track(merge_detection(
-                work.graph.tracks[target], det, cfg.association,
-                cfg.geometry.voxel_size_m))
+                work.graph.tracks[target], det, ASSOCIATION, VOXEL_SIZE_M))
         landing.append(target)
     return landing, created
 
@@ -318,8 +324,7 @@ def _update_nav_log(work: SceneMemory, patch: Patch, landing: list[int]) -> None
             return
 
 
-def apply_patch(ssm: SceneMemory, patch: Patch,
-                cfg: EngineConfig | None = None) -> tuple[SceneMemory, PatchReport]:
+def apply_patch(ssm: SceneMemory, patch: Patch) -> tuple[SceneMemory, PatchReport]:
     """Integrate a patch atomically.
 
     In order: (1) detections associate against current tracks (merge at
@@ -330,7 +335,6 @@ def apply_patch(ssm: SceneMemory, patch: Patch,
     internal failure — the input memory is returned untouched with the
     failure recorded in the report.
     """
-    cfg = cfg or EngineConfig()
     report = PatchReport(call=patch.provenance)
     if patch.failure is not None:
         report.failure = patch.failure
@@ -341,8 +345,7 @@ def apply_patch(ssm: SceneMemory, patch: Patch,
     work = ssm.copy()
     try:
         patch.validate(set(work.graph.tracks))
-        landing, report.created = _associate_detections(
-            work, patch.new_detections, cfg)
+        landing, report.created = _associate_detections(work, patch.new_detections)
         report.merged = [(di, tid) for di, tid in enumerate(landing)
                          if tid not in report.created]
         _insert_edges(work, patch, report)

@@ -50,8 +50,12 @@ def _engine_config(args) -> EngineConfig:
 
 def _check_output_dir(path: str | None) -> None:
     """Before any input is read: exit with one line when the file ``path``
-    names has no directory to be written into."""
-    if path is not None and not Path(path).parent.is_dir():
+    names is a directory or has no directory to be written into."""
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise SystemExit(f"scenemem: {path}: Is a directory")
+    if not Path(path).parent.is_dir():
         raise SystemExit(f"scenemem: {path}: no directory {Path(path).parent}")
 
 
@@ -184,7 +188,13 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    serve_dir(args.ssm, host=args.host, port=args.port)
+    try:
+        serve_dir(args.ssm, host=args.host, port=args.port)
+    except OSError as exc:  # the address cannot be bound (in use, not local)
+        if exc.filename is not None:
+            raise
+        raise SystemExit(f"scenemem: {args.host}:{args.port}: {exc.strerror or exc}") \
+            from None
     return 0
 
 

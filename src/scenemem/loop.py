@@ -171,7 +171,7 @@ def answer(query: EpisodeQuery, ssm: SceneMemory, episode: Episode,
             call = response.action
             if call.kind in allowed:
                 patch = executor.execute(call, current)
-                current, report = apply_patch(current, patch, config)
+                current, report = apply_patch(current, patch)
                 transcript.append(TranscriptStep(call=call, report=report))
                 continue
             problem = verdict = (f"api '{call.kind}' not allowed in "

@@ -203,6 +203,6 @@ def recall_sweep(scene: SyntheticScene, ssm: SceneMemory, episode: Episode,
     while calls < max_calls and track_recall(current, scene) < 1.0:
         call = ApiCall("analyze_frame", episode.frame_ids[calls % len(episode)],
                        "describe all objects")
-        current, _ = apply_patch(current, executor.execute(call, current), cfg)
+        current, _ = apply_patch(current, executor.execute(call, current))
         calls += 1
     return calls, current

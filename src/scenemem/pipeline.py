@@ -14,7 +14,7 @@ among that frame's detections: each row of its item names two detections,
 which become an edge between the nodes they landed on (a row whose
 detections landed on one node is dropped). An item without relations adds
 no edges.
-Caption histories consolidate once they reach the configured length; a
+Caption histories consolidate once they reach five captions; a
 history of one repeated caption needs no request. Consolidation is the
 only request of the frame sweep that reads the growing graph.
 
@@ -49,21 +49,28 @@ from .spatial import (build_nav_entry, detect_floors, label_rooms, occupancy_gri
 
 logger = logging.getLogger(__name__)
 
+# the structure cloud: each frame's depth at every third pixel along both
+# axes, downsampled to 5 cm voxels
+STRUCTURE_PIXEL_STRIDE = 3
+STRUCTURE_VOXEL_M = 0.05
+# the build stops when more than this share of frames fails
+FRAME_FAILURE_ABORT_FRACTION = 0.5
+
 
 class BuildError(RuntimeError):
     pass
 
 
-def _structure_cloud(episode: Episode, cfg: EngineConfig) -> PointCloud:
+def _structure_cloud(episode: Episode) -> PointCloud:
     """Coarse cloud of everything seen, for floor-plan occupancy."""
-    stride = cfg.structure_pixel_stride
     masks: dict[tuple[int, int], PixelMask] = {}  # one strided mask per frame size
     clouds = []
     for frame in episode.frames:
         w, h = frame.intrinsics.width, frame.intrinsics.height
         mask = masks.get((w, h))
         if mask is None:
-            us, vs = np.meshgrid(np.arange(0, w, stride), np.arange(0, h, stride))
+            us, vs = np.meshgrid(np.arange(0, w, STRUCTURE_PIXEL_STRIDE),
+                                 np.arange(0, h, STRUCTURE_PIXEL_STRIDE))
             mask = masks[w, h] = PixelMask(w, h, np.column_stack([us.ravel(), vs.ravel()]))
         cloud = backproject(frame.depth, mask, frame.intrinsics, frame.pose)
         if not cloud.is_empty:
@@ -71,7 +78,7 @@ def _structure_cloud(episode: Episode, cfg: EngineConfig) -> PointCloud:
     if not clouds:
         return PointCloud.empty()
     merged = PointCloud(np.vstack(clouds))
-    return voxel_downsample(merged, cfg.structure_voxel_m)
+    return voxel_downsample(merged, STRUCTURE_VOXEL_M)
 
 
 def _add_frame_edges(ssm: SceneMemory, frame_id: int,
@@ -120,11 +127,10 @@ def build_ssm(episode: Episode, backend: Backend,
     if len(episode) == 0:
         raise BuildError("episode has no frames")
 
-    edges_due = [edge_discovery_due(i, cfg.edge_discovery_period)
-                 for i in range(len(episode))]
+    edges_due = [edge_discovery_due(i) for i in range(len(episode))]
     replies = _detect_replies(episode, backend, cfg, edges_due)
     errors = [r.error for r in replies if r.error is not None]
-    if len(errors) > cfg.frame_failure_abort_fraction * len(episode):
+    if len(errors) > FRAME_FAILURE_ABORT_FRACTION * len(episode):
         raise BuildError(f"{len(errors)} of {len(episode)} frames failed") from errors[0]
 
     ssm = SceneMemory.empty(episode.scene_id, episode.stride, episode.frame_ids,
@@ -139,22 +145,18 @@ def build_ssm(episode: Episode, backend: Backend,
         if reply.fov_tag is not None:
             fov_by_frame[frame.id] = reply.fov_tag
         detections = [detection_from_wire(wire, frame, cfg) for wire in reply.objects]
-        frame_nodes, _ = _associate_detections(ssm, detections, cfg)
+        frame_nodes, _ = _associate_detections(ssm, detections)
         visible_by_frame[frame.id] = frame_nodes
 
         if due:
             _add_frame_edges(ssm, frame.id, reply.relations, frame_nodes)
 
         for nid in set(frame_nodes):
-            ssm.graph.replace_track(consolidate_captions(
-                ssm.graph.tracks[nid], backend, cfg.caption_consolidation_threshold))
+            ssm.graph.replace_track(consolidate_captions(ssm.graph.tracks[nid], backend))
 
     heights = [float(f.pose.translation[2]) for f in episode.frames]
-    floors = detect_floors(heights, cfg.spatial.height_bin_m,
-                           cfg.spatial.floor_separation_m)
-    structure = _structure_cloud(episode, cfg)
-    ssm.rooms = segment_rooms(floors, occupancy_grids(structure, floors, cfg.spatial),
-                              cfg.spatial)
+    floors = detect_floors(heights)
+    ssm.rooms = segment_rooms(floors, occupancy_grids(_structure_cloud(episode), floors))
 
     # label the rooms by the captions placed in them, then place each track
     # once, with its room's label
@@ -163,7 +165,7 @@ def build_ssm(episode: Episode, backend: Backend,
         track = ssm.place_track(ssm.graph.tracks[tid])
         if track.room_id is not None:
             members.setdefault(track.room_id, []).append(track.caption)
-    label_rooms(ssm.rooms, members, backend, list(cfg.spatial.room_classes))
+    label_rooms(ssm.rooms, members, backend, list(cfg.room_classes))
     for tid in sorted(ssm.graph.tracks):
         ssm.graph.replace_track(ssm.place_track(ssm.graph.tracks[tid]))
 
@@ -171,7 +173,7 @@ def build_ssm(episode: Episode, backend: Backend,
     for frame in episode.frames:
         ssm.nav_log.append(build_nav_entry(
             frame, prev, ssm.rooms, visible_by_frame.get(frame.id, []),
-            fov_by_frame.get(frame.id, "unavailable"), cfg.spatial))
+            fov_by_frame.get(frame.id, "unavailable")))
         prev = frame
 
     ssm.frame_memory = init_frame_memory(episode.frame_ids, cfg.initial_frames)

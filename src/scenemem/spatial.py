@@ -20,7 +20,7 @@ from a world point to its floor and room.
 
 The room/floor pipeline is deliberately coarse: the memory only needs
 stable labels for indexing, not metrically exact floor plans. World frame
-is z-up; all thresholds live in SpatialConfig.
+is z-up; each threshold is a module constant below, next to its reader.
 """
 
 from __future__ import annotations
@@ -34,13 +34,28 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import BackendError, BackendRequest
-from .config import SpatialConfig
 from .geometry import GeometryInputError, PointCloud, Pose
 
 logger = logging.getLogger(__name__)
 
 MOTION_LABELS = ("stationary", "forward", "backward", "turn_left",
                  "turn_right", "ascend", "descend")
+
+# floors (detect_floors)
+HEIGHT_BIN_M = 0.1
+FLOOR_SEPARATION_M = 1.5
+# occupancy grids (occupancy_grids)
+GRID_CELL_M = 0.1
+WALL_HEIGHT_M = 1.5
+FILL_UNKNOWN_ITERATIONS = 3
+MIN_ROOM_AREA_M2 = 1.0
+# watershed seeds (segment_rooms)
+ROOM_PEAK_SEPARATION_M = 1.0
+ROOM_SEED_MIN_DIST_M = 0.45
+# motion labels (motion_label)
+YAW_THRESHOLD_DEG = 10.0
+FORWARD_THRESHOLD_M = 0.1
+VERTICAL_THRESHOLD_M = 0.3
 
 _BIG = 1e18
 
@@ -151,8 +166,8 @@ class NavLogEntry:
             raise GeometryInputError(f"unknown motion label '{self.motion_label}'")
 
 
-def detect_floors(camera_heights: list[float], bin_size: float,
-                  separation: float = 1.5) -> FloorModel:
+def detect_floors(camera_heights: list[float], bin_size: float = HEIGHT_BIN_M,
+                  separation: float = FLOOR_SEPARATION_M) -> FloorModel:
     """Find floors as height-histogram modes.
 
     Bins of ``bin_size`` are scanned for local maxima; maxima closer than
@@ -236,11 +251,10 @@ def _drop_small_components(free: np.ndarray, min_cells: int) -> np.ndarray:
     return out
 
 
-def occupancy_grids(cloud: PointCloud, floors: FloorModel,
-                    cfg: SpatialConfig) -> dict[str, OccupancyGrid]:
-    """Free/wall grid per floor.
+def occupancy_grids(cloud: PointCloud, floors: FloorModel) -> dict[str, OccupancyGrid]:
+    """Free/wall grid per floor, in cells of GRID_CELL_M.
 
-    A seen cell is a wall when its points span at least wall_height_m
+    A seen cell is a wall when its points span at least WALL_HEIGHT_M
     vertically, free otherwise. Unseen cells are filled from free neighbors
     for a few iterations (depth coverage has holes behind furniture), the
     rest counts as wall; under-sized free specks are dropped.
@@ -248,7 +262,7 @@ def occupancy_grids(cloud: PointCloud, floors: FloorModel,
     grids: dict[str, OccupancyGrid] = {}
     if cloud.is_empty:
         return grids
-    cell = cfg.grid_cell_m
+    cell = GRID_CELL_M
     pts = cloud.points
     floor_of = floors.indices_of(pts[:, 2])
     for fi, (floor_id, _, _) in enumerate(floors.floors):
@@ -266,16 +280,16 @@ def occupancy_grids(cloud: PointCloud, floors: FloorModel,
         np.minimum.at(zmin, (rows, cols), sub[:, 2])
         np.maximum.at(zmax, (rows, cols), sub[:, 2])
         seen = np.isfinite(zmin)
-        wall = seen & ((zmax - zmin) >= cfg.wall_height_m)
+        wall = seen & ((zmax - zmin) >= WALL_HEIGHT_M)
         free = seen & ~wall
         unseen = ~seen
-        for _ in range(cfg.fill_unknown_iterations):
+        for _ in range(FILL_UNKNOWN_ITERATIONS):
             grow = unseen & (sum(_neighbors(free, False)) >= 4)
             if not grow.any():
                 break
             free = free | grow
             unseen = unseen & ~grow
-        min_cells = max(1, int(round(cfg.min_room_area_m2 / (cell * cell))))
+        min_cells = max(1, int(round(MIN_ROOM_AREA_M2 / (cell * cell))))
         free = _drop_small_components(free, min_cells)
         grids[floor_id] = OccupancyGrid(free=free, origin=(x0, y0), cell_size=cell)
     return grids
@@ -342,24 +356,24 @@ def _pick_seeds(dist: np.ndarray, free: np.ndarray, cell_size: float,
 
 
 def segment_rooms(floors: FloorModel, occupancy: dict[str, OccupancyGrid],
-                  cfg: SpatialConfig | None = None) -> RoomModel:
+                  peak_separation_m: float = ROOM_PEAK_SEPARATION_M,
+                  seed_min_dist_m: float = ROOM_SEED_MIN_DIST_M) -> RoomModel:
     """The floor plan of ``floors``: each floor's free space partitioned
     into rooms.
 
     Distance transform from walls, seeds at its local maxima (suppressed
-    below ``room_peak_separation_m``), then priority-flood watershed: cells
-    are labeled in order of decreasing wall distance, ties in the order
-    they were queued, each taking the label of the already-labeled
-    neighbor that reached it first. Free pockets no seed reaches get their
-    own room so the partition is total, numbered by their deepest cell
-    (distance, then row, then column). Labels are left unset (see
-    :func:`label_rooms`).
+    below ``peak_separation_m`` apart, and below ``seed_min_dist_m`` deep
+    unless nothing deeper exists), then priority-flood watershed: cells are
+    labeled in order of decreasing wall distance, ties in the order they
+    were queued, each taking the label of the already-labeled neighbor that
+    reached it first. Free pockets no seed reaches get their own room so
+    the partition is total, numbered by their deepest cell (distance, then
+    row, then column). Labels are left unset (see :func:`label_rooms`).
 
     The flood runs on flat indices into byte strings, arrays and lists
     padded with one wall cell on every side, so a neighbor never needs a
     bounds check.
     """
-    cfg = cfg or SpatialConfig()
     rooms: dict[str, np.ndarray] = {}
     for floor_id in sorted(occupancy):
         occ = occupancy[floor_id]
@@ -368,8 +382,8 @@ def segment_rooms(floors: FloorModel, occupancy: dict[str, OccupancyGrid],
             rooms[floor_id] = np.full(free.shape, -1, dtype=np.int64)
             continue
         dist = distance_transform(free, occ.cell_size)
-        seeds = _pick_seeds(dist, free, occ.cell_size, cfg.room_peak_separation_m,
-                            cfg.room_seed_min_dist_m)
+        seeds = _pick_seeds(dist, free, occ.cell_size, peak_separation_m,
+                            seed_min_dist_m)
         h, w = free.shape
         wp = w + 2
         open_p = np.pad(free, 1, constant_values=False).tobytes()
@@ -446,32 +460,30 @@ def _heading(pose: Pose) -> float | None:
     return math.atan2(fwd[1], fwd[0])
 
 
-def motion_label(prev: Pose, curr: Pose, cfg: SpatialConfig | None = None) -> str:
+def motion_label(prev: Pose, curr: Pose) -> str:
     """Egocentric motion between consecutive poses.
 
     Precedence: yaw beyond the threshold wins (positive yaw = left turn),
     then forward/backward translation along prev's optical axis, then
     vertical world displacement, else stationary.
     """
-    cfg = cfg or SpatialConfig()
     h_prev = _heading(prev)
     h_curr = _heading(curr)
     if h_prev is not None and h_curr is not None:
         dyaw = math.atan2(math.sin(h_curr - h_prev), math.cos(h_curr - h_prev))
-        if abs(dyaw) > math.radians(cfg.yaw_threshold_deg):
+        if abs(dyaw) > math.radians(YAW_THRESHOLD_DEG):
             return "turn_left" if dyaw > 0 else "turn_right"
     t_rel = prev.rotation.T @ (curr.translation - prev.translation)
-    if abs(t_rel[2]) > cfg.forward_threshold_m:
+    if abs(t_rel[2]) > FORWARD_THRESHOLD_M:
         return "forward" if t_rel[2] > 0 else "backward"
     dz = curr.translation[2] - prev.translation[2]
-    if abs(dz) > cfg.vertical_threshold_m:
+    if abs(dz) > VERTICAL_THRESHOLD_M:
         return "ascend" if dz > 0 else "descend"
     return "stationary"
 
 
 def build_nav_entry(frame, prev, rooms: RoomModel | None,
-                    visible: set[int] | list[int], fov_tag: str,
-                    cfg: SpatialConfig | None = None) -> NavLogEntry:
+                    visible: set[int] | list[int], fov_tag: str) -> NavLogEntry:
     """Assemble one navigation-log entry for a processed keyframe.
 
     ``frame``/``prev`` are keyframes (prev None for the first frame). The
@@ -479,14 +491,13 @@ def build_nav_entry(frame, prev, rooms: RoomModel | None,
     0.5 m. ``fov_tag`` is the frame's field-of-view tag (the build passes
     the one its detect reply carried, or "unavailable").
     """
-    cfg = cfg or SpatialConfig()
     cam = frame.pose.translation
     room_label = "unknown"
     if rooms is not None:
         _, room_id = rooms.locate(float(cam[0]), float(cam[1]), float(cam[2]),
                                   snap_m=0.5)
         room_label = rooms.label_of(room_id)
-    motion = "stationary" if prev is None else motion_label(prev.pose, frame.pose, cfg)
+    motion = "stationary" if prev is None else motion_label(prev.pose, frame.pose)
     return NavLogEntry(frame_id=frame.id, room_label=room_label, fov_tag=fov_tag,
                        motion_label=motion,
                        visible_node_ids=tuple(sorted(set(int(i) for i in visible))))

@@ -168,8 +168,8 @@ def test_criterion_4_patch_semantics(monkeypatch):
             if len(visible) >= 2:
                 patch.new_edges.append(RelationEdge(
                     visible[0], visible[1], "attached_to", "scenario edge", fid))
-            first, rep1 = apply_patch(ssm.copy(), patch, cfg)
-            second, rep2 = apply_patch(first, patch, cfg)
+            first, rep1 = apply_patch(ssm.copy(), patch)
+            second, rep2 = apply_patch(first, patch)
             assert rep2.failure is None, f"scenario {i}: {rep2.failure}"
             assert rep2.created == [], f"scenario {i} created tracks on re-apply"
             assert len(second.graph.tracks) == len(first.graph.tracks)
@@ -190,7 +190,7 @@ def test_criterion_4_patch_semantics(monkeypatch):
 
             with monkeypatch.context() as mp:
                 mp.setattr(apis_module, stage, boom)
-                updated, report = apply_patch(ssm, patch, cfg)
+                updated, report = apply_patch(ssm, patch)
             assert updated is ssm
             assert report.failure is not None, f"trial {trial} did not fail"
             assert serialize(ssm)[0] == before, f"trial {trial} mutated memory"

@@ -98,7 +98,7 @@ class TestFindObjects:
         call = ApiCall("find_objects", fid, f"find the {target.caption}")
         patch = executor.execute(call, ssm)
         before = len(ssm.graph.tracks)
-        updated, report = apply_patch(ssm.copy(), patch, EngineConfig())
+        updated, report = apply_patch(ssm.copy(), patch)
         assert len(updated.graph.tracks) == before
         assert report.created == []
         assert report.merged
@@ -172,7 +172,7 @@ class TestAnalyzeObjects:
                    if t.caption in visible_captions)
         call = ApiCall("analyze_objects", fid, "is it red?", node_ids=(vid,))
         patch = executor.execute(call, ssm)
-        updated, report = apply_patch(ssm.copy(), patch, EngineConfig())
+        updated, report = apply_patch(ssm.copy(), patch)
         notes = updated.scratchpad[vid]
         assert report.notes_added >= 1
         assert notes[-1].evidence_frame == fid
@@ -233,7 +233,7 @@ class TestApplyPatch:
         fid = next(f for f in ssm.frame_ids if f not in ssm.frame_memory)
         patch = Patch(provenance=ApiCall("analyze_frame", fid, "look"))
         before = serialize(ssm)[0]
-        updated, report = apply_patch(ssm, patch, EngineConfig())
+        updated, report = apply_patch(ssm, patch)
         assert serialize(ssm)[0] == before
         assert report.frame_appended
         assert updated.frame_memory.frames == ssm.frame_memory.frames + (fid,)
@@ -246,8 +246,8 @@ class TestApplyPatch:
         _, _, _, executor, ssm = workbench
         fid = ssm.frame_ids[1]
         patch = Patch(provenance=ApiCall("retrieve_frame", fid, ""))
-        once, _ = apply_patch(ssm.copy(), patch, EngineConfig())
-        twice, report = apply_patch(once, patch, EngineConfig())
+        once, _ = apply_patch(ssm.copy(), patch)
+        twice, report = apply_patch(once, patch)
         assert twice.frame_memory.frames == once.frame_memory.frames
         assert report.frame_appended is False
 
@@ -263,9 +263,8 @@ class TestApplyPatch:
         if len(vis) >= 2:
             patch.new_edges.append(RelationEdge(vis[0], vis[1], "attached_to",
                                                 "synthetic test edge", fid))
-        cfg = EngineConfig()
-        first, rep1 = apply_patch(ssm.copy(), patch, cfg)
-        second, rep2 = apply_patch(first, patch, cfg)
+        first, rep1 = apply_patch(ssm.copy(), patch)
+        second, rep2 = apply_patch(first, patch)
         assert rep2.created == []
         assert len(second.graph.tracks) == len(first.graph.tracks)
         assert len(second.graph.edges) == len(first.graph.edges)
@@ -288,18 +287,17 @@ class TestApplyPatch:
         patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         before = len(work.graph.tracks)
-        updated, report = apply_patch(work, patch, EngineConfig())
+        updated, report = apply_patch(work, patch)
         assert len(updated.graph.tracks) == before + len(report.created)
         assert len(report.created) == 1
 
     def test_scratchpad_lists_only_live_nodes_with_notes(self, workbench):
         scene, _, _, executor, ssm = workbench
         current = ssm.copy()
-        cfg = EngineConfig()
         for fid in list(current.frame_ids)[:4]:
             patch = executor.execute(
                 ApiCall("analyze_frame", fid, "describe all objects"), current)
-            current, _ = apply_patch(current, patch, cfg)
+            current, _ = apply_patch(current, patch)
             assert_scratchpad_invariant(current)
         assert current.scratchpad
 
@@ -317,7 +315,7 @@ class TestApplyPatch:
             i for i in e.visible_node_ids if i != drop)) for e in work.nav_log]
         patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
-        updated, report = apply_patch(work, patch, EngineConfig())
+        updated, report = apply_patch(work, patch)
         entry = next(e for e in updated.nav_log if e.frame_id == fid)
         for new_id in report.created:
             assert new_id in entry.visible_node_ids
@@ -339,7 +337,7 @@ class TestApplyPatch:
             i for i in e.visible_node_ids if i != drop)) for e in work.nav_log]
         patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
-        updated, report = apply_patch(work, patch, EngineConfig())
+        updated, report = apply_patch(work, patch)
         assert len(report.created) == 1
         created = updated.graph.tracks[report.created[0]]
         assert created.caption == obj.caption
@@ -352,7 +350,7 @@ class TestApplyPatch:
         _, _, _, _, ssm = workbench
         patch = Patch(provenance=ApiCall("analyze_frame", 987, "x"))
         before = serialize(ssm)[0]
-        updated, report = apply_patch(ssm, patch, EngineConfig())
+        updated, report = apply_patch(ssm, patch)
         assert updated is ssm
         assert report.failure == "frame 987 not in episode"
         assert 987 not in updated.frame_memory
@@ -362,7 +360,7 @@ class TestApplyPatch:
         _, _, _, _, ssm = workbench
         patch = Patch(provenance=ApiCall("analyze_frame", 0, "x"),
                       failure="backend down")
-        updated, report = apply_patch(ssm, patch, EngineConfig())
+        updated, report = apply_patch(ssm, patch)
         assert updated is ssm
         assert report.failure == "backend down"
 
@@ -381,7 +379,7 @@ class TestApplyPatch:
             raise RuntimeError(f"injected failure in {stage}")
 
         monkeypatch.setattr(apis_module, stage, boom)
-        updated, report = apply_patch(ssm, patch, EngineConfig())
+        updated, report = apply_patch(ssm, patch)
         assert updated is ssm
         assert serialize(ssm)[0] == before
         assert "injected failure" in report.failure
@@ -395,7 +393,6 @@ class TestApplyPatch:
         from scenemem.spatial import NavLogEntry
 
         scene, episode, _, executor, _ = workbench
-        cfg = EngineConfig()
         current = SceneMemory.empty(scene.scene_id, 1, episode.frame_ids)
         current.nav_log = [NavLogEntry(f, "unknown", "t", "stationary", ())
                            for f in current.frame_ids]
@@ -403,7 +400,7 @@ class TestApplyPatch:
         for fid in episode.frame_ids:
             patch = executor.execute(
                 ApiCall("analyze_frame", fid, "describe all objects"), current)
-            current, _ = apply_patch(current, patch, cfg)
+            current, _ = apply_patch(current, patch)
         p, r, _, _ = graph_precision_recall(current, scene)
         assert (p, r) == (1.0, 1.0)
         track_count = len(current.graph.tracks)
@@ -411,7 +408,7 @@ class TestApplyPatch:
         for fid in episode.frame_ids:
             patch = executor.execute(
                 ApiCall("analyze_frame", fid, "describe all objects"), current)
-            current, report = apply_patch(current, patch, cfg)
+            current, report = apply_patch(current, patch)
             assert report.created == []
         assert len(current.graph.tracks) == track_count
         assert current.note_count() > notes_before
@@ -445,7 +442,7 @@ class TestApplyPatch:
                         a, b, data.draw(st.sampled_from(labels)), "fuzz", frame))
             if not patch.is_empty and data.draw(st.booleans()):
                 patch.evidence.append((frame, (0, 0, 5, 5)))
-            updated, report = apply_patch(ssm, patch, EngineConfig())
+            updated, report = apply_patch(ssm, patch)
             if report.failure is not None:
                 assert updated is ssm
             else:
@@ -471,7 +468,7 @@ class TestApplyPatch:
         patch = Patch(provenance=ApiCall("analyze_frame", 0, "x"),
                       notes=[PatchNote("pending", 5, "ghost note")],
                       evidence=[(0, (0, 0, 1, 1))])
-        updated, report = apply_patch(ssm, patch, EngineConfig())
+        updated, report = apply_patch(ssm, patch)
         assert updated is ssm
         assert "pending note index" in report.failure
 

@@ -3,11 +3,14 @@ service, exercised end to end on a small synthetic scene."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 import shutil
+import socket
 import urllib.request
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -310,12 +313,21 @@ class TestUnwritableOutput:
         assert err.value.code == f"scenemem: {out}: no directory {out.parent}"
         assert capsys.readouterr().out == ""
 
-    def test_eval_out_is_a_directory(self, workspace, tmp_path):
-        _, scene_dir, _ = workspace
-        with pytest.raises(SystemExit) as err:
-            main(["eval", "--scene", str(scene_dir / "truth.json"), "--m", "0",
+    def test_eval_out_is_a_directory(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:  # the scene does not exist either
+            main(["eval", "--scene", str(tmp_path / "truth.json"), "--m", "0",
                   "--out", str(tmp_path)])
         assert err.value.code == f"scenemem: {tmp_path}: Is a directory"
+        assert capsys.readouterr().out == ""
+
+    def test_ask_transcript_is_a_directory(self, workspace, tmp_path, capsys):
+        _, scene_dir, mem_dir = workspace
+        with pytest.raises(SystemExit) as err:
+            main(["ask", "--ssm", str(mem_dir), "--scripted",
+                  str(scene_dir / "truth.json"), "--question", "q",
+                  "--transcript", str(tmp_path)])
+        assert err.value.code == f"scenemem: {tmp_path}: Is a directory"
+        assert capsys.readouterr().out == ""
 
     def test_build_out_is_a_file(self, workspace, tmp_path):
         _, scene_dir, _ = workspace
@@ -345,6 +357,17 @@ class TestUnwritableOutput:
             main(["serve", "--ssm", str(mem_dir), "--port", port])
         assert err.value.code == 2
         assert "expected a port in 0-65535" in capsys.readouterr().err
+
+    def test_serve_port_in_use_is_one_line(self, workspace, capsys):
+        _, _, mem_dir = workspace
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(SystemExit) as err:
+                main(["serve", "--ssm", str(mem_dir), "--port", str(port)])
+        assert err.value.code == f"scenemem: 127.0.0.1:{port}: Address already in use"
+        assert capsys.readouterr().out == ""
 
 
 class TestInspectCommand:
@@ -462,61 +485,75 @@ class TestServe:
             assert get("/navlog/?a=b#frag") == get("/navlog")
 
 
+# keys an older config file may hold; each one is now a constant
+RETIRED_KEYS = [
+    "association.visual_sim_threshold", "association.caption_sim_threshold",
+    "association.overlap_threshold", "association.overlap_radius_m",
+    "association.min_votes", "association.ema_weight",
+    "geometry.voxel_size_m", "geometry.cluster_eps_m", "geometry.cluster_min_points",
+    "spatial.height_bin_m", "spatial.floor_separation_m",
+    "spatial.room_peak_separation_m", "spatial.room_seed_min_dist_m",
+    "spatial.min_room_area_m2", "spatial.fill_unknown_iterations",
+    "spatial.grid_cell_m", "spatial.wall_height_m", "spatial.yaw_threshold_deg",
+    "spatial.forward_threshold_m", "spatial.vertical_threshold_m",
+    "caption_consolidation_threshold", "edge_discovery_period",
+    "structure_pixel_stride", "structure_voxel_m", "frame_failure_abort_fraction",
+]
+EXAMPLE_CONFIG = Path(__file__).parent.parent / "docs" / "engine.example.cfg"
+
+
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
-        cfg = EngineConfig()
-        cfg.association.min_votes = 3
-        cfg.spatial.grid_cell_m = 0.2
-        cfg.initial_frames = 7
+        cfg = EngineConfig(initial_frames=7, max_api_calls=3, frame_stride=2,
+                           api_mode="node", embedding_dim=16,
+                           room_classes=("kitchen", "living room"))
         path = tmp_path / "engine.cfg"
         path.write_text(dump_config(cfg))
-        loaded = load_config(path)
-        assert loaded.association.min_votes == 3
-        assert loaded.spatial.grid_cell_m == 0.2
-        assert loaded.initial_frames == 7
+        assert load_config(path) == cfg
+
+    def test_fields_are_the_settings_callers_set(self):
+        assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+            "initial_frames", "max_api_calls", "frame_stride", "api_mode",
+            "embedding_dim", "room_classes"]
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "engine.cfg"
-        path.write_text("# tuning\n\nassociation.min_votes = 1  # loose\n")
-        assert load_config(path).association.min_votes == 1
+        path.write_text("# tuning\n\nmax_api_calls = 1  # tight\n")
+        assert load_config(path).max_api_calls == 1
 
     def test_shipped_example_config_loads_as_defaults(self):
-        from pathlib import Path
+        assert load_config(EXAMPLE_CONFIG) == EngineConfig()
 
-        example = Path(__file__).parent.parent / "docs" / "engine.example.cfg"
-        assert load_config(example) == EngineConfig()
+    def test_shipped_example_config_names_each_field_once(self):
+        keys = [line.split("=", 1)[0].strip()
+                for line in EXAMPLE_CONFIG.read_text(encoding="utf-8").splitlines()
+                if line.split("#", 1)[0].strip()]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(EngineConfig))
 
     def test_room_classes_parsed_as_tuple(self, tmp_path):
         path = tmp_path / "engine.cfg"
-        path.write_text("spatial.room_classes = kitchen, lab, atrium\n")
+        path.write_text("room_classes = kitchen, lab, atrium\n")
         loaded = load_config(path)
-        assert loaded.spatial.room_classes == ("kitchen", "lab", "atrium")
+        assert loaded.room_classes == ("kitchen", "lab", "atrium")
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", [*RETIRED_KEYS, "spatial.room_classes",
+                                     "association", "bogus"])
+    def test_unknown_key_fails_at_load_naming_its_line(self, tmp_path, key):
         path = tmp_path / "engine.cfg"
-        path.write_text("association.bogus = 3\n")
-        with pytest.raises(ValueError):
+        path.write_text(f"initial_frames = 3\n{key} = 1\n")
+        with pytest.raises(ValueError) as err:
             load_config(path)
-
-    def test_invalid_value_rejected(self, tmp_path):
-        path = tmp_path / "engine.cfg"
-        path.write_text("association.min_votes = 9\n")
-        with pytest.raises(ValueError):
-            load_config(path)
+        assert str(err.value) == f"{path}:2: unknown key '{key}'"
 
     @pytest.mark.parametrize("line", [
-        "edge_discovery_period = 0",      # was ZeroDivisionError mid-build
-        "spatial.grid_cell_m = 0",        # was a NaN cast mid-build
         "embedding_dim = 0",              # was a failure inside the build
         "initial_frames = 1.5",           # was a ValueError without path:line
-        "structure_pixel_stride = 0",
-        "geometry.voxel_size_m = nan",
-        "geometry.cluster_min_points = 0",
-        "spatial.fill_unknown_iterations = -1",
-        "association.overlap_radius_m = inf",
-        "frame_failure_abort_fraction = 1.5",
-        "spatial.room_classes = ,",       # was a GeometryInputError after the sweep
-        "association = 1",                # was an AttributeError in build and eval
+        "initial_frames = 0",
+        "frame_stride = 0",
+        "max_api_calls = -1",
+        "max_api_calls = nan",
+        "api_mode = graph",
+        "room_classes = ,",               # was a GeometryInputError after the sweep
     ])
     def test_bad_value_fails_at_load_naming_its_line(self, tmp_path, line):
         path = tmp_path / "engine.cfg"

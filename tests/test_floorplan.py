@@ -14,8 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from scenemem import EngineConfig, generate_scene, pipeline, spatial
-from scenemem.config import SpatialConfig
+from scenemem import generate_scene, pipeline, spatial
 from scenemem.geometry import PointCloud
 from scenemem.spatial import (FloorModel, OccupancyGrid, _pick_seeds, detect_floors,
                               distance_transform, segment_rooms)
@@ -26,6 +25,10 @@ _BIG = 1e18
 _NEIGH8 = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
                 if (dr, dc) != (0, 0))
 _NEIGH4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
+# (peak separation, seed minimum depth) of the engine's watershed, and a
+# tighter pair
+_SEEDING = (spatial.ROOM_PEAK_SEPARATION_M, spatial.ROOM_SEED_MIN_DIST_M)
+_TIGHT_SEEDING = (0.5, 0.2)
 
 
 def reference_edt_1d(f: np.ndarray) -> np.ndarray:
@@ -94,15 +97,14 @@ def reference_pick_seeds(dist, free, cell_size, separation, min_dist):
 
 
 def reference_watershed(free: np.ndarray, cell_size: float,
-                        cfg: SpatialConfig) -> tuple[np.ndarray, int]:
+                        seeding: tuple[float, float]) -> tuple[np.ndarray, int]:
     """Room ids of one floor, and the number of isolated pockets seeded."""
     free = np.asarray(free, dtype=bool)
     room_ids = np.full(free.shape, -1, dtype=np.int64)
     if not np.any(free):
         return room_ids, 0
     dist = reference_distance_transform(free, cell_size)
-    seeds = reference_pick_seeds(dist, free, cell_size, cfg.room_peak_separation_m,
-                                 cfg.room_seed_min_dist_m)
+    seeds = reference_pick_seeds(dist, free, cell_size, *seeding)
     counter = 0
     heap = []
     for label, (r, c) in enumerate(seeds):
@@ -203,21 +205,19 @@ def _test_grids():
 
 
 def _assert_floor_plan_matches(free: np.ndarray, cell_size: float,
-                               cfg: SpatialConfig) -> int:
+                               seeding: tuple[float, float] = _SEEDING) -> int:
     """Every kernel equals its reference on one grid; returns the number of
     isolated pockets the watershed had to seed."""
     dist = distance_transform(free, cell_size)
     expected_dist = reference_distance_transform(free, cell_size)
     assert np.array_equal(dist, expected_dist)
     if np.any(free):
-        assert _pick_seeds(dist, free, cell_size, cfg.room_peak_separation_m,
-                           cfg.room_seed_min_dist_m) == reference_pick_seeds(
-            expected_dist, free, cell_size, cfg.room_peak_separation_m,
-            cfg.room_seed_min_dist_m)
+        assert _pick_seeds(dist, free, cell_size, *seeding) == reference_pick_seeds(
+            expected_dist, free, cell_size, *seeding)
     occ = OccupancyGrid(free=free, origin=(0.0, 0.0), cell_size=cell_size)
     room_ids = segment_rooms(FloorModel((("floor0", 0.0, 3.0),)), {"floor0": occ},
-                             cfg).rooms["floor0"]
-    expected_ids, pockets = reference_watershed(free, cell_size, cfg)
+                             *seeding).rooms["floor0"]
+    expected_ids, pockets = reference_watershed(free, cell_size, seeding)
     assert room_ids.dtype == expected_ids.dtype
     assert np.array_equal(room_ids, expected_ids)
     return pockets
@@ -244,11 +244,8 @@ class TestKernelsMatchReference:
     def test_floor_plan_on_random_and_degenerate_grids(self):
         pockets = 0
         for i, free in enumerate(_test_grids()):
-            cfg = SpatialConfig()
-            if i % 2:
-                cfg.room_peak_separation_m = 0.5
-                cfg.room_seed_min_dist_m = 0.2
-            pockets += _assert_floor_plan_matches(free, (0.1, 0.25)[i % 3 == 0], cfg)
+            pockets += _assert_floor_plan_matches(free, (0.1, 0.25)[i % 3 == 0],
+                                                  (_SEEDING, _TIGHT_SEEDING)[i % 2])
         assert pockets > 0  # the isolated-pocket fallback ran
 
     def test_drop_small_components_on_random_and_degenerate_grids(self):
@@ -266,11 +263,8 @@ def built_occupancy(small_scene):
     speckle pruning saw on the way."""
     out = []
     for scene in (small_scene, generate_scene(8, 3, seed=1000)):
-        cfg = EngineConfig()
         episode = scene.episode()
-        heights = [float(f.pose.translation[2]) for f in episode.frames]
-        floors = detect_floors(heights, cfg.spatial.height_bin_m,
-                               cfg.spatial.floor_separation_m)
+        floors = detect_floors([float(f.pose.translation[2]) for f in episode.frames])
         pruned = []
         real = spatial._drop_small_components
 
@@ -280,24 +274,23 @@ def built_occupancy(small_scene):
 
         spatial._drop_small_components = spy
         try:
-            grids = spatial.occupancy_grids(
-                pipeline._structure_cloud(episode, cfg), floors, cfg.spatial)
+            grids = spatial.occupancy_grids(pipeline._structure_cloud(episode), floors)
         finally:
             spatial._drop_small_components = real
-        out.append((cfg, grids, pruned))
+        out.append((grids, pruned))
     return out
 
 
 class TestBuiltGridsMatchReference:
     def test_floor_plan(self, built_occupancy):
-        for cfg, grids, _ in built_occupancy:
+        for grids, _ in built_occupancy:
             assert grids
             for occ in grids.values():
                 assert occ.free.sum() > 100
-                _assert_floor_plan_matches(occ.free, occ.cell_size, cfg.spatial)
+                _assert_floor_plan_matches(occ.free, occ.cell_size)
 
     def test_drop_small_components(self, built_occupancy):
-        for _, grids, pruned in built_occupancy:
+        for grids, pruned in built_occupancy:
             assert len(pruned) == len(grids)
             for (free, min_cells), occ in zip(pruned, grids.values()):
                 expected = reference_drop_small_components(free, min_cells)
@@ -327,14 +320,13 @@ class TestFloorAssignment:
                             [2.5, 2.5, np.nextafter(2.5, 0), np.nextafter(2.5, 9)]])
         pts = np.column_stack([g.uniform(0.0, 4.0, z.size),
                                g.uniform(0.0, 3.0, z.size), z])
-        cfg = EngineConfig()
-        grids = spatial.occupancy_grids(PointCloud(pts), floors, cfg.spatial)
+        grids = spatial.occupancy_grids(PointCloud(pts), floors)
         per_point = np.array([floors.floor_of(float(h)) for h in z])
         assert set(grids) == {"floor0", "floor1"}
         for floor_id, lo, hi in floors.floors:
             sub = pts[per_point == floor_id]
             alone = spatial.occupancy_grids(
-                PointCloud(sub), FloorModel(((floor_id, lo, hi),)), cfg.spatial)[floor_id]
+                PointCloud(sub), FloorModel(((floor_id, lo, hi),)))[floor_id]
             assert grids[floor_id].origin == alone.origin
             assert np.array_equal(grids[floor_id].free, alone.free)
         assert (per_point == "floor1").sum() > 0 and (per_point == "floor0").sum() > 0

@@ -799,8 +799,8 @@ class TestPersistence:
                                cfg)
         for fid in episode.frame_ids:
             call = ApiCall("analyze_frame", fid, "describe all objects")
-            here, _ = apply_patch(ssm, executor.execute(call, ssm), cfg)
-            there, _ = apply_patch(loaded, executor.execute(call, loaded), cfg)
+            here, _ = apply_patch(ssm, executor.execute(call, ssm))
+            there, _ = apply_patch(loaded, executor.execute(call, loaded))
             assert serialize(there)[0] == serialize(here)[0], f"frame {fid}"
 
     def test_older_binary_format_rejected(self, tmp_path):

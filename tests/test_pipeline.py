@@ -163,11 +163,10 @@ class TestBuildSsm:
 
         scene = generate_scene(1, 2, seed=34)
         backend = VaryingCaptions(scene)
-        cfg = EngineConfig()
-        ssm = build_ssm(scene.episode(), backend, cfg)
+        ssm = build_ssm(scene.episode(), backend, EngineConfig())
         assert backend.call_counts["consolidate"] >= 1
         for track in ssm.graph.tracks.values():
-            assert len(track.caption_history) < cfg.caption_consolidation_threshold
+            assert len(track.caption_history) < 5  # consolidate_captions' threshold
 
     def test_edge_discovery_every_third_frame(self):
         """The detect request asks for relations on every third frame, and
