@@ -11,7 +11,7 @@ from .apis import ApiCall, ApiExecutor, Patch, PatchReport, apply_patch
 from .backend import (Backend, BackendError, BackendRequest, HttpBackend,
                       RecordingBackend, ReplayBackend, SchemaError,
                       TransportError, validate_response)
-from .config import AssociationConfig, EngineConfig, load_config
+from .config import EngineConfig, load_config
 from .dataset import Episode, Keyframe, load_dataset
 from .geometry import (CameraIntrinsics, DepthMap, PixelMask, PointCloud, Pose,
                        backproject, geometric_overlap, largest_cluster,

@@ -40,23 +40,21 @@ from dataclasses import dataclass, field, replace
 # reason actions into ApiCall; they stay importable from here.
 from .backend import (API_ACTION_KINDS as API_KINDS, ApiCall, ApiError, Backend,
                       BackendError, BackendRequest, WireObject)
-from .config import AssociationConfig, EngineConfig
+from .config import EngineConfig
 from .dataset import DatasetError, Episode, Keyframe
 from .geometry import (PixelMask, backproject, largest_cluster, project,
                        voxel_downsample)
-from .graph import (CloudSummary, Detection, Embedding, RelationEdge, Track,
-                    associate, caption_embedding, hash_embedding, merge_detection)
+from .graph import (VOXEL_SIZE_M, CloudSummary, Detection, Embedding, RelationEdge,
+                    Track, associate, caption_embedding, hash_embedding,
+                    merge_detection)
 from .memory import SceneMemory, append_frame
 
 logger = logging.getLogger(__name__)
 
-# a detection's cloud: voxel size (also of merged track clouds) and the
-# DBSCAN radius and core size of its densest cluster
-VOXEL_SIZE_M = 0.02
+# a detection's cloud: the DBSCAN radius and core size of its densest
+# cluster (its voxel size is graph.VOXEL_SIZE_M, that of track clouds)
 CLUSTER_EPS_M = 0.5
 CLUSTER_MIN_POINTS = 5
-# the association vote every detection goes through
-ASSOCIATION = AssociationConfig()
 
 
 @dataclass(frozen=True)
@@ -272,7 +270,7 @@ def _associate_detections(work: SceneMemory,
     of the created tracks. Construction and patches both integrate
     detections here."""
     tracks = [work.graph.tracks[tid] for tid in sorted(work.graph.tracks)]
-    matching = associate(detections, tracks, ASSOCIATION)
+    matching = associate(detections, tracks)
     landing: list[int] = []
     created: list[int] = []
     for di, det in enumerate(detections):
@@ -285,8 +283,7 @@ def _associate_detections(work: SceneMemory,
                 caption_history=(det.caption,), visible_frames=(det.frame_id,))))
             created.append(target)
         else:
-            work.graph.replace_track(merge_detection(
-                work.graph.tracks[target], det, ASSOCIATION, VOXEL_SIZE_M))
+            work.graph.replace_track(merge_detection(work.graph.tracks[target], det))
         landing.append(target)
     return landing, created
 
@@ -328,7 +325,7 @@ def apply_patch(ssm: SceneMemory, patch: Patch) -> tuple[SceneMemory, PatchRepor
     """Integrate a patch atomically.
 
     In order: (1) detections associate against current tracks (merge at
-    >= min_votes votes, else new track),
+    >= graph.MIN_VOTES votes, else new track),
     (2) edges validated and inserted, (3) notes resolved and appended,
     (4) the patched frame enters frame memory, (5) the frame's nav-log
     entry gains the landed node ids. Either every effect lands or — on any

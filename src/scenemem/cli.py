@@ -66,13 +66,12 @@ def _port(text: str) -> int:
     return int(text)
 
 
-def _backend(args, cfg: EngineConfig, scene: SyntheticScene | None) -> Backend:
+def _backend(args, scene: SyntheticScene | None) -> Backend:
     if args.backend_url:
         return HttpBackend(args.backend_url)
     if scene is not None:
-        return ScriptedBackend(scene, reasoner=RuleReasoner(),
-                               embedding_dim=cfg.embedding_dim)
-    raise SystemExit("need --backend-url or --scripted <truth.json>")
+        return ScriptedBackend(scene, reasoner=RuleReasoner())
+    raise SystemExit("scenemem: need --backend-url or --scripted <truth.json>")
 
 
 def cmd_synth(args) -> int:
@@ -109,6 +108,8 @@ def cmd_synth(args) -> int:
 def cmd_build(args) -> int:
     if Path(args.out).exists() and not Path(args.out).is_dir():
         raise SystemExit(f"scenemem: {args.out}: exists and is not a directory")
+    if args.k is not None and not args.dataset:  # a scripted scene keeps every frame
+        raise SystemExit("scenemem: --k needs --dataset, whose frames it strides")
     cfg = _engine_config(args)
     scene = SyntheticScene.load(args.scripted) if args.scripted else None
     if args.dataset:
@@ -117,8 +118,8 @@ def cmd_build(args) -> int:
     elif scene is not None:
         episode = scene.episode()
     else:
-        raise SystemExit("need --dataset <manifest> or --scripted <truth.json>")
-    backend = _backend(args, cfg, scene)
+        raise SystemExit("scenemem: need --dataset <manifest> or --scripted <truth.json>")
+    backend = _backend(args, scene)
     ssm = build_ssm(episode, backend, cfg)
     save_dir(ssm, args.out)
     if ssm.rooms is not None:  # occupancy dumps for floor-plan debugging
@@ -139,8 +140,8 @@ def cmd_ask(args) -> int:
     elif scene is not None:
         episode = scene.episode()
     else:
-        raise SystemExit("need --dataset or --scripted to resolve frames")
-    backend = _backend(args, cfg, scene)
+        raise SystemExit("scenemem: need --dataset or --scripted to resolve frames")
+    backend = _backend(args, scene)
     query = EpisodeQuery(question=args.question, max_calls=cfg.max_api_calls,
                          scene_id=ssm.scene_id)
     result = answer(query, ssm, episode, backend, cfg)
@@ -165,8 +166,7 @@ def cmd_eval(args) -> int:
     questions = (load_questions(args.questions) if args.questions
                  else generate_questions(scene))
     backend = ScriptedBackend(scene, reasoner=RuleReasoner(), seed=args.seed,
-                              miss_prob=args.miss_prob,
-                              embedding_dim=cfg.embedding_dim)
+                              miss_prob=args.miss_prob)
     report = evaluate(scene, questions, backend, cfg)
     text = json.dumps(report.to_doc(), indent=2, sort_keys=True)
     if args.out:

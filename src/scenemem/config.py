@@ -4,9 +4,7 @@
 EngineConfig holds the paper's settings (keyframe stride k, initial image
 count n_img, call budget m, API mode) and the two that depend on the model
 behind the backend (embedding size, room classes). Every other threshold
-is a named constant next to its one reader. AssociationConfig is the
-parameter of the association vote (graph.associate), which the engine
-always runs with its defaults.
+is a named constant next to its one reader.
 """
 
 from __future__ import annotations
@@ -21,8 +19,7 @@ DEFAULT_ROOM_CLASSES = (
     "hallway", "office", "dining room", "unknown",
 )
 
-_RULES = {"positive": lambda v: v > 0, "non-negative": lambda v: v >= 0,
-          ">= 1": lambda v: v >= 1, "in [0, 1]": lambda v: 0 <= v <= 1}
+_RULES = {"non-negative": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
 
 
 def _check(cfg, rule: str, *names: str) -> None:
@@ -32,31 +29,6 @@ def _check(cfg, rule: str, *names: str) -> None:
         value = getattr(cfg, name)
         if not (math.isfinite(value) and _RULES[rule](value)):
             raise ValueError(f"{name} must be {rule}, got {value!r}")
-
-
-@dataclass
-class AssociationConfig:
-    """Thresholds for the three-way detection-to-track vote.
-
-    A detection casts one vote per indicator: visual cosine above
-    ``visual_sim_threshold``, caption cosine above ``caption_sim_threshold``
-    and point overlap fraction above ``overlap_threshold`` (all strict).
-    ``min_votes`` accepted votes merge the detection into the track.
-    """
-
-    visual_sim_threshold: float = 0.7
-    caption_sim_threshold: float = 0.8
-    overlap_threshold: float = 0.4
-    overlap_radius_m: float = 0.05
-    min_votes: int = 2
-    ema_weight: float = 0.5
-
-    def __post_init__(self):
-        _check(self, "in [0, 1]", "visual_sim_threshold", "caption_sim_threshold",
-               "overlap_threshold", "ema_weight")
-        _check(self, "positive", "ema_weight", "overlap_radius_m")
-        if self.min_votes not in (1, 2, 3):
-            raise ValueError("min_votes must be 1, 2 or 3")
 
 
 @dataclass

@@ -5,7 +5,9 @@ caption embeddings, a caption history, optional room/floor assignment and
 the list of keyframes it was seen in. New detections join existing tracks
 through a three-indicator vote (visual similarity, caption similarity,
 point overlap); merges pool embeddings with an exponential moving average
-and re-downsample the unioned cloud.
+and re-downsample the unioned cloud. The vote's thresholds, the merge's
+weight and voxel size, the consolidation length and the relation period
+are module constants below, each next to its reader.
 
 Tracks and edges are immutable values: a merge, a consolidation or a room
 assignment replaces a track, never edits it. The graph's containers are
@@ -25,12 +27,27 @@ import numpy as np
 # RELATION_LABELS lives with the wire protocol, which validates relation
 # responses against it; it stays importable from here.
 from .backend import RELATION_LABELS, BackendError, BackendRequest
-from .config import AssociationConfig
 from .geometry import PointCloud, geometric_overlap, voxel_downsample
 
 logger = logging.getLogger(__name__)
 
 UNIT_NORM_TOL = 1e-6
+
+# the association vote (associate): a detection casts one vote per strict
+# indicator, and MIN_VOTES of them merge it into a track
+VISUAL_SIM_THRESHOLD = 0.7
+CAPTION_SIM_THRESHOLD = 0.8
+OVERLAP_THRESHOLD = 0.4
+OVERLAP_RADIUS_M = 0.05
+MIN_VOTES = 2
+# merges (merge_detection): EMA weight of the new embedding, and the voxel
+# size of detection and track clouds
+EMA_WEIGHT = 0.5
+VOXEL_SIZE_M = 0.02
+# history length that consolidates (consolidate_captions), and the keyframe
+# period of relation discovery (edge_discovery_due)
+CAPTION_CONSOLIDATION_THRESHOLD = 5
+EDGE_DISCOVERY_PERIOD = 3
 
 
 class GraphError(ValueError):
@@ -190,36 +207,36 @@ class RelationEdge:
         return (self.subject_id, self.object_id, self.relation)
 
 
-def _embedding_votes(d: Detection, t: Track, cfg: AssociationConfig) -> int:
+def _embedding_votes(d: Detection, t: Track) -> int:
     """Visual and caption votes for a detection/track pair, each by strict
     inequality against its threshold. A track without embeddings
     (geometry-light) contributes none."""
     votes = 0
-    if t.visual is not None and cosine(d.visual, t.visual) > cfg.visual_sim_threshold:
+    if t.visual is not None and cosine(d.visual, t.visual) > VISUAL_SIM_THRESHOLD:
         votes += 1
-    if t.language is not None and cosine(d.language, t.language) > cfg.caption_sim_threshold:
+    if t.language is not None and cosine(d.language, t.language) > CAPTION_SIM_THRESHOLD:
         votes += 1
     return votes
 
 
-def _overlap(d: Detection, t: Track, cfg: AssociationConfig) -> float:
+def _overlap(d: Detection, t: Track) -> float:
     """Overlap fraction of the detection cloud against the track cloud; 0
     for a geometry-light track or an empty detection cloud."""
     if t.cloud is None or d.cloud.is_empty:
         return 0.0
-    return geometric_overlap(d.cloud, t.cloud, cfg.overlap_radius_m)
+    return geometric_overlap(d.cloud, t.cloud, OVERLAP_RADIUS_M)
 
 
-def vote_score(d: Detection, t: Track, cfg: AssociationConfig) -> int:
+def vote_score(d: Detection, t: Track) -> int:
     """Number of accepted indicators in {0..3} for matching d to t."""
-    return _embedding_votes(d, t, cfg) + int(_overlap(d, t, cfg) > cfg.overlap_threshold)
+    return _embedding_votes(d, t) + int(_overlap(d, t) > OVERLAP_THRESHOLD)
 
 
-def associate(detections: list[Detection], tracks: list[Track],
-              cfg: AssociationConfig) -> dict[int, int | None]:
+def associate(detections: list[Detection],
+              tracks: list[Track]) -> dict[int, int | None]:
     """One-to-one greedy matching of a frame's detections to tracks.
 
-    Candidate pairs with at least ``min_votes`` votes are taken greedily in
+    Candidate pairs with at least MIN_VOTES votes are taken greedily in
     descending (votes, overlap) order, breaking ties by lower track id and
     then detection order. Each track absorbs at most one detection per
     frame. Unmatched detections map to None (start a new track).
@@ -229,12 +246,12 @@ def associate(detections: list[Detection], tracks: list[Track],
         for t in tracks:
             # the geometric indicator adds at most one vote: pairs whose
             # embedding votes already fall short skip the overlap entirely
-            emb_votes = _embedding_votes(det, t, cfg)
-            if emb_votes + 1 < cfg.min_votes:
+            emb_votes = _embedding_votes(det, t)
+            if emb_votes + 1 < MIN_VOTES:
                 continue
-            overlap = _overlap(det, t, cfg)
-            votes = emb_votes + int(overlap > cfg.overlap_threshold)
-            if votes >= cfg.min_votes:
+            overlap = _overlap(det, t)
+            votes = emb_votes + int(overlap > OVERLAP_THRESHOLD)
+            if votes >= MIN_VOTES:
                 candidates.append((votes, overlap, t.id, di))
     candidates.sort(key=lambda c: (-c[0], -c[1], c[2], c[3]))
     out: dict[int, int | None] = {di: None for di in range(len(detections))}
@@ -249,16 +266,15 @@ def associate(detections: list[Detection], tracks: list[Track],
     return out
 
 
-def merge_detection(t: Track, d: Detection, cfg: AssociationConfig,
-                    voxel_size: float = 0.02) -> Track:
+def merge_detection(t: Track, d: Detection) -> Track:
     """Fold a matched detection into its track.
 
     Embeddings are pooled as normalize(alpha * d + (1 - alpha) * t) with
-    alpha = ``ema_weight``; clouds are unioned and re-downsampled so the
+    alpha = EMA_WEIGHT; clouds are unioned and re-downsampled so the
     per-track cloud stays bounded; the detection caption and frame id are
     appended (frame ids keep ordered-set semantics).
     """
-    a = cfg.ema_weight
+    a = EMA_WEIGHT
 
     def pool(new: Embedding, old: Embedding | None) -> Embedding:
         if old is None:
@@ -269,7 +285,7 @@ def merge_detection(t: Track, d: Detection, cfg: AssociationConfig,
 
     cloud = d.cloud if t.cloud is None else t.cloud.union(d.cloud)
     if not cloud.is_empty:
-        cloud = voxel_downsample(cloud, voxel_size)
+        cloud = voxel_downsample(cloud, VOXEL_SIZE_M)
     visible = t.visible_frames
     if d.frame_id not in visible:
         visible += (d.frame_id,)
@@ -346,23 +362,25 @@ class SceneGraph:
         return len(self.tracks)
 
 
-def edge_discovery_due(frame_index: int, period: int = 3) -> bool:
-    """True on processed-frame ordinals 0, period, 2*period, ..."""
+def edge_discovery_due(frame_index: int) -> bool:
+    """True on processed-frame ordinals 0, EDGE_DISCOVERY_PERIOD, twice
+    that, ..."""
     if frame_index < 0:
         raise GraphError("frame_index must be >= 0")
-    return frame_index % period == 0
+    return frame_index % EDGE_DISCOVERY_PERIOD == 0
 
 
-def consolidate_captions(t: Track, backend, threshold: int = 5) -> Track:
+def consolidate_captions(t: Track, backend) -> Track:
     """Compress an accumulated caption history into a single sentence.
 
-    Below ``threshold`` entries this is a no-op. A history of one repeated
-    caption compresses to that caption without a request. Otherwise the
-    backend's consolidate call supplies the sentence. Either way the
-    sentence becomes the track caption and the sole history entry. On
-    backend failure the track is returned unchanged and the failure logged.
+    Below CAPTION_CONSOLIDATION_THRESHOLD entries this is a no-op. A
+    history of one repeated caption compresses to that caption without a
+    request. Otherwise the backend's consolidate call supplies the
+    sentence. Either way the sentence becomes the track caption and the
+    sole history entry. On backend failure the track is returned unchanged
+    and the failure logged.
     """
-    if len(t.caption_history) < threshold:
+    if len(t.caption_history) < CAPTION_CONSOLIDATION_THRESHOLD:
         return t
     if len(set(t.caption_history)) == 1:
         caption = t.caption_history[0]

@@ -620,15 +620,16 @@ def _read_track(blob: bytes, offset: int) -> tuple[tuple, int]:
             Embedding.from_unit(language, "language") if ldim else None), offset
 
 
-def _unpack(path: Path, name: str, magic: bytes, digest: bytes, read_record) -> list:
-    """The records of side-car ``name`` in directory ``path``: a header of
-    ``magic``, the sha256 ``digest`` of the ssm.json bytes and a record
-    count, then ``read_record(blob, offset) -> (record, next offset)`` per
-    record, ending exactly at the last byte. A missing file, another magic
-    or digest, truncation, trailing bytes or a record the engine refuses
-    raise ParseError naming the file."""
+def _unpack(path: Path, magic: bytes, digest: bytes, read_record) -> list:
+    """The records of side-car file ``path``: a header of ``magic``, the
+    sha256 ``digest`` of the ssm.json bytes and a record count, then
+    ``read_record(blob, offset) -> (record, next offset)`` per record,
+    ending exactly at the last byte. A missing file, another magic or
+    digest, truncation, trailing bytes or a record the engine refuses raise
+    ParseError naming the file."""
+    name = str(path)
     try:
-        blob = (path / name).read_bytes()
+        blob = path.read_bytes()
     except FileNotFoundError:
         raise ParseError(name, "missing; save_dir writes it next to ssm.json") from None
     if blob[:8] != magic:
@@ -669,21 +670,23 @@ def load_dir(path: str | Path) -> SceneMemory:
     are required: without its clouds and embeddings a memory would not
     merge detections as the saved one does. tracks.bin must be written for
     these exact ssm.json bytes, checked before they are decoded, and hold
-    one record per track, in id order."""
+    one record per track, in id order. A refused file is named with its
+    directory."""
     path = Path(path)
+    side_car = path / "tracks.bin"
     try:
         text = (path / "ssm.json").read_bytes()
     except FileNotFoundError:
-        raise ParseError("ssm.json", "missing") from None
-    records = _unpack(path, "tracks.bin", _TRACKS_MAGIC, hashlib.sha256(text).digest(),
-                      _read_track)
+        raise ParseError(str(path / "ssm.json"), "missing") from None
+    records = _unpack(side_car, _TRACKS_MAGIC, hashlib.sha256(text).digest(), _read_track)
     ssm = deserialize(text.decode("utf-8"))
     tracks = ssm.graph.tracks
     if len(records) != len(tracks):
-        raise ParseError("tracks.bin", f"{len(records)} records for {len(tracks)} tracks")
+        raise ParseError(str(side_car), f"{len(records)} records for {len(tracks)} tracks")
     for tid, (rid, cloud, visual, language) in zip(sorted(tracks), records):
         if rid != tid:
-            raise ParseError("tracks.bin", f"record for track {rid} where {tid} was expected")
+            raise ParseError(str(side_car),
+                             f"record for track {rid} where {tid} was expected")
         tracks[tid] = replace(tracks[tid], cloud=cloud, visual=visual, language=language,
                               summary=tracks[tid].summary if cloud is None else None)
     return ssm

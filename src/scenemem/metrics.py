@@ -37,13 +37,12 @@ def normalize_answer(text: str) -> str:
     return s
 
 
-def match_tracks(ssm: SceneMemory, scene: SyntheticScene,
-                 max_dist: float = TRACK_MATCH_MAX_DIST_M) -> dict[int, int]:
+def match_tracks(ssm: SceneMemory, scene: SyntheticScene) -> dict[int, int]:
     """Greedy one-to-one track -> ground-truth-object matching.
 
     A pair qualifies when captions agree and the track's cloud centroid
-    (when it has one) lies within ``max_dist`` of the object box center.
-    Returns {track id: object index}.
+    (when it has one) lies within TRACK_MATCH_MAX_DIST_M of the object box
+    center. Returns {track id: object index}.
     """
     candidates: list[tuple[float, int, int]] = []
     for tid in sorted(ssm.graph.tracks):
@@ -53,11 +52,11 @@ def match_tracks(ssm: SceneMemory, scene: SyntheticScene,
             if track.caption != obj.caption:
                 continue
             if summary is None:
-                dist = max_dist  # caption-only match, worst rank
+                dist = TRACK_MATCH_MAX_DIST_M  # caption-only match, worst rank
             else:
                 dist = float(np.linalg.norm(np.asarray(summary.centroid)
                                             - obj.box.center()))
-            if dist <= max_dist:
+            if dist <= TRACK_MATCH_MAX_DIST_M:
                 candidates.append((dist, tid, obj.index))
     candidates.sort(key=lambda c: (c[0], c[1], c[2]))
     matched: dict[int, int] = {}

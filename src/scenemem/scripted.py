@@ -32,6 +32,7 @@ import re
 import numpy as np
 
 from .backend import Backend, BackendRequest, TransportError
+from .config import EngineConfig
 from .graph import caption_embedding, hash_embedding
 from .memory import table_records
 from .synth import GtDetection, SyntheticScene
@@ -78,18 +79,19 @@ class ScriptedBackend(Backend):
     miss_prob drops each would-be detection independently; it defaults to
     0 = perfect oracle. All randomness comes from one seeded generator, so a
     fixed request sequence is fully reproducible. A miss_prob outside
-    [0, 1] (NaN included) or a negative seed raises ValueError.
+    [0, 1] (NaN included) or a negative seed raises ValueError. Embedding
+    vectors take the length the request asks for (``embedding_dim``), or
+    EngineConfig's default when it asks for none.
     """
 
     def __init__(self, scene: SyntheticScene, reasoner=None, *,
-                 miss_prob: float = 0.0, seed: int = 0,
-                 embedding_dim: int = 64):
+                 miss_prob: float = 0.0, seed: int = 0):
         check_noise(miss_prob, seed)
         super().__init__()
         self.scene = scene
         self.reasoner = reasoner
         self.miss_prob = miss_prob
-        self.embedding_dim = embedding_dim
+        self.embedding_dim = EngineConfig.embedding_dim
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self._fail_plan: dict[str, list[str]] = {}
 
@@ -194,6 +196,7 @@ class ScriptedBackend(Backend):
     # -- protocol ------------------------------------------------------------
 
     def raw_call(self, request: BackendRequest) -> dict:
+        self.embedding_dim = request.embedding_dim or EngineConfig.embedding_dim
         plan = self._fail_plan.get(request.kind)
         if plan and plan[0] != "item":
             mode = plan.pop(0)

@@ -166,33 +166,30 @@ class NavLogEntry:
             raise GeometryInputError(f"unknown motion label '{self.motion_label}'")
 
 
-def detect_floors(camera_heights: list[float], bin_size: float = HEIGHT_BIN_M,
-                  separation: float = FLOOR_SEPARATION_M) -> FloorModel:
+def detect_floors(camera_heights: list[float]) -> FloorModel:
     """Find floors as height-histogram modes.
 
-    Bins of ``bin_size`` are scanned for local maxima; maxima closer than
-    ``separation`` to an already accepted (taller) mode are suppressed.
+    Bins of HEIGHT_BIN_M are scanned for local maxima; maxima closer than
+    FLOOR_SEPARATION_M to an already accepted (taller) mode are suppressed.
     Floor boundaries sit midway between adjacent modes; the first and last
     floors extend to the extreme observed heights.
     """
     heights = np.asarray(list(camera_heights), dtype=np.float64)
     if heights.size == 0:
         raise GeometryInputError("camera_heights must be nonempty")
-    if bin_size <= 0:
-        raise GeometryInputError("bin size must be positive")
     lo = float(heights.min())
     hi = float(heights.max())
-    nbins = max(1, int(math.floor((hi - lo) / bin_size)) + 1)
-    idx = np.minimum(((heights - lo) / bin_size).astype(np.int64), nbins - 1)
+    nbins = max(1, int(math.floor((hi - lo) / HEIGHT_BIN_M)) + 1)
+    idx = np.minimum(((heights - lo) / HEIGHT_BIN_M).astype(np.int64), nbins - 1)
     counts = np.bincount(idx, minlength=nbins)
-    centers = lo + (np.arange(nbins) + 0.5) * bin_size
+    centers = lo + (np.arange(nbins) + 0.5) * HEIGHT_BIN_M
     order = sorted(range(nbins), key=lambda b: (-counts[b], b))
     modes: list[float] = []
     for b in order:
         if counts[b] == 0:
             break
         center = float(centers[b])
-        if all(abs(center - m) >= separation for m in modes):
+        if all(abs(center - m) >= FLOOR_SEPARATION_M for m in modes):
             modes.append(center)
     modes.sort()
     if len(modes) <= 1:

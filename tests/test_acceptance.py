@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 
 import scenemem.apis as apis_module
+import scenemem.graph as graph_module
 from scenemem import (ApiCall, ApiExecutor, CameraIntrinsics, DepthMap,
                       EngineConfig, EpisodeQuery, PixelMask, PointCloud,
                       RelationEdge, SceneMemory, ScriptedBackend, answer,
@@ -35,7 +36,6 @@ from scenemem import (ApiCall, ApiExecutor, CameraIntrinsics, DepthMap,
                       run_episode_batch, serialize, validate_evidence,
                       vote_score, voxel_downsample)
 from scenemem.backend import REQUEST_KINDS
-from scenemem.config import AssociationConfig
 from scenemem.geometry import project
 from scenemem.metrics import graph_precision_recall, recall_sweep, track_recall
 from scenemem.scripted import RuleReasoner, ScriptReasoner
@@ -81,18 +81,17 @@ def test_criterion_1_oracle_reconstruction():
 
 def test_criterion_2_association_equivalence():
     with criterion(2, "association equivalence"):
-        cfg = AssociationConfig()  # thresholds 0.7 / 0.8 / 0.4
-        assert (cfg.visual_sim_threshold, cfg.caption_sim_threshold,
-                cfg.overlap_threshold) == (0.7, 0.8, 0.4)
+        assert (graph_module.VISUAL_SIM_THRESHOLD, graph_module.CAPTION_SIM_THRESHOLD,
+                graph_module.OVERLAP_THRESHOLD) == (0.7, 0.8, 0.4)
         for instance in range(1000):
             g = rng(50_000 + instance)
             dets, tracks = random_instance(instance, int(g.integers(0, 7)),
                                            int(g.integers(0, 7)))
-            assert associate(dets, tracks, cfg) \
-                == reference_associate(dets, tracks, cfg), f"instance {instance}"
+            assert associate(dets, tracks) \
+                == reference_associate(dets, tracks), f"instance {instance}"
             for d in dets:
                 for t in tracks:
-                    assert vote_score(d, t, cfg) == reference_vote(d, t, cfg)[0]
+                    assert vote_score(d, t) == reference_vote(d, t)[0]
 
 
 def test_criterion_3_geometry_oracles():

@@ -4,6 +4,7 @@ service, exercised end to end on a small synthetic scene."""
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 import re
 import shutil
@@ -14,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from scenemem import ScriptedBackend, deserialize, load_dir
+import scenemem
+from scenemem import ScriptedBackend, deserialize, graph, load_dir, metrics, spatial
 from scenemem.cli import main
 from scenemem.config import EngineConfig, dump_config, load_config
 from scenemem.server import start_background
@@ -76,6 +78,17 @@ class TestBuildCommand:
             main(["build", "--dataset", str(scene / "manifest.jsonl"),
                   "--scripted", str(scene / "truth.json"), "--out", str(out)])
         assert re.fullmatch(r"scenemem: frame 0: [^\n]*truncated[^\n]*", err.value.code)
+        assert not out.exists()
+
+    def test_k_without_dataset_refused(self, workspace, tmp_path):
+        """--k strides a dataset's frames; a scripted scene alone keeps
+        every frame, so the build refuses the flag before writing anything."""
+        _, scene_dir, _ = workspace
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--scripted", str(scene_dir / "truth.json"), "--k", "3",
+                  "--out", str(out)])
+        assert err.value.code == "scenemem: --k needs --dataset, whose frames it strides"
         assert not out.exists()
 
 
@@ -147,6 +160,24 @@ class TestFlagValidation:
             main([command, *inputs, *flags, "--out", str(out)])
         assert err.value.code == f"scenemem: {message}"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv,need", [
+        (["build", "--out", "{tmp}/out"],
+         "--dataset <manifest> or --scripted <truth.json>"),
+        (["build", "--dataset", "{scene}/manifest.jsonl", "--out", "{tmp}/out"],
+         "--backend-url or --scripted <truth.json>"),
+        (["ask", "--ssm", "{mem}", "--question", "x"],
+         "--dataset or --scripted to resolve frames"),
+    ])
+    def test_missing_source_is_one_prefixed_line(self, workspace, tmp_path, capsys,
+                                                 argv, need):
+        _, scene_dir, mem_dir = workspace
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(tmp=tmp_path, scene=scene_dir, mem=mem_dir)
+                  for arg in argv])
+        assert err.value.code == f"scenemem: need {need}"
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("miss_prob,seed", [
         (float("nan"), 0), (5.0, 0), (float("inf"), 0), (-1.0, 0), (0.2, -1)])
@@ -381,28 +412,31 @@ class TestInspectCommand:
     @pytest.mark.parametrize("missing", ["tracks.bin", "ssm.json"])
     def test_missing_side_car_is_one_line(self, workspace, tmp_path, capsys, missing):
         """A memory directory without one of its files exits non-zero with
-        one line naming the file, and prints nothing to stdout."""
+        one line naming the file in its directory, and prints nothing to
+        stdout."""
         _, _, mem_dir = workspace
         damaged = tmp_path / "m2"
         shutil.copytree(mem_dir, damaged)
         (damaged / missing).unlink()
         with pytest.raises(SystemExit) as err:
             main(["inspect", "--ssm", str(damaged)])
-        assert re.fullmatch(f"scenemem: {re.escape(missing)}: missing[^\n]*",
-                            err.value.code)
+        named = re.escape(str(damaged / missing))
+        assert re.fullmatch(f"scenemem: {named}: missing[^\n]*", err.value.code)
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("damage", ["foreign side-car", "edited ssm.json"])
     def test_side_car_of_another_text_is_one_line(self, workspace, tmp_path, capsys,
                                                   damage):
         """A tracks.bin written next to another ssm.json, or an ssm.json
-        edited after saving, ends inspect with one line naming tracks.bin."""
+        edited after saving, ends inspect with one line naming tracks.bin
+        in its directory."""
         root, scene_dir, mem_dir = workspace
         damaged = tmp_path / "m2"
         shutil.copytree(mem_dir, damaged)
         if damage == "foreign side-car":
             other = tmp_path / "other"
-            assert main(["build", "--scripted", str(scene_dir / "truth.json"),
+            assert main(["build", "--dataset", str(scene_dir / "manifest.jsonl"),
+                         "--scripted", str(scene_dir / "truth.json"),
                          "--k", "2", "--out", str(other)]) == 0
             shutil.copy(other / "tracks.bin", damaged / "tracks.bin")
             capsys.readouterr()
@@ -413,7 +447,8 @@ class TestInspectCommand:
                 text[:at] + bytes([text[at] ^ 1]) + text[at + 1:])
         with pytest.raises(SystemExit) as err:
             main(["inspect", "--ssm", str(damaged)])
-        assert err.value.code == "scenemem: tracks.bin: written for another ssm.json"
+        assert err.value.code \
+            == f"scenemem: {damaged / 'tracks.bin'}: written for another ssm.json"
         assert capsys.readouterr().out == ""
 
 
@@ -515,6 +550,24 @@ class TestConfigFile:
         assert [f.name for f in dataclasses.fields(EngineConfig)] == [
             "initial_frames", "max_api_calls", "frame_stride", "api_mode",
             "embedding_dim", "room_classes"]
+
+    def test_thresholds_are_not_arguments(self):
+        """The readers of the association, merge, consolidation, relation,
+        floor and scoring thresholds take none of them as an argument, and
+        no settable copy of the vote's thresholds is exported."""
+        parameters = {
+            graph.associate: ["detections", "tracks"],
+            graph.vote_score: ["d", "t"],
+            graph.merge_detection: ["t", "d"],
+            graph.consolidate_captions: ["t", "backend"],
+            graph.edge_discovery_due: ["frame_index"],
+            spatial.detect_floors: ["camera_heights"],
+            metrics.match_tracks: ["ssm", "scene"],
+        }
+        for fn, names in parameters.items():
+            assert list(inspect.signature(fn).parameters) == names, fn.__name__
+        assert not hasattr(scenemem, "AssociationConfig")
+        assert not hasattr(scenemem.config, "AssociationConfig")
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "engine.cfg"

@@ -302,8 +302,7 @@ class TestFloorAssignment:
     def test_indices_match_per_point_floor_of(self):
         g = rng(93)
         for k in (1, 2, 3):
-            floors = detect_floors([3.0 * i + 1.4 for i in range(k) for _ in range(5)],
-                                   0.1)
+            floors = detect_floors([3.0 * i + 1.4 for i in range(k) for _ in range(5)])
             assert len(floors.floors) == k
             bounds = [f[2] for f in floors.floors]
             z = np.concatenate([g.uniform(-2.0, 3.0 * k + 1.0, 2000), bounds,

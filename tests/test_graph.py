@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenemem import (AssociationConfig, Detection, Embedding, PointCloud,
-                      RelationEdge, SceneGraph, Track, associate,
-                      consolidate_captions, edge_discovery_due, merge_detection,
-                      vote_score)
+from scenemem import (Detection, Embedding, PointCloud, RelationEdge, SceneGraph,
+                      Track, associate, consolidate_captions, edge_discovery_due,
+                      graph, merge_detection, vote_score)
 from scenemem.backend import Backend, TransportError
 from scenemem.graph import GraphError, cosine, hash_embedding
 
@@ -77,7 +76,6 @@ def test_from_unit_keeps_stored_bits_and_rejects_non_unit():
 class TestVoteScore:
     def test_visual_and_geometric_votes_only(self):
         # visual cosine 0.8 (vote), language 0.75 (no vote), overlap 0.5 (vote)
-        cfg = AssociationConfig()
         va, vb = embedding_pair(0.8, 16, "visual", 1)
         la, lb = embedding_pair(0.75, 16, "language", 2)
         det_cloud = PointCloud([(0, 0, 0), (5, 5, 5)])   # one point near, one far
@@ -85,82 +83,79 @@ class TestVoteScore:
         d = make_detection(cloud=det_cloud, visual=va, language=la)
         t = make_track(cloud=trk_cloud, visual=vb, language=lb)
         from scenemem import geometric_overlap
-        assert geometric_overlap(det_cloud, trk_cloud, cfg.overlap_radius_m) == 0.5
-        assert vote_score(d, t, cfg) == 2
+        assert geometric_overlap(det_cloud, trk_cloud, graph.OVERLAP_RADIUS_M) == 0.5
+        assert vote_score(d, t) == 2
 
     def test_identical_detection_scores_three(self):
-        cfg = AssociationConfig()
         cloud = PointCloud([(0, 0, 0), (1, 1, 1)])
         v = Embedding([1, 2, 3], "visual")
         lang = Embedding([3, 2, 1], "language")
         d = make_detection(cloud=cloud, visual=v, language=lang)
         t = make_track(cloud=cloud, visual=v, language=lang)
-        assert vote_score(d, t, cfg) == 3
+        assert vote_score(d, t) == 3
 
-    def test_strict_inequality_at_boundary(self):
+    def test_strict_inequality_at_boundary(self, monkeypatch):
         # cosine equals the threshold bit-for-bit: dot((1,0), v) = v[0],
         # no arithmetic, so the strict ">" is exercised at true equality
         va = Embedding([1.0, 0.0], "visual")
         vb = Embedding([1.0, 1.0], "visual")
         boundary = float(vb.vector[0])
         assert cosine(va, vb) == boundary
-        cfg = AssociationConfig(visual_sim_threshold=boundary)
+        monkeypatch.setattr(graph, "VISUAL_SIM_THRESHOLD", boundary)
         d = make_detection(visual=va, cloud=PointCloud.empty())
         t = make_track(visual=vb, cloud=PointCloud.empty())
         # language identical (+1); visual exactly at threshold: no vote
-        assert vote_score(d, t, cfg) == 1
-        barely_below = AssociationConfig(
-            visual_sim_threshold=np.nextafter(boundary, 0.0))
-        assert vote_score(d, t, barely_below) == 2
+        assert vote_score(d, t) == 1
+        monkeypatch.setattr(graph, "VISUAL_SIM_THRESHOLD", np.nextafter(boundary, 0.0))
+        assert vote_score(d, t) == 2
 
     def test_dimension_mismatch_raises(self):
         d = make_detection(visual=Embedding([1, 0], "visual"))
         t = make_track(visual=Embedding([1, 0, 0], "visual"))
         with pytest.raises(GraphError):
-            vote_score(d, t, AssociationConfig())
+            vote_score(d, t)
 
     def test_embedding_indicators_symmetric(self):
-        cfg = AssociationConfig()
         va, vb = embedding_pair(0.9, 8, "visual", 4)
         la, lb = embedding_pair(0.5, 8, "language", 5)
         cloud = PointCloud.empty()
         fwd = vote_score(make_detection(visual=va, language=la, cloud=cloud),
-                         make_track(visual=vb, language=lb, cloud=cloud), cfg)
+                         make_track(visual=vb, language=lb, cloud=cloud))
         rev = vote_score(make_detection(visual=vb, language=lb, cloud=cloud),
-                         make_track(visual=va, language=la, cloud=cloud), cfg)
+                         make_track(visual=va, language=la, cloud=cloud))
         assert fwd == rev
 
     def test_empty_detection_cloud_no_geometric_vote(self):
-        cfg = AssociationConfig()
         v = Embedding([1, 1, 0], "visual")
         lang = Embedding([0, 1, 1], "language")
         d = make_detection(cloud=PointCloud.empty(), visual=v, language=lang)
         t = make_track(cloud=PointCloud([(0, 0, 0)]), visual=v, language=lang)
-        assert vote_score(d, t, cfg) == 2
+        assert vote_score(d, t) == 2
 
 
 # -- associate ----------------------------------------------------------------
 
-def reference_vote(d: Detection, t: Track, cfg: AssociationConfig) -> tuple[int, float]:
-    """Direct indicator evaluation with brute-force overlap."""
+def reference_vote(d: Detection, t: Track) -> tuple[int, float]:
+    """Direct indicator evaluation with brute-force overlap, at the
+    thresholds graph holds when it is called."""
     votes = 0
-    if float(np.dot(d.visual.vector, t.visual.vector)) > cfg.visual_sim_threshold:
+    if float(np.dot(d.visual.vector, t.visual.vector)) > graph.VISUAL_SIM_THRESHOLD:
         votes += 1
-    if float(np.dot(d.language.vector, t.language.vector)) > cfg.caption_sim_threshold:
+    if float(np.dot(d.language.vector, t.language.vector)) > graph.CAPTION_SIM_THRESHOLD:
         votes += 1
-    overlap = brute_overlap(d.cloud.points, t.cloud.points, cfg.overlap_radius_m)
-    if overlap > cfg.overlap_threshold:
+    overlap = brute_overlap(d.cloud.points, t.cloud.points, graph.OVERLAP_RADIUS_M)
+    if overlap > graph.OVERLAP_THRESHOLD:
         votes += 1
     return votes, overlap
 
 
-def reference_associate(dets, tracks, cfg) -> dict[int, int | None]:
+def reference_associate(dets, tracks) -> dict[int, int | None]:
     """Exhaustive candidate enumeration with the documented ordering rule."""
     cands = []
     for di, d in enumerate(dets):
         for t in tracks:
-            votes, overlap = reference_vote(d, t, cfg)
-            if votes >= cfg.min_votes:
+            votes, overlap = reference_vote(d, t)
+            if votes >= graph.MIN_VOTES:
                 cands.append((-votes, -overlap, t.id, di))
     cands.sort()
     out: dict[int, int | None] = {di: None for di in range(len(dets))}
@@ -214,11 +209,11 @@ class TestAssociate:
         lang = Embedding([0, 1], "language")
         d = make_detection(cloud=cloud, visual=v, language=lang)
         t = make_track(tid=4, cloud=cloud, visual=v, language=lang)
-        assert associate([d], [t], AssociationConfig()) == {0: 4}
+        assert associate([d], [t]) == {0: 4}
 
     def test_no_tracks_all_new(self):
         d = make_detection()
-        assert associate([d], [], AssociationConfig()) == {0: None}
+        assert associate([d], []) == {0: None}
 
     def test_one_to_one_within_frame(self):
         cloud = PointCloud([(0, 0, 0)])
@@ -227,58 +222,56 @@ class TestAssociate:
         dets = [make_detection(cloud=cloud, visual=v, language=lang)
                 for _ in range(3)]
         t = make_track(tid=0, cloud=cloud, visual=v, language=lang)
-        result = associate(dets, [t], AssociationConfig())
+        result = associate(dets, [t])
         matched = [di for di, tid in result.items() if tid == 0]
         assert len(matched) == 1
         assert sorted(result) == [0, 1, 2]
 
     def test_matches_reference_on_random_instances(self):
-        cfg = AssociationConfig()
         for seed in range(200):
             g = rng(7000 + seed)
             dets, tracks = random_instance(seed, int(g.integers(0, 7)),
                                            int(g.integers(0, 7)))
-            assert associate(dets, tracks, cfg) == \
-                reference_associate(dets, tracks, cfg), f"seed {seed}"
+            assert associate(dets, tracks) == \
+                reference_associate(dets, tracks), f"seed {seed}"
 
-    def test_vote_min_one_accepts_single_indicator(self):
-        cfg = AssociationConfig(min_votes=1)
+    def test_vote_min_one_accepts_single_indicator(self, monkeypatch):
         v1, v2 = embedding_pair(0.9, 8, "visual", 11)
         la, lb = embedding_pair(0.0, 8, "language", 12)
         d = make_detection(cloud=PointCloud.empty(), visual=v1, language=la)
         t = make_track(cloud=PointCloud.empty(), visual=v2, language=lb)
-        assert associate([d], [t], cfg) == {0: 0}
-        assert associate([d], [t], AssociationConfig(min_votes=2)) == {0: None}
+        assert associate([d], [t]) == {0: None}  # MIN_VOTES is 2
+        monkeypatch.setattr(graph, "MIN_VOTES", 1)
+        assert associate([d], [t]) == {0: 0}
 
 
 # -- merge_detection ------------------------------------------------------------
 
 class TestMergeDetection:
     def test_ema_fixed_point(self):
-        cfg = AssociationConfig()
         v = Embedding([1, 2, 2], "visual")
         lang = Embedding([2, 1, 2], "language")
         t = make_track(cloud=PointCloud([(0, 0, 0)]), visual=v, language=lang)
         d = make_detection(frame_id=3, cloud=PointCloud([(0, 0, 0)]),
                            visual=v, language=lang)
-        merged = merge_detection(t, d, cfg)
+        merged = merge_detection(t, d)
         np.testing.assert_allclose(merged.visual.vector, v.vector, atol=1e-12)
         np.testing.assert_allclose(merged.language.vector, lang.vector, atol=1e-12)
 
     def test_orthogonal_midpoint(self):
-        cfg = AssociationConfig(ema_weight=0.5)
+        assert graph.EMA_WEIGHT == 0.5
         e1 = Embedding([1, 0, 0, 0], "visual")
         e2 = Embedding([0, 1, 0, 0], "visual")
         t = make_track(visual=e2)
         d = make_detection(frame_id=1, visual=e1)
-        merged = merge_detection(t, d, cfg)
+        merged = merge_detection(t, d)
         np.testing.assert_allclose(
             merged.visual.vector, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0], atol=1e-12)
 
     def test_sequence_matches_scalar_recurrence(self):
         """Fold five merges; compare to the same EMA recurrence computed
         standalone (normalize(a*new + (1-a)*old) at every step)."""
-        cfg = AssociationConfig(ema_weight=0.5)
+        assert graph.EMA_WEIGHT == 0.5
         g = rng(21)
         dim = 12
         track = make_track(visual=Embedding(g.standard_normal(dim), "visual"),
@@ -291,48 +284,48 @@ class TestMergeDetection:
             d = make_detection(frame_id=step + 1, caption=f"c{step}",
                                visual=Embedding(dv, "visual"),
                                language=Embedding(dl, "language"))
-            track = merge_detection(track, d, cfg)
+            track = merge_detection(track, d)
             expected_v = unit(0.5 * dv + 0.5 * expected_v)
             expected_l = unit(0.5 * dl + 0.5 * expected_l)
         np.testing.assert_allclose(track.visual.vector, expected_v, atol=1e-12)
         np.testing.assert_allclose(track.language.vector, expected_l, atol=1e-12)
 
     def test_clouds_unioned_and_downsampled(self):
-        cfg = AssociationConfig()
+        assert graph.VOXEL_SIZE_M == 0.02
         t = make_track(cloud=PointCloud([(0.001, 0, 0)]))
         d = make_detection(frame_id=1, cloud=PointCloud([(0.015, 0, 0), (1, 0, 0)]))
-        merged = merge_detection(t, d, cfg, voxel_size=0.02)
+        merged = merge_detection(t, d)
         assert len(merged.cloud) == 2  # two occupied cells
         np.testing.assert_allclose(merged.cloud.points[0], [0.008, 0, 0])
 
     def test_caption_and_frames_appended(self):
-        cfg = AssociationConfig()
         t = make_track(caption="mug", frames=(0,))
         d = make_detection(frame_id=4, caption="red mug")
-        merged = merge_detection(t, d, cfg)
+        merged = merge_detection(t, d)
         assert merged.caption_history == ("mug", "red mug")
         assert merged.visible_frames == (0, 4)
         assert merged.id == t.id
         assert merged.caption == "mug"  # consolidation owns caption changes
 
     def test_repeat_frame_keeps_ordered_set_semantics(self):
-        cfg = AssociationConfig()
         t = make_track(frames=(0, 4))
         d = make_detection(frame_id=4)
-        assert merge_detection(t, d, cfg).visible_frames == (0, 4)
+        assert merge_detection(t, d).visible_frames == (0, 4)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30)
     def test_merge_preserves_unit_norm_and_grows_frames(self, seed):
         g = rng(seed)
-        cfg = AssociationConfig(ema_weight=float(g.uniform(0.1, 1.0)))
+        ema_weight = float(g.uniform(0.1, 1.0))
         t = make_track(visual=Embedding(g.standard_normal(6), "visual"),
                        language=Embedding(g.standard_normal(6), "language"),
                        frames=(0,))
         d = make_detection(frame_id=1,
                            visual=Embedding(g.standard_normal(6), "visual"),
                            language=Embedding(g.standard_normal(6), "language"))
-        merged = merge_detection(t, d, cfg)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "EMA_WEIGHT", ema_weight)
+            merged = merge_detection(t, d)
         assert abs(np.linalg.norm(merged.visual.vector) - 1) < 1e-6
         assert abs(np.linalg.norm(merged.language.vector) - 1) < 1e-6
         assert len(merged.visible_frames) == len(t.visible_frames) + 1
@@ -441,7 +434,7 @@ class TestConsolidateCaptions:
     def test_below_threshold_no_call(self):
         backend = _ConsolidateStub()
         t = make_track(caption="mug")
-        out = consolidate_captions(t, backend, threshold=5)
+        out = consolidate_captions(t, backend)
         assert out.caption == "mug"
         assert backend.requests == []
 
@@ -449,7 +442,7 @@ class TestConsolidateCaptions:
         backend = _ConsolidateStub("a red ceramic mug")
         t = replace(make_track(caption="mug"), caption_history=(
             "mug", "red mug", "mug", "ceramic mug", "red mug"))
-        out = consolidate_captions(t, backend, threshold=5)
+        out = consolidate_captions(t, backend)
         assert out.caption == "a red ceramic mug"
         assert out.caption_history == ("a red ceramic mug",)
         assert backend.requests[0].payload == {
@@ -458,7 +451,7 @@ class TestConsolidateCaptions:
     def test_backend_timeout_leaves_track_unchanged(self):
         backend = _ConsolidateStub(fail=True)
         t = replace(make_track(caption="mug"), caption_history=("mug", "red mug") * 3)
-        out = consolidate_captions(t, backend, threshold=5)
+        out = consolidate_captions(t, backend)
         assert out is t
         # transport errors are retried once before giving up
         assert len(backend.requests) == 2
@@ -468,7 +461,7 @@ class TestConsolidateCaptions:
         track the backend's reply would give."""
         backend = _ConsolidateStub("mug")
         t = replace(make_track(caption="a mug"), caption_history=("mug",) * 5)
-        out = consolidate_captions(t, backend, threshold=5)
+        out = consolidate_captions(t, backend)
         assert backend.requests == []
         assert (out.caption, out.caption_history) == ("mug", ("mug",))
         assert (out.id, out.cloud, out.visible_frames) \
@@ -478,7 +471,7 @@ class TestConsolidateCaptions:
         backend = _ConsolidateStub("mug")
         t = replace(make_track(caption="mug"),
                     caption_history=("mug",) * 4 + ("red mug",))
-        out = consolidate_captions(t, backend, threshold=5)
+        out = consolidate_captions(t, backend)
         assert len(backend.requests) == 1
         assert backend.requests[0].payload == {"captions": list(t.caption_history)}
         assert (out.caption, out.caption_history) == ("mug", ("mug",))
@@ -490,7 +483,6 @@ class TestTrackCountProperty:
     def test_distinct_objects_yield_exactly_k_tracks(self):
         """Objects with embedding cosine < 0.5 and > 1 m separation,
         re-observed over many frames, never merge and never split."""
-        cfg = AssociationConfig()
         g = rng(99)
         k = 6
         frames = 12
@@ -502,7 +494,7 @@ class TestTrackCountProperty:
                 assert abs(cosine(visuals[a], visuals[b])) < 0.5
                 assert abs(cosine(languages[a], languages[b])) < 0.5
         centers = [np.array([2.5 * i, 0.0, 0.0]) for i in range(k)]
-        graph = SceneGraph()
+        scene_graph = SceneGraph()
         for f in range(frames):
             dets = []
             for i in g.permutation(k):
@@ -510,16 +502,16 @@ class TestTrackCountProperty:
                 dets.append(make_detection(
                     frame_id=f, caption=f"cap{i}", cloud=PointCloud(pts),
                     visual=visuals[i], language=languages[i]))
-            tracks = [graph.tracks[t] for t in sorted(graph.tracks)]
-            for di, tid in sorted(associate(dets, tracks, cfg).items()):
+            tracks = [scene_graph.tracks[t] for t in sorted(scene_graph.tracks)]
+            for di, tid in sorted(associate(dets, tracks).items()):
                 if tid is None:
-                    graph.insert_track(Track(
-                        id=graph.new_track_id(), cloud=dets[di].cloud,
+                    scene_graph.insert_track(Track(
+                        id=scene_graph.new_track_id(), cloud=dets[di].cloud,
                         visual=dets[di].visual, language=dets[di].language,
                         caption=dets[di].caption,
                         caption_history=(dets[di].caption,),
                         visible_frames=(f,)))
                 else:
-                    graph.replace_track(
-                        merge_detection(graph.tracks[tid], dets[di], cfg))
-        assert len(graph) == k
+                    scene_graph.replace_track(
+                        merge_detection(scene_graph.tracks[tid], dets[di]))
+        assert len(scene_graph) == k

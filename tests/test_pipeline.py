@@ -33,6 +33,14 @@ class TestBuildSsm:
         scene, _, _, ssm = small_build
         assert graph_precision_recall(ssm, scene) == (1.0, 1.0, 1.0, 1.0)
 
+    def test_embedding_length_follows_the_config(self, small_scene, small_episode):
+        """The scripted backend sends vectors of the length each request
+        asks for, so a build at another embedding size is as perfect."""
+        ssm = build_ssm(small_episode, ScriptedBackend(small_scene),
+                        EngineConfig(embedding_dim=32))
+        assert graph_precision_recall(ssm, small_scene) == (1.0, 1.0, 1.0, 1.0)
+        assert {t.visual.dim for t in ssm.graph.tracks.values()} == {32}
+
     def test_all_structures_populated(self, small_build):
         scene, episode, _, ssm = small_build
         assert len(ssm.nav_log) == len(episode)

@@ -102,14 +102,14 @@ class TestDetectFloors:
     def test_single_mode_single_floor(self):
         g = rng(1)
         heights = g.normal(1.4, 0.02, 100)
-        model = detect_floors(list(heights), 0.1)
+        model = detect_floors(list(heights))
         assert len(model.floors) == 1
         assert model.floor_of(1.4) == "floor0"
 
     def test_two_floors_boundary_near_midpoint(self):
         g = rng(2)
         heights = list(g.normal(1.4, 0.02, 100)) + list(g.normal(4.3, 0.02, 100))
-        model = detect_floors(heights, 0.1)
+        model = detect_floors(heights)
         assert len(model.floors) == 2
         modes = brute_histogram_modes(heights, 0.1, 1.5)
         expected_boundary = (modes[0] + modes[1]) / 2
@@ -120,17 +120,17 @@ class TestDetectFloors:
 
     def test_modes_below_separation_collapse(self):
         heights = [1.0] * 50 + [1.5] * 50
-        model = detect_floors(heights, 0.1)
+        model = detect_floors(heights)
         assert len(model.floors) == 1
 
     def test_empty_heights_rejected(self):
         with pytest.raises(GeometryInputError):
-            detect_floors([], 0.1)
+            detect_floors([])
 
     def test_assignment_total_and_clamping(self):
         g = rng(3)
         heights = list(g.normal(1.0, 0.02, 50)) + list(g.normal(4.0, 0.02, 50))
-        model = detect_floors(heights, 0.1)
+        model = detect_floors(heights)
         for h in (-10.0, 0.0, 2.49, 2.51, 100.0):
             assert model.floor_of(h) in {"floor0", "floor1"}
         assert model.floor_of(-10.0) == "floor0"
@@ -142,7 +142,7 @@ class TestDetectFloors:
         g = rng(seed)
         levels = [3.0 * i for i in range(k)]
         heights = np.concatenate([g.normal(lv + 1.4, 0.05, 60) for lv in levels])
-        model = detect_floors(list(heights), 0.1)
+        model = detect_floors(list(heights))
         assert len(model.floors) == len(brute_histogram_modes(heights, 0.1, 1.5))
 
 
