@@ -254,9 +254,16 @@ def int_array(raw, path, error=SchemaError, size=None, message=None) -> tuple[in
 
 def number_array(raw, path, error=SchemaError, size=None,
                  message=None) -> tuple[float, ...]:
-    """``raw`` as a tuple of floats; faults as for ``_array``."""
-    return tuple(map(float, _array(raw, (int, float), "a number", path, error, size,
-                                   message)))
+    """``raw`` as a tuple of finite floats; faults as for ``_array``, and
+    an array holding NaN, an infinity or an integer beyond float range is
+    refused at ``path``."""
+    items = _array(raw, (int, float), "a number", path, error, size, message)
+    try:
+        if all(map(math.isfinite, items)):
+            return tuple(map(float, items))
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise error(path, message or "expected finite numbers")
 
 
 def _clamped_bbox(raw, frame_size, path) -> tuple[int, int, int, int]:

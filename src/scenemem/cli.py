@@ -1,13 +1,4 @@
-"""Command-line interface.
-
-Subcommands:
-  synth    generate a synthetic scene: manifest + depth PNGs + truth + questions
-  build    construct a memory from a dataset manifest and persist it
-  ask      answer one question against a persisted memory
-  eval     run the synthetic evaluation and write a metrics report
-  inspect  dump a persisted memory's canonical JSON
-  serve    read-only HTTP endpoints over a persisted memory
-"""
+"""Command-line interface; ``scenemem --help`` lists the subcommands."""
 
 from __future__ import annotations
 
@@ -19,8 +10,8 @@ from pathlib import Path
 
 from . import depthio
 from .backend import Backend, HttpBackend
-from .config import EngineConfig, load_config
-from .dataset import DatasetError, load_dataset
+from .config import API_MODES, EngineConfig, load_config
+from .dataset import STRIDE, DatasetError, check_stride, load_dataset, save_dataset
 from .loop import EpisodeQuery, answer, write_transcript
 from .memory import ParseError, load_dir, save_dir, serialize
 from .metrics import evaluate
@@ -35,10 +26,8 @@ def _engine_config(args) -> EngineConfig:
     """The config file (or the defaults) with the flags applied; an
     unreadable config file or a refused value exits with one line naming
     the path or the field, before any input is read."""
-    flags = {"k": "frame_stride", "n_img": "initial_frames", "m": "max_api_calls",
-             "api": "api_mode"}
-    overrides = {name: getattr(args, dest) for dest, name in flags.items()
-                 if getattr(args, dest, None) is not None}
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(EngineConfig)
+                 if getattr(args, f.name, None) is not None}
     try:
         cfg = load_config(args.config) if getattr(args, "config", None) else EngineConfig()
         return dataclasses.replace(cfg, **overrides)
@@ -77,27 +66,8 @@ def _backend(args, scene: SyntheticScene | None) -> Backend:
 def cmd_synth(args) -> int:
     scene = generate_scene(args.rooms, args.objects_per_room, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    depth_dir = out / "depth"
-    depth_dir.mkdir(exist_ok=True)
     episode = scene.episode()
-    with (out / "manifest.jsonl").open("w", encoding="utf-8") as fh:
-        for frame in episode.frames:
-            depth_name = f"depth/{frame.id:04d}.png"
-            depthio.write_depth_png(out / depth_name, frame.depth.values)
-            rot = frame.pose.rotation.reshape(-1).tolist()
-            fh.write(json.dumps({
-                "id": frame.id,
-                "image": frame.image_locator,
-                "depth": depth_name,
-                "pose": {"rotation": rot,
-                         "translation": frame.pose.translation.tolist()},
-                "intrinsics": {"fx": frame.intrinsics.fx, "fy": frame.intrinsics.fy,
-                               "cx": frame.intrinsics.cx, "cy": frame.intrinsics.cy,
-                               "width": frame.intrinsics.width,
-                               "height": frame.intrinsics.height},
-                "timestamp": frame.timestamp,
-            }) + "\n")
+    save_dataset(episode, out)
     scene.save(out / "truth.json")
     save_questions(generate_questions(scene), out / "questions.json")
     print(f"wrote scene '{scene.scene_id}': {len(episode)} frames, "
@@ -108,12 +78,17 @@ def cmd_synth(args) -> int:
 def cmd_build(args) -> int:
     if Path(args.out).exists() and not Path(args.out).is_dir():
         raise SystemExit(f"scenemem: {args.out}: exists and is not a directory")
-    if args.k is not None and not args.dataset:  # a scripted scene keeps every frame
-        raise SystemExit("scenemem: --k needs --dataset, whose frames it strides")
+    if args.k is not None:
+        if not args.dataset:  # a scripted scene keeps every frame
+            raise SystemExit("scenemem: --k needs --dataset, whose frames it strides")
+        try:
+            check_stride(args.k)
+        except DatasetError as exc:
+            raise SystemExit(f"scenemem: --k: {exc}") from None
     cfg = _engine_config(args)
     scene = SyntheticScene.load(args.scripted) if args.scripted else None
     if args.dataset:
-        episode = load_dataset(args.dataset, cfg.frame_stride,
+        episode = load_dataset(args.dataset, STRIDE if args.k is None else args.k,
                                scene_id=scene.scene_id if scene else None)
     elif scene is not None:
         episode = scene.episode()
@@ -199,11 +174,13 @@ def cmd_serve(args) -> int:
 
 
 _FLAGS = {
+    "dataset": {"help": "manifest.jsonl path"},
     "config": {"help": "key = value config file"},
-    "k": {"type": int, "help": "frame stride"},
-    "n-img": {"type": int, "help": "initial frame memory size"},
-    "m": {"type": int, "help": "maximum API calls per question"},
-    "api": {"choices": ("frame", "node", "image"),
+    "k": {"type": int, "help": f"keep every k-th --dataset frame (default {STRIDE})"},
+    # the engine settings a flag overrides; dest is the EngineConfig field
+    "n-img": {"dest": "initial_frames", "type": int, "help": "initial frame memory size"},
+    "m": {"dest": "max_api_calls", "type": int, "help": "maximum API calls per question"},
+    "api": {"dest": "api_mode", "choices": tuple(API_MODES),
             "help": "which modifiability APIs the reasoner may use"},
     "backend-url": {"help": "HTTP backend base URL"},
     "scripted": {"help": "synthetic truth.json for the scripted backend"},
@@ -221,28 +198,29 @@ def main(argv: list[str] | None = None) -> int:
                                      description="editable 3D scene memory engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic scene")
+    p = sub.add_parser("synth", help="generate a synthetic scene: manifest + "
+                                     "depth PNGs + truth + questions")
     p.add_argument("--rooms", type=int, default=2)
     p.add_argument("--objects-per-room", dest="objects_per_room", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("build", help="construct and persist a memory")
-    p.add_argument("--dataset", help="manifest.jsonl path")
+    p = sub.add_parser("build", help="construct a memory from a dataset "
+                                     "manifest or a synthetic scene and persist it")
     p.add_argument("--out", required=True)
-    _add_flags(p, "config", "k", "n-img", "backend-url", "scripted")
+    _add_flags(p, "dataset", "config", "k", "n-img", "backend-url", "scripted")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("ask", help="answer a question against a persisted memory")
     p.add_argument("--ssm", required=True, help="persisted memory directory")
     p.add_argument("--question", required=True)
-    p.add_argument("--dataset", help="manifest.jsonl path")
     p.add_argument("--transcript", help="write the loop transcript here (JSONL)")
-    _add_flags(p, "config", "m", "api", "backend-url", "scripted")
+    _add_flags(p, "dataset", "config", "m", "api", "backend-url", "scripted")
     p.set_defaults(func=cmd_ask)
 
-    p = sub.add_parser("eval", help="synthetic evaluation with metrics report")
+    p = sub.add_parser("eval", help="run the synthetic evaluation and write a "
+                                    "metrics report")
     p.add_argument("--scene", required=True, help="truth.json path")
     p.add_argument("--questions", help="questions.json (defaults to generated)")
     p.add_argument("--miss-prob", dest="miss_prob", type=float, default=0.0,
@@ -253,13 +231,14 @@ def main(argv: list[str] | None = None) -> int:
     _add_flags(p, "config", "n-img", "m", "api")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("inspect", help="dump canonical JSON")
+    p = sub.add_parser("inspect", help="dump a persisted memory's canonical JSON")
     p.add_argument("--ssm", required=True)
     p.add_argument("--frames", action="store_true",
                    help="also list frame references on stderr")
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("serve", help="read-only HTTP inspection service")
+    p = sub.add_parser("serve", help="read-only HTTP endpoints over a persisted "
+                                     "memory")
     p.add_argument("--ssm", required=True)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=_port, default=8008)

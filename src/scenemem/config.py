@@ -1,10 +1,11 @@
 """Engine configuration: the values a caller sets, and the plain
 ``key = value`` config-file format the CLI accepts.
 
-EngineConfig holds the paper's settings (keyframe stride k, initial image
-count n_img, call budget m, API mode) and the two that depend on the model
-behind the backend (embedding size, room classes). Every other threshold
-is a named constant next to its one reader.
+EngineConfig holds the paper's settings that the engine reads (initial
+image count n_img, call budget m, API mode) and the two that depend on the
+model behind the backend (embedding size, room classes). The keyframe
+stride k is the manifest loader's (``dataset.load_dataset``). Every other
+threshold is a named constant next to its one reader.
 """
 
 from __future__ import annotations
@@ -14,21 +15,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-DEFAULT_ROOM_CLASSES = (
-    "kitchen", "bathroom", "bedroom", "living room",
-    "hallway", "office", "dining room", "unknown",
-)
-
-_RULES = {"non-negative": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
-
-
-def _check(cfg, rule: str, *names: str) -> None:
-    """Raise ValueError for the first named field that is not a finite
-    number obeying ``rule`` (a key of _RULES)."""
-    for name in names:
-        value = getattr(cfg, name)
-        if not (math.isfinite(value) and _RULES[rule](value)):
-            raise ValueError(f"{name} must be {rule}, got {value!r}")
+# api_mode -> the loop APIs the reasoner may call in that mode
+API_MODES = {
+    "frame": ("analyze_frame",),
+    "node": ("find_objects", "analyze_objects"),
+    "image": ("retrieve_frame",),
+}
 
 
 @dataclass
@@ -38,16 +30,21 @@ class EngineConfig:
 
     initial_frames: int = 5          # n_img
     max_api_calls: int = 20          # m
-    frame_stride: int = 5            # k
-    api_mode: str = "frame"          # frame | node | image
+    api_mode: str = "frame"          # a key of API_MODES
     embedding_dim: int = 64
-    room_classes: tuple[str, ...] = DEFAULT_ROOM_CLASSES
+    room_classes: tuple[str, ...] = ("kitchen", "bathroom", "bedroom", "living room",
+                                     "hallway", "office", "dining room", "unknown")
 
     def __post_init__(self):
-        if self.api_mode not in ("frame", "node", "image"):
-            raise ValueError("api_mode must be frame, node or image")
-        _check(self, ">= 1", "initial_frames", "frame_stride", "embedding_dim")
-        _check(self, "non-negative", "max_api_calls")
+        if self.api_mode not in API_MODES:
+            *rest, last = API_MODES
+            raise ValueError(f"api_mode must be {', '.join(rest)} or {last}")
+        for name, low in (("initial_frames", 1), ("embedding_dim", 1),
+                          ("max_api_calls", 0)):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= low):
+                rule = f">= {low}" if low else "non-negative"
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
         if not self.room_classes:
             raise ValueError("room_classes must name at least one class")
 
@@ -89,11 +86,3 @@ def load_config(path: str | Path) -> EngineConfig:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return cfg
 
-
-def dump_config(cfg: EngineConfig) -> str:
-    """Render a config back to the key-value format (round-trips load_config)."""
-    lines = []
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        lines.append(f"{f.name} = {', '.join(value) if isinstance(value, tuple) else value}")
-    return "\n".join(lines) + "\n"

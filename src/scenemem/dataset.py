@@ -1,4 +1,5 @@
-"""Episode ingestion: posed RGB-D keyframes from a JSON-lines manifest.
+"""Episode ingestion: posed RGB-D keyframes in a JSON-lines manifest,
+read by ``load_dataset`` and written by ``save_dataset``.
 
 A manifest holds one frame record per line:
 
@@ -9,25 +10,37 @@ A manifest holds one frame record per line:
                     "width":..., "height":...},
      "timestamp": 0.0}
 
-Paths are resolved relative to the manifest. Depth locators must resolve
-at load time; image locators may be placeholders (any value containing
-"://" is passed through unchecked, since synthetic episodes carry no RGB).
-The stride parameter keeps every k-th record, matching the episodic
-protocol of sampling a pre-recorded scan.
+``id``, ``width`` and ``height`` are integers; every other number is
+finite, and the timestamp is optional. Paths are resolved relative to the
+manifest. Depth locators (millimeter PNGs) must resolve at load time;
+image locators may be placeholders (any value containing "://" is passed
+through unchecked, since synthetic episodes carry no RGB). The stride k
+keeps every k-th record, matching the episodic protocol of sampling a
+pre-recorded scan; ``STRIDE`` is its one default.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .depthio import DepthIOError, read_depth_png
+from .depthio import DepthIOError, read_depth_png, write_depth_png
 from .geometry import CameraIntrinsics, DepthMap, GeometryInputError, Pose
+
+
+STRIDE = 5  # k: keep every 5th manifest record unless told otherwise
 
 
 class DatasetError(ValueError):
     pass
+
+
+def check_stride(k: int) -> None:
+    if k < 1:
+        raise DatasetError(f"stride must be >= 1, got {k}")
 
 
 @dataclass
@@ -73,26 +86,39 @@ class Episode:
         return len(self.frames)
 
 
+def _number(value, name: str, where: str, integer: bool = False):
+    """``value`` when it is a JSON integer (``integer``) or else a finite
+    number; a bool is neither. Raise DatasetError naming ``name``."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) \
+            or not (integer or abs(value) <= sys.float_info.max):  # NaN fails too
+        noun = "an integer" if integer else "a finite number"
+        raise DatasetError(f"{where}: {name} must be {noun}, got {value!r}")
+    return value if integer else float(value)
+
+
+def _numbers(value, size: int, name: str, where: str) -> list[float]:
+    if not isinstance(value, list) or len(value) != size:
+        raise DatasetError(f"{where}: {name} must be a list of {size} numbers")
+    return [_number(x, f"{name}[{i}]", where) for i, x in enumerate(value)]
+
+
 def _parse_record(rec: dict, base: Path, line_no: int) -> Keyframe:
     where = f"manifest line {line_no}"
     try:
-        fid = int(rec["id"])
+        fid = _number(rec["id"], "id", where, integer=True)
         where = f"frame {fid}"
-        intr_doc = rec["intrinsics"]
-        intr = CameraIntrinsics(fx=float(intr_doc["fx"]), fy=float(intr_doc["fy"]),
-                                cx=float(intr_doc["cx"]), cy=float(intr_doc["cy"]),
-                                width=int(intr_doc["width"]),
-                                height=int(intr_doc["height"]))
-        pose_doc = rec["pose"]
-        rotation = [float(x) for x in pose_doc["rotation"]]
-        if len(rotation) != 9:
-            raise DatasetError("pose rotation must have 9 entries")
+        intr = CameraIntrinsics(*(
+            _number(rec["intrinsics"][key], f"intrinsics.{key}", where,
+                    integer=key in ("width", "height"))
+            for key in ("fx", "fy", "cx", "cy", "width", "height")))
+        rotation = _numbers(rec["pose"]["rotation"], 9, "pose.rotation", where)
         pose = Pose([rotation[0:3], rotation[3:6], rotation[6:9]],
-                    [float(x) for x in pose_doc["translation"]])
+                    _numbers(rec["pose"]["translation"], 3, "pose.translation", where))
         image = str(rec["image"])
         depth_loc = str(rec["depth"])
-        timestamp = float(rec.get("timestamp", 0.0))
-    except (KeyError, TypeError, ValueError, GeometryInputError) as exc:
+        timestamp = _number(rec.get("timestamp", 0.0), "timestamp", where)
+    except (KeyError, TypeError, GeometryInputError) as exc:
         raise DatasetError(f"{where}: malformed record: {exc}") from None
 
     if "://" not in image and not (base / image).exists():
@@ -112,14 +138,14 @@ def _parse_record(rec: dict, base: Path, line_no: int) -> Keyframe:
                     image_locator=image, timestamp=timestamp)
 
 
-def load_dataset(path: str | Path, k: int = 1, scene_id: str | None = None) -> Episode:
+def load_dataset(path: str | Path, k: int = STRIDE,
+                 scene_id: str | None = None) -> Episode:
     """Load a manifest, keeping every k-th frame record.
 
     Frame ids must be strictly increasing; any malformed record or
     unresolvable locator raises DatasetError naming the frame.
     """
-    if k < 1:
-        raise DatasetError("stride k must be >= 1")
+    check_stride(k)
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"manifest {path} does not exist")
@@ -140,3 +166,23 @@ def load_dataset(path: str | Path, k: int = 1, scene_id: str | None = None) -> E
     if any(b <= a for a, b in zip(ids, ids[1:])):
         raise DatasetError("frame ids must be strictly increasing")
     return Episode(scene_id or path.stem, frames, stride=k)
+
+
+def save_dataset(episode: Episode, out: str | Path) -> Path:
+    """Write ``episode`` as ``out/manifest.jsonl``, with each frame's depth
+    as a millimeter PNG under ``out/depth/``; return the manifest path.
+    ``load_dataset(manifest, k=1)`` reads the episode back."""
+    out = Path(out)
+    (out / "depth").mkdir(parents=True, exist_ok=True)
+    manifest = out / "manifest.jsonl"
+    with manifest.open("w", encoding="utf-8") as fh:
+        for frame in episode.frames:
+            depth_name = f"depth/{frame.id:04d}.png"
+            write_depth_png(out / depth_name, frame.depth.values)
+            fh.write(json.dumps({
+                "id": frame.id, "image": frame.image_locator, "depth": depth_name,
+                "pose": {"rotation": frame.pose.rotation.reshape(-1).tolist(),
+                         "translation": frame.pose.translation.tolist()},
+                "intrinsics": dataclasses.asdict(frame.intrinsics),
+                "timestamp": frame.timestamp}) + "\n")
+    return manifest

@@ -100,7 +100,7 @@ def cosine(a: Embedding, b: Embedding) -> float:
     return float(np.dot(a.vector, b.vector))
 
 
-def hash_embedding(key: str, kind: str, dim: int = 64) -> Embedding:
+def hash_embedding(key: str, kind: str, dim: int) -> Embedding:
     """Deterministic pseudo-embedding derived from a text key.
 
     Identical keys map to identical unit vectors; distinct keys map to
@@ -113,7 +113,7 @@ def hash_embedding(key: str, kind: str, dim: int = 64) -> Embedding:
     return Embedding(gen.standard_normal(dim), kind)
 
 
-def caption_embedding(caption: str, dim: int = 64) -> Embedding:
+def caption_embedding(caption: str, dim: int) -> Embedding:
     return hash_embedding("caption:" + caption.strip().lower(), "language", dim)
 
 

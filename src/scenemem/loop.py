@@ -24,17 +24,11 @@ from pathlib import Path
 
 from .apis import ApiExecutor, PatchReport, apply_patch
 from .backend import ApiCall, Backend, BackendError, BackendRequest
-from .config import EngineConfig
+from .config import API_MODES, EngineConfig
 from .dataset import Episode
 from .memory import SceneMemory, serialize
 
 logger = logging.getLogger(__name__)
-
-API_MODE_KINDS = {
-    "frame": ("analyze_frame",),
-    "node": ("find_objects", "analyze_objects"),
-    "image": ("retrieve_frame",),
-}
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,7 @@ def answer(query: EpisodeQuery, ssm: SceneMemory, episode: Episode,
            backend: Backend, config: EngineConfig | None = None) -> Answer:
     """Run one question episode; never mutates the caller's memory."""
     config = config or EngineConfig()
-    allowed = API_MODE_KINDS[config.api_mode]
+    allowed = API_MODES[config.api_mode]
     executor = ApiExecutor(episode, backend, config)
     current = ssm  # only apply_patch edits, and it works on its own copy
     transcript: list[TranscriptStep] = []  # one step per executed call
@@ -223,7 +217,6 @@ def run_episode_batch(queries: list[EpisodeQuery], ssm_factory, episode: Episode
     Queries are isolated: one query's patches are invisible to the next.
     Per-query failures are recorded and the batch continues.
     """
-    config = config or EngineConfig()
     answers: list[Answer] = []
     failures: list[tuple[int, str]] = []
     for qi, query in enumerate(queries):

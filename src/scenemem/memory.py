@@ -418,7 +418,7 @@ def _ints(doc, key, path):
 
 def _float_triple(doc, key, path):
     return number_array(_expect(doc, key, list, path), f"{path}.{key}", ParseError,
-                        size=3, message="expected three numbers")
+                        size=3, message="expected three finite numbers")
 
 
 def _table_records(doc, key, columns, path) -> list[dict]:

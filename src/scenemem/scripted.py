@@ -91,7 +91,6 @@ class ScriptedBackend(Backend):
         self.scene = scene
         self.reasoner = reasoner
         self.miss_prob = miss_prob
-        self.embedding_dim = EngineConfig.embedding_dim
         self.rng = np.random.Generator(np.random.PCG64(seed))
         self._fail_plan: dict[str, list[str]] = {}
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -147,17 +147,6 @@ class SceneParams:
     height: int = 72
     focal: float = 60.0
     views_per_room: int = VIEWS_PER_ROOM
-
-    def to_doc(self) -> dict:
-        return {"rooms": self.rooms, "objects_per_room": self.objects_per_room,
-                "seed": self.seed, "width": self.width, "height": self.height,
-                "focal": self.focal, "views_per_room": self.views_per_room}
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "SceneParams":
-        return cls(**{k: doc[k] for k in
-                      ("rooms", "objects_per_room", "seed", "width", "height",
-                       "focal", "views_per_room") if k in doc})
 
 
 def look_at_pose(position, target) -> Pose:
@@ -310,7 +299,7 @@ class SyntheticScene:
     def to_doc(self) -> dict:
         return {
             "format": "scenemem-synthetic-truth",
-            "params": self.params.to_doc(),
+            "params": asdict(self.params),
             "summary": {
                 "scene_id": self.scene_id,
                 "rooms": [{"index": r.index, "label": r.label} for r in self.rooms],
@@ -336,7 +325,8 @@ class SyntheticScene:
                 or not isinstance(doc.get("params"), dict):
             raise GenerationError(f"{path}: not a synthetic scene truth file")
         try:
-            params = SceneParams.from_doc(doc["params"])
+            params = SceneParams(**{f.name: doc["params"][f.name]
+                                    for f in fields(SceneParams) if f.name in doc["params"]})
             return generate_scene(params.rooms, params.objects_per_room, params.seed,
                                   width=params.width, height=params.height,
                                   focal=params.focal,
@@ -584,10 +574,6 @@ class Question:
     answer: str
     category: str
 
-    def to_doc(self) -> dict:
-        return {"question": self.question, "answer": self.answer,
-                "category": self.category}
-
 
 _RELATION_PHRASES = {
     "on_top_of": "on top of",
@@ -629,7 +615,7 @@ def generate_questions(scene: SyntheticScene) -> list[Question]:
 
 def save_questions(questions: list[Question], path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps([q.to_doc() for q in questions], indent=2, sort_keys=True),
+        json.dumps([asdict(q) for q in questions], indent=2, sort_keys=True),
         encoding="utf-8")
 
 
@@ -638,10 +624,10 @@ def load_questions(path: str | Path) -> list[Question]:
     ``question``, ``answer`` and ``category`` fields. Anything else raises
     GenerationError naming the path."""
     docs = _read_json(path)
-    fields = ("question", "answer", "category")
+    names = [f.name for f in fields(Question)]
     if not isinstance(docs, list) or not all(
-            isinstance(d, dict) and all(isinstance(d.get(f), str) for f in fields)
+            isinstance(d, dict) and all(isinstance(d.get(n), str) for n in names)
             for d in docs):
         raise GenerationError(f"{path}: not a list of objects with string "
                               "question, answer and category fields")
-    return [Question(*(d[f] for f in fields)) for d in docs]
+    return [Question(*(d[n] for n in names)) for d in docs]

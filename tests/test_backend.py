@@ -195,6 +195,19 @@ class TestValidateResponse:
         with pytest.raises(SchemaError):
             validate_response("room_label", {"scores": [["high"]]})
 
+    @pytest.mark.parametrize("text", [
+        '{"scores": [[NaN, 1.0], [Infinity, 0.0]]}',
+        '{"scores": [[0.5, -Infinity]]}',
+        '{"scores": [[1e400, 0.0]]}',
+        '{"scores": [[1%s, 0.0]]}' % ("0" * 400)],
+        ids=["nan-and-inf", "minus-inf", "1e400", "int-beyond-float"])
+    def test_room_label_non_finite_score_rejected(self, text):
+        """A NaN score would win label_rooms' argmax over a real 1.0; the
+        reply is refused at the row that holds it."""
+        with pytest.raises(SchemaError) as err:
+            validate_response("room_label", json.loads(text))
+        assert err.value.path == "$.scores[0]"
+
     def test_detect_fov_tag(self):
         raw = {"detections": []}
         assert _validate("detect", raw).fov_tag is None

@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 import scenemem
-from scenemem import ScriptedBackend, deserialize, graph, load_dir, metrics, spatial
+from scenemem import ScriptedBackend, cli, deserialize, graph, load_dir, metrics, spatial
 from scenemem.cli import main
-from scenemem.config import EngineConfig, dump_config, load_config
+from scenemem.config import API_MODES, EngineConfig, load_config
 from scenemem.server import start_background
 
 
@@ -91,6 +91,38 @@ class TestBuildCommand:
         assert err.value.code == "scenemem: --k needs --dataset, whose frames it strides"
         assert not out.exists()
 
+    def test_dataset_stride_defaults_to_five(self, workspace, tmp_path):
+        """Without --k a --dataset build keeps every 5th manifest record,
+        the loader's one default."""
+        _, scene_dir, _ = workspace
+        manifest = scene_dir / "manifest.jsonl"
+        ids = [json.loads(line)["id"] for line in manifest.read_text().splitlines()]
+        out = tmp_path / "out"
+        assert main(["build", "--dataset", str(manifest),
+                     "--scripted", str(scene_dir / "truth.json"), "--out", str(out)]) == 0
+        ssm = load_dir(out)
+        assert ssm.stride == 5
+        assert [e.frame_id for e in ssm.nav_log] == ids[::5]
+
+    def test_non_finite_intrinsics_is_one_line(self, workspace, tmp_path):
+        """A manifest whose focal length is NaN ends the build with one line
+        naming the frame and the field, before anything is written."""
+        _, scene_dir, _ = workspace
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        manifest = scene / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["intrinsics"]["fx"] = float("nan")
+        manifest.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--dataset", str(manifest),
+                  "--scripted", str(scene / "truth.json"), "--k", "1", "--out", str(out)])
+        assert err.value.code == ("scenemem: frame 0: intrinsics.fx must be a finite "
+                                  "number, got nan")
+        assert not out.exists()
+
 
 class TestAskCommand:
     def test_question_answered(self, workspace, capsys):
@@ -138,7 +170,7 @@ class TestFlagValidation:
 
     @pytest.mark.parametrize("command,flags,message", [
         ("build", ["--n-img", "0"], "initial_frames must be >= 1, got 0"),
-        ("build", ["--k", "0"], "frame_stride must be >= 1, got 0"),
+        ("build", ["--k", "0"], "--k: stride must be >= 1, got 0"),
         ("eval", ["--m", "-1"], "max_api_calls must be non-negative, got -1"),
         ("eval", ["--n-img", "-3"], "initial_frames must be >= 1, got -3"),
         ("eval", ["--miss-prob", "nan"], "miss_prob must be in [0, 1], got nan"),
@@ -520,7 +552,8 @@ class TestServe:
             assert get("/navlog/?a=b#frag") == get("/navlog")
 
 
-# keys an older config file may hold; each one is now a constant
+# keys an older config file may hold: each is now a constant, and the
+# frame stride is the manifest loader's argument (build's --k)
 RETIRED_KEYS = [
     "association.visual_sim_threshold", "association.caption_sim_threshold",
     "association.overlap_threshold", "association.overlap_radius_m",
@@ -533,23 +566,36 @@ RETIRED_KEYS = [
     "spatial.forward_threshold_m", "spatial.vertical_threshold_m",
     "caption_consolidation_threshold", "edge_discovery_period",
     "structure_pixel_stride", "structure_voxel_m", "frame_failure_abort_fraction",
+    "frame_stride",
 ]
 EXAMPLE_CONFIG = Path(__file__).parent.parent / "docs" / "engine.example.cfg"
 
 
 class TestConfigFile:
-    def test_round_trip(self, tmp_path):
-        cfg = EngineConfig(initial_frames=7, max_api_calls=3, frame_stride=2,
-                           api_mode="node", embedding_dim=16,
-                           room_classes=("kitchen", "living room"))
+    def test_hand_written_file_sets_every_field(self, tmp_path):
         path = tmp_path / "engine.cfg"
-        path.write_text(dump_config(cfg))
+        path.write_text("initial_frames = 7\nmax_api_calls = 3\napi_mode = node\n"
+                        "embedding_dim = 16\nroom_classes = kitchen, living room\n")
+        cfg = EngineConfig(initial_frames=7, max_api_calls=3, api_mode="node",
+                           embedding_dim=16, room_classes=("kitchen", "living room"))
         assert load_config(path) == cfg
+        default = EngineConfig()
+        for f in dataclasses.fields(EngineConfig):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
 
     def test_fields_are_the_settings_callers_set(self):
         assert [f.name for f in dataclasses.fields(EngineConfig)] == [
-            "initial_frames", "max_api_calls", "frame_stride", "api_mode",
-            "embedding_dim", "room_classes"]
+            "initial_frames", "max_api_calls", "api_mode", "embedding_dim",
+            "room_classes"]
+
+    def test_api_modes_have_one_table(self):
+        """The --api choices and the modes EngineConfig accepts are the keys
+        of config.API_MODES (the loop's use of it is pinned in test_loop)."""
+        assert cli._FLAGS["api"]["choices"] == tuple(API_MODES)
+        for mode in API_MODES:
+            assert EngineConfig(api_mode=mode).api_mode == mode
+        with pytest.raises(ValueError, match="^api_mode must be frame, node or image$"):
+            EngineConfig(api_mode="graph")
 
     def test_thresholds_are_not_arguments(self):
         """The readers of the association, merge, consolidation, relation,
@@ -602,7 +648,6 @@ class TestConfigFile:
         "embedding_dim = 0",              # was a failure inside the build
         "initial_frames = 1.5",           # was a ValueError without path:line
         "initial_frames = 0",
-        "frame_stride = 0",
         "max_api_calls = -1",
         "max_api_calls = nan",
         "api_mode = graph",

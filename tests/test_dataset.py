@@ -1,4 +1,5 @@
-"""Manifest ingestion: stride subsampling, locator validation, pose checks."""
+"""Manifest ingestion and writing: stride subsampling, locator validation,
+field checks, and the save/load round trip."""
 
 from __future__ import annotations
 
@@ -7,8 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from scenemem import load_dataset
-from scenemem.dataset import DatasetError
+from scenemem import generate_scene, load_dataset
+from scenemem.dataset import DatasetError, save_dataset
 from scenemem.depthio import write_depth_png
 
 
@@ -45,6 +46,12 @@ class TestLoadDataset:
         episode = load_dataset(manifest, k=5)
         assert len(episode) == 20
         assert episode.frame_ids == list(range(0, 100, 5))
+        assert episode.stride == 5
+
+    def test_default_stride_is_five(self, tmp_path):
+        manifest = write_manifest(tmp_path, 12)
+        episode = load_dataset(manifest)
+        assert episode.frame_ids == [0, 5, 10]
         assert episode.stride == 5
 
     def test_stride_one_keeps_all(self, tmp_path):
@@ -111,3 +118,90 @@ class TestLoadDataset:
         with pytest.raises(DatasetError) as err:
             load_dataset(manifest, k=1)
         assert "increasing" in str(err.value)
+
+
+def _set_field(manifest, dotted: str, value) -> None:
+    """Set ``dotted`` (keys and list indices joined by dots) in the first
+    record of ``manifest``."""
+    lines = manifest.read_text().splitlines()
+    record = json.loads(lines[0])
+    *parents, last = [int(k) if k.isdigit() else k for k in dotted.split(".")]
+    target = record
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    manifest.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+
+
+class TestRecordFields:
+    """Each field is checked, not coerced: a refusal names the frame (the
+    manifest line, for the id) and the field."""
+
+    @pytest.mark.parametrize("value", [0.9, "2", True, 2.0])
+    def test_id_must_be_an_integer(self, tmp_path, value):
+        manifest = write_manifest(tmp_path, 3)
+        _set_field(manifest, "id", value)
+        with pytest.raises(DatasetError) as err:
+            load_dataset(manifest, k=1)
+        assert str(err.value) == f"manifest line 1: id must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("field", ["width", "height"])
+    @pytest.mark.parametrize("value", [16.7, "16", True, 16.0])
+    def test_image_size_must_be_an_integer(self, tmp_path, field, value):
+        manifest = write_manifest(tmp_path, 3)
+        _set_field(manifest, f"intrinsics.{field}", value)
+        with pytest.raises(DatasetError) as err:
+            load_dataset(manifest, k=1)
+        assert str(err.value) == (f"frame 0: intrinsics.{field} must be an integer, "
+                                  f"got {value!r}")
+
+    @pytest.mark.parametrize("field,name", [
+        ("intrinsics.fx", "intrinsics.fx"), ("intrinsics.fy", "intrinsics.fy"),
+        ("intrinsics.cx", "intrinsics.cx"), ("intrinsics.cy", "intrinsics.cy"),
+        ("pose.rotation.4", "pose.rotation[4]"),
+        ("pose.translation.2", "pose.translation[2]"),
+        ("timestamp", "timestamp")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       "1.0", None, False, 10**400],
+                             ids=["nan", "inf", "-inf", "string", "null", "bool",
+                                  "int-beyond-float"])
+    def test_numbers_must_be_finite(self, tmp_path, field, name, value):
+        manifest = write_manifest(tmp_path, 3)
+        _set_field(manifest, field, value)
+        with pytest.raises(DatasetError) as err:
+            load_dataset(manifest, k=1)
+        assert str(err.value) == f"frame 0: {name} must be a finite number, got {value!r}"
+
+    @pytest.mark.parametrize("field,value", [
+        ("pose.rotation", "100010001"), ("pose.rotation", [1, 0, 0]),
+        ("pose.translation", {"x": 0, "y": 0, "z": 1})])
+    def test_pose_entries_must_be_a_list(self, tmp_path, field, value):
+        manifest = write_manifest(tmp_path, 3)
+        _set_field(manifest, field, value)
+        with pytest.raises(DatasetError, match=f"^frame 0: {field} must be a list of"):
+            load_dataset(manifest, k=1)
+
+    def test_timestamp_may_be_omitted(self, tmp_path):
+        manifest = write_manifest(tmp_path, 3)
+        lines = manifest.read_text().splitlines()
+        record = json.loads(lines[0])
+        del record["timestamp"]
+        manifest.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        assert load_dataset(manifest, k=1).frame(0).timestamp == 0.0
+
+
+class TestSaveDataset:
+    def test_round_trip_reproduces_synthetic_episode(self, tmp_path):
+        episode = generate_scene(2, 2, seed=5).episode()
+        manifest = save_dataset(episode, tmp_path / "out")
+        assert manifest == tmp_path / "out" / "manifest.jsonl"
+        loaded = load_dataset(manifest, k=1)
+        assert loaded.frame_ids == episode.frame_ids
+        for saved, back in zip(episode.frames, loaded.frames):
+            assert back.pose.rotation.tobytes() == saved.pose.rotation.tobytes()
+            assert back.pose.translation.tobytes() == saved.pose.translation.tobytes()
+            assert back.intrinsics == saved.intrinsics
+            assert back.image_locator == saved.image_locator
+            assert back.timestamp == saved.timestamp
+            np.testing.assert_allclose(back.depth.values, saved.depth.values,
+                                       rtol=0, atol=1e-3)

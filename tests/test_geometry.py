@@ -557,6 +557,12 @@ class TestTypes:
         with pytest.raises(GeometryInputError):
             CameraIntrinsics(fx=1, fy=1, cx=10, cy=0, width=10, height=10)
 
+    @pytest.mark.parametrize("fx,fy", [(float("nan"), 1), (1, float("inf")),
+                                       (float("inf"), float("nan"))])
+    def test_intrinsics_refuse_non_finite_focal_lengths(self, fx, fy):
+        with pytest.raises(GeometryInputError, match="focal lengths"):
+            CameraIntrinsics(fx=fx, fy=fy, cx=0, cy=0, width=10, height=10)
+
     def test_pose_orthonormality_enforced(self):
         with pytest.raises(GeometryInputError):
             Pose(np.eye(3) * 2.0, np.zeros(3))

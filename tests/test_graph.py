@@ -4,6 +4,7 @@ scalar EMA recurrence, rule-based edge filter)."""
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from scenemem import (Detection, Embedding, PointCloud, RelationEdge, SceneGraph
                       Track, associate, consolidate_captions, edge_discovery_due,
                       graph, merge_detection, vote_score)
 from scenemem.backend import Backend, TransportError
-from scenemem.graph import GraphError, cosine, hash_embedding
+from scenemem.graph import GraphError, caption_embedding, cosine, hash_embedding
 
 from conftest import rng
 from test_geometry import brute_overlap
@@ -515,3 +516,12 @@ class TestTrackCountProperty:
                     scene_graph.replace_track(
                         merge_detection(scene_graph.tracks[tid], dets[di]))
         assert len(scene_graph) == k
+
+
+class TestEmbeddingLength:
+    def test_dim_has_no_default(self):
+        """The length is EngineConfig.embedding_dim, which every caller
+        passes; the hash embeddings keep no second default."""
+        for fn in (hash_embedding, caption_embedding):
+            assert inspect.signature(fn).parameters["dim"].default \
+                is inspect.Parameter.empty, fn.__name__

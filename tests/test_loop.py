@@ -10,6 +10,8 @@ from scenemem import (EngineConfig, EpisodeQuery, RuleReasoner, ScriptedBackend,
                       answer, build_ssm, generate_questions, generate_scene,
                       run_episode_batch, serialize, validate_evidence)
 from scenemem.backend import REQUEST_KINDS
+from scenemem import loop
+from scenemem.config import API_MODES
 from scenemem.loop import percentile_nearest_rank, write_transcript
 from scenemem.scripted import ScriptReasoner
 
@@ -115,6 +117,28 @@ class TestBudget:
         # once, the script insists again, so the episode ends in abstention
         assert out.abstained
         assert out.text == "unknown"
+
+    def test_allowed_apis_come_from_the_mode_table(self, small_build):
+        """Each reason request offers exactly the APIs the config's mode
+        table lists for the configured mode; the loop keeps no copy."""
+        scene, episode, _, ssm = small_build
+
+        class Spy(ScriptedBackend):
+            allowed_seen = []
+
+            def _handle_reason(self, request):
+                self.allowed_seen.append(request.payload["allowed_apis"])
+                return super()._handle_reason(request)
+
+        assert set(API_MODES) == {"frame", "node", "image"}
+        for mode, apis in API_MODES.items():
+            backend = Spy(scene, reasoner=ScriptReasoner(default=[AUTO_ANSWER]))
+            backend.allowed_seen = []
+            answer(_query(f"modes {mode}", 3, scene), ssm, episode, backend,
+                   _cfg(mode=mode, m=3))
+            assert backend.allowed_seen, mode
+            assert all(seen == list(apis) for seen in backend.allowed_seen), mode
+        assert not hasattr(loop, "API_MODE_KINDS")
 
     def test_scripted_two_calls_then_answer(self, small_build):
         scene, episode, _, ssm = small_build

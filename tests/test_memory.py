@@ -734,6 +734,15 @@ class TestStrictParse:
         doc["scratchpad"][0]["notes"] = []
         assert self._path_of(doc) == "$.scratchpad[0].notes"
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400],
+                             ids=["nan", "inf", "int-beyond-float"])
+    def test_non_finite_centroid_rejected(self, value):
+        """serialize refuses a non-finite float, so deserialize must too:
+        a memory that loads also saves."""
+        doc = self._golden()
+        doc["scene_graph"]["tracks"]["rows"][0][7][1] = value
+        assert self._path_of(doc) == "$.scene_graph.tracks.rows[0].centroid"
+
     def test_partial_cloud_rejected(self):
         doc = self._golden()
         doc["scene_graph"]["tracks"]["rows"][0][7] = None  # centroid only

@@ -209,26 +209,10 @@ class TestBuildSsm:
     def test_strided_dataset_build(self, tmp_path):
         """Full disk round trip: synth -> manifest + PNGs -> load -> build."""
         from scenemem import load_dataset
-        from scenemem.depthio import write_depth_png
+        from scenemem.dataset import save_dataset
 
         scene = generate_scene(2, 2, seed=37)
-        episode = scene.episode()
-        depth_dir = tmp_path / "depth"
-        depth_dir.mkdir()
-        lines = []
-        for frame in episode.frames:
-            name = f"depth/{frame.id:04d}.png"
-            write_depth_png(tmp_path / name, frame.depth.values)
-            lines.append(json.dumps({
-                "id": frame.id, "image": frame.image_locator, "depth": name,
-                "pose": {"rotation": frame.pose.rotation.reshape(-1).tolist(),
-                         "translation": frame.pose.translation.tolist()},
-                "intrinsics": {"fx": frame.intrinsics.fx, "fy": frame.intrinsics.fy,
-                               "cx": frame.intrinsics.cx, "cy": frame.intrinsics.cy,
-                               "width": frame.intrinsics.width,
-                               "height": frame.intrinsics.height}}))
-        manifest = tmp_path / "manifest.jsonl"
-        manifest.write_text("\n".join(lines) + "\n")
+        manifest = save_dataset(scene.episode(), tmp_path)
         loaded = load_dataset(manifest, k=1, scene_id=scene.scene_id)
         ssm = build_ssm(loaded, ScriptedBackend(scene), EngineConfig())
         # millimeter depth quantization must not cost any tracks
