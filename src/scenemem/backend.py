@@ -17,22 +17,24 @@ live in one place.
 Transport errors are retried once; schema errors never are (they are
 systematic, a retry wastes budget).
 
-Each kind has one sender. ``detect`` is the build's: one request, no
+Each kind has at most one sender. ``detect`` is the build's: one request, no
 query, lists every keyframe in ``payload["frames"]`` as ``[frame_id,
 relations]`` pairs, and its reply holds one item per listed frame, in the
 same order. An item is that frame's detections with, optionally, its
-field-of-view tag (``fov_tag``) and, when the pair asks for them, relation
-rows that name the item's detections by index; or it is ``{"error":
-"..."}``. A malformed item or an error item fails its own frame only:
-validation returns a ``DetectResponse`` holding the error. A reply with
-the wrong number of items fails the whole request. A frame without a tag
-gets the tag "unavailable" and one without relations adds no edges;
-neither sends another request. ``analyze`` is the loop's: every API but
+field-of-view tag (``fov_tag``), its room scores (``room_scores``: one
+score per class the request lists in ``payload["classes"]``, for the room
+the camera stands in) and, when the pair asks for them, relation rows that
+name the item's detections by index; or it is ``{"error": "..."}``. A
+malformed item or an error item fails its own frame only: validation
+returns a ``DetectResponse`` holding the error. A reply with the wrong
+number of items fails the whole request. A frame without a tag gets the
+tag "unavailable", one without relations adds no edges and one without
+room scores casts no room vote; none sends another request, so a clean
+build is one round trip. ``analyze`` is the loop's: every API but
 retrieve_frame sends one; with no targets and ``discover`` true it is
 find_objects (or analyze_objects when none of its nodes is visible). The
-``fov`` and ``relations`` kinds remain in the protocol, but the engine no
-longer sends them. One ``room_label`` request scores every room: one row
-of class scores per room.
+``fov``, ``relations`` and ``room_label`` kinds remain in the protocol,
+but the engine no longer sends them.
 
 Detect/analyze items may carry an exact pixel mask (row runs) and
 visual/language embedding vectors. Mask extraction and embedding models
@@ -140,6 +142,8 @@ class DetectResponse:
 
     objects: tuple[WireObject, ...] = ()
     fov_tag: str | None = None  # the frame's field-of-view tag, when sent
+    # one score per requested class for the room holding the camera, when sent
+    room_scores: tuple[float, ...] | None = None
     # relations among the detections: subject_id and object_id are indices
     # into ``objects``
     relations: tuple[WireRelation, ...] = ()
@@ -363,12 +367,14 @@ def _detect_response(doc, frame_size, dim, path) -> DetectResponse:
                 f"{path}.error: {need(doc, 'error', str, path)}"))
         items = need(doc, "detections", list, path)
         fov_tag = need(doc, "fov_tag", str, path) if "fov_tag" in doc else None
+        room_scores = (number_array(doc["room_scores"], f"{path}.room_scores")
+                       if "room_scores" in doc else None)
         objects = tuple(_wire_object(d, frame_size, dim, f"{path}.detections[{i}]")
                         for i, d in enumerate(items))
         relations = _relation_rows(doc, path, len(objects)) if "relations" in doc else ()
     except SchemaError as exc:
         return DetectResponse(error=exc)
-    return DetectResponse(objects, fov_tag, relations)
+    return DetectResponse(objects, fov_tag, room_scores, relations)
 
 
 def validate_response(kind: str, raw,

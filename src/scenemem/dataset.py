@@ -10,11 +10,12 @@ A manifest holds one frame record per line:
                     "width":..., "height":...},
      "timestamp": 0.0}
 
-``id``, ``width`` and ``height`` are integers; every other number is
-finite, and the timestamp is optional. Paths are resolved relative to the
-manifest. Depth locators (millimeter PNGs) must resolve at load time;
-image locators may be placeholders (any value containing "://" is passed
-through unchecked, since synthetic episodes carry no RGB). The stride k
+``id``, ``width`` and ``height`` are integers and ``image`` and ``depth``
+strings; every other number is finite, and the timestamp is optional.
+Paths are resolved relative to the manifest. Depth locators (millimeter
+PNGs) must resolve at load time; image locators may be placeholders (any
+value containing "://" is passed through unchecked, since synthetic
+episodes carry no RGB). The stride k
 keeps every k-th record, matching the episodic protocol of sampling a
 pre-recorded scan; ``STRIDE`` is its one default.
 """
@@ -97,6 +98,13 @@ def _number(value, name: str, where: str, integer: bool = False):
     return value if integer else float(value)
 
 
+def _string(value, name: str, where: str) -> str:
+    """``value`` when it is a JSON string; else DatasetError naming ``name``."""
+    if not isinstance(value, str):
+        raise DatasetError(f"{where}: {name} must be a string, got {value!r}")
+    return value
+
+
 def _numbers(value, size: int, name: str, where: str) -> list[float]:
     if not isinstance(value, list) or len(value) != size:
         raise DatasetError(f"{where}: {name} must be a list of {size} numbers")
@@ -115,8 +123,8 @@ def _parse_record(rec: dict, base: Path, line_no: int) -> Keyframe:
         rotation = _numbers(rec["pose"]["rotation"], 9, "pose.rotation", where)
         pose = Pose([rotation[0:3], rotation[3:6], rotation[6:9]],
                     _numbers(rec["pose"]["translation"], 3, "pose.translation", where))
-        image = str(rec["image"])
-        depth_loc = str(rec["depth"])
+        image = _string(rec["image"], "image", where)
+        depth_loc = _string(rec["depth"], "depth", where)
         timestamp = _number(rec.get("timestamp", 0.0), "timestamp", where)
     except (KeyError, TypeError, GeometryInputError) as exc:
         raise DatasetError(f"{where}: malformed record: {exc}") from None

@@ -7,8 +7,10 @@ asks no query. The sweep walks the items in frame order: each item's
 voxel downsample -> densest cluster (apis.detection_from_wire), then
 merged into or used to create tracks through the same integration
 function that applies patches (apis._associate_detections). An item also
-carries the frame's field-of-view tag, kept for its navigation-log entry;
-an item without one, or a failed item, gives the tag "unavailable".
+carries the frame's field-of-view tag, kept for its navigation-log entry
+(an item without one, or a failed item, gives the tag "unavailable"), and
+the class scores of the room its camera stands in, kept as the frame's
+room vote.
 Every third frame's entry in the request also asks for pairwise relations
 among that frame's detections: each row of its item names two detections,
 which become an edge between the nodes they landed on (a row whose
@@ -19,14 +21,19 @@ history of one repeated caption needs no request. Consolidation is the
 only request of the frame sweep that reads the growing graph.
 
 After the frame sweep: the structure cloud (strided depth of every frame),
-which ``spatial`` turns into floors, occupancy grids and watershed rooms,
-room labels from one backend scoring request over all rooms, one
-navigation-log entry per keyframe, and the evenly spaced initial frame
-memory.
+which ``spatial`` turns into floors, occupancy grids and watershed rooms;
+each keyframe's camera located once in a room, which takes the frame's
+room vote and names its navigation-log entry; room labels from the summed
+votes of each room's views (spatial.label_rooms, no request); each track
+placed once, with its room's label; one navigation-log entry per keyframe;
+and the evenly spaced initial frame memory. A clean build is thus one
+round trip, the detect request, unless a caption history needs
+consolidating.
 
-A malformed or error item skips that frame's detections (the navigation
-log still covers it); a failed detect request fails every frame. More than
-half the frames failing aborts the build before the sweep.
+A malformed or error item skips that frame's detections and its vote (the
+navigation log still covers it); a failed detect request fails every
+frame. More than half the frames failing aborts the build before the
+sweep.
 """
 
 from __future__ import annotations
@@ -55,6 +62,8 @@ STRUCTURE_PIXEL_STRIDE = 3
 STRUCTURE_VOXEL_M = 0.05
 # the build stops when more than this share of frames fails
 FRAME_FAILURE_ABORT_FRACTION = 0.5
+# a camera off every room's cells stands in the nearest room this close
+CAMERA_SNAP_M = 0.5
 
 
 class BuildError(RuntimeError):
@@ -107,7 +116,8 @@ def _detect_replies(episode: Episode, backend: Backend, cfg: EngineConfig,
         replies = backend.call(BackendRequest(
             kind="detect",
             payload={"frames": [[f.id, due]
-                                for f, due in zip(episode.frames, edges_due)]},
+                                for f, due in zip(episode.frames, edges_due)],
+                     "classes": list(cfg.room_classes)},
             frame_sizes=tuple(f.size for f in episode.frames),
             embedding_dim=cfg.embedding_dim))
     except BackendError as exc:
@@ -137,6 +147,7 @@ def build_ssm(episode: Episode, backend: Backend,
                             episode.frame_locators())
     visible_by_frame: dict[int, list[int]] = {}
     fov_by_frame: dict[int, str] = {}  # the tag each detect item carried
+    room_scores = [reply.room_scores for reply in replies]  # None when failed
 
     for frame, due in zip(episode.frames, edges_due):
         reply = replies.popleft()
@@ -158,21 +169,18 @@ def build_ssm(episode: Episode, backend: Backend,
     floors = detect_floors(heights)
     ssm.rooms = segment_rooms(floors, occupancy_grids(_structure_cloud(episode), floors))
 
-    # label the rooms by the captions placed in them, then place each track
-    # once, with its room's label
-    members: dict[str, list[str]] = {}
-    for tid in sorted(ssm.graph.tracks):
-        track = ssm.place_track(ssm.graph.tracks[tid])
-        if track.room_id is not None:
-            members.setdefault(track.room_id, []).append(track.caption)
-    label_rooms(ssm.rooms, members, backend, list(cfg.room_classes))
+    # each camera's room takes its frame's vote and names its log entry; then
+    # each track is placed once, with its room's label
+    camera_rooms = [ssm.rooms.locate(*map(float, f.pose.translation),
+                                     snap_m=CAMERA_SNAP_M)[1] for f in episode.frames]
+    label_rooms(ssm.rooms, zip(camera_rooms, room_scores), list(cfg.room_classes))
     for tid in sorted(ssm.graph.tracks):
         ssm.graph.replace_track(ssm.place_track(ssm.graph.tracks[tid]))
 
     prev = None
-    for frame in episode.frames:
+    for frame, room_id in zip(episode.frames, camera_rooms):
         ssm.nav_log.append(build_nav_entry(
-            frame, prev, ssm.rooms, visible_by_frame.get(frame.id, []),
+            frame, prev, ssm.rooms.label_of(room_id), visible_by_frame.get(frame.id, []),
             fov_by_frame.get(frame.id, "unavailable")))
         prev = frame
 

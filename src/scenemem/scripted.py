@@ -13,9 +13,11 @@ probability) and delegates reason requests to a pluggable policy:
 
 The build's detect request is answered item by item, in the order its
 frames are listed, so one request listing every keyframe draws exactly
-what one request per keyframe drew. An analyze request asked to discover
-draws the misses among the frame's untargeted objects that match its
-query, and notes each object it returns.
+what one request per keyframe drew; each item scores the request's room
+classes for the scene room holding the camera, which draws nothing. An
+analyze request asked to discover draws the misses among the frame's
+untargeted objects that match its query, and notes each object it
+returns.
 
 Identical request sequences always produce identical responses. Recorded
 replies are replayed through RecordingBackend/ReplayBackend, which is
@@ -35,7 +37,7 @@ from .backend import Backend, BackendRequest, TransportError
 from .config import EngineConfig
 from .graph import caption_embedding, hash_embedding
 from .memory import table_records
-from .synth import GtDetection, SyntheticScene
+from .synth import GtDetection, RoomSpec, SyntheticScene
 
 
 GENERIC_QUERY_TOKENS = {
@@ -92,6 +94,7 @@ class ScriptedBackend(Backend):
         self.reasoner = reasoner
         self.miss_prob = miss_prob
         self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.classes: list[str] = []  # the room classes the last detect listed
         self._fail_plan: dict[str, list[str]] = {}
 
     # -- test hooks --------------------------------------------------------
@@ -148,19 +151,22 @@ class ScriptedBackend(Backend):
         return (f"{prefix}the {obj.caption} is {obj.color}; "
                 f"located in the {self._object_room(obj_index)}")
 
+    def _camera_room(self, frame_id: int) -> RoomSpec | None:
+        """The scene room holding the frame's camera (the first, on a
+        shared wall), or None."""
+        pose = self.scene.poses[frame_id]
+        x, y = float(pose.translation[0]), float(pose.translation[1])
+        return next((spec for spec in self.scene.rooms
+                     if spec.x0 <= x <= spec.x1 and spec.y0 <= y <= spec.y1), None)
+
     def _fov_tag(self, frame_id: int) -> str:
         """The frame's field-of-view tag: the room holding the camera and
         the captions in view. Deterministic; it draws nothing."""
-        pose = self.scene.poses[frame_id]
-        x, y = float(pose.translation[0]), float(pose.translation[1])
-        room = "somewhere"
-        for spec in self.scene.rooms:
-            if spec.x0 <= x <= spec.x1 and spec.y0 <= y <= spec.y1:
-                room = spec.label
-                break
+        room = self._camera_room(frame_id)
         captions = sorted(self.scene.objects[i].caption
                           for i in self.scene.visible_objects(frame_id))
-        return f"view of {room}: {', '.join(captions) if captions else 'empty'}"
+        return (f"view of {room.label if room else 'somewhere'}: "
+                f"{', '.join(captions) if captions else 'empty'}")
 
     def _room_scores(self, captions: set[str], classes: list[str]) -> list[float]:
         """One room's scores: 1 for the label of the scene room sharing the
@@ -206,6 +212,7 @@ class ScriptedBackend(Backend):
         return handler(request)
 
     def _handle_detect(self, request: BackendRequest) -> dict:
+        self.classes = request.payload.get("classes", [])
         plan = self._fail_plan.get("detect", [])
         items = []
         for frame_id, relations in request.payload["frames"]:
@@ -217,12 +224,16 @@ class ScriptedBackend(Backend):
         return {"frames": items}
 
     def _detect_item(self, frame_id: int, relations: bool) -> dict:
-        """One listed frame's detections, after the miss draws, and its fov
-        tag; with ``relations``, the true relations among the detections,
-        which draw nothing."""
+        """One listed frame's detections, after the miss draws, its fov tag
+        and its room scores over the request's classes (1 for the class of
+        the room holding the camera, 0 elsewhere); with ``relations``, the
+        true relations among the detections. Only the detections draw."""
         dets = self._drop_missed(list(self.scene.gt_detections(frame_id)))
+        room = self._camera_room(frame_id)
         doc = {"detections": [self._wire_detection(det, None) for det in dets],
-               "fov_tag": self._fov_tag(frame_id)}
+               "fov_tag": self._fov_tag(frame_id),
+               "room_scores": [float(room is not None and cls == room.label)
+                               for cls in self.classes]}
         if relations:
             doc["relations"] = self._relation_rows(
                 {det.object_index: i for i, det in enumerate(dets)})

@@ -2,9 +2,11 @@
 
 Floors come from height-histogram modes, each floor's free/wall occupancy
 grid from the structure cloud, rooms from a watershed over the wall
-distance transform, and every keyframe gets a navigation entry with its
-room, the field-of-view tag its detect reply carried, an egocentric motion
-label derived from pose deltas, and the ids of nodes seen in that frame.
+distance transform, each room's label from the class scores of the views
+taken inside it, and every keyframe gets a navigation entry with its
+room's label, the field-of-view tag its detect reply carried, an
+egocentric motion label derived from pose deltas, and the ids of nodes
+seen in that frame.
 
 One 8-neighbor view helper serves the unseen-cell fill and the seed
 picking; one 4-connected labelling serves the speckle pruning and the
@@ -26,17 +28,14 @@ is z-up; each threshold is a module constant below, next to its reader.
 from __future__ import annotations
 
 import heapq
-import logging
 import math
 from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import BackendError, BackendRequest
 from .geometry import GeometryInputError, PointCloud, Pose
-
-logger = logging.getLogger(__name__)
 
 MOTION_LABELS = ("stationary", "forward", "backward", "turn_left",
                  "turn_right", "ascend", "descend")
@@ -414,39 +413,28 @@ def segment_rooms(floors: FloorModel, occupancy: dict[str, OccupancyGrid],
     return RoomModel(floors, dict(occupancy), rooms)
 
 
-def label_rooms(model: RoomModel, members: dict[str, list[str]], backend,
+def label_rooms(model: RoomModel,
+                votes: Iterable[tuple[str | None, Sequence[float] | None]],
                 class_list: list[str]) -> RoomModel:
-    """Assign a semantic label to each room, with one backend request.
+    """Label each room from the views taken inside it, with no request.
 
-    ``members`` maps room id to the captions of tracks inside it. The
-    request lists each room with members, in ``model.room_ids()`` order,
-    by its sorted captions; the reply holds one row of scores per listed
-    room, aligned with ``class_list``. Each room takes its row's argmax
-    class, ties broken by class order. Rooms with no members are labeled
-    "unknown" and not sent; when the request fails, or the reply has the
-    wrong number of rows or scores, every room is.
+    ``votes`` holds one (room id, scores) pair per view: the room the
+    camera stands in (None when it stands in none) and the view's score
+    per class of ``class_list`` (None when the view has none). Each room
+    sums its views' rows, counting only rows of one score per class, and
+    takes the argmax class, ties broken by class order. A room whose
+    total has no positive score, a room no view stands in included, is
+    labeled "unknown".
     """
     if not class_list:
         raise GeometryInputError("class_list must be nonempty")
-    room_ids = model.room_ids()
-    listed = [room_id for room_id in room_ids if members.get(room_id)]
-    model.labels.update(dict.fromkeys(room_ids, "unknown"))
-    if not listed:
-        return model
-    request = BackendRequest(kind="room_label", payload={
-        "rooms": [sorted(members[room_id]) for room_id in listed],
-        "classes": list(class_list)})
-    try:
-        rows = backend.call(request).scores
-        if len(rows) != len(listed) or any(len(row) != len(class_list) for row in rows):
-            raise BackendError(f"expected {len(listed)} rows of "
-                               f"{len(class_list)} scores")
-    except BackendError as exc:
-        logger.warning("room labeling failed for %d rooms: %s", len(listed), exc)
-        return model
-    for room_id, scores in zip(listed, rows):
-        best = max(range(len(class_list)), key=lambda i: (scores[i], -i))
-        model.labels[room_id] = class_list[best]
+    totals = dict.fromkeys(model.room_ids(), (0.0,) * len(class_list))
+    for room_id, scores in votes:
+        if room_id in totals and scores is not None and len(scores) == len(class_list):
+            totals[room_id] = tuple(map(sum, zip(totals[room_id], scores)))
+    for room_id, total in totals.items():
+        best = max(range(len(class_list)), key=lambda i: (total[i], -i))
+        model.labels[room_id] = class_list[best] if total[best] > 0 else "unknown"
     return model
 
 
@@ -479,21 +467,15 @@ def motion_label(prev: Pose, curr: Pose) -> str:
     return "stationary"
 
 
-def build_nav_entry(frame, prev, rooms: RoomModel | None,
+def build_nav_entry(frame, prev, room_label: str,
                     visible: set[int] | list[int], fov_tag: str) -> NavLogEntry:
     """Assemble one navigation-log entry for a processed keyframe.
 
-    ``frame``/``prev`` are keyframes (prev None for the first frame). The
-    room label comes from the camera position, snapped to a room within
-    0.5 m. ``fov_tag`` is the frame's field-of-view tag (the build passes
-    the one its detect reply carried, or "unavailable").
+    ``frame``/``prev`` are keyframes (prev None for the first frame).
+    ``room_label`` is the label of the room the camera stands in and
+    ``fov_tag`` the frame's field-of-view tag (the build passes the one its
+    detect reply carried, or "unavailable").
     """
-    cam = frame.pose.translation
-    room_label = "unknown"
-    if rooms is not None:
-        _, room_id = rooms.locate(float(cam[0]), float(cam[1]), float(cam[2]),
-                                  snap_m=0.5)
-        room_label = rooms.label_of(room_id)
     motion = "stationary" if prev is None else motion_label(prev.pose, frame.pose)
     return NavLogEntry(frame_id=frame.id, room_label=room_label, fov_tag=fov_tag,
                        motion_label=motion,

@@ -214,6 +214,27 @@ class TestValidateResponse:
         out = _validate("detect", {**raw, "fov_tag": "view of hall: empty"})
         assert out.fov_tag == "view of hall: empty"
 
+    def test_detect_room_scores(self):
+        raw = {"detections": []}
+        assert _validate("detect", raw).room_scores is None
+        out = _validate("detect", {**raw, "room_scores": [0, 0.5, 1]})
+        assert out.room_scores == (0.0, 0.5, 1.0)
+        assert all(type(x) is float for x in out.room_scores)
+        assert _validate("detect", {**raw, "room_scores": []}).room_scores == ()
+
+    @pytest.mark.parametrize("scores", ['["high"]', "[0.5, true]", "0.5", "null",
+                                        "[NaN]", "[1, Infinity]", "[1e999]"])
+    def test_malformed_room_scores_fail_their_frame_only(self, scores):
+        """A bad score row fails its own frame, with its detections, at the
+        row's path (or the bad entry's); the other frames keep theirs."""
+        good = {"detections": [{"bbox": [0, 0, 3, 3], "caption": "mug"}],
+                "room_scores": [1.0, 0.0]}
+        bad = {**good, "room_scores": json.loads(scores)}
+        out = validate_response("detect", {"frames": [good, bad, good]}, (None,) * 3)
+        assert out[0] == out[2] and out[0].room_scores == (1.0, 0.0)
+        assert out[1].error.path.startswith("$.frames[1].room_scores")
+        assert (out[1].objects, out[1].room_scores) == ((), None)
+
     def test_detect_relations_name_detections(self):
         """A detect item's relation rows name its detections by index, so
         each index must be below the number of detections."""
@@ -406,6 +427,25 @@ class TestScriptedBackend:
         assert len(out.objects) == len(truth)
         assert {o.caption for o in out.objects} \
             == {small_scene.objects[d.object_index].caption for d in truth}
+
+    def test_detect_scores_the_camera_room(self, small_scene):
+        """Each detect item scores the request's classes for the scene room
+        holding the camera: 1 for its label, 0 elsewhere; a request listing
+        no classes gets an empty row."""
+        backend = ScriptedBackend(small_scene)
+        classes = sorted({spec.label for spec in small_scene.rooms}) + ["attic"]
+        frames = small_scene.episode().frame_ids
+        out = backend.call(BackendRequest(kind="detect", payload={
+            "frames": [[f, False] for f in frames], "classes": classes}))
+        for fid, item in zip(frames, out):
+            room = backend._camera_room(fid)
+            assert room is not None
+            assert item.room_scores == tuple(float(c == room.label) for c in classes)
+            assert item.fov_tag.startswith(f"view of {room.label}: ")
+        assert {backend._camera_room(f).index for f in frames} \
+            == {spec.index for spec in small_scene.rooms}
+        (bare,) = backend.call(_detect(0))
+        assert bare.room_scores == ()
 
     def test_query_filters_to_relevant_objects(self, small_scene):
         backend = ScriptedBackend(small_scene)

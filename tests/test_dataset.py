@@ -181,6 +181,18 @@ class TestRecordFields:
         with pytest.raises(DatasetError, match=f"^frame 0: {field} must be a list of"):
             load_dataset(manifest, k=1)
 
+    @pytest.mark.parametrize("field", ["image", "depth"])
+    @pytest.mark.parametrize("value", [["synthetic://x"], None, 7, {"path": "x"}],
+                             ids=["list", "null", "number", "object"])
+    def test_locators_must_be_strings(self, tmp_path, field, value):
+        """A locator is taken as written, never coerced: a list used to load
+        as the locator "['synthetic://x']" and a null as the path None."""
+        manifest = write_manifest(tmp_path, 3)
+        _set_field(manifest, field, value)
+        with pytest.raises(DatasetError) as err:
+            load_dataset(manifest, k=1)
+        assert str(err.value) == f"frame 0: {field} must be a string, got {value!r}"
+
     def test_timestamp_may_be_omitted(self, tmp_path):
         manifest = write_manifest(tmp_path, 3)
         lines = manifest.read_text().splitlines()

@@ -78,8 +78,8 @@ class TestHttpBackend:
         assert over_http == direct
 
     def test_one_detect_post_per_build(self, small_scene, protocol_server):
-        """A clean build POSTs one /detect listing every keyframe, then one
-        /room_label, and nothing else."""
+        """A clean build POSTs one /detect listing every keyframe, and
+        nothing else."""
         posts = []
 
         class Counting(ScriptedBackend):
@@ -89,7 +89,7 @@ class TestHttpBackend:
 
         url = protocol_server(Counting(small_scene))
         build_ssm(small_scene.episode(), HttpBackend(url), EngineConfig())
-        assert posts == [("detect", len(small_scene.episode())), ("room_label", 0)]
+        assert posts == [("detect", len(small_scene.episode()))]
 
     def test_episode_identical_over_http(self, small_build, protocol_server):
         scene, episode, _, ssm = small_build

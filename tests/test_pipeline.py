@@ -20,6 +20,7 @@ from scenemem import (EngineConfig, RecordingBackend, ReplayBackend,
                       RuleReasoner, ScriptedBackend, build_ssm, edge_discovery_due,
                       evaluate, generate_questions, generate_scene, recall_sweep,
                       serialize)
+from scenemem.backend import REQUEST_KINDS
 from scenemem.dataset import Episode
 from scenemem.metrics import (graph_precision_recall, match_tracks,
                               normalize_answer, track_recall)
@@ -214,9 +215,12 @@ class TestBuildSsm:
         scene = generate_scene(2, 2, seed=37)
         manifest = save_dataset(scene.episode(), tmp_path)
         loaded = load_dataset(manifest, k=1, scene_id=scene.scene_id)
-        ssm = build_ssm(loaded, ScriptedBackend(scene), EngineConfig())
+        backend = ScriptedBackend(scene)
+        ssm = build_ssm(loaded, backend, EngineConfig())
         # millimeter depth quantization must not cost any tracks
         assert track_recall(ssm, scene) == 1.0
+        # a loaded episode builds in one round trip, like a synthetic one
+        assert backend.call_counts == {**NO_CALLS, "detect": 1}
 
 
 def _build(scene, backend):
@@ -224,31 +228,41 @@ def _build(scene, backend):
 
 
 class BareDetectServer(ScriptedBackend):
-    """A backend whose detect items carry neither a field-of-view tag nor
-    relations, both of which the protocol leaves optional."""
+    """A backend whose detect items carry neither a field-of-view tag,
+    relations nor room scores, all of which the protocol leaves optional."""
 
     def _detect_item(self, frame_id, relations):
         doc = super()._detect_item(frame_id, relations)
         doc.pop("fov_tag", None)
         doc.pop("relations", None)
+        doc.pop("room_scores", None)
         return doc
 
 
-class TestBuildRoundTrips:
-    """One detect request lists every keyframe, the fov tag and the due
-    frames' relations ride on its items, one room_label request scores every
-    room, and a history of one repeated caption consolidates without a
-    request; the build sends no fov or relations request."""
+# every request kind at zero calls
+NO_CALLS = dict.fromkeys(REQUEST_KINDS, 0)
 
-    def test_clean_build_sends_only_detects_and_one_room_label(self, small_scene):
+
+def _room_frames(scene, backend, room):
+    """The episode's frames whose camera stands in scene room ``room``."""
+    return [f for f in scene.episode().frame_ids if backend._camera_room(f) is room]
+
+
+class TestBuildRoundTrips:
+    """One detect request lists every keyframe; the fov tag, the room
+    scores and the due frames' relations ride on its items, and a history
+    of one repeated caption consolidates without a request. A clean build
+    is that one round trip: it sends no fov, relations or room_label
+    request."""
+
+    def test_clean_build_is_one_detect_round_trip(self, small_scene):
         backend = ScriptedBackend(small_scene)
         ssm = _build(small_scene, backend)
         assert len(ssm.nav_log) == 12
-        assert backend.call_counts == {
-            "detect": 1, "relations": 0, "consolidate": 0,
-            "analyze": 0, "fov": 0, "room_label": 1, "reason": 0}
+        assert backend.call_counts == {**NO_CALLS, "detect": 1}
         assert ssm.graph.edges
         assert "unavailable" not in {e.fov_tag for e in ssm.nav_log}
+        assert "unknown" not in {e.room_label for e in ssm.nav_log}
 
     def test_failed_detect_tags_its_frame_unavailable(self, small_scene):
         clean = _build(small_scene, ScriptedBackend(small_scene))
@@ -264,15 +278,17 @@ class TestBuildRoundTrips:
             == [astuple(e) for e in clean.nav_log[1:]]
 
     def test_bare_detect_replies_send_no_other_request(self, small_scene):
-        """Detect items without a tag or relations: each frame is tagged
-        "unavailable", the graph has no edges, and nothing else is asked."""
+        """Detect items without a tag, relations or room scores: each frame
+        is tagged "unavailable", the graph has no edges, every room is
+        "unknown", and nothing else is asked."""
         backend = BareDetectServer(small_scene)
         ssm = _build(small_scene, backend)
-        assert backend.call_counts == {
-            "detect": 1, "relations": 0, "consolidate": 0,
-            "analyze": 0, "fov": 0, "room_label": 1, "reason": 0}
+        assert backend.call_counts == {**NO_CALLS, "detect": 1}
         assert {e.fov_tag for e in ssm.nav_log} == {"unavailable"}
         assert not ssm.graph.edges
+        assert set(ssm.rooms.labels.values()) == {"unknown"}
+        assert {e.room_label for e in ssm.nav_log} == {"unknown"}
+        assert {t.room_label for t in ssm.graph.tracks.values()} == {"unknown"}
         clean = _build(small_scene, ScriptedBackend(small_scene))
         assert sorted(ssm.graph.tracks) == sorted(clean.graph.tracks)
 
@@ -330,29 +346,61 @@ class TestBuildRoundTrips:
         expected = json.loads(GOLDEN.read_text(encoding="utf-8"))[name]["memory"]
         assert hashlib.sha256(serialize(ssm)[0].encode()).hexdigest() == expected
 
-    def test_failed_room_label_labels_every_room_unknown(self, small_scene, caplog):
-        backend = ScriptedBackend(small_scene)
-        backend.fail("room_label", times=2)
-        with caplog.at_level("WARNING", logger="scenemem.spatial"):
-            ssm = _build(small_scene, backend)
-        failures = [r for r in caplog.records if r.name == "scenemem.spatial"]
-        assert len(failures) == 1
-        assert "room labeling failed" in failures[0].getMessage()
-        assert backend.call_counts["room_label"] == 2  # the failure and its retry
-        assert set(ssm.rooms.labels.values()) == {"unknown"}
-        assert {t.room_label for t in ssm.graph.tracks.values()} == {"unknown"}
-        assert all(t.room_id is not None for t in ssm.graph.tracks.values())
+    def test_room_without_detections_keeps_its_label(self, small_scene):
+        """Room labels come from the views taken in a room, not from the
+        objects found there: a room whose every detection is dropped still
+        names the navigation-log rows of the frames taken in it."""
+        room = small_scene.rooms[0]
+        dropped = {o.caption for o in small_scene.objects if o.room_index == room.index}
+        assert not dropped & {o.caption for o in small_scene.objects
+                              if o.room_index != room.index}
 
-    def test_missing_score_row_labels_every_room_unknown(self, small_scene):
-        class ShortReply(ScriptedBackend):
-            def _handle_room_label(self, request):
-                doc = super()._handle_room_label(request)
-                assert len(doc["scores"]) > 1
-                return {"scores": doc["scores"][:-1]}
+        class BlindToOneRoom(ScriptedBackend):
+            def _detect_item(self, frame_id, relations):
+                doc = super()._detect_item(frame_id, relations)
+                doc["detections"] = [d for d in doc["detections"]
+                                     if d["caption"] not in dropped]
+                doc.pop("relations", None)  # its rows index the full list
+                return doc
 
-        ssm = _build(small_scene, ShortReply(small_scene))
-        assert set(ssm.rooms.labels.values()) == {"unknown"}
-        assert {t.room_label for t in ssm.graph.tracks.values()} == {"unknown"}
+        backend = BlindToOneRoom(small_scene)
+        ssm = _build(small_scene, backend)
+        assert not dropped & {t.caption for t in ssm.graph.tracks.values()}
+        frames = _room_frames(small_scene, backend, room)
+        assert frames
+        assert {e.room_label for e in ssm.nav_log if e.frame_id in frames} \
+            == {room.label}
+
+    @pytest.mark.parametrize("failure", ["error item", "malformed scores"])
+    def test_failed_item_casts_no_vote(self, small_scene, failure):
+        """The frames of one room answered with an error item, or with room
+        scores that are not numbers, cast no vote: that room is "unknown"
+        in the navigation log and on its tracks, and the others keep their
+        labels."""
+        room = small_scene.rooms[0]
+
+        class FailOneRoom(ScriptedBackend):
+            def _detect_item(self, frame_id, relations):
+                doc = super()._detect_item(frame_id, relations)
+                if self._camera_room(frame_id) is not room:
+                    return doc
+                if failure == "error item":
+                    return {"error": "no answer"}
+                return {**doc, "room_scores": ["high"] * len(doc["room_scores"])}
+
+        backend = FailOneRoom(small_scene)
+        ssm = _build(small_scene, backend)
+        clean = _build(small_scene, ScriptedBackend(small_scene))
+        frames = _room_frames(small_scene, backend, room)
+        assert 0 < len(frames) <= len(ssm.nav_log) // 2
+        for row, clean_row in zip(ssm.nav_log, clean.nav_log):
+            assert row.room_label == ("unknown" if row.frame_id in frames
+                                      else clean_row.room_label)
+        labels = {t.caption: t.room_label for t in ssm.graph.tracks.values()}
+        for obj in small_scene.objects:
+            if obj.caption in labels:
+                assert labels[obj.caption] == ("unknown" if obj.room_index == room.index
+                                               else small_scene.room_label_of(obj))
 
 
 class TestMetrics:

@@ -10,7 +10,8 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from scenemem import ApiCall, ApiExecutor, EngineConfig, serialize  # noqa: E402
+from scenemem import (ApiCall, ApiExecutor, EngineConfig, build_ssm,  # noqa: E402
+                      serialize)
 from scenemem.backend import BackendRequest  # noqa: E402
 from scenemem.scripted import ScriptedBackend  # noqa: E402
 
@@ -108,7 +109,9 @@ class TestProtocolSchema:
         backend = ScriptedBackend(small_scene)
         targets = [{"node_id": 0, "bbox": [0, 0, 10, 10], "caption": "x"}]
         requests = {
-            "detect": BackendRequest(kind="detect", payload={"frames": [[0, False]]}),
+            "detect": BackendRequest(kind="detect",
+                                     payload={"frames": [[0, False]],
+                                              "classes": ["kitchen", "hall"]}),
             "relations": BackendRequest(kind="relations", frame_id=0,
                                         payload={"visible": targets}),
             "consolidate": BackendRequest(kind="consolidate",
@@ -128,6 +131,8 @@ class TestProtocolSchema:
         # the build's detect item carries the frame's fov tag
         assert backend.raw_call(requests["detect"])["frames"][0]["fov_tag"] \
             == backend.raw_call(requests["fov"])["tag"]
+        # and one score per listed room class
+        assert len(backend.raw_call(requests["detect"])["frames"][0]["room_scores"]) == 2
         assert len(backend.raw_call(requests["room_label"])["scores"]) == 2
 
     def test_due_frame_detect_validates(self, protocol_schema, small_scene):
@@ -186,6 +191,44 @@ class TestProtocolSchema:
         jsonschema.validate({"frames": [{"detections": [], "fov_tag": "view"}]}, schema)
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate({"frames": [{"detections": [], "fov_tag": 3}]}, schema)
+
+    def test_detect_room_scores_are_numbers(self, protocol_schema):
+        """An item's room_scores is an array of numbers, and the request
+        lists the classes they score as strings."""
+        schema = _response_schema(protocol_schema, "detect")
+        jsonschema.validate({"frames": [{"detections": [], "room_scores": [0, 0.5]}]},
+                            schema)
+        for bad in (0.5, [["0.5"]], ["high"], [True], None):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({"frames": [{"detections": [], "room_scores": bad}]},
+                                    schema)
+        request = BackendRequest(kind="detect", payload={"frames": [[0, False]],
+                                                         "classes": ["kitchen"]})
+        jsonschema.validate(request.to_doc(), _request_schema(protocol_schema))
+        for classes in ([], [3], "kitchen"):
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate({**request.to_doc(), "payload": {
+                    "frames": [[0, False]], "classes": classes}},
+                    _request_schema(protocol_schema))
+
+    def test_build_detect_request_validates(self, protocol_schema, small_scene):
+        """The detect request a build sends, classes included, and its
+        reply fit the schema."""
+        sent = []
+
+        class Log(ScriptedBackend):
+            def raw_call(self, request):
+                sent.append(request)
+                return super().raw_call(request)
+
+        build_ssm(small_scene.episode(), Log(small_scene), EngineConfig())
+        (request,) = sent
+        assert request.payload["classes"] == list(EngineConfig().room_classes)
+        jsonschema.validate(request.to_doc(), _request_schema(protocol_schema))
+        reply = ScriptedBackend(small_scene).raw_call(request)
+        jsonschema.validate(reply, _response_schema(protocol_schema, "detect"))
+        assert all(len(item["room_scores"]) == len(request.payload["classes"])
+                   for item in reply["frames"])
 
     def test_detect_error_items_validate(self, protocol_schema, small_scene):
         """An error item fits the schema; an item that is neither detections

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from scenemem import (NavLogEntry, build_nav_entry, detect_floors, label_rooms,
                       motion_label, segment_rooms)
-from scenemem.backend import Backend, TransportError
 from scenemem.dataset import Keyframe
 from scenemem.geometry import CameraIntrinsics, DepthMap, GeometryInputError
 from scenemem.spatial import FloorModel, OccupancyGrid, RoomModel, distance_transform
@@ -298,116 +297,70 @@ def _components(free: np.ndarray) -> list[list[tuple[int, int]]]:
     return out
 
 
-class _ScoreStub(Backend):
-    def __init__(self, winner: str | None = None, fail=False):
-        super().__init__()
-        self.winner = winner
-        self.fail_mode = fail
-
-    def raw_call(self, request):
-        if self.fail_mode:
-            raise TransportError("down")
-        classes = request.payload["classes"]
-        if self.winner is None:
-            row = [0.0] * len(classes)
-        else:
-            row = [1.0 if c == self.winner else 0.0 for c in classes]
-        return {"scores": [row for _ in request.payload["rooms"]]}
-
-
-def _one_room_model() -> RoomModel:
-    occ = OccupancyGrid(free=room_grid(10, 10), origin=(0, 0), cell_size=0.1)
-    return segment_rooms(ONE_FLOOR, {"floor0": occ})
-
-
-class _RowStub(Backend):
-    """Scores each listed room 1 for the class named by its first caption;
-    ``drop`` removes that many rows, ``extra`` appends a score to each."""
-
-    def __init__(self, drop=0, extra=False):
-        super().__init__()
-        self.requests = []
-        self.drop = drop
-        self.extra = extra
-
-    def raw_call(self, request):
-        self.requests.append(request)
-        classes = request.payload["classes"]
-        rows = [[1.0 if c == captions[0] else 0.0 for c in classes]
-                + ([0.0] if self.extra else [])
-                for captions in request.payload["rooms"]]
-        return {"scores": rows[:len(rows) - self.drop]}
-
-
 def _rooms_model(n: int) -> RoomModel:
     """``n`` one-cell rooms side by side; ids floor0/0 .. floor0/<n-1>."""
     return RoomModel(ONE_FLOOR, {}, {"floor0": np.arange(n).reshape(1, n)})
 
 
+CLASSES = ["bedroom", "kitchen", "office"]
+
+
 class TestLabelRooms:
-    def test_scripted_scoring_assigns_argmax(self):
-        model = _one_room_model()
-        room_id = model.room_ids()[0]
-        backend = _ScoreStub(winner="kitchen")
-        out = label_rooms(model, {room_id: ["stove", "refrigerator"]}, backend,
-                          ["bedroom", "kitchen", "office"])
-        assert out.label_of(room_id) == "kitchen"
+    """Each room sums the class scores of the views taken in it; the
+    labelling sends nothing (it takes no backend)."""
 
-    def test_empty_room_unknown(self):
-        model = _one_room_model()
-        room_id = model.room_ids()[0]
-        out = label_rooms(model, {}, backend=_ScoreStub("kitchen"),
-                          class_list=["kitchen"])
-        assert out.label_of(room_id) == "unknown"
-
-    def test_backend_failure_unknown(self):
-        model = _one_room_model()
-        room_id = model.room_ids()[0]
-        out = label_rooms(model, {room_id: ["stove"]}, _ScoreStub(fail=True),
-                          ["kitchen"])
-        assert out.label_of(room_id) == "unknown"
-
-    def test_one_request_for_every_room(self):
+    def test_each_room_takes_the_argmax_of_its_summed_votes(self):
         model = _rooms_model(12)
-        members = {"floor0/10": ["office", "desk"], "floor0/2": ["kitchen"],
-                   "floor0/0": ["stove", "bedroom"], "floor0/5": []}
-        backend = _RowStub()
-        label_rooms(model, members, backend, ["bedroom", "kitchen", "office"])
-        assert len(backend.requests) == 1
-        # rooms with members in room_ids() order (10 after 9), captions sorted
-        assert backend.requests[0].payload == {
-            "rooms": [["bedroom", "stove"], ["kitchen"], ["desk", "office"]],
-            "classes": ["bedroom", "kitchen", "office"]}
-        assert backend.call_counts["room_label"] == 1
-        # a row of zeros ties, so the first class wins
-        assert model.labels == {**{room_id: "unknown" for room_id in model.room_ids()},
-                                "floor0/0": "bedroom", "floor0/2": "kitchen",
-                                "floor0/10": "bedroom"}
-
-    def test_no_request_when_every_room_is_empty(self):
-        model = _rooms_model(3)
-        backend = _RowStub()
-        label_rooms(model, {"floor0/1": []}, backend, ["kitchen"])
-        assert backend.requests == []
-        assert set(model.labels.values()) == {"unknown"}
+        out = label_rooms(model, [
+            ("floor0/10", (0.0, 0.2, 0.9)), ("floor0/2", (0.1, 0.8, 0.0)),
+            ("floor0/10", (0.0, 0.7, 0.0)), ("floor0/0", (0.6, 0.0, 0.1)),
+            ("floor0/10", (0.0, 0.3, 0.2))], CLASSES)
+        assert out is model
+        # every room is labelled, in room_ids() order (10 after 9)
         assert list(model.labels) == model.room_ids()
+        assert model.labels == {**dict.fromkeys(model.room_ids(), "unknown"),
+                                "floor0/0": "bedroom", "floor0/2": "kitchen",
+                                "floor0/10": "kitchen"}
 
-    @pytest.mark.parametrize("stub", [_RowStub(drop=1), _RowStub(extra=True)],
-                             ids=["row missing", "score extra"])
-    def test_shape_mismatch_labels_every_room_unknown(self, stub, caplog):
+    def test_tie_goes_to_the_earlier_class(self):
+        model = _rooms_model(1)
+        label_rooms(model, [("floor0/0", (0.0, 1.0, 0.5)),
+                            ("floor0/0", (0.0, 0.0, 0.5))], CLASSES)
+        assert model.label_of("floor0/0") == "kitchen"
+        label_rooms(model, [("floor0/0", (0.0, 1.0, 0.5)),
+                            ("floor0/0", (1.0, 0.0, 0.5))], CLASSES)
+        assert model.label_of("floor0/0") == "bedroom"
+
+    @pytest.mark.parametrize("rows", [[(0.0, 0.0, 0.0)], [(0.0, 0.0, 0.0)] * 3,
+                                      [(-1.0, -0.5, -2.0)], [(1.0, 0.0, 0.0),
+                                                             (-1.0, 0.0, 0.0)]],
+                             ids=["zero", "zeros", "negative", "cancelled"])
+    def test_room_without_a_positive_total_is_unknown(self, rows):
+        model = _rooms_model(1)
+        label_rooms(model, [("floor0/0", row) for row in rows], CLASSES)
+        assert model.labels == {"floor0/0": "unknown"}
+
+    @pytest.mark.parametrize("row", [(1.0, 0.0), (0.0, 0.0, 0.0, 1.0), ()],
+                             ids=["short", "long", "empty"])
+    def test_row_of_another_length_is_ignored(self, row):
+        model = _rooms_model(2)
+        label_rooms(model, [("floor0/0", (0.0, 0.0, 0.4)), ("floor0/0", row),
+                            ("floor0/1", row)], CLASSES)
+        assert model.labels == {"floor0/0": "office", "floor0/1": "unknown"}
+
+    def test_room_with_no_keyframe_is_unknown(self):
+        """A room no view stands in, and a view standing in no room or
+        carrying no scores, give no label."""
         model = _rooms_model(3)
-        members = {room_id: ["kitchen"] for room_id in model.room_ids()}
-        with caplog.at_level("WARNING", logger="scenemem.spatial"):
-            label_rooms(model, members, stub, ["kitchen"])
-        assert set(model.labels.values()) == {"unknown"}
-        assert len(caplog.records) == 1
+        label_rooms(model, [("floor0/1", (0.0, 1.0, 0.0)), (None, (1.0, 0.0, 0.0)),
+                            ("floor0/2", None), ("floor1/0", (1.0, 0.0, 0.0))],
+                    CLASSES)
+        assert model.labels == {"floor0/0": "unknown", "floor0/1": "kitchen",
+                                "floor0/2": "unknown"}
 
-    def test_tie_broken_by_class_order(self):
-        model = _one_room_model()
-        room_id = model.room_ids()[0]
-        out = label_rooms(model, {room_id: ["stove"]}, _ScoreStub(winner=None),
-                          ["office", "kitchen"])
-        assert out.label_of(room_id) == "office"
+    def test_empty_class_list_refused(self):
+        with pytest.raises(GeometryInputError, match="class_list"):
+            label_rooms(_rooms_model(1), [], [])
 
 
 class TestMotionLabel:
@@ -473,18 +426,18 @@ def _keyframe(fid: int, pose) -> Keyframe:
 class TestBuildNavEntry:
     def test_first_frame_stationary(self):
         frame = _keyframe(0, make_pose(0, (0.5, 0.5, 1.4)))
-        entry = build_nav_entry(frame, None, None, {3, 1}, "view 0")
+        entry = build_nav_entry(frame, None, "unknown", {3, 1}, "view 0")
         assert entry.motion_label == "stationary"
+        assert entry.room_label == "unknown"
         assert entry.visible_node_ids == (1, 3)
         assert entry.fov_tag == "view 0"
 
-    def test_room_lookup_from_camera_position(self):
-        model = _one_room_model()
-        room_id = model.room_ids()[0]
-        model.labels[room_id] = "kitchen"
-        frame = _keyframe(2, make_pose(0, (0.5, 0.5, 1.4)))
-        entry = build_nav_entry(frame, None, model, set(), "view 2")
-        assert entry.room_label == "kitchen"
+    def test_motion_from_the_previous_keyframe(self):
+        prev = _keyframe(1, make_pose(0, (0.5, 0.5, 1.4)))
+        frame = _keyframe(2, make_pose(0, (1.0, 0.5, 1.4)))
+        entry = build_nav_entry(frame, prev, "kitchen", set(), "view 2")
+        assert (entry.frame_id, entry.room_label, entry.motion_label) \
+            == (2, "kitchen", "forward")
 
     def test_motion_label_enum_guard(self):
         with pytest.raises(GeometryInputError):
