@@ -129,10 +129,11 @@ def _parse_record(rec: dict, base: Path, line_no: int) -> Keyframe:
     except (KeyError, TypeError, GeometryInputError) as exc:
         raise DatasetError(f"{where}: malformed record: {exc}") from None
 
-    if "://" not in image and not (base / image).exists():
+    # an empty or directory-naming locator resolves to a directory, not a file
+    if "://" not in image and not (base / image).is_file():
         raise DatasetError(f"frame {fid}: image locator '{image}' does not resolve")
     depth_path = base / depth_loc
-    if not depth_path.exists():
+    if not depth_path.is_file():
         raise DatasetError(f"frame {fid}: depth locator '{depth_loc}' does not resolve")
     try:
         depth_m = read_depth_png(depth_path)

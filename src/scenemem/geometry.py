@@ -283,9 +283,10 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     """Collapse each occupied voxel cell to the centroid of its members.
 
     Cells are ``floor(p / voxel)`` per axis; output points are ordered by
-    ascending lexicographic cell index, which makes the result independent
-    of input order. Each cell's members are summed in input order, so the
-    centroid of a cell is the same float whatever else the cloud holds.
+    ascending lexicographic cell index, whatever the input order. Each
+    cell's members are summed in input order, so the centroid of a cell is
+    the same float whatever else the cloud holds, though reordering its
+    members can move its last bits.
     """
     if voxel <= 0:
         raise GeometryInputError("voxel size must be positive")
@@ -301,9 +302,9 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     inverse = np.empty(len(order), dtype=np.int64)
     inverse[order] = np.cumsum(new_cell) - 1
     n_cells = int(inverse.max()) + 1
-    sums = np.zeros((n_cells, 3), dtype=np.float64)
-    np.add.at(sums, inverse, pts)
-    counts = np.bincount(inverse, minlength=n_cells).astype(np.float64)
+    sums = np.stack([np.bincount(inverse, weights=pts[:, axis], minlength=n_cells)
+                     for axis in range(3)], axis=1)
+    counts = np.bincount(inverse, minlength=n_cells)
     return PointCloud(sums / counts[:, None])
 
 

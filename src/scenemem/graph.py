@@ -4,10 +4,12 @@ A track is a fused object hypothesis: a point cloud, pooled visual and
 caption embeddings, a caption history, optional room/floor assignment and
 the list of keyframes it was seen in. New detections join existing tracks
 through a three-indicator vote (visual similarity, caption similarity,
-point overlap); merges pool embeddings with an exponential moving average
-and re-downsample the unioned cloud. The vote's thresholds, the merge's
-weight and voxel size, the consolidation length and the relation period
-are module constants below, each next to its reader.
+point overlap). The overlap is computed only for contested pairs, the
+only ones whose match it can change (``associate`` says why); merges pool
+embeddings with an exponential moving average and re-downsample the
+unioned cloud. The vote's thresholds, the merge's weight and voxel size,
+the consolidation length and the relation period are module constants
+below, each next to its reader.
 
 Tracks and edges are immutable values: a merge, a consolidation or a room
 assignment replaces a track, never edits it. The graph's containers are
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -240,21 +243,30 @@ def associate(detections: list[Detection],
     descending (votes, overlap) order, breaking ties by lower track id and
     then detection order. Each track absorbs at most one detection per
     frame. Unmatched detections map to None (start a new track).
+
+    The overlap is computed only where it can change the match. A pair
+    whose embedding votes fall short of MIN_VOTES - 1 cannot become a
+    candidate. Of the others, a pair whose detection and track appear in
+    no other such pair is uncontested: with MIN_VOTES embedding votes it is
+    a candidate whatever the overlap reads, and no other candidate can
+    claim its detection or its track, so the greedy takes it without one.
     """
-    candidates: list[tuple[int, float, int, int]] = []
-    for di, det in enumerate(detections):
-        for t in tracks:
-            # the geometric indicator adds at most one vote: pairs whose
-            # embedding votes already fall short skip the overlap entirely
-            emb_votes = _embedding_votes(det, t)
-            if emb_votes + 1 < MIN_VOTES:
-                continue
-            overlap = _overlap(det, t)
-            votes = emb_votes + int(overlap > OVERLAP_THRESHOLD)
-            if votes >= MIN_VOTES:
-                candidates.append((votes, overlap, t.id, di))
-    candidates.sort(key=lambda c: (-c[0], -c[1], c[2], c[3]))
+    # the geometric indicator adds at most one vote
+    pairs = [(di, t, votes) for di, det in enumerate(detections) for t in tracks
+             if (votes := _embedding_votes(det, t)) + 1 >= MIN_VOTES]
+    det_pairs = Counter(di for di, _, _ in pairs)
+    track_pairs = Counter(t.id for _, t, _ in pairs)
     out: dict[int, int | None] = {di: None for di in range(len(detections))}
+    candidates: list[tuple[int, float, int, int]] = []
+    for di, t, emb_votes in pairs:
+        if emb_votes >= MIN_VOTES and det_pairs[di] == track_pairs[t.id] == 1:
+            out[di] = t.id
+            continue
+        overlap = _overlap(detections[di], t)
+        votes = emb_votes + int(overlap > OVERLAP_THRESHOLD)
+        if votes >= MIN_VOTES:
+            candidates.append((votes, overlap, t.id, di))
+    candidates.sort(key=lambda c: (-c[0], -c[1], c[2], c[3]))
     used_tracks: set[int] = set()
     used_dets: set[int] = set()
     for votes, overlap, tid, di in candidates:

@@ -104,6 +104,27 @@ class TestBuildCommand:
         assert ssm.stride == 5
         assert [e.frame_id for e in ssm.nav_log] == ids[::5]
 
+    @pytest.mark.parametrize("field", ["image", "depth"])
+    @pytest.mark.parametrize("value", ["", "depth"], ids=["empty", "directory"])
+    def test_locator_naming_no_file_is_one_line(self, workspace, tmp_path, field, value):
+        """An empty or directory-naming locator ends the build with one line
+        naming the frame and the field, before anything is written."""
+        _, scene_dir, _ = workspace
+        scene = tmp_path / "scene"
+        shutil.copytree(scene_dir, scene)
+        manifest = scene / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        record = json.loads(lines[0])
+        record[field] = value
+        manifest.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--dataset", str(manifest),
+                  "--scripted", str(scene / "truth.json"), "--k", "1", "--out", str(out)])
+        assert err.value.code == (f"scenemem: frame {record['id']}: {field} locator "
+                                  f"'{value}' does not resolve")
+        assert not out.exists()
+
     def test_non_finite_intrinsics_is_one_line(self, workspace, tmp_path):
         """A manifest whose focal length is NaN ends the build with one line
         naming the frame and the field, before anything is written."""

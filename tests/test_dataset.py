@@ -193,6 +193,17 @@ class TestRecordFields:
             load_dataset(manifest, k=1)
         assert str(err.value) == f"frame 0: {field} must be a string, got {value!r}"
 
+    @pytest.mark.parametrize("field", ["image", "depth"])
+    @pytest.mark.parametrize("value", ["", "depth"], ids=["empty", "directory"])
+    def test_locators_must_name_files(self, tmp_path, field, value):
+        """An empty locator resolves to the manifest's own directory, and
+        neither it nor a directory's name is a file."""
+        manifest = write_manifest(tmp_path, 3)
+        _set_field(manifest, field, value)
+        with pytest.raises(DatasetError) as err:
+            load_dataset(manifest, k=1)
+        assert str(err.value) == f"frame 0: {field} locator '{value}' does not resolve"
+
     def test_timestamp_may_be_omitted(self, tmp_path):
         manifest = write_manifest(tmp_path, 3)
         lines = manifest.read_text().splitlines()

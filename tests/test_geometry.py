@@ -261,6 +261,37 @@ class TestVoxelDownsample:
         out = voxel_downsample(PointCloud(pts), 0.05)
         assert np.array_equal(out.points, np.array(expected))
 
+    def test_bit_equal_add_at_reference(self):
+        """Per-cell sums accumulated with ``np.add.at`` (one unbuffered add
+        per point, in input order) give the same floats in the same order.
+        Members of a cell mix magnitudes, so the order of their additions
+        shows in the last bits: the shuffles change some centroids."""
+        def add_at_downsample(pts, voxel):
+            cells, cell_of = np.unique(np.floor(pts / voxel), axis=0,
+                                       return_inverse=True)
+            cell_of = cell_of.reshape(-1)
+            sums = np.zeros((len(cells), 3))
+            np.add.at(sums, cell_of, pts)
+            return sums / np.bincount(cell_of)[:, None]
+
+        order_shows = 0
+        for seed in range(6):
+            g = rng(400 + seed)
+            n = 4000
+            # half the points span the cloud, half sit within 1e-9..1e-1 of
+            # its corner; every other cloud sits far from the origin
+            scale = np.where(g.random((n, 1)) < 0.5, 1.0,
+                             10.0 ** g.integers(-9, 0, size=(n, 1)))
+            offset = g.uniform(-50, 50, size=3) if seed % 2 else 0.0
+            pts = g.uniform(0, 0.1, size=(n, 3)) * scale + offset
+            expected = add_at_downsample(pts, 0.02)
+            for _ in range(3):
+                shuffled = pts[g.permutation(n)]
+                out = voxel_downsample(PointCloud(shuffled), 0.02)
+                assert np.array_equal(out.points, add_at_downsample(shuffled, 0.02))
+                order_shows += not np.array_equal(out.points, expected)
+        assert order_shows > 0
+
     def test_empty_cloud(self):
         assert voxel_downsample(PointCloud.empty(), 0.02).is_empty
 

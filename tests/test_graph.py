@@ -203,6 +203,50 @@ def random_instance(seed: int, n_det: int, n_trk: int):
     return dets, tracks
 
 
+def contested_instance(seed: int, n_det: int, n_trk: int):
+    """Random detections/tracks whose tracks share embeddings drawn from a
+    few prototypes, so that one detection votes for several tracks, several
+    detections vote for one track, and one-vote pairs are left for the
+    overlap to decide."""
+    g = rng(seed)
+    dim = 8
+    n_proto = int(g.integers(1, 5))
+    visuals = [g.standard_normal(dim) for _ in range(n_proto)]
+    languages = [g.standard_normal(dim) for _ in range(n_proto)]
+    bases = g.uniform(-2, 2, size=(int(g.integers(1, 4)), 3))
+    tracks = [make_track(
+        tid=ti, caption=f"track{ti}",
+        cloud=PointCloud(bases[int(g.integers(0, len(bases)))]
+                         + g.uniform(0, 0.3, size=(int(g.integers(1, 30)), 3))),
+        visual=Embedding(visuals[int(g.integers(0, n_proto))], "visual"),
+        language=Embedding(languages[int(g.integers(0, n_proto))], "language"))
+        for ti in range(n_trk)]
+
+    def near(v):  # cosine well above either threshold
+        return v + g.normal(0, 0.05, dim)
+
+    dets = []
+    for di in range(n_det):
+        t = tracks[int(g.integers(0, n_trk))] if n_trk else None
+        copy_visual, copy_language, copy_cloud = g.random(3) < 0.7
+        visual = near(t.visual.vector) if t and copy_visual else g.standard_normal(dim)
+        language = (near(t.language.vector) if t and copy_language
+                    else g.standard_normal(dim))
+        if t and copy_cloud:
+            points = t.cloud.points + g.normal(0, 0.03, t.cloud.points.shape)
+        else:
+            points = g.uniform(-2, 2, 3) + g.uniform(0, 0.3, size=(int(g.integers(1, 30)), 3))
+        dets.append(make_detection(frame_id=9, caption=f"det{di}", cloud=PointCloud(points),
+                                   visual=Embedding(visual, "visual"),
+                                   language=Embedding(language, "language")))
+    return dets, tracks
+
+
+def embedding_votes(d: Detection, t: Track) -> int:
+    votes, overlap = reference_vote(d, t)
+    return votes - int(overlap > graph.OVERLAP_THRESHOLD)
+
+
 class TestAssociate:
     def test_single_candidate_matches(self):
         cloud = PointCloud([(0, 0, 0)])
@@ -235,6 +279,46 @@ class TestAssociate:
                                            int(g.integers(0, 7)))
             assert associate(dets, tracks) == \
                 reference_associate(dets, tracks), f"seed {seed}"
+
+    def test_contested_instances_match_reference(self, monkeypatch):
+        """Both paths occur and agree with the exhaustive matcher: pairs
+        whose overlap is skipped, and contested pairs whose overlap is
+        computed, including one-vote pairs that the overlap decides."""
+        real = graph.geometric_overlap
+        calls = []
+        monkeypatch.setattr(graph, "geometric_overlap",
+                            lambda *a: calls.append(1) or real(*a))
+        skipped = computed = shared_track = shared_det = overlap_decided = 0
+        for seed in range(300):
+            g = rng(9000 + seed)
+            dets, tracks = contested_instance(seed, int(g.integers(1, 6)),
+                                              int(g.integers(1, 6)))
+            calls.clear()
+            expected = reference_associate(dets, tracks)
+            assert associate(dets, tracks) == expected, f"seed {seed}"
+            votes = {(di, t.id): embedding_votes(d, t)
+                     for di, d in enumerate(dets) for t in tracks}
+            live = [pair for pair, v in votes.items() if v + 1 >= graph.MIN_VOTES]
+            skipped += len(live) - len(calls)
+            computed += len(calls)
+            shared_det += len(live) > len({di for di, _ in live})
+            shared_track += len(live) > len({tid for _, tid in live})
+            overlap_decided += any(tid is not None and votes[di, tid] == 1
+                                   for di, tid in expected.items())
+        assert min(skipped, computed, shared_det, shared_track, overlap_decided) > 0
+
+    def test_uncontested_two_vote_pair_skips_overlap(self, monkeypatch):
+        def no_overlap(*_):
+            raise AssertionError("overlap computed for an uncontested pair")
+
+        monkeypatch.setattr(graph, "geometric_overlap", no_overlap)
+        v = Embedding([1, 0, 0], "visual")
+        lang = Embedding([0, 1, 0], "language")
+        t = make_track(tid=3, cloud=PointCloud([(9, 9, 9)]), visual=v, language=lang)
+        other = make_track(tid=5, visual=Embedding([0, 0, 1], "visual"),
+                           language=Embedding([1, 0, 0], "language"))
+        d = make_detection(cloud=PointCloud([(0, 0, 0)]), visual=v, language=lang)
+        assert associate([d], [t, other]) == {0: 3}
 
     def test_vote_min_one_accepts_single_indicator(self, monkeypatch):
         v1, v2 = embedding_pair(0.9, 8, "visual", 11)

@@ -27,6 +27,7 @@ from scenemem.metrics import (graph_precision_recall, match_tracks,
 from scenemem.pipeline import BuildError
 
 from test_golden_digests import CONFIGS as GOLDEN_CONFIGS, GOLDEN
+from test_graph import reference_associate
 
 
 class TestBuildSsm:
@@ -58,6 +59,26 @@ class TestBuildSsm:
             assert track.floor_id == "floor0"
             assert track.room_id is not None
             assert track.room_label == truth[track.caption]
+
+    def test_contested_build_matches_reference_association(
+            self, small_scene, small_episode, monkeypatch):
+        """With one caption embedding for every detection, every detection
+        casts a caption vote for every track, so every pair is contested and
+        computes its overlap; the build equals one whose association is the
+        exhaustive reference matcher."""
+        class SharedCaption(ScriptedBackend):
+            def _wire_detection(self, det, note):
+                doc = super()._wire_detection(det, note)
+                doc["language_embedding"] = [1.0] + [0.0] * (self.embedding_dim - 1)
+                return doc
+
+        def build():
+            return serialize(build_ssm(small_episode, SharedCaption(small_scene),
+                                       EngineConfig()))[0]
+
+        fast = build()
+        monkeypatch.setattr(scenemem.apis, "associate", reference_associate)
+        assert build() == fast
 
     def test_empty_episode_errors(self, small_build):
         _, _, backend, _ = small_build
