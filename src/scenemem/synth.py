@@ -9,6 +9,14 @@ are rendered by ray/box intersection, so the full geometry pipeline runs
 on honest depth, and the per-pixel hit map yields exact detection masks,
 bounding boxes and visibility.
 
+Each box is ray-cast only over its screen window: the pixel block its
+part in front of the camera projects into, widened by a small margin. A
+ray hits a box only at a camera depth above 1e-6, and every such point
+lies in the box clipped at a nearer plane, whose projection the window
+bounds; so no pixel outside a box's window can hit it. Inside the window
+the slab kernel runs unchanged, in the same box order, so depth and hit
+maps are byte-identical to testing every box against every ray.
+
 Everything is a pure function of (rooms, objects_per_room, seed, render
 options): regenerating with the same parameters reproduces the scene
 bit-for-bit, which is what the scripted backend and the record/replay
@@ -169,6 +177,63 @@ def look_at_pose(position, target) -> Pose:
     return Pose(rot, pos)
 
 
+# A hit needs camera depth tmin > 1e-6, so clipping at a nearer plane keeps
+# every point a ray can hit; the margin absorbs the kernel's rounding.
+NEAR_PLANE = 1e-7
+WINDOW_MARGIN_PX = 2
+
+# corner k of a box takes hi on axis a where bit a of k is set
+_CORNER_BITS = ((np.arange(8)[:, None] >> np.arange(3)) & 1) == 1
+# the 12 edges join corners that differ in one bit
+_EDGE_FROM, _EDGE_TO = np.array([(i, i | 1 << a) for i in range(8) for a in range(3)
+                                 if not i >> a & 1]).T
+
+
+def box_corners(boxes: list[Box]) -> np.ndarray:
+    """The (len(boxes), 8, 3) world corners of axis-aligned boxes."""
+    lo = np.array([b.lo for b in boxes], dtype=np.float64).reshape(-1, 1, 3)
+    hi = np.array([b.hi for b in boxes], dtype=np.float64).reshape(-1, 1, 3)
+    return np.where(_CORNER_BITS, hi, lo)
+
+
+def projected_extent(corners: np.ndarray, pose: Pose,
+                     intr: CameraIntrinsics) -> np.ndarray:
+    """Per box, the (u_min, v_min, u_max, v_max) pixel bounds of its part
+    in front of the near plane: the corners in front and the points where
+    its edges cross the plane. A box with no such part reads (inf, inf,
+    -inf, -inf)."""
+    cam = (corners - pose.translation) @ pose.rotation
+    z = cam[..., 2]
+    front = z > NEAR_PLANE
+    z_from, z_to = z[:, _EDGE_FROM], z[:, _EDGE_TO]
+    cross = front[:, _EDGE_FROM] != front[:, _EDGE_TO]
+    s = (NEAR_PLANE - z_from) / np.where(cross, z_to - z_from, 1.0)
+    on_plane = cam[:, _EDGE_FROM] + s[..., None] * (cam[:, _EDGE_TO] - cam[:, _EDGE_FROM])
+    xy = np.concatenate([cam[..., :2] / np.where(front, z, 1.0)[..., None],
+                         on_plane[..., :2] / NEAR_PLANE], axis=1)
+    valid = np.concatenate([front, cross], axis=1)[..., None]
+    uv = xy * (intr.fx, intr.fy) + (intr.cx, intr.cy)
+    return np.concatenate([np.where(valid, uv, np.inf).min(axis=1),
+                           np.where(valid, uv, -np.inf).max(axis=1)], axis=1)
+
+
+def screen_windows(corners: np.ndarray, pose: Pose,
+                   intr: CameraIntrinsics) -> list[tuple[slice, slice] | None]:
+    """Per box, the (rows, columns) block of the image outside which no ray
+    of ``SyntheticScene.render`` can hit it: its projected extent widened
+    by ``WINDOW_MARGIN_PX`` and clipped to the image. None where the box
+    has no part in front of the camera or its block lies off the image."""
+    ext = projected_extent(corners, pose, intr)
+    lo = np.floor(ext[:, :2] - WINDOW_MARGIN_PX)
+    hi = np.ceil(ext[:, 2:] + WINDOW_MARGIN_PX)
+    size = np.array([intr.width, intr.height])
+    inside = ((lo < size) & (hi >= 0)).all(axis=1)
+    lo = np.clip(lo, 0, size - 1).astype(np.int64)
+    hi = np.clip(hi, 0, size - 1).astype(np.int64) + 1
+    return [(slice(v0, v1), slice(u0, u1)) if ok else None
+            for ok, (u0, v0), (u1, v1) in zip(inside.tolist(), lo.tolist(), hi.tolist())]
+
+
 class SyntheticScene:
     """Scene truth plus lazy depth rendering."""
 
@@ -185,6 +250,7 @@ class SyntheticScene:
             fx=params.focal, fy=params.focal,
             cx=(params.width - 1) / 2.0, cy=(params.height - 1) / 2.0,
             width=params.width, height=params.height)
+        self._corners = box_corners(self._all_boxes()[0])
         self._render_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._gt_cache: dict[int, tuple[GtDetection, ...]] = {}
 
@@ -210,12 +276,19 @@ class SyntheticScene:
     def render(self, frame_id: int) -> tuple[np.ndarray, np.ndarray]:
         """(depth, hit map) for one frame. Depth is the camera-frame z of
         the nearest box hit (0 where no box is hit); the hit map carries
-        the object index, -1 for structure, -2 for nothing."""
+        the object index, -1 for structure, -2 for nothing.
+
+        Each box is slab-tested only against the rays of its
+        ``screen_windows`` block, which holds every pixel it can hit, and
+        boxes that no ray can reach are skipped. Each tested pixel sees
+        the same operands and operations as a test of the full image, so
+        the bytes do not depend on the windows."""
         if frame_id in self._render_cache:
             return self._render_cache[frame_id]
         if not 0 <= frame_id < len(self.poses):
             raise GenerationError(f"unknown frame id {frame_id}")
         intr = self.intrinsics
+        shape = (intr.height, intr.width)
         pose = self.poses[frame_id]
         us, vs = np.meshgrid(np.arange(intr.width), np.arange(intr.height))
         d_cam = np.stack([(us.ravel() - intr.cx) / intr.fx,
@@ -223,19 +296,23 @@ class SyntheticScene:
                           np.ones(us.size)], axis=1)
         d_world = d_cam @ pose.rotation.T
         origin = pose.translation
-        n = d_world.shape[0]
-        best_s = np.full(n, np.inf)
-        best_id = np.full(n, -2, dtype=np.int64)
+        best_s = np.full(shape, np.inf)
+        best_id = np.full(shape, -2, dtype=np.int64)
         safe_d = np.where(np.abs(d_world) < 1e-12, 1e-12, d_world)
-        # Slabs one axis at a time over contiguous columns: a per-row
+        # Slabs one axis at a time over per-axis ray arrays: a per-row
         # max/min over (n, 3) costs a reduce call per box that dwarfs the
         # arithmetic. Same divisions, and max/min are exact, so the bytes
         # match the row-wise form (only a zero's sign may differ, and a
         # zero never passes tmin > 1e-6). Keep the division: a reciprocal
         # multiply rounds differently.
-        cols = [np.ascontiguousarray(safe_d[:, k]) for k in range(3)]
+        full = [np.ascontiguousarray(safe_d[:, k]).reshape(shape) for k in range(3)]
         boxes, ids = self._all_boxes()
-        for box, bid in zip(boxes, ids):
+        windows = screen_windows(self._corners, pose, intr)
+        for box, bid, win in zip(boxes, ids, windows):
+            if win is None:
+                continue
+            cols = [c[win] for c in full]
+            win_s, win_id = best_s[win], best_id[win]
             a = (box.lo[0] - origin[0]) / cols[0]
             b = (box.hi[0] - origin[0]) / cols[0]
             tmin, tmax = np.minimum(a, b), np.maximum(a, b)
@@ -244,12 +321,10 @@ class SyntheticScene:
                 b = (box.hi[k] - origin[k]) / cols[k]
                 np.maximum(tmin, np.minimum(a, b), out=tmin)
                 np.minimum(tmax, np.maximum(a, b), out=tmax)
-            hit = (tmin <= tmax) & (tmax > 0) & (tmin > 1e-6) & (tmin < best_s)
-            best_s[hit] = tmin[hit]
-            best_id[hit] = bid
-        depth = np.where(np.isfinite(best_s), best_s, 0.0)
-        depth = depth.reshape(intr.height, intr.width)
-        idmap = best_id.reshape(intr.height, intr.width)
+            hit = (tmin <= tmax) & (tmax > 0) & (tmin > 1e-6) & (tmin < win_s)
+            win_s[hit] = tmin[hit]
+            win_id[hit] = bid
+        depth, idmap = np.where(np.isfinite(best_s), best_s, 0.0), best_id
         # cached and handed to every caller, so a write would corrupt later
         # gt_detections and episode() results
         depth.flags.writeable = False
@@ -262,14 +337,21 @@ class SyntheticScene:
         if frame_id in self._gt_cache:
             return self._gt_cache[frame_id]
         _, idmap = self.render(frame_id)
+        # one stable sort groups each object's pixels in row-major order
+        flat = idmap.ravel()
+        order = np.argsort(flat, kind="stable")
+        keys = flat[order]
+        indices = [obj.index for obj in self.objects]
+        firsts = np.searchsorted(keys, indices, side="left").tolist()
+        lasts = np.searchsorted(keys, indices, side="right").tolist()
         out = []
-        for obj in self.objects:
-            rows, cols = np.nonzero(idmap == obj.index)
-            if rows.size < MIN_VISIBLE_PIXELS:
+        for obj, first, last in zip(self.objects, firsts, lasts):
+            if last - first < MIN_VISIBLE_PIXELS:
                 continue
+            rows, cols = np.divmod(order[first:last], idmap.shape[1])
             bbox = (int(cols.min()), int(rows.min()), int(cols.max()), int(rows.max()))
-            # nonzero is row-major, so a run starts at the first pixel and
-            # wherever the row changes or the column skips
+            # a run starts at the first pixel and wherever the row changes
+            # or the column skips
             starts = np.flatnonzero((np.diff(rows) != 0) | (np.diff(cols) != 1)) + 1
             starts = np.concatenate(([0], starts))
             ends = np.append(starts[1:], rows.size) - 1

@@ -1,5 +1,6 @@
 """Synthetic scene generation: determinism, analytic raycast oracle,
-relation derivation, visibility guarantees and question generation."""
+screen windows, mask encoding, relation derivation, visibility guarantees
+and question generation."""
 
 from __future__ import annotations
 
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 from scenemem import PixelMask, backproject, generate_questions, generate_scene
-from scenemem.synth import (Box, GenerationError, RoomSpec, SceneObject,
-                            SceneParams, SyntheticScene, derive_relations,
-                            load_questions, look_at_pose, save_questions)
+from scenemem.synth import (MIN_VISIBLE_PIXELS, Box, GenerationError, GtDetection,
+                            RoomSpec, SceneObject, SceneParams, SyntheticScene,
+                            box_corners, derive_relations, load_questions,
+                            look_at_pose, projected_extent, save_questions,
+                            screen_windows)
 
 from conftest import rng
 
@@ -63,6 +66,77 @@ def reference_render(scene: SyntheticScene, frame_id: int):
     depth = np.where(np.isfinite(best_s), best_s, 0.0)
     return (depth.reshape(intr.height, intr.width),
             best_id.reshape(intr.height, intr.width))
+
+
+def reference_gt_detections(scene: SyntheticScene, frame_id: int):
+    """Per-object scan oracle for ``SyntheticScene.gt_detections``: each
+    object's pixels by ``np.nonzero`` of the hit map, which is row-major."""
+    _, idmap = reference_render(scene, frame_id)
+    out = []
+    for obj in scene.objects:
+        rows, cols = np.nonzero(idmap == obj.index)
+        if rows.size < MIN_VISIBLE_PIXELS:
+            continue
+        bbox = (int(cols.min()), int(rows.min()), int(cols.max()), int(rows.max()))
+        starts = np.flatnonzero((np.diff(rows) != 0) | (np.diff(cols) != 1)) + 1
+        starts = np.concatenate(([0], starts))
+        ends = np.append(starts[1:], rows.size) - 1
+        runs = zip(rows[starts].tolist(), cols[starts].tolist(), cols[ends].tolist())
+        out.append(GtDetection(object_index=obj.index, caption=obj.caption,
+                               bbox=bbox, mask_runs=tuple(runs)))
+    return tuple(out)
+
+
+@pytest.fixture(scope="module")
+def eight_rooms():
+    return generate_scene(8, 3, seed=1000)
+
+
+def window_case_scene() -> SyntheticScene:
+    """A hand-built scene whose frames hold every screen-window case: the
+    floor straddles the camera plane, one box stands wholly behind the
+    camera, one in front but far off to the side, one whose projection
+    starts just past the right image edge, inside the window margin, and
+    one in plain view."""
+    params = SceneParams(rooms=1, objects_per_room=4, seed=0, width=97,
+                         height=73, focal=50.0, views_per_room=2)
+    room = RoomSpec(index=0, label="kitchen", x0=-5.0, y0=-5.0, x1=5.0, y1=5.0)
+    objects = [
+        SceneObject(0, "box", "red", Box((-3.0, -0.5, 0.0), (-2.0, 0.5, 1.0)), 0),
+        SceneObject(1, "lamp", "blue", Box((3.0, -10.0, 0.0), (4.0, -9.0, 1.0)), 0),
+        # camera x / depth is 3.136 / 3.2 = 0.98 at its nearest column, so
+        # its projection starts at u = cx + 0.98 fx = 97, one past the edge
+        SceneObject(2, "chair", "green", Box((3.0, -3.5, 0.5), (3.2, -3.136, 1.5)), 0),
+        SceneObject(3, "plant", "teal", Box((2.0, -0.5, 0.0), (2.5, 0.5, 0.8)), 0),
+    ]
+    structure = [Box((-5.0, -5.0, -0.1), (5.0, 5.0, 0.0))]
+    poses = [look_at_pose((0.0, 0.0, 1.0), (5.0, 0.0, 1.0)),
+             look_at_pose((0.0, 0.0, 1.0), (5.0, 1.0, 0.2))]
+    return SyntheticScene(params, [room], objects, [], structure, poses)
+
+
+def window_cases(scene: SyntheticScene, frame_id: int) -> set[str]:
+    """The screen-window cases that occur on one frame of ``scene``."""
+    intr = scene.intrinsics
+    pose = scene.poses[frame_id]
+    corners = box_corners(scene._all_boxes()[0])
+    depth = ((corners - pose.translation) @ pose.rotation)[..., 2]
+    extent = projected_extent(corners, pose, intr)
+    cases = set()
+    for z, (u0, v0, u1, v1), win in zip(depth, extent, screen_windows(corners, pose, intr)):
+        on_image = u1 >= 0 and v1 >= 0 and u0 <= intr.width - 1 and v0 <= intr.height - 1
+        if z.max() < 0:
+            assert win is None
+            cases.add("behind")
+        elif z.min() < 0:
+            assert win is not None
+            cases.add("straddling")
+        elif win is None:
+            assert not on_image
+            cases.add("off-screen")
+        elif not on_image:
+            cases.add("margin")
+    return cases
 
 
 def axis_aligned_scene() -> SyntheticScene:
@@ -191,9 +265,8 @@ class TestRaycast:
     def test_render_bytes_match_reference_on_every_frame(self, small_scene):
         self.assert_matches_reference(small_scene, range(small_scene.frame_count))
 
-    def test_render_bytes_match_reference_on_eight_rooms(self):
-        scene = generate_scene(8, 3, seed=1000)
-        self.assert_matches_reference(scene, range(0, scene.frame_count, 4))
+    def test_render_bytes_match_reference_on_eight_rooms(self, eight_rooms):
+        self.assert_matches_reference(eight_rooms, range(eight_rooms.frame_count))
 
     def test_render_bytes_match_reference_on_axis_aligned_rays(self):
         scene = axis_aligned_scene()
@@ -204,6 +277,54 @@ class TestRaycast:
         cx, cy = scene.intrinsics.cx, scene.intrinsics.cy
         assert cx == int(cx) and cy == int(cy)
         self.assert_matches_reference(scene, range(scene.frame_count))
+
+    def test_render_bytes_match_reference_in_every_window_case(self):
+        scene = window_case_scene()
+        cases = set()
+        for fid in range(scene.frame_count):
+            cases |= window_cases(scene, fid)
+            _, idmap = scene.render(fid)
+            assert (idmap >= 0).any() and (idmap == -1).any()
+        assert cases == {"behind", "straddling", "off-screen", "margin"}
+        self.assert_matches_reference(scene, range(scene.frame_count))
+
+    def test_window_holds_every_pixel_its_box_hits(self):
+        """Each random box, ray-cast alone by the full-image oracle, hits
+        only pixels inside its screen window."""
+        g = rng(31)
+        params = SceneParams(rooms=1, objects_per_room=1, seed=0, width=48,
+                             height=36, focal=30.0, views_per_room=1)
+        room = RoomSpec(index=0, label="kitchen", x0=-4.0, y0=-4.0, x1=4.0, y1=4.0)
+        hit_boxes = straddling_hits = 0
+        for _ in range(300):
+            pose = look_at_pose(g.uniform(-2, 2, 3), g.uniform(-2, 2, 3))
+            # within a metre of the camera, so many boxes straddle its plane
+            center = pose.translation + g.uniform(-1, 1, 3)
+            half = g.uniform(0.05, 1.0, 3)
+            box = Box(tuple((center - half).tolist()), tuple((center + half).tolist()))
+            scene = SyntheticScene(params, [room], [SceneObject(0, "box", "red", box, 0)],
+                                   [], [], [pose])
+            _, idmap = reference_render(scene, 0)
+            rows, cols = np.nonzero(idmap == 0)
+            (win,) = screen_windows(box_corners([box]), pose, scene.intrinsics)
+            if rows.size == 0:
+                continue
+            assert win is not None
+            assert (win[0].start <= rows).all() and (rows < win[0].stop).all()
+            assert (win[1].start <= cols).all() and (cols < win[1].stop).all()
+            hit_boxes += 1
+            depth = ((box_corners([box]) - pose.translation) @ pose.rotation)[..., 2]
+            straddling_hits += int(depth.min() < 0)
+        assert hit_boxes >= 100 and straddling_hits >= 20
+
+    def test_gt_detections_match_reference_scan(self, small_scene, eight_rooms):
+        for scene in (small_scene, eight_rooms, axis_aligned_scene()):
+            for fid in range(scene.frame_count):
+                dets = scene.gt_detections(fid)
+                assert dets == reference_gt_detections(scene, fid), fid
+                for det in dets:
+                    assert all(type(x) is int for x in det.bbox)
+                    assert all(type(x) is int for run in det.mask_runs for x in run)
 
     def test_cached_render_is_read_only(self, small_scene):
         depth, idmap = small_scene.render(1)
