@@ -261,18 +261,22 @@ def backproject(depth: DepthMap, mask: PixelMask, intr: CameraIntrinsics,
     return PointCloud(pose.transform(cam))
 
 
-def project(cloud: PointCloud, intr: CameraIntrinsics, pose: Pose,
-            min_depth: float = 1e-9) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+PROJECT_MIN_DEPTH_M = 1e-9
+
+
+def project(cloud: PointCloud, intr: CameraIntrinsics,
+            pose: Pose) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project world points into the image; inverse of :func:`backproject`.
 
-    Returns (u, v, z) arrays for points in front of the camera; points
-    behind the camera are dropped. Coordinates are continuous (not rounded).
+    Returns (u, v, z) arrays for points in front of the camera (depth above
+    ``PROJECT_MIN_DEPTH_M``); points behind the camera are dropped.
+    Coordinates are continuous (not rounded).
     """
     if cloud.is_empty:
         z = np.empty(0)
         return z, z.copy(), z.copy()
     cam = pose.inverse_transform(cloud.points)
-    keep = cam[:, 2] > min_depth
+    keep = cam[:, 2] > PROJECT_MIN_DEPTH_M
     cam = cam[keep]
     u = cam[:, 0] / cam[:, 2] * intr.fx + intr.cx
     v = cam[:, 1] / cam[:, 2] * intr.fy + intr.cy

@@ -192,12 +192,6 @@ class BatchResult:
     mean_calls: float
     p95_calls: int
 
-    def to_doc(self) -> dict:
-        return {"histogram": {str(k): v for k, v in sorted(self.histogram.items())},
-                "mean_calls": self.mean_calls, "p95_calls": self.p95_calls,
-                "failures": [list(f) for f in self.failures],
-                "answers": [a.to_doc() for a in self.answers]}
-
 
 def percentile_nearest_rank(values: list[int], pct: float) -> int:
     """Nearest-rank percentile: the ceil(pct * n)-th smallest value."""

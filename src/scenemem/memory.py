@@ -201,8 +201,9 @@ class SceneMemory:
 
     def place_track(self, track: Track) -> Track:
         """The track with its floor, room and room label set from its cloud
-        centroid; the track itself until the floor plan is set, and for
-        tracks without cloud points."""
+        centroid by ``RoomModel.locate``, the lookup that places cameras; the
+        track itself until the floor plan is set, and for tracks without
+        cloud points."""
         if self.rooms is None or track.cloud is None or track.cloud.is_empty:
             return track
         cx, cy, cz = track.cloud.centroid()

@@ -62,8 +62,6 @@ STRUCTURE_PIXEL_STRIDE = 3
 STRUCTURE_VOXEL_M = 0.05
 # the build stops when more than this share of frames fails
 FRAME_FAILURE_ABORT_FRACTION = 0.5
-# a camera off every room's cells stands in the nearest room this close
-CAMERA_SNAP_M = 0.5
 
 
 class BuildError(RuntimeError):
@@ -171,8 +169,8 @@ def build_ssm(episode: Episode, backend: Backend,
 
     # each camera's room takes its frame's vote and names its log entry; then
     # each track is placed once, with its room's label
-    camera_rooms = [ssm.rooms.locate(*map(float, f.pose.translation),
-                                     snap_m=CAMERA_SNAP_M)[1] for f in episode.frames]
+    camera_rooms = [ssm.rooms.locate(*map(float, f.pose.translation))[1]
+                    for f in episode.frames]
     label_rooms(ssm.rooms, zip(camera_rooms, room_scores), list(cfg.room_classes))
     for tid in sorted(ssm.graph.tracks):
         ssm.graph.replace_track(ssm.place_track(ssm.graph.tracks[tid]))

@@ -37,7 +37,7 @@ from .backend import Backend, BackendRequest, TransportError
 from .config import EngineConfig
 from .graph import caption_embedding, hash_embedding
 from .memory import table_records
-from .synth import GtDetection, RoomSpec, SyntheticScene
+from .synth import QUESTION_TEMPLATES, GtDetection, RoomSpec, SyntheticScene
 
 
 GENERIC_QUERY_TOKENS = {
@@ -350,22 +350,11 @@ class ScriptReasoner:
         return step
 
 
-_QUESTION_PATTERNS = (
-    ("on top of", re.compile(r"^what is on top of the (?P<target>.+)\?$")),
-    ("inside", re.compile(r"^what is inside the (?P<target>.+)\?$")),
-    ("part of", re.compile(r"^what is part of the (?P<target>.+)\?$")),
-    ("attached to", re.compile(r"^what is attached to the (?P<target>.+)\?$")),
-    ("room", re.compile(r"^which room is the (?P<target>.+) in\?$")),
-    ("color", re.compile(r"^what color is the (?P<target>.+)\?$")),
-    ("count", re.compile(r"^how many objects are in the scene\?$")),
-)
-
-_PHRASE_TO_RELATION = {
-    "on top of": "on_top_of",
-    "inside": "contained_in",
-    "part of": "subpart_of",
-    "attached to": "attached_to",
-}
+# one pattern per question kind, compiled from the templates that
+# generate_questions formats
+_QUESTION_PATTERNS = tuple(
+    (kind, re.compile(re.escape(template).replace(r"\{target\}", "(?P<target>.+)")))
+    for kind, template in QUESTION_TEMPLATES.items())
 
 
 def _read_memory(payload: dict) -> dict:
@@ -396,11 +385,11 @@ class RuleReasoner:
 
     @staticmethod
     def _parse(question: str) -> tuple[str, str | None]:
+        text = question.strip().lower()
         for kind, pattern in _QUESTION_PATTERNS:
-            m = pattern.match(question.strip().lower())
+            m = pattern.fullmatch(text)
             if m:
-                target = m.groupdict().get("target")
-                return kind, target
+                return kind, m.groupdict().get("target")
         return "unknown", None
 
     @staticmethod
@@ -432,14 +421,11 @@ class RuleReasoner:
                 if caption.endswith(" " + target) or caption == target:
                     return caption.split(" ")[0], [track["id"]]
             return None, []
-        relation = _PHRASE_TO_RELATION.get(kind)
-        if relation is None:
-            return None, []
-        parent = by_caption.get(target)
+        parent = by_caption.get(target)  # a relation question: kind is its label
         if parent is None:
             return None, []
         for edge in memory["scene_graph"]["edges"]:
-            if edge["object_id"] == parent["id"] and edge["relation"] == relation:
+            if edge["object_id"] == parent["id"] and edge["relation"] == kind:
                 subject = by_id.get(edge["subject_id"])
                 if subject is not None:
                     return subject["caption"], [subject["id"], parent["id"]]

@@ -18,7 +18,7 @@ and, at equal distance, in the order they were queued.
 
 The floor plan is one value, a RoomModel: the floors, each floor's grid
 and room index, and the room labels. ``RoomModel.locate`` is the one lookup
-from a world point to its floor and room.
+from a world point to its floor and room, for cameras and tracks alike.
 
 The room/floor pipeline is deliberately coarse: the memory only needs
 stable labels for indexing, not metrically exact floor plans. World frame
@@ -48,6 +48,8 @@ GRID_CELL_M = 0.1
 WALL_HEIGHT_M = 1.5
 FILL_UNKNOWN_ITERATIONS = 3
 MIN_ROOM_AREA_M2 = 1.0
+# room lookup (RoomModel.locate)
+ROOM_SNAP_M = 0.5
 # watershed seeds (segment_rooms)
 ROOM_PEAK_SEPARATION_M = 1.0
 ROOM_SEED_MIN_DIST_M = 0.45
@@ -119,12 +121,12 @@ class RoomModel:
     rooms: dict[str, np.ndarray]
     labels: dict[str, str] = field(default_factory=dict)
 
-    def locate(self, x: float, y: float, z: float,
-               snap_m: float = 0.0) -> tuple[str, str | None]:
+    def locate(self, x: float, y: float, z: float) -> tuple[str, str | None]:
         """The floor of height ``z`` and the room of (x, y) on it. A point
-        on an unassigned cell (unseen ground, inside furniture) snaps to the
-        nearest assigned cell within ``snap_m`` (ties to the lower row, then
-        column); at 0 only its own cell counts."""
+        on an unassigned cell (unseen ground, inside furniture, against a
+        wall) snaps to the nearest assigned cell within ``ROOM_SNAP_M``
+        (ties to the lower row, then column). Cameras and tracks are both
+        placed through this one rule."""
         floor_id = self.floors.floor_of(z)
         grid = self.grids.get(floor_id)
         if grid is None:
@@ -133,13 +135,13 @@ class RoomModel:
         r0, c0 = grid.cell_of(x, y)
         if grid.in_bounds(r0, c0) and rooms[r0, c0] >= 0:
             return floor_id, f"{floor_id}/{int(rooms[r0, c0])}"
-        reach = int(math.ceil(snap_m / grid.cell_size))
+        reach = int(math.ceil(ROOM_SNAP_M / grid.cell_size))
         d, r, c = min(((math.hypot(r - r0, c - c0), r, c)
                        for r in range(r0 - reach, r0 + reach + 1)
                        for c in range(c0 - reach, c0 + reach + 1)
                        if grid.in_bounds(r, c) and rooms[r, c] >= 0),
                       default=(math.inf, r0, c0))
-        if d * grid.cell_size > snap_m:  # the nearest assigned cell is too far
+        if d * grid.cell_size > ROOM_SNAP_M:  # the nearest assigned cell is too far
             return floor_id, None
         return floor_id, f"{floor_id}/{int(rooms[r, c])}"
 

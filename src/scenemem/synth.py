@@ -2,12 +2,11 @@
 
 A generated scene is a row of rooms (shared walls, doorway gaps) furnished
 with axis-aligned box objects from a small template library. Template
-pairs carry spatial relations; on_top_of and contained_in are re-derived
-geometrically from the boxes, subpart_of and attached_to come from the
-template tags. A camera trajectory orbits each room's center. Depth maps
-are rendered by ray/box intersection, so the full geometry pipeline runs
-on honest depth, and the per-pixel hit map yields exact detection masks,
-bounding boxes and visibility.
+pairs carry spatial relations, and the scene's relations are exactly the
+tags the generator writes for those pairs. A camera trajectory orbits each
+room's center. Depth maps are rendered by ray/box intersection, so the
+full geometry pipeline runs on honest depth, and the per-pixel hit map
+yields exact detection masks, bounding boxes and visibility.
 
 Each box is ray-cast only over its screen window: the pixel block its
 part in front of the camera projects into, widened by a small margin. A
@@ -97,9 +96,6 @@ class Box:
 
     def center(self) -> np.ndarray:
         return (np.array(self.lo) + np.array(self.hi)) / 2.0
-
-    def size(self) -> np.ndarray:
-        return np.array(self.hi) - np.array(self.lo)
 
     def contains_point(self, p) -> bool:
         return all(self.lo[i] <= p[i] <= self.hi[i] for i in range(3))
@@ -436,44 +432,6 @@ def _room_walls(room: RoomSpec, doorway_left: bool, doorway_right: bool) -> list
     return walls
 
 
-def _footprint_overlap(a: Box, b: Box) -> float:
-    """Horizontal overlap area as a fraction of a's footprint."""
-    ox = max(0.0, min(a.hi[0], b.hi[0]) - max(a.lo[0], b.lo[0]))
-    oy = max(0.0, min(a.hi[1], b.hi[1]) - max(a.lo[1], b.lo[1]))
-    area = (a.hi[0] - a.lo[0]) * (a.hi[1] - a.lo[1])
-    return (ox * oy) / area if area > 0 else 0.0
-
-
-def derive_relations(objects: list[SceneObject],
-                     tagged: dict[tuple[int, int], str]) -> list[TrueRelation]:
-    """Ground-truth relation set.
-
-    Template tags win for their pairs; on_top_of and contained_in are
-    additionally derived geometrically over all untagged pairs: vertical
-    adjacency with majority footprint overlap, and footprint containment
-    with vertical interleaving.
-    """
-    relations = [TrueRelation(s, o, rel) for (s, o), rel in sorted(tagged.items())]
-    seen = set(tagged)
-    for a in objects:
-        for b in objects:
-            if a.index == b.index or (a.index, b.index) in seen:
-                continue
-            if (b.index, a.index) in seen:
-                continue
-            if (abs(a.box.lo[2] - b.box.hi[2]) <= 0.03
-                    and _footprint_overlap(a.box, b.box) >= 0.5):
-                relations.append(TrueRelation(a.index, b.index, "on_top_of"))
-                seen.add((a.index, b.index))
-            elif (_footprint_overlap(a.box, b.box) >= 0.99
-                    and a.box.lo[2] >= b.box.lo[2] - 0.01
-                    and a.box.lo[2] < b.box.hi[2]):
-                relations.append(TrueRelation(a.index, b.index, "contained_in"))
-                seen.add((a.index, b.index))
-    relations.sort(key=lambda r: (r.subject_index, r.object_index, r.relation))
-    return relations
-
-
 def _place_child(parent_box: Box, child_size, relation: str,
                  room_center: tuple[float, float]) -> Box:
     cw, cd, ch = child_size
@@ -539,7 +497,7 @@ def generate_scene(rooms: int, objects_per_room: int, seed: int, *,
                                      doorway_right=i < rooms - 1))
 
     objects: list[SceneObject] = []
-    tagged: dict[tuple[int, int], str] = {}
+    relations: list[TrueRelation] = []  # the template tags, by ascending subject
     used_captions: set[str] = set()
 
     def pick_color(cls_name: str) -> str:
@@ -583,7 +541,7 @@ def generate_scene(rooms: int, objects_per_room: int, seed: int, *,
                                     color=pick_color(child_cls), box=cbox,
                                     room_index=room.index)
                 objects.append(child)
-                tagged[(child.index, parent.index)] = relation
+                relations.append(TrueRelation(child.index, parent.index, relation))
                 placed += 1
             else:
                 cls_name, size = standalone_order[standalone_cursor % len(standalone_order)]
@@ -596,8 +554,6 @@ def generate_scene(rooms: int, objects_per_room: int, seed: int, *,
                                            color=pick_color(cls_name), box=box,
                                            room_index=room.index))
                 placed += 1
-
-    relations = derive_relations(objects, tagged)
 
     poses: list[Pose] = []
     for room in room_specs:
@@ -657,11 +613,18 @@ class Question:
     category: str
 
 
-_RELATION_PHRASES = {
-    "on_top_of": "on top of",
-    "contained_in": "inside",
-    "subpart_of": "part of",
-    "attached_to": "attached to",
+# Each question kind's template, the one statement of the question grammar:
+# generate_questions formats it and the RuleReasoner parses by it. A relation
+# question's kind is its relation label; ``{target}`` is the caption or class
+# the question names.
+QUESTION_TEMPLATES = {
+    "on_top_of": "what is on top of the {target}?",
+    "contained_in": "what is inside the {target}?",
+    "subpart_of": "what is part of the {target}?",
+    "attached_to": "what is attached to the {target}?",
+    "room": "which room is the {target} in?",
+    "color": "what color is the {target}?",
+    "count": "how many objects are in the scene?",
 }
 
 
@@ -671,13 +634,12 @@ def generate_questions(scene: SyntheticScene) -> list[Question]:
     for rel in scene.relations:
         subject = scene.objects[rel.subject_index]
         parent = scene.objects[rel.object_index]
-        phrase = _RELATION_PHRASES[rel.relation]
         questions.append(Question(
-            question=f"what is {phrase} the {parent.caption}?",
+            question=QUESTION_TEMPLATES[rel.relation].format(target=parent.caption),
             answer=subject.caption, category="spatial"))
     for obj in scene.objects[::2]:
         questions.append(Question(
-            question=f"which room is the {obj.caption} in?",
+            question=QUESTION_TEMPLATES["room"].format(target=obj.caption),
             answer=scene.room_label_of(obj), category="localization"))
     class_counts: dict[str, int] = {}
     for obj in scene.objects:
@@ -686,11 +648,11 @@ def generate_questions(scene: SyntheticScene) -> list[Question]:
         if count == 1:
             obj = next(o for o in scene.objects if o.class_name == cls_name)
             questions.append(Question(
-                question=f"what color is the {cls_name}?",
+                question=QUESTION_TEMPLATES["color"].format(target=cls_name),
                 answer=obj.color, category="attribute"))
             break
     questions.append(Question(
-        question="how many objects are in the scene?",
+        question=QUESTION_TEMPLATES["count"],
         answer=str(len(scene.objects)), category="counting"))
     return questions
 

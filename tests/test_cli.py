@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 import scenemem
-from scenemem import ScriptedBackend, cli, deserialize, graph, load_dir, metrics, spatial
+from scenemem import (ScriptedBackend, cli, deserialize, geometry, graph, load_dir,
+                      metrics, spatial)
 from scenemem.cli import main
 from scenemem.config import API_MODES, EngineConfig, load_config
 from scenemem.server import start_background
@@ -620,8 +621,9 @@ class TestConfigFile:
 
     def test_thresholds_are_not_arguments(self):
         """The readers of the association, merge, consolidation, relation,
-        floor and scoring thresholds take none of them as an argument, and
-        no settable copy of the vote's thresholds is exported."""
+        floor, room-snap, projection-depth and scoring thresholds take none
+        of them as an argument, and no settable copy of the vote's
+        thresholds is exported."""
         parameters = {
             graph.associate: ["detections", "tracks"],
             graph.vote_score: ["d", "t"],
@@ -629,6 +631,8 @@ class TestConfigFile:
             graph.consolidate_captions: ["t", "backend"],
             graph.edge_discovery_due: ["frame_index"],
             spatial.detect_floors: ["camera_heights"],
+            spatial.RoomModel.locate: ["self", "x", "y", "z"],
+            geometry.project: ["cloud", "intr", "pose"],
             metrics.match_tracks: ["ssm", "scene"],
         }
         for fn, names in parameters.items():

@@ -60,6 +60,20 @@ class TestBuildSsm:
             assert track.room_id is not None
             assert track.room_label == truth[track.caption]
 
+    @pytest.mark.parametrize("seed", [0, 1000])
+    def test_track_against_a_wall_takes_its_room(self, seed):
+        """Tracks are located by the rule that locates cameras, so the
+        wardrobe, whose centroid falls on a wall cell, takes the room it
+        stands in like every other track."""
+        scene = generate_scene(8, 3, seed)
+        ssm = build_ssm(scene.episode(), ScriptedBackend(scene), EngineConfig())
+        matched = match_tracks(ssm, scene)
+        assert len(matched) == len(scene.objects)
+        for tid, index in matched.items():
+            obj = scene.objects[index]
+            assert ssm.graph.tracks[tid].room_label == scene.room_label_of(obj), \
+                obj.caption
+
     def test_contested_build_matches_reference_association(
             self, small_scene, small_episode, monkeypatch):
         """With one caption embedding for every detection, every detection

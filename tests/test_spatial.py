@@ -18,7 +18,8 @@ from scenemem import (NavLogEntry, build_nav_entry, detect_floors, label_rooms,
                       motion_label, segment_rooms)
 from scenemem.dataset import Keyframe
 from scenemem.geometry import CameraIntrinsics, DepthMap, GeometryInputError
-from scenemem.spatial import FloorModel, OccupancyGrid, RoomModel, distance_transform
+from scenemem.spatial import (ROOM_SNAP_M, FloorModel, OccupancyGrid, RoomModel,
+                              distance_transform)
 
 from conftest import make_pose, rng
 
@@ -219,15 +220,19 @@ class TestSegmentRooms:
     def test_nearest_lookup_snaps_to_free(self):
         occ = OccupancyGrid(free=room_grid(10, 10), origin=(0, 0), cell_size=0.1)
         model = segment_rooms(ONE_FLOOR, {"floor0": occ})
-        assert model.locate(0.0, 0.0, 1.4) == ("floor0", None)  # border wall
-        assert model.locate(0.05, 0.05, 1.4, snap_m=0.5)[1] is not None
+        for x, y in ((0.05, 0.05), (-0.3, 0.5), (1.15, 1.15), (-0.6, 0.5)):
+            assert model.locate(x, y, 1.4) == \
+                ("floor0", reference_room_of_nearest(model, "floor0", x, y, ROOM_SNAP_M))
+        assert model.locate(0.05, 0.05, 1.4)[1] is not None  # border wall
+        assert model.locate(-0.6, 0.5, 1.4) == ("floor0", None)  # too far out
 
 
 class TestLocate:
-    """``locate`` against the reference lookups, on random room grids over
-    two floors (a third floor has no grid): every cell of each grid and a
-    margin around it, at several sub-cell offsets, including points exactly
-    on a cell edge and exactly on the floor boundary."""
+    """``locate`` against the reference lookups at ``ROOM_SNAP_M``, on
+    random room grids over two floors (a third floor has no grid): every
+    cell of each grid and a margin around it, at several sub-cell offsets,
+    including points exactly on a cell edge and exactly on the floor
+    boundary."""
 
     FLOORS = FloorModel((("floor0", 0.0, 2.5), ("floor1", 2.5, 5.0),
                          ("floor2", 5.0, 7.5)))
@@ -257,22 +262,19 @@ class TestLocate:
                     for fr, fc in ((0.0, 0.0), (0.25, 0.5), (0.5, 0.999), (0.75, 0.1)):
                         x = grid.origin[0] + (c + fc) * grid.cell_size
                         y = grid.origin[1] + (r + fr) * grid.cell_size
-                        for snap in (0.0, 0.25, 0.5):
-                            expected = reference_room_of_nearest(model, floor_id,
-                                                                 x, y, snap)
-                            assert model.locate(x, y, z, snap_m=snap) == \
-                                (floor_id, expected), (z, x, y, snap)
-                            checked += expected is not None
+                        expected = reference_room_of_nearest(model, floor_id,
+                                                             x, y, ROOM_SNAP_M)
+                        assert model.locate(x, y, z) == (floor_id, expected), (z, x, y)
+                        checked += expected is not None
             assert checked or floor_id == "floor2"
 
     def test_exact_lookup_is_the_cell_itself(self):
         model = self._random_model(9)
         ids = model.rooms["floor0"]
-        for r, c in np.ndindex(ids.shape):
+        for r, c in np.argwhere(ids >= 0):
             x = -0.35 + (c + 0.5) * 0.1
             y = 0.2 + (r + 0.5) * 0.1
-            room = None if ids[r, c] < 0 else f"floor0/{ids[r, c]}"
-            assert model.locate(x, y, 1.0) == ("floor0", room)
+            assert model.locate(x, y, 1.0) == ("floor0", f"floor0/{ids[r, c]}")
 
 
 def _components(free: np.ndarray) -> list[list[tuple[int, int]]]:

@@ -1,5 +1,5 @@
 """Synthetic scene generation: determinism, analytic raycast oracle,
-screen windows, mask encoding, relation derivation, visibility guarantees
+screen windows, mask encoding, template relations, visibility guarantees
 and question generation."""
 
 from __future__ import annotations
@@ -9,12 +9,12 @@ import json
 import numpy as np
 import pytest
 
-from scenemem import PixelMask, backproject, generate_questions, generate_scene
-from scenemem.synth import (MIN_VISIBLE_PIXELS, Box, GenerationError, GtDetection,
-                            RoomSpec, SceneObject, SceneParams, SyntheticScene,
-                            box_corners, derive_relations, load_questions,
-                            look_at_pose, projected_extent, save_questions,
-                            screen_windows)
+from scenemem import (PixelMask, RuleReasoner, backproject, generate_questions,
+                      generate_scene)
+from scenemem.synth import (MIN_VISIBLE_PIXELS, PARENT_TEMPLATES, Box, GenerationError,
+                            GtDetection, RoomSpec, SceneObject, SceneParams,
+                            SyntheticScene, box_corners, load_questions, look_at_pose,
+                            projected_extent, save_questions, screen_windows)
 
 from conftest import rng
 
@@ -349,35 +349,19 @@ class TestRelations:
                 for r in scene.relations]
         assert ("cup", "on_top_of", "table") in rels
 
-    def test_geometric_derivation_on_top(self):
-        table = SceneObject(0, "table", "red",
-                            Box((0, 0, 0), (1.0, 0.7, 0.72)), 0)
-        cup = SceneObject(1, "cup", "blue",
-                          Box((0.4, 0.3, 0.72), (0.52, 0.42, 0.86)), 0)
-        rels = derive_relations([table, cup], {})
-        assert [(r.subject_index, r.relation, r.object_index) for r in rels] \
-            == [(1, "on_top_of", 0)]
-
-    def test_geometric_derivation_containment(self):
-        crate = SceneObject(0, "crate", "red", Box((0, 0, 0), (0.6, 0.6, 0.35)), 0)
-        bottle = SceneObject(1, "bottle", "blue",
-                             Box((0.2, 0.2, 0.0), (0.34, 0.34, 0.6)), 0)
-        rels = derive_relations([crate, bottle], {})
-        assert [(r.subject_index, r.relation, r.object_index) for r in rels] \
-            == [(1, "contained_in", 0)]
-
-    def test_tag_overrides_geometry(self):
-        sofa = SceneObject(0, "sofa", "red", Box((0, 0, 0), (1.4, 0.8, 0.75)), 0)
-        cushion = SceneObject(1, "cushion", "blue",
-                              Box((0.2, 0.2, 0.75), (0.65, 0.4, 1.15)), 0)
-        rels = derive_relations([sofa, cushion], {(1, 0): "subpart_of"})
-        assert [(r.subject_index, r.relation, r.object_index) for r in rels] \
-            == [(1, "subpart_of", 0)]
-
-    def test_separated_objects_unrelated(self):
-        a = SceneObject(0, "chair", "red", Box((0, 0, 0), (0.5, 0.5, 0.9)), 0)
-        b = SceneObject(1, "plant", "blue", Box((2, 2, 0), (2.4, 2.4, 0.8)), 0)
-        assert derive_relations([a, b], {}) == []
+    def test_relations_are_the_template_pairs(self):
+        """Every relation joins a template child to the parent placed just
+        before it, with the template's label, and every parent has one."""
+        scene = generate_scene(6, 3, seed=4)
+        children = {parent: (child, relation)
+                    for parent, _, ((child, _, relation),) in PARENT_TEMPLATES}
+        expected = [(o.index + 1, children[o.class_name][1], o.index)
+                    for o in scene.objects if o.class_name in children]
+        assert [(r.subject_index, r.relation, r.object_index)
+                for r in scene.relations] == expected
+        for r in scene.relations:
+            parent = scene.objects[r.object_index].class_name
+            assert scene.objects[r.subject_index].class_name == children[parent][0]
 
 
 class TestGeneratorGuarantees:
@@ -431,6 +415,24 @@ class TestQuestions:
         assert count_q.answer == str(len(small_scene.objects))
         for q in by_cat["spatial"]:
             assert any(o.caption == q.answer for o in small_scene.objects)
+
+    def test_questions_parse_back_to_what_they_were_written_from(self):
+        """Six rooms of two objects use every parent template, so every
+        question kind is asked; each question parses back through the rule
+        reasoner to its kind and target."""
+        scene = generate_scene(6, 2, seed=0)
+        parents = {scene.objects[r.object_index].class_name for r in scene.relations}
+        assert parents == {name for name, _, _ in PARENT_TEMPLATES}
+        questions = generate_questions(scene)
+        written = ([(r.relation, scene.objects[r.object_index].caption)
+                    for r in scene.relations]
+                   + [("room", o.caption) for o in scene.objects[::2]])
+        parsed = [RuleReasoner._parse(q.question) for q in questions]
+        assert parsed[:len(written)] == written
+        (color_kind, cls_name), count = parsed[len(written):]
+        assert color_kind == "color" and count == ("count", None)
+        holders = [o for o in scene.objects if o.class_name == cls_name]
+        assert [o.color for o in holders] == [questions[-2].answer]
 
     def test_question_file_round_trip(self, small_scene, tmp_path):
         questions = generate_questions(small_scene)
