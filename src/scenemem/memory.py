@@ -5,9 +5,8 @@ memory and the navigation log, plus episode metadata. It serializes to a
 canonical JSON form, layout version 3 (``docs/memory_format.md``): object
 keys sorted, floats rendered with exactly 4 decimal places, point clouds
 summarized as (centroid, axis-aligned extent, point count). Each record
-list (tracks, relation edges, navigation log) is a table, one ``columns``
-header plus one ``rows`` array per record, in a fixed column order, so key
-names are written once per list rather than once per record. The
+list (tracks, relation edges, navigation log) is a table: one ``columns``
+header, then one ``rows`` array per record in that column order. The
 scratchpad stays grouped by node, because evidence cites per-node note
 indices, and lists only the nodes that have notes. Each fact is written
 once: the episode's keyframes, in order, are the navigation log's
@@ -24,11 +23,9 @@ caches the row text in a module-level weak map keyed by the record itself.
 A cached row lives exactly as long as some memory holds its record, and can
 never go stale because the record cannot change.
 
-Frame memory is not part of the JSON body; it is returned alongside as an
-ordered list of (frame id, image locator) references, mirroring how frames
-are supplied to the reasoner as interleaved images. For persistence the
-frame memory and every keyframe's locator ride inside the "episode"
-object so a round trip restores them.
+``serialize`` also returns the frame memory as (frame id, image locator)
+references, in the order frames are handed to the reasoner as images; the
+"episode" object holds the frame memory and every keyframe's locator.
 
 Embeddings never appear in the JSON (prompts need text, not vectors); they
 live in the side-car file tracks.bin, as do raw point clouds. See save_dir /
@@ -52,10 +49,10 @@ from pathlib import Path
 import numpy as np
 
 from .backend import int_array, need, number_array
-from .geometry import PointCloud
+from .geometry import GeometryInputError, PointCloud
 from .graph import (CloudSummary, Embedding, GraphError, RelationEdge, SceneGraph,
                     Track)
-from .spatial import MOTION_LABELS, NavLogEntry, RoomModel
+from .spatial import NavLogEntry, RoomModel
 
 SOURCE_APIS = ("find_objects", "analyze_objects", "analyze_frame")
 
@@ -74,7 +71,12 @@ class MemoryError_(ValueError):
 
 
 class SerializationError(ValueError):
-    """Memory invariants do not hold; refuse to serialize."""
+    """Memory invariants do not hold; refuse to serialize. A broken rule of
+    ``SceneMemory.validate`` names its ``path``; ``reason`` omits it."""
+
+    def __init__(self, reason: str, path: str | None = None):
+        super().__init__(reason if path is None else f"{path}: {reason}")
+        self.reason, self.path = reason, path
 
 
 class ParseError(ValueError):
@@ -155,6 +157,13 @@ def append_frame(fm: FrameMemory, frame_id: int) -> FrameMemory:
     return FrameMemory(fm.frames + (frame_id,), fm.initial_count)
 
 
+def _stray(values, allowed: set) -> int | None:
+    """The index of the first of ``values`` outside ``allowed``, or None."""
+    if allowed.issuperset(values):
+        return None
+    return next(i for i, v in enumerate(values) if v not in allowed)
+
+
 @dataclass
 class SceneMemory:
     """Single-writer memory of one scene episode.
@@ -215,31 +224,54 @@ class SceneMemory:
         return sum(len(notes) for notes in self.scratchpad.values())
 
     def validate(self) -> None:
-        """Raise SerializationError when a cross-structure invariant is
-        broken."""
-        live = self.graph.tracks
-        for nid, notes in self.scratchpad.items():
-            if nid not in live or not notes:
-                raise SerializationError(f"scratchpad entry {nid} is empty or dead")
-        for e in self.graph.edges:
-            if e.subject_id not in live or e.object_id not in live:
-                raise SerializationError(f"edge references dead track: {e.key()}")
-        episode = set(self.frame_ids)
-        for f in self.frame_memory.frames:
-            if f not in episode:
-                raise SerializationError(f"frame memory id {f} outside episode")
-        for f in self.frame_locators:
-            if f not in episode:
-                raise SerializationError(f"locator for frame {f} outside episode")
-        if tuple(e.frame_id for e in self.nav_log) != self.frame_ids:
-            raise SerializationError("navigation log does not cover the episode keyframes")
-        if len(episode) != len(self.frame_ids):
-            raise SerializationError("episode repeats a keyframe")
-        for entry in self.nav_log:
-            for nid in entry.visible_node_ids:
-                if nid not in live:
-                    raise SerializationError(
-                        f"nav entry {entry.frame_id} cites dead node {nid}")
+        """Raise SerializationError at the ``path``, in the serialized
+        document, of the first broken rule across records. This is the rule
+        book of built, patched and loaded memories alike (listed in
+        ``docs/memory_format.md``): ``serialize`` and ``deserialize`` both run
+        it. Rows count in stored order, for a parsed memory document order."""
+        if self.stride < 1:
+            raise SerializationError(f"stride {self.stride} is below 1", "$.episode.stride")
+        keyframes = self.frame_ids
+        if tuple(e.frame_id for e in self.nav_log) != keyframes:
+            raise SerializationError("navigation log does not cover the episode keyframes",
+                                     "$.navigation_log.rows")
+        episode = set(keyframes)
+        if len(episode) != len(keyframes):
+            i = next(i for i, fid in enumerate(keyframes) if fid in keyframes[:i])
+            raise SerializationError("episode repeats a keyframe",
+                                     f"$.navigation_log.rows[{i}].frame_id")
+        if not episode.issuperset(self.frame_locators):
+            raise SerializationError("a locator names a frame outside the episode",
+                                     "$.episode.frame_locators")
+        frames = self.frame_memory.frames
+        if (j := _stray(frames, episode)) is not None:
+            raise SerializationError(f"frame memory id {frames[j]} outside episode",
+                                     f"$.episode.frame_memory.frames[{j}]")
+        for i, t in enumerate(self.graph.tracks.values()):
+            if (j := _stray(t.visible_frames, episode)) is not None:
+                raise SerializationError(f"frame {t.visible_frames[j]} not in episode",
+                                         f"$.scene_graph.tracks.rows[{i}].visible_frames[{j}]")
+        live = set(self.graph.tracks)
+        keys: set[tuple[int, int, str]] = set()
+        for i, e in enumerate(self.graph.edges):
+            for column in ("subject_id", "object_id"):
+                if getattr(e, column) not in live:
+                    raise SerializationError(f"unknown track {getattr(e, column)}",
+                                             f"$.scene_graph.edges.rows[{i}].{column}")
+            if (key := e.key()) in keys:
+                raise SerializationError(f"repeats edge {key}", f"$.scene_graph.edges.rows[{i}]")
+            keys.add(key)
+        for i, (nid, notes) in enumerate(self.scratchpad.items()):
+            if nid not in live:
+                raise SerializationError(f"scratchpad entry {nid} names no track",
+                                         f"$.scratchpad[{i}].node_id")
+            if not notes:
+                raise SerializationError(f"scratchpad entry {nid} holds no note",
+                                         f"$.scratchpad[{i}].notes")
+        for i, entry in enumerate(self.nav_log):
+            if (j := _stray(entry.visible_node_ids, live)) is not None:
+                raise SerializationError(f"unknown track {entry.visible_node_ids[j]}",
+                                         f"$.navigation_log.rows[{i}].visible_node_ids[{j}]")
 
     def copy(self) -> "SceneMemory":
         """New containers over the same records (see the class docstring)."""
@@ -441,16 +473,15 @@ def deserialize(text: str) -> SceneMemory:
 
     All structures are restored except raw point clouds and embeddings:
     tracks carry only their persisted cloud summaries. The episode's
-    keyframes are the navigation-log rows' frame ids. Invariants are
-    re-validated; violations raise ParseError naming the offending path.
-    """
+    keyframes are the navigation-log rows' frame ids. Only the JSON shapes
+    are checked here, and each record checks itself as it is built; the
+    rules across records are ``SceneMemory.validate``'s. Every violation
+    raises ParseError naming the offending path."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError("$", f"invalid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ParseError("$", "expected a top-level object")
-    version = _expect(doc, "version", int, "$")
+    version = _expect(doc, "version", int, "$")  # a non-object: "expected an object"
     if version != FORMAT_VERSION:
         raise ParseError("$.version", f"unsupported layout version {version}, "
                                       f"expected {FORMAT_VERSION}")
@@ -458,100 +489,80 @@ def deserialize(text: str) -> SceneMemory:
     ep = _expect(doc, "episode", dict, "$")
     scene_id = _expect(ep, "scene_id", str, "$.episode")
     stride = _expect(ep, "stride", int, "$.episode")
-    nav_rows = _table_records(doc, "navigation_log", NAV_COLUMNS, "$")
-    frame_ids = tuple(_expect(nd, "frame_id", int, f"$.navigation_log.rows[{i}]")
-                      for i, nd in enumerate(nav_rows))
-    episode_set = set(frame_ids)
-    if len(episode_set) < len(frame_ids):
-        i = next(i for i, fid in enumerate(frame_ids) if fid in frame_ids[:i])
-        raise ParseError(f"$.navigation_log.rows[{i}].frame_id", "repeated keyframe")
+    nav_log: list[NavLogEntry] = []
+    for i, nd in enumerate(_table_records(doc, "navigation_log", NAV_COLUMNS, "$")):
+        path = f"$.navigation_log.rows[{i}]"
+        try:
+            nav_log.append(NavLogEntry(
+                frame_id=_expect(nd, "frame_id", int, path),
+                room_label=_expect(nd, "room_label", str, path),
+                fov_tag=_expect(nd, "fov_tag", str, path),
+                motion_label=_expect(nd, "motion_label", str, path),
+                visible_node_ids=_ints(nd, "visible_node_ids", path)))
+        except GeometryInputError as exc:  # the one field NavLogEntry checks
+            raise ParseError(f"{path}.motion_label", str(exc)) from None
+    frame_ids = tuple(e.frame_id for e in nav_log)
     loc_doc = _expect(ep, "frame_locators", dict, "$.episode")
     prefix = _expect(loc_doc, "prefix", str, "$.episode.frame_locators")
     suffixes = _expect(loc_doc, "suffixes", list, "$.episode.frame_locators")
     if len(suffixes) != len(frame_ids):
         raise ParseError("$.episode.frame_locators.suffixes",
                          f"{len(suffixes)} entries for {len(frame_ids)} keyframes")
-    locators: dict[int, str] = {}
-    for i, (fid, suffix) in enumerate(zip(frame_ids, suffixes)):
-        if suffix is None:
-            continue
-        if not isinstance(suffix, str):
+    for i, suffix in enumerate(suffixes):
+        if suffix is not None and not isinstance(suffix, str):
             raise ParseError(f"$.episode.frame_locators.suffixes[{i}]",
                              "expected string or null")
-        locators[fid] = prefix + suffix
+    locators = {fid: prefix + suffix for fid, suffix in zip(frame_ids, suffixes)
+                if suffix is not None}
+    fm_path = "$.episode.frame_memory"
     fm_doc = _expect(ep, "frame_memory", dict, "$.episode")
-    fm_frames = _ints(fm_doc, "frames", "$.episode.frame_memory")
-    fm_initial = _expect(fm_doc, "initial_count", int, "$.episode.frame_memory")
-    for i, fid in enumerate(fm_frames):
-        if fid not in episode_set:
-            raise ParseError(f"$.episode.frame_memory.frames[{i}]",
-                             f"frame {fid} not in episode")
     try:
-        frame_memory = FrameMemory(fm_frames, fm_initial)
+        frame_memory = FrameMemory(_ints(fm_doc, "frames", fm_path),
+                                   _expect(fm_doc, "initial_count", int, fm_path))
     except MemoryError_ as exc:
-        raise ParseError("$.episode.frame_memory", str(exc)) from None
+        raise ParseError(fm_path, str(exc)) from None
 
     graph = SceneGraph()
     sg = _expect(doc, "scene_graph", dict, "$")
-    tracks = _table_records(sg, "tracks", TRACK_COLUMNS, "$.scene_graph")
-    for i, td in enumerate(tracks):
+    for i, td in enumerate(_table_records(sg, "tracks", TRACK_COLUMNS, "$.scene_graph")):
         path = f"$.scene_graph.tracks.rows[{i}]"
-        tid = _expect(td, "id", int, path)
-        caption = _expect(td, "caption", str, path)
         history = _expect(td, "caption_history", list, path)
         if any(not isinstance(c, str) for c in history):
             raise ParseError(f"{path}.caption_history", "expected strings")
-        visible = _ints(td, "visible_frames", path)
-        for j, fid in enumerate(visible):
-            if fid not in episode_set:
-                raise ParseError(f"{path}.visible_frames[{j}]",
-                                 f"frame {fid} not in episode")
         summary = None
         if any(td[k] is not None for k in ("centroid", "extent", "points")):
             summary = CloudSummary(centroid=_float_triple(td, "centroid", path),
                                    extent=_float_triple(td, "extent", path),
                                    count=_expect(td, "points", int, path))
         try:
-            track = Track(id=tid, cloud=None, visual=None, language=None,
-                          caption=caption, caption_history=history,
-                          room_id=_opt_str(td, "room_id", path),
-                          floor_id=_opt_str(td, "floor_id", path),
-                          room_label=_opt_str(td, "room_label", path),
-                          visible_frames=visible, summary=summary)
-            graph.insert_track(track)
+            graph.insert_track(Track(
+                id=_expect(td, "id", int, path), cloud=None, visual=None, language=None,
+                caption=_expect(td, "caption", str, path), caption_history=history,
+                room_id=_opt_str(td, "room_id", path),
+                floor_id=_opt_str(td, "floor_id", path),
+                room_label=_opt_str(td, "room_label", path),
+                visible_frames=_ints(td, "visible_frames", path), summary=summary))
         except GraphError as exc:
             raise ParseError(path, str(exc)) from None
-
     for i, ed in enumerate(_table_records(sg, "edges", EDGE_COLUMNS, "$.scene_graph")):
         path = f"$.scene_graph.edges.rows[{i}]"
-        sid = _expect(ed, "subject_id", int, path)
-        oid = _expect(ed, "object_id", int, path)
-        rel = _expect(ed, "relation", str, path)
-        just = _expect(ed, "justification", str, path)
-        src = _expect(ed, "source_frame", int, path)
-        if sid not in graph.tracks:
-            raise ParseError(f"{path}.subject_id", f"unknown track {sid}")
-        if oid not in graph.tracks:
-            raise ParseError(f"{path}.object_id", f"unknown track {oid}")
         try:
-            edge = RelationEdge(sid, oid, rel, just, src)
+            graph.edges.append(RelationEdge(_expect(ed, "subject_id", int, path),
+                                            _expect(ed, "object_id", int, path),
+                                            _expect(ed, "relation", str, path),
+                                            _expect(ed, "justification", str, path),
+                                            _expect(ed, "source_frame", int, path)))
         except GraphError as exc:
             raise ParseError(path, str(exc)) from None
-        graph.edges.append(edge)
 
     scratchpad: dict[int, tuple[Note, ...]] = {}
     for i, pd in enumerate(_expect(doc, "scratchpad", list, "$")):
         path = f"$.scratchpad[{i}]"
         nid = _expect(pd, "node_id", int, path)
-        if nid not in graph.tracks:
-            raise ParseError(f"{path}.node_id", f"unknown track {nid}")
         if nid in scratchpad:
             raise ParseError(f"{path}.node_id", f"duplicate entry for node {nid}")
-        note_docs = _expect(pd, "notes", list, path)
-        if not note_docs:
-            raise ParseError(f"{path}.notes", "expected at least one note")
         notes = []
-        for j, nd in enumerate(note_docs):
+        for j, nd in enumerate(_expect(pd, "notes", list, path)):
             npath = f"{path}.notes[{j}]"
             try:
                 notes.append(Note(text=_expect(nd, "text", str, npath),
@@ -562,26 +573,14 @@ def deserialize(text: str) -> SceneMemory:
                 raise ParseError(npath, str(exc)) from None
         scratchpad[nid] = tuple(notes)
 
-    nav_log: list[NavLogEntry] = []
-    for i, nd in enumerate(nav_rows):
-        path = f"$.navigation_log.rows[{i}]"
-        motion = _expect(nd, "motion_label", str, path)
-        if motion not in MOTION_LABELS:
-            raise ParseError(f"{path}.motion_label", f"unknown label '{motion}'")
-        visible = _ints(nd, "visible_node_ids", path)
-        for j, nid in enumerate(visible):
-            if nid not in graph.tracks:
-                raise ParseError(f"{path}.visible_node_ids[{j}]", f"unknown track {nid}")
-        nav_log.append(NavLogEntry(
-            frame_id=nd["frame_id"],
-            room_label=_expect(nd, "room_label", str, path),
-            fov_tag=_expect(nd, "fov_tag", str, path),
-            motion_label=motion,
-            visible_node_ids=visible))
-
-    return SceneMemory(graph=graph, scratchpad=scratchpad, frame_memory=frame_memory,
-                       nav_log=nav_log, scene_id=scene_id, stride=stride,
-                       frame_ids=frame_ids, frame_locators=locators)
+    ssm = SceneMemory(graph=graph, scratchpad=scratchpad, frame_memory=frame_memory,
+                      nav_log=nav_log, scene_id=scene_id, stride=stride,
+                      frame_ids=frame_ids, frame_locators=locators)
+    try:
+        ssm.validate()
+    except SerializationError as exc:
+        raise ParseError(exc.path, exc.reason) from None
+    return ssm
 
 
 # ---------------------------------------------------------------------------

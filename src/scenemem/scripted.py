@@ -33,7 +33,7 @@ import re
 
 import numpy as np
 
-from .backend import Backend, BackendRequest, TransportError
+from .backend import REQUEST_KINDS, Backend, BackendRequest, TransportError
 from .config import EngineConfig
 from .graph import caption_embedding, hash_embedding
 from .memory import table_records
@@ -104,7 +104,11 @@ class ScriptedBackend(Backend):
         "transport" raises (retried once by callers); "schema" returns a
         malformed body (never retried). Mode "item", for detect only,
         answers the next ``times`` listed frames with an error item, which
-        fails those frames alone."""
+        fails those frames alone. Any other kind or mode raises ValueError."""
+        if kind not in REQUEST_KINDS:
+            raise ValueError(f"unknown request kind '{kind}'")
+        if mode not in ("transport", "schema", "item"):
+            raise ValueError(f"unknown failure mode '{mode}'")
         if mode == "item" and kind != "detect":
             raise ValueError("only detect replies have items")
         self._fail_plan.setdefault(kind, []).extend([mode] * times)

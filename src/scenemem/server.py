@@ -17,7 +17,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import urlsplit
 
-from .memory import (SceneMemory, canonical_json, load_dir, serialize,
+from .memory import (ParseError, SceneMemory, canonical_json, load_dir, serialize,
                      table_records)
 
 
@@ -95,13 +95,17 @@ def make_server(ssm: SceneMemory, host: str = "127.0.0.1", port: int = 0,
 
 
 def serve_dir(path: str | Path, host: str = "127.0.0.1", port: int = 8008) -> None:
-    """Blocking entry point used by the CLI serve subcommand."""
+    """Blocking entry point used by the CLI serve subcommand. A saved
+    ``metrics.json`` that is not UTF-8 JSON raises ParseError naming it."""
     path = Path(path)
     ssm = load_dir(path)
     report = None
     report_file = path / "metrics.json"
     if report_file.exists():
-        report = json.loads(report_file.read_text(encoding="utf-8"))
+        try:
+            report = json.loads(report_file.read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ParseError(str(report_file), f"not a UTF-8 JSON report: {exc}") from None
     with make_server(ssm, host, port, report) as server:
         print(f"serving memory for scene '{ssm.scene_id}' on http://{host}:{port}")
         try:

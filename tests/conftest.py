@@ -17,6 +17,17 @@ def rng(seed: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def brute_distance(free: np.ndarray, cell_size: float) -> np.ndarray:
+    """Exhaustive nearest-wall distance, meters: every cell against every
+    wall cell; 1e18 everywhere on a grid without walls."""
+    walls = np.argwhere(~free)
+    if walls.size == 0:
+        return np.full(free.shape, 1e18)
+    cells = np.argwhere(np.ones(free.shape, dtype=bool))
+    d2 = ((cells[:, None, :] - walls[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+    return (np.sqrt(d2.astype(np.float64)) * cell_size).reshape(free.shape)
+
+
 def assert_scratchpad_invariant(ssm) -> None:
     """The scratchpad lists only live tracks, each with at least one note."""
     assert set(ssm.scratchpad) <= set(ssm.graph.tracks)

@@ -556,6 +556,18 @@ class TestScriptedBackend:
         with pytest.raises(ValueError):
             backend.fail("analyze", mode="item")
 
+    @pytest.mark.parametrize("kind,mode,named", [
+        ("analyse", "transport", "unknown request kind 'analyse'"),
+        ("detect", "transprot", "unknown failure mode 'transprot'"),
+        ("", "schema", "unknown request kind ''")])
+    def test_fail_hook_refuses_unknown_kind_or_mode(self, small_scene, kind, mode, named):
+        """A misspelt kind would never fire and a misspelt mode would answer
+        with a malformed body, so both are refused, and no call fails."""
+        backend = ScriptedBackend(small_scene)
+        with pytest.raises(ValueError, match=f"^{named}$"):
+            backend.fail(kind, mode=mode)
+        assert backend.call(_detect(0))[0].error is None
+
 
 class TestRecordReplay:
     def test_replay_reproduces_responses_byte_identically(self, small_scene, tmp_path):

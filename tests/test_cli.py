@@ -455,6 +455,22 @@ class TestUnwritableOutput:
         assert capsys.readouterr().out == ""
 
 
+    @pytest.mark.parametrize("report", [b"{", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
+    def test_serve_unreadable_metrics_is_one_line(self, workspace, tmp_path, capsys, report):
+        """A saved metrics.json that is not UTF-8 JSON ends serve with one
+        line naming it, before any port is bound."""
+        _, _, mem_dir = workspace
+        damaged = tmp_path / "m2"
+        shutil.copytree(mem_dir, damaged)
+        (damaged / "metrics.json").write_bytes(report)
+        with pytest.raises(SystemExit) as err:
+            main(["serve", "--ssm", str(damaged), "--port", "0"])
+        named = re.escape(str(damaged / "metrics.json"))
+        assert re.fullmatch(f"scenemem: {named}: not a UTF-8 JSON report: [^\n]+",
+                            err.value.code)
+        assert capsys.readouterr().out == ""
+
+
 class TestInspectCommand:
     def test_dumps_canonical_json(self, workspace, capsys):
         _, _, mem_dir = workspace

@@ -19,7 +19,7 @@ from scenemem.geometry import PointCloud
 from scenemem.spatial import (FloorModel, OccupancyGrid, _pick_seeds, detect_floors,
                               distance_transform, segment_rooms)
 
-from conftest import rng
+from conftest import brute_distance, rng
 
 _BIG = 1e18
 _NEIGH8 = tuple((dr, dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)
@@ -223,15 +223,6 @@ def _assert_floor_plan_matches(free: np.ndarray, cell_size: float,
     return pockets
 
 
-def _brute_distance(free: np.ndarray, cell_size: float) -> np.ndarray:
-    walls = np.argwhere(~free)
-    if walls.size == 0:
-        return np.full(free.shape, _BIG)
-    cells = np.argwhere(np.ones(free.shape, dtype=bool))
-    d2 = ((cells[:, None, :] - walls[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-    return (np.sqrt(d2.astype(np.float64)) * cell_size).reshape(free.shape)
-
-
 class TestKernelsMatchReference:
     def test_distance_transform_on_random_and_degenerate_grids(self):
         for i, free in enumerate(_test_grids()):
@@ -239,7 +230,7 @@ class TestKernelsMatchReference:
             mine = distance_transform(free, cell)
             assert mine.dtype == np.float64
             assert np.array_equal(mine, reference_distance_transform(free, cell))
-            assert np.array_equal(mine, _brute_distance(free, cell))
+            assert np.array_equal(mine, brute_distance(free, cell))
 
     def test_floor_plan_on_random_and_degenerate_grids(self):
         pockets = 0

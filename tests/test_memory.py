@@ -27,7 +27,8 @@ from scenemem import (ApiCall, ApiExecutor, Embedding, EngineConfig, EpisodeQuer
                       build_ssm, deserialize, generate_scene, init_frame_memory,
                       load_dir, run_episode_batch, save_dir, serialize)
 import scenemem.memory as memory_module
-from scenemem.graph import CloudSummary
+from scenemem.apis import Patch, PatchNote
+from scenemem.graph import CloudSummary, Detection
 from scenemem.memory import MemoryError_, ParseError, SerializationError
 from scenemem.spatial import NavLogEntry
 from scenemem.synth import generate_questions
@@ -198,6 +199,27 @@ def random_ssm(seed: int) -> SceneMemory:
     if g.random() < 0.3:
         del ssm.frame_locators[frame_ids[-1]]  # renders as a null suffix
     return ssm
+
+
+def two_track_memory() -> SceneMemory:
+    """The one-track golden memory plus a second track under the first, and
+    the edge between them."""
+    ssm = golden_one_track()
+    ssm.graph.insert_track(Track(id=1, cloud=None, visual=None, language=None,
+                                 caption="saucer", caption_history=("saucer",),
+                                 visible_frames=(5,)))
+    ssm.graph.add_edges([RelationEdge(0, 1, "on_top_of", "mug rests on it", 5)])
+    return ssm
+
+
+def _detection(frame_id: int, seed: int) -> Detection:
+    """A detection from ``frame_id`` with a small cloud and 8-dimensional
+    embeddings, the dimension of random_ssm's visual embeddings."""
+    g = rng(seed)
+    return Detection(frame_id=frame_id, bbox=(0, 0, 4, 4), caption=f"thing {seed}",
+                     cloud=PointCloud(g.uniform(-5, 5, size=(int(g.integers(0, 12)), 3))),
+                     visual=Embedding(g.standard_normal(8), "visual"),
+                     language=Embedding(g.standard_normal(8), "language"))
 
 
 def _reference_dumps(doc) -> str:
@@ -762,6 +784,115 @@ class TestStrictParse:
         ssm.frame_locators[7] = "frame://golden-scene/7"
         with pytest.raises(SerializationError):
             serialize(ssm)
+
+    def test_repeated_edge_row_rejected(self):
+        """SceneGraph.add_edges never stores a triple twice, so a document
+        that writes one twice does not load."""
+        doc = json.loads(serialize(two_track_memory())[0])
+        rows = doc["scene_graph"]["edges"]["rows"]
+        rows.insert(1, list(rows[0]))
+        assert self._path_of(doc) == "$.scene_graph.edges.rows[1]"
+        rows[1][3] = "another justification"  # the triple alone counts
+        assert self._path_of(doc) == "$.scene_graph.edges.rows[1]"
+
+    def test_stride_below_one_rejected(self):
+        doc = self._golden()
+        doc["episode"]["stride"] = 0
+        assert self._path_of(doc) == "$.episode.stride"
+        ssm = golden_one_track()
+        ssm.stride = 0
+        with pytest.raises(SerializationError) as err:
+            serialize(ssm)
+        assert err.value.path == "$.episode.stride"
+
+    def test_visible_frame_outside_episode_rejected(self):
+        doc = self._golden()
+        doc["scene_graph"]["tracks"]["rows"][0][6] = [0, 999]
+        assert self._path_of(doc) == "$.scene_graph.tracks.rows[0].visible_frames[1]"
+
+
+class TestOneRuleBook:
+    """``SceneMemory.validate`` is the one check of the rules across
+    records, for built, patched and loaded memories: it names each broken
+    rule by its path in the serialized document, the path ``deserialize``
+    reports for the same fault."""
+
+    @pytest.mark.parametrize("break_rule,path", [
+        (lambda m: m.scratchpad.update({7: m.scratchpad[0]}), "$.scratchpad[1].node_id"),
+        (lambda m: m.scratchpad.update({0: ()}), "$.scratchpad[0].notes"),
+        (lambda m: m.graph.edges.append(RelationEdge(0, 9, "on_top_of", "", 0)),
+         "$.scene_graph.edges.rows[1].object_id"),
+        (lambda m: m.graph.edges.append(RelationEdge(0, 1, "on_top_of", "again", 5)),
+         "$.scene_graph.edges.rows[1]"),
+        (lambda m: setattr(m, "frame_memory", append_frame(m.frame_memory, 9)),
+         "$.episode.frame_memory.frames[2]"),
+        (lambda m: m.nav_log.__setitem__(1, replace(m.nav_log[1], visible_node_ids=(0, 4))),
+         "$.navigation_log.rows[1].visible_node_ids[1]")])
+    def test_validate_names_the_document_path(self, break_rule, path):
+        ssm = two_track_memory()
+        break_rule(ssm)
+        with pytest.raises(SerializationError) as err:
+            ssm.validate()
+        assert err.value.path == path
+        assert str(err.value) == f"{path}: {err.value.reason}"
+
+    def test_patch_detection_outside_the_episode_refused(self):
+        """A detection from a frame outside the episode would give its
+        track a visible frame that load_dir refuses; apply_patch refuses
+        the whole patch instead, leaving the memory as it was."""
+        ssm = random_ssm(5)
+        before = serialize(ssm)[0]
+        fid = ssm.frame_ids[0]
+        patch = Patch(provenance=ApiCall("analyze_frame", fid, "look"),
+                      new_detections=[_detection(fid, 0), _detection(999, 1)],
+                      evidence=[(fid, (0, 0, 4, 4))])
+        updated, report = apply_patch(ssm, patch)
+        assert updated is ssm
+        assert "frame 999 not in episode" in report.failure
+        assert "visible_frames" in report.failure
+        assert serialize(ssm)[0] == before
+
+    @given(st.integers(0, 40), st.data())
+    @settings(max_examples=60)
+    def test_patched_random_memories_round_trip(self, seed, data):
+        """A random memory that takes random patches either refuses a patch
+        and stays byte-identical, or loads back from its text and renders
+        the same bytes again."""
+        ssm = random_ssm(seed)
+        live = sorted(ssm.graph.tracks)
+        frames = list(ssm.frame_ids)
+        labels = ("on_top_of", "subpart_of", "contained_in", "attached_to")
+        for _ in range(data.draw(st.integers(1, 3))):
+            fid = data.draw(st.sampled_from(frames))
+            patch = Patch(provenance=ApiCall("analyze_frame", fid, "fuzz"))
+            for _ in range(data.draw(st.integers(0, 2))):
+                patch.new_detections.append(_detection(
+                    data.draw(st.sampled_from(frames + [999])), data.draw(st.integers(0, 9))))
+            for _ in range(data.draw(st.integers(0, 2))):
+                a, b = (data.draw(st.sampled_from(live + [99])) for _ in range(2))
+                if a != b:
+                    patch.new_edges.append(RelationEdge(
+                        a, b, data.draw(st.sampled_from(labels)), "fuzz", fid))
+            for _ in range(data.draw(st.integers(0, 2))):
+                if data.draw(st.booleans()):  # up to one index past the detections
+                    target = PatchNote("pending", data.draw(
+                        st.integers(0, len(patch.new_detections))), "fuzz note")
+                else:
+                    target = PatchNote("node", data.draw(st.sampled_from(live + [99])),
+                                       "fuzz note")
+                patch.notes.append(target)
+            if not patch.is_empty:
+                patch.evidence.append((fid, (0, 0, 4, 4)))
+            before = serialize(ssm)[0]
+            updated, report = apply_patch(ssm, patch)
+            if report.failure is not None:
+                assert updated is ssm
+                assert serialize(ssm)[0] == before
+                continue
+            text = serialize(updated)[0]
+            assert serialize(deserialize(text))[0] == text
+            ssm = updated
+            live = sorted(ssm.graph.tracks)
 
 
 def side_car_records(blob: bytes) -> list[bytes]:

@@ -21,21 +21,7 @@ from scenemem.geometry import CameraIntrinsics, DepthMap, GeometryInputError
 from scenemem.spatial import (ROOM_SNAP_M, FloorModel, OccupancyGrid, RoomModel,
                               distance_transform)
 
-from conftest import make_pose, rng
-
-
-def brute_distance(free: np.ndarray, cell: float) -> np.ndarray:
-    """Exhaustive nearest-wall distance, meters."""
-    walls = np.argwhere(~free)
-    out = np.zeros(free.shape)
-    for r in range(free.shape[0]):
-        for c in range(free.shape[1]):
-            if walls.size == 0:
-                out[r, c] = 1e18
-            else:
-                d2 = ((walls - np.array([r, c])) ** 2).sum(axis=1)
-                out[r, c] = np.sqrt(d2.min()) * cell
-    return out
+from conftest import brute_distance, make_pose, rng
 
 
 def brute_histogram_modes(heights, bin_size, separation):
