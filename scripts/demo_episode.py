@@ -33,10 +33,10 @@ def main():
                      ssm, episode, backend, cfg)
         status = "ok " if out.text == question.answer else "MISS"
         print(f"[{status}] {question.question}")
-        for step in out.transcript:
-            report = step.report
-            print(f"       -> {step.call.kind}(frame={step.call.frame_id}, "
-                  f"query={step.call.query!r}): +{len(report.created)} tracks, "
+        for report in out.transcript:
+            call = report.call
+            print(f"       -> {call.kind}(frame={call.frame_id}, "
+                  f"query={call.query!r}): +{len(report.created)} tracks, "
                   f"+{report.notes_added} notes")
         print(f"       answer: {out.text!r} (expected {question.answer!r}), "
               f"calls={out.calls_used}, evidence ok={out.compliant}")

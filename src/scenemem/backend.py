@@ -11,8 +11,8 @@ from the request itself: a detect or analyze request carries the size of
 each frame it asks about (``BackendRequest.frame_sizes``) and the length
 of the engine's embeddings (``BackendRequest.embedding_dim``), so every
 transport checks pixels and vectors against the same bounds. A reason
-action parses straight into the ApiCall the loop executes, so its rules
-live in one place.
+reply parses straight into what the loop acts on: the ApiCall it executes,
+whose rules thus live in one place, or the ReasonAnswer it checks.
 
 Transport errors are retried once; schema errors never are (they are
 systematic, a retry wastes budget).
@@ -49,6 +49,7 @@ import json
 import logging
 import math
 import urllib.error
+import urllib.parse
 import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -210,12 +211,6 @@ class ReasonAnswer:
     text: str
     evidence_frames: tuple[int, ...]
     evidence_notes: tuple[tuple[int, int], ...]  # (node_id, note index)
-
-
-@dataclass(frozen=True)
-class ReasonResponse:
-    action: ApiCall | None
-    answer: ReasonAnswer | None
 
 
 # -- validation -------------------------------------------------------------
@@ -386,7 +381,8 @@ def validate_response(kind: str, raw,
     its one entry, each detect item against its frame's) and embedding
     lengths against ``embedding_dim``, each when given. Returns the kind's
     typed response; for detect, one DetectResponse per entry of
-    ``frame_sizes``, where a malformed item fails only its own. Raises
+    ``frame_sizes``, where a malformed item fails only its own; for reason,
+    the ApiCall or the ReasonAnswer the reply holds. Raises
     SchemaError with a path-precise diagnostic on any other violation.
     """
     if kind not in REQUEST_KINDS:
@@ -449,15 +445,14 @@ def validate_response(kind: str, raw,
             call = ApiCall(api, frame_id, query, node_ids)
         except ApiError as exc:
             raise SchemaError("$.action", str(exc)) from None
-        return ReasonResponse(action=call, answer=None)
+        return call
     ans_text = need(raw, "final_answer", str, "$")
     frames = int_array(need(raw, "evidence_frames", list, "$"), "$.evidence_frames",
                        message="expected integers")
     notes = tuple(int_array(n, f"$.evidence_notes[{i}]", size=2,
                             message="expected [node_id, note_index]")
                   for i, n in enumerate(need(raw, "evidence_notes", list, "$")))
-    return ReasonResponse(action=None, answer=ReasonAnswer(
-        text=ans_text, evidence_frames=frames, evidence_notes=notes))
+    return ReasonAnswer(text=ans_text, evidence_frames=frames, evidence_notes=notes)
 
 
 # -- transports -------------------------------------------------------------
@@ -496,15 +491,31 @@ class Backend:
                                  request.embedding_dim)
 
 
+def check_backend_url(url: str) -> str:
+    """``url`` when it parses as ``http(s)://host[:port][/path]``; otherwise
+    ValueError naming it. A query or fragment is refused too: the request
+    kind is appended to the URL as a path segment."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # a port that is not a number in 0-65535 raises here
+    except ValueError as exc:
+        raise ValueError(f"backend URL '{url}': {exc}") from None
+    if parts.scheme not in ("http", "https") or not parts.hostname \
+            or parts.query or parts.fragment:
+        raise ValueError(f"backend URL '{url}': expected http(s)://host[:port][/path]")
+    return url
+
+
 class HttpBackend(Backend):
     """JSON-over-HTTP adapter: POST /<kind> with the request document.
     Responses are checked against the frame bounds the request carries.
     ``timeout`` bounds each round trip, so a build's one detect request,
-    which covers every keyframe, must finish within it."""
+    which covers every keyframe, must finish within it. A base URL that
+    ``check_backend_url`` refuses raises ValueError."""
 
     def __init__(self, base_url: str, timeout: float = 30.0):
         super().__init__()
-        self.base_url = base_url.rstrip("/")
+        self.base_url = check_backend_url(base_url).rstrip("/")
         self.timeout = timeout
 
     def raw_call(self, request: BackendRequest) -> dict:

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import depthio
-from .backend import Backend, HttpBackend
+from .backend import Backend, HttpBackend, check_backend_url
 from .config import API_MODES, EngineConfig, load_config
 from .dataset import STRIDE, DatasetError, check_stride, load_dataset, save_dataset
 from .loop import EpisodeQuery, answer, write_transcript
@@ -53,6 +53,14 @@ def _port(text: str) -> int:
     if not (text.isdigit() and int(text) <= 65535):
         raise argparse.ArgumentTypeError(f"expected a port in 0-65535, got '{text}'")
     return int(text)
+
+
+def _backend_url(text: str) -> str:
+    """An http(s) URL naming a host; anything else is a usage error."""
+    try:
+        return check_backend_url(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _backend(args, scene: SyntheticScene | None) -> Backend:
@@ -182,7 +190,8 @@ _FLAGS = {
     "m": {"dest": "max_api_calls", "type": int, "help": "maximum API calls per question"},
     "api": {"dest": "api_mode", "choices": tuple(API_MODES),
             "help": "which modifiability APIs the reasoner may use"},
-    "backend-url": {"help": "HTTP backend base URL"},
+    "backend-url": {"type": _backend_url,
+                    "help": "HTTP backend base URL, http(s)://host[:port]"},
     "scripted": {"help": "synthetic truth.json for the scripted backend"},
 }
 

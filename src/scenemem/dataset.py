@@ -152,15 +152,21 @@ def load_dataset(path: str | Path, k: int = STRIDE,
     """Load a manifest, keeping every k-th frame record.
 
     Frame ids must be strictly increasing; any malformed record or
-    unresolvable locator raises DatasetError naming the frame.
+    unresolvable locator raises DatasetError naming the frame, and a
+    manifest that is missing or not UTF-8 text one naming the manifest.
     """
     check_stride(k)
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"manifest {path} does not exist")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"manifest {path}: not UTF-8 text "
+                           f"(byte {exc.start}: {exc.reason})") from None
     base = path.parent
     records = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:

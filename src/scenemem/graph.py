@@ -324,18 +324,15 @@ class SceneGraph:
     def __init__(self):
         self.tracks: dict[int, Track] = {}
         self.edges: list[RelationEdge] = []
-        self._next_id = 0
 
     def new_track_id(self) -> int:
-        tid = self._next_id
-        self._next_id += 1
-        return tid
+        """One above the largest track id: the id the next inserted track takes."""
+        return max(self.tracks, default=-1) + 1
 
     def insert_track(self, track: Track) -> None:
         if track.id in self.tracks:
             raise GraphError(f"duplicate track id {track.id}")
         self.tracks[track.id] = track
-        self._next_id = max(self._next_id, track.id + 1)
 
     def replace_track(self, track: Track) -> None:
         if track.id not in self.tracks:
@@ -367,7 +364,6 @@ class SceneGraph:
         g = SceneGraph()
         g.tracks = dict(self.tracks)
         g.edges = list(self.edges)
-        g._next_id = self._next_id
         return g
 
     def __len__(self) -> int:

@@ -4,6 +4,9 @@ Each iteration serializes the current memory, asks the reasoning backend
 for either an API action or a final answer, executes actions through the
 patch APIs, and stops at the final answer or when the call budget runs
 out (the backend is then re-asked with must_answer set and has to commit).
+The transcript is the list of patch reports, one per executed call, each
+naming its call; ``_step_doc`` renders the step document that the prompt's
+history, the answer document and the transcript file all show.
 
 Answers carry dual evidence: frame citations that must be members of the
 frame memory and note citations that must resolve to existing scratchpad
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .apis import ApiExecutor, PatchReport, apply_patch
-from .backend import ApiCall, Backend, BackendError, BackendRequest
+from .backend import ApiCall, Backend, BackendError, BackendRequest, ReasonAnswer
 from .config import API_MODES, EngineConfig
 from .dataset import Episode
 from .memory import SceneMemory, serialize
@@ -42,13 +45,8 @@ class EpisodeQuery:
             raise ValueError("max_calls must be >= 0")
 
 
-@dataclass
-class TranscriptStep:
-    call: ApiCall
-    report: PatchReport
-
-    def to_doc(self) -> dict:
-        return {"call": self.call.to_doc(), "report": self.report.to_doc()}
+def _step_doc(report: PatchReport) -> dict:
+    return {"call": report.call.to_doc(), "report": report.to_doc()}
 
 
 @dataclass
@@ -61,7 +59,7 @@ class Answer:
     evidence_frames: list[int]
     evidence_notes: list[tuple[int, int]]
     calls_used: int
-    transcript: list[TranscriptStep]
+    transcript: list[PatchReport]
     compliant: bool
     violations: list[str] = field(default_factory=list)
     abstained: bool = False
@@ -75,7 +73,7 @@ class Answer:
                 "compliant": self.compliant,
                 "violations": list(self.violations),
                 "abstained": self.abstained,
-                "transcript": [s.to_doc() for s in self.transcript]}
+                "transcript": [_step_doc(r) for r in self.transcript]}
 
 
 def validate_evidence(evidence_frames, evidence_notes, ssm: SceneMemory) -> list[str]:
@@ -103,7 +101,7 @@ def validate_evidence(evidence_frames, evidence_notes, ssm: SceneMemory) -> list
 
 
 def _reason_request(query: EpisodeQuery, ssm: SceneMemory,
-                    transcript: list[TranscriptStep], allowed: tuple[str, ...],
+                    transcript: list[PatchReport], allowed: tuple[str, ...],
                     remaining: int, must_answer: bool,
                     violations: list[str] | None) -> BackendRequest:
     memory_json, refs = serialize(ssm)
@@ -114,7 +112,7 @@ def _reason_request(query: EpisodeQuery, ssm: SceneMemory,
         "allowed_apis": list(allowed),
         "remaining_calls": remaining,
         "must_answer": must_answer,
-        "history": [s.to_doc() for s in transcript],
+        "history": [_step_doc(r) for r in transcript],
     }
     if violations:
         payload["violations"] = list(violations)
@@ -128,7 +126,7 @@ def answer(query: EpisodeQuery, ssm: SceneMemory, episode: Episode,
     allowed = API_MODES[config.api_mode]
     executor = ApiExecutor(episode, backend, config)
     current = ssm  # only apply_patch edits, and it works on its own copy
-    transcript: list[TranscriptStep] = []  # one step per executed call
+    transcript: list[PatchReport] = []  # one report per executed call
     pending_violations: list[str] | None = None
     evidence_retry_done = False
     protocol_retry_done = False
@@ -146,29 +144,26 @@ def answer(query: EpisodeQuery, ssm: SceneMemory, episode: Episode,
             logger.warning("reason call failed: %s", exc)
             response = None
 
-        if response is not None and response.answer is not None:
-            cand = response.answer
-            violations = validate_evidence(cand.evidence_frames,
-                                           cand.evidence_notes, current)
+        if isinstance(response, ReasonAnswer):
+            violations = validate_evidence(response.evidence_frames,
+                                           response.evidence_notes, current)
             if violations and not evidence_retry_done:
                 evidence_retry_done = True
                 pending_violations = violations
                 continue
-            return Answer(text=cand.text,
-                          evidence_frames=list(cand.evidence_frames),
-                          evidence_notes=[tuple(n) for n in cand.evidence_notes],
+            return Answer(text=response.text,
+                          evidence_frames=list(response.evidence_frames),
+                          evidence_notes=[tuple(n) for n in response.evidence_notes],
                           calls_used=calls_used, transcript=transcript,
                           compliant=not violations, violations=violations,
                           final_memory=current)
 
-        if response is not None and response.action is not None and not must_answer:
-            call = response.action
-            if call.kind in allowed:
-                patch = executor.execute(call, current)
-                current, report = apply_patch(current, patch)
-                transcript.append(TranscriptStep(call=call, report=report))
+        if isinstance(response, ApiCall) and not must_answer:
+            if response.kind in allowed:
+                current, report = apply_patch(current, executor.execute(response, current))
+                transcript.append(report)
                 continue
-            problem = verdict = (f"api '{call.kind}' not allowed in "
+            problem = verdict = (f"api '{response.kind}' not allowed in "
                                  f"{config.api_mode} mode; allowed: {allowed}")
         else:
             problem = ("previous response contained neither an "
@@ -231,7 +226,7 @@ def run_episode_batch(queries: list[EpisodeQuery], ssm_factory, episode: Episode
 
 def write_transcript(answer_: Answer, path: str | Path) -> None:
     """Persist a transcript as JSON lines, one record per loop step."""
-    lines = [json.dumps(step.to_doc(), sort_keys=True) for step in answer_.transcript]
+    lines = [json.dumps(_step_doc(r), sort_keys=True) for r in answer_.transcript]
     lines.append(json.dumps({"final": answer_.to_doc() | {"transcript": None}},
                             sort_keys=True))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

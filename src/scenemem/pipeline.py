@@ -13,9 +13,10 @@ the class scores of the room its camera stands in, kept as the frame's
 room vote.
 Every third frame's entry in the request also asks for pairwise relations
 among that frame's detections: each row of its item names two detections,
-which become an edge between the nodes they landed on (a row whose
-detections landed on one node is dropped). An item without relations adds
-no edges.
+which become an edge between the nodes they landed on; an edge the graph
+already holds is dropped. The two nodes always differ: validation refuses
+a row that names one detection twice, and association lands a frame's
+detections on distinct tracks. An item without relations adds no edges.
 Caption histories consolidate once they reach five captions; a
 history of one repeated caption needs no request. Consolidation is the
 only request of the frame sweep that reads the growing graph.
@@ -44,8 +45,7 @@ from collections import deque
 import numpy as np
 
 from .apis import _associate_detections, detection_from_wire
-from .backend import (Backend, BackendError, BackendRequest, DetectResponse,
-                      WireRelation)
+from .backend import Backend, BackendError, BackendRequest, DetectResponse
 from .config import EngineConfig
 from .dataset import Episode
 from .geometry import PixelMask, PointCloud, backproject, voxel_downsample
@@ -86,22 +86,6 @@ def _structure_cloud(episode: Episode) -> PointCloud:
         return PointCloud.empty()
     merged = PointCloud(np.vstack(clouds))
     return voxel_downsample(merged, STRUCTURE_VOXEL_M)
-
-
-def _add_frame_edges(ssm: SceneMemory, frame_id: int,
-                     relations: tuple[WireRelation, ...],
-                     frame_nodes: list[int]) -> None:
-    """Add a frame's relations as edges between the nodes its detections
-    landed on. ``relations`` are the detect reply's rows, which name
-    detections by index."""
-    pairs = [(frame_nodes[r.subject_id], frame_nodes[r.object_id], r) for r in relations]
-    report = ssm.graph.add_edges([
-        RelationEdge(subject_id=s, object_id=o, relation=r.relation,
-                     justification=r.justification, source_frame=frame_id)
-        for s, o, r in pairs if s != o])
-    for edge, reason in report.rejected:
-        if reason != "duplicate edge":
-            logger.warning("rejected edge %s: %s", edge.key(), reason)
 
 
 def _detect_replies(episode: Episode, backend: Backend, cfg: EngineConfig,
@@ -158,7 +142,11 @@ def build_ssm(episode: Episode, backend: Backend,
         visible_by_frame[frame.id] = frame_nodes
 
         if due:
-            _add_frame_edges(ssm, frame.id, reply.relations, frame_nodes)
+            ssm.graph.add_edges([
+                RelationEdge(subject_id=frame_nodes[r.subject_id],
+                             object_id=frame_nodes[r.object_id], relation=r.relation,
+                             justification=r.justification, source_frame=frame.id)
+                for r in reply.relations])
 
         for nid in set(frame_nodes):
             ssm.graph.replace_track(consolidate_captions(ssm.graph.tracks[nid], backend))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -87,6 +88,23 @@ def _read_json(path: str | Path):
         raise GenerationError(f"{path}: {exc.strerror or exc}") from None
     except ValueError as exc:  # not UTF-8 or not JSON
         raise GenerationError(f"{path}: not JSON: {exc}") from None
+
+
+def _param(params: dict, name: str) -> int | float:
+    """``params[name]`` when it is a JSON integer (a positive one for the
+    image size) or, for ``focal``, a positive finite number; a bool is
+    neither. Otherwise GenerationError naming the param."""
+    value = params[name]
+    if name == "focal":  # NaN and an integer beyond float range fail too
+        ok = type(value) in (int, float) and 0 < value <= sys.float_info.max
+        noun = "a positive finite number"
+    elif name in ("width", "height"):
+        ok, noun = type(value) is int and value > 0, "a positive integer"
+    else:
+        ok, noun = type(value) is int, "an integer"
+    if not ok:
+        raise GenerationError(f"params.{name} must be {noun}, got {json.dumps(value)}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -397,18 +415,14 @@ class SyntheticScene:
     def load(cls, path: str | Path) -> "SyntheticScene":
         """Regenerate the scene a truth file names. A missing file, one that
         is not JSON and one that holds no valid truth raise GenerationError
-        naming the path."""
+        naming the path; a refused param is named too."""
         doc = _read_json(path)
         if not isinstance(doc, dict) or doc.get("format") != "scenemem-synthetic-truth" \
                 or not isinstance(doc.get("params"), dict):
             raise GenerationError(f"{path}: not a synthetic scene truth file")
         try:
-            params = SceneParams(**{f.name: doc["params"][f.name]
-                                    for f in fields(SceneParams) if f.name in doc["params"]})
-            return generate_scene(params.rooms, params.objects_per_room, params.seed,
-                                  width=params.width, height=params.height,
-                                  focal=params.focal,
-                                  views_per_room=params.views_per_room)
+            return generate_scene(**{f.name: _param(doc["params"], f.name)
+                                     for f in fields(SceneParams) if f.name in doc["params"]})
         except (GenerationError, TypeError) as exc:  # params it cannot place
             raise GenerationError(f"{path}: {exc}") from None
 

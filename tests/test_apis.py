@@ -713,7 +713,7 @@ def test_node_mode_sends_the_builds_detect_only(small_scene):
     batch = run_episode_batch(queries, ssm.copy, episode, backend, cfg)
     assert not batch.failures
     assert backend.call_counts["detect"] == 1
-    calls = [step.call.kind for a in batch.answers for step in a.transcript]
+    calls = [r.call.kind for a in batch.answers for r in a.transcript]
     assert len(backend.payloads) == len(calls)
     searched = {kind for kind, payload in zip(calls, backend.payloads)
                 if payload == {"targets": [], "discover": True}}

@@ -268,6 +268,22 @@ class TestDamagedTruthFile:
         ('{"format": "scenemem-synthetic-truth",'
          ' "params": {"rooms": 0, "objects_per_room": 2, "seed": 0}}',
          "need at least one room"),
+        ('{"format": "scenemem-synthetic-truth",'
+         ' "params": {"rooms": 1, "objects_per_room": 2, "seed": 0, "width": 0}}',
+         "params.width must be a positive integer, got 0"),
+        ('{"format": "scenemem-synthetic-truth",'
+         ' "params": {"rooms": 1, "objects_per_room": 2, "seed": 0, "height": -1}}',
+         "params.height must be a positive integer, got -1"),
+        ('{"format": "scenemem-synthetic-truth",'
+         ' "params": {"rooms": 1, "objects_per_room": 2, "seed": 0, "focal": 0}}',
+         "params.focal must be a positive finite number, got 0"),
+        pytest.param('{"format": "scenemem-synthetic-truth", "params": {"rooms": 1,'
+                     ' "objects_per_room": 2, "seed": 0, "focal": 1%s}}' % ("0" * 400),
+                     "params.focal must be a positive finite number, got 1000",
+                     id="focal-beyond-float-range"),
+        ('{"format": "scenemem-synthetic-truth",'
+         ' "params": {"rooms": true, "objects_per_room": 2, "seed": 0}}',
+         "params.rooms must be an integer, got true"),
     ])
     def test_one_line_naming_the_path(self, workspace, tmp_path, command, content,
                                       reason):
@@ -375,6 +391,36 @@ class TestUnreadableInput:
         doc = json.loads(out.out)
         assert doc["text"] == "unknown" and not doc["abstained"]
         assert out.err == ""
+
+    def test_manifest_not_utf8(self, workspace, tmp_path):
+        _, scene_dir, _ = workspace
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_bytes(b"\xff\xfe{}\n")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--dataset", str(manifest), "--scripted",
+                  str(scene_dir / "truth.json"), "--out", str(out)])
+        assert err.value.code == (f"scenemem: manifest {manifest}: not UTF-8 text "
+                                  "(byte 0: invalid start byte)")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["build", "ask"])
+    @pytest.mark.parametrize("url", ["notaurl", "http://[::1", "http://"])
+    def test_malformed_backend_url_is_a_usage_error(self, workspace, tmp_path, capsys,
+                                                    command, url):
+        _, scene_dir, mem_dir = workspace
+        out = tmp_path / "out"
+        truth = str(scene_dir / "truth.json")
+        argv = {"build": ["build", "--scripted", truth, "--out", str(out)],
+                "ask": ["ask", "--ssm", str(mem_dir), "--scripted", truth,
+                        "--question", "q", "--transcript", str(out)]}[command]
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--backend-url", url])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --backend-url: backend URL '{url}'" in captured.err
+        assert not out.exists()
 
     def test_unreachable_backend(self, workspace, tmp_path):
         _, scene_dir, _ = workspace

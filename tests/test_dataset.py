@@ -100,6 +100,14 @@ class TestLoadDataset:
         with pytest.raises(DatasetError):
             load_dataset(manifest, k=1)
 
+    def test_manifest_not_utf8_rejected(self, tmp_path):
+        manifest = tmp_path / "manifest.jsonl"
+        manifest.write_bytes(b"\xff\xfe{}\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(manifest, k=1)
+        assert str(err.value) == (f"manifest {manifest}: not UTF-8 text "
+                                  "(byte 0: invalid start byte)")
+
     def test_unknown_frame_lookup(self, tmp_path):
         manifest = write_manifest(tmp_path, 3)
         episode = load_dataset(manifest, k=1)

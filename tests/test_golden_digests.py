@@ -6,7 +6,9 @@ Per configuration the sha256 of the canonical built memory, of each
 answer's canonical ``to_doc()`` and of each answer's final memory must equal
 ``golden/output_digests.json``. A change that alters outputs on purpose
 rewrites the file (``PYTHONPATH=src python tests/test_golden_digests.py``)
-and says why in CHANGES.md; never compare with a tolerance.
+and says why in CHANGES.md; never compare with a tolerance. One more test
+checks that the history each answer's last reason prompt carries is the
+transcript these digests pin.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ import numpy as np
 import pytest
 
 from scenemem import (EngineConfig, EpisodeQuery, RuleReasoner, ScriptedBackend,
-                      build_ssm, generate_questions, generate_scene,
+                      answer, build_ssm, generate_questions, generate_scene,
                       run_episode_batch, serialize)
+from scenemem.loop import write_transcript
 from scenemem.memory import canonical_json
 
 GOLDEN = Path(__file__).parent / "golden" / "output_digests.json"
@@ -66,6 +69,47 @@ def test_outputs_match_golden_digests(small_scene, name):
     got = output_digests(small_scene, miss_prob, overrides)
     assert got == expected, (
         f"{name}: outputs differ from {GOLDEN.name} (numpy {np.__version__})")
+
+
+
+class _PromptKeeper(ScriptedBackend):
+    """The scripted oracle, keeping the payload of each reason request."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.reason_payloads: list[dict] = []
+
+    def raw_call(self, request):
+        if request.kind == "reason":
+            self.reason_payloads.append(request.payload)
+        return super().raw_call(request)
+
+
+def test_prompt_history_is_the_pinned_transcript(small_scene, tmp_path):
+    """The history the reasoner reads last is the transcript that the
+    golden answer digests pin, and the transcript file's step lines are
+    the same step documents."""
+    miss_prob, overrides = CONFIGS["frame-miss0.6"]
+    expected = json.loads(GOLDEN.read_text(encoding="utf-8"))["frame-miss0.6"]
+    cfg = EngineConfig(**overrides)
+    episode = small_scene.episode()
+    backend = _PromptKeeper(small_scene, RuleReasoner(), miss_prob=miss_prob)
+    ssm = build_ssm(episode, backend, cfg)
+    questions = generate_questions(small_scene)
+    assert len(questions) == len(expected["answers"])
+    steps_seen = 0
+    for q, digest in zip(questions, expected["answers"]):
+        out = answer(EpisodeQuery(q.question, cfg.max_api_calls, small_scene.scene_id),
+                     ssm.copy(), episode, backend, cfg)
+        doc = out.to_doc()
+        assert _sha(canonical_json(doc)) == digest
+        assert backend.reason_payloads[-1]["history"] == doc["transcript"]
+        path = tmp_path / "transcript.jsonl"
+        write_transcript(out, path)
+        steps = [json.loads(line) for line in path.read_text().splitlines()[:-1]]
+        assert steps == doc["transcript"]
+        steps_seen += len(steps)
+    assert steps_seen  # the loop executed calls, so the histories are not all empty
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ directly — same construction, same reasoning, byte-identical memory."""
 from __future__ import annotations
 
 import json
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -125,3 +126,14 @@ class TestHttpBackend:
         with pytest.raises(TransportError):
             backend.call(BackendRequest(kind="consolidate",
                                         payload={"captions": ["x"]}))
+
+    @pytest.mark.parametrize("url", ["notaurl", "http://[::1", "http://",
+                                     "ftp://127.0.0.1", "http://127.0.0.1:99999",
+                                     "http://127.0.0.1/?key=1", "http://127.0.0.1/#top"])
+    def test_malformed_url_refused_at_construction(self, url):
+        with pytest.raises(ValueError, match=re.escape(f"backend URL '{url}'")):
+            HttpBackend(url)
+
+    @pytest.mark.parametrize("url", ["http://127.0.0.1:9", "https://example.org/api/"])
+    def test_http_and_https_urls_accepted(self, url):
+        assert HttpBackend(url).base_url == url.rstrip("/")

@@ -159,9 +159,9 @@ class TestBudget:
         out = answer(_query("audit", 10, scene), ssm, episode, backend,
                      _cfg(m=10))
         final = out.final_memory
-        created = sum(len(s.report.created) for s in out.transcript)
-        notes = sum(s.report.notes_added for s in out.transcript)
-        appended = sum(1 for s in out.transcript if s.report.frame_appended)
+        created = sum(len(r.created) for r in out.transcript)
+        notes = sum(r.notes_added for r in out.transcript)
+        appended = sum(1 for r in out.transcript if r.frame_appended)
         assert len(final.graph.tracks) == len(ssm.graph.tracks) + created
         assert final.note_count() == ssm.note_count() + notes
         assert len(final.frame_memory) == len(ssm.frame_memory) + appended
@@ -512,7 +512,7 @@ class TestHostileReasoner:
         out = answer(_query("ghost hunt", 3, scene), ssm, episode, backend,
                      _cfg(m=3))
         assert out.calls_used == 3
-        assert all(s.report.failure is not None for s in out.transcript)
+        assert all(r.failure is not None for r in out.transcript)
         assert serialize(out.final_memory)[0] == serialize(ssm)[0]
 
 
