@@ -34,7 +34,7 @@ create through it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 # API_KINDS, ApiCall and ApiError live with the wire protocol, which parses
 # reason actions into ApiCall; they stay importable from here.
@@ -310,25 +310,14 @@ def _append_frame_memory(work: SceneMemory, patch: Patch,
     report.frame_appended = len(work.frame_memory) > before
 
 
-def _update_nav_log(work: SceneMemory, patch: Patch, landing: list[int]) -> None:
-    if not landing:
-        return
-    fid = patch.provenance.frame_id
-    for i, entry in enumerate(work.nav_log):
-        if entry.frame_id == fid:
-            merged_ids = tuple(sorted(set(entry.visible_node_ids) | set(landing)))
-            work.nav_log[i] = replace(entry, visible_node_ids=merged_ids)
-            return
-
-
 def apply_patch(ssm: SceneMemory, patch: Patch) -> tuple[SceneMemory, PatchReport]:
     """Integrate a patch atomically.
 
     In order: (1) detections associate against current tracks (merge at
     >= graph.MIN_VOTES votes, else new track),
     (2) edges validated and inserted, (3) notes resolved and appended,
-    (4) the patched frame enters frame memory, (5) the frame's nav-log
-    entry gains the landed node ids. Either every effect lands or — on any
+    (4) the patched frame enters frame memory; its nav-log row then lists
+    the tracks its detections landed on. Either every effect lands or — on any
     internal failure — the input memory is returned untouched with the
     failure recorded in the report.
     """
@@ -348,7 +337,6 @@ def apply_patch(ssm: SceneMemory, patch: Patch) -> tuple[SceneMemory, PatchRepor
         _insert_edges(work, patch, report)
         _append_notes(work, patch, landing, report)
         _append_frame_memory(work, patch, report)
-        _update_nav_log(work, patch, landing)
         work.validate()
     except Exception as exc:  # atomicity: discard the working copy entirely
         logger.warning("apply_patch failed, memory unchanged: %s", exc)

@@ -10,16 +10,17 @@ header, then one ``rows`` array per record in that column order. The
 scratchpad stays grouped by node, because evidence cites per-node note
 indices, and lists only the nodes that have notes. Each fact is written
 once: the episode's keyframes, in order, are the navigation log's
-``frame_id`` column. Equal memories produce byte-identical text, which is
-what golden-file tests and the record/replay harness rely on. The same text
-is the reasoner's prompt and the persisted ``ssm.json``.
+``frame_id`` column, and its ``visible_node_ids`` column is read off the
+tracks' ``visible_frames``. Equal memories produce byte-identical text,
+which is what golden-file tests and the record/replay harness rely on. The
+same text is the reasoner's prompt and the persisted ``ssm.json``.
 
 The memory's records (tracks, navigation-log entries, notes, the frame
 memory) are immutable values: an edit replaces a record, never changes it.
 So ``SceneMemory.copy`` copies only the containers and shares every record,
 and the reasoning loop, which re-serializes the memory on every step,
-renders each track and navigation-log row once per record: ``serialize``
-caches the row text in a module-level weak map keyed by the record itself.
+renders each track and nav-log row (but its node ids) once per record:
+``serialize`` caches the row text in a weak map keyed by the record itself.
 A cached row lives exactly as long as some memory holds its record, and can
 never go stale because the record cannot change.
 
@@ -247,10 +248,18 @@ class SceneMemory:
         if (j := _stray(frames, episode)) is not None:
             raise SerializationError(f"frame memory id {frames[j]} outside episode",
                                      f"$.episode.frame_memory.frames[{j}]")
+        room_labels: dict[str, str | None] = {}
         for i, t in enumerate(self.graph.tracks.values()):
             if (j := _stray(t.visible_frames, episode)) is not None:
                 raise SerializationError(f"frame {t.visible_frames[j]} not in episode",
                                          f"$.scene_graph.tracks.rows[{i}].visible_frames[{j}]")
+            if t.room_id is not None and t.room_id.rpartition("/")[0] != t.floor_id:
+                raise SerializationError(f"room {t.room_id} is not on floor {t.floor_id}",
+                                         f"$.scene_graph.tracks.rows[{i}].floor_id")
+            if t.room_id is not None \
+                    and room_labels.setdefault(t.room_id, t.room_label) != t.room_label:
+                raise SerializationError(f"room {t.room_id} has another label",
+                                         f"$.scene_graph.tracks.rows[{i}].room_label")
         live = set(self.graph.tracks)
         keys: set[tuple[int, int, str]] = set()
         for i, e in enumerate(self.graph.edges):
@@ -268,10 +277,6 @@ class SceneMemory:
             if not notes:
                 raise SerializationError(f"scratchpad entry {nid} holds no note",
                                          f"$.scratchpad[{i}].notes")
-        for i, entry in enumerate(self.nav_log):
-            if (j := _stray(entry.visible_node_ids, live)) is not None:
-                raise SerializationError(f"unknown track {entry.visible_node_ids[j]}",
-                                         f"$.navigation_log.rows[{i}].visible_node_ids[{j}]")
 
     def copy(self) -> "SceneMemory":
         """New containers over the same records (see the class docstring)."""
@@ -345,14 +350,22 @@ def canonical_json(obj) -> str:
 def _track_row(t: Track) -> list:
     summary = t.cloud_summary()
     cloud = summary.to_doc() if summary is not None else {}
-    return [t.id, t.caption, t.caption_history, t.room_id, t.room_label, t.floor_id,
-            t.visible_frames, cloud.get("centroid"), cloud.get("extent"),
-            cloud.get("points")]
+    return [getattr(t, c) for c in TRACK_COLUMNS[:7]] + [
+        cloud.get(c) for c in TRACK_COLUMNS[7:]]
 
 
-def _nav_row(e: NavLogEntry) -> list:
-    return [e.frame_id, e.room_label, e.fov_tag, e.motion_label,
-            sorted(e.visible_node_ids)]
+def _nav_row(e: NavLogEntry) -> list:  # the stored columns; serialize adds the node ids
+    return [getattr(e, c) for c in NAV_COLUMNS[:-1]]
+
+
+def _shown_nodes(ssm: SceneMemory) -> dict[int, str]:
+    """Each keyframe's ``visible_node_ids`` as canonical JSON: the ids of the
+    tracks that list it, in increasing order."""
+    shown: dict[int, list[str]] = {fid: [] for fid in ssm.frame_ids}
+    for tid in sorted(ssm.graph.tracks):
+        for fid in ssm.graph.tracks[tid].visible_frames:
+            shown[fid].append(str(tid))
+    return {fid: f"[{','.join(ids)}]" for fid, ids in shown.items()}
 
 
 # rendered row per immutable record; an entry dies with its record. Two
@@ -398,7 +411,7 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
     references as (frame id, image locator) pairs in frame-memory order.
     Refuses to serialize when cross-structure invariants fail. Each track
     and navigation-log row is rendered once per record (see the module
-    docstring).
+    docstring), and the nav rows' node ids on every call.
     """
     ssm.validate()
     tracks = [_row(ssm.graph.tracks[tid], _track_row) for tid in sorted(ssm.graph.tracks)]
@@ -411,7 +424,9 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
                        "query": n.query, "evidence_frame": n.evidence_frame}
                       for n in ssm.scratchpad[nid]]}
            for nid in sorted(ssm.scratchpad)]
-    nav = [_row(e, _nav_row) for e in ssm.nav_log]
+    shown = _shown_nodes(ssm)
+    nav = _Fragment("[" + ",".join(f"{_row(e, _nav_row).text[:-1]},{shown[e.frame_id]}]"
+                                   for e in ssm.nav_log) + "]")
     doc = {
         "version": FORMAT_VERSION,
         "episode": {
@@ -475,8 +490,9 @@ def deserialize(text: str) -> SceneMemory:
     tracks carry only their persisted cloud summaries. The episode's
     keyframes are the navigation-log rows' frame ids. Only the JSON shapes
     are checked here, and each record checks itself as it is built; the
-    rules across records are ``SceneMemory.validate``'s. Every violation
-    raises ParseError naming the offending path."""
+    rules across records are ``SceneMemory.validate``'s; last, the nav
+    column ``visible_node_ids`` must be the one the tracks give. Every
+    violation raises ParseError naming the offending path."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -490,15 +506,13 @@ def deserialize(text: str) -> SceneMemory:
     scene_id = _expect(ep, "scene_id", str, "$.episode")
     stride = _expect(ep, "stride", int, "$.episode")
     nav_log: list[NavLogEntry] = []
+    nav_ids: list[tuple[int, ...]] = []  # checked once the tracks are built
     for i, nd in enumerate(_table_records(doc, "navigation_log", NAV_COLUMNS, "$")):
         path = f"$.navigation_log.rows[{i}]"
         try:
-            nav_log.append(NavLogEntry(
-                frame_id=_expect(nd, "frame_id", int, path),
-                room_label=_expect(nd, "room_label", str, path),
-                fov_tag=_expect(nd, "fov_tag", str, path),
-                motion_label=_expect(nd, "motion_label", str, path),
-                visible_node_ids=_ints(nd, "visible_node_ids", path)))
+            nav_log.append(NavLogEntry(*(_expect(nd, column, kind, path) for column, kind
+                                         in zip(NAV_COLUMNS, (int, str, str, str)))))
+            nav_ids.append(_ints(nd, "visible_node_ids", path))
         except GeometryInputError as exc:  # the one field NavLogEntry checks
             raise ParseError(f"{path}.motion_label", str(exc)) from None
     frame_ids = tuple(e.frame_id for e in nav_log)
@@ -538,9 +552,7 @@ def deserialize(text: str) -> SceneMemory:
             graph.insert_track(Track(
                 id=_expect(td, "id", int, path), cloud=None, visual=None, language=None,
                 caption=_expect(td, "caption", str, path), caption_history=history,
-                room_id=_opt_str(td, "room_id", path),
-                floor_id=_opt_str(td, "floor_id", path),
-                room_label=_opt_str(td, "room_label", path),
+                **{k: _opt_str(td, k, path) for k in ("room_id", "floor_id", "room_label")},
                 visible_frames=_ints(td, "visible_frames", path), summary=summary))
         except GraphError as exc:
             raise ParseError(path, str(exc)) from None
@@ -580,6 +592,11 @@ def deserialize(text: str) -> SceneMemory:
         ssm.validate()
     except SerializationError as exc:
         raise ParseError(exc.path, exc.reason) from None
+    shown = _shown_nodes(ssm)
+    for i, (fid, ids) in enumerate(zip(frame_ids, nav_ids)):
+        if canonical_json(ids) != shown[fid]:
+            raise ParseError(f"$.navigation_log.rows[{i}].visible_node_ids",
+                             f"expected {shown[fid]}, the tracks that list frame {fid}")
     return ssm
 
 

@@ -26,10 +26,10 @@ which ``spatial`` turns into floors, occupancy grids and watershed rooms;
 each keyframe's camera located once in a room, which takes the frame's
 room vote and names its navigation-log entry; room labels from the summed
 votes of each room's views (spatial.label_rooms, no request); each track
-placed once, with its room's label; one navigation-log entry per keyframe;
-and the evenly spaced initial frame memory. A clean build is thus one
-round trip, the detect request, unless a caption history needs
-consolidating.
+placed once, with its room's label; one navigation-log entry per keyframe
+(its nodes are the tracks that list it); and the evenly spaced initial
+frame memory. A clean build is thus one round trip, the detect request,
+unless a caption history needs consolidating.
 
 A malformed or error item skips that frame's detections and its vote (the
 navigation log still covers it); a failed detect request fails every
@@ -127,19 +127,15 @@ def build_ssm(episode: Episode, backend: Backend,
 
     ssm = SceneMemory.empty(episode.scene_id, episode.stride, episode.frame_ids,
                             episode.frame_locators())
-    visible_by_frame: dict[int, list[int]] = {}
-    fov_by_frame: dict[int, str] = {}  # the tag each detect item carried
+    fov_tags = [reply.fov_tag for reply in replies]  # None when failed or untagged
     room_scores = [reply.room_scores for reply in replies]  # None when failed
 
     for frame, due in zip(episode.frames, edges_due):
         reply = replies.popleft()
         if reply.error is not None:
             continue
-        if reply.fov_tag is not None:
-            fov_by_frame[frame.id] = reply.fov_tag
         detections = [detection_from_wire(wire, frame, cfg) for wire in reply.objects]
         frame_nodes, _ = _associate_detections(ssm, detections)
-        visible_by_frame[frame.id] = frame_nodes
 
         if due:
             ssm.graph.add_edges([
@@ -163,12 +159,10 @@ def build_ssm(episode: Episode, backend: Backend,
     for tid in sorted(ssm.graph.tracks):
         ssm.graph.replace_track(ssm.place_track(ssm.graph.tracks[tid]))
 
-    prev = None
-    for frame, room_id in zip(episode.frames, camera_rooms):
-        ssm.nav_log.append(build_nav_entry(
-            frame, prev, ssm.rooms.label_of(room_id), visible_by_frame.get(frame.id, []),
-            fov_by_frame.get(frame.id, "unavailable")))
-        prev = frame
+    for prev, frame, room_id, fov in zip([None, *episode.frames], episode.frames,
+                                         camera_rooms, fov_tags):
+        ssm.nav_log.append(build_nav_entry(frame, prev, ssm.rooms.label_of(room_id),
+                                           "unavailable" if fov is None else fov))
 
     ssm.frame_memory = init_frame_memory(episode.frame_ids, cfg.initial_frames)
     ssm.validate()

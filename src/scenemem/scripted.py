@@ -446,19 +446,19 @@ class RuleReasoner:
         return None
 
     @staticmethod
+    def _seen_frames(memory: dict, focus_ids: list[int]) -> list[int]:
+        """The frames each focus node was seen in, node by node."""
+        tracks = {t["id"]: t for t in memory["scene_graph"]["tracks"]}
+        return [fid for nid in focus_ids if nid in tracks
+                for fid in tracks[nid]["visible_frames"]]
+
+    @staticmethod
     def _frame_citation(memory: dict, focus_ids: list[int]) -> int | None:
         fm = memory["episode"]["frame_memory"]["frames"]
         if not fm:
             return None
-        tracks = {t["id"]: t for t in memory["scene_graph"]["tracks"]}
-        for nid in focus_ids:
-            track = tracks.get(nid)
-            if track is None:
-                continue
-            for fid in track["visible_frames"]:
-                if fid in fm:
-                    return fid
-        return fm[0]
+        seen = RuleReasoner._seen_frames(memory, focus_ids)
+        return next((fid for fid in seen if fid in fm), fm[0])
 
     @staticmethod
     def _tried(history: list[dict]) -> list[int]:
@@ -471,14 +471,8 @@ class RuleReasoner:
 
     @staticmethod
     def _next_frame(tried: list[int], memory: dict, focus_ids: list[int]) -> int:
-        episode_frames = [e["frame_id"] for e in memory["navigation_log"]]
-        tracks = {t["id"]: t for t in memory["scene_graph"]["tracks"]}
-        preferred: list[int] = []
-        for nid in focus_ids:
-            track = tracks.get(nid)
-            if track is not None:
-                preferred.extend(track["visible_frames"])
-        candidates = preferred + episode_frames
+        candidates = RuleReasoner._seen_frames(memory, focus_ids) + [
+            e["frame_id"] for e in memory["navigation_log"]]
         # everything tried: sweep again from the first candidate
         return next((fid for fid in candidates if fid not in tried), candidates[0])
 

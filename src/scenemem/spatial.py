@@ -159,10 +159,8 @@ class NavLogEntry:
     room_label: str
     fov_tag: str
     motion_label: str
-    visible_node_ids: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "visible_node_ids", tuple(self.visible_node_ids))
         if self.motion_label not in MOTION_LABELS:
             raise GeometryInputError(f"unknown motion label '{self.motion_label}'")
 
@@ -469,9 +467,8 @@ def motion_label(prev: Pose, curr: Pose) -> str:
     return "stationary"
 
 
-def build_nav_entry(frame, prev, room_label: str,
-                    visible: set[int] | list[int], fov_tag: str) -> NavLogEntry:
-    """Assemble one navigation-log entry for a processed keyframe.
+def build_nav_entry(frame, prev, room_label: str, fov_tag: str) -> NavLogEntry:
+    """Assemble one navigation-log entry (no node ids) for a keyframe.
 
     ``frame``/``prev`` are keyframes (prev None for the first frame).
     ``room_label`` is the label of the room the camera stands in and
@@ -480,5 +477,4 @@ def build_nav_entry(frame, prev, room_label: str,
     """
     motion = "stationary" if prev is None else motion_label(prev.pose, frame.pose)
     return NavLogEntry(frame_id=frame.id, room_label=room_label, fov_tag=fov_tag,
-                       motion_label=motion,
-                       visible_node_ids=tuple(sorted(set(int(i) for i in visible))))
+                       motion_label=motion)

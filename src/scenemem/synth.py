@@ -90,10 +90,17 @@ def _read_json(path: str | Path):
         raise GenerationError(f"{path}: not JSON: {exc}") from None
 
 
+# the largest image side and focal length, in pixels, a truth file may ask
+# for: a larger image would fill memory, and a huge focal length overflows
+MAX_IMAGE_SIDE_PX = 1024
+MAX_FOCAL_PX = 10_000
+_PARAM_BOUNDS = dict(width=MAX_IMAGE_SIDE_PX, height=MAX_IMAGE_SIDE_PX, focal=MAX_FOCAL_PX)
+
+
 def _param(params: dict, name: str) -> int | float:
     """``params[name]`` when it is a JSON integer (a positive one for the
-    image size) or, for ``focal``, a positive finite number; a bool is
-    neither. Otherwise GenerationError naming the param."""
+    image size) or, for ``focal``, a positive finite number, within its
+    ``_PARAM_BOUNDS``; a bool is neither. Otherwise GenerationError naming it."""
     value = params[name]
     if name == "focal":  # NaN and an integer beyond float range fail too
         ok = type(value) in (int, float) and 0 < value <= sys.float_info.max
@@ -104,6 +111,9 @@ def _param(params: dict, name: str) -> int | float:
         ok, noun = type(value) is int, "an integer"
     if not ok:
         raise GenerationError(f"params.{name} must be {noun}, got {json.dumps(value)}")
+    if value > _PARAM_BOUNDS.get(name, value):
+        raise GenerationError(f"params.{name} must be at most {_PARAM_BOUNDS[name]}, "
+                              f"got {json.dumps(value)}")
     return value
 
 

@@ -146,7 +146,7 @@ def test_criterion_4_patch_semantics(monkeypatch):
     with criterion(4, "patch semantics"):
         cfg = EngineConfig()
         stages = ["_associate_detections", "_insert_edges", "_append_notes",
-                  "_append_frame_memory", "_update_nav_log"]
+                  "_append_frame_memory"]
         scenarios = []  # (ssm, executor, frame id)
         for seed in range(5):
             scene = generate_scene(2, 2, seed=400 + seed)
@@ -162,8 +162,8 @@ def test_criterion_4_patch_semantics(monkeypatch):
         for i, (ssm, executor, fid) in enumerate(scenarios):
             patch = executor.execute(
                 ApiCall("analyze_frame", fid, "describe all objects"), ssm)
-            visible = sorted(
-                next(e for e in ssm.nav_log if e.frame_id == fid).visible_node_ids)
+            visible = sorted(tid for tid, t in ssm.graph.tracks.items()
+                             if fid in t.visible_frames)
             if len(visible) >= 2:
                 patch.new_edges.append(RelationEdge(
                     visible[0], visible[1], "attached_to", "scenario edge", fid))

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -194,10 +193,6 @@ class TestAnalyzeFrame:
         work.scratchpad.pop(drop, None)
         work.graph.edges = [e for e in work.graph.edges
                             if drop not in (e.subject_id, e.object_id)]
-        work.nav_log = [e.__class__(**{**e.__dict__,
-                                       "visible_node_ids": [i for i in e.visible_node_ids
-                                                            if i != drop]})
-                        for e in work.nav_log]
         patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         assert any(d.caption == target_caption for d in patch.new_detections)
@@ -218,7 +213,7 @@ class TestAnalyzeFrame:
 
         scene, _, _, executor, _ = workbench
         bare = SceneMemory.empty(scene.scene_id, 1, scene.episode().frame_ids)
-        bare.nav_log = [NavLogEntry(f, "unknown", "t", "stationary", ())
+        bare.nav_log = [NavLogEntry(f, "unknown", "t", "stationary")
                         for f in bare.frame_ids]
         bare.frame_memory = init_frame_memory(bare.frame_ids, 2)
         patch = executor.execute(
@@ -259,7 +254,7 @@ class TestApplyPatch:
         patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), ssm)
         # add an edge to exercise duplicate dropping
-        vis = sorted(ssm.nav_log[0].visible_node_ids)
+        vis = sorted(tid for tid, t in ssm.graph.tracks.items() if fid in t.visible_frames)
         if len(vis) >= 2:
             patch.new_edges.append(RelationEdge(vis[0], vis[1], "attached_to",
                                                 "synthetic test edge", fid))
@@ -282,8 +277,6 @@ class TestApplyPatch:
         work.scratchpad.pop(drop, None)
         work.graph.edges = [e for e in work.graph.edges
                             if drop not in (e.subject_id, e.object_id)]
-        work.nav_log = [replace(e, visible_node_ids=tuple(
-            i for i in e.visible_node_ids if i != drop)) for e in work.nav_log]
         patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         before = len(work.graph.tracks)
@@ -311,14 +304,13 @@ class TestApplyPatch:
         work.scratchpad.pop(drop, None)
         work.graph.edges = [e for e in work.graph.edges
                             if drop not in (e.subject_id, e.object_id)]
-        work.nav_log = [replace(e, visible_node_ids=tuple(
-            i for i in e.visible_node_ids if i != drop)) for e in work.nav_log]
         patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         updated, report = apply_patch(work, patch)
-        entry = next(e for e in updated.nav_log if e.frame_id == fid)
+        row = next(r for r in json.loads(serialize(updated)[0])["navigation_log"]["rows"]
+                   if r[0] == fid)
         for new_id in report.created:
-            assert new_id in entry.visible_node_ids
+            assert new_id in row[4]
 
     def test_created_track_is_placed_in_its_room(self, workbench):
         """A track re-discovered by a patch lands on the floor and in the
@@ -333,8 +325,6 @@ class TestApplyPatch:
         work.scratchpad.pop(drop, None)
         work.graph.edges = [e for e in work.graph.edges
                             if drop not in (e.subject_id, e.object_id)]
-        work.nav_log = [replace(e, visible_node_ids=tuple(
-            i for i in e.visible_node_ids if i != drop)) for e in work.nav_log]
         patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         updated, report = apply_patch(work, patch)
@@ -365,8 +355,7 @@ class TestApplyPatch:
         assert report.failure == "backend down"
 
     @pytest.mark.parametrize("stage", ["_associate_detections", "_insert_edges",
-                                       "_append_notes", "_append_frame_memory",
-                                       "_update_nav_log"])
+                                       "_append_notes", "_append_frame_memory"])
     def test_mid_apply_failure_leaves_memory_byte_identical(
             self, workbench, monkeypatch, stage):
         scene, _, _, executor, ssm = workbench
@@ -394,7 +383,7 @@ class TestApplyPatch:
 
         scene, episode, _, executor, _ = workbench
         current = SceneMemory.empty(scene.scene_id, 1, episode.frame_ids)
-        current.nav_log = [NavLogEntry(f, "unknown", "t", "stationary", ())
+        current.nav_log = [NavLogEntry(f, "unknown", "t", "stationary")
                            for f in current.frame_ids]
         current.frame_memory = init_frame_memory(current.frame_ids, 2)
         for fid in episode.frame_ids:
@@ -655,7 +644,7 @@ class TestExecuteMatchesReference:
             ids = [visible[0]]
         if targets == "bare":
             memory = SceneMemory.empty(scene.scene_id, 1, scene.episode().frame_ids)
-            memory.nav_log = [NavLogEntry(f, "unknown", "t", "stationary", ())
+            memory.nav_log = [NavLogEntry(f, "unknown", "t", "stationary")
                               for f in memory.frame_ids]
             memory.frame_memory = init_frame_memory(memory.frame_ids, 2)
         if targets == "unknown-frame":

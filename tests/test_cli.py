@@ -284,6 +284,12 @@ class TestDamagedTruthFile:
         ('{"format": "scenemem-synthetic-truth",'
          ' "params": {"rooms": true, "objects_per_room": 2, "seed": 0}}',
          "params.rooms must be an integer, got true"),
+        ('{"format": "scenemem-synthetic-truth",'
+         ' "params": {"rooms": 1, "objects_per_room": 2, "seed": 0, "focal": 1e300}}',
+         "params.focal must be at most 10000, got 1e+300"),
+        ('{"format": "scenemem-synthetic-truth",'
+         ' "params": {"rooms": 1, "objects_per_room": 2, "seed": 0, "width": 1025}}',
+         "params.width must be at most 1024, got 1025"),
     ])
     def test_one_line_naming_the_path(self, workspace, tmp_path, command, content,
                                       reason):

@@ -141,8 +141,8 @@ def golden_one_track() -> SceneMemory:
     ssm.add_note(0, "handle chipped on the left side", "analyze_objects",
                  "inspect the mug", 5)
     ssm.nav_log = [
-        NavLogEntry(0, "kitchen", "view of kitchen: red mug", "stationary", (0,)),
-        NavLogEntry(5, "kitchen", "closer view of the red mug", "forward", (0,)),
+        NavLogEntry(0, "kitchen", "view of kitchen: red mug", "stationary"),
+        NavLogEntry(5, "kitchen", "closer view of the red mug", "forward"),
     ]
     ssm.frame_memory = init_frame_memory([0, 5], 2)
     return ssm
@@ -155,6 +155,7 @@ def random_ssm(seed: int) -> SceneMemory:
     frame_ids = sorted(set(int(x) for x in g.integers(0, 60, n_frames)))
     ssm = SceneMemory.empty(f"scene-{seed}", int(g.integers(1, 21)), frame_ids)
     n_tracks = int(g.integers(0, 7))
+    room_labels: dict[str, str | None] = {}
     for tid in range(n_tracks):
         visible = tuple(sorted(set(int(f) for f in g.choice(
             frame_ids, size=int(g.integers(1, len(frame_ids) + 1)), replace=False))))
@@ -176,6 +177,9 @@ def random_ssm(seed: int) -> SceneMemory:
                       room_label=str(g.choice(["kitchen", "office"]))
                       if g.random() < 0.5 else None,
                       visible_frames=visible, summary=summary)
+        if track.room_id is not None:  # a room lies on floor0 and keeps its first label
+            track = replace(track, floor_id="floor0", room_label=room_labels.setdefault(
+                track.room_id, track.room_label))
         ssm.graph.insert_track(track)
         for _ in range(int(g.integers(0, 3))):
             ssm.add_note(tid, f"note {int(g.integers(0, 1000))}", "analyze_frame",
@@ -189,12 +193,9 @@ def random_ssm(seed: int) -> SceneMemory:
                                 int(g.choice(frame_ids)))
             ssm.graph.add_edges([edge])
     for i, fid in enumerate(frame_ids):
-        visible = tuple(tid for tid in range(n_tracks)
-                        if fid in ssm.graph.tracks[tid].visible_frames)
         ssm.nav_log.append(NavLogEntry(
             fid, str(g.choice(["kitchen", "office", "unknown"])),
-            f"view {i}", str(g.choice(["stationary", "forward", "turn_left"])),
-            visible))
+            f"view {i}", str(g.choice(["stationary", "forward", "turn_left"]))))
     ssm.frame_memory = init_frame_memory(frame_ids, int(g.integers(1, 6)))
     if g.random() < 0.3:
         del ssm.frame_locators[frame_ids[-1]]  # renders as a null suffix
@@ -252,8 +253,8 @@ def _reference_dumps(doc) -> str:
 def reference_serialize(ssm: SceneMemory) -> str:
     """The documented version-3 layout rendered in full, with no memo: the
     whole document built as one dict, then ``json.dumps``. The keyframes
-    are the navigation-log rows, and only nodes with notes get a
-    scratchpad entry."""
+    are the navigation-log rows, each row's node ids are the tracks that
+    list its frame, and only nodes with notes get a scratchpad entry."""
     ssm.validate()
     rows = []
     for tid in sorted(ssm.graph.tracks):
@@ -311,7 +312,8 @@ def reference_serialize(ssm: SceneMemory) -> str:
             "columns": ["frame_id", "room_label", "fov_tag", "motion_label",
                         "visible_node_ids"],
             "rows": [[e.frame_id, e.room_label, e.fov_tag, e.motion_label,
-                      sorted(e.visible_node_ids)] for e in ssm.nav_log]},
+                      [tid for tid, t in sorted(ssm.graph.tracks.items())
+                       if e.frame_id in t.visible_frames]] for e in ssm.nav_log]},
     }
     return _reference_dumps(doc) + "\n"
 
@@ -363,7 +365,7 @@ class TestScratchpad:
 
     def test_entry_starts_with_the_first_note(self):
         ssm = SceneMemory.empty("s", 1, [0])
-        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", (0,))]
+        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary")]
         ssm.graph.insert_track(Track(id=0, cloud=PointCloud([(0, 0, 0)]), visual=None,
                                      language=None, caption="c", caption_history=("c",),
                                      visible_frames=(0,)))
@@ -511,23 +513,30 @@ class TestSerializeMatchesReference:
         assert moved.room_id == target.room_id
         ssm.graph.replace_track(moved)
         assert_serializes_like_reference(ssm)
-        # one field at a time, each by a replacement
+        # one field at a time, each by a replacement; a room stays on its
+        # track's floor and keeps one label
         frame = next(f for f in ssm.frame_ids if f not in moved.visible_frames)
+        assert moved.floor_id == "floor0"
         for field_name, value in (
-                ("room_label", "garage"), ("room_id", "floor0/99"),
-                ("floor_id", "floor9"), ("caption", "a \"quoted\" caption"),
+                ("room_id", "floor0/99"), ("room_label", "garage"), ("room_id", None),
+                ("floor_id", "floor9"), ("room_id", "floor9/99"),
+                ("caption", "a \"quoted\" caption"),
                 ("caption_history", moved.caption_history + ("another caption",)),
                 ("visible_frames", moved.visible_frames + (frame,))):
             moved = replace(moved, **{field_name: value})
             ssm.graph.replace_track(moved)
             assert_serializes_like_reference(ssm)
         for field_name, value in (("room_label", "hall"), ("fov_tag", "new view"),
-                                  ("motion_label", "turn_left"),
-                                  ("visible_node_ids", (moved.id,))):
+                                  ("motion_label", "turn_left")):
             ssm.nav_log[0] = replace(ssm.nav_log[0], **{field_name: value})
             assert_serializes_like_reference(ssm)
-        # a locator changed, then dropped, in a new locator map
+        # a new track that lists the first keyframe joins that row's node
+        # ids, while the row's record stays the same
         first = ssm.frame_ids[0]
+        ssm.graph.insert_track(replace(moved, id=ssm.graph.new_track_id(),
+                                       visible_frames=(first,)))
+        assert_serializes_like_reference(ssm)
+        # a locator changed, then dropped, in a new locator map
         ssm.frame_locators = {**ssm.frame_locators, first: "file:///elsewhere.png"}
         assert_serializes_like_reference(ssm)
         ssm.frame_locators = {f: loc for f, loc in ssm.frame_locators.items()
@@ -552,8 +561,8 @@ class TestSerializeMatchesReference:
                                      caption_history=tuple(captions),
                                      room_label=fov or None, visible_frames=(0,)))
         ssm.add_note(0, note, "analyze_frame", fov, 1)
-        ssm.nav_log = [NavLogEntry(0, note, fov, "stationary", (0,)),
-                       NavLogEntry(1, fov, note, "forward", ())]
+        ssm.nav_log = [NavLogEntry(0, note, fov, "stationary"),
+                       NavLogEntry(1, fov, note, "forward")]
         ssm.frame_memory = init_frame_memory([0, 1], 2)
         assert_serializes_like_reference(ssm)
         ssm.graph.replace_track(replace(ssm.graph.tracks[0], caption=edit))
@@ -746,7 +755,7 @@ class TestStrictParse:
         doc["navigation_log"]["rows"][1][0] = 0
         assert self._path_of(doc) == "$.navigation_log.rows[1].frame_id"
         ssm = SceneMemory.empty("s", 1, [0, 0])
-        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", ())] * 2
+        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary")] * 2
         with pytest.raises(SerializationError, match="repeats a keyframe"):
             serialize(ssm)
 
@@ -826,8 +835,11 @@ class TestOneRuleBook:
          "$.scene_graph.edges.rows[1]"),
         (lambda m: setattr(m, "frame_memory", append_frame(m.frame_memory, 9)),
          "$.episode.frame_memory.frames[2]"),
-        (lambda m: m.nav_log.__setitem__(1, replace(m.nav_log[1], visible_node_ids=(0, 4))),
-         "$.navigation_log.rows[1].visible_node_ids[1]")])
+        (lambda m: m.graph.replace_track(replace(m.graph.tracks[0], floor_id="floor7")),
+         "$.scene_graph.tracks.rows[0].floor_id"),
+        (lambda m: m.graph.replace_track(replace(m.graph.tracks[1], room_id="floor0/0",
+                                                 floor_id="floor0", room_label="bedroom")),
+         "$.scene_graph.tracks.rows[1].room_label")])
     def test_validate_names_the_document_path(self, break_rule, path):
         ssm = two_track_memory()
         break_rule(ssm)
@@ -835,6 +847,31 @@ class TestOneRuleBook:
             ssm.validate()
         assert err.value.path == path
         assert str(err.value) == f"{path}: {err.value.reason}"
+
+    @pytest.mark.parametrize("edit,path", [
+        (lambda d: d["navigation_log"]["rows"][1].__setitem__(4, [0, 1, 4]),
+         "$.navigation_log.rows[1].visible_node_ids"),
+        (lambda d: d["navigation_log"]["rows"][1].__setitem__(4, [0]),
+         "$.navigation_log.rows[1].visible_node_ids"),
+        (lambda d: d["navigation_log"]["rows"][1].__setitem__(4, [1, 0]),
+         "$.navigation_log.rows[1].visible_node_ids"),
+        (lambda d: d["scene_graph"]["tracks"]["rows"][0].__setitem__(5, "floor7"),
+         "$.scene_graph.tracks.rows[0].floor_id"),
+        (lambda d: d["scene_graph"]["tracks"]["rows"][1].__setitem__(
+            slice(3, 6), ["floor0/0", "bedroom", "floor0"]),
+         "$.scene_graph.tracks.rows[1].room_label"),
+    ], ids=["nav-dead-id", "nav-missing-id", "nav-ids-out-of-order",
+            "floor-not-the-rooms", "second-room-label"])
+    def test_contradicting_document_refused(self, edit, path):
+        """A row's node ids are the tracks that list its frame, in id order;
+        a room lies on its track's floor and has one label. A document that
+        says otherwise does not load."""
+        doc = json.loads(serialize(two_track_memory())[0])
+        assert [row[4] for row in doc["navigation_log"]["rows"]] == [[0], [0, 1]]
+        edit(doc)
+        with pytest.raises(ParseError) as err:
+            deserialize(json.dumps(doc))
+        assert err.value.path == path
 
     def test_patch_detection_outside_the_episode_refused(self):
         """A detection from a frame outside the episode would give its
@@ -893,6 +930,57 @@ class TestOneRuleBook:
             assert serialize(deserialize(text))[0] == text
             ssm = updated
             live = sorted(ssm.graph.tracks)
+
+    @pytest.fixture(scope="class")
+    def thinned_build(self, small_build, tmp_path_factory):
+        """The built 2x3 memory without every other track, as if the build
+        had missed those objects, its save_dir/load_dir copy, the episode's
+        frame ids and an executor that finds them again."""
+        scene, episode, backend, built = small_build
+        ssm = built.copy()
+        for tid in sorted(ssm.graph.tracks)[::2]:
+            del ssm.graph.tracks[tid]
+            ssm.scratchpad.pop(tid, None)
+        ssm.graph.edges = [e for e in ssm.graph.edges
+                           if {e.subject_id, e.object_id} <= set(ssm.graph.tracks)]
+        path = tmp_path_factory.mktemp("thinned") / "mem"
+        save_dir(ssm, path)
+        return ssm, load_dir(path), list(episode.frame_ids), ApiExecutor(
+            episode, backend, EngineConfig())
+
+    def test_thinned_build_patches_create_and_merge(self, thinned_build):
+        """The property below exercises both ways a detection lands."""
+        ssm, _, frame_ids, executor = thinned_build
+        created = merged = 0
+        for fid in frame_ids:
+            ssm, report = apply_patch(ssm, executor.execute(
+                ApiCall("analyze_frame", fid, "describe all objects"), ssm))
+            created += len(report.created)
+            merged += len(report.merged)
+        assert created and merged
+
+    @given(st.data())
+    @settings(max_examples=15)
+    def test_patched_memories_keep_the_nav_column_derived(self, thinned_build, data):
+        """After every analyze_frame patch, on the built memory and on its
+        reload, each navigation-log row lists the tracks whose
+        visible_frames name its frame, in id order, and the text loads back
+        to the same bytes."""
+        built, loaded, frame_ids, executor = thinned_build
+        memories = [built, loaded]
+        steps = data.draw(st.lists(st.sampled_from(frame_ids), min_size=1, max_size=5))
+        for fid in steps:
+            call = ApiCall("analyze_frame", fid, "describe all objects")
+            for i, ssm in enumerate(memories):
+                ssm, report = apply_patch(ssm, executor.execute(call, ssm))
+                assert report.failure is None
+                text = serialize(ssm)[0]
+                doc = json.loads(text)
+                tracks = doc["scene_graph"]["tracks"]["rows"]  # id order
+                for row in doc["navigation_log"]["rows"]:
+                    assert row[4] == [t[0] for t in tracks if row[0] in t[6]]
+                assert serialize(deserialize(text))[0] == text
+                memories[i] = ssm
 
 
 def side_car_records(blob: bytes) -> list[bytes]:
@@ -1060,7 +1148,7 @@ class TestPersistence:
             ssm.graph.insert_track(Track(id=tid, cloud=cloud, visual=None,
                                          language=None, caption="c",
                                          caption_history=("c",), visible_frames=(0,)))
-        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", (0, 1))]
+        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary")]
         ssm.frame_memory = init_frame_memory([0], 1)
         save_dir(ssm, tmp_path / "m")
         loaded = load_dir(tmp_path / "m")
@@ -1079,7 +1167,7 @@ class TestPersistence:
                       language=Embedding([0.0, 1.0], "language"),
                       caption="c", caption_history=("c",), visible_frames=(0,))
         ssm.graph.insert_track(track)
-        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", (0,))]
+        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary")]
         ssm.frame_memory = init_frame_memory([0], 1)
         save_dir(ssm, tmp_path / "mem")
         loaded = load_dir(tmp_path / "mem")
@@ -1098,7 +1186,7 @@ class TestPersistence:
                       language=Embedding([2.0, 1.0], "language"),
                       caption="c", caption_history=("c",), visible_frames=(0,))
         ssm.graph.insert_track(track)
-        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary", (0,))]
+        ssm.nav_log = [NavLogEntry(0, "unknown", "t", "stationary")]
         ssm.frame_memory = init_frame_memory([0], 1)
         save_dir(ssm, tmp_path / "m")
         loaded = load_dir(tmp_path / "m")
@@ -1138,20 +1226,17 @@ class TestImmutableRecords:
     def test_sequence_fields_do_not_follow_the_callers_lists(self):
         """Lists passed to a record are copied into tuples, so changing the
         lists afterwards changes neither the record nor its cached row."""
-        history, visible, node_ids, frames = ["red mug"], [0, 5], [0], [0]
+        history, visible, frames = ["red mug"], [0, 5], [0]
         ssm = golden_one_track()
         track = replace(ssm.graph.tracks[0], caption_history=history,
                         visible_frames=visible)
         ssm.graph.replace_track(track)
-        ssm.nav_log[0] = replace(ssm.nav_log[0], visible_node_ids=node_ids)
         ssm.frame_memory = FrameMemory(frames, 1)
         expected = serialize(ssm)[0]
         history.append("blue mug")
         visible.append(9)
-        node_ids.append(3)
         frames.append(5)
         assert (track.caption_history, track.visible_frames) == (("red mug",), (0, 5))
-        assert ssm.nav_log[0].visible_node_ids == (0,)
         assert ssm.frame_memory.frames == (0,)
         assert reference_serialize(ssm) == expected
         assert_serializes_like_reference(ssm)

@@ -30,6 +30,12 @@ from test_golden_digests import CONFIGS as GOLDEN_CONFIGS, GOLDEN
 from test_graph import reference_associate
 
 
+def _shown(ssm, frame_id: int) -> tuple[int, ...]:
+    """The ids of the tracks whose visible_frames list ``frame_id``."""
+    return tuple(sorted(tid for tid, t in ssm.graph.tracks.items()
+                        if frame_id in t.visible_frames))
+
+
 class TestBuildSsm:
     def test_perfect_backend_reconstructs_scene(self, small_build):
         scene, _, _, ssm = small_build
@@ -113,7 +119,7 @@ class TestBuildSsm:
         backend = ScriptedBackend(scene)
         backend.fail("detect", mode="item")  # the first frame's item
         ssm = build_ssm(scene.episode(), backend, EngineConfig())
-        assert ssm.nav_log[0].visible_node_ids == ()
+        assert _shown(ssm, ssm.nav_log[0].frame_id) == ()
         assert len(ssm.nav_log) == scene.frame_count
         # later frames still recover all objects
         assert track_recall(ssm, scene) == 1.0
@@ -133,7 +139,7 @@ class TestBuildSsm:
         assert small_scene.visible_objects(3)
         ssm = build_ssm(small_scene.episode(), ZeroEmbedding(small_scene),
                         EngineConfig())
-        assert next(e for e in ssm.nav_log if e.frame_id == 3).visible_node_ids == ()
+        assert _shown(ssm, 3) == ()
         assert all(3 not in t.visible_frames for t in ssm.graph.tracks.values())
 
     def test_embedding_of_wrong_length_skips_frame(self, small_scene):
@@ -151,7 +157,7 @@ class TestBuildSsm:
         assert small_scene.visible_objects(3)
         ssm = build_ssm(small_scene.episode(), ShortEmbedding(small_scene),
                         EngineConfig())
-        assert next(e for e in ssm.nav_log if e.frame_id == 3).visible_node_ids == ()
+        assert _shown(ssm, 3) == ()
         assert all(3 not in t.visible_frames for t in ssm.graph.tracks.values())
 
     def test_self_relation_skips_edge_discovery(self, small_scene, caplog):
@@ -179,7 +185,7 @@ class TestBuildSsm:
         assert all(re.search(rf"frame {f}, .*\$\.frames\[{episode.frame_ids.index(f)}\]"
                              r"\.relations\[\d+\]: subject_id and object_id must differ",
                              m) for f, m in zip(due, failed))
-        assert [e.frame_id for e in ssm.nav_log if not e.visible_node_ids] == due
+        assert [e.frame_id for e in ssm.nav_log if not _shown(ssm, e.frame_id)] == due
         assert ssm.graph.edges == []
         assert track_recall(ssm, small_scene) == 1.0
 
@@ -308,9 +314,10 @@ class TestBuildRoundTrips:
         # the failed detect empties the frame's visible nodes and its tag,
         # nothing else
         assert astuple(ssm.nav_log[0]) == astuple(replace(
-            clean.nav_log[0], fov_tag="unavailable", visible_node_ids=()))
-        assert [astuple(e) for e in ssm.nav_log[1:]] \
-            == [astuple(e) for e in clean.nav_log[1:]]
+            clean.nav_log[0], fov_tag="unavailable"))
+        assert _shown(ssm, ssm.nav_log[0].frame_id) == ()
+        assert [astuple(e) + (_shown(ssm, e.frame_id),) for e in ssm.nav_log[1:]] \
+            == [astuple(e) + (_shown(clean, e.frame_id),) for e in clean.nav_log[1:]]
 
     def test_bare_detect_replies_send_no_other_request(self, small_scene):
         """Detect items without a tag, relations or room scores: each frame
@@ -348,9 +355,11 @@ class TestBuildRoundTrips:
             f"detect failed on frame {bad}, skipping: $.frames[4].detections[0].bbox: "
             "u_max=10000 overflows frame by more than 2 px"]
         row = next(e for e in ssm.nav_log if e.frame_id == bad)
-        assert row.visible_node_ids == () and row.fov_tag == "unavailable"
-        assert [astuple(e) for e in ssm.nav_log if e.frame_id != bad] \
-            == [astuple(e) for e in clean.nav_log if e.frame_id != bad]
+        assert _shown(ssm, bad) == () and row.fov_tag == "unavailable"
+        assert [astuple(e) + (_shown(ssm, e.frame_id),) for e in ssm.nav_log
+                if e.frame_id != bad] \
+            == [astuple(e) + (_shown(clean, e.frame_id),) for e in clean.nav_log
+                if e.frame_id != bad]
         assert track_recall(ssm, small_scene) == 1.0
 
     def test_wrong_item_count_fails_every_frame(self, small_scene):

@@ -414,20 +414,19 @@ def _keyframe(fid: int, pose) -> Keyframe:
 class TestBuildNavEntry:
     def test_first_frame_stationary(self):
         frame = _keyframe(0, make_pose(0, (0.5, 0.5, 1.4)))
-        entry = build_nav_entry(frame, None, "unknown", {3, 1}, "view 0")
+        entry = build_nav_entry(frame, None, "unknown", "view 0")
         assert entry.motion_label == "stationary"
         assert entry.room_label == "unknown"
-        assert entry.visible_node_ids == (1, 3)
         assert entry.fov_tag == "view 0"
 
     def test_motion_from_the_previous_keyframe(self):
         prev = _keyframe(1, make_pose(0, (0.5, 0.5, 1.4)))
         frame = _keyframe(2, make_pose(0, (1.0, 0.5, 1.4)))
-        entry = build_nav_entry(frame, prev, "kitchen", set(), "view 2")
+        entry = build_nav_entry(frame, prev, "kitchen", "view 2")
         assert (entry.frame_id, entry.room_label, entry.motion_label) \
             == (2, "kitchen", "forward")
 
     def test_motion_label_enum_guard(self):
         with pytest.raises(GeometryInputError):
             NavLogEntry(frame_id=0, room_label="x", fov_tag="y",
-                        motion_label="moonwalk", visible_node_ids=())
+                        motion_label="moonwalk")

@@ -11,10 +11,12 @@ import pytest
 
 from scenemem import (PixelMask, RuleReasoner, backproject, generate_questions,
                       generate_scene)
-from scenemem.synth import (MIN_VISIBLE_PIXELS, PARENT_TEMPLATES, Box, GenerationError,
-                            GtDetection, RoomSpec, SceneObject, SceneParams,
-                            SyntheticScene, box_corners, load_questions, look_at_pose,
-                            projected_extent, save_questions, screen_windows)
+import scenemem.synth as synth_module
+from scenemem.synth import (MAX_FOCAL_PX, MAX_IMAGE_SIDE_PX, MIN_VISIBLE_PIXELS,
+                            PARENT_TEMPLATES, Box, GenerationError, GtDetection, RoomSpec,
+                            SceneObject, SceneParams, SyntheticScene, _PARAM_BOUNDS,
+                            box_corners, load_questions, look_at_pose, projected_extent,
+                            save_questions, screen_windows)
 
 from conftest import rng
 
@@ -192,6 +194,31 @@ class TestDeterminism:
         (tmp_path / "bogus.json").write_text(json.dumps({"format": "other"}))
         with pytest.raises(GenerationError):
             SyntheticScene.load(tmp_path / "bogus.json")
+
+    @pytest.mark.parametrize("name,value", [
+        ("width", MAX_IMAGE_SIDE_PX + 1), ("height", MAX_IMAGE_SIDE_PX + 1),
+        ("focal", MAX_FOCAL_PX + 0.5), ("focal", 1e300)])
+    def test_param_above_its_bound_refused_before_generation(self, tmp_path,
+                                                             monkeypatch, name, value):
+        """A truth file asking for a larger image or focal length than the
+        bounds is refused with one line before any array is made, while the
+        sizes every generated truth file holds stay within them."""
+        scene = generate_scene(1, 1, seed=0)
+        doc = scene.to_doc()
+        assert doc["params"]["width"] <= MAX_IMAGE_SIDE_PX
+        assert doc["params"]["height"] <= MAX_IMAGE_SIDE_PX
+        assert doc["params"]["focal"] <= MAX_FOCAL_PX
+        doc["params"][name] = value
+        (tmp_path / "truth.json").write_text(json.dumps(doc))
+
+        def generate(**params):
+            raise AssertionError("the scene was generated")
+
+        monkeypatch.setattr(synth_module, "generate_scene", generate)
+        with pytest.raises(GenerationError) as err:
+            SyntheticScene.load(tmp_path / "truth.json")
+        assert str(err.value) == (f"{tmp_path / 'truth.json'}: params.{name} must be at "
+                                  f"most {_PARAM_BOUNDS[name]}, got {json.dumps(value)}")
 
 
 class TestRaycast:
