@@ -124,6 +124,12 @@ def cmd_ask(args) -> int:
         episode = scene.episode()
     else:
         raise SystemExit("scenemem: need --dataset or --scripted to resolve frames")
+    locators = episode.frame_locators()  # in episode order
+    if tuple(locators) != ssm.frame_ids:
+        raise SystemExit(f"scenemem: the episode's keyframes are not those of {args.ssm}")
+    if stray := [fid for fid, loc in ssm.frame_locators.items() if locators[fid] != loc]:
+        raise SystemExit(f"scenemem: frame {stray[0]} is {locators[stray[0]]}, but {args.ssm} "
+                         f"was built from {ssm.frame_locators[stray[0]]}")
     backend = _backend(args, scene)
     query = EpisodeQuery(question=args.question, max_calls=cfg.max_api_calls,
                          scene_id=ssm.scene_id)

@@ -2,27 +2,28 @@
 
 A SceneMemory bundles the scene graph, the per-node scratchpad, the frame
 memory and the navigation log, plus episode metadata. It serializes to a
-canonical JSON form, layout version 3 (``docs/memory_format.md``): object
+canonical JSON form, layout version 4 (``docs/memory_format.md``): object
 keys sorted, floats rendered with exactly 4 decimal places, point clouds
 summarized as (centroid, axis-aligned extent, point count). Each record
 list (tracks, relation edges, navigation log) is a table: one ``columns``
 header, then one ``rows`` array per record in that column order. The
 scratchpad stays grouped by node, because evidence cites per-node note
 indices, and lists only the nodes that have notes. Each fact is written
-once: the episode's keyframes, in order, are the navigation log's
-``frame_id`` column, and its ``visible_node_ids`` column is read off the
-tracks' ``visible_frames``. Equal memories produce byte-identical text,
-which is what golden-file tests and the record/replay harness rely on. The
-same text is the reasoner's prompt and the persisted ``ssm.json``.
+once: the keyframes, in order, are the navigation log's ``frame_id``
+column, what each shows is the tracks' ``visible_frames``, and a track's
+``caption_history`` writes each run of its caption as the run's length.
+Equal memories produce byte-identical text, which is what golden-file tests
+and the record/replay harness rely on. The same text is the reasoner's
+prompt and the persisted ``ssm.json``.
 
 The memory's records (tracks, navigation-log entries, notes, the frame
 memory) are immutable values: an edit replaces a record, never changes it.
 So ``SceneMemory.copy`` copies only the containers and shares every record,
 and the reasoning loop, which re-serializes the memory on every step,
-renders each track and nav-log row (but its node ids) once per record:
-``serialize`` caches the row text in a weak map keyed by the record itself.
-A cached row lives exactly as long as some memory holds its record, and can
-never go stale because the record cannot change.
+renders each track and nav-log row once per record: ``serialize`` caches
+the row text in a weak map keyed by the record itself. A cached row lives
+exactly as long as some memory holds its record, and can never go stale
+because the record cannot change.
 
 ``serialize`` also returns the frame memory as (frame id, image locator)
 references, in the order frames are handed to the reasoner as images; the
@@ -42,6 +43,7 @@ import struct
 import weakref
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import groupby
 # the string encoder json.dumps(s, ensure_ascii=False) calls, without the
 # JSONEncoder it builds per call
 from json.encoder import encode_basestring
@@ -57,14 +59,13 @@ from .spatial import NavLogEntry, RoomModel
 
 SOURCE_APIS = ("find_objects", "analyze_objects", "analyze_frame")
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 # the fixed column order of each table in the serialized form
 TRACK_COLUMNS = ("id", "caption", "caption_history", "room_id", "room_label",
                  "floor_id", "visible_frames", "centroid", "extent", "points")
 EDGE_COLUMNS = ("subject_id", "relation", "object_id", "justification",
                 "source_frame")
-NAV_COLUMNS = ("frame_id", "room_label", "fov_tag", "motion_label",
-               "visible_node_ids")
+NAV_COLUMNS = ("frame_id", "room_label", "fov_tag", "motion_label")
 
 
 class MemoryError_(ValueError):
@@ -347,25 +348,24 @@ def canonical_json(obj) -> str:
     return "".join(out)
 
 
+def _runs(history: tuple[str, ...], caption: str) -> list:
+    """``history`` as written: each run of ``caption`` as its length."""
+    cells: list = []
+    for phrasing, run in groupby(history):
+        n = len(tuple(run))
+        cells += [n] if phrasing == caption else [phrasing] * n
+    return cells
+
+
 def _track_row(t: Track) -> list:
     summary = t.cloud_summary()
     cloud = summary.to_doc() if summary is not None else {}
-    return [getattr(t, c) for c in TRACK_COLUMNS[:7]] + [
-        cloud.get(c) for c in TRACK_COLUMNS[7:]]
+    return [t.id, t.caption, _runs(t.caption_history, t.caption)] + [
+        getattr(t, c) for c in TRACK_COLUMNS[3:7]] + [cloud.get(c) for c in TRACK_COLUMNS[7:]]
 
 
-def _nav_row(e: NavLogEntry) -> list:  # the stored columns; serialize adds the node ids
-    return [getattr(e, c) for c in NAV_COLUMNS[:-1]]
-
-
-def _shown_nodes(ssm: SceneMemory) -> dict[int, str]:
-    """Each keyframe's ``visible_node_ids`` as canonical JSON: the ids of the
-    tracks that list it, in increasing order."""
-    shown: dict[int, list[str]] = {fid: [] for fid in ssm.frame_ids}
-    for tid in sorted(ssm.graph.tracks):
-        for fid in ssm.graph.tracks[tid].visible_frames:
-            shown[fid].append(str(tid))
-    return {fid: f"[{','.join(ids)}]" for fid, ids in shown.items()}
+def _nav_row(e: NavLogEntry) -> list:
+    return [getattr(e, c) for c in NAV_COLUMNS]
 
 
 # rendered row per immutable record; an entry dies with its record. Two
@@ -410,8 +410,7 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
     episode / scene_graph / scratchpad / navigation_log, and the frame
     references as (frame id, image locator) pairs in frame-memory order.
     Refuses to serialize when cross-structure invariants fail. Each track
-    and navigation-log row is rendered once per record (see the module
-    docstring), and the nav rows' node ids on every call.
+    and nav-log row is rendered once per record (see the module docstring).
     """
     ssm.validate()
     tracks = [_row(ssm.graph.tracks[tid], _track_row) for tid in sorted(ssm.graph.tracks)]
@@ -424,9 +423,6 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
                        "query": n.query, "evidence_frame": n.evidence_frame}
                       for n in ssm.scratchpad[nid]]}
            for nid in sorted(ssm.scratchpad)]
-    shown = _shown_nodes(ssm)
-    nav = _Fragment("[" + ",".join(f"{_row(e, _nav_row).text[:-1]},{shown[e.frame_id]}]"
-                                   for e in ssm.nav_log) + "]")
     doc = {
         "version": FORMAT_VERSION,
         "episode": {
@@ -439,7 +435,7 @@ def serialize(ssm: SceneMemory) -> tuple[str, list[tuple[int, str]]]:
         "scene_graph": {"tracks": _table(TRACK_COLUMNS, tracks),
                         "edges": _table(EDGE_COLUMNS, edge_rows)},
         "scratchpad": pad,
-        "navigation_log": _table(NAV_COLUMNS, nav),
+        "navigation_log": _table(NAV_COLUMNS, [_row(e, _nav_row) for e in ssm.nav_log]),
     }
     refs = [(fid, ssm.frame_locators.get(fid, f"frame://{ssm.scene_id}/{fid}"))
             for fid in ssm.frame_memory.frames]
@@ -484,15 +480,15 @@ def _table_records(doc, key, columns, path) -> list[dict]:
 
 
 def deserialize(text: str) -> SceneMemory:
-    """Rebuild a geometry-light memory from canonical JSON (version 3).
+    """Rebuild a geometry-light memory from canonical JSON (version 4).
 
     All structures are restored except raw point clouds and embeddings:
     tracks carry only their persisted cloud summaries. The episode's
-    keyframes are the navigation-log rows' frame ids. Only the JSON shapes
-    are checked here, and each record checks itself as it is built; the
-    rules across records are ``SceneMemory.validate``'s; last, the nav
-    column ``visible_node_ids`` must be the one the tracks give. Every
-    violation raises ParseError naming the offending path."""
+    keyframes are the navigation-log rows' frame ids, and a history's run
+    lengths expand into captions. Only the JSON shapes, and that a history
+    has its one canonical form, are checked here; each record checks itself
+    as it is built; the rules across records are ``SceneMemory.validate``'s.
+    Every violation raises ParseError naming the offending path."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -506,13 +502,11 @@ def deserialize(text: str) -> SceneMemory:
     scene_id = _expect(ep, "scene_id", str, "$.episode")
     stride = _expect(ep, "stride", int, "$.episode")
     nav_log: list[NavLogEntry] = []
-    nav_ids: list[tuple[int, ...]] = []  # checked once the tracks are built
     for i, nd in enumerate(_table_records(doc, "navigation_log", NAV_COLUMNS, "$")):
         path = f"$.navigation_log.rows[{i}]"
         try:
             nav_log.append(NavLogEntry(*(_expect(nd, column, kind, path) for column, kind
                                          in zip(NAV_COLUMNS, (int, str, str, str)))))
-            nav_ids.append(_ints(nd, "visible_node_ids", path))
         except GeometryInputError as exc:  # the one field NavLogEntry checks
             raise ParseError(f"{path}.motion_label", str(exc)) from None
     frame_ids = tuple(e.frame_id for e in nav_log)
@@ -540,9 +534,14 @@ def deserialize(text: str) -> SceneMemory:
     sg = _expect(doc, "scene_graph", dict, "$")
     for i, td in enumerate(_table_records(sg, "tracks", TRACK_COLUMNS, "$.scene_graph")):
         path = f"$.scene_graph.tracks.rows[{i}]"
-        history = _expect(td, "caption_history", list, path)
-        if any(not isinstance(c, str) for c in history):
-            raise ParseError(f"{path}.caption_history", "expected strings")
+        caption, history, previous = _expect(td, "caption", str, path), [], None
+        for j, cell in enumerate(_expect(td, "caption_history", list, path)):
+            run = type(cell) is int and cell >= 1 and type(previous) is not int  # no bool
+            if not run and (not isinstance(cell, str) or cell == caption):
+                raise ParseError(f"{path}.caption_history[{j}]", "expected a phrasing other "
+                                 "than the caption, or a run length >= 1 after no other")
+            history += [caption] * cell if run else [cell]
+            previous = cell
         summary = None
         if any(td[k] is not None for k in ("centroid", "extent", "points")):
             summary = CloudSummary(centroid=_float_triple(td, "centroid", path),
@@ -551,7 +550,7 @@ def deserialize(text: str) -> SceneMemory:
         try:
             graph.insert_track(Track(
                 id=_expect(td, "id", int, path), cloud=None, visual=None, language=None,
-                caption=_expect(td, "caption", str, path), caption_history=history,
+                caption=caption, caption_history=history,
                 **{k: _opt_str(td, k, path) for k in ("room_id", "floor_id", "room_label")},
                 visible_frames=_ints(td, "visible_frames", path), summary=summary))
         except GraphError as exc:
@@ -592,11 +591,6 @@ def deserialize(text: str) -> SceneMemory:
         ssm.validate()
     except SerializationError as exc:
         raise ParseError(exc.path, exc.reason) from None
-    shown = _shown_nodes(ssm)
-    for i, (fid, ids) in enumerate(zip(frame_ids, nav_ids)):
-        if canonical_json(ids) != shown[fid]:
-            raise ParseError(f"$.navigation_log.rows[{i}].visible_node_ids",
-                             f"expected {shown[fid]}, the tracks that list frame {fid}")
     return ssm
 
 

@@ -416,7 +416,7 @@ class RuleReasoner:
                 return label, [track["id"]]
             # fall back to the room the camera was in when the node was seen
             for entry in memory["navigation_log"]:
-                if track["id"] in entry["visible_node_ids"] \
+                if entry["frame_id"] in track["visible_frames"] \
                         and entry["room_label"] != "unknown":
                     return entry["room_label"], [track["id"]]
             return None, [track["id"]]

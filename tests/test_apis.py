@@ -307,10 +307,11 @@ class TestApplyPatch:
         patch = executor.execute(
             ApiCall("analyze_frame", fid, "describe all objects"), work)
         updated, report = apply_patch(work, patch)
-        row = next(r for r in json.loads(serialize(updated)[0])["navigation_log"]["rows"]
-                   if r[0] == fid)
+        tracks = json.loads(serialize(updated)[0])["scene_graph"]["tracks"]
+        frames = tracks["columns"].index("visible_frames")
+        shown = {row[0] for row in tracks["rows"] if fid in row[frames]}
         for new_id in report.created:
-            assert new_id in row[4]
+            assert new_id in shown
 
     def test_created_track_is_placed_in_its_room(self, workbench):
         """A track re-discovered by a patch lands on the floor and in the

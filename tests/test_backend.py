@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from scenemem import (ApiCall, Backend, BackendError, BackendRequest, EngineConfig,
-                      RecordingBackend, ReplayBackend, SchemaError,
-                      ScriptedBackend, TransportError, build_ssm, serialize,
-                      validate_response)
+                      RecordingBackend, ReplayBackend, RuleReasoner, SceneMemory,
+                      SchemaError, ScriptedBackend, Track, TransportError, build_ssm,
+                      init_frame_memory, serialize, validate_response)
 from scenemem.backend import ReasonAnswer
-from scenemem.scripted import ScriptReasoner, _iou
+from scenemem.scripted import ScriptReasoner, _iou, _read_memory
+from scenemem.spatial import NavLogEntry
 
 from conftest import BorderOverflowBackend
 
@@ -646,6 +647,31 @@ class TestScriptReasoner:
                                "memory_json": json.dumps(memory)})
         assert out["evidence_frames"] == [7]
         assert out["evidence_notes"] == [[5, 0]]
+
+
+class TestRuleReasoner:
+    def test_room_falls_back_to_the_first_labelled_nav_row(self):
+        """A track without a room label takes the label of the first
+        navigation-log row, in episode order, that shows it and is not
+        "unknown"; a track only seen from unknown rooms has no answer, and
+        a track's own label wins."""
+        ssm = SceneMemory.empty("s", 1, [0, 5, 10, 15])
+        for tid, caption, label, frames in ((0, "red mug", None, (5, 10, 15)),
+                                            (1, "blue vase", None, (5,)),
+                                            (2, "black chair", None, (15, 10)),
+                                            (3, "green lamp", "bedroom", (5,))):
+            ssm.graph.insert_track(Track(id=tid, cloud=None, visual=None, language=None,
+                                         caption=caption, caption_history=(caption,),
+                                         room_label=label, visible_frames=frames))
+        ssm.nav_log = [NavLogEntry(fid, label, f"view {fid}", "stationary") for fid, label
+                       in ((0, "kitchen"), (5, "unknown"), (10, "office"), (15, "hall"))]
+        ssm.frame_memory = init_frame_memory(list(ssm.frame_ids), 2)
+        memory = _read_memory({"memory_json": serialize(ssm)[0]})
+        derive = RuleReasoner._derive
+        assert derive("room", "red mug", memory) == ("office", [0])
+        assert derive("room", "blue vase", memory) == (None, [1])
+        assert derive("room", "black chair", memory) == ("office", [2])
+        assert derive("room", "green lamp", memory) == ("bedroom", [3])
 
 
 def test_iou_basics():

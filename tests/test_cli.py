@@ -162,6 +162,44 @@ class TestAskCommand:
         assert (root / "transcript.jsonl").exists()
 
 
+    @pytest.fixture(scope="class")
+    def other_scenes(self, tmp_path_factory):
+        """The workspace's layout with another seed, and a scene with a
+        third room."""
+        root = tmp_path_factory.mktemp("other")
+        for name, rooms, seed in (("seed12", "2", "12"), ("rooms3", "3", "11")):
+            assert main(["synth", "--rooms", rooms, "--objects-per-room", "2",
+                         "--seed", seed, "--out", str(root / name)]) == 0
+        return root
+
+    @pytest.mark.parametrize("source,message", [
+        (lambda own, other: ["--scripted", other / "seed12" / "truth.json"],
+         "frame 0 is synthetic://synth-2x2-seed12/0, but {mem} was built from "
+         "synthetic://synth-2x2-seed11/0"),
+        (lambda own, other: ["--dataset", other / "seed12" / "manifest.jsonl",
+                             "--scripted", own / "truth.json"],
+         "frame 0 is synthetic://synth-2x2-seed12/0, but {mem} was built from "
+         "synthetic://synth-2x2-seed11/0"),
+        (lambda own, other: ["--scripted", other / "rooms3" / "truth.json"],
+         "the episode's keyframes are not those of {mem}"),
+    ], ids=["scripted-other-seed", "dataset-other-seed", "scripted-other-keyframes"])
+    def test_another_scenes_frames_refused(self, workspace, other_scenes, tmp_path, capsys,
+                                           source, message):
+        """The episode that resolves the memory's frames must be the one it
+        was built from: the same keyframes, each with the memory's image
+        locator. Otherwise ask exits with one line before any backend call
+        and prints nothing."""
+        _, scene_dir, mem_dir = workspace
+        transcript = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as err:
+            main(["ask", "--ssm", str(mem_dir), *map(str, source(scene_dir, other_scenes)),
+                  "--transcript", str(transcript),
+                  "--question", "what is on top of the black table?"])
+        assert err.value.code == "scenemem: " + message.format(mem=mem_dir)
+        assert capsys.readouterr().out == ""
+        assert not transcript.exists()
+
+
 class TestEvalCommand:
     def test_metrics_report_written(self, workspace, capsys):
         root, scene_dir, _ = workspace

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scenemem import (ApiCall, ApiExecutor, Embedding, EngineConfig, EpisodeQuery,
@@ -251,14 +251,27 @@ def _reference_dumps(doc) -> str:
 
 
 def reference_serialize(ssm: SceneMemory) -> str:
-    """The documented version-3 layout rendered in full, with no memo: the
+    """The documented version-4 layout rendered in full, with no memo: the
     whole document built as one dict, then ``json.dumps``. The keyframes
-    are the navigation-log rows, each row's node ids are the tracks that
-    list its frame, and only nodes with notes get a scratchpad entry."""
+    are the navigation-log rows, a caption history writes each run of the
+    caption as its length, and only nodes with notes get a scratchpad
+    entry."""
     ssm.validate()
     rows = []
     for tid in sorted(ssm.graph.tracks):
         t = ssm.graph.tracks[tid]
+        history: list = []
+        i = 0
+        while i < len(t.caption_history):
+            j = i
+            while j < len(t.caption_history) and t.caption_history[j] == t.caption:
+                j += 1
+            if j > i:  # a run of the caption, i..j-1
+                history.append(j - i)
+                i = j
+            else:
+                history.append(t.caption_history[i])
+                i += 1
         centroid = extent = points = None
         if t.cloud is not None and len(t.cloud.points):
             pts = t.cloud.points
@@ -269,7 +282,7 @@ def reference_serialize(ssm: SceneMemory) -> str:
             centroid = [float(x) for x in t.summary.centroid]
             extent = [float(x) for x in t.summary.extent]
             points = t.summary.count
-        rows.append([t.id, t.caption, list(t.caption_history), t.room_id,
+        rows.append([t.id, t.caption, history, t.room_id,
                      t.room_label, t.floor_id, list(t.visible_frames),
                      centroid, extent, points])
     edges = sorted(ssm.graph.edges,
@@ -284,7 +297,7 @@ def reference_serialize(ssm: SceneMemory) -> str:
         prefix = lo[:next((i for i, (a, b) in enumerate(zip(lo, hi)) if a != b),
                           len(lo))]
     doc = {
-        "version": 3,
+        "version": 4,
         "episode": {
             "scene_id": ssm.scene_id,
             "stride": ssm.stride,
@@ -309,11 +322,9 @@ def reference_serialize(ssm: SceneMemory) -> str:
                                   for n in ssm.scratchpad[nid]]}
                        for nid in sorted(ssm.graph.tracks) if ssm.scratchpad.get(nid)],
         "navigation_log": {
-            "columns": ["frame_id", "room_label", "fov_tag", "motion_label",
-                        "visible_node_ids"],
-            "rows": [[e.frame_id, e.room_label, e.fov_tag, e.motion_label,
-                      [tid for tid, t in sorted(ssm.graph.tracks.items())
-                       if e.frame_id in t.visible_frames]] for e in ssm.nav_log]},
+            "columns": ["frame_id", "room_label", "fov_tag", "motion_label"],
+            "rows": [[e.frame_id, e.room_label, e.fov_tag, e.motion_label]
+                     for e in ssm.nav_log]},
     }
     return _reference_dumps(doc) + "\n"
 
@@ -530,8 +541,8 @@ class TestSerializeMatchesReference:
                                   ("motion_label", "turn_left")):
             ssm.nav_log[0] = replace(ssm.nav_log[0], **{field_name: value})
             assert_serializes_like_reference(ssm)
-        # a new track that lists the first keyframe joins that row's node
-        # ids, while the row's record stays the same
+        # a new track that lists the first keyframe, while that row's
+        # record stays the same
         first = ssm.frame_ids[0]
         ssm.graph.insert_track(replace(moved, id=ssm.graph.new_track_id(),
                                        visible_frames=(first,)))
@@ -568,6 +579,69 @@ class TestSerializeMatchesReference:
         ssm.graph.replace_track(replace(ssm.graph.tracks[0], caption=edit))
         ssm.nav_log[1] = replace(ssm.nav_log[1], fov_tag=edit)
         assert_serializes_like_reference(ssm)
+
+
+class TestCaptionHistoryRuns:
+    """A track's ``caption_history`` writes each run of entries equal to the
+    caption as the run's length and any other phrasing as itself. The runs
+    expand back, so a reloaded history keeps the length that the caption
+    consolidation threshold reads."""
+
+    @staticmethod
+    def _one_track(caption: str, history) -> SceneMemory:
+        ssm = golden_one_track()
+        ssm.graph.replace_track(replace(ssm.graph.tracks[0], caption=caption,
+                                        caption_history=tuple(history)))
+        return ssm
+
+    @pytest.mark.parametrize("caption,history,cells", [
+        ("green table", ("green table",) * 4, [4]),
+        ("mug", ("mug", "mug", "red mug"), [2, "red mug"]),
+        ("mug", ("red mug", "mug", "a mug", "mug", "mug"), ["red mug", 1, "a mug", 2]),
+        ("mug", ("red mug", "red mug"), ["red mug", "red mug"]),
+        ("mug", (), [])])
+    def test_written_cells(self, caption, history, cells):
+        doc = json.loads(serialize(self._one_track(caption, history))[0])
+        assert doc["scene_graph"]["tracks"]["rows"][0][2] == cells
+
+    _phrasings = st.one_of(st.sampled_from(["mug", "red mug", "a mug", ""]),
+                           st.text(max_size=3))
+
+    @given(caption=_phrasings, history=st.lists(_phrasings, max_size=9))
+    @example(caption="red mug", history=["mug", "a mug", "mug"])  # caption nowhere
+    @example(caption="mug", history=[])
+    @example(caption="mug", history=["mug", "mug", "red mug", "mug", "a mug", "a mug"])
+    @settings(max_examples=150)
+    def test_every_history_round_trips(self, caption, history):
+        """Any history, of mixed phrasings, of none, or without its caption,
+        is written in the one canonical form and loads back to itself."""
+        ssm = self._one_track(caption, history)
+        text = serialize(ssm)[0]
+        assert text == reference_serialize(ssm)
+        cells = json.loads(text)["scene_graph"]["tracks"]["rows"][0][2]
+        for previous, cell in zip([None] + cells, cells):
+            assert (isinstance(cell, str) and cell != caption) or (
+                type(cell) is int and cell >= 1 and type(previous) is not int)
+        loaded = deserialize(text)
+        assert loaded.graph.tracks[0].caption_history == tuple(history)
+        assert serialize(loaded)[0] == text
+
+    @pytest.mark.parametrize("cells,j", [
+        ([True], 0), (["chipped mug", False], 1),
+        ([0], 0), ([2, "chipped mug", -1], 2),
+        ([1, 1], 1), (["chipped mug", 2, 3], 2),
+        (["red mug"], 0), ([1, "chipped mug", "red mug"], 2),
+    ], ids=["bool", "bool-after-phrasing", "zero", "negative", "two-runs",
+            "two-runs-after-phrasing", "the-caption", "the-caption-after-a-run"])
+    def test_non_canonical_entry_refused(self, cells, j):
+        """A bool, a run length below 1, two run lengths in a row and a
+        phrasing equal to the caption ("red mug") each have another
+        canonical form, so none of them loads."""
+        doc = json.loads((GOLDEN / "one_track_ssm.json").read_text())
+        doc["scene_graph"]["tracks"]["rows"][0][2] = cells
+        with pytest.raises(ParseError) as err:
+            deserialize(json.dumps(doc))
+        assert err.value.path == f"$.scene_graph.tracks.rows[0].caption_history[{j}]"
 
 
 class TestRoundTrip:
@@ -638,7 +712,7 @@ V1_ONE_TRACK = (
 
 
 class TestStrictParse:
-    """Every departure from the version-3 layout raises a ParseError whose
+    """Every departure from the version-4 layout raises a ParseError whose
     path names the offending part."""
 
     @staticmethod
@@ -666,9 +740,24 @@ class TestStrictParse:
         with pytest.raises(ParseError) as err:
             deserialize(json.dumps(doc))
         assert err.value.path == "$.version"
-        assert "unsupported layout version 2, expected 3" in str(err.value)
+        assert "unsupported layout version 2, expected 4" in str(err.value)
 
-    @pytest.mark.parametrize("version", [1, 2, "3", 3.0, True, None])
+    def test_v3_document_rejected(self):
+        """A version-3 document, which still wrote each caption history in
+        full and the navigation log's visible_node_ids, gets the version
+        error and not a field error."""
+        doc = self._golden()
+        doc["version"] = 3
+        doc["scene_graph"]["tracks"]["rows"][0][2] = ["red mug"]
+        doc["navigation_log"]["columns"].append("visible_node_ids")
+        for row in doc["navigation_log"]["rows"]:
+            row.append([0])
+        with pytest.raises(ParseError) as err:
+            deserialize(json.dumps(doc))
+        assert err.value.path == "$.version"
+        assert "unsupported layout version 3, expected 4" in str(err.value)
+
+    @pytest.mark.parametrize("version", [1, 2, 3, "4", 4.0, True, None])
     def test_other_versions_rejected(self, version):
         doc = self._golden()
         doc["version"] = version
@@ -738,8 +827,8 @@ class TestStrictParse:
          "$.scene_graph.tracks.rows[0].extent"),
         (("scene_graph", "tracks", "rows", 0, 8, 0), False,
          "$.scene_graph.tracks.rows[0].extent"),
-        (("navigation_log", "rows", 1, 4, 0), None,
-         "$.navigation_log.rows[1].visible_node_ids[0]")])
+        (("scene_graph", "tracks", "rows", 0, 2, 0), None,
+         "$.scene_graph.tracks.rows[0].caption_history[0]")])
     def test_array_faults_name_their_path(self, where, value, path):
         doc = self._golden()
         target = doc
@@ -849,25 +938,16 @@ class TestOneRuleBook:
         assert str(err.value) == f"{path}: {err.value.reason}"
 
     @pytest.mark.parametrize("edit,path", [
-        (lambda d: d["navigation_log"]["rows"][1].__setitem__(4, [0, 1, 4]),
-         "$.navigation_log.rows[1].visible_node_ids"),
-        (lambda d: d["navigation_log"]["rows"][1].__setitem__(4, [0]),
-         "$.navigation_log.rows[1].visible_node_ids"),
-        (lambda d: d["navigation_log"]["rows"][1].__setitem__(4, [1, 0]),
-         "$.navigation_log.rows[1].visible_node_ids"),
         (lambda d: d["scene_graph"]["tracks"]["rows"][0].__setitem__(5, "floor7"),
          "$.scene_graph.tracks.rows[0].floor_id"),
         (lambda d: d["scene_graph"]["tracks"]["rows"][1].__setitem__(
             slice(3, 6), ["floor0/0", "bedroom", "floor0"]),
          "$.scene_graph.tracks.rows[1].room_label"),
-    ], ids=["nav-dead-id", "nav-missing-id", "nav-ids-out-of-order",
-            "floor-not-the-rooms", "second-room-label"])
+    ], ids=["floor-not-the-rooms", "second-room-label"])
     def test_contradicting_document_refused(self, edit, path):
-        """A row's node ids are the tracks that list its frame, in id order;
-        a room lies on its track's floor and has one label. A document that
-        says otherwise does not load."""
+        """A room lies on its track's floor and has one label. A document
+        that says otherwise does not load."""
         doc = json.loads(serialize(two_track_memory())[0])
-        assert [row[4] for row in doc["navigation_log"]["rows"]] == [[0], [0, 1]]
         edit(doc)
         with pytest.raises(ParseError) as err:
             deserialize(json.dumps(doc))
@@ -959,28 +1039,54 @@ class TestOneRuleBook:
             merged += len(report.merged)
         assert created and merged
 
+    @pytest.fixture(scope="class")
+    def reloaded_build(self, small_scene, small_episode, tmp_path_factory):
+        """The 2x3 memory built with a detector that misses objects
+        (miss_prob 0.6), its save_dir/load_dir copy, the episode's frame ids
+        and an executor whose detector misses nothing, so its patches merge
+        detections into the tracks and lengthen their caption histories."""
+        built = build_ssm(small_episode, ScriptedBackend(
+            small_scene, reasoner=RuleReasoner(), miss_prob=0.6), EngineConfig())
+        path = tmp_path_factory.mktemp("reloaded") / "mem"
+        save_dir(built, path)
+        return built, load_dir(path), list(small_episode.frame_ids), ApiExecutor(
+            small_episode, ScriptedBackend(small_scene, reasoner=RuleReasoner()),
+            EngineConfig())
+
+    @staticmethod
+    def _patch_both(memories: list, fid: int, executor) -> list[str]:
+        """Apply one analyze_frame call on ``fid`` to each memory in place;
+        their texts after it."""
+        call = ApiCall("analyze_frame", fid, "describe all objects")
+        for i, ssm in enumerate(memories):
+            memories[i], report = apply_patch(ssm, executor.execute(call, ssm))
+            assert report.failure is None
+        return [serialize(ssm)[0] for ssm in memories]
+
+    def test_reloaded_build_patches_merge(self, reloaded_build):
+        """The property below merges detections into tracks: a sweep over
+        every frame gives some track a history longer than one entry."""
+        built, loaded, frame_ids, executor = reloaded_build
+        memories = [built, loaded]
+        for fid in frame_ids:
+            self._patch_both(memories, fid, executor)
+        for ssm in memories:
+            assert max(len(t.caption_history) for t in ssm.graph.tracks.values()) > 1
+
     @given(st.data())
     @settings(max_examples=15)
-    def test_patched_memories_keep_the_nav_column_derived(self, thinned_build, data):
-        """After every analyze_frame patch, on the built memory and on its
-        reload, each navigation-log row lists the tracks whose
-        visible_frames name its frame, in id order, and the text loads back
-        to the same bytes."""
-        built, loaded, frame_ids, executor = thinned_build
+    def test_patched_memories_and_their_reloads_agree(self, reloaded_build, data):
+        """After every analyze_frame patch, the built memory and its reload
+        serialize byte-identically, and the text loads back to the same
+        bytes: a caption history written as runs keeps its length, so both
+        memories merge alike."""
+        built, loaded, frame_ids, executor = reloaded_build
         memories = [built, loaded]
-        steps = data.draw(st.lists(st.sampled_from(frame_ids), min_size=1, max_size=5))
-        for fid in steps:
-            call = ApiCall("analyze_frame", fid, "describe all objects")
-            for i, ssm in enumerate(memories):
-                ssm, report = apply_patch(ssm, executor.execute(call, ssm))
-                assert report.failure is None
-                text = serialize(ssm)[0]
-                doc = json.loads(text)
-                tracks = doc["scene_graph"]["tracks"]["rows"]  # id order
-                for row in doc["navigation_log"]["rows"]:
-                    assert row[4] == [t[0] for t in tracks if row[0] in t[6]]
-                assert serialize(deserialize(text))[0] == text
-                memories[i] = ssm
+        assert serialize(loaded)[0] == serialize(built)[0]
+        for fid in data.draw(st.lists(st.sampled_from(frame_ids), min_size=1, max_size=5)):
+            texts = self._patch_both(memories, fid, executor)
+            assert texts[1] == texts[0], f"frame {fid}"
+            assert serialize(deserialize(texts[0]))[0] == texts[0]
 
 
 def side_car_records(blob: bytes) -> list[bytes]:

@@ -67,12 +67,20 @@ class TestMemorySchema:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, memory_schema)
 
+    @pytest.mark.parametrize("cell", [0, -1, True, 1.5, None])
+    def test_schema_rejects_bad_history_cell(self, memory_schema, cell):
+        """A caption_history cell is a string or a run length of at least 1."""
+        doc = json.loads(serialize(golden_one_track())[0])
+        doc["scene_graph"]["tracks"]["rows"][0][2] = ["chipped mug", cell]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, memory_schema)
+
     def test_schema_rejects_other_columns_and_versions(self, memory_schema):
         doc = json.loads(serialize(golden_one_track())[0])
         doc["navigation_log"]["columns"].reverse()
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, memory_schema)
-        for version in (None, 1, 2):
+        for version in (None, 1, 2, 3):
             doc = json.loads(serialize(golden_one_track())[0])
             doc["version"] = version
             with pytest.raises(jsonschema.ValidationError):
