@@ -23,7 +23,7 @@ from .loop import Answer, EpisodeQuery, answer, run_episode_batch, validate_evid
 from .memory import (FrameMemory, Note, SceneMemory, append_frame, deserialize,
                      init_frame_memory, load_dir, save_dir, serialize)
 from .metrics import MetricsReport, evaluate, recall_sweep
-from .pipeline import build_ssm
+from .pipeline import attach_floor_plan, build_ssm
 from .scripted import RuleReasoner, ScriptReasoner, ScriptedBackend
 from .spatial import (FloorModel, NavLogEntry, OccupancyGrid, RoomModel,
                       build_nav_entry, detect_floors, label_rooms, motion_label,

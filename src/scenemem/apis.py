@@ -314,12 +314,12 @@ def apply_patch(ssm: SceneMemory, patch: Patch) -> tuple[SceneMemory, PatchRepor
     """Integrate a patch atomically.
 
     In order: (1) detections associate against current tracks (merge at
-    >= graph.MIN_VOTES votes, else new track),
-    (2) edges validated and inserted, (3) notes resolved and appended,
-    (4) the patched frame enters frame memory; its nav-log row then lists
-    the tracks its detections landed on. Either every effect lands or — on any
-    internal failure — the input memory is returned untouched with the
-    failure recorded in the report.
+    >= graph.MIN_VOTES votes, else a new track, placed by the floor plan),
+    and each track a detection lands on lists the detection's frame in its
+    ``visible_frames``, (2) edges validated and inserted, (3) notes resolved
+    and appended, (4) the patched frame enters frame memory. Either every
+    effect lands or — on any internal failure — the input memory is
+    returned untouched with the failure recorded in the report.
     """
     report = PatchReport(call=patch.provenance)
     if patch.failure is not None:

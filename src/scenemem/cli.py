@@ -13,9 +13,9 @@ from .backend import Backend, HttpBackend, check_backend_url
 from .config import API_MODES, EngineConfig, load_config
 from .dataset import STRIDE, DatasetError, check_stride, load_dataset, save_dataset
 from .loop import EpisodeQuery, answer, write_transcript
-from .memory import ParseError, load_dir, save_dir, serialize
+from .memory import ParseError, SerializationError, load_dir, save_dir, serialize
 from .metrics import evaluate
-from .pipeline import BuildError, build_ssm
+from .pipeline import BuildError, attach_floor_plan, build_ssm
 from .scripted import RuleReasoner, ScriptedBackend, check_noise
 from .server import serve_dir
 from .synth import (GenerationError, SyntheticScene, generate_questions,
@@ -105,9 +105,8 @@ def cmd_build(args) -> int:
     backend = _backend(args, scene)
     ssm = build_ssm(episode, backend, cfg)
     save_dir(ssm, args.out)
-    if ssm.rooms is not None:  # occupancy dumps for floor-plan debugging
-        for floor_id, grid in ssm.rooms.grids.items():
-            depthio.write_pgm(Path(args.out) / f"occupancy_{floor_id}.pgm", grid.free)
+    for floor_id, grid in ssm.rooms.grids.items():  # occupancy dumps for debugging
+        depthio.write_pgm(Path(args.out) / f"occupancy_{floor_id}.pgm", grid.free)
     print(f"built memory for '{ssm.scene_id}': {len(ssm.graph.tracks)} tracks, "
           f"{len(ssm.graph.edges)} edges, {len(ssm.nav_log)} nav entries -> {args.out}")
     return 0
@@ -130,6 +129,10 @@ def cmd_ask(args) -> int:
     if stray := [fid for fid, loc in ssm.frame_locators.items() if locators[fid] != loc]:
         raise SystemExit(f"scenemem: frame {stray[0]} is {locators[stray[0]]}, but {args.ssm} "
                          f"was built from {ssm.frame_locators[stray[0]]}")
+    try:
+        attach_floor_plan(ssm, episode)
+    except SerializationError as exc:
+        raise SystemExit(f"scenemem: {args.ssm}: {exc}") from None
     backend = _backend(args, scene)
     query = EpisodeQuery(question=args.question, max_calls=cfg.max_api_calls,
                          scene_id=ssm.scene_id)

@@ -66,6 +66,13 @@ TRACK_COLUMNS = ("id", "caption", "caption_history", "room_id", "room_label",
 EDGE_COLUMNS = ("subject_id", "relation", "object_id", "justification",
                 "source_frame")
 NAV_COLUMNS = ("frame_id", "room_label", "fov_tag", "motion_label")
+# the most captions a track's history may hold (validate, deserialize): a
+# bound on what a run length expands into. The engine stays far below it:
+# the build consolidates a history at 5 captions, and a patch adds one per
+# detection it merges into the track.
+MAX_CAPTION_HISTORY = 10_000
+# tracks.bin stores each track id as a uint32
+MAX_TRACK_ID = 2**32 - 1
 
 
 class MemoryError_(ValueError):
@@ -73,8 +80,8 @@ class MemoryError_(ValueError):
 
 
 class SerializationError(ValueError):
-    """Memory invariants do not hold; refuse to serialize. A broken rule of
-    ``SceneMemory.validate`` names its ``path``; ``reason`` omits it."""
+    """Memory invariants do not hold. A broken rule of ``SceneMemory.validate``
+    or ``pipeline.attach_floor_plan`` names its ``path``; ``reason`` omits it."""
 
     def __init__(self, reason: str, path: str | None = None):
         super().__init__(reason if path is None else f"{path}: {reason}")
@@ -175,9 +182,8 @@ class SceneMemory:
     record with the original. The scratchpad maps each node id that has
     notes to its notes; a node without notes has no entry.
     ``frame_locators`` is never edited after construction, so copies share
-    it too. ``rooms`` is the construction-time floor plan (floors, grids,
-    rooms and labels) that places the tracks patches create; it is
-    transient (not serialized).
+    it too, as they share ``rooms``, the floor plan that places the tracks
+    patches create (see ``pipeline.attach_floor_plan``).
     """
 
     graph: SceneGraph
@@ -251,16 +257,23 @@ class SceneMemory:
                                      f"$.episode.frame_memory.frames[{j}]")
         room_labels: dict[str, str | None] = {}
         for i, t in enumerate(self.graph.tracks.values()):
+            path = f"$.scene_graph.tracks.rows[{i}]"
+            if not 0 <= t.id <= MAX_TRACK_ID:
+                raise SerializationError(f"track id {t.id} is outside 0..{MAX_TRACK_ID}",
+                                         f"{path}.id")
+            if len(t.caption_history) > MAX_CAPTION_HISTORY:
+                raise SerializationError(f"{len(t.caption_history)} captions, more than "
+                                         f"{MAX_CAPTION_HISTORY}", f"{path}.caption_history")
             if (j := _stray(t.visible_frames, episode)) is not None:
                 raise SerializationError(f"frame {t.visible_frames[j]} not in episode",
-                                         f"$.scene_graph.tracks.rows[{i}].visible_frames[{j}]")
+                                         f"{path}.visible_frames[{j}]")
             if t.room_id is not None and t.room_id.rpartition("/")[0] != t.floor_id:
                 raise SerializationError(f"room {t.room_id} is not on floor {t.floor_id}",
-                                         f"$.scene_graph.tracks.rows[{i}].floor_id")
+                                         f"{path}.floor_id")
             if t.room_id is not None \
                     and room_labels.setdefault(t.room_id, t.room_label) != t.room_label:
                 raise SerializationError(f"room {t.room_id} has another label",
-                                         f"$.scene_graph.tracks.rows[{i}].room_label")
+                                         f"{path}.room_label")
         live = set(self.graph.tracks)
         keys: set[tuple[int, int, str]] = set()
         for i, e in enumerate(self.graph.edges):
@@ -540,6 +553,9 @@ def deserialize(text: str) -> SceneMemory:
             if not run and (not isinstance(cell, str) or cell == caption):
                 raise ParseError(f"{path}.caption_history[{j}]", "expected a phrasing other "
                                  "than the caption, or a run length >= 1 after no other")
+            if len(history) + (cell if run else 1) > MAX_CAPTION_HISTORY:
+                raise ParseError(f"{path}.caption_history[{j}]",
+                                 f"a history of more than {MAX_CAPTION_HISTORY} captions")
             history += [caption] * cell if run else [cell]
             previous = cell
         summary = None
@@ -667,8 +683,7 @@ def save_dir(ssm: SceneMemory, path: str | Path) -> None:
     whose header carries the sha256 of those ssm.json bytes and which holds
     one record per track, in id order, with its point cloud and embeddings
     as float64 LE. They are stored bit-exact, so a reloaded memory
-    re-voxelizes, merges and scores the same as the in-process one. The
-    floor plan is not persisted."""
+    re-voxelizes, merges and scores the same as the in-process one."""
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     text = serialize(ssm)[0].encode("utf-8")

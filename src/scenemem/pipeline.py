@@ -21,15 +21,15 @@ Caption histories consolidate once they reach five captions; a
 history of one repeated caption needs no request. Consolidation is the
 only request of the frame sweep that reads the growing graph.
 
-After the frame sweep: the structure cloud (strided depth of every frame),
-which ``spatial`` turns into floors, occupancy grids and watershed rooms;
-each keyframe's camera located once in a room, which takes the frame's
-room vote and names its navigation-log entry; room labels from the summed
-votes of each room's views (spatial.label_rooms, no request); each track
-placed once, with its room's label; one navigation-log entry per keyframe
-(its nodes are the tracks that list it); and the evenly spaced initial
-frame memory. A clean build is thus one round trip, the detect request,
-unless a caption history needs consolidating.
+After the frame sweep, ``floor_plan`` turns the structure cloud (strided
+depth of every frame) into floors, occupancy grids and watershed rooms, and
+locates each keyframe's camera once in a room, which takes the frame's room
+vote and names its navigation-log entry (``attach_floor_plan`` reruns it
+for a loaded memory); room labels from the summed votes of each room's
+views (spatial.label_rooms, no request); each track placed once, with its
+room's label; one navigation-log entry per keyframe; and the evenly spaced
+initial frame memory. A clean build is thus one round trip, the detect
+request, unless a caption history needs consolidating.
 
 A malformed or error item skips that frame's detections and its vote (the
 navigation log still covers it); a failed detect request fails every
@@ -50,9 +50,9 @@ from .config import EngineConfig
 from .dataset import Episode
 from .geometry import PixelMask, PointCloud, backproject, voxel_downsample
 from .graph import RelationEdge, consolidate_captions, edge_discovery_due
-from .memory import SceneMemory, init_frame_memory
-from .spatial import (build_nav_entry, detect_floors, label_rooms, occupancy_grids,
-                      segment_rooms)
+from .memory import SceneMemory, SerializationError, init_frame_memory
+from .spatial import (RoomModel, build_nav_entry, detect_floors, label_rooms,
+                      occupancy_grids, segment_rooms)
 
 logger = logging.getLogger(__name__)
 
@@ -112,6 +112,35 @@ def _detect_replies(episode: Episode, backend: Backend, cfg: EngineConfig,
     return deque(replies)
 
 
+def floor_plan(episode: Episode) -> tuple[RoomModel, list[str | None]]:
+    """The episode's unlabelled floor plan, and each keyframe camera's room."""
+    floors = detect_floors([float(f.pose.translation[2]) for f in episode.frames])
+    plan = segment_rooms(floors, occupancy_grids(_structure_cloud(episode), floors))
+    return plan, [plan.locate(*map(float, f.pose.translation))[1] for f in episode.frames]
+
+
+def attach_floor_plan(ssm: SceneMemory, episode: Episode) -> None:
+    """Set a loaded memory's floor plan, recomputed from the episode it was
+    built from, each camera's room labelled as its navigation-log row reads.
+    Raises SerializationError at the first row that contradicts the plan."""
+    if tuple(episode.frame_ids) != ssm.frame_ids:
+        raise SerializationError("the episode's keyframes are not the memory's",
+                                 "$.navigation_log.rows")
+    plan, camera_rooms = floor_plan(episode)
+    for i, (room, entry) in enumerate(zip(camera_rooms, ssm.nav_log)):
+        label = plan.labels.setdefault(room, entry.room_label) if room else "unknown"
+        if label != entry.room_label:
+            raise SerializationError(f"camera room {room} reads {label!r}",
+                                     f"$.navigation_log.rows[{i}].room_label")
+    rooms = set(plan.room_ids())
+    for i, t in enumerate(ssm.graph.tracks[tid] for tid in sorted(ssm.graph.tracks)):
+        if t.room_id is not None and (t.room_id not in rooms
+                                      or plan.label_of(t.room_id) != t.room_label):
+            raise SerializationError(f"the floor plan has no room {t.room_id} labelled "
+                                     f"{t.room_label!r}", f"$.scene_graph.tracks.rows[{i}]")
+    ssm.rooms = plan
+
+
 def build_ssm(episode: Episode, backend: Backend,
               config: EngineConfig | None = None) -> SceneMemory:
     """Run the full initial-construction pipeline over an episode."""
@@ -147,14 +176,9 @@ def build_ssm(episode: Episode, backend: Backend,
         for nid in set(frame_nodes):
             ssm.graph.replace_track(consolidate_captions(ssm.graph.tracks[nid], backend))
 
-    heights = [float(f.pose.translation[2]) for f in episode.frames]
-    floors = detect_floors(heights)
-    ssm.rooms = segment_rooms(floors, occupancy_grids(_structure_cloud(episode), floors))
-
     # each camera's room takes its frame's vote and names its log entry; then
     # each track is placed once, with its room's label
-    camera_rooms = [ssm.rooms.locate(*map(float, f.pose.translation))[1]
-                    for f in episode.frames]
+    ssm.rooms, camera_rooms = floor_plan(episode)
     label_rooms(ssm.rooms, zip(camera_rooms, room_scores), list(cfg.room_classes))
     for tid in sorted(ssm.graph.tracks):
         ssm.graph.replace_track(ssm.place_track(ssm.graph.tracks[tid]))

@@ -4,9 +4,9 @@ Floors come from height-histogram modes, each floor's free/wall occupancy
 grid from the structure cloud, rooms from a watershed over the wall
 distance transform, each room's label from the class scores of the views
 taken inside it, and every keyframe gets a navigation entry with its
-room's label, the field-of-view tag its detect reply carried, an
-egocentric motion label derived from pose deltas, and the ids of nodes
-seen in that frame.
+room's label, the field-of-view tag its detect reply carried and an
+egocentric motion label derived from pose deltas; the nodes a keyframe
+shows are the tracks that list it in their ``visible_frames``.
 
 One 8-neighbor view helper serves the unseen-cell fill and the seed
 picking; one 4-connected labelling serves the speckle pruning and the

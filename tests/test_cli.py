@@ -17,7 +17,7 @@ import pytest
 
 import scenemem
 from scenemem import (ScriptedBackend, cli, deserialize, geometry, graph, load_dir,
-                      metrics, spatial)
+                      metrics, save_dir, spatial)
 from scenemem.cli import main
 from scenemem.config import API_MODES, EngineConfig, load_config
 from scenemem.server import start_background
@@ -198,6 +198,46 @@ class TestAskCommand:
         assert err.value.code == "scenemem: " + message.format(mem=mem_dir)
         assert capsys.readouterr().out == ""
         assert not transcript.exists()
+
+    def test_navigation_log_that_contradicts_the_floor_plan_refused(
+            self, workspace, tmp_path, capsys, monkeypatch):
+        """ask recomputes the floor plan from the episode, with each camera's
+        room labelled as its navigation-log row reads. A memory saved with
+        one row relabelled gives that room two labels: ask exits with one
+        line naming the memory and the row, before any backend call."""
+        _, scene_dir, mem_dir = workspace
+        ssm = load_dir(mem_dir)
+        i = len(ssm.nav_log) - 1
+        ssm.nav_log[i] = dataclasses.replace(ssm.nav_log[i], room_label="garage")
+        save_dir(ssm, tmp_path / "mem")
+        calls = []
+        monkeypatch.setattr(ScriptedBackend, "raw_call",
+                            lambda self, request: calls.append(request))
+        transcript = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as err:
+            main(["ask", "--ssm", str(tmp_path / "mem"),
+                  "--dataset", str(scene_dir / "manifest.jsonl"),
+                  "--scripted", str(scene_dir / "truth.json"),
+                  "--transcript", str(transcript),
+                  "--question", "which room is the black table in?"])
+        assert re.fullmatch(
+            rf"scenemem: {re.escape(str(tmp_path / 'mem'))}: "
+            rf"\$\.navigation_log\.rows\[{i}\]\.room_label: camera room floor0/\d+ reads '\w+'",
+            err.value.code)
+        assert capsys.readouterr().out == ""
+        assert calls == [] and not transcript.exists()
+
+    def test_dataset_built_memory_asked_with_its_dataset(self, workspace, capsys):
+        """The memory was built from the manifest; ask recomputes its floor
+        plan from the same depth PNGs and answers."""
+        _, scene_dir, mem_dir = workspace
+        questions = json.loads((scene_dir / "questions.json").read_text())
+        spatial = next(q for q in questions if q["category"] == "spatial")
+        assert main(["ask", "--ssm", str(mem_dir),
+                     "--dataset", str(scene_dir / "manifest.jsonl"),
+                     "--scripted", str(scene_dir / "truth.json"),
+                     "--question", spatial["question"]]) == 0
+        assert json.loads(capsys.readouterr().out)["text"] == spatial["answer"]
 
 
 class TestEvalCommand:

@@ -24,12 +24,13 @@ from hypothesis import strategies as st
 from scenemem import (ApiCall, ApiExecutor, Embedding, EngineConfig, EpisodeQuery,
                       FrameMemory, Note, PointCloud, RelationEdge, RuleReasoner,
                       SceneMemory, ScriptedBackend, Track, append_frame, apply_patch,
-                      build_ssm, deserialize, generate_scene, init_frame_memory,
-                      load_dir, run_episode_batch, save_dir, serialize)
+                      attach_floor_plan, build_ssm, deserialize, generate_scene,
+                      init_frame_memory, load_dir, run_episode_batch, save_dir, serialize)
 import scenemem.memory as memory_module
 from scenemem.apis import Patch, PatchNote
 from scenemem.graph import CloudSummary, Detection
-from scenemem.memory import MemoryError_, ParseError, SerializationError
+from scenemem.memory import (MAX_CAPTION_HISTORY, MemoryError_, ParseError,
+                             SerializationError)
 from scenemem.spatial import NavLogEntry
 from scenemem.synth import generate_questions
 
@@ -643,6 +644,35 @@ class TestCaptionHistoryRuns:
             deserialize(json.dumps(doc))
         assert err.value.path == f"$.scene_graph.tracks.rows[0].caption_history[{j}]"
 
+    @pytest.mark.parametrize("cells,j", [
+        ([10_000_000], 0), ([999_999_999_999], 0),
+        ([MAX_CAPTION_HISTORY + 1], 0), (["chipped mug", MAX_CAPTION_HISTORY], 1),
+        ([MAX_CAPTION_HISTORY - 1, "chipped mug", 1], 2),
+    ], ids=["ten-million", "twelve-digits", "one-past", "run-past", "phrasing-past"])
+    def test_history_past_the_bound_refused(self, cells, j):
+        """The first cell that takes a history past MAX_CAPTION_HISTORY is
+        refused before its run expands: a 12-digit run would otherwise ask
+        for terabytes."""
+        doc = json.loads((GOLDEN / "one_track_ssm.json").read_text())
+        doc["scene_graph"]["tracks"]["rows"][0][2] = cells
+        with pytest.raises(ParseError) as err:
+            deserialize(json.dumps(doc))
+        assert err.value.path == f"$.scene_graph.tracks.rows[0].caption_history[{j}]"
+        assert str(MAX_CAPTION_HISTORY) in str(err.value)
+
+    def test_history_at_the_bound_round_trips_and_one_more_is_refused(self):
+        """serialize refuses what deserialize would: a history one caption
+        past the bound does not render."""
+        ssm = self._one_track("mug", ("mug",) * (MAX_CAPTION_HISTORY - 1) + ("red mug",))
+        text = serialize(ssm)[0]
+        assert json.loads(text)["scene_graph"]["tracks"]["rows"][0][2] == [
+            MAX_CAPTION_HISTORY - 1, "red mug"]
+        assert serialize(deserialize(text))[0] == text
+        ssm = self._one_track("mug", ("mug",) * (MAX_CAPTION_HISTORY + 1))
+        with pytest.raises(SerializationError) as err:
+            serialize(ssm)
+        assert err.value.path == "$.scene_graph.tracks.rows[0].caption_history"
+
 
 class TestRoundTrip:
     def test_deserialize_recovers_golden(self):
@@ -953,6 +983,31 @@ class TestOneRuleBook:
             deserialize(json.dumps(doc))
         assert err.value.path == path
 
+    @pytest.mark.parametrize("tid", [-1, 2**32])
+    def test_track_id_that_tracks_bin_cannot_hold_refused(self, tid, tmp_path):
+        """tracks.bin stores each track id as a uint32. Any other id is
+        refused by deserialize, and by save_dir before it writes a file."""
+        doc = json.loads((GOLDEN / "one_track_ssm.json").read_text())
+        doc["scene_graph"]["tracks"]["rows"][0][0] = tid
+        with pytest.raises(ParseError) as err:
+            deserialize(json.dumps(doc))
+        assert err.value.path == "$.scene_graph.tracks.rows[0].id"
+        ssm = golden_one_track()
+        ssm.graph.tracks = {tid: replace(ssm.graph.tracks[0], id=tid)}
+        ssm.scratchpad = {}
+        with pytest.raises(SerializationError) as err:
+            save_dir(ssm, tmp_path / "m")
+        assert err.value.path == "$.scene_graph.tracks.rows[0].id"
+        assert not any((tmp_path / "m").iterdir())
+
+    def test_largest_track_id_round_trips(self, tmp_path):
+        ssm = golden_one_track()
+        tid = 2**32 - 1
+        ssm.graph.tracks = {tid: replace(ssm.graph.tracks[0], id=tid)}
+        ssm.scratchpad = {}
+        save_dir(ssm, tmp_path / "m")
+        assert serialize(load_dir(tmp_path / "m"))[0] == serialize(ssm)[0]
+
     def test_patch_detection_outside_the_episode_refused(self):
         """A detection from a frame outside the episode would give its
         track a visible frame that load_dir refuses; apply_patch refuses
@@ -1014,8 +1069,9 @@ class TestOneRuleBook:
     @pytest.fixture(scope="class")
     def thinned_build(self, small_build, tmp_path_factory):
         """The built 2x3 memory without every other track, as if the build
-        had missed those objects, its save_dir/load_dir copy, the episode's
-        frame ids and an executor that finds them again."""
+        had missed those objects, its save_dir/load_dir copy with the floor
+        plan recomputed from the episode, the episode's frame ids and an
+        executor that finds them again."""
         scene, episode, backend, built = small_build
         ssm = built.copy()
         for tid in sorted(ssm.graph.tracks)[::2]:
@@ -1025,7 +1081,9 @@ class TestOneRuleBook:
                            if {e.subject_id, e.object_id} <= set(ssm.graph.tracks)]
         path = tmp_path_factory.mktemp("thinned") / "mem"
         save_dir(ssm, path)
-        return ssm, load_dir(path), list(episode.frame_ids), ApiExecutor(
+        loaded = load_dir(path)
+        attach_floor_plan(loaded, episode)
+        return ssm, loaded, list(episode.frame_ids), ApiExecutor(
             episode, backend, EngineConfig())
 
     def test_thinned_build_patches_create_and_merge(self, thinned_build):
@@ -1073,20 +1131,65 @@ class TestOneRuleBook:
         for ssm in memories:
             assert max(len(t.caption_history) for t in ssm.graph.tracks.values()) > 1
 
+    @classmethod
+    def _assert_patched_alike(cls, memories: list, fids, executor) -> None:
+        """After each analyze_frame patch on ``fids``, both memories
+        serialize byte-identically, and the text loads back to the same
+        bytes."""
+        assert serialize(memories[1])[0] == serialize(memories[0])[0]
+        for fid in fids:
+            texts = cls._patch_both(memories, fid, executor)
+            assert texts[1] == texts[0], f"frame {fid}"
+            assert serialize(deserialize(texts[0]))[0] == texts[0]
+
     @given(st.data())
     @settings(max_examples=15)
     def test_patched_memories_and_their_reloads_agree(self, reloaded_build, data):
-        """After every analyze_frame patch, the built memory and its reload
-        serialize byte-identically, and the text loads back to the same
-        bytes: a caption history written as runs keeps its length, so both
-        memories merge alike."""
+        """The built memory and its reload take patches alike: a caption
+        history written as runs keeps its length, so both memories merge
+        alike."""
         built, loaded, frame_ids, executor = reloaded_build
-        memories = [built, loaded]
-        assert serialize(loaded)[0] == serialize(built)[0]
-        for fid in data.draw(st.lists(st.sampled_from(frame_ids), min_size=1, max_size=5)):
-            texts = self._patch_both(memories, fid, executor)
-            assert texts[1] == texts[0], f"frame {fid}"
-            assert serialize(deserialize(texts[0]))[0] == texts[0]
+        self._assert_patched_alike([built, loaded], data.draw(
+            st.lists(st.sampled_from(frame_ids), min_size=1, max_size=5)), executor)
+
+    @given(st.data())
+    @settings(max_examples=15)
+    def test_thinned_memories_and_their_reloads_agree(self, thinned_build, data):
+        """With patches that create tracks: the reload, its floor plan
+        recomputed from the episode, places each new track on the floor, in
+        the room and with the label that the built memory gives it."""
+        ssm, loaded, frame_ids, executor = thinned_build
+        self._assert_patched_alike([ssm, loaded], data.draw(
+            st.lists(st.sampled_from(frame_ids), min_size=1, max_size=5)), executor)
+
+    def test_a_sweep_over_every_frame_creates_tracks_alike(self, thinned_build):
+        """Every frame in order: the reload creates the same tracks as the
+        built memory, each placed in a room."""
+        ssm, loaded, frame_ids, executor = thinned_build
+        memories = [ssm, loaded]
+        self._assert_patched_alike(memories, frame_ids, executor)
+        created = [t for tid, t in memories[1].graph.tracks.items()
+                   if tid not in ssm.graph.tracks]
+        assert created and all(t.room_id is not None for t in created)
+
+    def test_patch_past_the_history_bound_refused(self, reloaded_build):
+        """A patch that would take a caption history past
+        MAX_CAPTION_HISTORY is refused whole, so apply_patch never makes a
+        memory that load_dir refuses."""
+        built, _, frame_ids, executor = reloaded_build
+        full = built.copy()
+        for t in list(full.graph.tracks.values()):
+            full.graph.replace_track(replace(
+                t, caption_history=(t.caption,) * MAX_CAPTION_HISTORY))
+        before = serialize(full)[0]
+        for fid in frame_ids:
+            updated, report = apply_patch(full, executor.execute(
+                ApiCall("analyze_frame", fid, "describe all objects"), full))
+            if report.failure is not None:
+                break
+        assert updated is full
+        assert "caption_history" in report.failure
+        assert serialize(full)[0] == before
 
 
 def side_car_records(blob: bytes) -> list[bytes]:

@@ -13,18 +13,21 @@ import sys
 from dataclasses import astuple, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scenemem
 from scenemem import (EngineConfig, RecordingBackend, ReplayBackend,
-                      RuleReasoner, ScriptedBackend, build_ssm, edge_discovery_due,
-                      evaluate, generate_questions, generate_scene, recall_sweep,
+                      RuleReasoner, ScriptedBackend, attach_floor_plan, build_ssm,
+                      deserialize, edge_discovery_due, evaluate, generate_questions,
+                      generate_scene, load_dataset, load_dir, recall_sweep, save_dir,
                       serialize)
 from scenemem.backend import REQUEST_KINDS
-from scenemem.dataset import Episode
+from scenemem.dataset import Episode, save_dataset
+from scenemem.memory import SerializationError
 from scenemem.metrics import (graph_precision_recall, match_tracks,
                               normalize_answer, track_recall)
-from scenemem.pipeline import BuildError
+from scenemem.pipeline import BuildError, floor_plan
 
 from test_golden_digests import CONFIGS as GOLDEN_CONFIGS, GOLDEN
 from test_graph import reference_associate
@@ -445,6 +448,100 @@ class TestBuildRoundTrips:
             if obj.caption in labels:
                 assert labels[obj.caption] == ("unknown" if obj.room_index == room.index
                                                else small_scene.room_label_of(obj))
+
+
+class TestFloorPlanRecomputed:
+    """The floor plan is a function of the keyframes' depth and poses, and
+    its labels are the navigation log's: attach_floor_plan recomputes it
+    for a reloaded memory, equal to the plan its build made, and refuses a
+    memory that contradicts it."""
+
+    @pytest.fixture(scope="class")
+    def plans(self, small_build, tmp_path_factory):
+        """(built plan, plan recomputed after save_dir/load_dir) of the 2x3
+        seed-7 build, the 8x3 seed-1000 build, a k=1 dataset build of the
+        3x2 seed-0 scene, read back from its depth PNGs, and the build of
+        that scene's own episode, in whose plan no camera stands in one
+        room."""
+        root = tmp_path_factory.mktemp("plans")
+        _, episode, _, built = small_build
+        cases = [(episode, built)]
+        for scene, from_disk in ((generate_scene(8, 3, seed=1000), False),
+                                 (generate_scene(3, 2, seed=0), True),
+                                 (generate_scene(3, 2, seed=0), False)):
+            episode = scene.episode()
+            if from_disk:
+                episode = load_dataset(save_dataset(episode, root / scene.scene_id), k=1,
+                                       scene_id=scene.scene_id)
+            cases.append((episode, build_ssm(episode, ScriptedBackend(scene),
+                                             EngineConfig())))
+        out = []
+        for i, (episode, built) in enumerate(cases):
+            save_dir(built, root / f"mem{i}")
+            loaded = load_dir(root / f"mem{i}")
+            assert loaded.rooms is None
+            attach_floor_plan(loaded, episode)
+            out.append((built.rooms, loaded.rooms))
+        return out
+
+    def test_recomputed_plan_equals_the_built_one(self, plans):
+        for built, loaded in plans:
+            assert loaded.floors == built.floors
+            assert loaded.grids.keys() == built.grids.keys() == built.rooms.keys()
+            assert loaded.rooms.keys() == built.rooms.keys()
+            for floor_id, grid in built.grids.items():
+                again = loaded.grids[floor_id]
+                assert np.array_equal(again.free, grid.free)
+                assert (again.origin, again.cell_size) == (grid.origin, grid.cell_size)
+                assert np.array_equal(loaded.rooms[floor_id], built.rooms[floor_id])
+            for room_id in built.room_ids() + [None]:
+                assert loaded.label_of(room_id) == built.label_of(room_id), room_id
+
+    def test_a_room_without_a_camera_reads_unknown(self, plans):
+        """label_rooms labels a room no camera stands in "unknown"; the
+        recomputed plan has no label for it, which reads the same."""
+        built, loaded = plans[3]
+        empty = [r for r in built.room_ids() if r not in loaded.labels]
+        assert empty
+        assert {built.label_of(r) for r in empty} == {loaded.label_of(r) for r in empty} \
+            == {"unknown"}
+
+    @staticmethod
+    def _refusal(ssm, episode) -> str:
+        with pytest.raises(SerializationError) as err:
+            attach_floor_plan(ssm, episode)
+        assert ssm.rooms is None
+        return err.value.path
+
+    def test_navigation_log_giving_a_room_two_labels_refused(self, small_build):
+        _, episode, _, built = small_build
+        rooms = floor_plan(episode)[1]
+        i = max(i for i, r in enumerate(rooms) if r is not None and rooms.index(r) < i)
+        ssm = deserialize(serialize(built)[0])
+        ssm.nav_log[i] = replace(ssm.nav_log[i], room_label="garage")
+        assert self._refusal(ssm, episode) == f"$.navigation_log.rows[{i}].room_label"
+
+    @pytest.mark.parametrize("room_id,label", [("floor0/0", "garage"), ("floor0/99", "unknown")],
+                             ids=["labelled-otherwise", "missing-room"])
+    def test_track_in_a_room_the_plan_lacks_or_labels_otherwise_refused(
+            self, small_build, room_id, label):
+        """Every track of the room is edited alike, so the memory keeps its
+        own rule of one label per room and only the plan refuses it."""
+        _, episode, _, built = small_build
+        ssm = deserialize(serialize(built)[0])
+        tracks = ssm.graph.tracks
+        edited = [tid for tid in sorted(tracks) if tracks[tid].room_id == "floor0/0"]
+        for tid in edited:
+            tracks[tid] = replace(tracks[tid], room_id=room_id, room_label=label)
+        ssm.validate()
+        row = sorted(tracks).index(edited[0])
+        assert self._refusal(ssm, episode) == f"$.scene_graph.tracks.rows[{row}]"
+
+    def test_another_episode_refused(self, small_build):
+        _, _, _, built = small_build
+        other = generate_scene(3, 2, seed=0).episode()
+        ssm = deserialize(serialize(built)[0])
+        assert self._refusal(ssm, other) == "$.navigation_log.rows"
 
 
 class TestMetrics:
