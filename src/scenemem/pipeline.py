@@ -68,6 +68,14 @@ class BuildError(RuntimeError):
     pass
 
 
+class FloorPlanMismatch(SerializationError):
+    """The plan recomputed from an episode places a track elsewhere than the
+    memory does: the episode's depth may not be the build's (a scene's
+    float render and its millimetre PNGs give two plans), or the memory was
+    edited or patched while it had no plan, or a patch merged a detection
+    into the track after it was placed (merges do not place again)."""
+
+
 def _structure_cloud(episode: Episode) -> PointCloud:
     """Coarse cloud of everything seen, for floor-plan occupancy."""
     masks: dict[tuple[int, int], PixelMask] = {}  # one strided mask per frame size
@@ -122,18 +130,33 @@ def floor_plan(episode: Episode) -> tuple[RoomModel, list[str | None]]:
 def attach_floor_plan(ssm: SceneMemory, episode: Episode) -> None:
     """Set a loaded memory's floor plan, recomputed from the episode it was
     built from, each camera's room labelled as its navigation-log row reads.
-    Raises SerializationError at the first row that contradicts the plan."""
+    Raises SerializationError at the first row that contradicts the plan,
+    FloorPlanMismatch where it locates a track's cloud elsewhere than the
+    memory places the track."""
     if tuple(episode.frame_ids) != ssm.frame_ids:
         raise SerializationError("the episode's keyframes are not the memory's",
                                  "$.navigation_log.rows")
+    locators = episode.frame_locators()
+    if stray := [fid for fid, loc in ssm.frame_locators.items() if locators[fid] != loc]:
+        raise SerializationError(f"frame {stray[0]} is {locators[stray[0]]}, but the memory "
+                                 f"was built from {ssm.frame_locators[stray[0]]}",
+                                 "$.episode.frame_locators")
     plan, camera_rooms = floor_plan(episode)
+    tracks = [ssm.graph.tracks[tid] for tid in sorted(ssm.graph.tracks)]
+    for i, t in enumerate(tracks):  # placed as SceneMemory.place_track places it
+        if t.cloud is None or t.cloud.is_empty:
+            continue
+        floor_id, room_id = plan.locate(*map(float, t.cloud.centroid()))
+        if (floor_id, room_id) != (t.floor_id, t.room_id):
+            raise FloorPlanMismatch(f"the floor plan places the track in {floor_id} room "
+                                    f"{room_id}", f"$.scene_graph.tracks.rows[{i}]")
     for i, (room, entry) in enumerate(zip(camera_rooms, ssm.nav_log)):
         label = plan.labels.setdefault(room, entry.room_label) if room else "unknown"
         if label != entry.room_label:
             raise SerializationError(f"camera room {room} reads {label!r}",
                                      f"$.navigation_log.rows[{i}].room_label")
     rooms = set(plan.room_ids())
-    for i, t in enumerate(ssm.graph.tracks[tid] for tid in sorted(ssm.graph.tracks)):
+    for i, t in enumerate(tracks):
         if t.room_id is not None and (t.room_id not in rooms
                                       or plan.label_of(t.room_id) != t.room_label):
             raise SerializationError(f"the floor plan has no room {t.room_id} labelled "

@@ -174,14 +174,14 @@ class TestAskCommand:
 
     @pytest.mark.parametrize("source,message", [
         (lambda own, other: ["--scripted", other / "seed12" / "truth.json"],
-         "frame 0 is synthetic://synth-2x2-seed12/0, but {mem} was built from "
-         "synthetic://synth-2x2-seed11/0"),
+         "{mem}: $.episode.frame_locators: frame 0 is synthetic://synth-2x2-seed12/0, "
+         "but the memory was built from synthetic://synth-2x2-seed11/0"),
         (lambda own, other: ["--dataset", other / "seed12" / "manifest.jsonl",
                              "--scripted", own / "truth.json"],
-         "frame 0 is synthetic://synth-2x2-seed12/0, but {mem} was built from "
-         "synthetic://synth-2x2-seed11/0"),
+         "{mem}: $.episode.frame_locators: frame 0 is synthetic://synth-2x2-seed12/0, "
+         "but the memory was built from synthetic://synth-2x2-seed11/0"),
         (lambda own, other: ["--scripted", other / "rooms3" / "truth.json"],
-         "the episode's keyframes are not those of {mem}"),
+         "{mem}: $.navigation_log.rows: the episode's keyframes are not the memory's"),
     ], ids=["scripted-other-seed", "dataset-other-seed", "scripted-other-keyframes"])
     def test_another_scenes_frames_refused(self, workspace, other_scenes, tmp_path, capsys,
                                            source, message):
@@ -238,6 +238,32 @@ class TestAskCommand:
                      "--scripted", str(scene_dir / "truth.json"),
                      "--question", spatial["question"]]) == 0
         assert json.loads(capsys.readouterr().out)["text"] == spatial["answer"]
+
+    def test_dataset_built_memory_asked_with_the_scene_alone(self, tmp_path, capsys):
+        """A memory built from synth's millimetre depth PNGs, asked with
+        --scripted alone, resolves its frames through the scene's float
+        render, whose floor plan places 8x3 seed 1000's tracks in other
+        rooms. The memory cannot tell which depth it was built from, so ask
+        warns on one line, answers without a floor plan and exits 0."""
+        scene_dir, mem_dir = tmp_path / "scene", tmp_path / "mem"
+        assert main(["synth", "--rooms", "8", "--objects-per-room", "3",
+                     "--seed", "1000", "--out", str(scene_dir)]) == 0
+        assert main(["build", "--dataset", str(scene_dir / "manifest.jsonl"),
+                     "--scripted", str(scene_dir / "truth.json"),
+                     "--k", "1", "--out", str(mem_dir)]) == 0
+        capsys.readouterr()
+        questions = json.loads((scene_dir / "questions.json").read_text())
+        spatial = next(q for q in questions if q["category"] == "spatial")
+        assert main(["ask", "--ssm", str(mem_dir),
+                     "--scripted", str(scene_dir / "truth.json"),
+                     "--question", spatial["question"]]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["text"] == spatial["answer"]
+        assert re.fullmatch(
+            rf"scenemem: warning: {re.escape(str(mem_dir))}: "
+            r"\$\.scene_graph\.tracks\.rows\[\d+\]: the floor plan places the track in "
+            r"floor\d+ room \S+; the episode's depth may not be the build's, so tracks "
+            r"that patches create stay unplaced\n", err)
 
 
 class TestEvalCommand:

@@ -27,7 +27,7 @@ from scenemem.dataset import Episode, save_dataset
 from scenemem.memory import SerializationError
 from scenemem.metrics import (graph_precision_recall, match_tracks,
                               normalize_answer, track_recall)
-from scenemem.pipeline import BuildError, floor_plan
+from scenemem.pipeline import BuildError, FloorPlanMismatch, floor_plan
 
 from test_golden_digests import CONFIGS as GOLDEN_CONFIGS, GOLDEN
 from test_graph import reference_associate
@@ -542,6 +542,31 @@ class TestFloorPlanRecomputed:
         other = generate_scene(3, 2, seed=0).episode()
         ssm = deserialize(serialize(built)[0])
         assert self._refusal(ssm, other) == "$.navigation_log.rows"
+
+    def test_another_image_locator_refused(self, small_build):
+        _, episode, _, built = small_build
+        frames = list(episode.frames)
+        frames[2] = replace(frames[2], image_locator="synthetic://elsewhere/2")
+        ssm = deserialize(serialize(built)[0])
+        other = Episode(episode.scene_id, frames, stride=episode.stride)
+        assert self._refusal(ssm, other) == "$.episode.frame_locators"
+
+    def test_a_plan_that_places_tracks_elsewhere_is_a_mismatch(self, tmp_path):
+        """4x3 seed 5 built from its millimetre depth PNGs: the scene's float
+        render gives a floor plan that places tracks in other rooms. The
+        memory cannot tell which depth it was built from, so the plan is not
+        attached, and FloorPlanMismatch names the first such track."""
+        scene = generate_scene(4, 3, seed=5)
+        from_disk = load_dataset(save_dataset(scene.episode(), tmp_path / "d"), k=1,
+                                 scene_id=scene.scene_id)
+        save_dir(build_ssm(from_disk, ScriptedBackend(scene), EngineConfig()), tmp_path / "m")
+        ssm = load_dir(tmp_path / "m")  # with the tracks' clouds
+        with pytest.raises(FloorPlanMismatch) as err:
+            attach_floor_plan(ssm, scene.episode())
+        assert ssm.rooms is None
+        assert re.fullmatch(r"\$\.scene_graph\.tracks\.rows\[\d+\]", err.value.path)
+        attach_floor_plan(ssm, from_disk)
+        assert ssm.rooms is not None
 
 
 class TestMetrics:
