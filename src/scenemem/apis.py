@@ -28,7 +28,7 @@ detection lands in (merge target or newly created node).
 
 Detections become tracks in one place, _associate_detections: apply_patch
 and construction (pipeline.build_ssm, once per keyframe) both merge or
-create through it.
+create, and place, through it.
 """
 
 from __future__ import annotations
@@ -265,10 +265,10 @@ class ApiExecutor:
 
 def _associate_detections(work: SceneMemory,
                           detections: list[Detection]) -> tuple[list[int], list[int]]:
-    """Merge each detection into its associated track or create a placed
-    track for it. Returns the landing track id per detection and the ids
-    of the created tracks. Construction and patches both integrate
-    detections here."""
+    """Merge each detection into its associated track or create a track for
+    it, and place that track. Returns the landing track id per detection
+    and the ids of the created tracks. Construction and patches both
+    integrate detections here."""
     tracks = [work.graph.tracks[tid] for tid in sorted(work.graph.tracks)]
     matching = associate(detections, tracks)
     landing: list[int] = []
@@ -283,7 +283,8 @@ def _associate_detections(work: SceneMemory,
                 caption_history=(det.caption,), visible_frames=(det.frame_id,))))
             created.append(target)
         else:
-            work.graph.replace_track(merge_detection(work.graph.tracks[target], det))
+            work.graph.replace_track(work.place_track(
+                merge_detection(work.graph.tracks[target], det)))
         landing.append(target)
     return landing, created
 
@@ -314,10 +315,10 @@ def apply_patch(ssm: SceneMemory, patch: Patch) -> tuple[SceneMemory, PatchRepor
     """Integrate a patch atomically.
 
     In order: (1) detections associate against current tracks (merge at
-    >= graph.MIN_VOTES votes, else a new track, placed by the floor plan),
-    and each track a detection lands on lists the detection's frame in its
-    ``visible_frames``, (2) edges validated and inserted, (3) notes resolved
-    and appended, (4) the patched frame enters frame memory. Either every
+    >= graph.MIN_VOTES votes, else a new track), and each track a detection
+    lands on lists the detection's frame in its ``visible_frames`` and is
+    placed by the floor plan, (2) edges validated and inserted, (3) notes
+    resolved and appended, (4) the patched frame enters frame memory. Either every
     effect lands or — on any internal failure — the input memory is
     returned untouched with the failure recorded in the report.
     """

@@ -109,6 +109,10 @@ def cmd_build(args) -> int:
         depthio.write_pgm(Path(args.out) / f"occupancy_{floor_id}.pgm", grid.free)
     print(f"built memory for '{ssm.scene_id}': {len(ssm.graph.tracks)} tracks, "
           f"{len(ssm.graph.edges)} edges, {len(ssm.nav_log)} nav entries -> {args.out}")
+    if all(e.room_label == "unknown" for e in ssm.nav_log):
+        print(f"scenemem: warning: {args.out}: no room is labelled, so every "
+              "navigation-log row and placed track reads \"unknown\"; a --dataset build "
+              "keeps more keyframes per room at a smaller --k", file=sys.stderr)
     return 0
 
 

@@ -182,8 +182,9 @@ class SceneMemory:
     record with the original. The scratchpad maps each node id that has
     notes to its notes; a node without notes has no entry.
     ``frame_locators`` is never edited after construction, so copies share
-    it too, as they share ``rooms``, the floor plan that places the tracks
-    patches create (see ``pipeline.attach_floor_plan``).
+    it too, as they share ``rooms``, the floor plan that places every track
+    a detection lands on (see ``place_track`` and
+    ``pipeline.attach_floor_plan``).
     """
 
     graph: SceneGraph
@@ -218,14 +219,15 @@ class SceneMemory:
 
     def place_track(self, track: Track) -> Track:
         """The track with its floor, room and room label set from its cloud
-        centroid by ``RoomModel.locate``, the lookup that places cameras; the
-        track itself until the floor plan is set, and for tracks without
-        cloud points."""
+        centroid by ``RoomModel.locate``, the lookup that places cameras (no
+        label in no room); the track itself until the floor plan is set, and
+        for tracks without cloud points. Builds and patches alike place every
+        track a detection lands on through it."""
         if self.rooms is None or track.cloud is None or track.cloud.is_empty:
             return track
         cx, cy, cz = track.cloud.centroid()
         floor_id, room_id = self.rooms.locate(float(cx), float(cy), float(cz))
-        label = track.room_label if room_id is None else self.rooms.label_of(room_id)
+        label = None if room_id is None else self.rooms.label_of(room_id)
         return replace(track, floor_id=floor_id, room_id=room_id, room_label=label)
 
     def note_count(self) -> int:

@@ -2,15 +2,19 @@
 
 One detect request lists every keyframe, and its reply holds one item per
 keyframe, in order; the build is the only sender of ``detect``, and it
-asks no query. The sweep walks the items in frame order: each item's
-(bbox, caption) objects are lifted through mask -> back-projection ->
-voxel downsample -> densest cluster (apis.detection_from_wire), then
-merged into or used to create tracks through the same integration
-function that applies patches (apis._associate_detections). An item also
-carries the frame's field-of-view tag, kept for its navigation-log entry
-(an item without one, or a failed item, gives the tag "unavailable"), and
-the class scores of the room its camera stands in, kept as the frame's
-room vote.
+asks no query. The build extends the empty memory, first with what reads
+no detection: ``floor_plan`` turns the structure cloud (strided depth of
+every frame) into floors, occupancy grids and watershed rooms, and locates
+each keyframe's camera once in a room (``attach_floor_plan`` reruns it for
+a loaded memory); each room is labelled from the summed class scores of
+the items whose camera stands in it (spatial.label_rooms, no request); and
+each keyframe gets its navigation-log entry, with its item's field-of-view
+tag ("unavailable" for an item without one, or a failed item).
+The sweep then walks the items in frame order: each item's (bbox, caption)
+objects are lifted through mask -> back-projection -> voxel downsample ->
+densest cluster (apis.detection_from_wire), then merged into or used to
+create tracks by the function that applies patches
+(apis._associate_detections), which places each track a detection lands on.
 Every third frame's entry in the request also asks for pairwise relations
 among that frame's detections: each row of its item names two detections,
 which become an edge between the nodes they landed on; an edge the graph
@@ -19,17 +23,9 @@ a row that names one detection twice, and association lands a frame's
 detections on distinct tracks. An item without relations adds no edges.
 Caption histories consolidate once they reach five captions; a
 history of one repeated caption needs no request. Consolidation is the
-only request of the frame sweep that reads the growing graph.
-
-After the frame sweep, ``floor_plan`` turns the structure cloud (strided
-depth of every frame) into floors, occupancy grids and watershed rooms, and
-locates each keyframe's camera once in a room, which takes the frame's room
-vote and names its navigation-log entry (``attach_floor_plan`` reruns it
-for a loaded memory); room labels from the summed votes of each room's
-views (spatial.label_rooms, no request); each track placed once, with its
-room's label; one navigation-log entry per keyframe; and the evenly spaced
-initial frame memory. A clean build is thus one round trip, the detect
-request, unless a caption history needs consolidating.
+only request of the frame sweep that reads the growing graph. The evenly
+spaced initial frame memory comes last, so a clean build is one round
+trip, the detect request, unless a caption history needs consolidating.
 
 A malformed or error item skips that frame's detections and its vote (the
 navigation log still covers it); a failed detect request fails every
@@ -41,6 +37,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -72,8 +69,7 @@ class FloorPlanMismatch(SerializationError):
     """The plan recomputed from an episode places a track elsewhere than the
     memory does: the episode's depth may not be the build's (a scene's
     float render and its millimetre PNGs give two plans), or the memory was
-    edited or patched while it had no plan, or a patch merged a detection
-    into the track after it was placed (merges do not place again)."""
+    edited or patched while it had no plan."""
 
 
 def _structure_cloud(episode: Episode) -> PointCloud:
@@ -142,14 +138,14 @@ def attach_floor_plan(ssm: SceneMemory, episode: Episode) -> None:
                                  f"was built from {ssm.frame_locators[stray[0]]}",
                                  "$.episode.frame_locators")
     plan, camera_rooms = floor_plan(episode)
+    planned = replace(ssm, rooms=plan)
     tracks = [ssm.graph.tracks[tid] for tid in sorted(ssm.graph.tracks)]
-    for i, t in enumerate(tracks):  # placed as SceneMemory.place_track places it
-        if t.cloud is None or t.cloud.is_empty:
-            continue
-        floor_id, room_id = plan.locate(*map(float, t.cloud.centroid()))
-        if (floor_id, room_id) != (t.floor_id, t.room_id):
-            raise FloorPlanMismatch(f"the floor plan places the track in {floor_id} room "
-                                    f"{room_id}", f"$.scene_graph.tracks.rows[{i}]")
+    for i, t in enumerate(tracks):
+        placed = planned.place_track(t)
+        if (placed.floor_id, placed.room_id) != (t.floor_id, t.room_id):
+            raise FloorPlanMismatch(f"the floor plan places the track in {placed.floor_id} "
+                                    f"room {placed.room_id}",
+                                    f"$.scene_graph.tracks.rows[{i}]")
     for i, (room, entry) in enumerate(zip(camera_rooms, ssm.nav_log)):
         label = plan.labels.setdefault(room, entry.room_label) if room else "unknown"
         if label != entry.room_label:
@@ -179,8 +175,14 @@ def build_ssm(episode: Episode, backend: Backend,
 
     ssm = SceneMemory.empty(episode.scene_id, episode.stride, episode.frame_ids,
                             episode.frame_locators())
-    fov_tags = [reply.fov_tag for reply in replies]  # None when failed or untagged
-    room_scores = [reply.room_scores for reply in replies]  # None when failed
+    ssm.rooms, camera_rooms = floor_plan(episode)
+    label_rooms(ssm.rooms, zip(camera_rooms, (r.room_scores for r in replies)),
+                list(cfg.room_classes))
+    for prev, frame, room_id, reply in zip([None, *episode.frames], episode.frames,
+                                           camera_rooms, replies):
+        ssm.nav_log.append(build_nav_entry(frame, prev, ssm.rooms.label_of(room_id),
+                                           "unavailable" if reply.fov_tag is None
+                                           else reply.fov_tag))
 
     for frame, due in zip(episode.frames, edges_due):
         reply = replies.popleft()
@@ -198,18 +200,6 @@ def build_ssm(episode: Episode, backend: Backend,
 
         for nid in set(frame_nodes):
             ssm.graph.replace_track(consolidate_captions(ssm.graph.tracks[nid], backend))
-
-    # each camera's room takes its frame's vote and names its log entry; then
-    # each track is placed once, with its room's label
-    ssm.rooms, camera_rooms = floor_plan(episode)
-    label_rooms(ssm.rooms, zip(camera_rooms, room_scores), list(cfg.room_classes))
-    for tid in sorted(ssm.graph.tracks):
-        ssm.graph.replace_track(ssm.place_track(ssm.graph.tracks[tid]))
-
-    for prev, frame, room_id, fov in zip([None, *episode.frames], episode.frames,
-                                         camera_rooms, fov_tags):
-        ssm.nav_log.append(build_nav_entry(frame, prev, ssm.rooms.label_of(room_id),
-                                           "unavailable" if fov is None else fov))
 
     ssm.frame_memory = init_frame_memory(episode.frame_ids, cfg.initial_frames)
     ssm.validate()

@@ -2,7 +2,7 @@
 
 Endpoints (all GET, JSON):
   /ssm          canonical serialized memory
-  /tracks/<id>  one track with its scratchpad notes
+  /tracks/<id>  one track with its scratchpad notes (<id> in decimal digits)
   /navlog       the navigation log table
   /metrics      structural stats (and the eval report when one was saved)
 
@@ -60,13 +60,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(200, canonical_json(self.snapshot["doc"]["navigation_log"]))
         elif path == "/metrics":
             self._send(200, canonical_json(self.metrics))
-        elif path.startswith("/tracks/"):
-            raw = path.rsplit("/", 1)[1]
-            try:
-                tid = int(raw)
-            except ValueError:
+        elif path.startswith("/tracks/") and path.count("/") == 2:
+            raw = path.removeprefix("/tracks/")
+            if not (raw.isascii() and raw.isdigit()):  # int() also takes "+1" and "1_0"
                 self._send(400, json.dumps({"error": f"bad track id '{raw}'"}))
                 return
+            tid = int(raw)
             tracks = {t["id"]: t for t in
                       table_records(self.snapshot["doc"]["scene_graph"]["tracks"])}
             if tid not in tracks:

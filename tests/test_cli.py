@@ -92,9 +92,12 @@ class TestBuildCommand:
         assert err.value.code == "scenemem: --k needs --dataset, whose frames it strides"
         assert not out.exists()
 
-    def test_dataset_stride_defaults_to_five(self, workspace, tmp_path):
+    def test_dataset_stride_defaults_to_five(self, workspace, tmp_path, capsys):
         """Without --k a --dataset build keeps every 5th manifest record,
-        the loader's one default."""
+        the loader's one default. This scene then keeps too few keyframes
+        to place any camera in a room, so no room is labelled, and the
+        build says so in one warning that names --k; its --k 1 build
+        labels the rooms and warns of nothing."""
         _, scene_dir, _ = workspace
         manifest = scene_dir / "manifest.jsonl"
         ids = [json.loads(line)["id"] for line in manifest.read_text().splitlines()]
@@ -104,6 +107,14 @@ class TestBuildCommand:
         ssm = load_dir(out)
         assert ssm.stride == 5
         assert [e.frame_id for e in ssm.nav_log] == ids[::5]
+        assert {e.room_label for e in ssm.nav_log} == {"unknown"}
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"scenemem: warning: {out}: ") and "--k" in err[0]
+        assert main(["build", "--dataset", str(manifest),
+                     "--scripted", str(scene_dir / "truth.json"), "--k", "1",
+                     "--out", str(tmp_path / "k1")]) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("field", ["image", "depth"])
     @pytest.mark.parametrize("value", ["", "depth"], ids=["empty", "directory"])
@@ -729,6 +740,33 @@ class TestServe:
                 urllib.request.urlopen(f"http://{host}:{port}/nope")
             with err.value:
                 assert err.value.code == 404
+
+    def test_track_routes_take_one_decimal_id(self, workspace):
+        """Only /tracks/<decimal digits> names a track: a path with another
+        segment is an unknown path, and an id that is not ASCII digits is a
+        bad one: also "+1" and "1_0", which int() reads, and the byte 0xB2,
+        which the server reads as "²", a digit to str.isdigit()."""
+        _, _, mem_dir = workspace
+        with serving(load_dir(mem_dir)) as (host, port):
+            def status(path):
+                try:
+                    with urllib.request.urlopen(f"http://{host}:{port}{path}") as r:
+                        return r.status, json.loads(r.read().decode())
+                except urllib.error.HTTPError as err:
+                    with err:
+                        return err.code, json.loads(err.read().decode())
+
+            assert status("/tracks/1")[0] == 200
+            for path in ("/tracks/x/1", "/tracks/1/x", "/tracks//1", "/tracks"):
+                code, doc = status(path)
+                assert code == 404 and doc["error"] == f"unknown path '{path}'", path
+            for raw in ("+1", "1_0", "-1", "x"):
+                code, doc = status(f"/tracks/{raw}")
+                assert code == 400 and doc["error"].startswith("bad track id"), raw
+            with socket.create_connection((host, port)) as conn:
+                conn.sendall(b"GET /tracks/\xb2 HTTP/1.0\r\n\r\n")
+                reply = b"".join(iter(lambda: conn.recv(4096), b""))
+            assert reply.startswith(b"HTTP/1.0 400 ") and b"bad track id" in reply
 
     def test_query_string_ignored_in_routing(self, workspace):
         _, _, mem_dir = workspace

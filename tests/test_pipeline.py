@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 import scenemem
-from scenemem import (EngineConfig, RecordingBackend, ReplayBackend,
-                      RuleReasoner, ScriptedBackend, attach_floor_plan, build_ssm,
-                      deserialize, edge_discovery_due, evaluate, generate_questions,
-                      generate_scene, load_dataset, load_dir, recall_sweep, save_dir,
-                      serialize)
+from scenemem import (ApiCall, Detection, EngineConfig, Patch, PointCloud,
+                      RecordingBackend, ReplayBackend, RuleReasoner, ScriptedBackend,
+                      apply_patch, attach_floor_plan, build_ssm, deserialize,
+                      edge_discovery_due, evaluate, generate_questions, generate_scene,
+                      load_dataset, load_dir, recall_sweep, save_dir, serialize)
 from scenemem.backend import REQUEST_KINDS
 from scenemem.dataset import Episode, save_dataset
 from scenemem.memory import SerializationError
@@ -567,6 +567,29 @@ class TestFloorPlanRecomputed:
         assert re.fullmatch(r"\$\.scene_graph\.tracks\.rows\[\d+\]", err.value.path)
         attach_floor_plan(ssm, from_disk)
         assert ssm.rooms is not None
+
+    def test_a_merge_that_moves_a_cloud_places_its_track_again(self, small_build, tmp_path):
+        """A patch merges a detection 2 m off track 0's cloud into it; the
+        track's centroid moves into the next room. The merge places the
+        track again, as the build does every track a detection lands on,
+        so the reloaded memory agrees with its recomputed plan."""
+        _, episode, _, built = small_build
+        track = built.graph.tracks[0]
+        assert (track.room_id, track.room_label) == ("floor0/1", "kitchen")
+        frame = track.visible_frames[0]
+        det = Detection(frame_id=frame, bbox=(0, 0, 9, 9), caption=track.caption,
+                        cloud=PointCloud(track.cloud.points + [2.0, 0.0, 0.0]),
+                        visual=track.visual, language=track.language)
+        patch = Patch(provenance=ApiCall("find_objects", frame, "look"),
+                      new_detections=[det], evidence=[(frame, det.bbox)])
+        patched, report = apply_patch(built, patch)
+        assert report.failure is None and report.merged == [(0, 0)]
+        assert (patched.graph.tracks[0].room_id,
+                patched.graph.tracks[0].room_label) == ("floor0/0", "bedroom")
+        save_dir(patched, tmp_path / "m")
+        loaded = load_dir(tmp_path / "m")
+        attach_floor_plan(loaded, episode)
+        assert loaded.rooms is not None
 
 
 class TestMetrics:
