@@ -95,12 +95,13 @@ class Pose:
 class PointCloud:
     """Immutable collection of world-frame points, shape (n, 3), meters.
 
-    The centroid and extent are computed once, on first use, and cached as
-    read-only arrays; the points are read-only too, so the cache never goes
-    stale.
+    The centroid and the extent are each computed once, on first use, and
+    cached as read-only arrays; the points are read-only too, so the caches
+    never go stale. :func:`voxel_union` caches the cloud's voxel cell keys
+    the same way.
     """
 
-    __slots__ = ("points", "_stats")
+    __slots__ = ("points", "_centroid", "_extent", "_voxel_keys")
 
     def __init__(self, points=None):
         if points is None:
@@ -115,7 +116,9 @@ class PointCloud:
             raise GeometryInputError("points must be finite")
         arr.flags.writeable = False
         self.points = arr
-        self._stats = None
+        self._centroid = None
+        self._extent = None
+        self._voxel_keys = None
 
     @classmethod
     def empty(cls) -> "PointCloud":
@@ -128,25 +131,22 @@ class PointCloud:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def _statistics(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._stats is None:
-            centroid = self.points.mean(axis=0)
-            extent = self.points.max(axis=0) - self.points.min(axis=0)
-            centroid.flags.writeable = False
-            extent.flags.writeable = False
-            self._stats = (centroid, extent)
-        return self._stats
-
     def centroid(self) -> np.ndarray:
         if self.is_empty:
             raise GeometryInputError("centroid of empty cloud")
-        return self._statistics()[0]
+        if self._centroid is None:
+            self._centroid = self.points.mean(axis=0)
+            self._centroid.flags.writeable = False
+        return self._centroid
 
     def extent(self) -> np.ndarray:
         """Axis-aligned extent (max - min) per axis."""
         if self.is_empty:
             raise GeometryInputError("extent of empty cloud")
-        return self._statistics()[1]
+        if self._extent is None:
+            self._extent = self.points.max(axis=0) - self.points.min(axis=0)
+            self._extent.flags.writeable = False
+        return self._extent
 
     def union(self, other: "PointCloud") -> "PointCloud":
         if self.is_empty:
@@ -312,6 +312,88 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     return PointCloud(sums / counts[:, None])
 
 
+# A voxel cell packs into one int64 key, 21 bits per axis with x highest, so
+# keys sort as voxel_downsample sorts cells. Each cell index must lie in
+# [-2**20, 2**20): about 21 km either way at the 2 cm track voxel.
+_KEY_BITS = 21
+_KEY_BIAS = 2 ** (_KEY_BITS - 1)
+
+
+def _cell_keys(points: np.ndarray, voxel: float) -> np.ndarray | None:
+    """The packed key of each point's cell ``floor(p / voxel)``, or None
+    when a cell index lies outside the packing range."""
+    cells = np.floor(points / voxel)
+    if cells.size and not (cells.min() >= -_KEY_BIAS and cells.max() < _KEY_BIAS):
+        return None
+    c = (cells + _KEY_BIAS).astype(np.int64)
+    return (c[:, 0] << 2 * _KEY_BITS) | (c[:, 1] << _KEY_BITS) | c[:, 2]
+
+
+def _has_negative_zero(points: np.ndarray) -> bool:
+    return bool(np.signbit(points[points == 0]).any())
+
+
+def _downsampled_keys(cloud: PointCloud, voxel: float) -> np.ndarray | None:
+    """The cloud's cell keys when ``voxel_downsample(cloud, voxel)`` gives
+    back its points byte for byte, else None. That holds when the keys
+    strictly increase, so that each cell holds one point, in cell order,
+    and no coordinate is -0.0, which a cell's sum turns into 0.0. Cached on
+    the cloud for the last voxel size asked."""
+    if cloud._voxel_keys is None or cloud._voxel_keys[0] != voxel:
+        keys = _cell_keys(cloud.points, voxel)
+        if keys is not None and (np.any(keys[1:] <= keys[:-1])
+                                 or _has_negative_zero(cloud.points)):
+            keys = None
+        cloud._voxel_keys = (voxel, keys)
+    return cloud._voxel_keys[1]
+
+
+def voxel_union(base: PointCloud, extra: PointCloud, voxel: float) -> PointCloud:
+    """``voxel_downsample(base.union(extra), voxel)``, byte for byte, without
+    sorting base's cells again when base is already downsampled.
+
+    When ``voxel_downsample`` gives base back unchanged (see
+    ``_downsampled_keys``), as a merged track's cloud nearly always is, only
+    extra's cells are keyed and sorted. They are found in base's sorted keys
+    by binary search. Each cell that extra touches sums base's point first,
+    then extra's points in input order, as ``voxel_downsample`` sums them;
+    the cells base lacks are inserted in order, and base's other points are
+    kept as they are. The result's keys are cached for the next union.
+    Otherwise, or when a cell index of extra lies outside the packing
+    range, the union is downsampled whole.
+    """
+    if voxel <= 0:
+        raise GeometryInputError("voxel size must be positive")
+    keys = None if base.is_empty else _downsampled_keys(base, voxel)
+    new = None if keys is None else _cell_keys(extra.points, voxel)
+    if new is None:
+        return voxel_downsample(base.union(extra), voxel)
+    cells, inverse = np.unique(new, return_inverse=True)
+    at = np.searchsorted(keys, cells)
+    found = keys[np.minimum(at, keys.size - 1)] == cells
+    fresh = ~found
+    row = at + np.cumsum(fresh) - fresh  # each touched cell's row in the result
+    members = np.concatenate([np.flatnonzero(found), inverse])
+    pts = np.concatenate([base.points[at[found]], extra.points])
+    # one bincount sums all three axes: x, y and z of cell c go to 3c..3c+2
+    sums = np.bincount((members[:, None] * 3 + np.arange(3)).ravel(), weights=pts.ravel(),
+                       minlength=3 * cells.size).reshape(-1, 3)
+    centroids = sums / np.bincount(members, minlength=cells.size)[:, None]
+    kept = np.ones(keys.size + np.count_nonzero(fresh), dtype=bool)
+    kept[row[fresh]] = False
+    points = np.empty((kept.size, 3))
+    points[kept] = base.points
+    points[row] = centroids
+    out = PointCloud(points)
+    moved = _cell_keys(centroids, voxel)
+    if moved is not None and not _has_negative_zero(centroids):
+        out_keys = np.empty(kept.size, dtype=np.int64)
+        out_keys[kept] = keys
+        out_keys[row] = moved
+        out._voxel_keys = (voxel, out_keys if np.all(out_keys[1:] > out_keys[:-1]) else None)
+    return out
+
+
 # Clustering cells are a hair narrower than eps/sqrt(3), so two points in one
 # cell pass the eps test despite rounding; overlap cells are a hair wider than
 # delta_g, so a pair that passes the delta_g test is at most one cell apart.
@@ -445,6 +527,24 @@ class _CellIndex:
                 np.repeat(self.starts[cell] - before, size) + np.arange(size.sum()))
 
 
+def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's connected component, in the graph
+    of nodes 0..n-1 with an edge between a[i] and b[i]. Each round lowers
+    both ends of every edge to the smaller of their labels, then every
+    label to its own label's label, until nothing moves. A label is always
+    a node of the same component, no larger than the node itself."""
+    label = np.arange(n)
+    while True:
+        low = np.minimum(label[a], label[b])
+        lowered = label.copy()
+        np.minimum.at(lowered, a, low)
+        np.minimum.at(lowered, b, low)
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, label):
+            return label
+        label = lowered
+
+
 def largest_cluster(cloud: PointCloud, eps: float, min_points: int) -> PointCloud:
     """Return the members of the most populous DBSCAN cluster.
 
@@ -466,11 +566,19 @@ def largest_cluster(cloud: PointCloud, eps: float, min_points: int) -> PointClou
     neighbors over the 5x5x5 block of cells around it. The core points of
     one cell are mutual neighbors, so clusters are unions of core cells:
     two nearby core cells are joined when any pair of their core points
-    passes the test, and a pair of cells whose roots already match is not
-    tested. Each border point joins the cluster of its smallest-rank core
-    neighbor. Every decision the same-cell argument does not settle
-    evaluates the test on the pair itself, so the result equals the
-    all-pairs computation exactly for clouds of fewer than 2**30 points.
+    passes the test. Each core cell's representative is its first core
+    point. One vectorized pass tests the representatives of every pair of
+    nearby core cells, and the pairs that pass are joined by min-label
+    propagation (``_min_labels``). A pair whose representatives fail may
+    still hold a passing pair of core points, so each pair that then still
+    lies in two components falls back to testing all its core points, with
+    a union-find over the components; a pair whose roots already match by
+    then is not tested. The clusters are the same whatever the order of the
+    unions, and only the partition reaches the result. Each border point
+    joins the cluster of its smallest-rank core neighbor. Every decision
+    the same-cell argument does not settle evaluates the test on the pair
+    itself, so the result equals the all-pairs computation exactly for
+    clouds of fewer than 2**30 points.
     """
     eps_sq = _check_radius(eps, "eps")
     if min_points < 1:
@@ -504,7 +612,16 @@ def largest_cluster(cloud: PointCloud, eps: float, min_points: int) -> PointClou
     k, a = np.nonzero(near.T > np.arange(n_cells))
     b = near[a, k]
     keep = core_cell[a] & core_cell[b]
-    parent = list(range(n_cells))
+    a, b = a[keep], b[keep]
+    # each core cell's representative is its first core point
+    core_at = np.flatnonzero(core)
+    first = core_at[np.diff(cell[core_at], prepend=-1) != 0]
+    rep = np.zeros(n_cells, dtype=np.int64)
+    rep[cell[first]] = first
+    joined = _sq_dist(xyz, xyz, rep[a], rep[b]) <= eps_sq
+    label = _min_labels(n_cells, a[joined], b[joined])
+    open_pair = label[a] != label[b]
+    parent = label.tolist()
 
     def root(c: int) -> int:
         while parent[c] != c:
@@ -516,7 +633,7 @@ def largest_cluster(cloud: PointCloud, eps: float, min_points: int) -> PointClou
         members = slice(grid.starts[c], grid.starts[c] + counts[c])
         return xyz[:, members][:, core[members]]
 
-    for x, y in zip(a[keep].tolist(), b[keep].tolist()):
+    for x, y in zip(a[open_pair].tolist(), b[open_pair].tolist()):
         rx, ry = root(x), root(y)
         if rx != ry and _any_close(core_points(x), core_points(y), eps_sq):
             parent[max(rx, ry)] = min(rx, ry)

@@ -6,10 +6,13 @@ the list of keyframes it was seen in. New detections join existing tracks
 through a three-indicator vote (visual similarity, caption similarity,
 point overlap). The overlap is computed only for contested pairs, the
 only ones whose match it can change (``associate`` says why); merges pool
-embeddings with an exponential moving average and re-downsample the
-unioned cloud. The vote's thresholds, the merge's weight and voxel size,
-the consolidation length and the relation period are module constants
-below, each next to its reader.
+embeddings with an exponential moving average and downsample the unioned
+cloud. A track's cloud is already downsampled after its first merge, so
+later merges sort only the detection's cells into the track's sorted
+ones (``merge_detection`` says when a merge falls back to downsampling
+the whole union). The vote's thresholds, the merge's weight and voxel
+size, the consolidation length and the relation period are module
+constants below, each next to its reader.
 
 Tracks and edges are immutable values: a merge, a consolidation or a room
 assignment replaces a track, never edits it. The graph's containers are
@@ -30,7 +33,7 @@ import numpy as np
 # RELATION_LABELS lives with the wire protocol, which validates relation
 # responses against it; it stays importable from here.
 from .backend import RELATION_LABELS, BackendError, BackendRequest
-from .geometry import PointCloud, geometric_overlap, voxel_downsample
+from .geometry import PointCloud, geometric_overlap, voxel_union
 
 logger = logging.getLogger(__name__)
 
@@ -282,9 +285,21 @@ def merge_detection(t: Track, d: Detection) -> Track:
     """Fold a matched detection into its track.
 
     Embeddings are pooled as normalize(alpha * d + (1 - alpha) * t) with
-    alpha = EMA_WEIGHT; clouds are unioned and re-downsampled so the
-    per-track cloud stays bounded; the detection caption and frame id are
-    appended (frame ids keep ordered-set semantics).
+    alpha = EMA_WEIGHT; the cloud becomes ``voxel_downsample`` of the union
+    of both clouds, so the per-track cloud stays bounded; the detection
+    caption and frame id are appended (frame ids keep ordered-set
+    semantics).
+
+    ``geometry.voxel_union`` computes that cloud byte for byte. When the
+    track's cloud is one that ``voxel_downsample`` gives back unchanged,
+    its cells already strictly increase, so only the detection's points
+    are keyed and sorted: each cell they touch sums the track's point
+    first, then theirs in input order, and the new cells are inserted in
+    order. It downsamples the whole union instead for a track without a
+    cloud; for a cloud whose cells do not strictly increase, as in a
+    track's first merge (``largest_cluster`` returns the detection's cloud
+    in coordinate order, not cell order), or that holds a -0.0; and for a
+    detection point whose cell index lies outside the packed key's range.
     """
     a = EMA_WEIGHT
 
@@ -295,9 +310,8 @@ def merge_detection(t: Track, d: Detection) -> Track:
             raise GraphError("embedding dimension mismatch in merge")
         return Embedding(a * new.vector + (1.0 - a) * old.vector, new.kind)
 
-    cloud = d.cloud if t.cloud is None else t.cloud.union(d.cloud)
-    if not cloud.is_empty:
-        cloud = voxel_downsample(cloud, VOXEL_SIZE_M)
+    cloud = voxel_union(PointCloud.empty() if t.cloud is None else t.cloud, d.cloud,
+                        VOXEL_SIZE_M)
     visible = t.visible_frames
     if d.frame_id not in visible:
         visible += (d.frame_id,)

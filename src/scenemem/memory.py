@@ -272,6 +272,9 @@ class SceneMemory:
             if t.room_id is not None and t.room_id.rpartition("/")[0] != t.floor_id:
                 raise SerializationError(f"room {t.room_id} is not on floor {t.floor_id}",
                                          f"{path}.floor_id")
+            if t.room_id is None and t.room_label is not None:
+                raise SerializationError(f"label {t.room_label!r} without a room",
+                                         f"{path}.room_label")
             if t.room_id is not None \
                     and room_labels.setdefault(t.room_id, t.room_label) != t.room_label:
                 raise SerializationError(f"room {t.room_id} has another label",

@@ -126,9 +126,11 @@ def floor_plan(episode: Episode) -> tuple[RoomModel, list[str | None]]:
 def attach_floor_plan(ssm: SceneMemory, episode: Episode) -> None:
     """Set a loaded memory's floor plan, recomputed from the episode it was
     built from, each camera's room labelled as its navigation-log row reads.
-    Raises SerializationError at the first row that contradicts the plan,
+    Raises SerializationError at the first broken rule of
+    ``SceneMemory.validate`` or row that contradicts the plan,
     FloorPlanMismatch where it locates a track's cloud elsewhere than the
     memory places the track."""
+    ssm.validate()
     if tuple(episode.frame_ids) != ssm.frame_ids:
         raise SerializationError("the episode's keyframes are not the memory's",
                                  "$.navigation_log.rows")

@@ -660,8 +660,10 @@ class TestRuleReasoner:
                                             (1, "blue vase", None, (5,)),
                                             (2, "black chair", None, (15, 10)),
                                             (3, "green lamp", "bedroom", (5,))):
+            room = None if label is None else "floor0/0"  # a label needs a room
             ssm.graph.insert_track(Track(id=tid, cloud=None, visual=None, language=None,
                                          caption=caption, caption_history=(caption,),
+                                         room_id=room, floor_id=room and "floor0",
                                          room_label=label, visible_frames=frames))
         ssm.nav_log = [NavLogEntry(fid, label, f"view {fid}", "stationary") for fid, label
                        in ((0, "kitchen"), (5, "unknown"), (10, "office"), (15, "hall"))]

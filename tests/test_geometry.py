@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenemem import (CameraIntrinsics, DepthMap, PixelMask, PointCloud, Pose,
-                      backproject, geometric_overlap, largest_cluster,
+                      backproject, geometric_overlap, geometry, largest_cluster,
                       voxel_downsample)
-from scenemem.geometry import GeometryInputError, project
+from scenemem.geometry import (_CLUSTER_CELL, GeometryInputError, _cell_coords, project,
+                               voxel_union)
 from scenemem.graph import CloudSummary
 
 from conftest import make_pose, rng
@@ -309,6 +310,89 @@ class TestVoxelDownsample:
         assert np.array_equal(out.points, again.points)
 
 
+# -- voxel_union ---------------------------------------------------------------
+
+def _lattice_points(g, n: int, voxel: float) -> np.ndarray:
+    """Points on and next to cell boundaries, from a few cells so that many
+    points share one. A multiple of the voxel can land one cell low in
+    ``floor(p / voxel)``, and the mean of its repeats one cell high, so
+    downsampling can move a cell's point into the next cell."""
+    corner = g.integers(-4, 4, size=(n, 3))
+    inside = g.choice([0.0, 2.0 ** -40, 0.5, 1.0 - 2.0 ** -40], size=(n, 3))
+    return np.repeat((corner + inside) * voxel, g.integers(1, 4, size=n), axis=0)
+
+
+class TestVoxelUnion:
+    """``voxel_union(base, extra, v)`` returns
+    ``voxel_downsample(base.union(extra), v)`` byte for byte, on the path
+    that keys only extra and on the one that downsamples the union whole."""
+
+    @staticmethod
+    def _count_whole(monkeypatch) -> list[int]:
+        """Record each call that downsamples a union whole."""
+        calls: list[int] = []
+        real = geometry.voxel_downsample
+
+        def counted(cloud, voxel):
+            calls.append(len(cloud))
+            return real(cloud, voxel)
+
+        monkeypatch.setattr(geometry, "voxel_downsample", counted)
+        return calls
+
+    @staticmethod
+    def _assert_same(base: PointCloud, extra: PointCloud, voxel: float) -> PointCloud:
+        expected = voxel_downsample(base.union(extra), voxel)
+        out = voxel_union(base, extra, voxel)
+        assert out.points.shape == expected.points.shape
+        assert out.points.tobytes() == expected.points.tobytes()
+        return out
+
+    def test_folds_equal_downsampling_the_union(self, monkeypatch):
+        whole = self._count_whole(monkeypatch)
+        fast = 0
+        for seed in range(60):
+            g = rng(900 + seed)
+            voxel = float(g.choice([0.02, 0.05, 0.1]))
+            if seed % 3 == 0:  # not downsampled: cells hold several points
+                base = PointCloud(_lattice_points(g, 40, voxel))
+            else:
+                base = voxel_downsample(PointCloud(np.vstack([
+                    _lattice_points(g, 60, voxel),
+                    g.uniform(-0.3, 0.3, size=(60, 3))])), voxel)
+            for _ in range(6):  # each result is the next base, keys and all
+                extra = PointCloud(np.vstack([_lattice_points(g, 15, voxel),
+                                              g.uniform(-0.4, 0.4, size=(15, 3))]))
+                before = len(whole)
+                base = self._assert_same(base, extra, voxel)
+                fast += len(whole) == before
+        assert fast > 0 and whole
+
+    def test_negative_zero_is_summed_away(self, monkeypatch):
+        # voxel_downsample writes a lone -0.0 back as 0.0
+        whole = self._count_whole(monkeypatch)
+        base = PointCloud([(-0.0, 0.011, 0.011), (0.5, 0.5, 0.5)])
+        out = self._assert_same(base, PointCloud([(0.3, 0.3, 0.3)]), 0.02)
+        assert not np.signbit(out.points[0, 0]) and whole
+
+    def test_cell_outside_the_key_range(self, monkeypatch):
+        whole = self._count_whole(monkeypatch)
+        base = voxel_downsample(PointCloud(rng(911).uniform(0, 1, size=(50, 3))), 0.02)
+        self._assert_same(base, PointCloud([(1e5, 0.0, 0.0), (0.5, 0.5, 0.5)]), 0.02)
+        assert len(whole) == 1
+
+    def test_empty_sides(self):
+        cloud = voxel_downsample(PointCloud(rng(912).uniform(0, 1, size=(30, 3))), 0.05)
+        for base, extra in ((cloud, PointCloud.empty()), (PointCloud.empty(), cloud),
+                            (PointCloud.empty(), PointCloud.empty())):
+            self._assert_same(base, extra, 0.05)
+
+    def test_invalid_voxel(self):
+        cloud = PointCloud([(0, 0, 0)])
+        with pytest.raises(GeometryInputError):
+            voxel_union(cloud, cloud, 0.0)
+
+
 # -- largest_cluster ----------------------------------------------------------
 
 def _blob(center, n, spread, seed):
@@ -481,6 +565,33 @@ class TestLargestCluster:
         pts = np.vstack([first, [(0.1, 0.0, 0.0)], second])
         out = _assert_cluster_matches_brute(pts, 0.5, 5)
         assert len(out) == 300
+
+    @staticmethod
+    def _two_core_cells(pts: np.ndarray, eps: float):
+        """Check the premise: the first two points share one cluster-grid
+        cell, and the rest share another within the 5x5x5 block around it."""
+        cells = _cell_coords(pts.T, eps * _CLUSTER_CELL, eps * eps, 2).T
+        assert (cells[1] == cells[0]).all() and (cells[3:] == cells[2]).all()
+        assert 0 < np.abs(cells[2] - cells[0]).max() <= 2
+
+    def test_core_cells_joined_when_representatives_fail(self):
+        # Each cell's representative is its first core point: (0, 0, 0) and
+        # (0.85, 0, 0) are 0.85 apart, but (0.28, 0, 0) and (0.6, 0, 0) are
+        # within eps, so the two cells are one cluster of four.
+        pts = np.array([(0.0, 0, 0), (0.28, 0, 0), (0.85, 0, 0), (0.6, 0, 0)])
+        self._two_core_cells(pts, 0.5)
+        out = _assert_cluster_matches_brute(pts, 0.5, 2)
+        assert len(out) == 4
+
+    def test_nearby_core_cells_kept_apart_without_a_close_pair(self):
+        # Diagonal neighbor cells whose closest core points are 0.31*sqrt(3)
+        # > eps apart, though each axis steps only 0.31: two clusters, the
+        # larger one returned alone.
+        pts = np.array([(0.0, 0, 0), (0.01, 0.01, 0.01), (0.32, 0.32, 0.32),
+                        (0.33, 0.33, 0.33), (0.34, 0.34, 0.34)])
+        self._two_core_cells(pts, 0.5)
+        out = _assert_cluster_matches_brute(pts, 0.5, 2)
+        assert len(out) == 3
 
     def test_far_apart_coordinates(self):
         # Coordinates far beyond any int64 cell index of an eps-sized grid.

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from scenemem import (Detection, Embedding, PointCloud, RelationEdge, SceneGraph,
                       Track, associate, consolidate_captions, edge_discovery_due,
-                      graph, merge_detection, vote_score)
+                      geometry, graph, merge_detection, vote_score)
 from scenemem.backend import Backend, TransportError
 from scenemem.graph import GraphError, caption_embedding, cosine, hash_embedding
 
@@ -382,6 +382,33 @@ class TestMergeDetection:
         merged = merge_detection(t, d)
         assert len(merged.cloud) == 2  # two occupied cells
         np.testing.assert_allclose(merged.cloud.points[0], [0.008, 0, 0])
+
+    def test_clouds_fold_as_downsampled_unions(self, monkeypatch):
+        """Each merge's cloud is ``voxel_downsample`` of the track's cloud
+        unioned with the detection's, byte for byte, over a chain of
+        merges whose clouds share cells, sit on cell boundaries and
+        sometimes repeat a point. Both the path that keys only the detection
+        and the one that downsamples the union whole run."""
+        whole = []
+        real = geometry.voxel_downsample
+        monkeypatch.setattr(geometry, "voxel_downsample",
+                            lambda cloud, voxel: whole.append(1) or real(cloud, voxel))
+        v = graph.VOXEL_SIZE_M
+        merges = 0
+        for seed in range(12):
+            g = rng(600 + seed)
+            track = replace(make_track(), cloud=None)
+            for step in range(8):
+                pts = np.vstack([g.integers(-5, 5, size=(20, 3)) * v,
+                                 g.uniform(-0.1, 0.1, size=(20, 3))])
+                d = make_detection(frame_id=step, cloud=PointCloud(np.repeat(
+                    pts, g.integers(1, 3, size=len(pts)), axis=0)))
+                expected = real(d.cloud if track.cloud is None else
+                                track.cloud.union(d.cloud), v)
+                track = merge_detection(track, d)
+                merges += 1
+                assert track.cloud.points.tobytes() == expected.points.tobytes()
+        assert 0 < len(whole) < merges
 
     def test_caption_and_frames_appended(self):
         t = make_track(caption="mug", frames=(0,))

@@ -181,6 +181,8 @@ def random_ssm(seed: int) -> SceneMemory:
         if track.room_id is not None:  # a room lies on floor0 and keeps its first label
             track = replace(track, floor_id="floor0", room_label=room_labels.setdefault(
                 track.room_id, track.room_label))
+        else:  # a track in no room has no label
+            track = replace(track, room_label=None)
         ssm.graph.insert_track(track)
         for _ in range(int(g.integers(0, 3))):
             ssm.add_note(tid, f"note {int(g.integers(0, 1000))}", "analyze_frame",
@@ -526,11 +528,12 @@ class TestSerializeMatchesReference:
         ssm.graph.replace_track(moved)
         assert_serializes_like_reference(ssm)
         # one field at a time, each by a replacement; a room stays on its
-        # track's floor and keeps one label
+        # track's floor and keeps one label, and a track in no room has none
         frame = next(f for f in ssm.frame_ids if f not in moved.visible_frames)
         assert moved.floor_id == "floor0"
         for field_name, value in (
-                ("room_id", "floor0/99"), ("room_label", "garage"), ("room_id", None),
+                ("room_id", "floor0/99"), ("room_label", "garage"), ("room_label", None),
+                ("room_id", None),
                 ("floor_id", "floor9"), ("room_id", "floor9/99"),
                 ("caption", "a \"quoted\" caption"),
                 ("caption_history", moved.caption_history + ("another caption",)),
@@ -571,6 +574,7 @@ class TestSerializeMatchesReference:
         ssm.graph.insert_track(Track(id=0, cloud=PointCloud([(0.5, -1.0, 2.0)]),
                                      visual=None, language=None, caption=captions[0],
                                      caption_history=tuple(captions),
+                                     room_id="floor0/0", floor_id="floor0",
                                      room_label=fov or None, visible_frames=(0,)))
         ssm.add_note(0, note, "analyze_frame", fov, 1)
         ssm.nav_log = [NavLogEntry(0, note, fov, "stationary"),

@@ -24,7 +24,7 @@ from scenemem import (ApiCall, Detection, EngineConfig, Patch, PointCloud,
                       load_dataset, load_dir, recall_sweep, save_dir, serialize)
 from scenemem.backend import REQUEST_KINDS
 from scenemem.dataset import Episode, save_dataset
-from scenemem.memory import SerializationError
+from scenemem.memory import ParseError, SerializationError
 from scenemem.metrics import (graph_precision_recall, match_tracks,
                               normalize_answer, track_recall)
 from scenemem.pipeline import BuildError, FloorPlanMismatch, floor_plan
@@ -82,6 +82,25 @@ class TestBuildSsm:
             obj = scene.objects[index]
             assert ssm.graph.tracks[tid].room_label == scene.room_label_of(obj), \
                 obj.caption
+
+    @pytest.mark.parametrize("rooms, objects, seed, digest", [
+        (8, 3, 1000, "ec5f4857a434248bf1db5b7b38f85c7cd2efb446b2aa61b4dbfd5e1a2870dce8"),
+        (2, 3, 7, "46c3d6b65c2ead006a2ee3cb2d635d0979c45093405a37fc704059b9c45ac1ce"),
+    ])
+    def test_build_bytes_pinned(self, rooms, objects, seed, digest):
+        """The memory text and, per track in id order, the float64 bytes of
+        its cloud points, visual vector and language vector. The text
+        prints four decimals, so only this pin sees a cloud's or an
+        embedding's last bits move; the golden digests pin only 2x3 text."""
+        scene = generate_scene(rooms, objects, seed)
+        ssm = build_ssm(scene.episode(), ScriptedBackend(scene, RuleReasoner(), seed=seed),
+                        EngineConfig())
+        h = hashlib.sha256(serialize(ssm)[0].encode("utf-8"))
+        for tid in sorted(ssm.graph.tracks):
+            t = ssm.graph.tracks[tid]
+            for values in (t.cloud.points, t.visual.vector, t.language.vector):
+                h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
 
     def test_contested_build_matches_reference_association(
             self, small_scene, small_episode, monkeypatch):
@@ -536,6 +555,28 @@ class TestFloorPlanRecomputed:
         ssm.validate()
         row = sorted(tracks).index(edited[0])
         assert self._refusal(ssm, episode) == f"$.scene_graph.tracks.rows[{row}]"
+
+    def test_a_label_without_a_room_refused(self, small_build):
+        """Track 0 hand-edited to no room but the label "garage": the engine
+        never writes that pair, and validate, deserialize and
+        attach_floor_plan each refuse it at the track's room_label."""
+        _, episode, _, built = small_build
+        doc = json.loads(serialize(built)[0])
+        columns = doc["scene_graph"]["tracks"]["columns"]
+        row = doc["scene_graph"]["tracks"]["rows"][0]
+        assert row[0] == 0
+        row[columns.index("room_id")] = None
+        row[columns.index("room_label")] = "garage"
+        path = "$.scene_graph.tracks.rows[0].room_label"
+        with pytest.raises(ParseError) as err:
+            deserialize(json.dumps(doc))
+        assert err.value.path == path
+        ssm = deserialize(serialize(built)[0])
+        ssm.graph.tracks[0] = replace(ssm.graph.tracks[0], room_id=None, room_label="garage")
+        with pytest.raises(SerializationError) as err:
+            ssm.validate()
+        assert err.value.path == path
+        assert self._refusal(ssm, episode) == path
 
     def test_another_episode_refused(self, small_build):
         _, _, _, built = small_build
