@@ -15,7 +15,7 @@ from .dataset import STRIDE, DatasetError, check_stride, load_dataset, save_data
 from .loop import EpisodeQuery, answer, write_transcript
 from .memory import ParseError, SerializationError, load_dir, save_dir, serialize
 from .metrics import evaluate
-from .pipeline import BuildError, FloorPlanMismatch, attach_floor_plan, build_ssm
+from .pipeline import BuildError, attach_floor_plan, build_ssm
 from .scripted import RuleReasoner, ScriptedBackend, check_noise
 from .server import serve_dir
 from .synth import (GenerationError, SyntheticScene, generate_questions,
@@ -129,9 +129,6 @@ def cmd_ask(args) -> int:
         raise SystemExit("scenemem: need --dataset or --scripted to resolve frames")
     try:
         attach_floor_plan(ssm, episode)
-    except FloorPlanMismatch as exc:  # the memory cannot tell which depth it was built from
-        print(f"scenemem: warning: {args.ssm}: {exc}; the episode's depth may not be the "
-              "build's, so tracks that patches create stay unplaced", file=sys.stderr)
     except SerializationError as exc:
         raise SystemExit(f"scenemem: {args.ssm}: {exc}") from None
     backend = _backend(args, scene)

@@ -185,8 +185,8 @@ def load_dataset(path: str | Path, k: int = STRIDE,
 
 def save_dataset(episode: Episode, out: str | Path) -> Path:
     """Write ``episode`` as ``out/manifest.jsonl``, with each frame's depth
-    as a millimeter PNG under ``out/depth/``; return the manifest path.
-    ``load_dataset(manifest, k=1)`` reads the episode back."""
+    as a millimeter PNG under ``out/depth/``; return the manifest path, from
+    which ``load_dataset(k=1)`` reads a synthetic episode back exactly."""
     out = Path(out)
     (out / "depth").mkdir(parents=True, exist_ok=True)
     manifest = out / "manifest.jsonl"

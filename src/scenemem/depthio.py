@@ -137,21 +137,28 @@ def read_gray16_png(path: str | Path) -> np.ndarray:
     return np.frombuffer(bytes(flat), dtype=">u2").reshape(height, width).astype(np.uint16)
 
 
-def write_depth_png(path: str | Path, depth_m: np.ndarray) -> None:
-    """Store a meter-valued depth map as millimeter uint16 PNG.
-
-    Non-finite and non-positive depths become 0 (invalid); values beyond
-    65.535 m saturate.
-    """
+def millimeters(depth_m: np.ndarray) -> np.ndarray:
+    """Meter depth as a sensor's uint16 millimeters, rounded half to even:
+    non-finite and non-positive depths become 0 (invalid), and values
+    saturate at 65.535 m."""
     arr = np.asarray(depth_m, dtype=np.float64)
     mm = np.where(np.isfinite(arr) & (arr > 0), np.round(arr * 1000.0), 0.0)
-    mm = np.clip(mm, 0, 0xFFFF).astype(np.uint16)
-    write_gray16_png(path, mm)
+    return np.clip(mm, 0, 0xFFFF).astype(np.uint16)
+
+
+def meters(mm: np.ndarray) -> np.ndarray:
+    """A millimeter depth map as float64 meters."""
+    return np.asarray(mm).astype(np.float64) / 1000.0
+
+
+def write_depth_png(path: str | Path, depth_m: np.ndarray) -> None:
+    """Store a meter-valued depth map as a ``millimeters`` uint16 PNG."""
+    write_gray16_png(path, millimeters(depth_m))
 
 
 def read_depth_png(path: str | Path) -> np.ndarray:
     """Load a millimeter PNG as a meter-valued float64 depth map."""
-    return read_gray16_png(path).astype(np.float64) / 1000.0
+    return meters(read_gray16_png(path))
 
 
 def write_pgm(path: str | Path, free: np.ndarray) -> None:

@@ -65,13 +65,6 @@ class BuildError(RuntimeError):
     pass
 
 
-class FloorPlanMismatch(SerializationError):
-    """The plan recomputed from an episode places a track elsewhere than the
-    memory does: the episode's depth may not be the build's (a scene's
-    float render and its millimetre PNGs give two plans), or the memory was
-    edited or patched while it had no plan."""
-
-
 def _structure_cloud(episode: Episode) -> PointCloud:
     """Coarse cloud of everything seen, for floor-plan occupancy."""
     masks: dict[tuple[int, int], PixelMask] = {}  # one strided mask per frame size
@@ -127,9 +120,8 @@ def attach_floor_plan(ssm: SceneMemory, episode: Episode) -> None:
     """Set a loaded memory's floor plan, recomputed from the episode it was
     built from, each camera's room labelled as its navigation-log row reads.
     Raises SerializationError at the first broken rule of
-    ``SceneMemory.validate`` or row that contradicts the plan,
-    FloorPlanMismatch where it locates a track's cloud elsewhere than the
-    memory places the track."""
+    ``SceneMemory.validate`` or row that contradicts the plan, such as a
+    track whose cloud the plan locates elsewhere than the memory places it."""
     ssm.validate()
     if tuple(episode.frame_ids) != ssm.frame_ids:
         raise SerializationError("the episode's keyframes are not the memory's",
@@ -145,9 +137,9 @@ def attach_floor_plan(ssm: SceneMemory, episode: Episode) -> None:
     for i, t in enumerate(tracks):
         placed = planned.place_track(t)
         if (placed.floor_id, placed.room_id) != (t.floor_id, t.room_id):
-            raise FloorPlanMismatch(f"the floor plan places the track in {placed.floor_id} "
-                                    f"room {placed.room_id}",
-                                    f"$.scene_graph.tracks.rows[{i}]")
+            raise SerializationError(f"the floor plan places the track in {placed.floor_id} "
+                                     f"room {placed.room_id}",
+                                     f"$.scene_graph.tracks.rows[{i}]")
     for i, (room, entry) in enumerate(zip(camera_rooms, ssm.nav_log)):
         label = plan.labels.setdefault(room, entry.room_label) if room else "unknown"
         if label != entry.room_label:

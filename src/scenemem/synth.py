@@ -6,7 +6,9 @@ pairs carry spatial relations, and the scene's relations are exactly the
 tags the generator writes for those pairs. A camera trajectory orbits each
 room's center. Depth maps are rendered by ray/box intersection, so the
 full geometry pipeline runs on honest depth, and the per-pixel hit map
-yields exact detection masks, bounding boxes and visibility.
+yields exact detection masks, bounding boxes and visibility. The episode
+holds each render in a sensor's millimeters, as its dataset PNGs do
+(``depthio.millimeters``), so ``load_dataset(k=1)`` reads it back exactly.
 
 Each box is ray-cast only over its screen window: the pixel block its
 part in front of the camera projects into, widened by a small margin. A
@@ -36,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Episode, Keyframe
+from .depthio import meters, millimeters
 from .geometry import CameraIntrinsics, DepthMap, Pose
 from .graph import edge_discovery_due
 
@@ -396,8 +399,8 @@ class SyntheticScene:
             depth, _ = self.render(fid)
             frames.append(Keyframe(
                 id=fid, intrinsics=self.intrinsics, pose=pose,
-                depth=DepthMap(depth), image_locator=f"synthetic://{self.scene_id}/{fid}",
-                timestamp=float(fid)))
+                depth=DepthMap(meters(millimeters(depth))),
+                image_locator=f"synthetic://{self.scene_id}/{fid}", timestamp=float(fid)))
         return Episode(self.scene_id, frames, stride=1)
 
     # -- persistence --------------------------------------------------------

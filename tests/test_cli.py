@@ -252,10 +252,9 @@ class TestAskCommand:
 
     def test_dataset_built_memory_asked_with_the_scene_alone(self, tmp_path, capsys):
         """A memory built from synth's millimetre depth PNGs, asked with
-        --scripted alone, resolves its frames through the scene's float
-        render, whose floor plan places 8x3 seed 1000's tracks in other
-        rooms. The memory cannot tell which depth it was built from, so ask
-        warns on one line, answers without a floor plan and exits 0."""
+        --scripted alone, resolves its frames through the scene's episode,
+        which carries the same millimetre depth: ask attaches the floor plan
+        its build made and answers without a word on stderr."""
         scene_dir, mem_dir = tmp_path / "scene", tmp_path / "mem"
         assert main(["synth", "--rooms", "8", "--objects-per-room", "3",
                      "--seed", "1000", "--out", str(scene_dir)]) == 0
@@ -270,11 +269,7 @@ class TestAskCommand:
                      "--question", spatial["question"]]) == 0
         out, err = capsys.readouterr()
         assert json.loads(out)["text"] == spatial["answer"]
-        assert re.fullmatch(
-            rf"scenemem: warning: {re.escape(str(mem_dir))}: "
-            r"\$\.scene_graph\.tracks\.rows\[\d+\]: the floor plan places the track in "
-            r"floor\d+ room \S+; the episode's depth may not be the build's, so tracks "
-            r"that patches create stay unplaced\n", err)
+        assert err == ""
 
 
 class TestEvalCommand:

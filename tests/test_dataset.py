@@ -234,5 +234,4 @@ class TestSaveDataset:
             assert back.intrinsics == saved.intrinsics
             assert back.image_locator == saved.image_locator
             assert back.timestamp == saved.timestamp
-            np.testing.assert_allclose(back.depth.values, saved.depth.values,
-                                       rtol=0, atol=1e-3)
+            assert back.depth.values.tobytes() == saved.depth.values.tobytes()

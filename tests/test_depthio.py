@@ -9,8 +9,9 @@ import pytest
 import struct
 import zlib
 
-from scenemem.depthio import (DepthIOError, read_depth_png, read_gray16_png,
-                              write_depth_png, write_gray16_png, write_pgm)
+from scenemem.depthio import (DepthIOError, meters, millimeters, read_depth_png,
+                              read_gray16_png, write_depth_png, write_gray16_png,
+                              write_pgm)
 
 from conftest import rng
 
@@ -154,6 +155,22 @@ class TestDepthConversion:
         path = tmp_path / "d.png"
         write_depth_png(path, depth)
         assert np.abs(read_depth_png(path) - depth).max() <= 0.0005 + 1e-12
+
+    def test_quantiser_is_the_png_round_trip(self, tmp_path):
+        """meters(millimeters(d)) is what a depth PNG gives back, bit for
+        bit, on invalid values, half-millimetre ties (which round to even)
+        and both sides of the uint16 ceiling."""
+        depth = np.array([[np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0],
+                          [0.0005, 0.0015, 0.0025, 1.0005, 2.5005, 65.5355],
+                          [65.535, 70.0, 1e-9, 0.0004, 3.25, 12.3456]])
+        path = tmp_path / "d.png"
+        write_depth_png(path, depth)
+        quantised = meters(millimeters(depth))
+        assert millimeters(depth).dtype == np.uint16 and quantised.dtype == np.float64
+        assert np.array_equal(quantised, read_depth_png(path))
+        assert millimeters(depth).tolist() == [[0, 0, 0, 0, 0, 0],
+                                               [0, 2, 2, 1000, 2500, 65535],
+                                               [65535, 65535, 0, 0, 3250, 12346]]
 
 
 class TestPgm:

@@ -27,7 +27,7 @@ from scenemem.dataset import Episode, save_dataset
 from scenemem.memory import ParseError, SerializationError
 from scenemem.metrics import (graph_precision_recall, match_tracks,
                               normalize_answer, track_recall)
-from scenemem.pipeline import BuildError, FloorPlanMismatch, floor_plan
+from scenemem.pipeline import BuildError, floor_plan
 
 from test_golden_digests import CONFIGS as GOLDEN_CONFIGS, GOLDEN
 from test_graph import reference_associate
@@ -84,8 +84,8 @@ class TestBuildSsm:
                 obj.caption
 
     @pytest.mark.parametrize("rooms, objects, seed, digest", [
-        (8, 3, 1000, "ec5f4857a434248bf1db5b7b38f85c7cd2efb446b2aa61b4dbfd5e1a2870dce8"),
-        (2, 3, 7, "46c3d6b65c2ead006a2ee3cb2d635d0979c45093405a37fc704059b9c45ac1ce"),
+        (8, 3, 1000, "6d07a5cf768bc8b82106b970ec55679995e4395886bfd06589e15965adbc0788"),
+        (2, 3, 7, "fcbc6ffed2530770d4737abe400c1f1d6d6dc7e96423fe2dbbeee2e4ab0c77d8"),
     ])
     def test_build_bytes_pinned(self, rooms, objects, seed, digest):
         """The memory text and, per track in id order, the float64 bytes of
@@ -480,14 +480,14 @@ class TestFloorPlanRecomputed:
         """(built plan, plan recomputed after save_dir/load_dir) of the 2x3
         seed-7 build, the 8x3 seed-1000 build, a k=1 dataset build of the
         3x2 seed-0 scene, read back from its depth PNGs, and the build of
-        that scene's own episode, in whose plan no camera stands in one
-        room."""
+        the 3x3 seed-0 scene shot from two views per room, in whose plan no
+        camera stands in two of the five rooms."""
         root = tmp_path_factory.mktemp("plans")
         _, episode, _, built = small_build
         cases = [(episode, built)]
         for scene, from_disk in ((generate_scene(8, 3, seed=1000), False),
                                  (generate_scene(3, 2, seed=0), True),
-                                 (generate_scene(3, 2, seed=0), False)):
+                                 (generate_scene(3, 3, seed=0, views_per_room=2), False)):
             episode = scene.episode()
             if from_disk:
                 episode = load_dataset(save_dataset(episode, root / scene.scene_id), k=1,
@@ -592,25 +592,28 @@ class TestFloorPlanRecomputed:
         other = Episode(episode.scene_id, frames, stride=episode.stride)
         assert self._refusal(ssm, other) == "$.episode.frame_locators"
 
-    def test_a_plan_that_places_tracks_elsewhere_is_a_mismatch(self, tmp_path):
-        """4x3 seed 5 built from its millimetre depth PNGs: the scene's float
-        render gives a floor plan that places tracks in other rooms. The
-        memory cannot tell which depth it was built from, so the plan is not
-        attached, and FloorPlanMismatch names the first such track."""
-        scene = generate_scene(4, 3, seed=5)
-        from_disk = load_dataset(save_dataset(scene.episode(), tmp_path / "d"), k=1,
-                                 scene_id=scene.scene_id)
-        save_dir(build_ssm(from_disk, ScriptedBackend(scene), EngineConfig()), tmp_path / "m")
-        ssm = load_dir(tmp_path / "m")  # with the tracks' clouds
-        with pytest.raises(FloorPlanMismatch) as err:
-            attach_floor_plan(ssm, scene.episode())
-        assert ssm.rooms is None
-        assert re.fullmatch(r"\$\.scene_graph\.tracks\.rows\[\d+\]", err.value.path)
-        attach_floor_plan(ssm, from_disk)
-        assert ssm.rooms is not None
+    def test_a_track_the_plan_places_elsewhere_refused(self, small_build, tmp_path):
+        """Track 0's cloud hand-shifted 2 m into the next room, its room left
+        as it was: the reloaded memory's recomputed plan locates the cloud
+        elsewhere, and attach_floor_plan refuses it at the track's row, as
+        it refuses every other contradiction."""
+        _, episode, _, built = small_build
+        ssm = built.copy()
+        track = ssm.graph.tracks[0]
+        assert track.room_id == "floor0/1"
+        ssm.graph.tracks[0] = replace(track, cloud=PointCloud(track.cloud.points
+                                                              + [2.0, 0.0, 0.0]))
+        assert ssm.place_track(ssm.graph.tracks[0]).room_id == "floor0/0"
+        save_dir(ssm, tmp_path / "m")
+        loaded = load_dir(tmp_path / "m")
+        with pytest.raises(SerializationError) as err:
+            attach_floor_plan(loaded, episode)
+        assert type(err.value) is SerializationError
+        assert err.value.path == "$.scene_graph.tracks.rows[0]"
+        assert loaded.rooms is None
 
     def test_a_merge_that_moves_a_cloud_places_its_track_again(self, small_build, tmp_path):
-        """A patch merges a detection 2 m off track 0's cloud into it; the
+        """A patch merges a detection 3 m off track 0's cloud into it; the
         track's centroid moves into the next room. The merge places the
         track again, as the build does every track a detection lands on,
         so the reloaded memory agrees with its recomputed plan."""
@@ -619,7 +622,7 @@ class TestFloorPlanRecomputed:
         assert (track.room_id, track.room_label) == ("floor0/1", "kitchen")
         frame = track.visible_frames[0]
         det = Detection(frame_id=frame, bbox=(0, 0, 9, 9), caption=track.caption,
-                        cloud=PointCloud(track.cloud.points + [2.0, 0.0, 0.0]),
+                        cloud=PointCloud(track.cloud.points + [3.0, 0.0, 0.0]),
                         visual=track.visual, language=track.language)
         patch = Patch(provenance=ApiCall("find_objects", frame, "look"),
                       new_detections=[det], evidence=[(frame, det.bbox)])
@@ -628,6 +631,36 @@ class TestFloorPlanRecomputed:
         assert (patched.graph.tracks[0].room_id,
                 patched.graph.tracks[0].room_label) == ("floor0/0", "bedroom")
         save_dir(patched, tmp_path / "m")
+        loaded = load_dir(tmp_path / "m")
+        attach_floor_plan(loaded, episode)
+        assert loaded.rooms is not None
+
+
+class TestOneDepthPerScene:
+    """A synthetic episode carries the millimetre depth its dataset PNGs
+    hold, so a scene read from its truth and the same scene read back from
+    its k=1 dataset are one episode, with one build and one floor plan."""
+
+    @pytest.mark.parametrize("rooms, objects, seed", [
+        (2, 3, 7), (4, 3, 5), (8, 3, 1000), (3, 2, 0), (5, 2, 6), (6, 3, 8)])
+    def test_scene_and_its_dataset_give_one_memory(self, tmp_path, rooms, objects, seed):
+        scene = generate_scene(rooms, objects, seed)
+        episode = scene.episode()
+        from_disk = load_dataset(save_dataset(episode, tmp_path / "d"), k=1,
+                                 scene_id=scene.scene_id)
+        assert (from_disk.scene_id, from_disk.stride, len(from_disk)) \
+            == (episode.scene_id, episode.stride, len(episode))
+        for a, b in zip(episode.frames, from_disk.frames):
+            assert (a.id, a.intrinsics, a.image_locator, a.timestamp) \
+                == (b.id, b.intrinsics, b.image_locator, b.timestamp)
+            for x, y in ((a.pose.rotation, b.pose.rotation),
+                         (a.pose.translation, b.pose.translation),
+                         (a.depth.values, b.depth.values)):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+        built = build_ssm(episode, ScriptedBackend(scene), EngineConfig())
+        from_dataset = build_ssm(from_disk, ScriptedBackend(scene), EngineConfig())
+        assert serialize(from_dataset)[0] == serialize(built)[0]
+        save_dir(from_dataset, tmp_path / "m")
         loaded = load_dir(tmp_path / "m")
         attach_floor_plan(loaded, episode)
         assert loaded.rooms is not None
