@@ -652,19 +652,18 @@ def _read_track(blob: bytes, offset: int) -> tuple[tuple, int]:
             Embedding.from_unit(language, "language") if ldim else None), offset
 
 
-def _unpack(path: Path, magic: bytes, digest: bytes, read_record) -> list:
-    """The records of side-car file ``path``: a header of ``magic``, the
-    sha256 ``digest`` of the ssm.json bytes and a record count, then
-    ``read_record(blob, offset) -> (record, next offset)`` per record,
-    ending exactly at the last byte. A missing file, another magic or
-    digest, truncation, trailing bytes or a record the engine refuses raise
-    ParseError naming the file."""
+def _unpack(path: Path, digest: bytes) -> list:
+    """The track records of side-car file ``path``: a header of
+    ``_TRACKS_MAGIC``, the sha256 ``digest`` of the ssm.json bytes and a
+    record count, then one ``_read_track`` record each, ending at the last
+    byte. A missing file, another magic or digest, truncation, trailing
+    bytes or a record the engine refuses raise ParseError naming the file."""
     name = str(path)
     try:
         blob = path.read_bytes()
     except FileNotFoundError:
         raise ParseError(name, "missing; save_dir writes it next to ssm.json") from None
-    if blob[:8] != magic:
+    if blob[:8] != _TRACKS_MAGIC:
         raise ParseError(name, "bad magic")
     if len(blob) < _HEADER.size:
         raise ParseError(name, f"truncated header: {len(blob)} bytes")
@@ -674,7 +673,7 @@ def _unpack(path: Path, magic: bytes, digest: bytes, read_record) -> list:
     records, offset = [], _HEADER.size
     for i in range(count):
         try:
-            record, offset = read_record(blob, offset)
+            record, offset = _read_track(blob, offset)
         except (struct.error, ValueError) as exc:
             raise ParseError(name, f"record {i}: {exc}") from None
         records.append(record)
@@ -709,7 +708,7 @@ def load_dir(path: str | Path) -> SceneMemory:
         text = (path / "ssm.json").read_bytes()
     except FileNotFoundError:
         raise ParseError(str(path / "ssm.json"), "missing") from None
-    records = _unpack(side_car, _TRACKS_MAGIC, hashlib.sha256(text).digest(), _read_track)
+    records = _unpack(side_car, hashlib.sha256(text).digest())
     ssm = deserialize(text.decode("utf-8"))
     tracks = ssm.graph.tracks
     if len(records) != len(tracks):

@@ -11,27 +11,27 @@ probability) and delegates reason requests to a pluggable policy:
   serialized memory, issuing analyze/find calls until the needed fact and
   a citable note exist.
 
-The build's detect request is answered item by item, in the order its
-frames are listed, so one request listing every keyframe draws exactly
-what one request per keyframe drew; each item scores the request's room
-classes for the scene room holding the camera, which draws nothing. An
-analyze request asked to discover draws the misses among the frame's
-untargeted objects that match its query, and notes each object it
-returns.
+The build's detect request is answered item by item, so one request
+listing every keyframe draws exactly what one request per keyframe draws;
+each item scores the request's room classes for the scene room holding
+the camera, which draws nothing. An analyze request asked to discover
+draws the misses among the frame's untargeted objects that match its
+query, and notes each object it returns.
 
-Identical request sequences always produce identical responses. Recorded
-replies are replayed through RecordingBackend/ReplayBackend, which is
-byte-stable; a test that needs other replies (ones that omit optional
-fields, a malformed one) subclasses ScriptedBackend and overrides a
-``_handle_<kind>`` method, or ``_detect_item`` for one detect item.
+The n-th miss draw for an object is ``keyed_uniform(seed, kind, frame id,
+query, object index, n)``, the query None for a detect item, so no reply
+depends on call order. Recorded replies are replayed through
+RecordingBackend/ReplayBackend, which is byte-stable; a test that needs
+other replies (ones that omit optional fields, a malformed one) subclasses
+ScriptedBackend and overrides ``_handle_<kind>``, or ``_detect_item``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
-
-import numpy as np
+from collections import Counter
 
 from .backend import REQUEST_KINDS, Backend, BackendRequest, TransportError
 from .config import EngineConfig
@@ -67,21 +67,27 @@ def _iou(a: tuple[int, int, int, int], b: tuple[int, int, int, int]) -> float:
 
 
 def check_noise(miss_prob: float, seed: int) -> None:
-    """Refuse a miss probability outside [0, 1] (NaN included) or a
-    negative seed with a ValueError naming the parameter."""
+    """Refuse a miss probability outside [0, 1] (NaN included) or a seed
+    that is not an int >= 0 with a ValueError naming the parameter."""
     if not 0.0 <= miss_prob <= 1.0:
         raise ValueError(f"miss_prob must be in [0, 1], got {miss_prob}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    if type(seed) is not int or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+def keyed_uniform(*key) -> float:
+    """A draw in [0, 1): the first 8 bytes of sha256(JSON of ``key``), big-endian."""
+    digest = hashlib.sha256(json.dumps(key).encode()).digest()
+    return (int.from_bytes(digest[:8], "big") >> 11) / 2**53
 
 
 class ScriptedBackend(Backend):
     """Ground-truth-driven backend over one synthetic scene.
 
     miss_prob drops each would-be detection independently; it defaults to
-    0 = perfect oracle. All randomness comes from one seeded generator, so a
-    fixed request sequence is fully reproducible. A miss_prob outside
-    [0, 1] (NaN included) or a negative seed raises ValueError. Embedding
+    0 = perfect oracle. Each draw is keyed on what is asked, so a reply
+    does not depend on call order. A miss_prob outside [0, 1] (NaN
+    included) or a seed that is not an int >= 0 raises ValueError. Embedding
     vectors take the length the request asks for (``embedding_dim``), or
     EngineConfig's default when it asks for none.
     """
@@ -93,7 +99,8 @@ class ScriptedBackend(Backend):
         self.scene = scene
         self.reasoner = reasoner
         self.miss_prob = miss_prob
-        self.rng = np.random.Generator(np.random.PCG64(seed))
+        self.seed = seed
+        self._draws: Counter[tuple] = Counter()  # draw key -> draws made under it
         self.classes: list[str] = []  # the room classes the last detect listed
         self._fail_plan: dict[str, list[str]] = {}
 
@@ -144,10 +151,13 @@ class ScriptedBackend(Backend):
             doc["note"] = note
         return doc
 
-    def _drop_missed(self, dets: list[GtDetection]) -> list[GtDetection]:
+    def _drop_missed(self, dets: list[GtDetection], *key) -> list[GtDetection]:
         if self.miss_prob <= 0:
             return dets
-        return [d for d in dets if float(self.rng.random()) >= self.miss_prob]
+        keys = [(self.seed, *key, d.object_index) for d in dets]
+        self._draws.update(keys)  # a frame lists each object once
+        return [d for d, key in zip(dets, keys)
+                if keyed_uniform(*key, self._draws[key] - 1) >= self.miss_prob]
 
     def _note_for(self, obj_index: int, query: str | None) -> str:
         obj = self.scene.objects[obj_index]
@@ -232,7 +242,8 @@ class ScriptedBackend(Backend):
         and its room scores over the request's classes (1 for the class of
         the room holding the camera, 0 elsewhere); with ``relations``, the
         true relations among the detections. Only the detections draw."""
-        dets = self._drop_missed(list(self.scene.gt_detections(frame_id)))
+        dets = self._drop_missed(list(self.scene.gt_detections(frame_id)),
+                                 "detect", frame_id, None)
         room = self._camera_room(frame_id)
         doc = {"detections": [self._wire_detection(det, None) for det in dets],
                "fov_tag": self._fov_tag(frame_id),
@@ -288,7 +299,7 @@ class ScriptedBackend(Backend):
             candidates = [d for d in self.scene.gt_detections(request.frame_id)
                           if d.object_index not in claimed]
             candidates = self._query_filter(request.query, tuple(candidates))
-            for det in self._drop_missed(candidates):
+            for det in self._drop_missed(candidates, "analyze", request.frame_id, request.query):
                 new_objects.append(self._wire_detection(
                     det, self._note_for(det.object_index, request.query)))
         return {"new_objects": new_objects, "notes": notes}

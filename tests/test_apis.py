@@ -683,11 +683,11 @@ def test_node_mode_sends_the_builds_detect_only(small_scene):
     """A node-mode run with a lossy detector: the build sends the one
     detect, and every loop call sends one analyze; find_objects and the
     analyze_objects fallback both send it with no targets, asking to
-    discover. Seed 3 is a run whose build misses an object outright, so
-    the reasoner also calls find_objects (seed 0 never does)."""
+    discover. Seed 10 is a run whose build misses an object outright, so
+    the reasoner also calls find_objects (seeds 0-9 never do)."""
     class AnalyzeLog(ScriptedBackend):
         def __init__(self, scene):
-            super().__init__(scene, RuleReasoner(), miss_prob=0.6, seed=3)
+            super().__init__(scene, RuleReasoner(), miss_prob=0.6, seed=10)
             self.payloads: list[dict] = []
 
         def _handle_analyze(self, request):

@@ -4,6 +4,7 @@ and record/replay stability."""
 from __future__ import annotations
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -481,10 +482,9 @@ class TestScriptedBackend:
         for seed in range(20):
             missing = ScriptedBackend(small_scene, miss_prob=0.5, seed=seed)
             reply = item(missing, asked)
-            after = missing.rng.random()
             again = ScriptedBackend(small_scene, miss_prob=0.5, seed=seed)
             assert item(again, plain)["detections"] == reply["detections"]
-            assert again.rng.random() == after  # the same draws
+            assert item(missing, plain) == item(again, plain)  # the same draws
             captions = [d["caption"] for d in reply["detections"]]
             assert {(captions[r["subject_id"]], captions[r["object_id"]],
                      r["relation"]) for r in reply["relations"]} \
@@ -505,6 +505,32 @@ class TestScriptedBackend:
         b = ScriptedBackend(small_scene, miss_prob=0.3, seed=5)
         for req in req_seq:
             assert a.raw_call(req) == b.raw_call(req)
+
+    def test_replies_do_not_depend_on_call_order(self, small_scene):
+        """A miss draw is keyed on what is asked: detect items for every
+        frame and discovering analyze requests over two queries, sent in
+        list order to one backend and shuffled to another with the same
+        seed, get the same reply each."""
+        frames = range(small_scene.frame_count)
+        requests = [_detect(f) for f in frames] + [
+            _find(f, query) for query in ("all objects", "find the table")
+            for f in frames]
+        shuffled = list(range(len(requests)))
+        random.Random(0).shuffle(shuffled)
+        ordered = ScriptedBackend(small_scene, miss_prob=0.5, seed=7)
+        replies = [ordered.raw_call(request) for request in requests]
+        other = ScriptedBackend(small_scene, miss_prob=0.5, seed=7)
+        for i in shuffled:
+            assert other.raw_call(requests[i]) == replies[i]
+        clean = ScriptedBackend(small_scene)
+        assert sum(clean.raw_call(r) != reply
+                   for r, reply in zip(requests, replies)) > len(requests) // 2
+
+    def test_miss_probability_one_misses_everything(self, small_scene):
+        backend = ScriptedBackend(small_scene, miss_prob=1.0, seed=7)
+        for f in range(small_scene.frame_count):
+            assert backend.call(_detect(f))[0].objects == ()
+            assert backend.call(_find(f, "all objects")).new_objects == ()
 
     def test_miss_probability_binomial(self, small_scene):
         """Mean detections over many trials matches n*p within a generous

@@ -309,7 +309,7 @@ class TestFlagValidation:
         ("eval", ["--miss-prob", "5"], "miss_prob must be in [0, 1], got 5.0"),
         ("eval", ["--miss-prob", "inf"], "miss_prob must be in [0, 1], got inf"),
         ("eval", ["--miss-prob", "-1"], "miss_prob must be in [0, 1], got -1.0"),
-        ("eval", ["--seed", "-1"], "seed must be >= 0, got -1"),
+        ("eval", ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
         ("synth", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_bad_value_exits_before_reading_input(self, tmp_path, command, flags,
@@ -344,7 +344,8 @@ class TestFlagValidation:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("miss_prob,seed", [
-        (float("nan"), 0), (5.0, 0), (float("inf"), 0), (-1.0, 0), (0.2, -1)])
+        (float("nan"), 0), (5.0, 0), (float("inf"), 0), (-1.0, 0), (0.2, -1),
+        (0.2, 1.5), (0.2, float("nan")), (0.2, True), (0.2, "1")])
     def test_scripted_backend_refuses_the_same_values(self, small_scene,
                                                       miss_prob, seed):
         with pytest.raises(ValueError, match="^(miss_prob|seed) must be"):

@@ -753,15 +753,16 @@ class TestMetrics:
 
     def test_noisy_detector_strictly_worse_paired_run(self):
         """Paired runs on one scene: the lossy detector must cost
-        construction recall and force extra API calls (seeds chosen so the
-        misses actually hit; a sparse single-room trajectory keeps every
-        object down to three detection chances)."""
+        construction recall and force extra API calls (backend seed 2 is
+        one whose misses actually hit, as 16 of seeds 0-39 are; a sparse
+        single-room trajectory keeps every object down to three detection
+        chances)."""
         scene = generate_scene(1, 2, seed=5, views_per_room=3)
         questions = generate_questions(scene)
         clean = evaluate(scene, questions,
-                         ScriptedBackend(scene, reasoner=RuleReasoner(), seed=10))
+                         ScriptedBackend(scene, reasoner=RuleReasoner(), seed=2))
         noisy = evaluate(scene, questions,
-                         ScriptedBackend(scene, reasoner=RuleReasoner(), seed=10,
+                         ScriptedBackend(scene, reasoner=RuleReasoner(), seed=2,
                                          miss_prob=0.5))
         assert clean.track_recall == 1.0
         assert noisy.track_recall < clean.track_recall
