@@ -3,7 +3,8 @@
 Each API call names a frame and a natural-language query; ApiExecutor.execute
 looks the frame up, sends at most one ``analyze`` request and folds the
 answer into a Patch: new detections (already lifted through the geometry
-pipeline by detection_from_wire), scratchpad notes and evidence pointers.
+pipeline by detection_from_wire, one at a time), scratchpad notes and
+evidence pointers.
 
 * find_objects: ``analyze`` with no targets and ``discover`` true; every
   object found joins the patch, and it notes no node.
@@ -16,7 +17,9 @@ pipeline by detection_from_wire), scratchpad notes and evidence pointers.
 * retrieve_frame: no request; the empty patch only appends the frame to the
   frame memory (the image-only API mode).
 
-``detect`` is the build's request alone (pipeline.build_ssm).
+``detect`` is the build's request alone (pipeline.build_ssm), which lifts
+every detection of its reply at once (lift_detections), clustering the
+clouds in batches before any is associated.
 
 Nothing touches the memory until apply_patch integrates the whole patch
 atomically; a failure anywhere mid-application leaves the memory exactly as
@@ -36,13 +39,15 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 
+import numpy as np
+
 # API_KINDS, ApiCall and ApiError live with the wire protocol, which parses
 # reason actions into ApiCall; they stay importable from here.
 from .backend import (API_ACTION_KINDS as API_KINDS, ApiCall, ApiError, Backend,
                       BackendError, BackendRequest, WireObject)
 from .config import EngineConfig
 from .dataset import DatasetError, Episode, Keyframe
-from .geometry import (PixelMask, backproject, largest_cluster, project,
+from .geometry import (PixelMask, PointCloud, backproject, largest_cluster, project,
                        voxel_downsample)
 from .graph import (VOXEL_SIZE_M, CloudSummary, Detection, Embedding, RelationEdge,
                     Track, associate, caption_embedding, hash_embedding,
@@ -55,6 +60,10 @@ logger = logging.getLogger(__name__)
 # cluster (its voxel size is graph.VOXEL_SIZE_M, that of track clouds)
 CLUSTER_EPS_M = 0.5
 CLUSTER_MIN_POINTS = 5
+# lift_detections clusters consecutive clouds together up to this many
+# points: one call per cloud spends most of its time on per-call overhead,
+# while one call over a whole build holds every cloud's grid arrays at once
+CLUSTER_BATCH_POINTS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -154,15 +163,15 @@ def _embedding(values, kind: str, caption: str, dim: int) -> Embedding:
     return hash_embedding("visual-fallback:" + caption, "visual", dim)
 
 
-def detection_from_wire(wire: WireObject, frame: Keyframe,
-                        cfg: EngineConfig) -> Detection:
-    """Back-project the masked depth, downsample, keep the densest
-    cluster, attach embeddings."""
+def _downsampled(wire: WireObject, frame: Keyframe) -> PointCloud:
+    """The object's masked depth, back-projected and voxel downsampled."""
     cloud = backproject(frame.depth, _mask_for(wire, frame), frame.intrinsics,
                         frame.pose)
-    if not cloud.is_empty:
-        cloud = voxel_downsample(cloud, VOXEL_SIZE_M)
-        cloud = largest_cluster(cloud, CLUSTER_EPS_M, CLUSTER_MIN_POINTS)
+    return cloud if cloud.is_empty else voxel_downsample(cloud, VOXEL_SIZE_M)
+
+
+def _detection(wire: WireObject, frame: Keyframe, cloud: PointCloud,
+               cfg: EngineConfig) -> Detection:
     dim = cfg.embedding_dim
     return Detection(frame_id=frame.id, bbox=wire.bbox, caption=wire.caption,
                      cloud=cloud,
@@ -170,6 +179,41 @@ def detection_from_wire(wire: WireObject, frame: Keyframe,
                                        dim),
                      language=_embedding(wire.language_embedding, "language",
                                          wire.caption, dim))
+
+
+def detection_from_wire(wire: WireObject, frame: Keyframe,
+                        cfg: EngineConfig) -> Detection:
+    """Back-project the masked depth, downsample, keep the densest
+    cluster, attach embeddings. A patch lifts its objects one by one here;
+    the build lifts them all at once (lift_detections)."""
+    cloud = _downsampled(wire, frame)
+    if not cloud.is_empty:
+        cloud = largest_cluster(cloud, CLUSTER_EPS_M, CLUSTER_MIN_POINTS)
+    return _detection(wire, frame, cloud, cfg)
+
+
+def lift_detections(frames: list[tuple[Keyframe, list[WireObject]]],
+                    cfg: EngineConfig) -> list[list[Detection]]:
+    """``detection_from_wire`` of every object of every frame, in order,
+    byte for byte. The downsampled clouds are clustered in batches of
+    consecutive clouds holding at most CLUSTER_BATCH_POINTS points (a
+    larger cloud alone), one segmented ``largest_cluster`` call each."""
+    clouds = [_downsampled(wire, frame) for frame, objects in frames for wire in objects]
+    kept: list[PointCloud] = []
+    start = 0
+    while start < len(clouds):
+        end, total = start + 1, len(clouds[start])
+        while end < len(clouds) and total + len(clouds[end]) <= CLUSTER_BATCH_POINTS:
+            total += len(clouds[end])
+            end += 1
+        batch = clouds[start:end]
+        kept += largest_cluster(PointCloud(np.vstack([c.points for c in batch])),
+                                CLUSTER_EPS_M, CLUSTER_MIN_POINTS,
+                                sizes=[len(c) for c in batch])
+        start = end
+    lifted = iter(kept)
+    return [[_detection(wire, frame, next(lifted), cfg) for wire in objects]
+            for frame, objects in frames]
 
 
 class ApiExecutor:

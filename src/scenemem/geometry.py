@@ -449,7 +449,7 @@ def _any_close(a: np.ndarray, b: np.ndarray, radius_sq: float) -> bool:
 
 
 def _cell_coords(xyz: np.ndarray, side: float, radius_sq: float,
-                 reach: int) -> np.ndarray:
+                 reach: int, segment: np.ndarray | None = None) -> np.ndarray:
     """Integer grid cells, shape (3, n), of the points whose coordinates are
     the rows of ``xyz``.
 
@@ -462,13 +462,26 @@ def _cell_coords(xyz: np.ndarray, side: float, radius_sq: float,
     its rounding error small for any finite cloud. Cells start at
     ``reach``, so every cell within ``reach`` of an occupied one has
     coordinates >= 0.
+
+    ``segment``, each point's segment number, splits the points into
+    clouds that must not meet: each axis is then sorted by (segment,
+    coordinate) and also cut wherever the segment changes. No piece holds
+    two segments, so the cells of different segments sit more than
+    ``reach`` apart on every axis, and each segment's cells are those it
+    gets alone, shifted by a whole number of cells per axis.
     """
     n = xyz.shape[1]
     order = np.argsort(xyz, axis=1)
+    if segment is not None:
+        order = np.take_along_axis(order, np.argsort(segment[order], axis=1, kind="stable"),
+                                   axis=1)
     xs = np.take_along_axis(xyz, order, axis=1)
     gap = np.diff(xs, axis=1)
     cut = np.zeros(xs.shape, dtype=bool)
     cut[:, 1:] = gap * gap > radius_sq
+    if segment is not None:
+        owner = segment[order]
+        cut[:, 1:] |= owner[:, 1:] != owner[:, :-1]
     first = np.maximum.accumulate(np.where(cut, np.arange(n), 0), axis=1)
     local = np.floor((xs - np.take_along_axis(xs, first, axis=1)) / side)
     step = np.zeros(xs.shape)
@@ -545,7 +558,8 @@ def _min_labels(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         label = lowered
 
 
-def largest_cluster(cloud: PointCloud, eps: float, min_points: int) -> PointCloud:
+def largest_cluster(cloud: PointCloud, eps: float, min_points: int,
+                    sizes: list[int] | None = None) -> PointCloud | list[PointCloud]:
     """Return the members of the most populous DBSCAN cluster.
 
     Standard DBSCAN over Euclidean distance: core points have at least
@@ -579,20 +593,52 @@ def largest_cluster(cloud: PointCloud, eps: float, min_points: int) -> PointClou
     the same-cell argument does not settle evaluates the test on the pair
     itself, so the result equals the all-pairs computation exactly for
     clouds of fewer than 2**30 points.
+
+    With ``sizes``, the cloud is several clouds of those lengths laid end
+    to end, and the result is the list of their largest clusters, each
+    byte-equal to ``largest_cluster`` of that cloud alone. One pass serves
+    them all: ``_cell_coords`` keeps the clouds' cells more than two cells
+    apart, so no cell, neighbor test or join spans two clouds, ranks sort
+    by cloud first, and one grouped pass picks each cloud's best cluster.
     """
-    eps_sq = _check_radius(eps, "eps")
+    _check_radius(eps, "eps")
     if min_points < 1:
         raise GeometryInputError("min_points must be >= 1")
-    n = len(cloud)
+    if sizes is None:
+        return PointCloud(cloud.points[_cluster_members(cloud.points, None, eps,
+                                                        min_points)])
+    sizes = np.array(sizes, dtype=np.int64).reshape(-1)
+    if np.any(sizes < 0) or sizes.sum() != len(cloud):
+        raise GeometryInputError("sizes must be >= 0 and sum to the cloud's length")
+    # a small type, so that sorting stably by segment is a radix sort
+    segment = np.repeat(np.arange(sizes.size, dtype=np.min_scalar_type(sizes.size)), sizes)
+    members = _cluster_members(cloud.points, segment, eps, min_points)
+    bounds = np.searchsorted(segment[members], np.arange(sizes.size + 1))
+    kept = cloud.points[members]
+    return [PointCloud(kept[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _cluster_members(points: np.ndarray, segment: np.ndarray | None, eps: float,
+                     min_points: int) -> np.ndarray:
+    """Indices of the points of each segment's largest DBSCAN cluster (see
+    ``largest_cluster``), segment by segment, each in lexicographic order.
+    ``segment`` is each point's segment number, nondecreasing; None is one
+    segment."""
+    eps_sq = eps * eps
+    n = points.shape[0]
+    none = np.empty(0, dtype=np.int64)
     if n == 0:
-        return PointCloud.empty()
-    cells = _cell_coords(cloud.points.T, eps * _CLUSTER_CELL, eps_sq, 2)
+        return none
+    cells = _cell_coords(points.T, eps * _CLUSTER_CELL, eps_sq, 2, segment)
     grid = _CellIndex(cells, cells.max(axis=1) + 3)
-    # From here on points are numbered by their position in grid.order.
-    pts = cloud.points[grid.order]
-    xyz = np.ascontiguousarray(pts.T)
+    # From here on points are numbered by their position in grid.order, and
+    # ranked by segment, then lexicographically.
+    xyz = np.ascontiguousarray(points[grid.order].T)
+    by_rank = np.lexsort(xyz[::-1])
+    if segment is not None:
+        by_rank = by_rank[np.argsort(segment[grid.order][by_rank], kind="stable")]
     rank = np.empty(n, dtype=np.int64)
-    rank[np.lexsort(xyz[::-1])] = np.arange(n)
+    rank[by_rank] = np.arange(n)
     counts = grid.counts
     n_cells = counts.size
     cell = np.repeat(np.arange(n_cells), counts)
@@ -606,7 +652,7 @@ def largest_cluster(cloud: PointCloud, eps: float, min_points: int) -> PointClou
     i, j = i[close], j[close]
     core[sparse] = np.bincount(i, minlength=n)[sparse] >= min_points
     if not core.any():
-        return PointCloud.empty()
+        return none
 
     core_cell = np.logical_or.reduceat(core, grid.starts)
     k, a = np.nonzero(near.T > np.arange(n_cells))
@@ -642,18 +688,22 @@ def largest_cluster(cloud: PointCloud, eps: float, min_points: int) -> PointClou
     border = ~core[i] & core[j]
     owner_rank = np.full(n, n)
     np.minimum.at(owner_rank, i[border], rank[j[border]])
-    by_rank = np.empty(n, dtype=np.int64)
-    by_rank[rank] = np.arange(n)
     owned = owner_rank < n
     label[owned] = label[by_rank[owner_rank[owned]]]
 
     ranked_label = label[by_rank]
-    clustered = ranked_label >= 0
+    clustered = np.flatnonzero(ranked_label >= 0)
     labels, first, sizes = np.unique(ranked_label[clustered], return_index=True,
                                      return_counts=True)
-    first_rank = np.flatnonzero(clustered)[first]
-    best = labels[np.lexsort((first_rank, -sizes))[0]]
-    return PointCloud(pts[by_rank[ranked_label == best]])
+    first_rank = clustered[first]
+    # the point of rank r is the r-th of the input in segment order, so a
+    # cluster's segment is that of its first rank
+    owner = (np.zeros_like(first_rank) if segment is None
+             else segment[first_rank].astype(np.int64))
+    pick = np.lexsort((first_rank, -sizes, owner))
+    best = np.zeros(n_cells, dtype=bool)
+    best[labels[pick[np.diff(owner[pick], prepend=-1) != 0]]] = True
+    return grid.order[by_rank[clustered[best[ranked_label[clustered]]]]]
 
 
 def geometric_overlap(detection_cloud: PointCloud, track_cloud: PointCloud,

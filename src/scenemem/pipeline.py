@@ -10,11 +10,13 @@ a loaded memory); each room is labelled from the summed class scores of
 the items whose camera stands in it (spatial.label_rooms, no request); and
 each keyframe gets its navigation-log entry, with its item's field-of-view
 tag ("unavailable" for an item without one, or a failed item).
-The sweep then walks the items in frame order: each item's (bbox, caption)
-objects are lifted through mask -> back-projection -> voxel downsample ->
-densest cluster (apis.detection_from_wire), then merged into or used to
-create tracks by the function that applies patches
-(apis._associate_detections), which places each track a detection lands on.
+The sweep then lifts every item's (bbox, caption) objects, in frame
+order, through mask -> back-projection -> voxel downsample -> densest
+cluster (apis.lift_detections, which clusters the clouds in batches); the
+lift reads no graph. It then walks the items in frame order: each item's
+detections are merged into or used to create tracks by the function that
+applies patches (apis._associate_detections), which places each track a
+detection lands on.
 Every third frame's entry in the request also asks for pairwise relations
 among that frame's detections: each row of its item names two detections,
 which become an edge between the nodes they landed on; an edge the graph
@@ -41,7 +43,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .apis import _associate_detections, detection_from_wire
+from .apis import _associate_detections, lift_detections
 from .backend import Backend, BackendError, BackendRequest, DetectResponse
 from .config import EngineConfig
 from .dataset import Episode
@@ -178,11 +180,12 @@ def build_ssm(episode: Episode, backend: Backend,
                                            "unavailable" if reply.fov_tag is None
                                            else reply.fov_tag))
 
-    for frame, due in zip(episode.frames, edges_due):
+    lifted = lift_detections([(frame, () if reply.error is not None else reply.objects)
+                              for frame, reply in zip(episode.frames, replies)], cfg)
+    for frame, due, detections in zip(episode.frames, edges_due, lifted):
         reply = replies.popleft()
         if reply.error is not None:
             continue
-        detections = [detection_from_wire(wire, frame, cfg) for wire in reply.objects]
         frame_nodes, _ = _associate_detections(ssm, detections)
 
         if due:

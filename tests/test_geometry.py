@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenemem import (CameraIntrinsics, DepthMap, PixelMask, PointCloud, Pose,
-                      backproject, geometric_overlap, geometry, largest_cluster,
+from scenemem import (CameraIntrinsics, DepthMap, EngineConfig, PixelMask, PointCloud,
+                      Pose, RuleReasoner, ScriptedBackend, apis, backproject, build_ssm,
+                      generate_scene, geometric_overlap, geometry, largest_cluster,
                       voxel_downsample)
 from scenemem.geometry import (_CLUSTER_CELL, GeometryInputError, _cell_coords, project,
                                voxel_union)
@@ -603,6 +604,104 @@ class TestLargestCluster:
         triples = np.vstack([np.repeat([(1e150, 0.0, 0.0), (2e150, 0.0, 0.0)], 3, axis=0),
                              [(-1e150, 0.0, 0.0)]])
         assert _assert_cluster_matches_brute(triples, 0.5, 5).is_empty
+
+
+# -- largest_cluster over several clouds -----------------------------------
+
+SEGMENT_PARAMS = [(0.5, 5), (0.3, 3), (0.8, 10)]
+
+
+def _build_clouds(rooms: int, objects: int, seed: int) -> list[np.ndarray]:
+    """The downsampled detection clouds a build clusters, in order."""
+    clouds = []
+    cluster = apis.largest_cluster
+
+    def record(cloud, eps, min_points, sizes=None):
+        clouds.extend(np.split(cloud.points, np.cumsum(sizes)[:-1]))
+        return cluster(cloud, eps, min_points, sizes=sizes)
+
+    scene = generate_scene(rooms, objects, seed)
+    apis.largest_cluster = record
+    try:
+        build_ssm(scene.episode(), ScriptedBackend(scene, RuleReasoner(), seed=seed),
+                  EngineConfig())
+    finally:
+        apis.largest_cluster = cluster
+    return clouds
+
+
+@pytest.fixture(scope="module", params=[(8, 3, 1000), (2, 3, 7), (2, 3, 1000), (3, 2, 0)],
+                ids=lambda p: "%dx%d-seed%d" % p)
+def build_clouds(request):
+    return _build_clouds(*request.param)
+
+
+def _assert_segments_match(clouds: list[np.ndarray], eps: float, min_points: int):
+    """largest_cluster over the clouds laid end to end gives, per cloud, the
+    bytes of the one-cloud call, which is the brute-force reference's
+    largest cluster."""
+    joined = PointCloud(np.vstack(clouds) if clouds else None)
+    out = largest_cluster(joined, eps, min_points, sizes=[len(c) for c in clouds])
+    assert len(out) == len(clouds)
+    for pts, got in zip(clouds, out):
+        alone = _assert_cluster_matches_brute(pts, eps, min_points)
+        assert got.points.shape == alone.points.shape
+        assert got.points.tobytes() == alone.points.tobytes()
+
+
+def _random_segments(seed: int) -> list[np.ndarray]:
+    """Blobs and strays, with empty, one-point and all-noise segments, a
+    segment repeated, and segments that overlap in space."""
+    g = rng(seed)
+    segments = []
+    for _ in range(int(g.integers(4, 9))):
+        kind = int(g.integers(0, 4))
+        if kind == 0:
+            segments.append(np.empty((0, 3)))
+        elif kind == 1:
+            segments.append(g.uniform(-1, 1, size=(1, 3)))
+        elif kind == 2:  # all noise: strays further apart than any eps
+            segments.append(np.arange(int(g.integers(2, 8)))[:, None] * 2.0 + g.uniform(-1, 1, 3))
+        else:
+            center = g.uniform(-1, 1, 3)  # segments share the same small box
+            parts = [_blob(center + g.uniform(-0.4, 0.4, 3), int(g.integers(3, 40)),
+                           float(g.uniform(0.03, 0.25)), int(g.integers(1 << 30)))
+                     for _ in range(int(g.integers(1, 3)))]
+            parts.append(g.uniform(-2, 2, size=(int(g.integers(0, 6)), 3)))
+            segments.append(np.vstack(parts))
+    copy = int(g.integers(len(segments)))
+    segments.insert(int(g.integers(len(segments) + 1)), segments[copy].copy())
+    return segments
+
+
+class TestSegmentedCluster:
+    @pytest.mark.parametrize("eps, min_points", SEGMENT_PARAMS)
+    def test_build_clouds_match_one_cloud_calls(self, build_clouds, eps, min_points):
+        _assert_segments_match(build_clouds, eps, min_points)
+
+    @pytest.mark.parametrize("eps, min_points", SEGMENT_PARAMS)
+    def test_random_segments_match_one_cloud_calls(self, eps, min_points):
+        for seed in range(25):
+            _assert_segments_match(_random_segments(900 + seed), eps, min_points)
+
+    def test_overlapping_segments_stay_apart(self):
+        # The same blob split in two: together it is one cluster of 40, but
+        # each half is clustered alone.
+        blob = _blob((0, 0, 0), 40, 0.05, 11)
+        out = largest_cluster(PointCloud(blob), 0.5, 5, sizes=[20, 20])
+        assert [len(c) for c in out] == [20, 20]
+        _assert_segments_match([blob[:20], blob[20:], blob[:3]], 0.5, 5)
+
+    def test_degenerate_segment_lists(self):
+        assert largest_cluster(PointCloud.empty(), 0.5, 5, sizes=[]) == []
+        out = largest_cluster(PointCloud.empty(), 0.5, 5, sizes=[0, 0])
+        assert [c.is_empty for c in out] == [True, True]
+
+    def test_sizes_must_cover_the_cloud(self):
+        cloud = PointCloud(_blob((0, 0, 0), 10, 0.05, 12))
+        for sizes in ([5, 4], [5, 6], [11, -1]):
+            with pytest.raises(GeometryInputError):
+                largest_cluster(cloud, 0.5, 5, sizes=sizes)
 
 
 # -- geometric_overlap ---------------------------------------------------------

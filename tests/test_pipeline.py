@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import scenemem
+from scenemem import apis
 from scenemem import (ApiCall, Detection, EngineConfig, Patch, PointCloud,
                       RecordingBackend, ReplayBackend, RuleReasoner, ScriptedBackend,
                       apply_patch, attach_floor_plan, build_ssm, deserialize,
@@ -31,6 +32,26 @@ from scenemem.pipeline import BuildError, floor_plan
 
 from test_golden_digests import CONFIGS as GOLDEN_CONFIGS, GOLDEN
 from test_graph import reference_associate
+
+
+BUILD_PINS = [
+    (8, 3, 1000, "6d07a5cf768bc8b82106b970ec55679995e4395886bfd06589e15965adbc0788"),
+    (2, 3, 7, "fcbc6ffed2530770d4737abe400c1f1d6d6dc7e96423fe2dbbeee2e4ab0c77d8"),
+]
+
+
+def _build_bytes(rooms: int, objects: int, seed: int) -> str:
+    """Digest of a scene's build: its memory text and, per track in id
+    order, the float64 bytes of its cloud points and embedding vectors."""
+    scene = generate_scene(rooms, objects, seed)
+    ssm = build_ssm(scene.episode(), ScriptedBackend(scene, RuleReasoner(), seed=seed),
+                    EngineConfig())
+    h = hashlib.sha256(serialize(ssm)[0].encode("utf-8"))
+    for tid in sorted(ssm.graph.tracks):
+        t = ssm.graph.tracks[tid]
+        for values in (t.cloud.points, t.visual.vector, t.language.vector):
+            h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    return h.hexdigest()
 
 
 def _shown(ssm, frame_id: int) -> tuple[int, ...]:
@@ -83,24 +104,37 @@ class TestBuildSsm:
             assert ssm.graph.tracks[tid].room_label == scene.room_label_of(obj), \
                 obj.caption
 
-    @pytest.mark.parametrize("rooms, objects, seed, digest", [
-        (8, 3, 1000, "6d07a5cf768bc8b82106b970ec55679995e4395886bfd06589e15965adbc0788"),
-        (2, 3, 7, "fcbc6ffed2530770d4737abe400c1f1d6d6dc7e96423fe2dbbeee2e4ab0c77d8"),
-    ])
+    @pytest.mark.parametrize("rooms, objects, seed, digest", BUILD_PINS)
     def test_build_bytes_pinned(self, rooms, objects, seed, digest):
         """The memory text and, per track in id order, the float64 bytes of
         its cloud points, visual vector and language vector. The text
         prints four decimals, so only this pin sees a cloud's or an
         embedding's last bits move; the golden digests pin only 2x3 text."""
-        scene = generate_scene(rooms, objects, seed)
-        ssm = build_ssm(scene.episode(), ScriptedBackend(scene, RuleReasoner(), seed=seed),
-                        EngineConfig())
-        h = hashlib.sha256(serialize(ssm)[0].encode("utf-8"))
-        for tid in sorted(ssm.graph.tracks):
-            t = ssm.graph.tracks[tid]
-            for values in (t.cloud.points, t.visual.vector, t.language.vector):
-                h.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
-        assert h.hexdigest() == digest
+        assert _build_bytes(rooms, objects, seed) == digest
+
+    @pytest.mark.parametrize("cap", [1, apis.CLUSTER_BATCH_POINTS, 2 ** 62],
+                             ids=["one-point", "default", "unbounded"])
+    @pytest.mark.parametrize("rooms, objects, seed, digest", BUILD_PINS)
+    def test_cluster_batch_cap_is_invisible(self, rooms, objects, seed, digest, cap,
+                                            monkeypatch):
+        """Whether the build clusters each detection's cloud alone, in
+        batches or all in one call, it builds the pinned bytes."""
+        segments = []
+        cluster, default = apis.largest_cluster, apis.CLUSTER_BATCH_POINTS
+
+        def count(cloud, eps, min_points, sizes=None):
+            segments.append(len(sizes))
+            return cluster(cloud, eps, min_points, sizes=sizes)
+
+        monkeypatch.setattr(apis, "CLUSTER_BATCH_POINTS", cap)
+        monkeypatch.setattr(apis, "largest_cluster", count)
+        assert _build_bytes(rooms, objects, seed) == digest
+        if cap == 1:
+            assert set(segments) == {1}
+        elif cap > default:
+            assert len(segments) == 1
+        else:
+            assert 1 < len(segments) < sum(segments)
 
     def test_contested_build_matches_reference_association(
             self, small_scene, small_episode, monkeypatch):
