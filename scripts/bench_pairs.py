@@ -27,9 +27,9 @@ Run it from the checkout that holds the change. The protocol:
    - ``unresolved``: not worse, but the parent's interquartile range is
      wider than the bound allows, and some change run reads no better than
      some parent run.
-   - ``gain``: the change wins at least nine tenths of the pairs, and its
-     median is better than the parent's by more than the parent's
-     interquartile range.
+   - ``gain``: of at least ten pairs, the change wins at least nine
+     tenths, and its median is better than the parent's by more than the
+     parent's interquartile range.
    - ``within bound`` otherwise.
    The workload's verdict is ``regression`` when a metric is worse or the
    change fails a larger share of operations, else ``no regression``.
@@ -54,6 +54,7 @@ import numpy
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGEST_PREFIX = "output digest"
+GAIN_PAIRS = 10
 GAIN_SHARE = 0.9
 
 
@@ -107,7 +108,8 @@ def summarise_metric(parent: list[float], change: list[float], better: str,
     every_run_better = max(sign * c for c in change) < min(sign * p for p in parent)
     if worse_by > bound * abs(p_med):
         verdict = "worse"
-    elif wins >= GAIN_SHARE * len(parent) and -worse_by > p_q3 - p_q1:
+    elif (len(parent) >= GAIN_PAIRS and wins >= GAIN_SHARE * len(parent)
+          and -worse_by > p_q3 - p_q1):
         verdict = "gain"
     elif p_q3 - p_q1 > bound * abs(p_med) and not every_run_better:
         verdict = "unresolved"
@@ -179,13 +181,13 @@ def measure(args) -> dict:
     base = _git("rev-parse", "--verify", f"{args.base}^{{commit}}")
     tree = sibling(ROOT)
     _git("worktree", "add", "--detach", str(tree), base)
+    sides = {"parent": tree, "change": ROOT}
     try:
         runs = []
         for i in range(1, args.pairs + 1):
             order = ("parent", "change") if i % 2 else ("change", "parent")
-            sides = {"parent": tree, "change": ROOT}
             results = {side: run_side(sides[side], args) for side in order}
-            runs.append({"pair": i, **{side: results[side] for side in ("parent", "change")}})
+            runs.append({"pair": i, "parent": results["parent"], "change": results["change"]})
             print(f"pair {i}/{args.pairs}: build_s parent "
                   f"{results['parent']['metrics']['build_s']['value']:.4g}, change "
                   f"{results['change']['metrics']['build_s']['value']:.4g}", flush=True)

@@ -73,6 +73,12 @@ def test_a_clear_gain_and_unchanged_metrics():
     assert bench_pairs.same_outputs(entry)
 
 
+def test_a_gain_needs_ten_pairs():
+    entry = bench_pairs.summarise(_runs([{"build_s": 0.3}] * 9, [{"build_s": 0.2}] * 9),
+                                  SPEC)
+    assert entry["summary"]["build_s"]["verdict"] == "within bound"
+
+
 def test_worse_beyond_the_bound_is_a_regression():
     parent = [{"build_s": 0.3, "accuracy": 1.0}] * 4
     change = [{"build_s": 0.3, "accuracy": 0.9}] * 4
@@ -82,8 +88,8 @@ def test_worse_beyond_the_bound_is_a_regression():
 
 
 def test_more_failed_operations_is_a_regression():
-    parent = [{"build_s": 0.3}] * 3
-    change = [{"build_s": 0.2, "failed": 1}] * 3
+    parent = [{"build_s": 0.3}] * 10
+    change = [{"build_s": 0.2, "failed": 1}] * 10
     entry = bench_pairs.summarise(_runs(parent, change), SPEC)
     assert entry["summary"]["build_s"]["verdict"] == "gain"
     assert entry["failed_share"]["change"] == pytest.approx(1 / 184)

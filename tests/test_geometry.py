@@ -661,7 +661,8 @@ def _random_segments(seed: int) -> list[np.ndarray]:
         elif kind == 1:
             segments.append(g.uniform(-1, 1, size=(1, 3)))
         elif kind == 2:  # all noise: strays further apart than any eps
-            segments.append(np.arange(int(g.integers(2, 8)))[:, None] * 2.0 + g.uniform(-1, 1, 3))
+            strays = np.arange(int(g.integers(2, 8)))[:, None] * 2.0
+            segments.append(strays + g.uniform(-1, 1, 3))
         else:
             center = g.uniform(-1, 1, 3)  # segments share the same small box
             parts = [_blob(center + g.uniform(-0.4, 0.4, 3), int(g.integers(3, 40)),
